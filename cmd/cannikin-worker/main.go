@@ -18,17 +18,16 @@
 package main
 
 import (
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"strings"
 
 	"cannikin"
 
 	"cannikin/internal/runspec"
+	"cannikin/internal/server"
 	"cannikin/internal/trace"
 )
 
@@ -55,27 +54,13 @@ func run(args []string, w io.Writer) error {
 	if len(spec.Peers) == 0 {
 		return fmt.Errorf("cannikin-worker requires -peers (every rank's host:port, in rank order)")
 	}
-	if len(spec.Faults) > 0 || spec.FaultReplan != "" {
-		return fmt.Errorf("fault injection is not supported in worker mode")
-	}
 	delay, err := runspec.ParseBatchDelay(spec.BatchDelay)
 	if err != nil {
 		return err
 	}
 
-	cfg := cannikin.MLPConfig{
-		LocalBatches: spec.MLPBatches,
-		Seed:         spec.Seed,
-		BucketBytes:  spec.BucketBytes,
-		KernelShards: spec.KernelShards,
-		Allreduce:    spec.Allreduce,
-		LinkAlpha:    spec.LinkAlpha,
-		LinkBeta:     spec.LinkBeta,
-		Resume:       spec.Resume,
-	}
-	if spec.Epochs > 0 {
-		cfg.Epochs = spec.Epochs
-	}
+	cfg := server.MLPConfigOf(spec)
+	cfg.Backend = "" // worker mode is its own engine; the spec's default names the in-process one
 	if spec.CheckpointIn != "" {
 		if cfg.InitWeights, cfg.InitVelocity, err = cannikin.LoadCheckpoint(spec.CheckpointIn); err != nil {
 			return err
@@ -106,7 +91,7 @@ func run(args []string, w io.Writer) error {
 		spec.Rank, res.Workers, intsToString(spec.MLPBatches), res.Steps, res.FinalAccuracy)
 	fmt.Fprintf(w, "ring: %d hops in %d network writes (%.2f msgs/batch), %d bytes sent, %d received\n",
 		st.MessagesSent, st.Batches, st.MsgsPerBatch, st.BytesSent, st.BytesReceived)
-	fmt.Fprintf(w, "weights-sha256: %s\n", weightsHash(res.FinalWeights))
+	fmt.Fprintf(w, "weights-sha256: %s\n", server.WeightsHash(res.FinalWeights))
 	return nil
 }
 
@@ -130,19 +115,4 @@ func intsToString(xs []int) string {
 		parts[i] = fmt.Sprint(x)
 	}
 	return strings.Join(parts, "/")
-}
-
-// weightsHash fingerprints the flat weight vector: sha256 over the
-// IEEE-754 bit patterns, little-endian. Must match the coordinator's.
-func weightsHash(weights []float64) string {
-	h := sha256.New()
-	var word [8]byte
-	for _, v := range weights {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			word[i] = byte(bits >> (8 * i))
-		}
-		h.Write(word[:])
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
 }

@@ -21,11 +21,9 @@ package main
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"flag"
 	"fmt"
 	"io"
-	"math"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -36,6 +34,7 @@ import (
 
 	"cannikin/internal/allreduce"
 	"cannikin/internal/runspec"
+	"cannikin/internal/server"
 	"cannikin/internal/trace"
 )
 
@@ -143,36 +142,10 @@ func run(args []string, w io.Writer) error {
 	return nil
 }
 
-// mlpConfigOf translates the spec's MLP fields to the public config.
+// mlpConfigOf is the shared spec lowering plus the one thing only a command
+// does: reading the -checkpoint-in file.
 func mlpConfigOf(spec *runspec.Spec) (cannikin.MLPConfig, error) {
-	cfg := cannikin.MLPConfig{
-		LocalBatches: spec.MLPBatches,
-		Backend:      spec.Backend,
-		CommMode:     spec.CommMode,
-		Seed:         spec.Seed,
-		BucketBytes:  spec.BucketBytes,
-		KernelShards: spec.KernelShards,
-		Allreduce:    spec.Allreduce,
-		LinkAlpha:    spec.LinkAlpha,
-		LinkBeta:     spec.LinkBeta,
-		Fault:        faultsToConfig(spec.Faults, spec.FaultReplan),
-		Resume:       spec.Resume,
-	}
-	if spec.Epochs > 0 {
-		cfg.Epochs = spec.Epochs
-	}
-	for _, j := range spec.Joins {
-		cfg.Joins = append(cfg.Joins, cannikin.JoinSpec{Epoch: j.Epoch, Batch: j.Batch, Replan: j.Replan})
-	}
-	if spec.AutoscaleMax > 0 || spec.AutoscaleShrink > 0 {
-		cfg.Autoscale = &cannikin.AutoscaleConfig{
-			MinWorkers:      spec.AutoscaleMin,
-			MaxWorkers:      spec.AutoscaleMax,
-			GrowThreshold:   spec.AutoscaleGrow,
-			ShrinkThreshold: spec.AutoscaleShrink,
-			JoinBatch:       spec.AutoscaleBatch,
-		}
-	}
+	cfg := server.MLPConfigOf(spec)
 	if spec.CheckpointIn != "" {
 		var err error
 		if cfg.InitWeights, cfg.InitVelocity, err = cannikin.LoadCheckpoint(spec.CheckpointIn); err != nil {
@@ -301,7 +274,7 @@ func runMLPCoordinator(w io.Writer, spec *runspec.Spec) error {
 	if err != nil {
 		return fmt.Errorf("channel reference run: %w", err)
 	}
-	refHash := weightsHash(ref.FinalWeights)
+	refHash := server.WeightsHash(ref.FinalWeights)
 	if refHash != hash {
 		return fmt.Errorf("tcp weights %s diverged from channel-transport reference %s", hash, refHash)
 	}
@@ -388,7 +361,7 @@ func runMLPElasticCoordinator(w io.Writer, spec *runspec.Spec, workerBin, dir st
 	if err != nil {
 		return fmt.Errorf("elastic reference run: %w", err)
 	}
-	refHash := weightsHash(ref.FinalWeights)
+	refHash := server.WeightsHash(ref.FinalWeights)
 	if refHash != hash {
 		return fmt.Errorf("tcp elastic weights %s diverged from in-process hot-join reference %s", hash, refHash)
 	}
@@ -487,21 +460,6 @@ func findWorkerBin(flagVal string) (string, error) {
 	return "", fmt.Errorf("cannikin-worker binary not found (build it with `go build ./cmd/cannikin-worker` or pass -worker-bin)")
 }
 
-// weightsHash is the canonical cross-process weight fingerprint: sha256
-// over the vector's IEEE-754 bit patterns, little-endian.
-func weightsHash(weights []float64) string {
-	h := sha256.New()
-	var word [8]byte
-	for _, v := range weights {
-		bits := math.Float64bits(v)
-		for i := 0; i < 8; i++ {
-			word[i] = byte(bits >> (8 * i))
-		}
-		h.Write(word[:])
-	}
-	return fmt.Sprintf("%x", h.Sum(nil))
-}
-
 // extractWeightsHash pulls the worker's "weights-sha256: <hex>" line.
 func extractWeightsHash(out string) string {
 	for _, line := range strings.Split(out, "\n") {
@@ -510,55 +468,6 @@ func extractWeightsHash(out string) string {
 		}
 	}
 	return ""
-}
-
-// parseFaults parses the -fault mini-DSL ("kind:worker@step[:arg]") into
-// the public fault config; kept as the conversion point between runspec's
-// transport-agnostic events and the cannikin API.
-func parseFaults(spec, replan string) (*cannikin.FaultConfig, error) {
-	events, err := runspec.ParseFaults(spec)
-	if err != nil {
-		return nil, err
-	}
-	return faultsToConfig(events, replan), nil
-}
-
-// faultsToConfig converts parsed fault events to the public config; nil
-// when no events and no replan policy are present.
-func faultsToConfig(events []runspec.Fault, replan string) *cannikin.FaultConfig {
-	if len(events) == 0 && replan == "" {
-		return nil
-	}
-	cfg := &cannikin.FaultConfig{Replan: replan}
-	for _, f := range events {
-		ev := cannikin.FaultEvent{Step: f.Step, Worker: f.Worker, Delay: f.Delay, Count: f.Count}
-		switch f.Kind {
-		case "kill":
-			ev.Kind = cannikin.FaultKillWorker
-		case "stall":
-			ev.Kind = cannikin.FaultStallCompute
-		case "delay":
-			ev.Kind = cannikin.FaultDelayMsg
-		case "drop":
-			ev.Kind = cannikin.FaultDropMsg
-		}
-		cfg.Events = append(cfg.Events, ev)
-	}
-	return cfg
-}
-
-// parseBatches parses "16,8,4" into per-worker local batch sizes.
-func parseBatches(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		b, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || b < 1 {
-			return nil, fmt.Errorf("bad local batch %q in %q", p, s)
-		}
-		out = append(out, b)
-	}
-	return out, nil
 }
 
 // auditToString renders one epoch's audit outcome for the trace table.

@@ -3,7 +3,6 @@ package main
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"cannikin"
 )
@@ -191,60 +190,6 @@ func TestRunMLPBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"-mlp", "-backend", "tpu"}, &sb); err == nil {
 		t.Fatal("bad -backend accepted")
-	}
-}
-
-func TestParseFaults(t *testing.T) {
-	cfg, err := parseFaults("stall:0@3:40ms, kill:1@8 ,drop:2@5:3,delay:1@2:10ms", "optperf")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Replan != "optperf" || len(cfg.Events) != 4 {
-		t.Fatalf("parsed %+v", cfg)
-	}
-	want := []cannikin.FaultEvent{
-		{Step: 3, Worker: 0, Kind: cannikin.FaultStallCompute, Delay: 40 * time.Millisecond},
-		{Step: 8, Worker: 1, Kind: cannikin.FaultKillWorker},
-		{Step: 5, Worker: 2, Kind: cannikin.FaultDropMsg, Count: 3},
-		{Step: 2, Worker: 1, Kind: cannikin.FaultDelayMsg, Delay: 10 * time.Millisecond},
-	}
-	for i, w := range want {
-		if cfg.Events[i] != w {
-			t.Fatalf("event %d = %+v, want %+v", i, cfg.Events[i], w)
-		}
-	}
-	// Bare drop defaults to one dropped send.
-	cfg, err = parseFaults("drop:0@1", "")
-	if err != nil || cfg.Events[0].Count != 1 {
-		t.Fatalf("bare drop: %+v, %v", cfg, err)
-	}
-	// Empty spec with a replan policy still configures fault tolerance.
-	cfg, err = parseFaults("", "keep")
-	if err != nil || cfg == nil || len(cfg.Events) != 0 {
-		t.Fatalf("replan-only: %+v, %v", cfg, err)
-	}
-	if cfg, err := parseFaults("", ""); err != nil || cfg != nil {
-		t.Fatalf("empty spec should disable faults: %+v, %v", cfg, err)
-	}
-
-	for _, bad := range []string{
-		"kill",            // no target
-		"kill:1",          // no step
-		"kill:one@2",      // bad worker
-		"kill:1@two",      // bad step
-		"kill:1@2:5ms",    // kill takes no arg
-		"stall:1@2",       // stall needs duration
-		"stall:1@2:bogus", // bad duration
-		"stall:1@2:-5ms",  // negative duration
-		"drop:1@2:0",      // zero count
-		"meteor:1@2",      // unknown kind
-	} {
-		if _, err := parseFaults(bad, ""); err == nil {
-			t.Fatalf("accepted %q", bad)
-		}
-	}
-	if _, err := parseFaults("", "wishful"); err != nil {
-		t.Fatal("replan validation happens at TrainMLP, not parse time:", err)
 	}
 }
 

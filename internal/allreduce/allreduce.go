@@ -29,10 +29,7 @@ func errRingSize(n int) error { return fmt.Errorf("allreduce: ring of %d workers
 
 // Options configures one ring reduce call. The zero value is a plain
 // blocking reduce; unset guarded fields take defaults, so callers state
-// only what they deviate on. Options replaces the former sprawl of
-// Reduce / ReduceGuarded / Guard / RetryPolicy.WithDefaults call shapes
-// behind one surface (the legacy names remain as thin deprecated
-// wrappers).
+// only what they deviate on.
 type Options struct {
 	// Guard runs every hop under the retry policy's deadline with bounded
 	// exponential-backoff retry. A hop that exhausts its budget — or whose
@@ -283,15 +280,6 @@ func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
 	}
 	sc.spare = spare
 	return nil
-}
-
-// Reduce is ReduceWith with zero Options on a channel ring, where
-// unguarded hops cannot fail.
-//
-// Deprecated: new code should call ReduceWith, which reports link failures
-// on remote transports.
-func (r *Ring) Reduce(rank int, seg []float64) {
-	_ = r.ReduceWith(rank, seg, Options{})
 }
 
 // smallReduceBytes is the payload size at or below which AllReduce computes

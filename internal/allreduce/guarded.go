@@ -63,21 +63,6 @@ func (p RetryPolicy) Budget() time.Duration {
 	return total
 }
 
-// Guard configures one guarded reduce call: the retry policy plus the
-// injected faults this call must suffer (both zero for a clean call).
-//
-// Deprecated: new code should pass Options to ReduceWith; Guard remains as
-// the argument of the legacy ReduceGuarded wrapper.
-type Guard struct {
-	Policy RetryPolicy
-	// SendDelay delays this call's first send attempt.
-	SendDelay time.Duration
-	// SendDrops drops that many attempts of this call's first send; each
-	// lost attempt costs the sender one retransmit timeout, exactly like a
-	// lost packet under a retransmission timer.
-	SendDrops int
-}
-
 // RingFault is the error of a failed guarded reduce: which rank gave up,
 // on which operation, and which neighbor it therefore suspects. Cause
 // carries the underlying failure — ErrHopTimeout for an exhausted retry
@@ -113,25 +98,6 @@ func (f *RingFault) Unwrap() error {
 		return ErrHopTimeout
 	}
 	return f.Cause
-}
-
-// ReduceGuarded is ReduceWith with Options{Guard: true} spelled through the
-// legacy Guard struct: per-hop deadlines, bounded retry with exponential
-// backoff, and deterministic fault injection. It performs the identical
-// arithmetic to Reduce — same chunking, same summation order — so a
-// guarded reduce that completes yields bitwise-identical results to an
-// unguarded one. On retry exhaustion it returns a *RingFault naming the
-// suspected neighbor; the segment then holds partially-reduced data and
-// must be discarded by the caller.
-//
-// Deprecated: new code should call ReduceWith directly.
-func (r *Ring) ReduceGuarded(rank int, seg []float64, g Guard) error {
-	return r.ReduceWith(rank, seg, Options{
-		Guard:     true,
-		Policy:    g.Policy,
-		SendDelay: g.SendDelay,
-		SendDrops: g.SendDrops,
-	})
 }
 
 func nextDeadline(d time.Duration, p RetryPolicy) time.Duration {

@@ -28,11 +28,11 @@ func TestRetryPolicyDefaultsAndBudget(t *testing.T) {
 	}
 }
 
-// TestReduceGuardedMatchesReduce pins the core determinism contract: a
+// TestGuardedReduceMatchesUnguarded pins the core determinism contract: a
 // guarded reduce that completes is bitwise-identical to the unguarded one
 // on the same inputs — same chunking, same summation order — including
 // under injected delays and drops that stay within the retry budget.
-func TestReduceGuardedMatchesReduce(t *testing.T) {
+func TestGuardedReduceMatchesUnguarded(t *testing.T) {
 	src := rng.New(29)
 	for _, tc := range []struct {
 		name   string
@@ -104,11 +104,11 @@ func TestReduceGuardedMatchesReduce(t *testing.T) {
 	}
 }
 
-// TestReduceGuardedSilentRank: when one rank never joins the collective,
+// TestGuardedReduceSilentRank: when one rank never joins the collective,
 // every participating rank must fail within its bounded budget — no
 // deadlock — with a RingFault wrapping ErrHopTimeout, and the silent
 // rank's successor must name it as the suspect.
-func TestReduceGuardedSilentRank(t *testing.T) {
+func TestGuardedReduceSilentRank(t *testing.T) {
 	const n, dim, silent = 3, 30, 0
 	ring, err := NewRing(n, 4)
 	if err != nil {
@@ -151,10 +151,10 @@ func TestReduceGuardedSilentRank(t *testing.T) {
 	}
 }
 
-// TestReduceGuardedDropBeyondBudget: a sender that drops more attempts
+// TestGuardedReduceDropBeyondBudget: a sender that drops more attempts
 // than its neighbors' budgets cover forces a fault somewhere in the ring,
 // and everyone still returns.
-func TestReduceGuardedDropBeyondBudget(t *testing.T) {
+func TestGuardedReduceDropBeyondBudget(t *testing.T) {
 	const n, dim = 3, 30
 	ring, err := NewRing(n, 4)
 	if err != nil {

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"time"
 
@@ -83,28 +82,12 @@ func TestWorkerAlgorithmMatchesTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n := len(batches)
-	rings, closeAll := buildWorkerRings(t, n, 0)
-	defer closeAll()
-	results := make([]*Result, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			cfg := testConfig(t, 7, batches, 200)
-			cfg.Allreduce = "hd"
-			cfg.BucketBytes = 64 * 8
-			results[rank], errs[rank] = TrainWorker(WorkerConfig{
-				Config: cfg,
-				Rank:   rank,
-				Ring:   rings[rank],
-				Policy: allreduce.RetryPolicy{HopTimeout: 200 * time.Millisecond},
-			})
-		}(i)
-	}
-	wg.Wait()
+	results, errs := runWorkers(t, len(batches), 0, func(rank int) WorkerConfig {
+		cfg := testConfig(t, 7, batches, 200)
+		cfg.Allreduce = "hd"
+		cfg.BucketBytes = 64 * 8
+		return WorkerConfig{Config: cfg, Policy: allreduce.RetryPolicy{HopTimeout: 200 * time.Millisecond}}
+	})
 	for rank, err := range errs {
 		if err != nil {
 			t.Fatalf("rank %d: %v", rank, err)

@@ -45,95 +45,64 @@ func reserveProfile(exec *liveExec, extra int) {
 // live engine's hot loop: once workspaces, ring scratch, and optimizer
 // state are warm, a full synchronized step — forward, loss, streaming
 // bucketed backprop, ring all-reduce, optimizer — must perform zero heap
-// allocations on the compute path, with both serial and sharded kernels
-// and in both comm modes (overlapped pair and merged single goroutine).
-// The profile trace is append-only by design, so its storage is
-// pre-reserved here rather than counted against the step.
+// allocations on the compute path, with both serial and sharded kernels,
+// in both comm modes (overlapped pair and merged single goroutine), plain
+// and guarded. The guarded step (fault tolerance armed, empty schedule)
+// adds per-hop deadline timers, the two-phase commit, and the driver's
+// deadline-bound result collection, all of which must reuse their state —
+// otherwise a long fault-tolerant run pays them as steady GC pressure. The
+// profile trace is append-only by design, so its storage is pre-reserved
+// here rather than counted against the step.
 func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		for _, merged := range []bool{false, true} {
-			mode := "overlap"
-			if merged {
-				mode = "merged"
-			}
-			t.Run(fmt.Sprintf("shards%d/%s", shards, mode), func(t *testing.T) {
-				tensor.SetParallelism(shards)
-				defer tensor.SetParallelism(1)
+		for _, mode := range []string{"overlap", "merged"} {
+			for _, guard := range []string{"plain", "guarded"} {
+				t.Run(fmt.Sprintf("shards%d/%s/%s", shards, mode, guard), func(t *testing.T) {
+					tensor.SetParallelism(shards)
+					defer tensor.SetParallelism(1)
 
-				const nWorkers, batch = 2, 64
-				sizes := []int{32, 128, 64, 8}
-				replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, sizes)
-				algs, err := bucketAlgorithms("", 0, 0, replicas[0].NumParams(), 1024, nWorkers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				exec := newLiveExec(replicas, opts, 1024, algs, nil, merged) // 13k params: multi-bucket streaming
-				defer exec.close()
-				stepWeights := []float64{0.5, 0.5}
-
-				stepNo := 0
-				step := func() {
-					if _, err := exec.step(0, stepNo, xs, labels, stepWeights, 0.01); err != nil {
+					const nWorkers, batch = 2, 64
+					sizes := []int{32, 128, 64, 8}
+					replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, sizes)
+					algs, err := bucketAlgorithms("", 0, 0, replicas[0].NumParams(), 1024, nWorkers)
+					if err != nil {
 						t.Fatal(err)
 					}
-					stepNo++
-				}
-				for i := 0; i < 3; i++ {
-					step() // warm workspaces, ring scratch, optimizer state
-				}
-				reserveProfile(exec, nWorkers*200)
+					var ft *faultTolerance
+					if guard == "guarded" {
+						inj, err := faultinject.NewInjector(faultinject.Schedule{}, nWorkers)
+						if err != nil {
+							t.Fatal(err)
+						}
+						ft = &faultTolerance{
+							inj:         inj,
+							policy:      allreduce.RetryPolicy{}.WithDefaults(),
+							stepTimeout: 2 * time.Second,
+							record:      func(r FaultRecord) { t.Errorf("fault-free step recorded %v", r) },
+						}
+					}
+					// 13k params in 1024-element buckets: multi-bucket streaming.
+					exec := newLiveExec(replicas, opts, 1024, algs, ft, mode == "merged", hosting{})
+					defer exec.close()
+					stepWeights := []float64{0.5, 0.5}
 
-				if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-					t.Fatalf("steady-state live step allocates %v times, want 0", allocs)
-				}
-			})
+					stepNo := 0
+					step := func() {
+						if _, err := exec.step(0, stepNo, xs, labels, stepWeights, 0.01); err != nil {
+							t.Fatal(err)
+						}
+						stepNo++
+					}
+					for i := 0; i < 3; i++ {
+						step() // warm workspaces, ring scratch, optimizer state
+					}
+					reserveProfile(exec, nWorkers*200)
+
+					if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+						t.Fatalf("steady-state live step allocates %v times, want 0", allocs)
+					}
+				})
+			}
 		}
-	}
-}
-
-// TestGuardedSteadyStateStepAllocsZero extends the gate to the guarded
-// (fault-tolerant) path with an empty fault schedule: per-hop deadline
-// timers, the two-phase commit, and the driver's result collection must all
-// reuse their state. Before the timer/result hoisting this path allocated
-// several times per step (one runtime timer per guarded hop, a fresh
-// results+responded pair and a collection timer per step), which a long
-// fault-tolerant run pays as steady GC pressure.
-func TestGuardedSteadyStateStepAllocsZero(t *testing.T) {
-	const nWorkers, batch = 2, 64
-	sizes := []int{32, 128, 64, 8}
-	replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, sizes)
-
-	inj, err := faultinject.NewInjector(faultinject.Schedule{}, nWorkers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft := &faultTolerance{
-		inj:         inj,
-		policy:      allreduce.RetryPolicy{}.WithDefaults(),
-		stepTimeout: 2 * time.Second,
-	}
-	algs, err := bucketAlgorithms("", 0, 0, replicas[0].NumParams(), 1024, nWorkers)
-	if err != nil {
-		t.Fatal(err)
-	}
-	exec := newLiveExec(replicas, opts, 1024, algs, ft, false)
-	defer exec.close()
-	stepWeights := []float64{0.5, 0.5}
-
-	stepNo := 0
-	step := func() {
-		sample, records, fail, err := exec.stepGuarded(0, stepNo, xs, labels, stepWeights, 0.01)
-		if err != nil || fail != nil || len(records) != 0 {
-			t.Fatalf("guarded step: sample=%v records=%v fail=%v err=%v", sample, records, fail, err)
-		}
-		stepNo++
-	}
-	for i := 0; i < 3; i++ {
-		step()
-	}
-	reserveProfile(exec, nWorkers*200)
-
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state guarded step allocates %v times, want 0", allocs)
 	}
 }

@@ -408,110 +408,73 @@ func replanJoin(policy string, prof *Profile, current []int, joinBatch int, join
 // replica's weights AND optimizer velocity are bitwise-identical at the
 // last committed step, and returns both as an owned checkpoint. Any
 // divergence aborts the membership change before anything is mutated.
-func checkpointState(exec executor, replicas []*nn.Network, opts []*nn.SGD) (weights, velocity []float64, err error) {
-	ref, err := exec.finalWeights()
+func (d *driver) checkpointState() (weights, velocity []float64, err error) {
+	ref, err := d.exec.finalWeights()
 	if err != nil {
 		return nil, nil, err
 	}
-	weights = append([]float64(nil), ref...)
-	velocity = opts[0].FlatVelocity(replicas[0].Params())
-	for i := 1; i < len(opts); i++ {
-		if d := maxAbsDiff(velocity, opts[i].FlatVelocity(replicas[i].Params())); d != 0 {
-			return nil, nil, fmt.Errorf("runtime: replica %d optimizer state diverged by %g at membership change", i, d)
-		}
+	velocity, err = replicasAgree("optimizer state", len(d.sgd), func(i int) []float64 {
+		return d.sgd[i].FlatVelocity(d.replicas[i].Params())
+	})
+	if err != nil {
+		return nil, nil, err
 	}
-	return weights, velocity, nil
+	return append([]float64(nil), ref...), velocity, nil
 }
 
-// growCluster commits one worker hot-join and returns the grown
-// incarnation, which starts at startEpoch. The join is recorded in
+// grow is the membership change that commits one worker hot-join; the
+// grown incarnation starts at startEpoch. The join is recorded in
 // res.Joins; the incarnation's source is the join's own split stream, so a
 // fresh run launched from the recorded checkpoint (weights + velocity) on
 // the grown cluster reproduces the post-join trajectory bitwise.
-func growCluster(cfg *Config, inc *incarnation, res *Result, exec executor, replicas []*nn.Network, opts []*nn.SGD, j Join, reason string, startEpoch int, remaining []Join, localBatches []int, lr float64) (*incarnation, error) {
-	if j.Batch < 1 {
-		j.Batch = 1
-	}
-	checkpoint, velocity, err := checkpointState(exec, replicas, opts)
-	if err != nil {
-		return nil, err
-	}
-	seq := len(res.Joins) + 1
-	perSample, joinNode := probeJoin(cfg, j, seq)
-	batches, replanned := replanJoin(j.Replan, exec.profile(), localBatches, j.Batch, joinNode)
-	joinerOrig := len(cfg.LocalBatches) + len(res.Joins)
-	jr := JoinRecord{
-		Epoch:      startEpoch,
-		Step:       res.Steps,
-		Worker:     joinerOrig,
-		Batch:      batches[len(batches)-1],
-		Batches:    append([]int(nil), batches...),
-		Checkpoint: checkpoint,
-		Velocity:   velocity,
-		PerSample:  perSample,
-		Replanned:  replanned,
-		Reason:     reason,
-	}
-	res.Joins = append(res.Joins, jr)
-	return &incarnation{
-		localBatches: batches,
-		lr:           lr,
-		src:          cfg.Src.Split(fmt.Sprintf("join-%d", seq)),
-		initWeights:  checkpoint,
-		initVelocity: velocity,
-		schedule:     inc.schedule,
-		epochBase:    startEpoch,
-		origIdx:      append(append([]int(nil), inc.origIdx...), joinerOrig),
-		pendingJoins: remaining,
-	}, nil
+func (d *driver) grow(j Join, reason string, startEpoch int, remaining []Join) *membershipChange {
+	return &membershipChange{what: "join (" + reason + ")", next: func() (*incarnation, error) {
+		cfg, inc, res := d.cfg, d.inc, d.res
+		if j.Batch < 1 {
+			j.Batch = 1
+		}
+		checkpoint, velocity, err := d.checkpointState()
+		if err != nil {
+			return nil, err
+		}
+		seq := len(res.Joins) + 1
+		perSample, joinNode := probeJoin(cfg, j, seq)
+		batches, replanned := replanJoin(j.Replan, d.exec.profile(), d.localBatches, j.Batch, joinNode)
+		joinerOrig := len(cfg.LocalBatches) + len(res.Joins)
+		res.Joins = append(res.Joins, JoinRecord{
+			Epoch:      startEpoch,
+			Step:       res.Steps,
+			Worker:     joinerOrig,
+			Batch:      batches[len(batches)-1],
+			Batches:    append([]int(nil), batches...),
+			Checkpoint: checkpoint,
+			Velocity:   velocity,
+			PerSample:  perSample,
+			Replanned:  replanned,
+			Reason:     reason,
+		})
+		return &incarnation{
+			localBatches: batches,
+			lr:           d.lr,
+			src:          cfg.Src.Split(fmt.Sprintf("join-%d", seq)),
+			initWeights:  checkpoint,
+			initVelocity: velocity,
+			schedule:     inc.schedule,
+			epochBase:    startEpoch,
+			origIdx:      append(append([]int(nil), inc.origIdx...), joinerOrig),
+			pendingJoins: remaining,
+		}, nil
+	}}
 }
 
-// shrinkCluster sheds one worker voluntarily at an epoch boundary through
-// the eviction path: checkpoint, survivor re-plan (keep), recovery stream,
-// fresh optimizer state — exactly the PR 5 recovery semantics, so the
-// post-shrink trajectory is bitwise-identical to a fresh run launched from
-// the recorded checkpoint on the survivor cluster.
-func shrinkCluster(cfg *Config, inc *incarnation, res *Result, exec executor, replicas []*nn.Network, opts []*nn.SGD, victim int, reason string, startEpoch int, localBatches []int, lr float64) (*incarnation, error) {
-	n := len(inc.localBatches)
-	if n < 2 {
-		return nil, ErrNoSurvivors
-	}
-	if victim < 0 || victim >= n {
-		victim = n - 1
-	}
-	checkpoint, _, err := checkpointState(exec, replicas, opts)
-	if err != nil {
-		return nil, err
-	}
-	var survivors []int
-	for r := 0; r < n; r++ {
-		if r != victim {
-			survivors = append(survivors, r)
+// shrink is the membership change that sheds one worker voluntarily at an
+// epoch boundary through the eviction commit (survivors keep their
+// batches). A victim outside the cluster picks the highest rank.
+func (d *driver) shrink(victim int, reason string, startEpoch int) *membershipChange {
+	return &membershipChange{what: "shrink (" + reason + ")", next: func() (*incarnation, error) {
+		if n := len(d.inc.localBatches); victim < 0 || victim >= n {
+			victim = n - 1
 		}
-	}
-	batches, _ := replanSurvivors(ReplanKeep, exec.profile(), survivors, localBatches)
-	ev := Eviction{
-		Epoch:           startEpoch,
-		Step:            res.Steps,
-		Workers:         []int{inc.origIdx[victim]},
-		Reason:          reason,
-		SurvivorBatches: batches,
-		Checkpoint:      checkpoint,
-	}
-	origIdx := make([]int, len(survivors))
-	for i, s := range survivors {
-		origIdx[i] = inc.origIdx[s]
-	}
-	ev.Survivors = origIdx
-	res.Evictions = append(res.Evictions, ev)
-	return &incarnation{
-		localBatches: batches,
-		lr:           lr,
-		src:          cfg.Src.Split(fmt.Sprintf("recovery-%d", len(res.Evictions))),
-		initWeights:  checkpoint,
-		schedule:     inc.schedule.Remap(survivors),
-		epochBase:    startEpoch,
-		origIdx:      origIdx,
-		pendingJoins: inc.pendingJoins,
-	}, nil
+		return d.survivorIncarnation([]int{victim}, reason, startEpoch, ReplanKeep)
+	}}
 }

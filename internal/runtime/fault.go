@@ -150,12 +150,14 @@ func (f FaultRecord) String() string {
 }
 
 // faultTolerance is the compiled fault-tolerance runtime handed to the
-// live executor: the injector, the hop retry policy, and the driver-side
-// step deadline.
+// live executor: the injector, the hop retry policy, the driver-side step
+// deadline, and the sink for every injected fault a worker consumed
+// (incarnation-relative ranks).
 type faultTolerance struct {
 	inj         *faultinject.Injector
 	policy      allreduce.RetryPolicy
 	stepTimeout time.Duration
+	record      func(FaultRecord)
 }
 
 // stepFailure is the driver's view of one failed synchronized step.
@@ -168,6 +170,19 @@ type stepFailure struct {
 	blame []int
 	// firstErr is one representative hop error for reporting.
 	firstErr error
+}
+
+// Error renders the failure as the eviction reason it becomes; it is what
+// executor.step fails with under fault tolerance.
+func (f *stepFailure) Error() string {
+	reason := "ring fault"
+	if len(f.dead) > 0 {
+		reason = "step timeout"
+	}
+	if f.firstErr != nil {
+		reason = fmt.Sprintf("%s: %v", reason, f.firstErr)
+	}
+	return reason
 }
 
 // victims picks who to evict: dead workers if any were identified,
@@ -225,4 +240,79 @@ func replanSurvivors(policy string, prof *Profile, survivors, current []int) (ba
 		}
 	}
 	return plan.Batches, true
+}
+
+// evict turns a failed step into the membership change that drops its
+// victims: dead workers, or the most-suspected one. The interrupted epoch
+// restarts from its beginning on the survivors.
+func (d *driver) evict(fail *stepFailure, epoch int) *membershipChange {
+	reason := fail.Error()
+	return &membershipChange{what: "eviction after " + reason, next: func() (*incarnation, error) {
+		victims := fail.victims()
+		if len(victims) == 0 {
+			if fail.firstErr != nil {
+				return nil, fail.firstErr
+			}
+			return nil, errors.New("runtime: step failed with no identifiable victim")
+		}
+		return d.survivorIncarnation(victims, reason, epoch, d.cfg.Fault.Replan)
+	}}
+}
+
+// survivorIncarnation is the commit shared by a fault eviction and a
+// voluntary shrink: it verifies the survivors' replicas are bitwise
+// consistent at the last committed step (the two-phase commit guarantees
+// it), checkpoints their weights, re-plans the survivor batches, records
+// the Eviction, and builds the incarnation that resumes at epoch on its own
+// recovery stream with fresh optimizer state — so the trajectory from here
+// is bitwise-identical to a fresh run launched from the recorded checkpoint
+// on the survivor cluster.
+func (d *driver) survivorIncarnation(victims []int, reason string, epoch int, replan string) (*incarnation, error) {
+	inc, res := d.inc, d.res
+	evicted := make(map[int]bool, len(victims))
+	for _, v := range victims {
+		evicted[v] = true
+	}
+	var survivors []int // incarnation-relative ranks
+	for r := range inc.localBatches {
+		if !evicted[r] {
+			survivors = append(survivors, r)
+		}
+	}
+	if len(survivors) == 0 {
+		return nil, ErrNoSurvivors
+	}
+	ref, err := replicasAgree("weights", len(survivors), func(i int) []float64 { return d.replicas[survivors[i]].FlatWeights() })
+	if err != nil {
+		return nil, fmt.Errorf("%w among the survivors of %s", err, reason)
+	}
+	checkpoint := append([]float64(nil), ref...)
+	batches, replanned := replanSurvivors(replan, d.exec.profile(), survivors, d.localBatches)
+
+	ev := Eviction{
+		Epoch:           epoch,
+		Step:            res.Steps,
+		Reason:          reason,
+		SurvivorBatches: batches,
+		Checkpoint:      checkpoint,
+		Replanned:       replanned,
+	}
+	for _, v := range victims {
+		ev.Workers = append(ev.Workers, inc.origIdx[v])
+	}
+	for _, s := range survivors {
+		ev.Survivors = append(ev.Survivors, inc.origIdx[s])
+	}
+	res.Evictions = append(res.Evictions, ev)
+
+	return &incarnation{
+		localBatches: batches,
+		lr:           d.lr,
+		src:          d.cfg.Src.Split(fmt.Sprintf("recovery-%d", len(res.Evictions))),
+		initWeights:  checkpoint,
+		schedule:     inc.schedule.Remap(survivors),
+		epochBase:    epoch,
+		origIdx:      ev.Survivors,
+		pendingJoins: inc.pendingJoins,
+	}, nil
 }

@@ -57,6 +57,10 @@ func faultConfig(t *testing.T, seed uint64) Config {
 	}
 }
 
+// faultCommModes are the live layouts every fault-path differential runs
+// under: the guarded step is one path, so both must agree bitwise.
+var faultCommModes = []string{CommOverlap, CommMerged}
+
 func equalWeights(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -106,20 +110,23 @@ func TestGuardedFaultFreeMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := faultConfig(t, 7)
-	cfg.Fault = fastFault(faultinject.Schedule{})
-	guarded, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalWeights(base.FinalWeights, guarded.FinalWeights) {
-		t.Fatal("armed-but-idle fault tolerance changed the trained weights")
-	}
-	if len(guarded.Evictions) != 0 || len(guarded.FaultEvents) != 0 {
-		t.Fatalf("fault-free run reported evictions %v / faults %v", guarded.Evictions, guarded.FaultEvents)
-	}
-	if guarded.Steps != base.Steps {
-		t.Fatalf("guarded run took %d steps, baseline %d", guarded.Steps, base.Steps)
+	for _, comm := range faultCommModes {
+		cfg := faultConfig(t, 7)
+		cfg.CommMode = comm
+		cfg.Fault = fastFault(faultinject.Schedule{})
+		guarded, err := Train(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", comm, err)
+		}
+		if !equalWeights(base.FinalWeights, guarded.FinalWeights) {
+			t.Fatalf("%s: armed-but-idle fault tolerance changed the trained weights", comm)
+		}
+		if len(guarded.Evictions) != 0 || len(guarded.FaultEvents) != 0 {
+			t.Fatalf("%s: fault-free run reported evictions %v / faults %v", comm, guarded.Evictions, guarded.FaultEvents)
+		}
+		if guarded.Steps != base.Steps {
+			t.Fatalf("%s: guarded run took %d steps, baseline %d", comm, guarded.Steps, base.Steps)
+		}
 	}
 }
 
@@ -132,33 +139,36 @@ func TestTransientFaultsTolerated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := faultConfig(t, 13)
-	cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-		{Step: 2, Worker: 0, Kind: faultinject.KindStallCompute, Delay: 10 * time.Millisecond, Steps: 2},
-		{Step: 4, Worker: 1, Kind: faultinject.KindDelayMsg, Delay: 8 * time.Millisecond},
-		{Step: 6, Worker: 2, Kind: faultinject.KindDropMsg, Count: 1},
-	}})
-	faulty, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(faulty.Evictions) != 0 {
-		t.Fatalf("transient faults caused evictions: %+v", faulty.Evictions)
-	}
-	if !equalWeights(base.FinalWeights, faulty.FinalWeights) {
-		t.Fatal("transient in-budget faults changed the trained weights")
-	}
-	// 2 stall steps + 1 delay + 1 drop = 4 consumed fault records.
-	if len(faulty.FaultEvents) != 4 {
-		t.Fatalf("FaultEvents = %+v, want 4 records", faulty.FaultEvents)
-	}
-	wantWorkers := map[int]bool{0: true, 1: true, 2: true}
-	for _, f := range faulty.FaultEvents {
-		if !wantWorkers[f.Worker] {
-			t.Fatalf("fault record names unknown worker: %+v", f)
+	for _, comm := range faultCommModes {
+		cfg := faultConfig(t, 13)
+		cfg.CommMode = comm
+		cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
+			{Step: 2, Worker: 0, Kind: faultinject.KindStallCompute, Delay: 10 * time.Millisecond, Steps: 2},
+			{Step: 4, Worker: 1, Kind: faultinject.KindDelayMsg, Delay: 8 * time.Millisecond},
+			{Step: 6, Worker: 2, Kind: faultinject.KindDropMsg, Count: 1},
+		}})
+		faulty, err := Train(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", comm, err)
 		}
-		if f.String() == "" {
-			t.Fatal("empty fault record rendering")
+		if len(faulty.Evictions) != 0 {
+			t.Fatalf("%s: transient faults caused evictions: %+v", comm, faulty.Evictions)
+		}
+		if !equalWeights(base.FinalWeights, faulty.FinalWeights) {
+			t.Fatalf("%s: transient in-budget faults changed the trained weights", comm)
+		}
+		// 2 stall steps + 1 delay + 1 drop = 4 consumed fault records.
+		if len(faulty.FaultEvents) != 4 {
+			t.Fatalf("%s: FaultEvents = %+v, want 4 records", comm, faulty.FaultEvents)
+		}
+		wantWorkers := map[int]bool{0: true, 1: true, 2: true}
+		for _, f := range faulty.FaultEvents {
+			if !wantWorkers[f.Worker] {
+				t.Fatalf("%s: fault record names unknown worker: %+v", comm, f)
+			}
+			if f.String() == "" {
+				t.Fatal("empty fault record rendering")
+			}
 		}
 	}
 }
@@ -240,41 +250,46 @@ func TestKillWorkerEvicts(t *testing.T) {
 func TestDifferentialRecovery(t *testing.T) {
 	defer watchdog(t, 3*time.Minute)()
 	const seed = 31
-	cfg := faultConfig(t, seed)
-	cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-		{Step: 12, Worker: 1, Kind: faultinject.KindKillWorker},
-	}})
-	faulty, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(faulty.Evictions) != 1 {
-		t.Fatalf("evictions = %+v, want one", faulty.Evictions)
-	}
-	ev := faulty.Evictions[0]
+	for _, comm := range faultCommModes {
+		cfg := faultConfig(t, seed)
+		cfg.CommMode = comm
+		cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
+			{Step: 12, Worker: 1, Kind: faultinject.KindKillWorker},
+		}})
+		faulty, err := Train(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", comm, err)
+		}
+		if len(faulty.Evictions) != 1 {
+			t.Fatalf("%s: evictions = %+v, want one", comm, faulty.Evictions)
+		}
+		ev := faulty.Evictions[0]
 
-	// A fresh run from the checkpoint: survivor batches, the eviction's
-	// recovery randomness stream, the remaining epochs, no fault machinery.
-	fresh := faultConfig(t, seed)
-	fresh.LocalBatches = ev.SurvivorBatches
-	fresh.InitWeights = ev.Checkpoint
-	fresh.Epochs = cfg.Epochs - ev.Epoch
-	fresh.Src = rng.New(seed).Split("recovery-1")
-	freshRes, err := Train(fresh)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equalWeights(faulty.FinalWeights, freshRes.FinalWeights) {
-		t.Fatal("post-eviction trajectory diverges from a fresh run off the checkpoint")
-	}
-	// The per-epoch curves of the recovered epochs must match too.
-	tail := faulty.EpochLoss[ev.Epoch:]
-	if len(tail) != len(freshRes.EpochLoss) {
-		t.Fatalf("recovered %d epochs, fresh run has %d", len(tail), len(freshRes.EpochLoss))
-	}
-	for i := range tail {
-		if tail[i] != freshRes.EpochLoss[i] {
-			t.Fatalf("epoch %d loss %v != fresh %v", ev.Epoch+i, tail[i], freshRes.EpochLoss[i])
+		// A fresh run from the checkpoint: survivor batches, the eviction's
+		// recovery randomness stream, the remaining epochs, no fault
+		// machinery — on the sequential reference engine.
+		fresh := faultConfig(t, seed)
+		fresh.Backend = BackendSim
+		fresh.LocalBatches = ev.SurvivorBatches
+		fresh.InitWeights = ev.Checkpoint
+		fresh.Epochs = cfg.Epochs - ev.Epoch
+		fresh.Src = rng.New(seed).Split("recovery-1")
+		freshRes, err := Train(fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !equalWeights(faulty.FinalWeights, freshRes.FinalWeights) {
+			t.Fatalf("%s: post-eviction trajectory diverges from a fresh run off the checkpoint", comm)
+		}
+		// The per-epoch curves of the recovered epochs must match too.
+		tail := faulty.EpochLoss[ev.Epoch:]
+		if len(tail) != len(freshRes.EpochLoss) {
+			t.Fatalf("%s: recovered %d epochs, fresh run has %d", comm, len(tail), len(freshRes.EpochLoss))
+		}
+		for i := range tail {
+			if tail[i] != freshRes.EpochLoss[i] {
+				t.Fatalf("%s: epoch %d loss %v != fresh %v", comm, ev.Epoch+i, tail[i], freshRes.EpochLoss[i])
+			}
 		}
 	}
 }

@@ -11,18 +11,18 @@ import (
 )
 
 // FuzzRingFaults throws randomly generated — but fully seeded — fault
-// schedules at small live runs and checks the fault-tolerance state
+// schedules at small live runs in either comm layout and checks the fault-tolerance state
 // machine's total contract: the run never deadlocks, and it ends in one
 // of exactly three ways: (1) weights bitwise-identical to the fault-free
 // run (every fault absorbed), (2) a clean eviction report and a completed
 // run on the survivors, or (3) ErrNoSurvivors. Anything else — a hang, a
 // replica divergence, a malformed report — is a bug.
 func FuzzRingFaults(f *testing.F) {
-	f.Add(uint64(1), uint8(30), false)
-	f.Add(uint64(2), uint8(80), true)
-	f.Add(uint64(3), uint8(100), true)
-	f.Add(uint64(7), uint8(55), false)
-	f.Fuzz(func(t *testing.T, seed uint64, intensityPct uint8, kill bool) {
+	f.Add(uint64(1), uint8(30), false, false)
+	f.Add(uint64(2), uint8(80), true, false)
+	f.Add(uint64(3), uint8(100), true, true)
+	f.Add(uint64(7), uint8(55), false, true)
+	f.Fuzz(func(t *testing.T, seed uint64, intensityPct uint8, kill, merged bool) {
 		defer watchdog(t, 2*time.Minute)()
 		intensity := float64(intensityPct%100+1) / 100
 		src := rng.New(seed)
@@ -40,6 +40,12 @@ func FuzzRingFaults(f *testing.F) {
 			BucketBytes:  64 * 8,
 			Dataset:      ds,
 			Src:          src,
+		}
+		// The comm layout is one more fuzz input: the guarded step is the
+		// same path in both, so the trichotomy must hold in either.
+		cfg.CommMode = CommOverlap
+		if merged {
+			cfg.CommMode = CommMerged
 		}
 		schedule, err := faultinject.Generate(faultinject.Profile{
 			Intensity: intensity,

@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"errors"
-	"fmt"
 	stdruntime "runtime"
 	"sync"
 	"time"
@@ -21,16 +20,13 @@ const ringDepth = 8
 
 // resolveCommMode decides whether this incarnation's live workers run the
 // merged single-goroutine loop (true) or the overlapped compute+comm pair
-// (false). CommAuto merges when the workers alone already cover the host's
-// usable parallelism — min(GOMAXPROCS, NumCPU), so an oversubscribed
-// GOMAXPROCS doesn't fake capacity — because then the extra comm goroutines
-// buy no overlap, only scheduler churn. Fault-tolerant runs always run the
-// pair: the guarded step's fail-fast skip of remaining buckets lives in the
-// comm goroutine (validate rejects an explicit merged+Fault combination).
-func resolveCommMode(mode string, nWorkers int, ft *faultTolerance) bool {
-	if ft != nil {
-		return false
-	}
+// (false). CommAuto merges when the workers hosted in this process alone
+// already cover the host's usable parallelism — min(GOMAXPROCS, NumCPU), so
+// an oversubscribed GOMAXPROCS doesn't fake capacity — because then the
+// extra comm goroutines buy no overlap, only scheduler churn. The rule reads
+// only what the process observes, so a single-rank worker process overlaps
+// whenever it has a second core.
+func resolveCommMode(mode string, hosted int) bool {
 	switch mode {
 	case CommMerged:
 		return true
@@ -41,19 +37,19 @@ func resolveCommMode(mode string, nWorkers int, ft *faultTolerance) bool {
 		if ncpu := stdruntime.NumCPU(); ncpu < usable {
 			usable = ncpu
 		}
-		return nWorkers >= usable
+		return hosted >= usable
 	}
 }
 
-// liveExec runs every worker as its own pair of goroutines — one compute,
-// one communication — connected by a persistent ring. The compute
-// goroutine enqueues each gradient bucket the moment backprop has
-// finalized it (internal/nn's layerwise frontier), so reductions of
-// already-finished buckets proceed while earlier layers are still
-// backpropagating: real compute/communication overlap, measured with
+// liveExec runs every hosted rank as its own worker — a compute and a
+// communication goroutine, or one merged goroutine — attached to a
+// persistent ring. The compute side launches each gradient bucket the
+// moment backprop has finalized it (internal/nn's layerwise frontier), so
+// reductions of already-finished buckets proceed while earlier layers are
+// still backpropagating: real compute/communication overlap, measured with
 // wall-clock timers rather than simulated.
 //
-// With fault tolerance armed (ft != nil) the engine runs every ring hop
+// With fault tolerance armed (ft != nil) the same step runs every ring hop
 // under a per-hop deadline with bounded retry, consults the deterministic
 // fault injector at step start and first send, and turns the optimizer
 // update into a driver-coordinated commit: no replica applies a step until
@@ -63,20 +59,22 @@ type liveExec struct {
 	workers []*liveWorker
 	prof    *Profile
 	ft      *faultTolerance
+	// remote marks a ring that reaches into other processes: the per-rank
+	// |g_i|² then come from the workers' one-hot ring reduce instead of
+	// being collected locally.
+	remote bool
 	// closing, when closed, wakes workers parked in injected stalls or
 	// kills so teardown never waits on a simulated-dead goroutine.
 	closing chan struct{}
 	wg      sync.WaitGroup
-	// sampleBatches and sampleNorms back the gns.Sample returned by step,
-	// reused across steps so the steady-state step path does not allocate.
+	// sampleBatches and sampleNorms back the gns.Sample returned by step;
+	// results, responded, and collectTimer are step's per-step state. All
+	// are reused across steps so the steady-state step — plain or guarded —
+	// does not allocate.
 	sampleBatches []int
 	sampleNorms   []float64
-	// stepResults, stepResponded, and collectTimer are stepGuarded's
-	// reusable per-step state (guarded runs only): the guarded path must be
-	// as allocation-free per step as the plain one, or long fault-tolerant
-	// runs accumulate GC pressure the AllocsPerRun tests never saw.
-	stepResults   []stepResult
-	stepResponded []bool
+	results       []stepResult
+	responded     []bool
 	collectTimer  *time.Timer
 }
 
@@ -91,28 +89,23 @@ type stepTask struct {
 
 // stepResult reports one worker's completed share.
 type stepResult struct {
-	batch    int
 	localSq  float64 // |g_i|² of the raw local gradient
 	globalSq float64 // |g|² of the reduced weighted gradient
 	sample   Sample
-	// err is the hop failure that aborted the step's communication;
-	// suspect the neighbor rank the failed hop depends on (-1 none).
-	err     error
-	suspect int
+	// err is the hop failure that aborted the step's communication.
+	err error
 	// aborted marks a result produced by teardown waking a parked worker.
 	aborted bool
 	// faults are the injected faults this worker consumed at this step.
 	faults faultinject.StepFaults
 }
 
-// commStats aggregates one step's communication timing inside the comm
-// goroutine.
+// commStats aggregates one step's communication timing.
 type commStats struct {
-	busy     time.Duration // total time inside ring.Reduce
+	busy     time.Duration // total time inside ring reduces
 	tu       time.Duration // the final bucket's reduce duration
 	lastDone time.Time     // when the final bucket's reduce returned
-	err      error         // sticky first hop failure (guarded mode)
-	suspect  int           // neighbor suspected by the failed hop
+	err      error         // sticky first hop failure
 }
 
 type liveWorker struct {
@@ -125,10 +118,16 @@ type liveWorker struct {
 	// algs is the driver-resolved per-bucket collective schedule; every
 	// rank (and the sim backend) holds the identical slice, so all ranks of
 	// one bucket's reduce agree on the algorithm by construction.
-	algs    []allreduce.Algorithm
-	ring    *allreduce.Ring
+	algs []allreduce.Algorithm
+	ring *allreduce.Ring
+	// opts is what guarding amounts to at this layer: the Guard and Policy
+	// every reduce of this worker passes to the ring.
+	opts    allreduce.Options
 	ft      *faultTolerance
 	closing chan struct{}
+	// lead marks the first hosted worker, the only one whose reduced
+	// gradient norm the driver consumes.
+	lead bool
 	// merged runs the worker as a single event-driven goroutine: each
 	// bucket is reduced inline at the backprop frontier instead of being
 	// handed to a comm goroutine (commQ/commDone stay nil). Chosen when
@@ -144,6 +143,9 @@ type liveWorker struct {
 	// a region and only then enqueues the buckets it completes, so the
 	// two goroutines never touch a region concurrently.
 	commBuf []float64
+	// normBuf, on a ring with remote ranks, is the one-hot |g_i|² vector
+	// whose ring reduce replicates every rank's norm in every process.
+	normBuf []float64
 	// params and paramOffs map flat-vector regions back to parameters.
 	params    []*nn.Param
 	paramOffs []int
@@ -158,36 +160,45 @@ type liveWorker struct {
 	results  chan stepResult
 	commQ    chan int // bucket indices; -1 ends the step
 	commDone chan commStats
-	// commitQ and ackQ coordinate the two-phase step commit in guarded
-	// mode: the driver votes commit/abort after collecting every worker's
-	// communication outcome, and the worker acknowledges with the measured
-	// optimizer-apply time.
+	// commitQ and ackQ coordinate the two-phase step commit under fault
+	// tolerance: the driver votes commit/abort after collecting every
+	// worker's communication outcome, and the worker acknowledges with the
+	// measured optimizer-apply time.
 	commitQ chan bool
 	ackQ    chan time.Duration
 }
 
-func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []allreduce.Algorithm, ft *faultTolerance, merged bool) *liveExec {
-	n := len(replicas)
-	ring, err := allreduce.NewRing(n, ringDepth)
-	if err != nil {
-		panic(err) // unreachable: n >= 1 is validated by the driver
+// newLiveExec starts one worker per replica. host.ranks maps the replicas
+// to ring ranks (nil: replica i is rank i) and host.ring is the ring they
+// attach to (nil: a fresh in-process channel ring, one rank per replica).
+func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []allreduce.Algorithm, ft *faultTolerance, merged bool, host hosting) *liveExec {
+	ring, ranks := host.ring, host.ranks
+	if ring == nil {
+		var err error
+		if ring, err = allreduce.NewRing(len(replicas), ringDepth); err != nil {
+			panic(err) // unreachable: at least one worker is validated by the driver
+		}
 	}
+	if ranks == nil {
+		ranks = identity(len(replicas))
+	}
+	reduceOpts := host.opts
+	if ft != nil {
+		reduceOpts = allreduce.Options{Guard: true, Policy: ft.policy}
+	}
+	n := ring.Workers()
 	dim := replicas[0].NumParams()
-	buckets := (dim + bucketLen - 1) / bucketLen
-	if buckets < 1 {
-		buckets = 1
-	}
+	buckets := len(algs) // one schedule per bucket of the partition
 	e := &liveExec{
-		workers:       make([]*liveWorker, n),
+		workers:       make([]*liveWorker, len(replicas)),
 		prof:          &Profile{Workers: n, BucketLen: bucketLen, Dim: dim},
 		ft:            ft,
+		remote:        host.remote(),
 		closing:       make(chan struct{}),
 		sampleBatches: make([]int, n),
 		sampleNorms:   make([]float64, n),
-	}
-	if ft != nil {
-		e.stepResults = make([]stepResult, n)
-		e.stepResponded = make([]bool, n)
+		results:       make([]stepResult, len(replicas)),
+		responded:     make([]bool, len(replicas)),
 	}
 	for i := range e.workers {
 		params := replicas[i].Params()
@@ -198,7 +209,7 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 			off += p.Size()
 		}
 		w := &liveWorker{
-			rank:      i,
+			rank:      ranks[i],
 			net:       replicas[i],
 			opt:       opts[i],
 			dim:       dim,
@@ -206,8 +217,10 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 			buckets:   buckets,
 			algs:      algs,
 			ring:      ring,
+			opts:      reduceOpts,
 			ft:        ft,
 			closing:   e.closing,
+			lead:      i == 0,
 			merged:    merged,
 			commBuf:   make([]float64, dim),
 			params:    params,
@@ -216,6 +229,9 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 			results:   make(chan stepResult, 1),
 			commitQ:   make(chan bool, 1),
 			ackQ:      make(chan time.Duration, 1),
+		}
+		if e.remote {
+			w.normBuf = make([]float64, n)
 		}
 		e.workers[i] = w
 		if merged {
@@ -226,6 +242,8 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 			}()
 			continue
 		}
+		// One slot per bucket plus the end-of-step marker, so the compute
+		// goroutine never blocks on the hand-off.
 		w.commQ = make(chan int, buckets+1)
 		w.commDone = make(chan commStats, 1)
 		e.wg.Add(2)
@@ -242,168 +260,156 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 	return e
 }
 
+// step runs one synchronized step: hand every hosted worker its shard,
+// collect their outcomes in rank order (a BSP barrier, and a deterministic
+// profile), and return the GNS observations. The sample aliases exec-owned
+// buffers valid until the next step call.
+//
+// Under fault tolerance the collection runs against the step deadline and
+// ends in the commit vote: the optimizer update is applied only if every
+// worker finished the step's communication cleanly. Otherwise step fails
+// with a *stepFailure saying which workers went silent and whom the failed
+// hops suspect; no replica has applied the step, so the replicas remain
+// bitwise-consistent at the last committed step. Without fault tolerance a
+// hop failure (a broken link to a remote rank) is simply the step's error.
 func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error) {
-	n := len(e.workers)
-	for i, w := range e.workers {
-		w.tasks <- stepTask{epoch: epoch, step: step, x: xs[i], labels: labels[i], weight: stepWeights[i], lr: lr}
+	for _, w := range e.workers {
+		w.tasks <- stepTask{epoch: epoch, step: step, x: xs[w.rank], labels: labels[w.rank], weight: stepWeights[w.rank], lr: lr}
 	}
-	// The sample aliases exec-owned buffers valid until the next step call.
+	var deadline time.Time
+	if e.ft != nil {
+		deadline = time.Now().Add(e.ft.stepTimeout)
+	}
+	ok := true
+	var firstErr error
+	for i, w := range e.workers {
+		e.results[i], e.responded[i] = e.collect(w, deadline)
+		r := &e.results[i]
+		if firstErr == nil {
+			firstErr = r.err
+		}
+		if !e.responded[i] || r.aborted || r.err != nil {
+			ok = false
+		}
+	}
+	if e.ft != nil {
+		e.commit(step, ok)
+		if !ok {
+			return gns.Sample{}, e.failure(firstErr)
+		}
+	} else if !ok {
+		return gns.Sample{}, firstErr
+	}
+
+	n := len(e.sampleBatches)
 	sample := gns.Sample{
 		Batches:      e.sampleBatches[:n],
 		LocalSqNorms: e.sampleNorms[:n],
+		GlobalSqNorm: e.results[0].globalSq,
 	}
-	// Collect in rank order: a BSP barrier, and a deterministic profile.
+	for i, x := range xs {
+		sample.Batches[i] = x.Rows()
+	}
 	for i, w := range e.workers {
-		r := <-w.results
-		sample.Batches[i] = r.batch
-		sample.LocalSqNorms[i] = r.localSq
-		if i == 0 {
-			sample.GlobalSqNorm = r.globalSq
-		}
-		e.prof.Samples = append(e.prof.Samples, r.sample)
+		sample.LocalSqNorms[w.rank] = e.results[i].localSq
+		e.prof.Samples = append(e.prof.Samples, e.results[i].sample)
+	}
+	if e.remote {
+		copy(sample.LocalSqNorms, e.workers[0].normBuf)
 	}
 	return sample, nil
 }
 
-// stepGuarded runs one synchronized step under fault tolerance: workers
-// compute and communicate under per-hop deadlines, the driver collects
-// every outcome within the step deadline, and the optimizer update is
-// committed only if every worker finished cleanly. On failure it reports
-// which workers went silent and whom the failed hops suspect; no replica
-// has applied the step, so the replicas remain bitwise-consistent at the
-// last committed step.
-func (e *liveExec) stepGuarded(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, []FaultRecord, *stepFailure, error) {
-	n := len(e.workers)
-	for i, w := range e.workers {
-		w.tasks <- stepTask{epoch: epoch, step: step, x: xs[i], labels: labels[i], weight: stepWeights[i], lr: lr}
+// collect waits for one worker's step outcome — indefinitely on a plain
+// run, until the step deadline under fault tolerance, where a worker that
+// stays silent past it is reported as not having responded.
+func (e *liveExec) collect(w *liveWorker, deadline time.Time) (stepResult, bool) {
+	if e.ft == nil {
+		return <-w.results, true
 	}
-	deadline := time.Now().Add(e.ft.stepTimeout)
-	results := e.stepResults
-	responded := e.stepResponded
-	for i := range responded {
-		results[i] = stepResult{}
-		responded[i] = false
+	// One reusable timer across workers and steps (Go 1.23+ Reset
+	// semantics): per-step timer churn was the guarded path's dominant
+	// steady-state allocation.
+	if e.collectTimer == nil {
+		e.collectTimer = time.NewTimer(time.Until(deadline))
+	} else {
+		e.collectTimer.Reset(time.Until(deadline))
 	}
-	for i, w := range e.workers {
-		// One reusable timer across workers and steps (Go 1.23+ Reset
-		// semantics): per-step timer churn was the guarded path's dominant
-		// steady-state allocation.
-		if e.collectTimer == nil {
-			e.collectTimer = time.NewTimer(time.Until(deadline))
-		} else {
-			e.collectTimer.Reset(time.Until(deadline))
-		}
+	defer e.collectTimer.Stop()
+	select {
+	case r := <-w.results:
+		return r, true
+	case <-e.collectTimer.C:
+		// The deadline may have lapsed while earlier ranks were being
+		// collected; a result already buffered means this worker did
+		// respond in time.
 		select {
 		case r := <-w.results:
-			results[i] = r
-			responded[i] = true
-		case <-e.collectTimer.C:
-			// The deadline may have lapsed while earlier ranks were being
-			// collected; a result already buffered means this worker did
-			// respond in time.
-			select {
-			case r := <-w.results:
-				results[i] = r
-				responded[i] = true
-			default:
-			}
+			return r, true
+		default:
+			return stepResult{}, false
 		}
-		e.collectTimer.Stop()
 	}
+}
 
-	ok := true
-	var fail *stepFailure
-	for i := range e.workers {
-		if !responded[i] || results[i].aborted || results[i].err != nil {
-			ok = false
-		}
-	}
-	// Vote: every responsive worker applies the step iff all workers
-	// finished the step's communication.
+// commit is the second phase of a fault-tolerant step: every responsive
+// worker applies the step iff all workers finished its communication, and
+// the faults the step's workers consumed are reported.
+func (e *liveExec) commit(step int, ok bool) {
 	for i, w := range e.workers {
-		if responded[i] && !results[i].aborted {
+		if e.responded[i] && !e.results[i].aborted {
 			w.commitQ <- ok
 		}
 	}
 	for i, w := range e.workers {
-		if responded[i] && !results[i].aborted {
-			results[i].sample.Post = (<-w.ackQ).Seconds()
+		if e.responded[i] && !e.results[i].aborted {
+			e.results[i].sample.Post = (<-w.ackQ).Seconds()
 		}
 	}
-
-	var records []FaultRecord
-	for i := range e.workers {
-		f := results[i].faults
-		if responded[i] && f.Any() {
-			records = append(records, FaultRecord{
-				Step: step, Worker: i,
-				Stall: f.Stall, SendDelay: f.SendDelay, SendDrops: f.SendDrops, Killed: f.Kill,
-			})
+	for i, w := range e.workers {
+		if e.responded[i] {
+			e.report(step, w.rank, e.results[i].faults)
 		}
 	}
 	// A silent worker consumed its faults but could not report them; its
 	// schedule entry still explains the silence.
-	for i := range e.workers {
-		if !responded[i] {
-			if f := e.ft.inj.At(i, step); f.Any() {
-				records = append(records, FaultRecord{
-					Step: step, Worker: i,
-					Stall: f.Stall, SendDelay: f.SendDelay, SendDrops: f.SendDrops, Killed: f.Kill,
-				})
-			}
+	for i, w := range e.workers {
+		if !e.responded[i] {
+			e.report(step, w.rank, e.ft.inj.At(w.rank, step))
 		}
 	}
+}
 
-	if !ok {
-		fail = &stepFailure{blame: make([]int, n)}
-		for i := range e.workers {
-			if !responded[i] || results[i].aborted {
-				fail.dead = append(fail.dead, i)
-				continue
-			}
-			if results[i].err != nil {
-				if fail.firstErr == nil {
-					fail.firstErr = results[i].err
-				}
-				if s := results[i].suspect; s >= 0 && s < n {
-					fail.blame[s]++
-				}
-			}
-		}
-		return gns.Sample{}, records, fail, nil
+func (e *liveExec) report(step, rank int, f faultinject.StepFaults) {
+	if f.Any() {
+		e.ft.record(FaultRecord{
+			Step: step, Worker: rank,
+			Stall: f.Stall, SendDelay: f.SendDelay, SendDrops: f.SendDrops, Killed: f.Kill,
+		})
 	}
+}
 
-	sample := gns.Sample{
-		Batches:      e.sampleBatches[:n],
-		LocalSqNorms: e.sampleNorms[:n],
-	}
-	for i := range e.workers {
-		r := results[i]
-		sample.Batches[i] = r.batch
-		sample.LocalSqNorms[i] = r.localSq
-		if i == 0 {
-			sample.GlobalSqNorm = r.globalSq
+// failure is the driver's view of a step the vote aborted.
+func (e *liveExec) failure(firstErr error) *stepFailure {
+	fail := &stepFailure{blame: make([]int, len(e.sampleBatches)), firstErr: firstErr}
+	for i, w := range e.workers {
+		if !e.responded[i] || e.results[i].aborted {
+			fail.dead = append(fail.dead, w.rank)
+			continue
 		}
-		e.prof.Samples = append(e.prof.Samples, r.sample)
+		var rf *allreduce.RingFault
+		if errors.As(e.results[i].err, &rf) && rf.Suspect >= 0 && rf.Suspect < len(fail.blame) {
+			fail.blame[rf.Suspect]++
+		}
 	}
-	return sample, records, nil, nil
+	return fail
 }
 
 func (e *liveExec) network() *nn.Network { return e.workers[0].net }
 
 func (e *liveExec) finalWeights() ([]float64, error) {
-	ref := e.workers[0].net.FlatWeights()
-	for i := 1; i < len(e.workers); i++ {
-		if d := maxAbsDiff(ref, e.workers[i].net.FlatWeights()); d > 1e-9 {
-			return nil, fmt.Errorf("runtime: replica %d diverged by %g", i, d)
-		}
-	}
-	return ref, nil
+	return replicasAgree("weights", len(e.workers), func(i int) []float64 { return e.workers[i].net.FlatWeights() })
 }
-
-// weights returns rank i's flat weight vector (used for survivor
-// checkpointing after a failed step).
-func (e *liveExec) weights(i int) []float64 { return e.workers[i].net.FlatWeights() }
 
 func (e *liveExec) profile() *Profile { return e.prof }
 
@@ -417,32 +423,51 @@ func (e *liveExec) close() {
 
 func (w *liveWorker) computeLoop() {
 	for t := range w.tasks {
-		if w.ft == nil {
-			w.results <- w.runStep(t)
-			continue
-		}
-		r := w.runStepGuarded(t)
+		r := w.runStep(t)
 		w.results <- r
-		if r.aborted {
+		if w.ft == nil || r.aborted {
 			continue
 		}
 		// Two-phase commit: apply the optimizer step only on a unanimous
 		// driver vote, so a failed step never diverges the replicas.
 		select {
 		case commit := <-w.commitQ:
-			start := time.Now()
+			var took time.Duration
 			if commit && r.err == nil {
-				w.applyStep(t.lr)
+				took = w.applyStep(t.lr)
 			}
-			w.ackQ <- time.Since(start)
+			w.ackQ <- took
 		case <-w.closing:
 		}
 	}
 }
 
-// runStep executes one training step with overlapped communication and
-// returns the result together with its wall-clock phase sample.
+// runStep executes one training step with streaming bucket launch and
+// returns the result together with its wall-clock phase sample. Under fault
+// tolerance it first consults the injector at the step boundary — a kill
+// parks the worker until teardown, simulating a crashed process that simply
+// stops responding — and leaves the optimizer update to the driver's commit
+// vote; otherwise it applies the update itself.
 func (w *liveWorker) runStep(t stepTask) stepResult {
+	var f faultinject.StepFaults
+	if w.ft != nil {
+		f = w.ft.inj.At(w.rank, t.step)
+		w.curFaults = f
+		if f.Kill {
+			<-w.closing
+			return stepResult{aborted: true, faults: f}
+		}
+		if f.Stall > 0 {
+			timer := time.NewTimer(f.Stall)
+			select {
+			case <-timer.C:
+			case <-w.closing:
+				timer.Stop()
+				return stepResult{aborted: true, faults: f}
+			}
+		}
+	}
+
 	start := time.Now()
 	w.net.ZeroGrad()
 	logits := w.net.Forward(t.x)
@@ -494,113 +519,33 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 		w.commQ <- -1
 		cs = <-w.commDone
 	}
-
-	// |g|² of the reduced gradient: the driver only consumes rank 0's
-	// value (the all-gather makes every rank's commBuf identical), so the
-	// other ranks skip the pass entirely.
-	var globalSq float64
-	if w.rank == 0 {
-		globalSq = sqNorm(w.commBuf)
+	if cs.err == nil && w.normBuf != nil {
+		// Replicate every rank's |g_i|² exactly in every process: each rank
+		// contributes a one-hot vector, and adding zeros is exact. The comm
+		// goroutine is idle by now, so the rank's ring state is ours.
+		clear(w.normBuf)
+		w.normBuf[w.rank] = localSq
+		cs.err = w.ring.ReduceWith(w.rank, w.normBuf, w.opts)
 	}
-	postStart := time.Now()
-	w.net.SetFlatGrads(w.commBuf)
-	w.opt.Step(w.params, t.lr)
-	end := time.Now()
-
-	return stepResult{
-		batch:    t.x.Rows(),
-		localSq:  localSq,
-		globalSq: globalSq,
-		suspect:  -1,
-		sample: Sample{
-			Epoch:          t.epoch,
-			Step:           t.step,
-			Worker:         w.rank,
-			Batch:          t.x.Rows(),
-			Buckets:        w.buckets,
-			Pre:            preEnd.Sub(start).Seconds(),
-			Backprop:       backEnd.Sub(preEnd).Seconds(),
-			Post:           end.Sub(postStart).Seconds(),
-			SyncStart:      syncStart.Sub(start).Seconds(),
-			LastBucketDone: cs.lastDone.Sub(start).Seconds(),
-			CommBusy:       cs.busy.Seconds(),
-			TuBusy:         cs.tu.Seconds(),
-		},
-	}
-}
-
-// runStepGuarded is runStep under fault injection and per-hop deadlines:
-// it consults the injector at the step boundary (kill, stall), performs
-// the identical compute and bucket-launch sequence, and stops before the
-// optimizer update — that is applied by applyStep after the driver's
-// commit vote. A kill parks the worker until teardown, simulating a
-// crashed process that simply stops responding.
-func (w *liveWorker) runStepGuarded(t stepTask) stepResult {
-	f := w.ft.inj.At(w.rank, t.step)
-	w.curFaults = f
-	if f.Kill {
-		<-w.closing
-		return stepResult{aborted: true, faults: f, suspect: -1}
-	}
-	if f.Stall > 0 {
-		timer := time.NewTimer(f.Stall)
-		select {
-		case <-timer.C:
-		case <-w.closing:
-			timer.Stop()
-			return stepResult{aborted: true, faults: f, suspect: -1}
-		}
-	}
-
-	start := time.Now()
-	w.net.ZeroGrad()
-	logits := w.net.Forward(t.x)
-	w.dlogits = tensor.Reuse(w.dlogits, logits.Rows(), logits.Cols())
-	nn.SoftmaxCrossEntropyInto(w.dlogits, logits, t.labels)
-	preEnd := time.Now()
-
-	nextBucket := w.buckets - 1
-	prevFr := w.dim
-	var syncStart time.Time
-	w.net.BackwardLayerwise(w.dlogits, func(fr int) {
-		if fr == prevFr {
-			return
-		}
-		w.stageGrads(fr, prevFr, t.weight)
-		for nextBucket >= 0 && nextBucket*w.bucketLen >= fr {
-			if syncStart.IsZero() {
-				syncStart = time.Now()
-			}
-			w.commQ <- nextBucket
-			nextBucket--
-		}
-		prevFr = fr
-	})
-	backEnd := time.Now()
-
-	localSq := 0.0
-	for _, p := range w.params {
-		for _, g := range p.Grad.Data() {
-			localSq += g * g
-		}
-	}
-	w.commQ <- -1
-	cs := <-w.commDone
 	if cs.err != nil {
-		return stepResult{err: cs.err, suspect: cs.suspect, faults: f}
+		return stepResult{err: cs.err, faults: f}
 	}
 
-	// As in runStep: only rank 0's reduced-gradient norm is consumed.
+	// |g|² of the reduced gradient: the driver only consumes the lead
+	// worker's value (the all-gather makes every rank's commBuf identical),
+	// so the other ranks skip the pass entirely.
 	var globalSq float64
-	if w.rank == 0 {
+	if w.lead {
 		globalSq = sqNorm(w.commBuf)
+	}
+	var post time.Duration
+	if w.ft == nil {
+		post = w.applyStep(t.lr)
 	}
 
 	return stepResult{
-		batch:    t.x.Rows(),
 		localSq:  localSq,
 		globalSq: globalSq,
-		suspect:  -1,
 		faults:   f,
 		sample: Sample{
 			Epoch:          t.epoch,
@@ -610,6 +555,7 @@ func (w *liveWorker) runStepGuarded(t stepTask) stepResult {
 			Buckets:        w.buckets,
 			Pre:            preEnd.Sub(start).Seconds(),
 			Backprop:       backEnd.Sub(preEnd).Seconds(),
+			Post:           post.Seconds(),
 			SyncStart:      syncStart.Sub(start).Seconds(),
 			LastBucketDone: cs.lastDone.Sub(start).Seconds(),
 			CommBusy:       cs.busy.Seconds(),
@@ -618,11 +564,13 @@ func (w *liveWorker) runStepGuarded(t stepTask) stepResult {
 	}
 }
 
-// applyStep writes the reduced gradient back and applies the optimizer —
-// the commit half of a guarded step.
-func (w *liveWorker) applyStep(lr float64) {
+// applyStep writes the reduced gradient back, applies the optimizer, and
+// reports how long that took (the Post phase).
+func (w *liveWorker) applyStep(lr float64) time.Duration {
+	start := time.Now()
 	w.net.SetFlatGrads(w.commBuf)
 	w.opt.Step(w.params, lr)
+	return time.Since(start)
 }
 
 // stageGrads copies the newly-final gradient region [fr, prevFr) into the
@@ -642,17 +590,33 @@ func (w *liveWorker) stageGrads(fr, prevFr int, weight float64) {
 	}
 }
 
-// reduceBucket runs bucket k's unguarded ring reduction and accumulates
-// its timing — the one body shared by the overlapped comm goroutine and
-// the merged inline path, so both modes measure identically.
+// reduceBucket runs bucket k's ring reduction and accumulates its timing —
+// the one body shared by the overlapped comm goroutine and the merged
+// inline path, so both layouts measure and fail identically. Guarding is
+// nothing more here than the Options value handed to the ring; the first
+// hop failure is sticky for the rest of the step (remaining buckets are
+// skipped, fail fast).
 func (w *liveWorker) reduceBucket(k int, cs *commStats) {
+	if cs.err != nil {
+		return
+	}
 	lo := k * w.bucketLen
 	hi := lo + w.bucketLen
 	if hi > w.dim {
 		hi = w.dim
 	}
+	o := w.opts
+	o.Algorithm = w.algs[k]
+	if k == w.buckets-1 {
+		// The step's injected message faults hit its first send, and the
+		// highest bucket always goes out first.
+		o.SendDelay = w.curFaults.SendDelay
+		o.SendDrops = w.curFaults.SendDrops
+	}
 	t0 := time.Now()
-	_ = w.ring.ReduceWith(w.rank, w.commBuf[lo:hi], allreduce.Options{Algorithm: w.algs[k]})
+	if cs.err = w.ring.ReduceWith(w.rank, w.commBuf[lo:hi], o); cs.err != nil {
+		return
+	}
 	now := time.Now()
 	cs.busy += now.Sub(t0)
 	cs.lastDone = now
@@ -664,57 +628,16 @@ func (w *liveWorker) reduceBucket(k int, cs *commStats) {
 // commLoop reduces buckets in arrival order. Because all ranks enqueue
 // buckets in the same sequence, the blocking ring collective is deadlock
 // free, and per-bucket FIFO links keep messages matched even when ranks
-// are several buckets apart. In guarded mode every hop runs under the
-// retry policy's deadline; the first hop failure is sticky for the rest of
-// the step (remaining buckets are skipped, fail fast) and is reported to
-// the compute goroutine through commDone.
+// are several buckets apart. The step's outcome goes back to the compute
+// goroutine through commDone.
 func (w *liveWorker) commLoop() {
 	var cs commStats
-	cs.suspect = -1
-	newStep := true
 	for k := range w.commQ {
 		if k < 0 {
 			w.commDone <- cs
 			cs = commStats{}
-			cs.suspect = -1
-			newStep = true
 			continue
 		}
-		lo := k * w.bucketLen
-		hi := lo + w.bucketLen
-		if hi > w.dim {
-			hi = w.dim
-		}
-		if w.ft == nil {
-			w.reduceBucket(k, &cs)
-			continue
-		}
-		if cs.err != nil {
-			newStep = false
-			continue
-		}
-		o := allreduce.Options{Guard: true, Policy: w.ft.policy, Algorithm: w.algs[k]}
-		if newStep {
-			// The step's injected message faults hit its first send.
-			o.SendDelay = w.curFaults.SendDelay
-			o.SendDrops = w.curFaults.SendDrops
-		}
-		newStep = false
-		t0 := time.Now()
-		if err := w.ring.ReduceWith(w.rank, w.commBuf[lo:hi], o); err != nil {
-			cs.err = err
-			cs.suspect = -1
-			var rf *allreduce.RingFault
-			if errors.As(err, &rf) {
-				cs.suspect = rf.Suspect
-			}
-			continue
-		}
-		now := time.Now()
-		cs.busy += now.Sub(t0)
-		cs.lastDone = now
-		if k == 0 {
-			cs.tu = now.Sub(t0)
-		}
+		w.reduceBucket(k, &cs)
 	}
 }

@@ -1,5 +1,7 @@
 // Package runtime executes real data-parallel training over a set of
-// workers, in one of two backends sharing a single training driver:
+// workers. One driver — build the incarnation, run the epoch loop, change
+// membership — runs every mode; the modes differ only in the executor it
+// steps and in which ranks of the ring this process hosts:
 //
 //   - "sim": the sequential reference — workers run one after another in
 //     the driver goroutine and synchronize with a bucketed ring all-reduce
@@ -15,6 +17,10 @@
 //     T_u) and the run emits a Profile that perfmodel can fit, closing the
 //     measure → model → optimize loop on real execution for the first
 //     time.
+//
+// TrainWorker is the live engine hosting a single rank of a caller-supplied
+// ring (one OS process per rank over TCP); Train hosts every rank on a fresh
+// in-process channel ring.
 //
 // Both backends implement the identical arithmetic: Eq. 9 batch-weighted
 // aggregation with summation order fixed by the ring topology and bucket
@@ -37,6 +43,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"cannikin/internal/allreduce"
 	"cannikin/internal/data"
@@ -64,8 +71,7 @@ const (
 	// overlapping bucket reduction with backprop.
 	CommOverlap = "overlap"
 	// CommMerged always runs one goroutine per worker that reduces each
-	// bucket inline at the backprop frontier. Incompatible with Fault (the
-	// guarded two-phase path needs the dedicated comm goroutine).
+	// bucket inline at the backprop frontier.
 	CommMerged = "merged"
 )
 
@@ -225,9 +231,6 @@ func (c *Config) validate() error {
 	if c.LinkAlpha < 0 || c.LinkBeta < 0 {
 		return fmt.Errorf("runtime: negative link constants (alpha=%g, beta=%g)", c.LinkAlpha, c.LinkBeta)
 	}
-	if c.CommMode == CommMerged && c.Fault != nil {
-		return errors.New("runtime: merged comm mode is incompatible with fault injection (the guarded step needs the dedicated comm goroutine)")
-	}
 	if err := validateJoins(c.Joins, c.Epochs, c.GrowthEpoch); err != nil {
 		return err
 	}
@@ -269,9 +272,10 @@ type Result struct {
 	// FinalWeights is the flat weight vector after training (identical on
 	// every replica — the run fails if they diverge).
 	FinalWeights []float64
-	// Profile holds the measured wall-clock phase samples (live backend
-	// only; nil for sim). After an eviction the profile covers the last
-	// incarnation of the cluster.
+	// Profile holds the measured wall-clock phase samples of the ranks this
+	// process hosted (every rank for the live backend, the one hosted rank
+	// in worker mode; nil for sim). After an eviction the profile covers the
+	// last incarnation of the cluster.
 	Profile *Profile
 	// Evictions records every coordinated worker eviction (fault-tolerant
 	// runs only; empty otherwise) — including voluntary autoscaler shrinks.
@@ -287,13 +291,22 @@ type Result struct {
 	FinalVelocity []float64
 }
 
+// ErrRemoteMembership reports that a run whose ring reaches into other
+// processes (worker mode) needed a membership change — a fault eviction, a
+// scheduled join, or an elastic grow/shrink. One process cannot rebuild a
+// ring it only hosts a part of; the coordinator runs one process generation
+// per membership instead. Test with errors.Is.
+var ErrRemoteMembership = errors.New("runtime: membership change with a remote rank")
+
 // executor is one execution engine driven by the shared training loop.
 // step runs one synchronized step over the pre-drawn shards and returns
-// the GNS norm observations from the real gradients.
+// the GNS norm observations from the real gradients. A fault-tolerant step
+// that could not commit fails with a *stepFailure.
 type executor interface {
 	step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error)
-	// network returns replica 0 for full-dataset evaluation. Only valid
-	// between steps (the driver is the only goroutine active then).
+	// network returns the first hosted replica for full-dataset evaluation.
+	// Only valid between steps (the driver is the only goroutine active
+	// then).
 	network() *nn.Network
 	// finalWeights checks replica consistency and returns the weights.
 	finalWeights() ([]float64, error)
@@ -301,8 +314,23 @@ type executor interface {
 	close()
 }
 
+// hosting says which part of the ring this process runs. The zero value
+// hosts every rank on a fresh in-process channel ring per incarnation; a
+// caller-supplied ring whose other ranks live elsewhere is worker mode.
+type hosting struct {
+	ring  *allreduce.Ring
+	ranks []int
+	// opts are the hop-guard settings of a run without a FaultConfig
+	// (worker mode's Guard and Policy).
+	opts allreduce.Options
+}
+
+// remote reports whether some rank of the ring may live in another
+// process — which is also when this process cannot rebuild the ring.
+func (h hosting) remote() bool { return h.ring != nil }
+
 // incarnation is one cluster configuration the training loop runs under:
-// the initial cluster, and after each eviction, the survivor cluster. All
+// the initial cluster, and after each membership change, the next one. All
 // fields are in the incarnation's own rank space except origIdx, which
 // maps its ranks back to the run's original worker indices.
 type incarnation struct {
@@ -325,6 +353,13 @@ type incarnation struct {
 	origIdx   []int
 }
 
+// membershipChange ends an incarnation before the last epoch: what changes,
+// and the commit that records it and builds the incarnation that follows.
+type membershipChange struct {
+	what string
+	next func() (*incarnation, error)
+}
+
 // Train runs the configured training job and reports it. The produced
 // model is a pure function of (Config minus Backend/CommMode): every
 // backend and comm mode yields bitwise-identical weights, because the
@@ -333,27 +368,29 @@ type incarnation struct {
 // arithmetic for three or more workers — different partitions re-associate
 // the per-element sums — so it is derived deterministically from the config
 // alone; with one or two workers every partition is bit-identical (each
-// element is at most one two-term sum). Fault-tolerant runs loop over
-// cluster incarnations: each eviction shrinks the cluster and training
-// resumes from the survivors' checkpoint until the epochs complete or no
-// workers remain (ErrNoSurvivors).
+// element is at most one two-term sum). Membership changes loop over
+// cluster incarnations: each eviction shrinks the cluster and each join
+// grows it, and training resumes from the commit checkpoint until the
+// epochs complete or no workers remain (ErrNoSurvivors).
 func Train(cfg Config) (*Result, error) {
+	return train(&cfg, hosting{})
+}
+
+// train is the one driver behind Train and TrainWorker: it runs cluster
+// incarnations — build, epoch loop, membership change — until the epochs
+// complete, over whatever part of the ring host says lives here.
+func train(cfg *Config, host hosting) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
-	}
-	backend := cfg.Backend
-	if backend == "" {
-		backend = BackendSim
 	}
 	if cfg.KernelShards > 0 {
 		tensor.SetParallelism(cfg.KernelShards)
 	}
 
-	globalBatch := 0
-	for _, b := range cfg.LocalBatches {
-		globalBatch += b
+	res := &Result{Backend: cfg.Backend, Workers: len(cfg.LocalBatches), GlobalBatch: sum(cfg.LocalBatches)}
+	if res.Backend == "" {
+		res.Backend = BackendSim
 	}
-	res := &Result{Backend: backend, Workers: len(cfg.LocalBatches), GlobalBatch: globalBatch}
 	inc := &incarnation{
 		localBatches: append([]int(nil), cfg.LocalBatches...),
 		lr:           cfg.LearningRate,
@@ -361,76 +398,111 @@ func Train(cfg Config) (*Result, error) {
 		initWeights:  cfg.InitWeights,
 		initVelocity: cfg.InitVelocity,
 		pendingJoins: append([]Join(nil), cfg.Joins...),
-		epochBase:    0,
 		origIdx:      identity(len(cfg.LocalBatches)),
 	}
 	if cfg.Fault != nil {
 		inc.schedule = cfg.Fault.Schedule
 	}
 	for {
-		next, err := runIncarnation(&cfg, inc, res, backend)
+		d, err := newDriver(cfg, inc, res, host)
 		if err != nil {
 			return nil, err
 		}
-		if next == nil {
+		change, err := d.runEpochs()
+		if err == nil && change != nil {
+			// The replicas outlive the executor (the driver owns them), but
+			// the commit reads them while the workers are still parked, so
+			// it runs before the teardown.
+			if host.remote() {
+				err = fmt.Errorf("%w: %s", ErrRemoteMembership, change.what)
+			} else {
+				inc, err = change.next()
+			}
+		}
+		d.exec.close()
+		if err != nil {
+			return nil, err
+		}
+		if change == nil {
 			return res, nil
 		}
-		inc = next
 	}
 }
 
-// runIncarnation trains one cluster incarnation from inc.epochBase to the
-// configured epoch count. It returns (nil, nil) on completion — res then
-// holds the finished run — or the next incarnation after a coordinated
-// eviction (the Eviction is already appended to res).
-//
-// The bucket partition and comm mode are resolved per incarnation: adaptive
-// buckets depend on the worker count, and a fresh run launched from an
-// eviction checkpoint on the survivor cluster would derive exactly these —
-// which is what keeps the recovery differential test bitwise.
-func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) (*incarnation, error) {
-	loader := data.NewHeteroLoader(cfg.Dataset, inc.src)
-	nWorkers := len(inc.localBatches)
-	globalBatch := 0
-	for _, b := range inc.localBatches {
-		globalBatch += b
-	}
+// driver trains one cluster incarnation. The bucket partition and comm mode
+// are resolved per incarnation: adaptive buckets depend on the worker
+// count, and a fresh run launched from a commit checkpoint on the changed
+// cluster would derive exactly these — which is what keeps the recovery and
+// join differential tests bitwise.
+type driver struct {
+	cfg  *Config
+	inc  *incarnation
+	res  *Result
+	host hosting
 
-	// All replicas start from identical weights: either the incarnation's
-	// seed vector (a recovery checkpoint, or Config.InitWeights), or a
-	// random initialization synchronized the way DDP does it — rank 0
-	// broadcasts over the ring.
-	replicas := make([]*nn.Network, nWorkers)
-	for i := range replicas {
-		replicas[i] = nn.NewMLP(cfg.Sizes, inc.src.Split(fmt.Sprintf("init-%d", i)))
+	loader *data.HeteroLoader
+	// replicas and sgd hold one entry per hosted rank; the driver owns them,
+	// so they stay readable after the executor is closed.
+	replicas []*nn.Network
+	sgd      []*nn.SGD
+	exec     executor
+	// rebuild returns a live executor over a fresh ring (step retry).
+	rebuild func() *liveExec
+
+	tracker   *gns.Tracker
+	estimator *gns.Estimator
+
+	localBatches []int
+	globalBatch  int
+	lr           float64
+	// weights are the Eq. 9 ratios of the planned batches; partialWeights
+	// is the reusable buffer for the epoch-final partial batch (whose shard
+	// sizes differ from the plan).
+	weights, partialWeights []float64
+}
+
+// newDriver is the build phase: loader, replicas, optimizers, fault
+// tolerance, bucket schedule, and the executor.
+func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*driver, error) {
+	n := len(inc.localBatches)
+	ranks := host.ranks
+	if ranks == nil {
+		ranks = identity(n)
 	}
-	if inc.initWeights != nil {
-		if want := replicas[0].NumParams(); len(inc.initWeights) != want {
-			return nil, fmt.Errorf("runtime: init weights dim %d, want %d", len(inc.initWeights), want)
-		}
-		for i := range replicas {
-			replicas[i].SetFlatWeights(inc.initWeights)
-		}
-	} else {
-		weightBufs := make([][]float64, nWorkers)
-		for i := range replicas {
-			weightBufs[i] = replicas[i].FlatWeights()
-		}
-		if err := allreduce.Broadcast(weightBufs, 0); err != nil {
-			return nil, err
-		}
-		for i := range replicas {
-			replicas[i].SetFlatWeights(weightBufs[i])
-		}
+	d := &driver{
+		cfg: cfg, inc: inc, res: res, host: host,
+		loader:         data.NewHeteroLoader(cfg.Dataset, inc.src),
+		replicas:       make([]*nn.Network, len(ranks)),
+		sgd:            make([]*nn.SGD, len(ranks)),
+		tracker:        gns.NewTracker(0.1),
+		estimator:      gns.NewEstimator(cfg.NaiveGNS),
+		localBatches:   inc.localBatches,
+		globalBatch:    sum(inc.localBatches),
+		lr:             inc.lr,
+		weights:        make([]float64, n),
+		partialWeights: make([]float64, n),
 	}
-	opts := make([]*nn.SGD, nWorkers)
-	for i := range opts {
-		opts[i] = nn.NewSGD(cfg.Momentum, 0)
+	d.planWeights()
+
+	// All replicas start from identical weights: the incarnation's seed
+	// vector (a commit checkpoint, or Config.InitWeights), or rank 0's
+	// random initialization — Split is pure, so every replica and every
+	// process derives it directly instead of receiving a broadcast.
+	for i := range d.replicas {
+		net := nn.NewMLP(cfg.Sizes, inc.src.Split("init-0"))
+		if inc.initWeights != nil {
+			if want := net.NumParams(); len(inc.initWeights) != want {
+				return nil, fmt.Errorf("runtime: init weights dim %d, want %d", len(inc.initWeights), want)
+			}
+			net.SetFlatWeights(inc.initWeights)
+		}
+		d.replicas[i] = net
+		d.sgd[i] = nn.NewSGD(cfg.Momentum, 0)
 		// A join handoff restores momentum on every replica — incumbents
 		// continue their velocity trajectory, and the joiner adopts the
 		// identical state so the replicas stay bitwise-consistent.
 		if inc.initVelocity != nil {
-			if err := opts[i].SetFlatVelocity(replicas[i].Params(), inc.initVelocity); err != nil {
+			if err := d.sgd[i].SetFlatVelocity(net.Params(), inc.initVelocity); err != nil {
 				return nil, fmt.Errorf("runtime: %w", err)
 			}
 		}
@@ -440,7 +512,7 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 	if cfg.Fault != nil {
 		// Events addressed to not-yet-joined ranks stay dormant until a
 		// join grows the cluster past them.
-		inj, err := faultinject.NewInjector(clampSchedule(inc.schedule, nWorkers), nWorkers)
+		inj, err := faultinject.NewInjector(clampSchedule(inc.schedule, n), n)
 		if err != nil {
 			return nil, err
 		}
@@ -448,58 +520,61 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 			inj:         inj,
 			policy:      cfg.Fault.policy(),
 			stepTimeout: cfg.Fault.stepTimeout(),
+			record: func(r FaultRecord) {
+				r.Worker = inc.origIdx[r.Worker]
+				res.FaultEvents = append(res.FaultEvents, r)
+			},
 		}
 	}
 
-	bucketLen := bucketLenFor(cfg.BucketBytes, replicas[0].NumParams(), nWorkers)
-	algs, err := bucketAlgorithms(cfg.Allreduce, cfg.LinkAlpha, cfg.LinkBeta, replicas[0].NumParams(), bucketLen, nWorkers)
+	// Every process must derive the identical partition and schedules from
+	// the shared Config alone.
+	dim := d.replicas[0].NumParams()
+	bucketLen := bucketLenFor(cfg.BucketBytes, dim, n)
+	algs, err := bucketAlgorithms(cfg.Allreduce, cfg.LinkAlpha, cfg.LinkBeta, dim, bucketLen, n)
 	if err != nil {
 		return nil, err
 	}
-	merged := resolveCommMode(cfg.CommMode, nWorkers, ft)
-
-	var exec executor
-	switch backend {
+	switch res.Backend {
 	case BackendSim:
-		exec = newSeqExec(replicas, opts, bucketLen, algs)
+		d.exec = newSeqExec(d.replicas, d.sgd, bucketLen, algs)
 	case BackendLive:
-		exec = newLiveExec(replicas, opts, bucketLen, algs, ft, merged)
-	}
-	defer func() {
-		if exec != nil {
-			exec.close()
+		merged := resolveCommMode(cfg.CommMode, len(ranks))
+		d.rebuild = func() *liveExec {
+			return newLiveExec(d.replicas, d.sgd, bucketLen, algs, ft, merged, host)
 		}
-	}()
-
-	tracker := gns.NewTracker(0.1)
-	estimator := gns.NewEstimator(cfg.NaiveGNS)
-	weights := make([]float64, nWorkers)
-	for i, b := range inc.localBatches {
-		weights[i] = float64(b) / float64(globalBatch)
+		d.exec = d.rebuild()
 	}
-	// partialWeights is the reusable Eq. 9 weight buffer for the epoch-final
-	// partial batch (whose shard sizes differ from the plan).
-	partialWeights := make([]float64, nWorkers)
+	return d, nil
+}
 
+// planWeights sets the Eq. 9 ratios of the planned local batches.
+func (d *driver) planWeights() {
+	for i, b := range d.localBatches {
+		d.weights[i] = float64(b) / float64(d.globalBatch)
+	}
+}
+
+// runEpochs is the epoch loop: it trains from inc.epochBase to the
+// configured epoch count and fills in the finished Result (nil change), or
+// stops at the membership change that ends this incarnation early.
+func (d *driver) runEpochs() (*membershipChange, error) {
+	cfg, inc, res := d.cfg, d.inc, d.res
+	n := len(inc.localBatches)
+	baseBatch := d.globalBatch
 	fullX, fullLabels := cfg.Dataset.Batch(identity(cfg.Dataset.Len()))
-
-	localBatches := inc.localBatches
-	baseBatch := globalBatch
-	lr := inc.lr
 
 	for epoch := inc.epochBase; epoch < cfg.Epochs; epoch++ {
 		// Growth fires once per run; an incarnation resuming at or after the
 		// growth epoch captured post-growth batches and learning rate.
 		if cfg.GrowthEpoch > 0 && epoch == cfg.GrowthEpoch && epoch > inc.epochBase {
-			for i := range localBatches {
-				localBatches[i] *= 2
+			for i := range d.localBatches {
+				d.localBatches[i] *= 2
 			}
-			globalBatch *= 2
-			for i, b := range localBatches {
-				weights[i] = float64(b) / float64(globalBatch)
-			}
+			d.globalBatch *= 2
+			d.planWeights()
 			if cfg.Scaler != nil {
-				lr = cfg.Scaler.Scale(cfg.LearningRate, globalBatch, baseBatch, tracker.Noise())
+				d.lr = cfg.Scaler.Scale(cfg.LearningRate, d.globalBatch, baseBatch, d.tracker.Noise())
 			}
 		}
 		// A scheduled join commits at its epoch boundary (or the first
@@ -507,21 +582,23 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 		// it). The epochBase guard keeps the grown incarnation, which
 		// restarts at this very epoch, from re-committing the same join.
 		if len(inc.pendingJoins) > 0 && epoch >= inc.pendingJoins[0].Epoch && epoch > inc.epochBase {
-			return growCluster(cfg, inc, res, exec, replicas, opts,
-				inc.pendingJoins[0], "scheduled", epoch, inc.pendingJoins[1:], localBatches, lr)
+			return d.grow(inc.pendingJoins[0], "scheduled", epoch, inc.pendingJoins[1:]), nil
 		}
-		stepsPerEpoch := cfg.Dataset.Len() / globalBatch
+		stepsPerEpoch := cfg.Dataset.Len() / d.globalBatch
 		if stepsPerEpoch < 1 {
 			stepsPerEpoch = 1
 		}
 		for s := 0; s < stepsPerEpoch; s++ {
 			// The cancellation point sits between committed steps, so an
-			// abort mid-epoch never leaves a partially applied update; the
-			// deferred exec.close() joins every worker goroutine.
+			// abort mid-epoch never leaves a partially applied update;
+			// train's exec.close() joins every worker goroutine.
 			if err := ctxErr(cfg.Ctx); err != nil {
 				return nil, fmt.Errorf("runtime: canceled at epoch %d step %d: %w", epoch, res.Steps, err)
 			}
-			xs, labels, err := loader.NextGlobalBatch(localBatches)
+			// Every rank's shard is drawn even when only some are hosted
+			// here, keeping the loader's randomness stream identical in
+			// every process.
+			xs, labels, err := d.loader.NextGlobalBatch(d.localBatches)
 			if err != nil {
 				return nil, err
 			}
@@ -531,81 +608,44 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 			for _, x := range xs {
 				got += x.Rows()
 			}
-			stepWeights := weights
-			if got != globalBatch {
-				stepWeights = partialWeights
+			stepWeights := d.weights
+			if got != d.globalBatch {
+				stepWeights = d.partialWeights
 				for i, x := range xs {
 					stepWeights[i] = float64(x.Rows()) / float64(got)
 				}
 			}
-
-			var sample gns.Sample
-			if ft == nil {
-				sample, err = exec.step(epoch, res.Steps, xs, labels, stepWeights, lr)
-				if err != nil {
-					return nil, err
-				}
-			} else {
-				le := exec.(*liveExec)
-				var fail *stepFailure
-				for attempt := 0; ; attempt++ {
-					var records []FaultRecord
-					sample, records, fail, err = le.stepGuarded(epoch, res.Steps, xs, labels, stepWeights, lr)
-					if err != nil {
-						return nil, err
-					}
-					for _, r := range records {
-						r.Worker = inc.origIdx[r.Worker]
-						res.FaultEvents = append(res.FaultEvents, r)
-					}
-					if fail == nil {
-						break
-					}
-					if len(fail.dead) > 0 || attempt >= cfg.Fault.stepRetries() {
-						break
-					}
-					// Transient ring failure with every worker responsive:
-					// retry the step on a rebuilt ring. Replicas and
-					// optimizers carry over untouched (the failed step was
-					// never applied), so a successful retry is
-					// bitwise-identical to an undisturbed run.
-					exec.close()
-					le2 := newLiveExec(replicas, opts, bucketLen, algs, ft, merged)
-					le2.prof = le.prof
-					le, exec = le2, le2
-				}
-				if fail != nil {
-					next, err := evict(cfg, inc, res, le, fail, epoch, localBatches, lr)
-					exec.close()
-					exec = nil
-					return next, err
-				}
+			sample, fail, err := d.step(epoch, xs, labels, stepWeights)
+			if err != nil {
+				return nil, err
 			}
-			if nWorkers >= 2 {
-				if est, gerr := estimator.Estimate(sample); gerr == nil {
-					tracker.Observe(est)
+			if fail != nil {
+				return d.evict(fail, epoch), nil
+			}
+			if n >= 2 {
+				if est, gerr := d.estimator.Estimate(sample); gerr == nil {
+					d.tracker.Observe(est)
 				}
 			}
 			res.Steps++
 		}
-		logits := exec.network().Forward(fullX)
+		logits := d.exec.network().Forward(fullX)
 		loss, _ := nn.SoftmaxCrossEntropy(logits, fullLabels)
-		acc := nn.Accuracy(logits, fullLabels)
-		res.EpochLoss = append(res.EpochLoss, loss)
-		res.EpochAccuracy = append(res.EpochAccuracy, acc)
-		res.NoiseEstimate = append(res.NoiseEstimate, tracker.Noise())
-		res.BatchSchedule = append(res.BatchSchedule, globalBatch)
-		res.LRSchedule = append(res.LRSchedule, lr)
 		obs := EpochObs{
 			Epoch:        epoch,
-			Workers:      nWorkers,
-			GlobalBatch:  globalBatch,
-			LearningRate: lr,
+			Workers:      n,
+			GlobalBatch:  d.globalBatch,
+			LearningRate: d.lr,
 			Loss:         loss,
-			Accuracy:     acc,
-			Noise:        tracker.Noise(),
+			Accuracy:     nn.Accuracy(logits, fullLabels),
+			Noise:        d.tracker.Noise(),
 			Steps:        res.Steps,
 		}
+		res.EpochLoss = append(res.EpochLoss, obs.Loss)
+		res.EpochAccuracy = append(res.EpochAccuracy, obs.Accuracy)
+		res.NoiseEstimate = append(res.NoiseEstimate, obs.Noise)
+		res.BatchSchedule = append(res.BatchSchedule, obs.GlobalBatch)
+		res.LRSchedule = append(res.LRSchedule, obs.LearningRate)
 		if cfg.OnEpoch != nil {
 			if err := cfg.OnEpoch(obs); err != nil {
 				return nil, fmt.Errorf("runtime: epoch %d hook: %w", epoch, err)
@@ -622,112 +662,53 @@ func runIncarnation(cfg *Config, inc *incarnation, res *Result, backend string) 
 		// the next boundary, which always trains a full epoch before its
 		// own first decision, so membership changes at most once per epoch.
 		if cfg.Elastic != nil && epoch+1 < cfg.Epochs {
-			switch d := cfg.Elastic.Decide(obs, exec.profile()); d.Action {
+			switch dec := cfg.Elastic.Decide(obs, d.exec.profile()); dec.Action {
 			case ElasticGrow:
-				j := Join{Epoch: epoch + 1, Batch: d.Batch, ProbeSteps: d.ProbeSteps, Replan: d.Replan}
-				reason := d.Reason
-				if reason == "" {
-					reason = "autoscale grow"
-				}
-				return growCluster(cfg, inc, res, exec, replicas, opts,
-					j, reason, epoch+1, inc.pendingJoins, localBatches, lr)
+				j := Join{Epoch: epoch + 1, Batch: dec.Batch, ProbeSteps: dec.ProbeSteps, Replan: dec.Replan}
+				return d.grow(j, orDefault(dec.Reason, "autoscale grow"), epoch+1, inc.pendingJoins), nil
 			case ElasticShrink:
-				reason := d.Reason
-				if reason == "" {
-					reason = "autoscale shrink"
-				}
-				return shrinkCluster(cfg, inc, res, exec, replicas, opts,
-					d.Victim, reason, epoch+1, localBatches, lr)
+				return d.shrink(dec.Victim, orDefault(dec.Reason, "autoscale shrink"), epoch+1), nil
 			}
 		}
 	}
 	res.FinalAccuracy = res.EpochAccuracy[len(res.EpochAccuracy)-1]
 
-	final, err := exec.finalWeights()
+	final, err := d.exec.finalWeights()
 	if err != nil {
 		return nil, err
 	}
 	res.FinalWeights = final
-	res.FinalVelocity = opts[0].FlatVelocity(replicas[0].Params())
-	res.Profile = exec.profile()
+	res.FinalVelocity = d.sgd[0].FlatVelocity(d.replicas[0].Params())
+	res.Profile = d.exec.profile()
 	return nil, nil
 }
 
-// evict turns a failed step into the next cluster incarnation: it picks
-// the victims, verifies the survivors' replicas are still bitwise
-// consistent at the last committed step, checkpoints their weights,
-// re-plans the survivor batches, records the Eviction, and builds the
-// recovery incarnation. The caller closes the executor; the survivor
-// networks stay readable afterwards because the driver owns them.
-func evict(cfg *Config, inc *incarnation, res *Result, le *liveExec, fail *stepFailure, epoch int, localBatches []int, lr float64) (*incarnation, error) {
-	victims := fail.victims()
-	if len(victims) == 0 {
-		if fail.firstErr != nil {
-			return nil, fail.firstErr
+// step runs one synchronized step. A fault-tolerant step that fails with
+// every worker responsive is retried on a rebuilt ring: replicas and
+// optimizers carry over untouched (the failed step was never applied), so
+// a successful retry is bitwise-identical to an undisturbed run. A failure
+// that survives the retries — or names a dead worker, or sits on a
+// caller-supplied ring this process cannot rebuild — is returned for
+// eviction.
+func (d *driver) step(epoch int, xs []*tensor.T, labels [][]int, stepWeights []float64) (gns.Sample, *stepFailure, error) {
+	for attempt := 0; ; attempt++ {
+		sample, err := d.exec.step(epoch, d.res.Steps, xs, labels, stepWeights, d.lr)
+		if err == nil {
+			return sample, nil, nil
 		}
-		return nil, errors.New("runtime: step failed with no identifiable victim")
-	}
-	evicted := make(map[int]bool, len(victims))
-	for _, v := range victims {
-		evicted[v] = true
-	}
-	var survivors []int // incarnation-relative ranks
-	for r := range inc.localBatches {
-		if !evicted[r] {
-			survivors = append(survivors, r)
+		var fail *stepFailure
+		if !errors.As(err, &fail) {
+			return sample, nil, err
 		}
-	}
-	if len(survivors) == 0 {
-		return nil, ErrNoSurvivors
-	}
-
-	// The two-phase commit guarantees every survivor sits at the last
-	// committed step; verify before checkpointing.
-	ref := le.weights(survivors[0])
-	for _, s := range survivors[1:] {
-		if d := maxAbsDiff(ref, le.weights(s)); d != 0 {
-			return nil, fmt.Errorf("runtime: survivors diverged by %g after failed step", d)
+		if len(fail.dead) > 0 || attempt >= d.cfg.Fault.stepRetries() || d.host.remote() {
+			return sample, fail, nil
 		}
+		stale := d.exec.(*liveExec)
+		stale.close()
+		fresh := d.rebuild()
+		fresh.prof = stale.prof
+		d.exec = fresh
 	}
-	checkpoint := append([]float64(nil), ref...)
-
-	batches, replanned := replanSurvivors(cfg.Fault.Replan, le.profile(), survivors, localBatches)
-
-	reason := "ring fault"
-	if len(fail.dead) > 0 {
-		reason = "step timeout"
-	}
-	if fail.firstErr != nil {
-		reason = fmt.Sprintf("%s: %v", reason, fail.firstErr)
-	}
-	ev := Eviction{
-		Epoch:           epoch,
-		Step:            res.Steps,
-		Reason:          reason,
-		SurvivorBatches: batches,
-		Checkpoint:      checkpoint,
-		Replanned:       replanned,
-	}
-	for _, v := range victims {
-		ev.Workers = append(ev.Workers, inc.origIdx[v])
-	}
-	origIdx := make([]int, len(survivors))
-	for i, s := range survivors {
-		origIdx[i] = inc.origIdx[s]
-	}
-	ev.Survivors = origIdx
-	res.Evictions = append(res.Evictions, ev)
-
-	return &incarnation{
-		localBatches: batches,
-		lr:           lr,
-		src:          cfg.Src.Split(fmt.Sprintf("recovery-%d", len(res.Evictions))),
-		initWeights:  checkpoint,
-		schedule:     inc.schedule.Remap(survivors),
-		epochBase:    epoch,
-		origIdx:      origIdx,
-		pendingJoins: inc.pendingJoins,
-	}, nil
 }
 
 // ctxErr reports the context's error, tolerating a nil context.
@@ -738,12 +719,27 @@ func ctxErr(ctx context.Context) error {
 	return ctx.Err()
 }
 
+func orDefault(s, def string) string {
+	if s == "" {
+		return def
+	}
+	return s
+}
+
 func identity(n int) []int {
 	out := make([]int, n)
 	for i := range out {
 		out[i] = i
 	}
 	return out
+}
+
+func sum(xs []int) int {
+	total := 0
+	for _, x := range xs {
+		total += x
+	}
+	return total
 }
 
 func sqNorm(v []float64) float64 {
@@ -754,16 +750,21 @@ func sqNorm(v []float64) float64 {
 	return s
 }
 
-func maxAbsDiff(a, b []float64) float64 {
-	m := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		if d < 0 {
-			d = -d
+// replicasAgree is the one replica-consistency check: every vector must
+// equal the first as IEEE-754 bit patterns — the contract is bitwise, and a
+// numeric comparison is blind to NaN. It names the first differing index.
+func replicasAgree(what string, n int, vec func(i int) []float64) ([]float64, error) {
+	ref := vec(0)
+	for i := 1; i < n; i++ {
+		got := vec(i)
+		if len(got) != len(ref) {
+			return nil, fmt.Errorf("runtime: replica %d %s has %d elements, replica 0 has %d", i, what, len(got), len(ref))
 		}
-		if d > m {
-			m = d
+		for j := range ref {
+			if math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
+				return nil, fmt.Errorf("runtime: replica %d %s diverged from replica 0 at index %d (%v vs %v)", i, what, j, got[j], ref[j])
+			}
 		}
 	}
-	return m
+	return ref, nil
 }

@@ -293,11 +293,6 @@ func TestTrainValidation(t *testing.T) {
 		{"no-src", func(c *Config) { c.Src = nil }},
 		{"bad-backend", func(c *Config) { c.Backend = "cuda" }},
 		{"bad-comm-mode", func(c *Config) { c.CommMode = "turbo" }},
-		{"merged-with-fault", func(c *Config) {
-			c.Backend = BackendLive
-			c.CommMode = CommMerged
-			c.Fault = &FaultConfig{}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"cannikin/internal/allreduce"
 	"cannikin/internal/gns"
 	"cannikin/internal/nn"
@@ -98,13 +96,7 @@ func (e *seqExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeig
 func (e *seqExec) network() *nn.Network { return e.replicas[0] }
 
 func (e *seqExec) finalWeights() ([]float64, error) {
-	ref := e.replicas[0].FlatWeights()
-	for i := 1; i < len(e.replicas); i++ {
-		if d := maxAbsDiff(ref, e.replicas[i].FlatWeights()); d > 1e-9 {
-			return nil, fmt.Errorf("runtime: replica %d diverged by %g", i, d)
-		}
-	}
-	return ref, nil
+	return replicasAgree("weights", len(e.replicas), func(i int) []float64 { return e.replicas[i].FlatWeights() })
 }
 
 func (e *seqExec) profile() *Profile { return nil }

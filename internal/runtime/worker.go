@@ -5,10 +5,6 @@ import (
 	"fmt"
 
 	"cannikin/internal/allreduce"
-	"cannikin/internal/data"
-	"cannikin/internal/gns"
-	"cannikin/internal/nn"
-	"cannikin/internal/tensor"
 )
 
 // BackendWorker names the single-rank multi-process engine in Result.Backend.
@@ -35,36 +31,27 @@ type WorkerConfig struct {
 }
 
 // TrainWorker runs one rank of a data-parallel training job whose other
-// ranks live in other processes, connected by cfg.Ring. It produces
-// weights bitwise-identical to Train on the same Config: determinism rests
-// on rng.Source.Split being pure, so every process independently reproduces
+// ranks live in other processes, connected by cfg.Ring. It is Train's
+// driver and live engine hosting that single rank, so it honors the same
+// Config — CommMode, Ctx, OnEpoch (every rank observes identical epochs) —
+// and Result.Profile carries the hosted rank's samples. It produces weights
+// bitwise-identical to Train on the same Config: determinism rests on
+// rng.Source.Split being pure, so every process independently reproduces
 // the dataset, the loader's full draw sequence (it draws every rank's shard
-// and trains only on its own), and the common initial weights (rank 0's
-// initialization, which is exactly what Train's ring broadcast leaves on
-// every replica) — and on the ring fixing the gradient summation order
-// regardless of transport.
+// and trains only on its own), and the common initial weights — and on the
+// ring fixing the gradient summation order regardless of transport.
 //
 // Cross-rank GNS state is replicated exactly by ring-reducing each rank's
 // one-hot |g_i|² vector: adding zeros is exact in floating point, so every
 // process observes identical norms and follows the identical learning-rate
 // schedule.
 //
-// Fault injection and eviction are not supported in worker mode: a dead
-// peer fails the run with a *RingFault naming the suspect, and recovery is
-// the coordinator's concern.
+// What one process cannot do is change the membership of a ring it only
+// hosts a part of: a run that reaches a fault eviction, a scheduled join,
+// or an elastic grow/shrink fails with ErrRemoteMembership. Without a
+// FaultConfig a dead peer fails the run with a *RingFault naming the
+// suspect, and recovery is the coordinator's concern.
 func TrainWorker(cfg WorkerConfig) (*Result, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if cfg.Fault != nil {
-		return nil, errors.New("runtime: fault injection is not supported in worker mode")
-	}
-	if len(cfg.Joins) > 0 || cfg.Elastic != nil {
-		// A process cannot grow its own ring mid-run; the coordinator
-		// decomposes an elastic run into fixed-membership generations,
-		// handing each the previous one's checkpoint (weights + velocity).
-		return nil, errors.New("runtime: hot-join is not supported in worker mode (the coordinator runs one process generation per membership)")
-	}
 	if cfg.Backend != "" && cfg.Backend != BackendWorker {
 		return nil, fmt.Errorf("runtime: worker mode cannot run backend %q", cfg.Backend)
 	}
@@ -78,164 +65,17 @@ func TrainWorker(cfg WorkerConfig) (*Result, error) {
 	if cfg.Rank < 0 || cfg.Rank >= n {
 		return nil, fmt.Errorf("runtime: rank %d of %d", cfg.Rank, n)
 	}
-	if cfg.KernelShards > 0 {
-		tensor.SetParallelism(cfg.KernelShards)
-	}
-
-	globalBatch := 0
-	for _, b := range cfg.LocalBatches {
-		globalBatch += b
-	}
-	res := &Result{Backend: BackendWorker, Workers: n, GlobalBatch: globalBatch}
-
-	loader := data.NewHeteroLoader(cfg.Dataset, cfg.Src)
-
-	// Every replica of a Train run ends initialization holding rank 0's
-	// weights (the ring broadcast); a worker reproduces that state directly
-	// from the shared source.
-	net := nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
-	if cfg.InitWeights != nil {
-		if want := net.NumParams(); len(cfg.InitWeights) != want {
-			return nil, fmt.Errorf("runtime: init weights dim %d, want %d", len(cfg.InitWeights), want)
-		}
-		net.SetFlatWeights(cfg.InitWeights)
-	}
-	opt := nn.NewSGD(cfg.Momentum, 0)
-	params := net.Params()
-	if cfg.InitVelocity != nil {
-		if err := opt.SetFlatVelocity(params, cfg.InitVelocity); err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-	}
-	dim := net.NumParams()
-	// Every process must derive the identical partition from the shared
-	// Config alone — bucketLenFor depends only on (BucketBytes, dim, n) and
-	// bucketAlgorithms only on the shared algorithm fields.
-	bucketLen := bucketLenFor(cfg.BucketBytes, dim, n)
-	algs, err := bucketAlgorithms(cfg.Allreduce, cfg.LinkAlpha, cfg.LinkBeta, dim, bucketLen, n)
+	run := cfg.Config
+	run.Backend = BackendLive
+	res, err := train(&run, hosting{
+		ring:  cfg.Ring,
+		ranks: []int{cfg.Rank},
+		opts:  allreduce.Options{Guard: cfg.Guard, Policy: cfg.Policy},
+	})
 	if err != nil {
 		return nil, err
 	}
-
-	rank := cfg.Rank
-	opts := allreduce.Options{Guard: cfg.Guard, Policy: cfg.Policy}
-	grad := make([]float64, dim)    // raw local gradient (|g_i|²)
-	commBuf := make([]float64, dim) // weight-scaled, then globally reduced
-	normBuf := make([]float64, n)   // one-hot |g_i|² exchange
-	batches := make([]int, n)
-	var dlogits *tensor.T
-
-	tracker := gns.NewTracker(0.1)
-	estimator := gns.NewEstimator(cfg.NaiveGNS)
-	localBatches := append([]int(nil), cfg.LocalBatches...)
-	weights := make([]float64, n)
-	for i, b := range localBatches {
-		weights[i] = float64(b) / float64(globalBatch)
-	}
-	partialWeights := make([]float64, n)
-	baseBatch := globalBatch
-	lr := cfg.LearningRate
-
-	fullX, fullLabels := cfg.Dataset.Batch(identity(cfg.Dataset.Len()))
-
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		if cfg.GrowthEpoch > 0 && epoch == cfg.GrowthEpoch && epoch > 0 {
-			for i := range localBatches {
-				localBatches[i] *= 2
-			}
-			globalBatch *= 2
-			for i, b := range localBatches {
-				weights[i] = float64(b) / float64(globalBatch)
-			}
-			if cfg.Scaler != nil {
-				lr = cfg.Scaler.Scale(cfg.LearningRate, globalBatch, baseBatch, tracker.Noise())
-			}
-		}
-		stepsPerEpoch := cfg.Dataset.Len() / globalBatch
-		if stepsPerEpoch < 1 {
-			stepsPerEpoch = 1
-		}
-		for s := 0; s < stepsPerEpoch; s++ {
-			// Draw every rank's shard to keep the loader's randomness stream
-			// identical to the single-process run; train only on our own.
-			xs, labels, err := loader.NextGlobalBatch(localBatches)
-			if err != nil {
-				return nil, err
-			}
-			got := 0
-			for _, x := range xs {
-				got += x.Rows()
-			}
-			stepWeights := weights
-			if got != globalBatch {
-				stepWeights = partialWeights
-				for i, x := range xs {
-					stepWeights[i] = float64(x.Rows()) / float64(got)
-				}
-			}
-
-			net.ZeroGrad()
-			logits := net.Forward(xs[rank])
-			dlogits = tensor.Reuse(dlogits, logits.Rows(), logits.Cols())
-			nn.SoftmaxCrossEntropyInto(dlogits, logits, labels[rank])
-			net.Backward(dlogits)
-			net.FlatGradsInto(grad)
-			localSq := sqNorm(grad)
-
-			// Eq. 9 pre-scale, then the bucketed ring reduce — the identical
-			// per-bucket summation order to both in-process engines.
-			w := stepWeights[rank]
-			for j, g := range grad {
-				commBuf[j] = g * w
-			}
-			for k, lo := 0, 0; lo < dim; k, lo = k+1, lo+bucketLen {
-				hi := lo + bucketLen
-				if hi > dim {
-					hi = dim
-				}
-				o := opts
-				o.Algorithm = algs[k]
-				if err := cfg.Ring.ReduceWith(rank, commBuf[lo:hi], o); err != nil {
-					return nil, err
-				}
-			}
-			globalSq := sqNorm(commBuf)
-
-			// Replicate every rank's |g_i|² exactly: each rank contributes a
-			// one-hot vector and zeros add exactly.
-			for i := range normBuf {
-				normBuf[i] = 0
-			}
-			normBuf[rank] = localSq
-			if err := cfg.Ring.ReduceWith(rank, normBuf, opts); err != nil {
-				return nil, err
-			}
-
-			net.SetFlatGrads(commBuf)
-			opt.Step(params, lr)
-
-			if n >= 2 {
-				for i, x := range xs {
-					batches[i] = x.Rows()
-				}
-				sample := gns.Sample{Batches: batches, LocalSqNorms: normBuf, GlobalSqNorm: globalSq}
-				if est, gerr := estimator.Estimate(sample); gerr == nil {
-					tracker.Observe(est)
-				}
-			}
-			res.Steps++
-		}
-		logits := net.Forward(fullX)
-		loss, _ := nn.SoftmaxCrossEntropy(logits, fullLabels)
-		res.EpochLoss = append(res.EpochLoss, loss)
-		res.EpochAccuracy = append(res.EpochAccuracy, nn.Accuracy(logits, fullLabels))
-		res.NoiseEstimate = append(res.NoiseEstimate, tracker.Noise())
-		res.BatchSchedule = append(res.BatchSchedule, globalBatch)
-		res.LRSchedule = append(res.LRSchedule, lr)
-	}
-	res.FinalAccuracy = res.EpochAccuracy[len(res.EpochAccuracy)-1]
-	res.FinalWeights = net.FlatWeights()
-	res.FinalVelocity = opt.FlatVelocity(params)
+	res.Backend = BackendWorker
 	return res, nil
 }
 

@@ -1,8 +1,10 @@
 package runtime
 
 import (
+	"context"
 	"errors"
 	"math"
+	gort "runtime"
 	"sync"
 	"testing"
 	"time"
@@ -58,6 +60,33 @@ func buildWorkerRings(t *testing.T, n int, delay time.Duration) ([]*allreduce.Ri
 	return rings, closeAll
 }
 
+// runWorkers runs every rank of a ring as its own TrainWorker goroutine —
+// mk builds each rank's config fresh, with its own rng source and dataset
+// copy, exactly as separate OS processes would — and closes each rank's
+// transport when its TrainWorker returns, the way a process exit closes its
+// sockets (so one rank's failure cascades around the ring instead of
+// leaving its neighbors blocked).
+func runWorkers(t *testing.T, n int, delay time.Duration, mk func(rank int) WorkerConfig) ([]*Result, []error) {
+	t.Helper()
+	rings, closeAll := buildWorkerRings(t, n, delay)
+	defer closeAll()
+	results := make([]*Result, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(rank int) {
+			defer wg.Done()
+			defer rings[rank].Transport().Close()
+			cfg := mk(rank)
+			cfg.Rank, cfg.Ring = rank, rings[rank]
+			results[rank], errs[rank] = TrainWorker(cfg)
+		}(i)
+	}
+	wg.Wait()
+	return results, errs
+}
+
 // TestWorkerMatchesTrainBitwise is the multi-process differential test:
 // n TrainWorker ranks over a real TCP ring — each with its own rng source
 // and its own copy of the dataset, exactly like n OS processes — must
@@ -97,32 +126,17 @@ func TestWorkerMatchesTrainBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			n := len(tc.batches)
-			rings, closeAll := buildWorkerRings(t, n, tc.delay)
-			defer closeAll()
-			results := make([]*Result, n)
-			errs := make([]error, n)
-			var wg sync.WaitGroup
-			for i := 0; i < n; i++ {
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					// A fresh config per rank: separate rng source and dataset
-					// copy, as separate OS processes would construct.
-					cfg := testConfig(t, 7, tc.batches, tc.samples)
-					if tc.mutate != nil {
-						tc.mutate(&cfg)
-					}
-					results[rank], errs[rank] = TrainWorker(WorkerConfig{
-						Config: cfg,
-						Rank:   rank,
-						Ring:   rings[rank],
-						Guard:  tc.guard,
-						Policy: allreduce.RetryPolicy{HopTimeout: 200 * time.Millisecond},
-					})
-				}(i)
-			}
-			wg.Wait()
+			results, errs := runWorkers(t, len(tc.batches), tc.delay, func(rank int) WorkerConfig {
+				cfg := testConfig(t, 7, tc.batches, tc.samples)
+				if tc.mutate != nil {
+					tc.mutate(&cfg)
+				}
+				return WorkerConfig{
+					Config: cfg,
+					Guard:  tc.guard,
+					Policy: allreduce.RetryPolicy{HopTimeout: 200 * time.Millisecond},
+				}
+			})
 			for rank, err := range errs {
 				if err != nil {
 					t.Fatalf("rank %d: %v", rank, err)
@@ -196,4 +210,99 @@ func TestWorkerDeadPeerFault(t *testing.T) {
 			t.Fatalf("rank %d: non-RingFault error %v", rank, errs[rank])
 		}
 	}
+}
+
+// TestWorkerObservesLikeTrain: worker mode is the shared driver hosting one
+// rank, so it inherits what the driver does for Train — the epoch hook
+// fires once per epoch on every rank with exactly the sim run's values, and
+// the result carries the hosted rank's measured phase samples.
+func TestWorkerObservesLikeTrain(t *testing.T) {
+	batches := []int{8, 6, 4}
+	var want []EpochObs
+	ref := testConfig(t, 7, batches, 200)
+	ref.OnEpoch = func(o EpochObs) error {
+		want = append(want, o)
+		return nil
+	}
+	if _, err := Train(ref); err != nil {
+		t.Fatal(err)
+	}
+
+	seen := make([][]EpochObs, len(batches))
+	results, errs := runWorkers(t, len(batches), 0, func(rank int) WorkerConfig {
+		cfg := testConfig(t, 7, batches, 200)
+		cfg.OnEpoch = func(o EpochObs) error {
+			seen[rank] = append(seen[rank], o)
+			return nil
+		}
+		return WorkerConfig{Config: cfg}
+	})
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	for rank, res := range results {
+		if len(seen[rank]) != len(want) {
+			t.Fatalf("rank %d: hook fired %d times over %d epochs", rank, len(seen[rank]), len(want))
+		}
+		for e, o := range seen[rank] {
+			if o != want[e] {
+				t.Fatalf("rank %d epoch %d: observed %+v, sim observed %+v", rank, e, o, want[e])
+			}
+		}
+		if res.Backend != BackendWorker {
+			t.Fatalf("rank %d: backend %q", rank, res.Backend)
+		}
+		p := res.Profile
+		if p == nil || p.Workers != len(batches) || len(p.Samples) != res.Steps {
+			t.Fatalf("rank %d: profile %+v for %d steps", rank, p, res.Steps)
+		}
+		for _, smp := range p.Samples {
+			if smp.Worker != rank || smp.Pre <= 0 || smp.Backprop <= 0 || smp.Post <= 0 {
+				t.Fatalf("rank %d: sample %+v", rank, smp)
+			}
+		}
+	}
+}
+
+// TestWorkerCancel: one context shared by every rank is canceled mid-run.
+// A rank that reaches its next step boundary returns the wrapped context
+// error; a rank already inside the step's collective fails on the transport
+// its canceled neighbor closed. Nobody hangs and no goroutine is left.
+func TestWorkerCancel(t *testing.T) {
+	defer watchdog(t, 2*time.Minute)()
+	before := gort.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	batches := []int{8, 8, 8}
+	_, errs := runWorkers(t, len(batches), 0, func(rank int) WorkerConfig {
+		cfg := testConfig(t, 9, batches, 192)
+		cfg.Epochs = 200 // long enough to be mid-run when the cancel lands
+		cfg.Ctx = ctx
+		if rank == 0 {
+			cfg.OnEpoch = func(o EpochObs) error {
+				if o.Epoch == 1 {
+					cancel()
+				}
+				return nil
+			}
+		}
+		return WorkerConfig{Config: cfg}
+	})
+	canceled := 0
+	for rank, err := range errs {
+		var fault *allreduce.RingFault
+		switch {
+		case errors.Is(err, context.Canceled):
+			canceled++
+		case errors.As(err, &fault):
+		default:
+			t.Fatalf("rank %d: err = %v, want a wrapped context.Canceled or a transport fault", rank, err)
+		}
+	}
+	if canceled == 0 {
+		t.Fatalf("no rank reported the cancellation: %v", errs)
+	}
+	waitGoroutines(t, before)
 }

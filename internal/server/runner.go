@@ -30,11 +30,12 @@ func (TrainRunner) Run(ctx context.Context, spec *runspec.Spec, onEpoch func(job
 	return runSimJob(ctx, spec, onEpoch)
 }
 
-// runMLPJob mirrors the cannikin command's spec lowering for -mlp runs.
-func runMLPJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
-	if spec.Transport == runspec.TransportTCP {
-		return nil, fmt.Errorf("server: tcp transport jobs are not supported (the service runs workers in-process)")
-	}
+// MLPConfigOf lowers a run spec's MLP fields onto the public config — the
+// one lowering behind the cannikin command, cannikin-worker, and the
+// service, so a spec means the same run wherever it is submitted. It does
+// no I/O: checkpoint files (Spec.CheckpointIn/Out) stay with the commands,
+// and the service never opens a path a client names.
+func MLPConfigOf(spec *runspec.Spec) cannikin.MLPConfig {
 	cfg := cannikin.MLPConfig{
 		LocalBatches: spec.MLPBatches,
 		Backend:      spec.Backend,
@@ -46,10 +47,31 @@ func runMLPJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch)
 		LinkAlpha:    spec.LinkAlpha,
 		LinkBeta:     spec.LinkBeta,
 		Fault:        faultsToConfig(spec.Faults, spec.FaultReplan),
+		Resume:       spec.Resume,
 	}
 	if spec.Epochs > 0 {
 		cfg.Epochs = spec.Epochs
 	}
+	for _, j := range spec.Joins {
+		cfg.Joins = append(cfg.Joins, cannikin.JoinSpec{Epoch: j.Epoch, Batch: j.Batch, Replan: j.Replan})
+	}
+	if spec.AutoscaleMax > 0 || spec.AutoscaleShrink > 0 {
+		cfg.Autoscale = &cannikin.AutoscaleConfig{
+			MinWorkers:      spec.AutoscaleMin,
+			MaxWorkers:      spec.AutoscaleMax,
+			GrowThreshold:   spec.AutoscaleGrow,
+			ShrinkThreshold: spec.AutoscaleShrink,
+			JoinBatch:       spec.AutoscaleBatch,
+		}
+	}
+	return cfg
+}
+
+func runMLPJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
+	if spec.Transport == runspec.TransportTCP {
+		return nil, fmt.Errorf("server: tcp transport jobs are not supported (the service runs workers in-process)")
+	}
+	cfg := MLPConfigOf(spec)
 	start := time.Now()
 	cfg.OnEpoch = func(e cannikin.MLPEpoch) error {
 		return onEpoch(jobs.Epoch{
@@ -118,9 +140,9 @@ func runSimJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch)
 }
 
 // WeightsHash fingerprints a trained weight vector: sha256 over the
-// IEEE-754 bit patterns, little-endian. Identical to the cannikin
-// command's fingerprint, so server outcomes and CLI runs are directly
-// comparable.
+// IEEE-754 bit patterns, little-endian. It is the one fingerprint — the
+// commands print it and the coordinator compares it across processes — so
+// server outcomes and CLI runs are directly comparable.
 func WeightsHash(weights []float64) string {
 	h := sha256.New()
 	var word [8]byte

@@ -61,7 +61,7 @@ type MLPConfig struct {
 	// (default — merged when workers already saturate the host, overlapped
 	// otherwise), "overlap" (dedicated comm goroutine per worker), or
 	// "merged" (single event-driven goroutine per worker). Scheduling only:
-	// weights are bitwise-identical in every mode.
+	// weights are bitwise-identical in every mode, with or without Fault.
 	CommMode string
 	// KernelShards, when positive, shards every matmul across that many
 	// goroutines by contiguous output rows (1 = serial, the default).
@@ -97,9 +97,9 @@ type MLPConfig struct {
 	// trained with: "join-<n>" for the n-th hot-join, "recovery-<n>" for
 	// the n-th eviction (n counting from 1).
 	Resume string
-	// Joins schedules worker hot-joins at epoch boundaries (live or sim
-	// single-process runs; worker mode runs one process generation per
-	// membership instead).
+	// Joins schedules worker hot-joins at epoch boundaries (single-process
+	// runs; in worker mode reaching one fails with ErrRemoteMembership —
+	// the coordinator runs one process generation per membership instead).
 	Joins []JoinSpec
 	// Autoscale enables the goodput-driven autoscaler, which grows the
 	// cluster through the hot-join path and shrinks it through the
@@ -291,14 +291,6 @@ func TrainMLPContext(ctx context.Context, cfg MLPConfig) (*MLPResult, error) {
 	if ctx != nil && ctx != context.Background() {
 		rc.Ctx = ctx
 	}
-	if cfg.Fault != nil {
-		// The fault rank space spans the initial cluster plus every
-		// scheduled joiner: churn can target a worker that has not joined
-		// yet, and its events lie dormant until the join.
-		if rc.Fault, err = cfg.Fault.lower(len(cfg.LocalBatches)+len(cfg.Joins), cfg.Seed); err != nil {
-			return nil, err
-		}
-	}
 	r, err := runtime.Train(*rc)
 	if err != nil {
 		return nil, err
@@ -307,8 +299,8 @@ func TrainMLPContext(ctx context.Context, cfg MLPConfig) (*MLPResult, error) {
 }
 
 // lowerRuntime translates a defaulted MLPConfig into the internal runtime
-// config: scaler lookup, synthetic dataset, layer sizes, rng source. Fault
-// lowering stays with the callers (worker mode rejects faults).
+// config: scaler lookup, synthetic dataset, layer sizes, rng source, fault
+// schedule.
 func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 	var scaler nn.LRScaler
 	switch cfg.Scaler {
@@ -368,6 +360,14 @@ func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 		InitVelocity: cfg.InitVelocity,
 		Joins:        joins,
 		Elastic:      elastic,
+	}
+	if cfg.Fault != nil {
+		// The fault rank space spans the initial cluster plus every
+		// scheduled joiner: churn can target a worker that has not joined
+		// yet, and its events lie dormant until the join.
+		if rc.Fault, err = cfg.Fault.lower(len(cfg.LocalBatches)+len(cfg.Joins), cfg.Seed); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.OnEpoch != nil {
 		hook := cfg.OnEpoch

@@ -1,10 +1,14 @@
 package cannikin
 
 import (
+	"errors"
 	"math"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+
+	"cannikin/internal/allreduce"
 )
 
 // elasticMLPConfig is a small live run with one scheduled hot-join.
@@ -159,8 +163,42 @@ func TestMLPElasticValidation(t *testing.T) {
 	if _, err := TrainMLP(cfg); err == nil {
 		t.Fatal("negative autoscale threshold accepted")
 	}
-	if _, _, err := TrainMLPWorker(elasticMLPConfig(1), WorkerRingConfig{}); err == nil ||
-		!strings.Contains(err.Error(), "worker mode") {
-		t.Fatalf("worker-mode join err = %v", err)
+}
+
+// TestMLPWorkerJoinRefused: worker mode runs the shared driver, so a join
+// schedule is accepted and trains up to the join's epoch boundary — where
+// every rank fails with the one typed refusal, because a process cannot
+// grow a ring it only hosts a part of.
+func TestMLPWorkerJoinRefused(t *testing.T) {
+	cfg := elasticMLPConfig(1)
+	cfg.Backend = ""
+	n := len(cfg.LocalBatches)
+	addrs, listeners, err := allreduce.ReserveRingAddrs(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range listeners {
+		ln.Close() // TrainMLPWorker binds Peers[Rank] itself
+	}
+	errs := make([]error, n)
+	epochs := make([]int, n)
+	var wg sync.WaitGroup
+	for rank := 0; rank < n; rank++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := cfg
+			c.OnEpoch = func(MLPEpoch) error { epochs[rank]++; return nil }
+			_, _, errs[rank] = TrainMLPWorker(c, WorkerRingConfig{Rank: rank, Peers: addrs})
+		}()
+	}
+	wg.Wait()
+	for rank, err := range errs {
+		if !errors.Is(err, ErrRemoteMembership) {
+			t.Fatalf("rank %d: err = %v, want ErrRemoteMembership", rank, err)
+		}
+		if epochs[rank] != 1 {
+			t.Fatalf("rank %d: trained %d epochs before the join at epoch 1", rank, epochs[rank])
+		}
 	}
 }

@@ -7,6 +7,18 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# lane runs a name-filtered `go test` (-run or -fuzz) and fails when the
+# filter selected nothing in some package: after a rename the regex would
+# otherwise match no test, run nothing, and still exit 0.
+lane() {
+	out=$(go test "$@" 2>&1) || { printf '%s\n' "$out"; return 1; }
+	printf '%s\n' "$out"
+	if printf '%s\n' "$out" | grep -Eq 'no tests to run|no fuzz tests to fuzz'; then
+		echo "vacuous lane: go test $* selected no test in a package above" >&2
+		return 1
+	fi
+}
+
 echo "== go build =="
 go build ./...
 
@@ -28,7 +40,7 @@ go test -race -count=2 ./internal/runtime ./internal/allreduce
 # parallel == serial bitwise, concurrent callers, pool resizing — under the
 # race detector at several GOMAXPROCS values.
 echo "== go test -race -count=2 -cpu 1,2,4 (tensor kernel pool) =="
-go test -race -count=2 -cpu 1,2,4 -run 'Parallel|Pool' ./internal/tensor
+lane -race -count=2 -cpu 1,2,4 -run 'Parallel|Pool' ./internal/tensor
 
 # The fault-tolerance layer races workers against injected stalls, drops,
 # and kills and drives the retry/eviction state machine from timeouts; run
@@ -37,7 +49,7 @@ go test -race -count=2 -cpu 1,2,4 -run 'Parallel|Pool' ./internal/tensor
 # values — determinism claims must hold at every parallelism level.
 echo "== go test -race -count=2 -cpu 1,2,4 (fault injection + fault paths) =="
 go test -race -count=2 -cpu 1,2,4 ./internal/faultinject
-go test -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal/runtime ./internal/allreduce
+lane -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal/runtime ./internal/allreduce
 
 # The TCP ring transport runs a writer and a reader goroutine per process
 # against real sockets, and the multi-process worker runtime layers the
@@ -45,7 +57,7 @@ go test -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal
 # suite and the worker bitwise-parity tests under the race detector at
 # several GOMAXPROCS values.
 echo "== go test -race -cpu 1,2,4 (tcp transport + worker runtime) =="
-go test -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker' ./internal/allreduce ./internal/runtime
+lane -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker' ./internal/allreduce ./internal/runtime
 
 echo "== multi-process smoke: coordinator + worker processes over loopback tcp =="
 BIN="$(mktemp -d)"
@@ -66,8 +78,8 @@ go build -o "$BIN/cannikin-worker" ./cmd/cannikin-worker
 # join checkpoint; join-then-evict returns to the survivor trajectory), so
 # it must hold under the race detector at every parallelism level.
 echo "== elastic lane: join/evict differential suite -race -cpu 1,2,4 =="
-go test -race -count=1 -cpu 1,2,4 -run 'Elastic|Join|Autoscal' ./internal/runtime .
-go test -race -count=1 -run 'Resize|AutoscaleJobs' ./internal/jobs
+lane -race -count=1 -cpu 1,2,4 -run 'Elastic|Join|Autoscal' ./internal/runtime .
+lane -race -count=1 -run 'Resize|AutoscaleJobs' ./internal/jobs
 
 echo "== elastic smoke: tcp hot-join, a 4th worker process joins mid-run =="
 # Generation 1 runs 3 worker processes; at epoch 1 the coordinator hands
@@ -96,8 +108,9 @@ go tool pprof -top "$BIN/bench.test" "$BIN/cpu.pprof" | head -n 12
 go tool pprof -top "$BIN/bench.test" "$BIN/cpu.pprof" | grep -q 'flat' \
 	|| { echo "pprof output missing profile table" >&2; exit 1; }
 
-echo "== fault-tolerance smoke: injected kill evicts and the run completes =="
+echo "== fault-tolerance smoke: injected kill evicts and the run completes, in both comm layouts =="
 go run ./cmd/cannikin -mlp -backend live -epochs 2 -mlp-batches 8,8,8 -bucket-bytes 1024 -fault kill:1@6 >/dev/null
+go run ./cmd/cannikin -mlp -backend live -comm merged -epochs 2 -mlp-batches 8,8,8 -bucket-bytes 1024 -fault kill:1@6 >/dev/null
 
 echo "== server lane: multi-tenant scheduler + HTTP service under -race =="
 go test -race -count=1 ./internal/jobs ./internal/server
@@ -126,15 +139,15 @@ echo "== load-test smoke: 120 concurrent jobs, goodput vs equal-split =="
 "$BIN/cannikin-loadtest" -jobs 120 -devices 12 -timeout 2m
 
 echo "== audited fuzz smoke: optperf FuzzSolve =="
-go test -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/optperf
+lane -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/optperf
 
 echo "== audited fuzz smoke: gns FuzzEstimators =="
-go test -run='^$' -fuzz=FuzzEstimators -fuzztime=10s ./internal/gns
+lane -run='^$' -fuzz=FuzzEstimators -fuzztime=10s ./internal/gns
 
 echo "== fault fuzz smoke: runtime FuzzRingFaults =="
-go test -run='^$' -fuzz=FuzzRingFaults -fuzztime=10s ./internal/runtime
+lane -run='^$' -fuzz=FuzzRingFaults -fuzztime=10s ./internal/runtime
 
 echo "== elastic fuzz smoke: runtime FuzzElasticMembership =="
-go test -run='^$' -fuzz=FuzzElasticMembership -fuzztime=10s ./internal/runtime
+lane -run='^$' -fuzz=FuzzElasticMembership -fuzztime=10s ./internal/runtime
 
 echo "OK"

@@ -1,7 +1,6 @@
 package cannikin
 
 import (
-	"errors"
 	"fmt"
 	"net"
 	"time"
@@ -36,6 +35,11 @@ type WorkerRingConfig struct {
 	Guard bool
 }
 
+// ErrRemoteMembership reports that a worker-mode run needed a membership
+// change (fault eviction, hot-join, autoscaler grow/shrink), which one
+// process of a multi-process ring cannot perform. Test with errors.Is.
+var ErrRemoteMembership = runtime.ErrRemoteMembership
+
 // RingStats reports a worker's wire activity: Batches counts network
 // writes (flushes), MessagesSent the ring hops carried, so MsgsPerBatch
 // is the achieved coalescing factor.
@@ -55,16 +59,17 @@ type RingStats struct {
 // bitwise-identical on every rank, and bitwise-identical to a
 // single-process TrainMLP run of the same config.
 //
-// Fault injection (MLPConfig.Fault) and growth-free recovery are
-// unsupported in worker mode: a dead peer fails the run with a ring fault
-// naming the suspect.
+// Worker mode runs the same driver and live engine as TrainMLP, hosting one
+// rank: OnEpoch fires on every rank with identical values, CommMode picks
+// the rank's goroutine layout, and MLPResult.Profile summarizes the hosted
+// rank's measured phases. The one thing a process cannot do is change the
+// membership of a ring it only hosts a part of — a run that reaches a fault
+// eviction, a scheduled join, or an autoscaler decision fails with
+// ErrRemoteMembership (the coordinator runs one process generation per
+// membership; resume the grown ring with InitWeights/InitVelocity and
+// Resume instead). Without a FaultConfig a dead peer fails the run with a
+// ring fault naming the suspect.
 func TrainMLPWorker(cfg MLPConfig, ring WorkerRingConfig) (*MLPResult, *RingStats, error) {
-	if cfg.Fault != nil {
-		return nil, nil, errors.New("cannikin: fault injection is not supported in worker mode")
-	}
-	if len(cfg.Joins) > 0 || cfg.Autoscale != nil {
-		return nil, nil, errors.New("cannikin: hot-join is not supported in worker mode: the coordinator runs one process generation per membership (resume the grown ring with InitWeights/InitVelocity and Resume instead)")
-	}
 	if cfg.Backend != "" {
 		return nil, nil, fmt.Errorf("cannikin: worker mode selects its own backend (got %q)", cfg.Backend)
 	}
