@@ -75,4 +75,8 @@ func (d *Dropout) Backward(dout *tensor.T) *tensor.T {
 // Params returns nil: dropout has no parameters.
 func (d *Dropout) Params() []*Param { return nil }
 
+// shadow is the layer in evaluation mode: the identity, drawing nothing from
+// the original's random stream.
+func (d *Dropout) shadow() Layer { return &Dropout{P: d.P} }
+
 var _ Layer = (*Dropout)(nil)

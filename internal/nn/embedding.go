@@ -91,4 +91,6 @@ func (e *Embedding) Backward(dout *tensor.T) *tensor.T {
 // Params returns the embedding table.
 func (e *Embedding) Params() []*Param { return []*Param{e.table} }
 
+func (e *Embedding) shadow() Layer { return &Embedding{table: e.table, dim: e.dim} }
+
 var _ Layer = (*Embedding)(nil)

@@ -88,6 +88,13 @@ func (l *Linear) Forward(x *tensor.T) *tensor.T {
 // copies — with the products formed in scratch and then added, so repeated
 // Backward calls accumulate exactly like the original implementation.
 func (l *Linear) Backward(dout *tensor.T) *tensor.T {
+	l.backwardParams(dout)
+	return l.backwardInput(dout)
+}
+
+// backwardParams is the half of Backward whose results live in the Params:
+// dW = xᵀ dout and db = Σ dout, accumulated into the gradients.
+func (l *Linear) backwardParams(dout *tensor.T) {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
@@ -114,14 +121,20 @@ func (l *Linear) Backward(dout *tensor.T) *tensor.T {
 	for j := range row {
 		row[j] += bg[j]
 	}
+}
 
-	l.dx = tensor.Reuse(l.dx, dout.Rows(), in)
+// backwardInput is the other half: dx = dout Wᵀ, the gradient handed to the
+// layer below. It touches no Param.
+func (l *Linear) backwardInput(dout *tensor.T) *tensor.T {
+	l.dx = tensor.Reuse(l.dx, dout.Rows(), l.w.W.Rows())
 	tensor.MulBTInto(l.dx, dout, l.w.W)
 	return l.dx
 }
 
 // Params returns the layer's weight and bias.
 func (l *Linear) Params() []*Param { return []*Param{l.w, l.b} }
+
+func (l *Linear) shadow() Layer { return &Linear{w: l.w, b: l.b} }
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
@@ -166,6 +179,8 @@ func (r *ReLU) Backward(dout *tensor.T) *tensor.T {
 // Params returns nil: ReLU has no parameters.
 func (r *ReLU) Params() []*Param { return nil }
 
+func (r *ReLU) shadow() Layer { return &ReLU{} }
+
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
 	out, dx *tensor.T
@@ -202,6 +217,8 @@ func (t *Tanh) Backward(dout *tensor.T) *tensor.T {
 // Params returns nil: Tanh has no parameters.
 func (t *Tanh) Params() []*Param { return nil }
 
+func (t *Tanh) shadow() Layer { return &Tanh{} }
+
 // Network is a sequential stack of layers. The layer set is fixed at
 // construction, so the flattened parameter list and the per-layer offsets
 // are computed once and cached.
@@ -231,6 +248,24 @@ func NewMLP(sizes []int, src *rng.Source) *Network {
 
 // NewSequential wraps explicit layers.
 func NewSequential(layers ...Layer) *Network { return &Network{layers: layers} }
+
+// Shadow returns a forward-only twin of the network for evaluating it from
+// another goroutine: every layer shares the original's Params — the shadow
+// always sees the current weights — but owns its workspaces, so Forward on
+// the shadow and on the original (or on another shadow) never touch the same
+// memory and write no Param. Stochastic layers shadow in evaluation mode.
+// Backward on a shadow would accumulate into the shared gradients; don't.
+func (n *Network) Shadow() *Network {
+	layers := make([]Layer, len(n.layers))
+	for i, l := range n.layers {
+		s, ok := l.(interface{ shadow() Layer })
+		if !ok {
+			panic(fmt.Sprintf("nn: Shadow: layer %d (%T) cannot be shadowed", i, l))
+		}
+		layers[i] = s.shadow()
+	}
+	return &Network{layers: layers}
+}
 
 // build computes the cached parameter list and layer offsets.
 func (n *Network) build() {
@@ -280,7 +315,13 @@ func (n *Network) BackwardLayerwise(dout *tensor.T, onReady func(frontier int)) 
 		offsets = n.offsets
 	}
 	for i := len(n.layers) - 1; i >= 0; i-- {
-		dout = n.layers[i].Backward(dout)
+		if lin, ok := n.layers[i].(*Linear); ok && i == 0 {
+			// Nothing sits below the bottom layer to read its dx, a full
+			// dout·Wᵀ product: run only the half the gradients need.
+			lin.backwardParams(dout)
+		} else {
+			dout = n.layers[i].Backward(dout)
+		}
 		if onReady != nil {
 			onReady(offsets[i])
 		}

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"testing"
 
 	"cannikin/internal/rng"
@@ -90,4 +91,51 @@ func TestBackwardLayerwiseFrontierGradsFinal(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBackwardLayerwiseSkipsOnlyTheDeadProduct: BackwardLayerwise leaves
+// every Param.Grad bitwise equal to a layer-by-layer Backward loop while
+// never forming the bottom Linear's dx, and a direct Backward on that layer
+// still returns the full dout·Wᵀ.
+func TestBackwardLayerwiseSkipsOnlyTheDeadProduct(t *testing.T) {
+	src := rng.New(4)
+	sizes := []int{6, 9, 7, 3}
+	a := NewMLP(sizes, src.Split("net"))
+	b := NewMLP(sizes, src.Split("net"))
+	x := tensor.Randn(5, 6, 1, src.Split("x"))
+	labels := []int{0, 1, 2, 0, 1}
+
+	_, dout := SoftmaxCrossEntropy(a.Forward(x), labels)
+	a.BackwardLayerwise(dout, nil)
+	if dx := a.layers[0].(*Linear).dx; dx != nil {
+		t.Fatalf("BackwardLayerwise formed the bottom layer's %dx%d dx, which nothing reads", dx.Rows(), dx.Cols())
+	}
+
+	_, d := SoftmaxCrossEntropy(b.Forward(x), labels)
+	var bottomDout *tensor.T
+	for i := len(b.layers) - 1; i >= 0; i-- {
+		if i == 0 {
+			bottomDout = d.Clone()
+		}
+		d = b.layers[i].Backward(d)
+	}
+	for i, p := range a.Params() {
+		want := b.Params()[i].Grad.Data()
+		for j, g := range p.Grad.Data() {
+			if math.Float64bits(g) != math.Float64bits(want[j]) {
+				t.Fatalf("%s grad %d: BackwardLayerwise %v != Backward loop %v", p.Name, j, g, want[j])
+			}
+		}
+	}
+
+	w := b.layers[0].(*Linear).w.W
+	want := bottomDout.MatMul(w.Transpose())
+	if d.Rows() != x.Rows() || d.Cols() != sizes[0] {
+		t.Fatalf("direct Backward returned a %dx%d dx, want %dx%d", d.Rows(), d.Cols(), x.Rows(), sizes[0])
+	}
+	for j, v := range d.Data() {
+		if math.Float64bits(v) != math.Float64bits(want.Data()[j]) {
+			t.Fatalf("direct Backward dx %d: %v, want %v", j, v, want.Data()[j])
+		}
+	}
 }

@@ -31,16 +31,7 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.T, labels []int) float64 {
 	for i := 0; i < n; i++ {
 		row := logits.Row(i)
 		label := labels[i]
-		if label < 0 || label >= c {
-			panic(fmt.Sprintf("nn: label %d out of range [0, %d)", label, c))
-		}
-		// Numerically stable softmax.
-		maxV := row[0]
-		for _, v := range row[1:] {
-			if v > maxV {
-				maxV = v
-			}
-		}
+		maxV := softmaxShift(row, label)
 		sum := 0.0
 		g := grad.Row(i)
 		for j, v := range row {
@@ -58,6 +49,44 @@ func SoftmaxCrossEntropyInto(grad, logits *tensor.T, labels []int) float64 {
 		}
 	}
 	return loss / float64(n)
+}
+
+// SoftmaxCrossEntropyLoss is the loss of SoftmaxCrossEntropyInto without its
+// gradient — evaluation reads only the loss — and returns the identical
+// bits: the same max-shift, the same ascending sum of exponentials, the same
+// 1e-300 floor under the logarithm.
+func SoftmaxCrossEntropyLoss(logits *tensor.T, labels []int) float64 {
+	n := logits.Rows()
+	if len(labels) != n {
+		panic(fmt.Sprintf("nn: %d labels for %d rows", len(labels), n))
+	}
+	loss := 0.0
+	for i := 0; i < n; i++ {
+		row := logits.Row(i)
+		label := labels[i]
+		maxV := softmaxShift(row, label)
+		sum := 0.0
+		for _, v := range row {
+			sum += math.Exp(v - maxV)
+		}
+		loss += -math.Log(math.Max(math.Exp(row[label]-maxV)/sum, 1e-300))
+	}
+	return loss / float64(n)
+}
+
+// softmaxShift checks label against the row's classes and returns the row
+// maximum, the shift that keeps the softmax's exponentials from overflowing.
+func softmaxShift(row []float64, label int) float64 {
+	if label < 0 || label >= len(row) {
+		panic(fmt.Sprintf("nn: label %d out of range [0, %d)", label, len(row)))
+	}
+	maxV := row[0]
+	for _, v := range row[1:] {
+		if v > maxV {
+			maxV = v
+		}
+	}
+	return maxV
 }
 
 // Accuracy returns the fraction of rows whose argmax matches the label.

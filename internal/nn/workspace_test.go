@@ -2,6 +2,8 @@ package nn
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"testing"
 
 	"cannikin/internal/rng"
@@ -144,31 +146,141 @@ func TestSoftmaxCrossEntropyIntoMatches(t *testing.T) {
 	}
 }
 
-// TestSteadyStateStepAllocsZero: after warmup, a full
-// forward/loss/backward/step cycle on reused workspaces must not allocate.
-func TestSteadyStateStepAllocsZero(t *testing.T) {
-	net := NewMLP([]int{8, 32, 16, 4}, rng.New(1))
-	opt := NewSGD(0.9, 0)
-	x := tensor.Randn(16, 8, 1, rng.New(2))
-	labels := make([]int, 16)
+// TestSoftmaxCrossEntropyLossMatches: the loss-only form returns the bits of
+// the gradient-producing one, on ordinary logits and on saturated ones —
+// where the label's probability underflows to zero and the 1e-300 floor
+// under the logarithm decides the loss.
+func TestSoftmaxCrossEntropyLossMatches(t *testing.T) {
+	src := rng.New(8)
+	labels := make([]int, 12)
 	for i := range labels {
-		labels[i] = i % 4
+		labels[i] = i % 5
 	}
-	dlogits := tensor.New(16, 4)
-	params := net.Params()
+	random := tensor.Randn(12, 5, 3, src)
+	saturated := tensor.Randn(12, 5, 3, src)
+	for i := 0; i < saturated.Rows(); i++ {
+		row := saturated.Row(i)
+		row[labels[i]] = -900 + float64(i) // exp underflows against the row max
+		row[(labels[i]+1)%5] = 800
+	}
+	for name, logits := range map[string]*tensor.T{"random": random, "saturated": saturated} {
+		want, _ := SoftmaxCrossEntropy(logits, labels)
+		got := SoftmaxCrossEntropyLoss(logits, labels)
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: loss-only %v (%x) != %v (%x)", name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	if want, _ := SoftmaxCrossEntropy(saturated, labels); want < 600 {
+		t.Fatalf("saturated loss %v never reached the floor: the case tests nothing", want)
+	}
+}
 
-	step := func() {
-		net.ZeroGrad()
-		logits := net.Forward(x)
-		SoftmaxCrossEntropyInto(dlogits, logits, labels)
-		net.Backward(dlogits)
-		opt.Step(params, 0.05)
+// TestShadowForwardWritesNoParam: a shadow shares the original's Params —
+// it always computes with the current weights, bitwise what the original
+// computes in evaluation mode — owns every workspace, and leaves weights and
+// gradients untouched. Several shadows forward concurrently with the
+// original; the race detector checks that nothing is shared but the Params.
+func TestShadowForwardWritesNoParam(t *testing.T) {
+	src := rng.New(9)
+	drop := NewDropout(0.5, src)
+	net := NewSequential(
+		NewEmbedding(11, 3, src), NewLinear(6, 16, src), &ReLU{}, drop,
+		NewLinear(16, 8, src), &Tanh{}, NewLinear(8, 4, src))
+	ids := func(rows int) *tensor.T {
+		x := tensor.New(rows, 2)
+		for i := range x.Data() {
+			x.Data()[i] = float64((3*i + rows) % 11)
+		}
+		return x
 	}
-	for i := 0; i < 3; i++ {
-		step() // warm workspaces and optimizer state
+	bits := func(v []float64) []uint64 {
+		out := make([]uint64, len(v))
+		for i, f := range v {
+			out[i] = math.Float64bits(f)
+		}
+		return out
 	}
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state nn step allocates %v times, want 0", allocs)
+	// Leave non-zero gradients behind so a shadow clearing them would show.
+	_, dout := SoftmaxCrossEntropy(net.Forward(ids(5)), []int{0, 1, 2, 3, 0})
+	net.Backward(dout)
+	drop.Train = false
+	weights, grads := bits(net.FlatWeights()), bits(net.FlatGrads())
+
+	const shadows = 3
+	want := make([][]uint64, shadows)
+	for i := range want {
+		want[i] = bits(net.Forward(ids(4 + i)).Data())
+	}
+	got := make([][]uint64, shadows)
+	done := make(chan int)
+	for i := 0; i < shadows; i++ {
+		shadow := net.Shadow()
+		go func() {
+			for rep := 0; rep < 3; rep++ {
+				got[i] = bits(shadow.Forward(ids(4 + i)).Data())
+			}
+			done <- i
+		}()
+	}
+	net.Forward(ids(7)) // the original stays usable meanwhile
+	for range got {
+		<-done
+	}
+	for i := range got {
+		if !slices.Equal(got[i], want[i]) {
+			t.Fatalf("shadow %d forward differs from the original's evaluation-mode forward", i)
+		}
+	}
+	if !slices.Equal(bits(net.FlatWeights()), weights) || !slices.Equal(bits(net.FlatGrads()), grads) {
+		t.Fatal("a shadow forward wrote a Param")
+	}
+
+	// A weight update on the original is what the shadow computes with next.
+	shadow := net.Shadow()
+	shadow.Forward(ids(4))
+	w := net.FlatWeights()
+	for i := range w {
+		w[i] *= 0.5
+	}
+	net.SetFlatWeights(w)
+	if !slices.Equal(bits(shadow.Forward(ids(4)).Data()), bits(net.Forward(ids(4)).Data())) {
+		t.Fatal("shadow did not follow the original's weight update")
+	}
+}
+
+// TestSteadyStateStepAllocsZero: after warmup, a full
+// forward/loss/backward/step cycle on reused workspaces must not allocate,
+// with serial kernels and with every product sharded over the kernel pool
+// (the kernels' non-zero gather lives on the stack).
+func TestSteadyStateStepAllocsZero(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
+			tensor.SetParallelism(shards)
+			defer tensor.SetParallelism(1)
+			net := NewMLP([]int{32, 128, 64, 8}, rng.New(1))
+			opt := NewSGD(0.9, 0)
+			x := tensor.Randn(64, 32, 1, rng.New(2))
+			labels := make([]int, 64)
+			for i := range labels {
+				labels[i] = i % 8
+			}
+			dlogits := tensor.New(64, 8)
+			params := net.Params()
+
+			step := func() {
+				net.ZeroGrad()
+				logits := net.Forward(x)
+				SoftmaxCrossEntropyInto(dlogits, logits, labels)
+				net.Backward(dlogits)
+				opt.Step(params, 0.05)
+			}
+			for i := 0; i < 3; i++ {
+				step() // warm workspaces and optimizer state
+			}
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Fatalf("steady-state nn step allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -1,0 +1,132 @@
+package runtime
+
+import (
+	"fmt"
+	"math"
+	gort "runtime"
+	"testing"
+
+	"cannikin/internal/nn"
+	"cannikin/internal/rng"
+)
+
+// sequentialEval is the evaluation the sharded evaluator replaced: one
+// Forward of the full set, in order, through a network holding the given
+// weights, then the gradient-producing loss and Accuracy.
+func sequentialEval(cfg Config, weights []float64) (loss, accuracy float64) {
+	net := nn.NewMLP(cfg.Sizes, rng.New(0))
+	net.SetFlatWeights(weights)
+	x, labels := cfg.Dataset.Batch(identity(cfg.Dataset.Len()))
+	logits := net.Forward(x)
+	loss, _ = nn.SoftmaxCrossEntropy(logits, labels)
+	return loss, nn.Accuracy(logits, labels)
+}
+
+func assertBits(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s = %v (%x), want %v (%x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+	}
+}
+
+// TestEvaluatorMatchesSequentialForward: at every shard count, for row
+// counts that split unevenly and below the sharding floor, the evaluator
+// returns the bits of a sequential Forward of the full set; it follows
+// weight updates (the shadows share the replica's Params); and once built
+// it allocates nothing — shadow workspaces and the logits tensor are
+// one-time, and starting a shard goroutine costs no allocation.
+func TestEvaluatorMatchesSequentialForward(t *testing.T) {
+	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
+	for _, rows := range []int{1, 63, 64, 130, 513} {
+		for _, procs := range []int{1, 2, 3, 4} {
+			t.Run(fmt.Sprintf("rows%d/procs%d", rows, procs), func(t *testing.T) {
+				gort.GOMAXPROCS(procs)
+				cfg := testConfig(t, 23, []int{8}, rows)
+				net := nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
+				e := newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1])
+
+				if want := max(1, min(procs, rows/evalShardRows)); len(e.shards) != want {
+					t.Fatalf("%d shards, want %d", len(e.shards), want)
+				}
+				covered := 0
+				for i, s := range e.shards {
+					if s.x.Rows() == 0 {
+						t.Fatalf("shard %d is empty", i)
+					}
+					covered += s.x.Rows()
+				}
+				if covered != rows {
+					t.Fatalf("shards cover %d rows of %d", covered, rows)
+				}
+
+				for round := 0; round < 2; round++ {
+					loss, acc := e.eval()
+					wantLoss, wantAcc := sequentialEval(cfg, net.FlatWeights())
+					assertBits(t, fmt.Sprintf("round %d loss", round), loss, wantLoss)
+					assertBits(t, fmt.Sprintf("round %d accuracy", round), acc, wantAcc)
+					w := net.FlatWeights()
+					for i := range w {
+						w[i] = w[i]*0.5 + 0.01
+					}
+					net.SetFlatWeights(w)
+				}
+				if allocs := testing.AllocsPerRun(10, func() { e.eval() }); allocs != 0 {
+					t.Fatalf("a warm evaluation allocates %v times, want 0", allocs)
+				}
+			})
+		}
+	}
+}
+
+// TestEpochEvaluationMatchesSequentialForward: one evaluator serves every
+// backend. For a dataset that does not divide by the shard count and one
+// below the sharding floor, the per-epoch loss and accuracy of a sim, a
+// live-overlap, a live-merged and a loopback-worker run are bitwise equal,
+// every epoch's pair is what a sequential Forward of the full set gives for
+// the weights of that epoch, and no goroutine outlives the runs. (-cpu sets
+// the shard count; check.sh runs this at 1, 2 and 4 under the race
+// detector.)
+func TestEpochEvaluationMatchesSequentialForward(t *testing.T) {
+	baseline := gort.NumGoroutine()
+	for _, samples := range []int{513, 50} {
+		t.Run(fmt.Sprintf("samples%d", samples), func(t *testing.T) {
+			batches := []int{9, 5, 3}
+			mk := func(backend, comm string, epochs int) Config {
+				cfg := testConfig(t, 29, batches, samples)
+				cfg.Backend, cfg.CommMode, cfg.Epochs = backend, comm, epochs
+				return cfg
+			}
+			const epochs = 3
+			want := mustTrain(t, mk(BackendSim, "", epochs))
+			// Runs are prefixes of one another, so the run of e epochs ends
+			// on the weights epoch e-1 was evaluated with.
+			for e := 1; e <= epochs; e++ {
+				cfg := mk(BackendSim, "", e)
+				prefix := mustTrain(t, cfg)
+				loss, acc := sequentialEval(cfg, prefix.FinalWeights)
+				assertBits(t, fmt.Sprintf("epoch %d loss", e-1), want.EpochLoss[e-1], loss)
+				assertBits(t, fmt.Sprintf("epoch %d accuracy", e-1), want.EpochAccuracy[e-1], acc)
+			}
+
+			same := func(name string, res *Result) {
+				t.Helper()
+				for e := range want.EpochLoss {
+					assertBits(t, fmt.Sprintf("%s epoch %d loss", name, e), res.EpochLoss[e], want.EpochLoss[e])
+					assertBits(t, fmt.Sprintf("%s epoch %d accuracy", name, e), res.EpochAccuracy[e], want.EpochAccuracy[e])
+				}
+			}
+			same("live-overlap", mustTrain(t, mk(BackendLive, CommOverlap, epochs)))
+			same("live-merged", mustTrain(t, mk(BackendLive, CommMerged, epochs)))
+			results, errs := runWorkers(t, len(batches), 0, func(int) WorkerConfig {
+				return WorkerConfig{Config: mk("", "", epochs)}
+			})
+			for rank, err := range errs {
+				if err != nil {
+					t.Fatalf("worker rank %d: %v", rank, err)
+				}
+				same(fmt.Sprintf("worker rank %d", rank), results[rank])
+			}
+		})
+	}
+	waitGoroutines(t, baseline)
+}

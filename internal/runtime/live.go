@@ -405,8 +405,6 @@ func (e *liveExec) failure(firstErr error) *stepFailure {
 	return fail
 }
 
-func (e *liveExec) network() *nn.Network { return e.workers[0].net }
-
 func (e *liveExec) finalWeights() ([]float64, error) {
 	return replicasAgree("weights", len(e.workers), func(i int) []float64 { return e.workers[i].net.FlatWeights() })
 }

@@ -304,10 +304,6 @@ var ErrRemoteMembership = errors.New("runtime: membership change with a remote r
 // that could not commit fails with a *stepFailure.
 type executor interface {
 	step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error)
-	// network returns the first hosted replica for full-dataset evaluation.
-	// Only valid between steps (the driver is the only goroutine active
-	// then).
-	network() *nn.Network
 	// finalWeights checks replica consistency and returns the weights.
 	finalWeights() ([]float64, error)
 	profile() *Profile
@@ -446,6 +442,8 @@ type driver struct {
 	replicas []*nn.Network
 	sgd      []*nn.SGD
 	exec     executor
+	// eval evaluates the first hosted replica between steps.
+	eval *evaluator
 	// rebuild returns a live executor over a fresh ring (step retry).
 	rebuild func() *liveExec
 
@@ -545,6 +543,7 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 		}
 		d.exec = d.rebuild()
 	}
+	d.eval = newEvaluator(d.replicas[0], cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1])
 	return d, nil
 }
 
@@ -562,7 +561,6 @@ func (d *driver) runEpochs() (*membershipChange, error) {
 	cfg, inc, res := d.cfg, d.inc, d.res
 	n := len(inc.localBatches)
 	baseBatch := d.globalBatch
-	fullX, fullLabels := cfg.Dataset.Batch(identity(cfg.Dataset.Len()))
 
 	for epoch := inc.epochBase; epoch < cfg.Epochs; epoch++ {
 		// Growth fires once per run; an incarnation resuming at or after the
@@ -629,15 +627,14 @@ func (d *driver) runEpochs() (*membershipChange, error) {
 			}
 			res.Steps++
 		}
-		logits := d.exec.network().Forward(fullX)
-		loss, _ := nn.SoftmaxCrossEntropy(logits, fullLabels)
+		loss, accuracy := d.eval.eval()
 		obs := EpochObs{
 			Epoch:        epoch,
 			Workers:      n,
 			GlobalBatch:  d.globalBatch,
 			LearningRate: d.lr,
 			Loss:         loss,
-			Accuracy:     nn.Accuracy(logits, fullLabels),
+			Accuracy:     accuracy,
 			Noise:        d.tracker.Noise(),
 			Steps:        res.Steps,
 		}

@@ -93,8 +93,6 @@ func (e *seqExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeig
 	return sample, nil
 }
 
-func (e *seqExec) network() *nn.Network { return e.replicas[0] }
-
 func (e *seqExec) finalWeights() ([]float64, error) {
 	return replicasAgree("weights", len(e.replicas), func(i int) []float64 { return e.replicas[i].FlatWeights() })
 }

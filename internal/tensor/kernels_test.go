@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"cannikin/internal/rng"
@@ -39,25 +40,57 @@ func sparsify(t *T, src *rng.Source) {
 	}
 }
 
+// assertBitwiseEqual compares IEEE-754 bit patterns: a numeric comparison
+// would take -0 for +0 and could never match a NaN.
 func assertBitwiseEqual(t *testing.T, name string, got, want *T) {
 	t.Helper()
 	if got.Rows() != want.Rows() || got.Cols() != want.Cols() {
 		t.Fatalf("%s: shape %dx%d, want %dx%d", name, got.Rows(), got.Cols(), want.Rows(), want.Cols())
 	}
 	for i, v := range got.data {
-		if v != want.data[i] {
+		if math.Float64bits(v) != math.Float64bits(want.data[i]) {
 			t.Fatalf("%s: element %d: got %v (%x), want %v (%x)",
-				name, i, v, v, want.data[i], want.data[i])
+				name, i, v, math.Float64bits(v), want.data[i], math.Float64bits(want.data[i]))
 		}
 	}
 }
 
+// assertProductMatchesNaive computes the one product l·r through all three
+// kernels, each handed the storage layout it reads (MulBTInto the transposed
+// right operand, AddMulATInto the transposed left one, into a zeroed
+// destination), and requires the naive loop's bits from every one.
+func assertProductMatchesNaive(t *testing.T, name string, l, r *T) {
+	t.Helper()
+	want := naiveMatMul(l, r)
+	mm := New(l.rows, r.cols)
+	MatMulInto(mm, l, r)
+	assertBitwiseEqual(t, name+" MatMulInto", mm, want)
+	bt := New(l.rows, r.cols)
+	MulBTInto(bt, l, r.Transpose())
+	assertBitwiseEqual(t, name+" MulBTInto", bt, want)
+	at := New(l.rows, r.cols)
+	AddMulATInto(at, l.Transpose(), r)
+	assertBitwiseEqual(t, name+" AddMulATInto", at, want)
+}
+
 // kernelShapes spans the MLP layer shapes used in training plus
 // deliberately awkward ones: single rows/cols, row counts that do not
-// divide evenly across 2/3/4 shards, and inner dimensions straddling the
-// cache-block boundary.
+// divide evenly across 2/3/4 shards, inner dimensions straddling the
+// cache-block boundary (each of n, k and c is some kernel's inner
+// dimension), and every remainder of the four-wide tiles: k is MulBTInto's
+// output width in the tests below, c the others'.
 var kernelShapes = []struct{ n, k, c int }{
 	{1, 1, 1},
+	{4, 1, 2},
+	{4, 2, 1},
+	{3, 3, 5},
+	{3, 5, 3},
+	{2, 6, 7},
+	{2, 7, 6},
+	{2, 9, 9},
+	{kernelBlockK + 1, 3, 5},
+	{3, kernelBlockK + 1, 5},
+	{3, 5, kernelBlockK + 1},
 	{1, 8, 4},
 	{3, 5, 7},
 	{7, 3, 2},
@@ -108,6 +141,92 @@ func TestKernelsMatchNaiveReference(t *testing.T) {
 		MulBTInto(bt, dout, w)
 		assertBitwiseEqual(t, fmt.Sprintf("MulBTInto %v", sh), bt, naiveMatMul(dout, w.Transpose()))
 	}
+}
+
+// TestKernelsZeroSkipEdgeCases pins the skip's corners on a left operand
+// two panels long: rows that are entirely zero, rows holding exactly 1 to 5
+// non-zeros (every length of the gather's remainder, with and without a
+// full group of four before it), -0 entries (skipped exactly as +0), and
+// Inf/NaN in the right operand under inner indices where the whole left
+// column is zero — the skip must keep them out of the result, as it does in
+// the naive reference. Nine output columns leave MulBTInto's tile a
+// remainder too.
+func TestKernelsZeroSkipEdgeCases(t *testing.T) {
+	src := rng.New(17)
+	const rows, inner, cols = 9, kernelBlockK + 7, 9
+	negZero := math.Copysign(0, -1)
+	l := Randn(rows, inner, 1, src)
+	// Row 0 all zero, row 1 all -0, rows 2..6 exactly 1..5 non-zeros placed
+	// from the far end (row 2's only one sits in the second panel, leaving
+	// its first panel empty; row 6 has four in the first and one in the
+	// second), row 7 dense with -0 holes, row 8 ReLU-sparse.
+	for kk := 0; kk < inner; kk++ {
+		l.Set(0, kk, 0)
+		l.Set(1, kk, negZero)
+		for i := 2; i <= 6; i++ {
+			back := inner - 1 - kk
+			if keep := back%64 == i-2 && back/64 < i-1; !keep {
+				l.Set(i, kk, 0)
+			}
+		}
+		if kk%3 == 0 {
+			l.Set(7, kk, negZero)
+		}
+		if src.Float64() < 0.5 {
+			l.Set(8, kk, 0)
+		}
+	}
+	r := Randn(inner, cols, 1, src)
+	for j, kk := range []int{4, kernelBlockK - 1, kernelBlockK + 1} {
+		poison := []float64{math.Inf(1), math.NaN(), math.Inf(-1)}[j]
+		for i := 0; i < rows; i++ {
+			l.Set(i, kk, []float64{0, negZero}[i%2])
+		}
+		for c := 0; c < cols; c++ {
+			r.Set(kk, c, poison)
+		}
+	}
+	for i := 2; i <= 6; i++ {
+		nz := 0
+		for _, v := range l.Row(i) {
+			if v != 0 {
+				nz++
+			}
+		}
+		if nz != i-1 {
+			t.Fatalf("row %d built with %d non-zeros, want %d", i, nz, i-1)
+		}
+	}
+	assertProductMatchesNaive(t, "edge cases", l, r)
+	for _, v := range naiveMatMul(l, r).data {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatal("a skipped Inf/NaN reached the reference result: the case tests nothing")
+		}
+	}
+}
+
+// FuzzKernelsMatchNaive: for any shape, sparsity and seed, all three kernels
+// produce the naive loop's bits, run serially and sharded three ways.
+func FuzzKernelsMatchNaive(f *testing.F) {
+	f.Add(uint8(3), uint16(5), uint8(7), uint8(80), uint64(1))
+	f.Add(uint8(17), uint16(kernelBlockK+3), uint8(9), uint8(128), uint64(2))
+	f.Add(uint8(1), uint16(1), uint8(1), uint8(0), uint64(3))
+	f.Add(uint8(23), uint16(2*kernelBlockK), uint8(22), uint8(250), uint64(4))
+	f.Fuzz(func(t *testing.T, rows uint8, inner uint16, cols uint8, zeros uint8, seed uint64) {
+		defer SetParallelism(1)
+		src := rng.New(seed)
+		l := Randn(1+int(rows)%24, 1+int(inner)%(2*kernelBlockK+8), 1, src)
+		r := Randn(l.cols, 1+int(cols)%24, 1, src)
+		for i := range l.data {
+			if src.Float64() < float64(zeros)/255 {
+				l.data[i] = math.Copysign(0, src.Float64()-0.5)
+			}
+		}
+		for _, p := range []int{1, 3} {
+			SetParallelism(p)
+			assertProductMatchesNaive(t, fmt.Sprintf("shards=%d %dx%dx%d", p, l.rows, l.cols, r.cols), l, r)
+		}
+	})
 }
 
 // TestParallelKernelsBitwiseEqualSerial is the determinism property test:
@@ -253,6 +372,56 @@ func BenchmarkMatMul(b *testing.B) {
 			}
 		})
 	}
+}
+
+// benchRegimes are the (rows, inner, cols) shapes the performance ledger's
+// workloads run the kernels at: mlp_compute's hidden layer, the batch-3
+// memory-bound shape of mlp_comm / mlp_tcp, and the tall-skinny shape of
+// serve_jobs' full-dataset evaluation.
+var benchRegimes = []struct{ n, k, c int }{
+	{48, 256, 256},
+	{3, 512, 512},
+	{4096, 8, 16},
+}
+
+// benchLeftOperands runs one kernel at every regime with a dense and a
+// ReLU-sparse left operand: the zero-skip makes the two differ in cost, and
+// training feeds the kernels both (softmax gradients are dense, ReLU
+// activations and masked gradients are not).
+func benchLeftOperands(b *testing.B, operands func(n, k, c int, src *rng.Source) (dst, left, right *T), kernel func(dst, left, right *T)) {
+	src := rng.New(1)
+	for _, sh := range benchRegimes {
+		for _, sparse := range []bool{false, true} {
+			dst, left, right := operands(sh.n, sh.k, sh.c, src)
+			name := "dense"
+			if sparse {
+				sparsify(left, src)
+				name = "sparse"
+			}
+			b.Run(fmt.Sprintf("n%dxk%dxc%d/%s", sh.n, sh.k, sh.c, name), func(b *testing.B) {
+				b.SetBytes(int64(8 * (len(dst.data) + len(left.data) + len(right.data))))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					kernel(dst, left, right)
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkMulBT is the Linear dx product dout·Wᵀ: dout n×k against W c×k.
+func BenchmarkMulBT(b *testing.B) {
+	benchLeftOperands(b, func(n, k, c int, src *rng.Source) (*T, *T, *T) {
+		return New(n, c), Randn(n, k, 1, src), Randn(c, k, 1, src)
+	}, MulBTInto)
+}
+
+// BenchmarkAddMulAT is the Linear dW product xᵀ·dout: x n×k against dout
+// n×c, accumulated into a k×c destination.
+func BenchmarkAddMulAT(b *testing.B) {
+	benchLeftOperands(b, func(n, k, c int, src *rng.Source) (*T, *T, *T) {
+		return New(k, c), Randn(n, k, 1, src), Randn(n, c, 1, src)
+	}, AddMulATInto)
 }
 
 // BenchmarkMatMulParallel measures the pool's scaling on one big matmul.

@@ -120,7 +120,7 @@ if [ -z "$BENCH_ONLY" ]; then
 	reps "$TRAIN_COUNT" "$BENCHTIME" . 'BenchmarkElasticJoin'
 
 	echo "== tensor kernels (benchtime $KERNEL_BENCHTIME, $KERNEL_COUNT interleaved runs, cpu $CPUS) =="
-	reps "$KERNEL_COUNT" "$KERNEL_BENCHTIME" ./internal/tensor 'BenchmarkMatMul'
+	reps "$KERNEL_COUNT" "$KERNEL_BENCHTIME" ./internal/tensor 'BenchmarkMatMul|BenchmarkMulBT|BenchmarkAddMulAT'
 	reps "$KERNEL_COUNT" "$KERNEL_BENCHTIME" ./internal/nn 'BenchmarkLinearForwardBackward|BenchmarkMLPStep$'
 fi
 
@@ -192,7 +192,7 @@ function keepmin(arr, key, val) {
 	keepmin(ejns, key SUBSEP leg, $3)
 	if (!(key in ejseen)) { ejorder[++ejn] = key; ejseen[key] = 1 }
 }
-/^BenchmarkMatMul|^BenchmarkLinearForwardBackward|^BenchmarkMLPStep/ {
+/^BenchmarkMatMul|^BenchmarkMulBT|^BenchmarkAddMulAT|^BenchmarkLinearForwardBackward|^BenchmarkMLPStep/ {
 	name = $1
 	cpu = cpuof(name); name = stripcpu(name)
 	sub(/^Benchmark/, "", name)

@@ -37,10 +37,16 @@ go test -race -count=2 ./internal/runtime ./internal/allreduce
 
 # The tensor kernel worker pool shards matmuls across goroutines and is
 # resized at runtime (SetParallelism); run its parallel property tests —
-# parallel == serial bitwise, concurrent callers, pool resizing — under the
-# race detector at several GOMAXPROCS values.
-echo "== go test -race -count=2 -cpu 1,2,4 (tensor kernel pool) =="
-lane -race -count=2 -cpu 1,2,4 -run 'Parallel|Pool' ./internal/tensor
+# parallel == serial bitwise, concurrent callers, pool resizing — and the
+# kernels' bitwise-equals-naive contract (tile remainders, the zero skip's
+# edge cases) under the race detector at several GOMAXPROCS values.
+echo "== go test -race -count=2 -cpu 1,2,4 (tensor kernels + pool) =="
+lane -race -count=2 -cpu 1,2,4 -run 'Parallel|Pool|Kernels' ./internal/tensor
+
+# The kernel benchmarks feed scripts/bench.sh's kernel lane and the
+# trajectory gate; a renamed or panicking sub-benchmark should fail here.
+echo "== kernel bench smoke: every MatMul/MulBT/AddMulAT row runs =="
+go test -run xxx -bench 'MulBT|AddMulAT|MatMul' -benchtime 3x ./internal/tensor >/dev/null
 
 # The fault-tolerance layer races workers against injected stalls, drops,
 # and kills and drives the retry/eviction state machine from timeouts; run
@@ -143,6 +149,9 @@ lane -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/optperf
 
 echo "== audited fuzz smoke: gns FuzzEstimators =="
 lane -run='^$' -fuzz=FuzzEstimators -fuzztime=10s ./internal/gns
+
+echo "== kernel fuzz smoke: tensor FuzzKernelsMatchNaive =="
+lane -run='^$' -fuzz=FuzzKernelsMatchNaive -fuzztime=10s ./internal/tensor
 
 echo "== fault fuzz smoke: runtime FuzzRingFaults =="
 lane -run='^$' -fuzz=FuzzRingFaults -fuzztime=10s ./internal/runtime
