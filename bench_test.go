@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"cannikin/internal/allreduce"
 	"cannikin/internal/experiments"
@@ -369,7 +368,7 @@ func BenchmarkAllReduce(b *testing.B) {
 // per rank (dialed concurrently — the ring interlocks), each wrapped in
 // its own Ring. Returns the rings, an aggregate wire-stats getter, and a
 // teardown func.
-func benchTCPRings(b *testing.B, n int, delay time.Duration) ([]*allreduce.Ring, func() allreduce.TCPStats, func()) {
+func benchTCPRings(b *testing.B, n int) ([]*allreduce.Ring, func() allreduce.TCPStats, func()) {
 	b.Helper()
 	addrs, lns, err := allreduce.ReserveRingAddrs(n)
 	if err != nil {
@@ -383,7 +382,7 @@ func benchTCPRings(b *testing.B, n int, delay time.Duration) ([]*allreduce.Ring,
 		go func(r int) {
 			defer wg.Done()
 			trs[r], errs[r] = allreduce.NewTCPTransport(allreduce.TCPConfig{
-				Rank: r, Peers: addrs, Listener: lns[r], BatchDelay: delay,
+				Rank: r, Peers: addrs, Listener: lns[r],
 			})
 		}(r)
 	}
@@ -421,10 +420,9 @@ func benchTCPRings(b *testing.B, n int, delay time.Duration) ([]*allreduce.Ring,
 
 // BenchmarkRingTransport measures one bucketless reduce across the
 // pluggable transports: the in-process channel ring (under each collective
-// algorithm), TCP over loopback with batching off, and TCP with adaptive
-// send-side batching. TCP rows additionally report the wire cost (bytes per
-// ring hop) and the achieved coalescing factor (ring hops per network
-// write).
+// algorithm) and TCP over loopback. The TCP row additionally reports the
+// wire cost (bytes per ring hop) and how many ring hops shared a network
+// write.
 func BenchmarkRingTransport(b *testing.B) {
 	const n, dim = 4, 1 << 16
 	run := func(b *testing.B, rings []*allreduce.Ring, opts allreduce.Options, stats func() allreduce.TCPStats) {
@@ -484,12 +482,7 @@ func BenchmarkRingTransport(b *testing.B) {
 		run(b, chanRings(b), allreduce.Options{Algorithm: allreduce.AlgoPipeline}, nil)
 	})
 	b.Run("tcp", func(b *testing.B) {
-		rings, stats, teardown := benchTCPRings(b, n, 0)
-		defer teardown()
-		run(b, rings, allreduce.Options{}, stats)
-	})
-	b.Run("tcp-batch", func(b *testing.B) {
-		rings, stats, teardown := benchTCPRings(b, n, allreduce.BatchAuto)
+		rings, stats, teardown := benchTCPRings(b, n)
 		defer teardown()
 		run(b, rings, allreduce.Options{}, stats)
 	})

@@ -54,10 +54,6 @@ func run(args []string, w io.Writer) error {
 	if len(spec.Peers) == 0 {
 		return fmt.Errorf("cannikin-worker requires -peers (every rank's host:port, in rank order)")
 	}
-	delay, err := runspec.ParseBatchDelay(spec.BatchDelay)
-	if err != nil {
-		return err
-	}
 
 	cfg := server.MLPConfigOf(spec)
 	cfg.Backend = "" // worker mode is its own engine; the spec's default names the in-process one
@@ -67,11 +63,10 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	res, st, err := cannikin.TrainMLPWorker(cfg, cannikin.WorkerRingConfig{
-		Rank:       spec.Rank,
-		Peers:      spec.Peers,
-		Listen:     spec.Listen,
-		BatchDelay: delay,
-		Guard:      spec.Guard,
+		Rank:   spec.Rank,
+		Peers:  spec.Peers,
+		Listen: spec.Listen,
+		Guard:  spec.Guard,
 	})
 	if err != nil {
 		return err

@@ -15,7 +15,7 @@
 //	cannikin -cluster a -workload imagenet -chaos 0.3 -progress
 //	cannikin -mlp -backend live -mlp-batches 16,8,4 -epochs 5
 //	cannikin -mlp -backend live -fault "stall:0@3:40ms,kill:1@8" -fault-replan optperf
-//	cannikin -mlp -transport tcp -mlp-batches 8,8,4,4 -epochs 3 -batch-delay auto
+//	cannikin -mlp -transport tcp -mlp-batches 8,8,4,4 -epochs 3
 //	cannikin -spec run.json
 package main
 
@@ -241,9 +241,6 @@ func runMLPCoordinator(w io.Writer, spec *runspec.Spec) error {
 	}
 	if spec.AutoscaleMax > 0 || spec.AutoscaleShrink > 0 {
 		return fmt.Errorf("the autoscaler is not supported with -transport tcp: its decisions depend on wall-clock probes the coordinator cannot replay across process generations (use -join for a scheduled grow)")
-	}
-	if _, err := runspec.ParseBatchDelay(spec.BatchDelay); err != nil {
-		return err
 	}
 	workerBin, err := findWorkerBin(spec.WorkerBin)
 	if err != nil {

@@ -29,7 +29,7 @@ func TestRunTCPCoordinator(t *testing.T) {
 	var buf bytes.Buffer
 	err := run([]string{
 		"-mlp", "-transport", "tcp", "-mlp-batches", "6,4,2",
-		"-epochs", "1", "-batch-delay", "auto", "-worker-bin", bin,
+		"-epochs", "1", "-worker-bin", bin,
 	}, &buf)
 	if err != nil {
 		t.Fatalf("coordinator: %v\n%s", err, buf.String())
@@ -46,14 +46,14 @@ func TestRunTCPCoordinator(t *testing.T) {
 	}
 }
 
-// TestRunTCPCoordinatorGuarded repeats the run with per-hop deadlines and
-// no batching; determinism must hold at every transport setting.
+// TestRunTCPCoordinatorGuarded repeats the run with per-hop deadlines;
+// determinism must hold with and without them.
 func TestRunTCPCoordinatorGuarded(t *testing.T) {
 	bin := buildWorkerBin(t)
 	var buf bytes.Buffer
 	err := run([]string{
 		"-mlp", "-transport", "tcp", "-mlp-batches", "4,4",
-		"-epochs", "1", "-guard", "-batch-delay", "0", "-worker-bin", bin,
+		"-epochs", "1", "-guard", "-worker-bin", bin,
 	}, &buf)
 	if err != nil {
 		t.Fatalf("coordinator: %v\n%s", err, buf.String())
@@ -98,7 +98,6 @@ func TestRunTCPRejects(t *testing.T) {
 	cases := [][]string{
 		{"-mlp", "-transport", "tcp", "-fault", "kill:0@2"},
 		{"-mlp", "-transport", "tcp", "-backend", "live"},
-		{"-mlp", "-transport", "tcp", "-batch-delay", "bogus"},
 		{"-mlp", "-transport", "tcp", "-mlp-batches", "8,4", "-peers", "h1:1"},
 		{"-transport", "tcp"}, // tcp without -mlp
 		// Elastic limits of the generational coordinator (-worker-bin so

@@ -75,8 +75,8 @@ func TestAlgorithmChanBitwise(t *testing.T) {
 }
 
 // TestAlgorithmTCPBitwise proves transport independence for the new
-// schedules: TCP rings — immediate, delayed, and adaptive batching — must
-// match the same inline references bit for bit, peer links included.
+// schedules: TCP rings must match the same inline references bit for bit,
+// peer links included.
 func TestAlgorithmTCPBitwise(t *testing.T) {
 	t.Parallel()
 	for _, tc := range transportCases()[1:] {
@@ -316,7 +316,7 @@ func TestTCPHDBrokenPeerLink(t *testing.T) {
 	t.Parallel()
 	const n, dim, victim = 2, 16, 1
 	fast := RetryPolicy{HopTimeout: 10 * time.Millisecond, Retries: 2, Backoff: 2, MaxTimeout: 50 * time.Millisecond}
-	set := buildTCPSet(t, n, 0)
+	set := buildTCPSet(t, n)
 	defer set.close()
 	segs, _ := makeSegs(n, dim)
 	for rank, err := range reduceAllAlg(set, segs, AlgoHD, false) {
@@ -396,7 +396,7 @@ func (s stubTransport) Close() error               { return s.tr.Close() }
 // AllocsPerRun counts process-wide mallocs.
 func TestTCPSteadyStateReduceAllocsZero(t *testing.T) {
 	const n, dim = 2, 256
-	set := buildTCPSet(t, n, 0)
+	set := buildTCPSet(t, n)
 	defer set.close()
 	segs := make([][]float64, n)
 	for i := range segs {
@@ -431,142 +431,5 @@ func TestTCPSteadyStateReduceAllocsZero(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 		t.Fatalf("steady-state TCP reduce allocates %v times, want 0", allocs)
-	}
-}
-
-// broadcastAll drives one broadcast through every rank.
-func broadcastAll(set ringSet, bufs [][]float64, root int, opts Options) []error {
-	n := len(bufs)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = set.rings[rank].BroadcastWith(rank, bufs[rank], root, opts)
-		}(i)
-	}
-	wg.Wait()
-	return errs
-}
-
-// TestBroadcastConformance runs the ring broadcast through the transport
-// conformance matrix: every transport, ring size, dim (empty chunks
-// included), root, and guard mode must deliver root's buffer byte-exactly.
-func TestBroadcastConformance(t *testing.T) {
-	t.Parallel()
-	for _, tc := range transportCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			rng := rand.New(rand.NewSource(41))
-			for _, n := range []int{1, 2, 3, 4} {
-				for _, dim := range []int{0, 1, 7, 65} {
-					for _, root := range []int{0, n - 1} {
-						for _, guard := range []bool{false, true} {
-							bufs := randomVectors(rng, n, dim)
-							want := append([]float64(nil), bufs[root]...)
-							set := tc.build(t, n)
-							for rank, err := range broadcastAll(set, bufs, root, Options{Guard: guard}) {
-								if err != nil {
-									t.Fatalf("n=%d dim=%d root=%d guard=%v rank %d: %v", n, dim, root, guard, rank, err)
-								}
-							}
-							set.close()
-							for rank := 0; rank < n; rank++ {
-								for j := 0; j < dim; j++ {
-									if math.Float64bits(bufs[rank][j]) != math.Float64bits(want[j]) {
-										t.Fatalf("n=%d dim=%d root=%d rank %d elem %d: not root's bytes", n, dim, root, rank, j)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestBroadcastHopTimeout: a silent rank mid-pipeline starves its
-// successor, which must blame it with a recv RingFault unwrapping to
-// ErrHopTimeout — on every transport.
-func TestBroadcastHopTimeout(t *testing.T) {
-	t.Parallel()
-	fast := RetryPolicy{HopTimeout: 10 * time.Millisecond, Retries: 2, Backoff: 2, MaxTimeout: 50 * time.Millisecond}
-	const n, dim, root, silent = 3, 9, 0, 1
-	for _, tc := range transportCases() {
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			set := tc.build(t, n)
-			defer set.close()
-			bufs, _ := makeSegs(n, dim)
-			errs := make([]error, n)
-			var wg sync.WaitGroup
-			for i := 0; i < n; i++ {
-				if i == silent {
-					continue
-				}
-				wg.Add(1)
-				go func(rank int) {
-					defer wg.Done()
-					errs[rank] = set.rings[rank].BroadcastWith(rank, bufs[rank], root, Options{Guard: true, Policy: fast})
-				}(i)
-			}
-			wg.Wait()
-			succ := (silent + 1) % n
-			var fault *RingFault
-			if !errors.As(errs[succ], &fault) {
-				t.Fatalf("rank %d: error %v is not a *RingFault", succ, errs[succ])
-			}
-			if fault.Suspect != silent || fault.Op != "recv" {
-				t.Fatalf("rank %d fault = %+v, want recv fault suspecting %d", succ, fault, silent)
-			}
-			if !errors.Is(errs[succ], ErrHopTimeout) {
-				t.Fatalf("fault does not unwrap to ErrHopTimeout: %v", errs[succ])
-			}
-		})
-	}
-}
-
-// TestBroadcastTCPBrokenLink: a dead rank's socket failure surfaces as a
-// transport-cause RingFault on a neighbor, distinguishable from timeouts.
-func TestBroadcastTCPBrokenLink(t *testing.T) {
-	t.Parallel()
-	const n, dim, root, victim = 3, 9, 0, 1
-	fast := RetryPolicy{HopTimeout: 10 * time.Millisecond, Retries: 2, Backoff: 2, MaxTimeout: 50 * time.Millisecond}
-	set := buildTCPSet(t, n, 0)
-	defer set.close()
-	set.rings[victim].Transport().(*TCPTransport).Close()
-	bufs, _ := makeSegs(n, dim)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		if i == victim {
-			continue
-		}
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = set.rings[rank].BroadcastWith(rank, bufs[rank], root, Options{Guard: true, Policy: fast})
-		}(i)
-	}
-	wg.Wait()
-	// The root only sends, and queued sends may land in the kernel buffer
-	// before the peer's death is visible — it can legitimately complete.
-	// The dead rank's successor, though, starves or sees the socket break,
-	// and must blame the victim.
-	succ := (victim + 1) % n
-	var fault *RingFault
-	if errs[succ] == nil {
-		t.Fatalf("rank %d: broadcast succeeded across a dead rank", succ)
-	}
-	if !errors.As(errs[succ], &fault) {
-		t.Fatalf("rank %d: non-RingFault error %v", succ, errs[succ])
-	}
-	if fault.Suspect != victim {
-		t.Fatalf("rank %d fault = %+v, want suspect %d", succ, fault, victim)
-	}
-	if errors.Is(errs[succ], ErrHopTimeout) {
-		t.Fatalf("broken link reported as plain timeout: %v", errs[succ])
 	}
 }

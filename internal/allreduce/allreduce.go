@@ -167,119 +167,76 @@ func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
 	case AlgoHD:
 		return r.reduceHD(rank, seg, opts)
 	case AlgoPipeline:
-		return r.reducePipeline(rank, seg, opts)
+		return r.reduceRing(rank, seg, opts, pipelineChunks(n, dim))
 	}
+	return r.reduceRing(rank, seg, opts, 1)
+}
+
+// reduceRing is the ring schedule — reduce-scatter then all-gather over the
+// neighbor links — with every hop's chunk travelling as k sub-chunk
+// messages: k == 1 is the plain ring, k == pipelineChunks(n, dim) the
+// chunk-pipelined one (pipeline.go). Splitting a message changes framing,
+// never which operands meet in which order, so the result is bitwise the
+// same at every k.
+func (r *Ring) reduceRing(rank int, seg []float64, opts Options, k int) error {
+	n := r.n
+	dim := len(seg)
+	sc := &r.scratch[rank]
+	ep := sc.ep
+	succ, pred := (rank+1)%n, (rank-1+n)%n
+
 	// Chunk boundaries: chunk c covers [bounds[c], bounds[c+1]). The
 	// bounds slice is rank-private scratch reused across calls.
 	bounds := sc.bounds
 	for c := 0; c <= n; c++ {
 		bounds[c] = c * dim / n
 	}
-	chunk := func(c int) []float64 {
+	// sub returns sub-chunk t of chunk c: the same fixed subdivision on
+	// every rank, so sender and receiver agree framewise.
+	sub := func(c, t int) []float64 {
 		c = ((c % n) + n) % n
-		return seg[bounds[c]:bounds[c+1]]
+		lo, w := bounds[c], bounds[c+1]-bounds[c]
+		return seg[lo+t*w/k : lo+(t+1)*w/k]
 	}
 
-	// Message buffers circulate around the ring: once a received buffer
-	// has been consumed it becomes this rank's next send buffer, and the
-	// final buffer is parked in the rank's scratch for the next call, so a
-	// steady-state reduce allocates nothing.
-	spare := sc.spare
-	sc.spare = nil
-	stage := func(src []float64) []float64 {
-		var msg []float64
-		if cap(spare) >= len(src) {
-			msg = spare[:len(src)]
-			spare = nil
-		} else {
-			msg = make([]float64, len(src))
-		}
-		copy(msg, src)
-		return msg
-	}
-
-	var p RetryPolicy
-	if opts.Guard {
-		p = opts.Policy.WithDefaults()
-	}
-	hop := 0
-	firstSend := true
-	send := func(msg []float64) error {
-		if !opts.Guard {
-			if err := ep.Send(msg); err != nil {
-				return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-			}
-			return nil
-		}
-		if firstSend {
-			firstSend = false
-			if opts.SendDelay > 0 {
-				time.Sleep(opts.SendDelay)
-			}
-			// Each dropped attempt is a lost packet: the payload is not
-			// delivered, and the sender retransmits after one hop timeout.
-			for d := 0; d < opts.SendDrops; d++ {
-				time.Sleep(p.HopTimeout)
-			}
-		}
-		if err := ep.SendTimed(msg, p); err != nil {
-			return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-		}
-		return nil
-	}
-	recv := func() ([]float64, error) {
-		var msg []float64
-		var err error
-		if opts.Guard {
-			msg, err = ep.RecvTimed(p)
-		} else {
-			msg, err = ep.Recv()
-		}
-		if err != nil {
-			return nil, &RingFault{Rank: rank, Suspect: (rank - 1 + n) % n, Op: "recv", Hop: hop, Cause: err}
-		}
-		return msg, nil
-	}
-
+	h := r.begin(rank, opts)
 	// Reduce-scatter: after step s, worker rank holds the partial
 	// sum of chunk (rank - s) accumulated over s+1 workers. After
-	// n-1 steps, worker rank owns the complete chunk (rank+1).
+	// n-1 steps, worker rank owns the complete chunk (rank+1). Sending
+	// before receiving within each sub-step needs only one slot of link
+	// buffering.
 	for s := 0; s < n-1; s++ {
-		sendIdx := rank - s
-		if err := send(stage(chunk(sendIdx))); err != nil {
-			sc.spare = spare
-			return err
+		for t := 0; t < k; t++ {
+			if err := h.send(ep, succ, sub(rank-s, t)); err != nil {
+				return h.finish(err)
+			}
+			dst := sub(rank-s-1, t)
+			msg, err := h.recv(ep, pred, len(dst))
+			if err != nil {
+				return h.finish(err)
+			}
+			for j := range dst {
+				dst[j] += msg[j]
+			}
+			h.retire(msg)
 		}
-		msg, err := recv()
-		if err != nil {
-			sc.spare = spare
-			return err
-		}
-		dst := chunk(sendIdx - 1)
-		for j := range dst {
-			dst[j] += msg[j]
-		}
-		spare = msg
-		hop++
 	}
 	// All-gather: circulate the completed chunks.
 	for s := 0; s < n-1; s++ {
-		sendIdx := rank + 1 - s
-		if err := send(stage(chunk(sendIdx))); err != nil {
-			sc.spare = spare
-			return err
+		for t := 0; t < k; t++ {
+			if err := h.send(ep, succ, sub(rank+1-s, t)); err != nil {
+				return h.finish(err)
+			}
+			dst := sub(rank-s, t)
+			msg, err := h.recv(ep, pred, len(dst))
+			if err != nil {
+				return h.finish(err)
+			}
+			copy(dst, msg)
+			h.retire(msg)
 		}
-		msg, err := recv()
-		if err != nil {
-			sc.spare = spare
-			return err
-		}
-		copy(chunk(sendIdx-1), msg)
-		spare = msg
-		hop++
 	}
-	sc.spare = spare
-	return nil
+	return h.finish(nil)
 }
 
 // smallReduceBytes is the payload size at or below which AllReduce computes

@@ -1,9 +1,6 @@
 package allreduce
 
-import (
-	"fmt"
-	"time"
-)
+import "fmt"
 
 // Recursive halving-doubling all-reduce (Rabenseifner / MPICH "short
 // message" schedule). The n ranks form a core group of g = 2^⌊log₂n⌋
@@ -69,72 +66,6 @@ func (r *Ring) peer(rank, to int) (Endpoint, error) {
 	return ep, nil
 }
 
-// hdCall is the per-call hop state of one rank's halving-doubling reduce:
-// the guarded-hop policy, fault-injection bookkeeping, and the circulating
-// spare buffer (same contract as the ring path: a consumed receive buffer
-// becomes the next send buffer).
-type hdCall struct {
-	r         *Ring
-	rank      int
-	opts      Options
-	p         RetryPolicy
-	hop       int
-	firstSend bool
-	spare     []float64
-}
-
-func (c *hdCall) stage(src []float64) []float64 {
-	var msg []float64
-	if cap(c.spare) >= len(src) {
-		msg = c.spare[:len(src)]
-		c.spare = nil
-	} else {
-		msg = make([]float64, len(src))
-	}
-	copy(msg, src)
-	return msg
-}
-
-func (c *hdCall) send(ep Endpoint, peer int, msg []float64) error {
-	if !c.opts.Guard {
-		if err := ep.Send(msg); err != nil {
-			return &RingFault{Rank: c.rank, Suspect: peer, Op: "send", Hop: c.hop, Cause: err}
-		}
-		return nil
-	}
-	if c.firstSend {
-		c.firstSend = false
-		if c.opts.SendDelay > 0 {
-			time.Sleep(c.opts.SendDelay)
-		}
-		for d := 0; d < c.opts.SendDrops; d++ {
-			time.Sleep(c.p.HopTimeout)
-		}
-	}
-	if err := ep.SendTimed(msg, c.p); err != nil {
-		return &RingFault{Rank: c.rank, Suspect: peer, Op: "send", Hop: c.hop, Cause: err}
-	}
-	return nil
-}
-
-func (c *hdCall) recv(ep Endpoint, peer, want int) ([]float64, error) {
-	var msg []float64
-	var err error
-	if c.opts.Guard {
-		msg, err = ep.RecvTimed(c.p)
-	} else {
-		msg, err = ep.Recv()
-	}
-	if err != nil {
-		return nil, &RingFault{Rank: c.rank, Suspect: peer, Op: "recv", Hop: c.hop, Cause: err}
-	}
-	if len(msg) != want {
-		return nil, fmt.Errorf("allreduce: hd rank %d hop %d: %d elements from rank %d, want %d",
-			c.rank, c.hop, len(msg), peer, want)
-	}
-	return msg, nil
-}
-
 // reduceHD performs rank's share of one halving-doubling all-reduce. The
 // transport must implement PeerTransport; every rank of the ring must
 // call it concurrently with equal options.
@@ -144,34 +75,26 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 	sc := &r.scratch[rank]
 	g, q, ext := hdGroup(n)
 
-	c := hdCall{r: r, rank: rank, opts: opts, firstSend: true, spare: sc.spare}
-	sc.spare = nil
-	if opts.Guard {
-		c.p = opts.Policy.WithDefaults()
-	}
-	finish := func(err error) error {
-		sc.spare = c.spare
-		return err
-	}
+	h := r.begin(rank, opts)
 
 	// Folded odd ranks: hand the whole segment to the even neighbor, then
 	// wait out the core rounds and copy the finished result back in.
 	if rank < 2*ext && rank%2 == 1 {
 		ep, err := r.peer(rank, rank-1)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
-		if err := c.send(ep, rank-1, c.stage(seg)); err != nil {
-			return finish(err)
+		if err := h.send(ep, rank-1, seg); err != nil {
+			return h.finish(err)
 		}
-		c.hop++
-		msg, err := c.recv(ep, rank-1, dim)
+		h.hop++
+		msg, err := h.recv(ep, rank-1, dim)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		copy(seg, msg)
-		c.spare = msg
-		return finish(nil)
+		h.spare = msg
+		return h.finish(nil)
 	}
 
 	var gid int
@@ -185,17 +108,16 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 	if rank < 2*ext {
 		ep, err := r.peer(rank, rank+1)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
-		msg, err := c.recv(ep, rank+1, dim)
+		msg, err := h.recv(ep, rank+1, dim)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		for j := range seg {
 			seg[j] += msg[j]
 		}
-		c.spare = msg
-		c.hop++
+		h.retire(msg)
 	}
 
 	// Reduce-scatter: q rounds of recursive vector halving. spans records
@@ -212,7 +134,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		partner := hdGroupRank(gid^dist, ext)
 		ep, err := r.peer(rank, partner)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		mid := lo + (hi-lo)/2
 		var klo, khi, slo, shi int
@@ -221,19 +143,18 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		} else {
 			klo, khi, slo, shi = mid, hi, lo, mid
 		}
-		if err := c.send(ep, partner, c.stage(seg[slo:shi])); err != nil {
-			return finish(err)
+		if err := h.send(ep, partner, seg[slo:shi]); err != nil {
+			return h.finish(err)
 		}
-		msg, err := c.recv(ep, partner, khi-klo)
+		msg, err := h.recv(ep, partner, khi-klo)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		dst := seg[klo:khi]
 		for j := range dst {
 			dst[j] += msg[j]
 		}
-		c.spare = msg
-		c.hop++
+		h.retire(msg)
 		lo, hi = klo, khi
 		spans[2*(i+1)], spans[2*(i+1)+1] = lo, hi
 	}
@@ -247,7 +168,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		partner := hdGroupRank(gid^dist, ext)
 		ep, err := r.peer(rank, partner)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		plo, phi := spans[2*i], spans[2*i+1]
 		mid := plo + (phi-plo)/2
@@ -262,16 +183,15 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		} else {
 			siblo, sibhi = plo, mid
 		}
-		if err := c.send(ep, partner, c.stage(seg[lo:hi])); err != nil {
-			return finish(err)
+		if err := h.send(ep, partner, seg[lo:hi]); err != nil {
+			return h.finish(err)
 		}
-		msg, err := c.recv(ep, partner, sibhi-siblo)
+		msg, err := h.recv(ep, partner, sibhi-siblo)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
 		copy(seg[siblo:sibhi], msg)
-		c.spare = msg
-		c.hop++
+		h.retire(msg)
 		lo, hi = plo, phi
 	}
 
@@ -279,14 +199,14 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 	if rank < 2*ext {
 		ep, err := r.peer(rank, rank+1)
 		if err != nil {
-			return finish(err)
+			return h.finish(err)
 		}
-		if err := c.send(ep, rank+1, c.stage(seg)); err != nil {
-			return finish(err)
+		if err := h.send(ep, rank+1, seg); err != nil {
+			return h.finish(err)
 		}
-		c.hop++
+		h.hop++
 	}
-	return finish(nil)
+	return h.finish(nil)
 }
 
 // hdReduceInline performs the exact arithmetic of the distributed

@@ -1,0 +1,103 @@
+package allreduce
+
+import (
+	"errors"
+	"fmt"
+	"time"
+)
+
+// ErrFrameSize reports that a hop delivered a message whose element count is
+// not the one this rank's schedule expects — the ranks of one reduce passed
+// segments of different lengths (or different algorithms), or a remote peer
+// sent a hostile frame. Test with errors.Is.
+var ErrFrameSize = errors.New("allreduce: received message has the wrong element count")
+
+// hops is the per-call hop state of one rank's reduce, shared by every
+// algorithm: the hop policy, the injected first-send fault, the hop counter
+// that fault blame reports, and the circulating spare buffer. Message
+// buffers travel with the messages: once a received buffer has been
+// consumed it becomes this rank's next send buffer (retire), and the last
+// one is parked in the rank's scratch for the next call (finish), so a
+// steady-state reduce allocates nothing.
+type hops struct {
+	sc   *ringScratch
+	rank int
+	// p bounds every hop of a guarded call; it stays zero for an unguarded
+	// one, which the endpoint takes as "block".
+	p RetryPolicy
+	// delay and drops are the fault injected into the call's first send
+	// (guarded calls only), cleared once paid.
+	delay time.Duration
+	drops int
+	// hop is the 0-based index RingFault reports; the schedule advances it.
+	hop   int
+	spare []float64
+}
+
+// begin takes rank's spare buffer out of its scratch for one call.
+func (r *Ring) begin(rank int, opts Options) hops {
+	sc := &r.scratch[rank]
+	h := hops{sc: sc, rank: rank, spare: sc.spare}
+	sc.spare = nil
+	if opts.Guard {
+		h.p = opts.Policy.WithDefaults()
+		h.delay, h.drops = opts.SendDelay, opts.SendDrops
+	}
+	return h
+}
+
+// finish parks the spare buffer for the next call and passes err through.
+func (h *hops) finish(err error) error {
+	h.sc.spare = h.spare
+	return err
+}
+
+// send copies src into the spare buffer (or a fresh one) and hands it to ep,
+// whose remote side is rank to. src itself is never given away: the caller
+// keeps reducing into it.
+func (h *hops) send(ep Endpoint, to int, src []float64) error {
+	var msg []float64
+	if cap(h.spare) >= len(src) {
+		msg = h.spare[:len(src)]
+		h.spare = nil
+	} else {
+		msg = make([]float64, len(src))
+	}
+	copy(msg, src)
+	if h.delay > 0 {
+		time.Sleep(h.delay)
+	}
+	// Each dropped attempt is a lost packet: the payload is not delivered,
+	// and the sender retransmits after one hop timeout.
+	for ; h.drops > 0; h.drops-- {
+		time.Sleep(h.p.HopTimeout)
+	}
+	h.delay = 0
+	if err := ep.SendTimed(msg, h.p); err != nil {
+		return &RingFault{Rank: h.rank, Suspect: to, Op: "send", Hop: h.hop, Cause: err}
+	}
+	return nil
+}
+
+// recv takes the next message off ep, whose remote side is rank from, and
+// checks it carries exactly want elements — every schedule indexes the
+// message by its own segment's bounds, so a short one must never reach the
+// arithmetic.
+func (h *hops) recv(ep Endpoint, from, want int) ([]float64, error) {
+	msg, err := ep.RecvTimed(h.p)
+	if err != nil {
+		return nil, &RingFault{Rank: h.rank, Suspect: from, Op: "recv", Hop: h.hop, Cause: err}
+	}
+	if len(msg) != want {
+		return nil, fmt.Errorf("allreduce: rank %d hop %d: %d elements from rank %d, want %d: %w",
+			h.rank, h.hop, len(msg), from, want, ErrFrameSize)
+	}
+	return msg, nil
+}
+
+// retire recycles a consumed message as the next send buffer and advances
+// the hop counter: one send/receive exchange is done.
+func (h *hops) retire(msg []float64) {
+	h.spare = msg
+	h.hop++
+}

@@ -1,151 +1,20 @@
 package allreduce
 
-import "time"
-
-// Chunk-pipelined ring reduce-scatter / all-gather. The schedule is the
+// Chunk-pipelined ring reduce-scatter / all-gather: Ring.reduceRing with
+// k = pipelineChunks(n, dim) sub-chunk messages per hop. The schedule is the
 // plain ring's — same chunk bounds, same per-element accumulation order —
-// but every hop's segment travels as k = pipelineChunks(n, dim) separate
-// sub-chunk messages. With FIFO links and buffered transports that lets
-// hop i+1's transfer overlap hop i's accumulation (the successor starts
-// consuming sub-chunk 0 while sub-chunk 1 is still in flight) and keeps
-// the per-message working set cache-resident, which is what kills the
+// but with FIFO links and buffered transports the split lets hop i+1's
+// transfer overlap hop i's accumulation (the successor starts consuming
+// sub-chunk 0 while sub-chunk 1 is still in flight) and keeps the
+// per-message working set cache-resident, which is what kills the
 // large-payload regression where ns/op rose with GOMAXPROCS: all ranks
 // were streaming full dim/n-sized segments through each other's caches at
 // once.
 //
 // Determinism: the additions are element-wise identical to the plain
-// ring's — splitting a message changes framing, never which operands meet
-// in which order — so AlgoPipeline is bitwise-identical to AlgoRing (and
-// to ringReduceInline) at every (n, dim, partition). The sub-chunk count
-// is a pure function of (n, dim); it affects only the message schedule.
-func (r *Ring) reducePipeline(rank int, seg []float64, opts Options) error {
-	n := r.n
-	dim := len(seg)
-	sc := &r.scratch[rank]
-	ep := sc.ep
-	k := pipelineChunks(n, dim)
-
-	bounds := sc.bounds
-	for c := 0; c <= n; c++ {
-		bounds[c] = c * dim / n
-	}
-	chunkAt := func(c int) (int, int) {
-		c = ((c % n) + n) % n
-		return bounds[c], bounds[c+1]
-	}
-
-	spare := sc.spare
-	sc.spare = nil
-	stage := func(src []float64) []float64 {
-		var msg []float64
-		if cap(spare) >= len(src) {
-			msg = spare[:len(src)]
-			spare = nil
-		} else {
-			msg = make([]float64, len(src))
-		}
-		copy(msg, src)
-		return msg
-	}
-
-	var p RetryPolicy
-	if opts.Guard {
-		p = opts.Policy.WithDefaults()
-	}
-	hop := 0
-	firstSend := true
-	send := func(msg []float64) error {
-		if !opts.Guard {
-			if err := ep.Send(msg); err != nil {
-				return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-			}
-			return nil
-		}
-		if firstSend {
-			firstSend = false
-			if opts.SendDelay > 0 {
-				time.Sleep(opts.SendDelay)
-			}
-			for d := 0; d < opts.SendDrops; d++ {
-				time.Sleep(p.HopTimeout)
-			}
-		}
-		if err := ep.SendTimed(msg, p); err != nil {
-			return &RingFault{Rank: rank, Suspect: (rank + 1) % n, Op: "send", Hop: hop, Cause: err}
-		}
-		return nil
-	}
-	recv := func() ([]float64, error) {
-		var msg []float64
-		var err error
-		if opts.Guard {
-			msg, err = ep.RecvTimed(p)
-		} else {
-			msg, err = ep.Recv()
-		}
-		if err != nil {
-			return nil, &RingFault{Rank: rank, Suspect: (rank - 1 + n) % n, Op: "recv", Hop: hop, Cause: err}
-		}
-		return msg, nil
-	}
-
-	// sub returns sub-chunk t of the [lo,hi) chunk: the same fixed
-	// subdivision on every rank, so sender and receiver agree framewise.
-	sub := func(lo, hi, t int) (int, int) {
-		w := hi - lo
-		return lo + t*w/k, lo + (t+1)*w/k
-	}
-
-	// Reduce-scatter: identical dataflow to the ring path, one sub-chunk
-	// message at a time. Sending before receiving within each sub-step
-	// needs only one slot of link buffering, exactly like the plain ring.
-	for s := 0; s < n-1; s++ {
-		slo, shi := chunkAt(rank - s)
-		dlo, dhi := chunkAt(rank - s - 1)
-		for t := 0; t < k; t++ {
-			tlo, thi := sub(slo, shi, t)
-			if err := send(stage(seg[tlo:thi])); err != nil {
-				sc.spare = spare
-				return err
-			}
-			msg, err := recv()
-			if err != nil {
-				sc.spare = spare
-				return err
-			}
-			ulo, uhi := sub(dlo, dhi, t)
-			dst := seg[ulo:uhi]
-			for j := range dst {
-				dst[j] += msg[j]
-			}
-			spare = msg
-			hop++
-		}
-	}
-	// All-gather: circulate the completed chunks sub-chunk by sub-chunk.
-	for s := 0; s < n-1; s++ {
-		slo, shi := chunkAt(rank + 1 - s)
-		dlo, dhi := chunkAt(rank - s)
-		for t := 0; t < k; t++ {
-			tlo, thi := sub(slo, shi, t)
-			if err := send(stage(seg[tlo:thi])); err != nil {
-				sc.spare = spare
-				return err
-			}
-			msg, err := recv()
-			if err != nil {
-				sc.spare = spare
-				return err
-			}
-			ulo, uhi := sub(dlo, dhi, t)
-			copy(seg[ulo:uhi], msg)
-			spare = msg
-			hop++
-		}
-	}
-	sc.spare = spare
-	return nil
-}
+// ring's, so AlgoPipeline is bitwise-identical to AlgoRing (and to
+// ringReduceInline) at every (n, dim, partition). The sub-chunk count is a
+// pure function of (n, dim); it affects only the message schedule.
 
 // pipelineReduceInline performs the pipelined ring's arithmetic
 // sequentially: ringReduceInline blocked into the same sub-chunk windows

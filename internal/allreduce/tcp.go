@@ -22,10 +22,10 @@ import (
 //
 // All integers are little-endian; floats travel as their IEEE-754 bit
 // patterns, so a value is reproduced exactly — transport can never perturb
-// arithmetic. Batching coalesces several messages into one write/syscall;
-// it is purely a framing concern: the receiver decodes messages one at a
-// time off the buffered stream, so grouping on the wire changes syscall
-// counts, never content or order.
+// arithmetic. A writer puts everything already queued into one buffered
+// write and flushes once; that is purely a framing concern: the receiver
+// decodes messages one at a time off the buffered stream, so grouping on
+// the wire changes syscall counts, never content or order.
 //
 // Peer links (the PeerTransport extension carrying halving-doubling's
 // non-neighbor exchanges) reuse the identical frame layout on dedicated
@@ -41,23 +41,18 @@ const tcpPeerMagic = "CKP1"
 // guarding the reader against corrupt or hostile length prefixes.
 const tcpMaxMsgLen = 8 << 20
 
-// tcpAutoMaxDelay caps the adaptive batch delay; tcpAutoStep is its
-// additive increment. 200µs sits just above the swiftpaxos sweet spot
-// (150µs) and well below any per-hop retry deadline.
-const (
-	tcpAutoMaxDelay = 200 * time.Microsecond
-	tcpAutoStep     = 25 * time.Microsecond
-	// tcpCoalesceWindow is the arrival gap under which two consecutive
-	// batches would have fit into one: gaps shorter than this push the
-	// adaptive delay up, longer idle gaps decay it.
-	tcpCoalesceWindow = 100 * time.Microsecond
-	tcpIdleWindow     = time.Millisecond
-)
+// tcpQueueDepth is every socket's send and receive queue depth in
+// messages. A collective is lock-step — a rank cannot send hop k+1 before
+// it has received hop k — so a couple of slots already decouple the
+// rank's goroutine from the socket loops; 16 covers the pipelined ring's
+// sub-chunk bursts (pipelineMaxChunks) without ever blocking on the queue.
+const tcpQueueDepth = 16
 
-// BatchAuto selects adaptive send-side batching: the transport tunes its
-// coalescing delay from observed message arrival gaps, between 0 and
-// tcpAutoMaxDelay.
-const BatchAuto time.Duration = -1
+// tcpBufBytes sizes every socket's buffered reader and writer: room for a
+// burst of small frames to share one syscall, while a frame larger than the
+// buffer (a ring hop of a big bucket) goes straight to the socket without
+// being copied through it.
+const tcpBufBytes = 64 << 10
 
 // TCPConfig configures one rank's attachment to a ring spanning OS
 // processes over TCP.
@@ -71,42 +66,22 @@ type TCPConfig struct {
 	// predecessor's connection on (its address supersedes Peers[Rank]).
 	// The transport takes ownership and closes it.
 	Listener net.Listener
-	// BatchDelay is the send-side coalescing delay: 0 sends immediately,
-	// a positive value sleeps that long after the first queued message so
-	// ring hops accumulate into one write, and BatchAuto (-1) tunes the
-	// delay adaptively from arrival gaps. Framing-only: results are
-	// bitwise-identical at every setting.
-	BatchDelay time.Duration
 	// DialTimeout bounds connection setup — dialing the successor and
 	// accepting the predecessor (default 10s). Workers of a multi-process
 	// run start at different times; dialing retries until the deadline.
 	DialTimeout time.Duration
-	// Depth is the send/receive queue depth in messages (default 16).
-	Depth int
-}
-
-func (c *TCPConfig) withDefaults() TCPConfig {
-	out := *c
-	if out.DialTimeout <= 0 {
-		out.DialTimeout = 10 * time.Second
-	}
-	if out.Depth < 1 {
-		out.Depth = 16
-	}
-	return out
 }
 
 // TCPStats counts one transport's wire activity. Batches is the number of
-// flushes (≈ send syscalls); Messages the ring hops carried, so
-// Messages/Batches is the achieved coalescing factor.
+// flushes (≈ send syscalls); Messages the hops carried, so
+// Messages/Batches is how many hops shared a flush.
 type TCPStats struct {
 	BytesSent, BytesReceived   int64
 	MessagesSent, MessagesRecv int64
 	Batches                    int64
 }
 
-// MsgsPerBatch returns the mean number of ring hops coalesced per network
-// write (1 = no batching benefit).
+// MsgsPerBatch returns the mean number of hops per network write.
 func (s TCPStats) MsgsPerBatch() float64 {
 	if s.Batches == 0 {
 		return 0
@@ -114,52 +89,44 @@ func (s TCPStats) MsgsPerBatch() float64 {
 	return float64(s.MessagesSent) / float64(s.Batches)
 }
 
-// TCPTransport connects one local rank into a ring of OS processes over
-// real sockets: an outgoing connection to the successor and an incoming
-// one from the predecessor. Endpoint returns non-nil only for the local
-// rank. Hop deadlines (RetryPolicy) bound waits on the transport's queues,
-// so a stalled peer surfaces as ErrHopTimeout exactly like a stalled
-// channel neighbor, while a broken socket fails pending and future hops
-// immediately with the underlying error — ReduceWith maps both onto
-// *RingFault blame.
+// TCPTransport connects one local rank into a ring of OS processes: a
+// listener plus a small set of sockets — one written toward the successor,
+// one read from the predecessor, and one per peer link, dialed lazily on
+// first Peer() call (lower rank dials, higher rank accepts on the ring
+// listener). Endpoint returns non-nil only for the local rank.
+//
+// The two ring sockets are one failure domain (fault): either breaking
+// fails every pending and future ring hop with the socket error. Each peer
+// socket is a domain of its own: a broken peer link fails only its own
+// hops, never the ring. ReduceWith maps a tripped fault and a lapsed hop
+// deadline alike onto *RingFault blame.
 type TCPTransport struct {
-	rank, n int
-	cfg     TCPConfig
+	rank, n     int
+	addrs       []string
+	dialTimeout time.Duration
+	ln          net.Listener
 
-	ln       net.Listener
-	sendConn net.Conn // to successor
-	recvConn net.Conn // from predecessor
+	fault      *fault
+	succ, pred *tcpConn
+	ep         link // the ring endpoint: succ's send queue, pred's receive queue
 
-	sendQ chan []float64
-	recvQ chan []float64
-	free  chan []float64 // recycled message buffers: writer → reader
+	// free recycles message buffers from the writers (which retire one per
+	// frame sent) to the readers (which need one per frame received),
+	// best-effort; sized for both directions of the ring's queues.
+	free chan []float64
 
-	done     chan struct{}
-	quit     chan struct{} // graceful close: writer drains sendQ, flushes, exits
-	wDone    chan struct{} // writeLoop finished (drain complete or failed)
-	started  bool          // reader/writer loops are running
-	closeErr sync.Once
-	err      atomic.Value // error: first fatal transport failure
-	wg       sync.WaitGroup
-	closed   sync.Once
+	mu      sync.Mutex
+	closed  bool             // under mu: no socket is attached once set
+	peers   map[int]*tcpConn // under mu
+	wg      sync.WaitGroup   // accept loop, socket loops, peer dials
+	closing sync.Once
 
-	// Guarded-hop deadline timers, reused across hops (see chanEndpoint);
-	// owned by the local rank's goroutine.
-	sendTimer *time.Timer
-	recvTimer *time.Timer
-
-	// Peer links, built lazily on first Peer() call (lower rank dials,
-	// higher rank accepts on the ring listener). A broken peer link fails
-	// only its own hops, never the ring.
-	peersMu sync.Mutex
-	peers   map[int]*tcpPeer
-
-	bytesSent, bytesRecv int64
-	msgsSent, msgsRecv   int64
-	batches              int64
+	bytesSent, bytesRecv atomic.Int64
+	msgsSent, msgsRecv   atomic.Int64
+	batches              atomic.Int64
 }
 
-// NewTCPTransport sets this rank's ring connections up and starts its
+// NewTCPTransport sets this rank's ring connections up and starts their
 // reader and writer. It blocks until both neighbor links are established
 // or the dial timeout lapses. Every rank of the ring must run
 // NewTCPTransport with the same Peers list.
@@ -171,150 +138,105 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 	if cfg.Rank < 0 || cfg.Rank >= n {
 		return nil, fmt.Errorf("allreduce: tcp rank %d of %d", cfg.Rank, n)
 	}
-	cfg = cfg.withDefaults()
 	t := &TCPTransport{
-		rank:  cfg.Rank,
-		n:     n,
-		cfg:   cfg,
-		sendQ: make(chan []float64, cfg.Depth),
-		recvQ: make(chan []float64, cfg.Depth),
-		free:  make(chan []float64, 2*cfg.Depth),
-		done:  make(chan struct{}),
-		quit:  make(chan struct{}),
-		wDone: make(chan struct{}),
+		rank:        cfg.Rank,
+		n:           n,
+		addrs:       cfg.Peers,
+		dialTimeout: cfg.DialTimeout,
+		ln:          cfg.Listener, // owned even when unused: Close releases it
+		fault:       newFault(),
+		free:        make(chan []float64, 2*tcpQueueDepth),
+	}
+	if t.dialTimeout <= 0 {
+		t.dialTimeout = 10 * time.Second
 	}
 	if n == 1 {
-		t.ln = cfg.Listener // still owned: Close must release it
-		return t, nil       // a single-rank ring exchanges nothing
+		return t, nil // a single-rank ring exchanges nothing
 	}
 	if err := t.connect(); err != nil {
 		t.Close()
 		return nil, err
 	}
-	t.started = true
-	t.wg.Add(3)
-	go t.writeLoop()
-	go t.readLoop()
-	go t.acceptLoop()
 	return t, nil
 }
 
-// connect establishes the two neighbor links: listen for the predecessor,
-// dial the successor (retrying while it boots), and exchange hellos.
+// connect establishes the two neighbor links: the accept loop takes the
+// predecessor's dial while this goroutine dials the successor (retrying
+// while it boots). With every process doing both at once, ring bring-up
+// needs no global ordering.
 func (t *TCPTransport) connect() error {
-	deadline := time.Now().Add(t.cfg.DialTimeout)
-	ln := t.cfg.Listener
-	if ln == nil {
-		var err error
-		if ln, err = net.Listen("tcp", t.cfg.Peers[t.rank]); err != nil {
-			return fmt.Errorf("allreduce: rank %d listen %s: %w", t.rank, t.cfg.Peers[t.rank], err)
-		}
-	}
-	t.ln = ln
-
-	succ := (t.rank + 1) % t.n
-	pred := (t.rank - 1 + t.n) % t.n
-
-	// Dial the successor in the background while accepting the
-	// predecessor; with both sides of every process doing this, ring
-	// bring-up needs no global ordering.
-	type dialResult struct {
-		conn net.Conn
-		err  error
-	}
-	dialCh := make(chan dialResult, 1)
-	go func() {
-		var lastErr error
-		for time.Now().Before(deadline) {
-			conn, err := net.DialTimeout("tcp", t.cfg.Peers[succ], time.Until(deadline))
-			if err == nil {
-				if err = writeHello(conn, t.rank, t.n); err == nil {
-					dialCh <- dialResult{conn: conn}
-					return
-				}
-				conn.Close()
-			}
-			lastErr = err
-			time.Sleep(20 * time.Millisecond)
-		}
-		dialCh <- dialResult{err: fmt.Errorf("allreduce: rank %d dial successor %d (%s): %w",
-			t.rank, succ, t.cfg.Peers[succ], lastErr)}
-	}()
-
-	var acceptErr error
-	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-		_ = d.SetDeadline(deadline)
-	}
-	for t.recvConn == nil {
-		conn, err := ln.Accept()
+	if t.ln == nil {
+		ln, err := net.Listen("tcp", t.addrs[t.rank])
 		if err != nil {
-			acceptErr = fmt.Errorf("allreduce: rank %d accept predecessor %d: %w", t.rank, pred, err)
-			break
+			return fmt.Errorf("allreduce: rank %d listen %s: %w", t.rank, t.addrs[t.rank], err)
 		}
-		magic, from, workers, err := readHello(conn)
-		switch {
-		case err == nil && magic == tcpMagic && workers == t.n && from == pred:
-			t.recvConn = conn
-		case err == nil && magic == tcpPeerMagic && workers == t.n && from >= 0 && from < t.n && from != t.rank:
-			// An eager peer dialed before our ring bring-up finished.
-			t.peerSlot(from).attach(conn)
-		default:
-			// A stray or malformed connection (port scan, stale dial from a
-			// previous run): drop it and keep accepting.
-			conn.Close()
-		}
+		t.ln = ln
 	}
-	if d, ok := ln.(interface{ SetDeadline(time.Time) error }); ok {
-		_ = d.SetDeadline(time.Time{}) // acceptLoop serves peer dials with no deadline
-	}
+	succ, pred := (t.rank+1)%t.n, (t.rank-1+t.n)%t.n
+	t.succ = t.newConn(succ, t.fault, true, false)
+	t.pred = t.newConn(pred, t.fault, false, true)
+	t.ep = link{out: t.succ.sendQ, in: t.pred.recvQ, f: t.fault}
+	t.wg.Add(1)
+	go t.acceptLoop()
 
-	res := <-dialCh
-	if res.err == nil {
-		t.sendConn = res.conn
+	deadline := time.Now().Add(t.dialTimeout)
+	if err := t.succ.dial(tcpMagic, deadline); err != nil {
+		return err
 	}
-	if acceptErr != nil {
-		return acceptErr
+	wait := time.NewTimer(time.Until(deadline))
+	defer wait.Stop()
+	select {
+	case <-t.pred.ready:
+		return nil
+	case <-wait.C:
+		return fmt.Errorf("allreduce: rank %d: no connection from predecessor %d within %v", t.rank, pred, t.dialTimeout)
 	}
-	return res.err
 }
 
-// acceptLoop keeps serving the ring listener after bring-up: the only
-// legitimate late arrivals are peer-link dials from lower ranks. It exits
-// when Close tears the listener down.
+// acceptLoop serves the listener for the transport's whole life and routes
+// each hello to its socket: the predecessor's ring dial, and peer-link
+// dials from lower ranks (which may arrive before ring bring-up finishes).
+// It exits when Close tears the listener down.
 func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
-		conn, err := t.ln.Accept()
+		sock, err := t.ln.Accept()
 		if err != nil {
 			return
 		}
-		magic, from, workers, err := readHello(conn)
-		if err != nil || magic != tcpPeerMagic || workers != t.n || from < 0 || from >= t.n || from == t.rank {
-			conn.Close()
+		_ = sock.SetReadDeadline(time.Now().Add(5 * time.Second)) // a socket that cannot set one still reads
+		magic, from, workers, err := readHello(sock)
+		_ = sock.SetReadDeadline(time.Time{})
+		var c *tcpConn
+		switch {
+		case err != nil || workers != t.n: // c stays nil
+		case magic == tcpMagic && from == t.pred.remote:
+			c = t.pred
+		case magic == tcpPeerMagic && from >= 0 && from < t.n && from != t.rank:
+			c = t.peerConn(from)
+		}
+		if c == nil {
+			// A stray or malformed connection (port scan, stale dial from a
+			// previous run): drop it and keep accepting.
+			sock.Close()
 			continue
 		}
-		t.peerSlot(from).attach(conn)
+		c.attach(sock)
 	}
 }
 
-func writeHello(conn net.Conn, rank, n int) error {
-	return writeHelloMagic(conn, tcpMagic, rank, n)
-}
-
-func writeHelloMagic(conn net.Conn, magic string, rank, n int) error {
+func writeHello(w io.Writer, magic string, rank, n int) error {
 	var buf [12]byte
 	copy(buf[:4], magic)
 	binary.LittleEndian.PutUint32(buf[4:8], uint32(rank))
 	binary.LittleEndian.PutUint32(buf[8:12], uint32(n))
-	_, err := conn.Write(buf[:])
+	_, err := w.Write(buf[:])
 	return err
 }
 
-func readHello(conn net.Conn) (magic string, rank, n int, err error) {
+func readHello(r io.Reader) (magic string, rank, n int, err error) {
 	var buf [12]byte
-	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	defer conn.SetReadDeadline(time.Time{})
-	if _, err = io.ReadFull(conn, buf[:]); err != nil {
+	if _, err = io.ReadFull(r, buf[:]); err != nil {
 		return "", 0, 0, err
 	}
 	magic = string(buf[:4])
@@ -333,7 +255,7 @@ func (t *TCPTransport) Endpoint(rank int) Endpoint {
 	if rank != t.rank {
 		return nil
 	}
-	return (*tcpEndpoint)(t)
+	return &t.ep
 }
 
 // Rank returns the local rank.
@@ -342,226 +264,310 @@ func (t *TCPTransport) Rank() int { return t.rank }
 // Stats snapshots the transport's wire counters.
 func (t *TCPTransport) Stats() TCPStats {
 	return TCPStats{
-		BytesSent:     atomic.LoadInt64(&t.bytesSent),
-		BytesReceived: atomic.LoadInt64(&t.bytesRecv),
-		MessagesSent:  atomic.LoadInt64(&t.msgsSent),
-		MessagesRecv:  atomic.LoadInt64(&t.msgsRecv),
-		Batches:       atomic.LoadInt64(&t.batches),
+		BytesSent:     t.bytesSent.Load(),
+		BytesReceived: t.bytesRecv.Load(),
+		MessagesSent:  t.msgsSent.Load(),
+		MessagesRecv:  t.msgsRecv.Load(),
+		Batches:       t.batches.Load(),
 	}
 }
 
+// ErrTransportClosed reports a hop attempted on a closed transport.
+var ErrTransportClosed = errors.New("allreduce: transport closed")
+
 // Close tears the connections down. Messages already handed to Send are
 // flushed first (briefly bounded), so a rank that finishes its run and
-// closes does not strand its successor's final hops; only then do
-// in-flight and future hops fail promptly with ErrTransportClosed (or the
-// earlier fatal error).
+// closes does not strand a neighbor's final hops — the post-step result a
+// folded rank is owed, say; only then do in-flight and future hops fail
+// promptly with ErrTransportClosed (or the earlier fatal error).
 func (t *TCPTransport) Close() error {
-	t.closed.Do(func() {
-		if t.started {
-			close(t.quit)
+	t.closing.Do(func() {
+		t.mu.Lock()
+		t.closed = true
+		conns := make([]*tcpConn, 0, 2+len(t.peers))
+		if t.succ != nil {
+			conns = append(conns, t.succ, t.pred)
+		}
+		for _, c := range t.peers {
+			conns = append(conns, c)
+		}
+		t.mu.Unlock()
+
+		for _, c := range conns {
+			close(c.quit)
+		}
+		expired := make(chan struct{})
+		drain := time.AfterFunc(2*time.Second, func() { close(expired) })
+		defer drain.Stop()
+		for _, c := range conns {
+			if c.sock == nil {
+				continue // never attached: no writer to wait for
+			}
 			select {
-			case <-t.wDone:
-			case <-time.After(2 * time.Second):
+			case <-c.wDone:
+			case <-expired:
 			}
 		}
-		t.peersMu.Lock()
-		peers := make([]*tcpPeer, 0, len(t.peers))
-		for _, p := range t.peers {
-			peers = append(peers, p)
-		}
-		t.peersMu.Unlock()
-		for _, p := range peers {
-			p.drainClose()
-		}
-		t.fail(ErrTransportClosed)
+		t.fault.fail(ErrTransportClosed)
 		if t.ln != nil {
 			t.ln.Close()
 		}
-		if t.sendConn != nil {
-			t.sendConn.Close()
-		}
-		if t.recvConn != nil {
-			t.recvConn.Close()
-		}
-		for _, p := range peers {
-			p.fail(ErrTransportClosed)
-			p.mu.Lock()
-			if p.conn != nil {
-				p.conn.Close()
+		for _, c := range conns {
+			c.f.fail(ErrTransportClosed)
+			if c.sock != nil {
+				c.sock.Close()
 			}
-			p.mu.Unlock()
 		}
 		t.wg.Wait()
 	})
 	return nil
 }
 
-// ErrTransportClosed reports a hop attempted on a closed transport.
-var ErrTransportClosed = errors.New("allreduce: transport closed")
-
-// fail records the first fatal error and releases every blocked hop.
-func (t *TCPTransport) fail(err error) {
-	t.closeErr.Do(func() {
-		t.err.Store(err)
-		close(t.done)
-	})
-}
-
-func (t *TCPTransport) fatal() error {
-	if err, ok := t.err.Load().(error); ok {
-		return err
-	}
-	return ErrTransportClosed
-}
-
-// lingerControl tunes BatchAuto's send-side coalescing delay from observed
-// message arrival gaps. The old ratchet (gap < window ⇒ delay += step, one
-// halving per idle gap) had two failure modes this replaces:
-//
-//   - Over-linger under contention: on a busy host the queue drains in
-//     bursts whose gaps stay under the coalesce window, so the delay
-//     ratcheted to its 200µs max and every batch paid it — making adaptive
-//     batching ~2× slower than plain tcp. Now the linger is additionally
-//     capped at twice the smoothed arrival gap: sleeping longer than the
-//     cadence at which messages actually arrive cannot coalesce more of
-//     them, it only adds latency.
-//   - Stale linger after a burst: one halving per idle arrival decays
-//     200µs → 0 only after ~8 further batches, so the first hops of the
-//     next training step paid the previous step's delay. An idle gap now
-//     resets the linger (and the learned cadence) to zero outright.
-type lingerControl struct {
-	delay   time.Duration // current linger before a flush
-	ewmaGap time.Duration // smoothed gap between batch-opening arrivals
-	last    time.Time     // when the previous batch opened
-}
-
-// next returns the linger to apply for the batch opening at now; pending is
-// the number of messages already queued behind it.
-func (lc *lingerControl) next(now time.Time, pending int) time.Duration {
-	var gap time.Duration
-	if lc.last.IsZero() {
-		gap = tcpIdleWindow + 1 // first batch ever: treat as idle
-	} else {
-		gap = now.Sub(lc.last)
-	}
-	lc.last = now
-	switch {
-	case gap > tcpIdleWindow:
-		// Idle connection: back to zero linger so the first hops of a fresh
-		// burst never pay a stale delay, and forget the stale cadence.
-		lc.delay = 0
-		lc.ewmaGap = 0
-	case gap < tcpCoalesceWindow:
-		// Back-to-back batches: grow the linger, bounded by both the
-		// absolute cap and twice the observed arrival cadence.
-		if lc.ewmaGap == 0 {
-			lc.ewmaGap = gap
-		} else {
-			lc.ewmaGap = (3*lc.ewmaGap + gap) / 4
-		}
-		lc.delay += tcpAutoStep
-		if lim := 2 * lc.ewmaGap; lc.delay > lim {
-			lc.delay = lim
-		}
-		if lc.delay > tcpAutoMaxDelay {
-			lc.delay = tcpAutoMaxDelay
+// take returns a message buffer of the given element count, preferring a
+// recycled one.
+func (t *TCPTransport) take(count int) []float64 {
+	select {
+	case buf := <-t.free:
+		if cap(buf) >= count {
+			return buf[:count]
 		}
 	default:
-		lc.delay /= 2
 	}
-	if pending > 0 {
-		// A batch is already formed in the queue — lingering buys nothing.
-		return 0
-	}
-	return lc.delay
+	return make([]float64, count)
 }
 
-// writeLoop drains the send queue onto the socket, coalescing bursts of
-// ring hops into single buffered writes — the swiftpaxos batching recipe:
-// take one message, optionally linger BatchDelay, then drain everything
-// pending and flush once. With BatchAuto the linger follows lingerControl:
-// bounded by the observed arrival cadence, reset to zero after idle gaps,
-// and skipped entirely when messages are already queued.
-func (t *TCPTransport) writeLoop() {
-	defer t.wg.Done()
-	defer close(t.wDone)
-	w := bufio.NewWriterSize(t.sendConn, 256<<10)
-	var frame []byte // per-writer scratch: grows to the largest frame once
-	delay := t.cfg.BatchDelay
-	adaptive := delay < 0
-	var lc lingerControl
-	for {
-		// Note no done case: done may fire because the *read* side saw a
-		// finished peer close (EOF) while the successor still needs our
-		// queued and future sends, so the writer keeps serving sendQ until
-		// graceful close (quit) or its own write error below.
-		var msg []float64
+// recycle parks a retired buffer for the readers (best-effort: dropped when
+// the pool is full).
+func (t *TCPTransport) recycle(buf []float64) {
+	select {
+	case t.free <- buf:
+	default:
+	}
+}
+
+// Peer returns the local rank's endpoint on a dedicated socket to peer,
+// establishing it on first use: the lower rank dials the higher rank's
+// ring listener with a tcpPeerMagic hello, the higher rank's accept loop
+// attaches the connection. Blocks until the link is up or the dial timeout
+// lapses.
+func (t *TCPTransport) Peer(rank, peer int) (Endpoint, error) {
+	if rank != t.rank {
+		return nil, fmt.Errorf("allreduce: rank %d is not local to this transport (local rank %d)", rank, t.rank)
+	}
+	if peer < 0 || peer >= t.n || peer == rank {
+		return nil, fmt.Errorf("allreduce: no peer link %d→%d in a %d-rank transport", rank, peer, t.n)
+	}
+	c := t.peerConn(peer)
+	if c == nil {
+		return nil, ErrTransportClosed
+	}
+	wait := time.NewTimer(t.dialTimeout)
+	defer wait.Stop()
+	select {
+	case <-c.ready:
+		return &c.ep, nil
+	case <-c.f.done:
+		return nil, c.f.err
+	case <-t.fault.done:
+		return nil, t.fault.err
+	case <-wait.C:
+		return nil, fmt.Errorf("allreduce: rank %d: peer link to %d not up within %v", rank, peer, t.dialTimeout)
+	}
+}
+
+// peerConn returns (creating if needed) the socket slot of the link to
+// peer, or nil once the transport is closed. Creating the slot on the
+// lower-ranked side starts its one dial.
+func (t *TCPTransport) peerConn(peer int) *tcpConn {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if c := t.peers[peer]; c != nil || t.closed {
+		return c
+	}
+	c := t.newConn(peer, newFault(), true, true)
+	c.ep = link{out: c.sendQ, in: c.recvQ, f: c.f}
+	if t.peers == nil {
+		t.peers = make(map[int]*tcpConn)
+	}
+	t.peers[peer] = c
+	if t.rank < peer {
+		t.wg.Add(1)
+		go func() {
+			defer t.wg.Done()
+			if err := c.dial(tcpPeerMagic, time.Now().Add(t.dialTimeout)); err != nil {
+				c.f.fail(err)
+			}
+		}()
+	}
+	return c
+}
+
+// tcpConn owns one socket to one remote rank: how it comes up (dialed with
+// retry, or handed over by the accept loop), the loop that writes its send
+// queue and the loop that fills its receive queue, the counted drain at
+// graceful close, and where its errors land (f). It serves all three kinds
+// of connection: the ring's successor socket is only written (recvQ nil),
+// the predecessor socket only read (sendQ nil) — a reader on the successor
+// socket would turn a finished successor's close into a fault while this
+// rank still waits on its healthy predecessor — and a peer socket is both.
+type tcpConn struct {
+	t      *TCPTransport
+	remote int    // rank on the other end
+	f      *fault // failure domain: the transport's for ring sockets, its own for a peer
+	ep     link   // peer sockets only: the endpoint over both queues
+
+	sendQ chan []float64
+	recvQ chan []float64
+
+	sock  net.Conn      // set once by attach, under t.mu, before ready closes
+	ready chan struct{} // closed once the socket is attached and served
+	quit  chan struct{} // closed by Close: the writer drains sendQ, flushes, exits
+	wDone chan struct{} // closed when no writer (or no more writer) runs
+}
+
+func (t *TCPTransport) newConn(remote int, f *fault, writes, reads bool) *tcpConn {
+	c := &tcpConn{
+		t: t, remote: remote, f: f,
+		ready: make(chan struct{}),
+		quit:  make(chan struct{}),
+		wDone: make(chan struct{}),
+	}
+	if writes {
+		c.sendQ = make(chan []float64, tcpQueueDepth)
+	}
+	if reads {
+		c.recvQ = make(chan []float64, tcpQueueDepth)
+	}
+	return c
+}
+
+// dial connects to the remote rank's listener, retrying while it boots,
+// announces this rank with the given hello, and attaches the socket.
+func (c *tcpConn) dial(magic string, deadline time.Time) error {
+	t := c.t
+	addr := t.addrs[c.remote]
+	var lastErr error
+	for time.Now().Before(deadline) {
 		select {
-		case msg = <-t.sendQ:
-		case <-t.quit:
-			t.drainSends(w, &frame)
-			return
+		case <-t.fault.done:
+			return t.fault.err
+		default:
 		}
-		if adaptive {
-			delay = lc.next(time.Now(), len(t.sendQ))
+		sock, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		if err == nil {
+			if err = writeHello(sock, magic, t.rank, t.n); err == nil {
+				c.attach(sock)
+				return nil
+			}
+			sock.Close()
 		}
-		if delay > 0 {
-			time.Sleep(delay)
+		lastErr = err
+		time.Sleep(20 * time.Millisecond)
+	}
+	return fmt.Errorf("allreduce: rank %d dial rank %d (%s): %w", t.rank, c.remote, addr, lastErr)
+}
+
+// attach wires a connected socket into the slot and starts its loops. A
+// duplicate connection (possible only from protocol misuse) or one that
+// arrives after Close is dropped.
+func (c *tcpConn) attach(sock net.Conn) {
+	t := c.t
+	t.mu.Lock()
+	if t.closed || c.sock != nil {
+		t.mu.Unlock()
+		sock.Close()
+		return
+	}
+	c.sock = sock
+	if c.sendQ != nil {
+		t.wg.Add(1)
+		go c.writeLoop()
+	} else {
+		close(c.wDone)
+	}
+	if c.recvQ != nil {
+		t.wg.Add(1)
+		go c.readLoop()
+	}
+	t.mu.Unlock()
+	close(c.ready)
+}
+
+// writeLoop drains the send queue onto the socket: take one message, then
+// everything else already queued, and flush once — so hops that pile up
+// behind a slow write share a syscall and an idle link pays no latency.
+// (Lingering for more would buy nothing: a collective is lock-step, the
+// next hop is not sent before this one is answered.) At graceful close it
+// writes what is still queued the same, counted, way and exits.
+func (c *tcpConn) writeLoop() {
+	t := c.t
+	defer t.wg.Done()
+	defer close(c.wDone)
+	w := bufio.NewWriterSize(c.sock, tcpBufBytes)
+	var frame []byte // per-writer scratch: grows to the largest frame once
+	var msgs, bytes int64
+	write := func(msg []float64) bool {
+		n, err := writeFrame(w, msg, &frame)
+		t.recycle(msg)
+		if err != nil {
+			c.f.fail(fmt.Errorf("allreduce: rank %d send to rank %d: %w", t.rank, c.remote, err))
+			return false
 		}
-		batch := int64(0)
-		bytes := int64(0)
-		for {
-			n, err := writeFrame(w, msg, &frame)
-			t.recycle(msg)
-			if err != nil {
-				t.fail(fmt.Errorf("allreduce: rank %d send to %d: %w", t.rank, (t.rank+1)%t.n, err))
+		msgs++
+		bytes += n
+		return true
+	}
+	for closing := false; !closing; {
+		// Note no fault case: the fault may fire because a *read* side saw a
+		// finished peer close (EOF) while the remote side still needs our
+		// queued and future sends, so the writer keeps serving sendQ until
+		// graceful close (quit) or its own write error.
+		msgs, bytes = 0, 0
+		select {
+		case msg := <-c.sendQ:
+			if !write(msg) {
 				return
 			}
-			batch++
-			bytes += n
-			select {
-			case msg = <-t.sendQ:
-				continue
-			default:
+		case <-c.quit:
+			closing = true
+		}
+		for len(c.sendQ) > 0 { // the only consumer: what len counts stays receivable
+			if !write(<-c.sendQ) {
+				return
 			}
-			break
+		}
+		if msgs == 0 {
+			continue
 		}
 		if err := w.Flush(); err != nil {
-			t.fail(fmt.Errorf("allreduce: rank %d flush to %d: %w", t.rank, (t.rank+1)%t.n, err))
+			c.f.fail(fmt.Errorf("allreduce: rank %d flush to rank %d: %w", t.rank, c.remote, err))
 			return
 		}
-		atomic.AddInt64(&t.batches, 1)
-		atomic.AddInt64(&t.msgsSent, batch)
-		atomic.AddInt64(&t.bytesSent, bytes)
+		t.batches.Add(1)
+		t.msgsSent.Add(msgs)
+		t.bytesSent.Add(bytes)
 	}
 }
 
-// drainSends writes and flushes every message still queued at graceful
-// close, so the successor's pending hops complete before the socket drops.
-func (t *TCPTransport) drainSends(w *bufio.Writer, frame *[]byte) {
-	batch := int64(0)
-	bytes := int64(0)
+// readLoop decodes messages off the socket into the receive queue, reusing
+// buffers the writers retired.
+func (c *tcpConn) readLoop() {
+	t := c.t
+	defer t.wg.Done()
+	r := bufio.NewReaderSize(c.sock, tcpBufBytes)
+	var rbuf []byte
+	take := t.take
 	for {
+		msg, err := readFrame(r, &rbuf, take)
+		if err != nil {
+			c.f.fail(fmt.Errorf("allreduce: rank %d recv from rank %d: %w", t.rank, c.remote, err))
+			return
+		}
+		t.msgsRecv.Add(1)
+		t.bytesRecv.Add(int64(4 + 8*len(msg)))
 		select {
-		case msg := <-t.sendQ:
-			n, err := writeFrame(w, msg, frame)
-			t.recycle(msg)
-			if err != nil {
-				return
-			}
-			batch++
-			bytes += n
-		default:
-			if batch > 0 {
-				if err := w.Flush(); err != nil {
-					return
-				}
-				atomic.AddInt64(&t.batches, 1)
-				atomic.AddInt64(&t.msgsSent, batch)
-				atomic.AddInt64(&t.bytesSent, bytes)
-			} else {
-				w.Flush()
-			}
+		case c.recvQ <- msg:
+		case <-c.f.done:
 			return
 		}
 	}
@@ -592,9 +598,8 @@ func writeFrame(w *bufio.Writer, msg []float64, frame *[]byte) (int64, error) {
 
 // readFrame decodes one length-prefixed message off the stream. The payload
 // lands in *rbuf (per-reader scratch, grown once) before being unpacked
-// into a recycled []float64 from take — steady-state reads allocate
-// nothing.
-func (t *TCPTransport) readFrame(r *bufio.Reader, rbuf *[]byte) ([]float64, error) {
+// into a []float64 from take — steady-state reads allocate nothing.
+func readFrame(r io.Reader, rbuf *[]byte, take func(count int) []float64) ([]float64, error) {
 	// The length prefix lands in the scratch buffer too: a stack [4]byte
 	// would escape through the io.Reader interface and cost one heap
 	// allocation per frame.
@@ -619,474 +624,11 @@ func (t *TCPTransport) readFrame(r *bufio.Reader, rbuf *[]byte) ([]float64, erro
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, err
 	}
-	msg := t.take(count)
+	msg := take(count)
 	for i := range msg {
 		msg[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
 	return msg, nil
-}
-
-// readLoop decodes messages off the predecessor's stream into the receive
-// queue, reusing buffers the writer retired.
-func (t *TCPTransport) readLoop() {
-	defer t.wg.Done()
-	r := bufio.NewReaderSize(t.recvConn, 256<<10)
-	var rbuf []byte
-	for {
-		msg, err := t.readFrame(r, &rbuf)
-		if err != nil {
-			t.fail(fmt.Errorf("allreduce: rank %d recv from %d: %w", t.rank, (t.rank-1+t.n)%t.n, err))
-			return
-		}
-		atomic.AddInt64(&t.msgsRecv, 1)
-		atomic.AddInt64(&t.bytesRecv, int64(4+8*len(msg)))
-		select {
-		case t.recvQ <- msg:
-		case <-t.done:
-			return
-		}
-	}
-}
-
-// take returns a message buffer of the given element count, preferring a
-// recycled one.
-func (t *TCPTransport) take(count int) []float64 {
-	select {
-	case buf := <-t.free:
-		if cap(buf) >= count {
-			return buf[:count]
-		}
-	default:
-	}
-	return make([]float64, count)
-}
-
-// recycle parks a retired buffer for the reader (best-effort: dropped when
-// the pool is full).
-func (t *TCPTransport) recycle(buf []float64) {
-	select {
-	case t.free <- buf:
-	default:
-	}
-}
-
-// tcpEndpoint adapts the transport to the local rank's Endpoint. Deadline
-// semantics live here, on the queues: a peer that stalls starves recvQ (or
-// backs sendQ up) and the policy timer fires ErrHopTimeout; a peer whose
-// socket breaks trips done and the hop fails immediately with the socket
-// error. That is the whole failure-semantics mapping — RingFault blame on
-// top is transport-independent.
-type tcpEndpoint TCPTransport
-
-func (e *tcpEndpoint) t() *TCPTransport { return (*TCPTransport)(e) }
-
-func (e *tcpEndpoint) Send(msg []float64) error {
-	t := e.t()
-	select {
-	case t.sendQ <- msg:
-		return nil
-	case <-t.done:
-		// done may stem from a read-side failure while the send socket is
-		// healthy and the writer still running — prefer handing the
-		// message over (the successor may need it) and fail only when the
-		// queue is genuinely stuck.
-		select {
-		case t.sendQ <- msg:
-			return nil
-		default:
-			return t.fatal()
-		}
-	}
-}
-
-func (e *tcpEndpoint) Recv() ([]float64, error) {
-	t := e.t()
-	select {
-	case msg := <-t.recvQ:
-		return msg, nil
-	case <-t.done:
-		// done often fires from EOF when a finished peer closes; the
-		// reader enqueues every delivered message before it can fail, so
-		// a final queue check cannot miss data that arrived pre-EOF —
-		// without it this select could randomly prefer done over a
-		// non-empty queue and strand the run's last hops.
-		select {
-		case msg := <-t.recvQ:
-			return msg, nil
-		default:
-			return nil, t.fatal()
-		}
-	}
-}
-
-func (e *tcpEndpoint) SendTimed(msg []float64, p RetryPolicy) error {
-	t := e.t()
-	d := p.HopTimeout
-	timer := armTimer(&t.sendTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case t.sendQ <- msg:
-			return nil
-		case <-t.done:
-			select { // see Send: the writer may still be serving the queue
-			case t.sendQ <- msg:
-				return nil
-			default:
-				return t.fatal()
-			}
-		case <-timer.C:
-			if attempt >= p.Retries {
-				return ErrHopTimeout
-			}
-			d = nextDeadline(d, p)
-			timer.Reset(d)
-		}
-	}
-}
-
-func (e *tcpEndpoint) RecvTimed(p RetryPolicy) ([]float64, error) {
-	t := e.t()
-	d := p.HopTimeout
-	timer := armTimer(&t.recvTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case msg := <-t.recvQ:
-			return msg, nil
-		case <-t.done:
-			select { // see Recv: drain data delivered before the failure
-			case msg := <-t.recvQ:
-				return msg, nil
-			default:
-				return nil, t.fatal()
-			}
-		case <-timer.C:
-			if attempt >= p.Retries {
-				return nil, ErrHopTimeout
-			}
-			d = nextDeadline(d, p)
-			timer.Reset(d)
-		}
-	}
-}
-
-// Peer returns the local rank's endpoint on a dedicated socket to peer,
-// establishing it on first use: the lower rank dials the higher rank's
-// ring listener with a tcpPeerMagic hello, the higher rank's accept loop
-// attaches the connection. Blocks until the link is up or the dial timeout
-// lapses. Peer links carry halving-doubling's non-neighbor exchanges; a
-// broken one fails its own hops only, never the ring connections.
-func (t *TCPTransport) Peer(rank, peer int) (Endpoint, error) {
-	if rank != t.rank {
-		return nil, fmt.Errorf("allreduce: rank %d is not local to this transport (local rank %d)", rank, t.rank)
-	}
-	if peer < 0 || peer >= t.n || peer == rank {
-		return nil, fmt.Errorf("allreduce: no peer link %d→%d in a %d-rank transport", rank, peer, t.n)
-	}
-	p := t.peerSlot(peer)
-	if rank < peer {
-		p.dialOnce.Do(func() { go p.dial() })
-	}
-	select {
-	case <-p.ready:
-		return p, nil
-	case <-p.done:
-		return nil, p.fatal()
-	case <-t.done:
-		return nil, t.fatal()
-	case <-time.After(t.cfg.DialTimeout):
-		return nil, fmt.Errorf("allreduce: rank %d: peer link to %d not up within %v", rank, peer, t.cfg.DialTimeout)
-	}
-}
-
-// peerSlot returns (creating if needed) the slot tracking the link to peer.
-func (t *TCPTransport) peerSlot(peer int) *tcpPeer {
-	t.peersMu.Lock()
-	defer t.peersMu.Unlock()
-	p := t.peers[peer]
-	if p == nil {
-		p = &tcpPeer{
-			t:     t,
-			peer:  peer,
-			sendQ: make(chan []float64, t.cfg.Depth),
-			recvQ: make(chan []float64, t.cfg.Depth),
-			ready: make(chan struct{}),
-			done:  make(chan struct{}),
-			wDone: make(chan struct{}),
-		}
-		if t.peers == nil {
-			t.peers = make(map[int]*tcpPeer)
-		}
-		t.peers[peer] = p
-	}
-	return p
-}
-
-// tcpPeer is one direct link to a non-neighbor rank: a dedicated socket
-// with its own reader/writer loops and queues, implementing Endpoint with
-// the same deadline-on-queue semantics as the ring endpoint. Failure is
-// per-link: done here fires for this peer's socket only.
-type tcpPeer struct {
-	t    *TCPTransport
-	peer int
-
-	mu   sync.Mutex
-	conn net.Conn
-
-	sendQ chan []float64
-	recvQ chan []float64
-
-	ready    chan struct{} // closed once the link is attached and serving
-	done     chan struct{} // closed on this link's first fatal error
-	wDone    chan struct{} // writer exited (drain complete or failed)
-	dialOnce sync.Once
-	attachOn sync.Once
-	failOn   sync.Once
-	err      atomic.Value
-
-	sendTimer *time.Timer
-	recvTimer *time.Timer
-}
-
-// dial connects to the peer's listener (retrying while it boots) and
-// attaches the socket. Runs once, on the lower-ranked side.
-func (p *tcpPeer) dial() {
-	t := p.t
-	deadline := time.Now().Add(t.cfg.DialTimeout)
-	var lastErr error
-	for time.Now().Before(deadline) {
-		select {
-		case <-t.done:
-			p.fail(t.fatal())
-			return
-		default:
-		}
-		conn, err := net.DialTimeout("tcp", t.cfg.Peers[p.peer], time.Until(deadline))
-		if err == nil {
-			if err = writeHelloMagic(conn, tcpPeerMagic, t.rank, t.n); err == nil {
-				p.attach(conn)
-				return
-			}
-			conn.Close()
-		}
-		lastErr = err
-		time.Sleep(20 * time.Millisecond)
-	}
-	p.fail(fmt.Errorf("allreduce: rank %d dial peer %d (%s): %w", t.rank, p.peer, t.cfg.Peers[p.peer], lastErr))
-}
-
-// attach wires a connected socket into the slot and starts its loops; a
-// duplicate connection (possible only from protocol misuse) is dropped.
-func (p *tcpPeer) attach(conn net.Conn) {
-	used := false
-	p.attachOn.Do(func() {
-		select {
-		case <-p.t.done:
-			// Transport already closing: refuse, the conn is closed below.
-			return
-		default:
-		}
-		p.mu.Lock()
-		p.conn = conn
-		p.mu.Unlock()
-		used = true
-		p.t.wg.Add(2)
-		go p.writeLoop()
-		go p.readLoop()
-		close(p.ready)
-	})
-	if !used {
-		conn.Close()
-	}
-}
-
-// fail records the link's first fatal error and releases its blocked hops.
-func (p *tcpPeer) fail(err error) {
-	p.failOn.Do(func() {
-		p.err.Store(err)
-		close(p.done)
-	})
-}
-
-func (p *tcpPeer) fatal() error {
-	if err, ok := p.err.Load().(error); ok {
-		return err
-	}
-	return ErrTransportClosed
-}
-
-// drainClose gives the writer a bounded chance to flush queued messages
-// (the post-step result a folded rank is owed, say) before Close drops the
-// socket. Only meaningful once attached.
-func (p *tcpPeer) drainClose() {
-	select {
-	case <-p.ready:
-	default:
-		return
-	}
-	p.fail(ErrTransportClosed) // writer sees done, drains, exits
-	select {
-	case <-p.wDone:
-	case <-time.After(2 * time.Second):
-	}
-}
-
-// writeLoop serves the peer link's send queue. Peer traffic is
-// latency-bound halving-doubling rounds, so every message flushes
-// immediately — no linger — though anything already queued coalesces into
-// the same flush. Counts into the transport's wire totals.
-func (p *tcpPeer) writeLoop() {
-	t := p.t
-	defer t.wg.Done()
-	defer close(p.wDone)
-	w := bufio.NewWriterSize(p.conn, 64<<10)
-	var frame []byte
-	for {
-		var msg []float64
-		select {
-		case msg = <-p.sendQ:
-		case <-p.done:
-			// Graceful close: drain what's queued, flush, exit.
-			for {
-				select {
-				case msg := <-p.sendQ:
-					if _, err := writeFrame(w, msg, &frame); err != nil {
-						return
-					}
-					t.recycle(msg)
-				default:
-					w.Flush()
-					return
-				}
-			}
-		}
-		batch := int64(0)
-		bytes := int64(0)
-		for {
-			n, err := writeFrame(w, msg, &frame)
-			t.recycle(msg)
-			if err != nil {
-				p.fail(fmt.Errorf("allreduce: rank %d send to peer %d: %w", t.rank, p.peer, err))
-				return
-			}
-			batch++
-			bytes += n
-			select {
-			case msg = <-p.sendQ:
-				continue
-			default:
-			}
-			break
-		}
-		if err := w.Flush(); err != nil {
-			p.fail(fmt.Errorf("allreduce: rank %d flush to peer %d: %w", t.rank, p.peer, err))
-			return
-		}
-		atomic.AddInt64(&t.batches, 1)
-		atomic.AddInt64(&t.msgsSent, batch)
-		atomic.AddInt64(&t.bytesSent, bytes)
-	}
-}
-
-// readLoop decodes the peer's stream into the link's receive queue.
-func (p *tcpPeer) readLoop() {
-	t := p.t
-	defer t.wg.Done()
-	r := bufio.NewReaderSize(p.conn, 64<<10)
-	var rbuf []byte
-	for {
-		msg, err := t.readFrame(r, &rbuf)
-		if err != nil {
-			p.fail(fmt.Errorf("allreduce: rank %d recv from peer %d: %w", t.rank, p.peer, err))
-			return
-		}
-		atomic.AddInt64(&t.msgsRecv, 1)
-		atomic.AddInt64(&t.bytesRecv, int64(4+8*len(msg)))
-		select {
-		case p.recvQ <- msg:
-		case <-p.done:
-			return
-		}
-	}
-}
-
-func (p *tcpPeer) Send(msg []float64) error {
-	select {
-	case p.sendQ <- msg:
-		return nil
-	case <-p.done:
-		select { // the writer drains the queue on close; prefer handing over
-		case p.sendQ <- msg:
-			return nil
-		default:
-			return p.fatal()
-		}
-	}
-}
-
-func (p *tcpPeer) Recv() ([]float64, error) {
-	select {
-	case msg := <-p.recvQ:
-		return msg, nil
-	case <-p.done:
-		select { // drain data delivered before the failure (see tcpEndpoint)
-		case msg := <-p.recvQ:
-			return msg, nil
-		default:
-			return nil, p.fatal()
-		}
-	}
-}
-
-func (p *tcpPeer) SendTimed(msg []float64, pol RetryPolicy) error {
-	d := pol.HopTimeout
-	timer := armTimer(&p.sendTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case p.sendQ <- msg:
-			return nil
-		case <-p.done:
-			select {
-			case p.sendQ <- msg:
-				return nil
-			default:
-				return p.fatal()
-			}
-		case <-timer.C:
-			if attempt >= pol.Retries {
-				return ErrHopTimeout
-			}
-			d = nextDeadline(d, pol)
-			timer.Reset(d)
-		}
-	}
-}
-
-func (p *tcpPeer) RecvTimed(pol RetryPolicy) ([]float64, error) {
-	d := pol.HopTimeout
-	timer := armTimer(&p.recvTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case msg := <-p.recvQ:
-			return msg, nil
-		case <-p.done:
-			select {
-			case msg := <-p.recvQ:
-				return msg, nil
-			default:
-				return nil, p.fatal()
-			}
-		case <-timer.C:
-			if attempt >= pol.Retries {
-				return nil, ErrHopTimeout
-			}
-			d = nextDeadline(d, pol)
-			timer.Reset(d)
-		}
-	}
 }
 
 // ReserveRingAddrs binds n loopback listeners on kernel-assigned ports and

@@ -17,12 +17,14 @@ import (
 //     every rank's endpoint lives in one address space. This is the
 //     transport behind NewRing and the one every golden test pins.
 //   - TCPTransport: one rank per OS process over real sockets, with
-//     length-prefixed framing and adaptive send-side batching (tcp.go).
+//     length-prefixed framing (tcp.go).
 //
-// The ring arithmetic (chunking, summation order) lives entirely in
-// Ring.ReduceWith and never depends on the transport, so switching
-// transports can change wall-clock behavior and failure modes but never
-// the reduced values: a TCP ring is bitwise-identical to a channel ring.
+// Both hand out the same endpoint type, link: a transport only decides what
+// sits behind the link's two queues. The ring arithmetic (chunking,
+// summation order) lives entirely in Ring.ReduceWith and never depends on
+// the transport, so switching transports can change wall-clock behavior and
+// failure modes but never the reduced values: a TCP ring is
+// bitwise-identical to a channel ring.
 type Transport interface {
 	// Workers returns the ring size n.
 	Workers() int
@@ -52,25 +54,177 @@ type PeerTransport interface {
 	Peer(rank, peer int) (Endpoint, error)
 }
 
-// Endpoint is one rank's pair of neighbor links. Buffer ownership follows
-// message flow: Send transfers ownership of msg to the transport, and Recv
+// Endpoint is one rank's pair of links. Buffer ownership follows message
+// flow: Send transfers ownership of msg to the transport, and Recv
 // transfers ownership of the returned buffer to the caller — exactly the
 // contract Ring's circulating-buffer scheme is built on, which is what
-// keeps steady-state channel reduces allocation-free.
+// keeps steady-state reduces allocation-free.
 type Endpoint interface {
-	// Send hands msg to the successor link, blocking until the transport
+	// Send hands msg to the outgoing link, blocking until the transport
 	// accepts it. A non-nil error means the link is broken (remote
 	// transports only; channel sends cannot fail).
 	Send(msg []float64) error
-	// Recv returns the next message from the predecessor, blocking until
+	// Recv returns the next message from the incoming link, blocking until
 	// one arrives or the link breaks.
 	Recv() ([]float64, error)
 	// SendTimed is Send bounded by the policy's retry budget: each attempt
 	// waits one deadline, the deadline grows by Backoff per retry, and
-	// exhaustion returns an error wrapping ErrHopTimeout.
+	// exhaustion returns an error wrapping ErrHopTimeout. The zero policy
+	// sets no deadline: SendTimed(msg, RetryPolicy{}) is Send(msg).
 	SendTimed(msg []float64, p RetryPolicy) error
 	// RecvTimed is Recv under the same bounded budget.
 	RecvTimed(p RetryPolicy) ([]float64, error)
+}
+
+// fault is a fail-once latch for one failure domain (a TCP transport's ring
+// sockets, or one peer socket): the first fatal error is recorded and done
+// closes, releasing every hop blocked on a link of that domain. err is
+// written before done closes and only read after, so the channel close
+// orders the two.
+type fault struct {
+	once sync.Once
+	err  error
+	done chan struct{}
+}
+
+func newFault() *fault { return &fault{done: make(chan struct{})} }
+
+func (f *fault) fail(err error) {
+	f.once.Do(func() {
+		f.err = err
+		close(f.done)
+	})
+}
+
+// link is the one Endpoint implementation: a queue toward the remote side,
+// a queue from it, and — for links that can break — the fault whose done
+// channel aborts a blocked hop. What drains out and fills in is the
+// transport's business: a channel transport plugs one rank's out straight
+// into its neighbor's in, a TCP transport puts a socket's write and read
+// loops behind them.
+//
+// Deadlines live here, on the queues, for every transport alike: a remote
+// side that stalls starves in (or backs out up) and the policy timer fires
+// ErrHopTimeout; a remote side whose socket breaks trips the fault and the
+// hop fails at once with the socket error. That is the whole
+// failure-semantics mapping — RingFault blame on top never looks at the
+// transport.
+//
+// A link is driven from its rank's single goroutine, which is what makes
+// the two reused timers safe. Allocating a fresh runtime timer per guarded
+// hop is measurable steady-state GC pressure — the deadline's analogue of
+// the circulating message buffers.
+type link struct {
+	out chan<- []float64
+	in  <-chan []float64
+	f   *fault // nil: an in-process link, which cannot break
+
+	sendTimer *time.Timer
+	recvTimer *time.Timer
+}
+
+func (l *link) Send(msg []float64) error                     { return l.send(msg, RetryPolicy{}) }
+func (l *link) Recv() ([]float64, error)                     { return l.recv(RetryPolicy{}) }
+func (l *link) SendTimed(msg []float64, p RetryPolicy) error { return l.send(msg, p) }
+func (l *link) RecvTimed(p RetryPolicy) ([]float64, error)   { return l.recv(p) }
+
+// arm prepares one hop's wait: the fault's done channel (nil — never ready —
+// for a link that cannot break) and, under a non-zero policy, *tp reset to
+// the first deadline, created on first use. Go 1.23+ timer semantics (Reset
+// and Stop flush a stale fire) make the bare Reset race-free for a
+// single-goroutine owner.
+func (l *link) arm(tp **time.Timer, p RetryPolicy) (done <-chan struct{}, timer *time.Timer) {
+	if l.f != nil {
+		done = l.f.done
+	}
+	if p.HopTimeout <= 0 {
+		return done, nil
+	}
+	if *tp == nil {
+		*tp = time.NewTimer(p.HopTimeout)
+	} else {
+		(*tp).Reset(p.HopTimeout)
+	}
+	return done, *tp
+}
+
+// send enqueues msg within the policy's retry budget (forever, under the
+// zero policy). Because a queue send is idempotent until it succeeds,
+// "retry" is simply another bounded wait on the same operation — what makes
+// guarded collectives deadlock-free by construction.
+func (l *link) send(msg []float64, p RetryPolicy) error {
+	done, timer := l.arm(&l.sendTimer, p)
+	if done == nil && timer == nil {
+		l.out <- msg
+		return nil
+	}
+	var expired <-chan time.Time // nil — never ready — without a deadline
+	if timer != nil {
+		expired = timer.C
+		defer timer.Stop()
+	}
+	d := p.HopTimeout
+	for attempt := 0; ; attempt++ {
+		select {
+		case l.out <- msg:
+			return nil
+		case <-done:
+			// The fault may stem from the receive side while the send socket
+			// is healthy and its writer still running — prefer handing the
+			// message over (the remote side may need it) and fail only when
+			// the queue is genuinely stuck.
+			select {
+			case l.out <- msg:
+				return nil
+			default:
+				return l.f.err
+			}
+		case <-expired:
+			if attempt >= p.Retries {
+				return ErrHopTimeout
+			}
+			d = nextDeadline(d, p)
+			timer.Reset(d)
+		}
+	}
+}
+
+// recv dequeues the next message within the policy's retry budget.
+func (l *link) recv(p RetryPolicy) ([]float64, error) {
+	done, timer := l.arm(&l.recvTimer, p)
+	if done == nil && timer == nil {
+		return <-l.in, nil
+	}
+	var expired <-chan time.Time
+	if timer != nil {
+		expired = timer.C
+		defer timer.Stop()
+	}
+	d := p.HopTimeout
+	for attempt := 0; ; attempt++ {
+		select {
+		case msg := <-l.in:
+			return msg, nil
+		case <-done:
+			// The fault often is the EOF of a finished peer closing; its
+			// reader enqueued every delivered message before it could fail,
+			// so a final queue check cannot miss data that arrived first —
+			// without it this select could randomly prefer done over a
+			// non-empty queue and strand the run's last hops.
+			select {
+			case msg := <-l.in:
+				return msg, nil
+			default:
+				return nil, l.f.err
+			}
+		case <-expired:
+			if attempt >= p.Retries {
+				return nil, ErrHopTimeout
+			}
+			d = nextDeadline(d, p)
+			timer.Reset(d)
+		}
+	}
 }
 
 // ChanTransport is the in-process transport: n buffered FIFO channels, one
@@ -80,15 +234,14 @@ type Endpoint interface {
 type ChanTransport struct {
 	n     int
 	depth int
-	links []chan []float64
-	eps   []chanEndpoint
+	eps   []link
 
 	// Peer links are built lazily under peersMu: most reduces are plain
 	// rings and should not pay for an n² mesh. Each ordered (from, to) pair
 	// has one directed channel; an endpoint pairs the two directions.
 	peersMu   sync.Mutex
-	peerLinks map[chanPeerKey]chan []float64
-	peerEps   map[chanPeerKey]*chanEndpoint
+	peerChans map[chanPeerKey]chan []float64
+	peerEps   map[chanPeerKey]*link
 }
 
 // chanPeerKey identifies one directed peer channel (and, keyed by the
@@ -105,12 +258,13 @@ func NewChanTransport(n, depth int) (*ChanTransport, error) {
 	if depth < 1 {
 		depth = 1
 	}
-	t := &ChanTransport{n: n, depth: depth, links: make([]chan []float64, n), eps: make([]chanEndpoint, n)}
-	for i := range t.links {
-		t.links[i] = make(chan []float64, depth)
+	t := &ChanTransport{n: n, depth: depth, eps: make([]link, n)}
+	chans := make([]chan []float64, n)
+	for i := range chans {
+		chans[i] = make(chan []float64, depth)
 	}
 	for i := range t.eps {
-		t.eps[i] = chanEndpoint{out: t.links[i], in: t.links[(i-1+n)%n]}
+		t.eps[i] = link{out: chans[i], in: chans[(i-1+n)%n]}
 	}
 	return t, nil
 }
@@ -139,20 +293,20 @@ func (t *ChanTransport) Peer(rank, peer int) (Endpoint, error) {
 	if ep := t.peerEps[key]; ep != nil {
 		return ep, nil
 	}
-	if t.peerLinks == nil {
-		t.peerLinks = make(map[chanPeerKey]chan []float64)
-		t.peerEps = make(map[chanPeerKey]*chanEndpoint)
+	if t.peerChans == nil {
+		t.peerChans = make(map[chanPeerKey]chan []float64)
+		t.peerEps = make(map[chanPeerKey]*link)
 	}
-	link := func(from, to int) chan []float64 {
+	directed := func(from, to int) chan []float64 {
 		k := chanPeerKey{from, to}
-		ch := t.peerLinks[k]
+		ch := t.peerChans[k]
 		if ch == nil {
 			ch = make(chan []float64, t.depth)
-			t.peerLinks[k] = ch
+			t.peerChans[k] = ch
 		}
 		return ch
 	}
-	ep := &chanEndpoint{out: link(rank, peer), in: link(peer, rank)}
+	ep := &link{out: directed(rank, peer), in: directed(peer, rank)}
 	t.peerEps[key] = ep
 	return ep, nil
 }
@@ -160,79 +314,3 @@ func (t *ChanTransport) Peer(rank, peer int) (Endpoint, error) {
 // Close is a no-op: channel links hold no external resources, and leaving
 // them open keeps in-flight reduces on other goroutines well-defined.
 func (t *ChanTransport) Close() error { return nil }
-
-// chanEndpoint adapts one rank's channel pair to the Endpoint interface.
-// The timers are per-direction scratch for the guarded ops: hop deadlines
-// fire on every guarded hop, and allocating a fresh runtime timer each time
-// is measurable steady-state GC pressure (the guarded path's analogue of
-// the circulating message buffers). Safe because an endpoint is driven from
-// its rank's single goroutine.
-type chanEndpoint struct {
-	out chan<- []float64
-	in  <-chan []float64
-
-	sendTimer *time.Timer
-	recvTimer *time.Timer
-}
-
-// armTimer returns *tp reset to d, creating it on first use. Go 1.23+ timer
-// semantics (Reset flushes a stale fire) make the bare Reset race-free for
-// a single-goroutine owner.
-func armTimer(tp **time.Timer, d time.Duration) *time.Timer {
-	if *tp == nil {
-		*tp = time.NewTimer(d)
-	} else {
-		(*tp).Reset(d)
-	}
-	return *tp
-}
-
-func (e *chanEndpoint) Send(msg []float64) error {
-	e.out <- msg
-	return nil
-}
-
-func (e *chanEndpoint) Recv() ([]float64, error) {
-	return <-e.in, nil
-}
-
-// SendTimed sends msg within the policy's retry budget. Because a channel
-// send is idempotent until it succeeds, "retry" is simply another bounded
-// wait on the same operation — what makes guarded collectives deadlock-free
-// by construction.
-func (e *chanEndpoint) SendTimed(msg []float64, p RetryPolicy) error {
-	d := p.HopTimeout
-	timer := armTimer(&e.sendTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case e.out <- msg:
-			return nil
-		case <-timer.C:
-			if attempt >= p.Retries {
-				return ErrHopTimeout
-			}
-			d = nextDeadline(d, p)
-			timer.Reset(d)
-		}
-	}
-}
-
-// RecvTimed receives within the policy's retry budget.
-func (e *chanEndpoint) RecvTimed(p RetryPolicy) ([]float64, error) {
-	d := p.HopTimeout
-	timer := armTimer(&e.recvTimer, d)
-	defer timer.Stop()
-	for attempt := 0; ; attempt++ {
-		select {
-		case msg := <-e.in:
-			return msg, nil
-		case <-timer.C:
-			if attempt >= p.Retries {
-				return nil, ErrHopTimeout
-			}
-			d = nextDeadline(d, p)
-			timer.Reset(d)
-		}
-	}
-}

@@ -2,6 +2,7 @@ package allreduce
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"sync"
 	"testing"
@@ -10,9 +11,8 @@ import (
 
 // The transport conformance suite: one shared table of behaviors every
 // transport must exhibit, executed against the in-process channel transport
-// and the TCP transport (immediate, fixed-delay, and adaptive batching).
-// The channel transport is the bitwise reference; TCP variants must match
-// it bit for bit.
+// and the TCP transport. The channel transport is the bitwise reference;
+// TCP must match it bit for bit.
 
 // ringSet is one transport's view of an n-rank ring: rings[i] is the Ring
 // rank i reduces through (a single shared Ring for channels, one Ring per
@@ -31,9 +31,7 @@ type transportCase struct {
 func transportCases() []transportCase {
 	return []transportCase{
 		{"chan", buildChanSet},
-		{"tcp", func(t *testing.T, n int) ringSet { return buildTCPSet(t, n, 0) }},
-		{"tcp_batch100us", func(t *testing.T, n int) ringSet { return buildTCPSet(t, n, 100*time.Microsecond) }},
-		{"tcp_batch_auto", func(t *testing.T, n int) ringSet { return buildTCPSet(t, n, BatchAuto) }},
+		{"tcp", buildTCPSet},
 	}
 }
 
@@ -53,7 +51,7 @@ func buildChanSet(t *testing.T, n int) ringSet {
 // buildTCPSet stands a real TCP ring up on loopback: n transports, one per
 // rank, each with its own Ring — the same topology as n OS processes, just
 // hosted in one test process.
-func buildTCPSet(t *testing.T, n int, delay time.Duration) ringSet {
+func buildTCPSet(t *testing.T, n int) ringSet {
 	t.Helper()
 	addrs, listeners, err := ReserveRingAddrs(n)
 	if err != nil {
@@ -70,7 +68,6 @@ func buildTCPSet(t *testing.T, n int, delay time.Duration) ringSet {
 				Rank:        rank,
 				Peers:       addrs,
 				Listener:    listeners[rank],
-				BatchDelay:  delay,
 				DialTimeout: 5 * time.Second,
 			})
 		}(i)
@@ -183,8 +180,8 @@ func TestTransportConformanceReduce(t *testing.T) {
 	}
 }
 
-// TestTransportConformanceBitwise: for identical inputs, every transport —
-// with and without batching — produces results bit-identical to the channel
+// TestTransportConformanceBitwise: for identical inputs, every transport
+// produces results bit-identical to the channel
 // reference, across several back-to-back buckets (the caller-side bucketing
 // the live runtime performs).
 func TestTransportConformanceBitwise(t *testing.T) {
@@ -300,7 +297,7 @@ func TestTCPBrokenLinkFault(t *testing.T) {
 	t.Parallel()
 	const n, dim, victim = 3, 6, 1
 	fast := RetryPolicy{HopTimeout: 10 * time.Millisecond, Retries: 2, Backoff: 2, MaxTimeout: 50 * time.Millisecond}
-	set := buildTCPSet(t, n, 0)
+	set := buildTCPSet(t, n)
 	defer set.close()
 
 	// Kill rank 1's process (its transport) before anyone reduces.
@@ -347,7 +344,7 @@ func TestTCPBrokenLinkFault(t *testing.T) {
 // any other rank must fail fast instead of hanging.
 func TestTCPNonLocalRank(t *testing.T) {
 	t.Parallel()
-	set := buildTCPSet(t, 2, 0)
+	set := buildTCPSet(t, 2)
 	defer set.close()
 	seg := []float64{1, 2, 3}
 	err := set.rings[0].ReduceWith(1, seg, Options{})
@@ -356,13 +353,13 @@ func TestTCPNonLocalRank(t *testing.T) {
 	}
 }
 
-// TestTCPBatchingStats: with a coalescing delay, back-to-back bucket
-// reduces pack multiple ring hops per network write, and the transport's
-// counters record it.
+// TestTCPBatchingStats: the transport's counters record back-to-back bucket
+// reduces — every hop is a message, every flush a batch, and a flush
+// carries at least one message.
 func TestTCPBatchingStats(t *testing.T) {
 	t.Parallel()
 	const n, dim, buckets = 2, 16, 8
-	set := buildTCPSet(t, n, 200*time.Microsecond)
+	set := buildTCPSet(t, n)
 	defer set.close()
 	segs, _ := makeSegs(n, dim*buckets)
 	for b := 0; b < buckets; b++ {
@@ -385,5 +382,45 @@ func TestTCPBatchingStats(t *testing.T) {
 	}
 	if got := st.MsgsPerBatch(); got < 1 {
 		t.Fatalf("MsgsPerBatch = %v, want >= 1", got)
+	}
+}
+
+// TestTransportConformanceLengthMismatch: one rank reduces a shorter
+// segment than the rest, so its chunks — and the frames it puts on the wire
+// — have the wrong element count for its neighbors. Every schedule indexes
+// a received message by its own bounds, so this must end in an error on
+// every rank (ErrFrameSize where the bad frame lands, starvation blame
+// behind it), never in a panic, a silent truncation, or a success.
+func TestTransportConformanceLengthMismatch(t *testing.T) {
+	t.Parallel()
+	fast := RetryPolicy{HopTimeout: 10 * time.Millisecond, Retries: 2, Backoff: 2, MaxTimeout: 50 * time.Millisecond}
+	const n, short = 4, 1
+	for _, tc := range transportCases() {
+		for _, algo := range []Algorithm{AlgoRing, AlgoPipeline} {
+			// The large pair gives the pipelined ring three sub-chunks a hop.
+			for _, dims := range [][2]int{{64, 60}, {98304, 94208}} {
+				t.Run(fmt.Sprintf("%s/%s/dim%d", tc.name, algo, dims[0]), func(t *testing.T) {
+					t.Parallel()
+					set := tc.build(t, n)
+					defer set.close()
+					segs, _ := makeSegs(n, dims[0])
+					segs[short] = segs[short][:dims[1]]
+					opts := make([]Options, n)
+					for i := range opts {
+						opts[i] = Options{Algorithm: algo, Guard: true, Policy: fast}
+					}
+					sized := false
+					for rank, err := range reduceAll(set, segs, opts) {
+						if err == nil {
+							t.Fatalf("rank %d: reduce succeeded across mismatched segment lengths", rank)
+						}
+						sized = sized || errors.Is(err, ErrFrameSize)
+					}
+					if !sized {
+						t.Fatal("no rank reported ErrFrameSize")
+					}
+				})
+			}
+		}
 	}
 }

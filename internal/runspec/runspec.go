@@ -91,15 +91,13 @@ type Spec struct {
 	// in one process over channels; "tcp" spans one OS process per rank.
 	// Peers lists every rank's address (empty in coordinator mode: the
 	// coordinator reserves localhost ports itself). Rank and Listen belong
-	// to a single worker process; BatchDelay is a duration, "auto", or
-	// empty (send immediately).
-	Transport  string   `json:"transport,omitempty"`
-	Rank       int      `json:"rank,omitempty"`
-	Peers      []string `json:"peers,omitempty"`
-	Listen     string   `json:"listen,omitempty"`
-	BatchDelay string   `json:"batch_delay,omitempty"`
-	Guard      bool     `json:"guard,omitempty"`
-	WorkerBin  string   `json:"worker_bin,omitempty"`
+	// to a single worker process.
+	Transport string   `json:"transport,omitempty"`
+	Rank      int      `json:"rank,omitempty"`
+	Peers     []string `json:"peers,omitempty"`
+	Listen    string   `json:"listen,omitempty"`
+	Guard     bool     `json:"guard,omitempty"`
+	WorkerBin string   `json:"worker_bin,omitempty"`
 }
 
 // Default returns the Spec matching the historical flag defaults.
@@ -120,9 +118,6 @@ const (
 	TransportChan = "chan"
 	TransportTCP  = "tcp"
 )
-
-// BatchAuto is the BatchDelay sentinel for adaptive send-side batching.
-const BatchAuto = "auto"
 
 // Load reads a Spec from a JSON file. Unknown fields are rejected, so a
 // typo in a spec file fails loudly instead of silently running defaults.
@@ -160,23 +155,6 @@ func (s *Spec) Save(path string) error {
 		return fmt.Errorf("runspec: %w", err)
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// ParseBatchDelay interprets a Spec.BatchDelay string: empty or "0" sends
-// immediately, "auto" selects adaptive batching (returned as -1), anything
-// else is a non-negative duration.
-func ParseBatchDelay(s string) (time.Duration, error) {
-	switch s {
-	case "", "0":
-		return 0, nil
-	case BatchAuto:
-		return -1, nil
-	}
-	d, err := time.ParseDuration(s)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("runspec: batch delay %q (want a duration, %q, or 0)", s, BatchAuto)
-	}
-	return d, nil
 }
 
 // ParseFaults parses the -fault mini-DSL: comma-separated events of the
@@ -407,8 +385,6 @@ func Register(fs *flag.FlagSet) *Binding {
 	b.override["peers"] = func(dst, src *Spec) { dst.Peers = src.Peers }
 	str("listen", &s.Listen, "listen address override for this rank (default: peers[rank])",
 		func(dst, src *Spec) { dst.Listen = src.Listen })
-	str("batch-delay", &s.BatchDelay, `TCP send-side coalescing delay: a duration, "auto" (adaptive), or 0 (send immediately)`,
-		func(dst, src *Spec) { dst.BatchDelay = src.BatchDelay })
 	boolf("guard", &s.Guard, "run every ring hop under per-hop deadlines, so a stalled peer fails the run with blame",
 		func(dst, src *Spec) { dst.Guard = src.Guard })
 	str("worker-bin", &s.WorkerBin, "path to the cannikin-worker binary (coordinator mode; default: next to this binary, then $PATH)",

@@ -95,26 +95,6 @@ func TestJoinDSLRejects(t *testing.T) {
 	}
 }
 
-func TestParseBatchDelay(t *testing.T) {
-	cases := []struct {
-		in   string
-		want time.Duration
-	}{
-		{"", 0}, {"0", 0}, {"auto", -1}, {"150us", 150 * time.Microsecond}, {"2ms", 2 * time.Millisecond},
-	}
-	for _, tc := range cases {
-		got, err := ParseBatchDelay(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParseBatchDelay(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	for _, bad := range []string{"-5ms", "fast", "auto2"} {
-		if _, err := ParseBatchDelay(bad); err == nil {
-			t.Fatalf("accepted %q", bad)
-		}
-	}
-}
-
 func fullSpec() *Spec {
 	return &Spec{
 		Cluster: "b", Models: []string{"H100", "P100"}, Workload: "imagenet",
@@ -122,14 +102,14 @@ func fullSpec() *Spec {
 		Audit: "strict", Progress: true, CSV: true,
 		MLP: true, Backend: "live", MLPBatches: []int{8, 4, 2},
 		BucketBytes: 2048, KernelShards: 2,
-		Faults:      []Fault{{Kind: "stall", Worker: 1, Step: 4, Delay: 20 * time.Millisecond}},
-		FaultReplan: "optperf",
-		Joins:       []JoinEntry{{Epoch: 2, Batch: 8}, {Epoch: 5, Batch: 4, Replan: "optperf"}},
+		Faults:       []Fault{{Kind: "stall", Worker: 1, Step: 4, Delay: 20 * time.Millisecond}},
+		FaultReplan:  "optperf",
+		Joins:        []JoinEntry{{Epoch: 2, Batch: 8}, {Epoch: 5, Batch: 4, Replan: "optperf"}},
 		AutoscaleMax: 6, AutoscaleMin: 2, AutoscaleGrow: 0.1, AutoscaleShrink: 0.02, AutoscaleBatch: 4,
 		Resume: "join-1", CheckpointIn: "/tmp/in.ckpt", CheckpointOut: "/tmp/out.ckpt",
 		Transport: TransportTCP, Rank: 2,
 		Peers:  []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},
-		Listen: "0.0.0.0:9003", BatchDelay: "auto", Guard: true, WorkerBin: "/tmp/worker",
+		Listen: "0.0.0.0:9003", Guard: true, WorkerBin: "/tmp/worker",
 	}
 }
 
@@ -164,7 +144,7 @@ func TestFlagsAlone(t *testing.T) {
 	err := fs.Parse([]string{
 		"-mlp", "-backend", "live", "-mlp-batches", "8,4",
 		"-transport", "tcp", "-peers", "h1:1,h2:2", "-rank", "1",
-		"-batch-delay", "auto", "-guard",
+		"-guard",
 		"-fault", "kill:0@2,stall:1@3:5ms",
 	})
 	if err != nil {
@@ -180,8 +160,8 @@ func TestFlagsAlone(t *testing.T) {
 	if s.Transport != TransportTCP || s.Rank != 1 || !reflect.DeepEqual(s.Peers, []string{"h1:1", "h2:2"}) {
 		t.Fatalf("transport flags: %+v", s)
 	}
-	if s.BatchDelay != "auto" || !s.Guard {
-		t.Fatalf("batching flags: %+v", s)
+	if !s.Guard {
+		t.Fatalf("guard flag: %+v", s)
 	}
 	if len(s.Faults) != 2 || s.Faults[0].Kind != "kill" || s.Faults[1].Delay != 5*time.Millisecond {
 		t.Fatalf("faults: %+v", s.Faults)
@@ -260,14 +240,14 @@ func TestFlagOverridesSpecFile(t *testing.T) {
 
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	b := Register(fs)
-	if err := fs.Parse([]string{"-spec", path, "-rank", "0", "-seed", "99", "-batch-delay", "0"}); err != nil {
+	if err := fs.Parse([]string{"-spec", path, "-rank", "0", "-seed", "99", "-listen", "0.0.0.0:9000"}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := b.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Rank != 0 || s.Seed != 99 || s.BatchDelay != "0" {
+	if s.Rank != 0 || s.Seed != 99 || s.Listen != "0.0.0.0:9000" {
 		t.Fatalf("flags did not override file: %+v", s)
 	}
 	// Everything else comes from the file.
@@ -307,10 +287,14 @@ func TestDecodeDefaultsAndStrictness(t *testing.T) {
 		t.Fatalf("Decode sparse body:\n got %+v\nwant %+v", got, want)
 	}
 
-	if _, err := Decode(strings.NewReader(`{"mlp": true, "sede": 9}`)); err == nil {
-		t.Fatal("typoed field accepted")
-	} else if !strings.Contains(err.Error(), "decode spec") {
-		t.Fatalf("unknown-field error %q not wrapped as decode spec", err)
+	// A typo and a field that no longer exists (batch_delay went with the
+	// send-linger knob) are rejected alike.
+	for _, body := range []string{`{"mlp": true, "sede": 9}`, `{"mlp": true, "batch_delay": "auto"}`} {
+		if _, err := Decode(strings.NewReader(body)); err == nil {
+			t.Fatalf("unknown field accepted: %s", body)
+		} else if !strings.Contains(err.Error(), "decode spec") {
+			t.Fatalf("unknown-field error %q not wrapped as decode spec", err)
+		}
 	}
 	if _, err := Decode(strings.NewReader(`{`)); err == nil {
 		t.Fatal("malformed JSON accepted")

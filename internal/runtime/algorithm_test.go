@@ -82,7 +82,7 @@ func TestWorkerAlgorithmMatchesTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, errs := runWorkers(t, len(batches), 0, func(rank int) WorkerConfig {
+	results, errs := runWorkers(t, len(batches), func(rank int) WorkerConfig {
 		cfg := testConfig(t, 7, batches, 200)
 		cfg.Allreduce = "hd"
 		cfg.BucketBytes = 64 * 8

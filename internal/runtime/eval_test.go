@@ -117,7 +117,7 @@ func TestEpochEvaluationMatchesSequentialForward(t *testing.T) {
 			}
 			same("live-overlap", mustTrain(t, mk(BackendLive, CommOverlap, epochs)))
 			same("live-merged", mustTrain(t, mk(BackendLive, CommMerged, epochs)))
-			results, errs := runWorkers(t, len(batches), 0, func(int) WorkerConfig {
+			results, errs := runWorkers(t, len(batches), func(int) WorkerConfig {
 				return WorkerConfig{Config: mk("", "", epochs)}
 			})
 			for rank, err := range errs {

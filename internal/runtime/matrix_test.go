@@ -94,7 +94,7 @@ func TestEngineFeatureMatrix(t *testing.T) {
 				switch {
 				case m.worker:
 					n := len(faultConfig(t, seed).LocalBatches)
-					_, errs := runWorkers(t, n, 0, func(int) WorkerConfig {
+					_, errs := runWorkers(t, n, func(int) WorkerConfig {
 						return WorkerConfig{Config: armed("", "")}
 					})
 					for rank, err := range errs {

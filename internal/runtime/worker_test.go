@@ -16,7 +16,7 @@ import (
 // buildWorkerRings stands a TCP ring up on loopback and returns one Ring
 // per rank, each over a transport hosting exactly that rank — the same
 // topology as n OS processes.
-func buildWorkerRings(t *testing.T, n int, delay time.Duration) ([]*allreduce.Ring, func()) {
+func buildWorkerRings(t *testing.T, n int) ([]*allreduce.Ring, func()) {
 	t.Helper()
 	addrs, listeners, err := allreduce.ReserveRingAddrs(n)
 	if err != nil {
@@ -33,7 +33,6 @@ func buildWorkerRings(t *testing.T, n int, delay time.Duration) ([]*allreduce.Ri
 				Rank:        rank,
 				Peers:       addrs,
 				Listener:    listeners[rank],
-				BatchDelay:  delay,
 				DialTimeout: 10 * time.Second,
 			})
 		}(i)
@@ -66,9 +65,9 @@ func buildWorkerRings(t *testing.T, n int, delay time.Duration) ([]*allreduce.Ri
 // transport when its TrainWorker returns, the way a process exit closes its
 // sockets (so one rank's failure cascades around the ring instead of
 // leaving its neighbors blocked).
-func runWorkers(t *testing.T, n int, delay time.Duration, mk func(rank int) WorkerConfig) ([]*Result, []error) {
+func runWorkers(t *testing.T, n int, mk func(rank int) WorkerConfig) ([]*Result, []error) {
 	t.Helper()
-	rings, closeAll := buildWorkerRings(t, n, delay)
+	rings, closeAll := buildWorkerRings(t, n)
 	defer closeAll()
 	results := make([]*Result, n)
 	errs := make([]error, n)
@@ -91,19 +90,16 @@ func runWorkers(t *testing.T, n int, delay time.Duration, mk func(rank int) Work
 // n TrainWorker ranks over a real TCP ring — each with its own rng source
 // and its own copy of the dataset, exactly like n OS processes — must
 // produce weights and schedules bitwise-identical to the single-process
-// Train reference, with and without send-side batching.
+// Train reference.
 func TestWorkerMatchesTrainBitwise(t *testing.T) {
 	cases := []struct {
 		name    string
 		batches []int
 		samples int
-		delay   time.Duration
 		guard   bool
 		mutate  func(*Config)
 	}{
-		{name: "four-unbatched", batches: []int{8, 6, 4, 2}, samples: 200, delay: 0},
-		{name: "four-batched", batches: []int{8, 6, 4, 2}, samples: 200, delay: 150 * time.Microsecond},
-		{name: "four-batch-auto", batches: []int{8, 6, 4, 2}, samples: 200, delay: allreduce.BatchAuto},
+		{name: "four", batches: []int{8, 6, 4, 2}, samples: 200},
 		{name: "two-guarded", batches: []int{12, 6}, samples: 180, guard: true},
 		{name: "growth-adascale", batches: []int{8, 4}, samples: 240, mutate: func(c *Config) {
 			c.Epochs = 4
@@ -126,7 +122,7 @@ func TestWorkerMatchesTrainBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			results, errs := runWorkers(t, len(tc.batches), tc.delay, func(rank int) WorkerConfig {
+			results, errs := runWorkers(t, len(tc.batches), func(rank int) WorkerConfig {
 				cfg := testConfig(t, 7, tc.batches, tc.samples)
 				if tc.mutate != nil {
 					tc.mutate(&cfg)
@@ -176,7 +172,7 @@ func TestWorkerMatchesTrainBitwise(t *testing.T) {
 // survivors' TrainWorker calls fail with a *RingFault instead of hanging.
 func TestWorkerDeadPeerFault(t *testing.T) {
 	const n = 3
-	rings, closeAll := buildWorkerRings(t, n, 0)
+	rings, closeAll := buildWorkerRings(t, n)
 	defer closeAll()
 
 	// Rank 2 never trains and closes its transport shortly after startup —
@@ -229,7 +225,7 @@ func TestWorkerObservesLikeTrain(t *testing.T) {
 	}
 
 	seen := make([][]EpochObs, len(batches))
-	results, errs := runWorkers(t, len(batches), 0, func(rank int) WorkerConfig {
+	results, errs := runWorkers(t, len(batches), func(rank int) WorkerConfig {
 		cfg := testConfig(t, 7, batches, 200)
 		cfg.OnEpoch = func(o EpochObs) error {
 			seen[rank] = append(seen[rank], o)
@@ -276,7 +272,7 @@ func TestWorkerCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	batches := []int{8, 8, 8}
-	_, errs := runWorkers(t, len(batches), 0, func(rank int) WorkerConfig {
+	_, errs := runWorkers(t, len(batches), func(rank int) WorkerConfig {
 		cfg := testConfig(t, 9, batches, 192)
 		cfg.Epochs = 200 // long enough to be mid-run when the cancel lands
 		cfg.Ctx = ctx

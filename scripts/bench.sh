@@ -31,10 +31,9 @@
 # policy (live >= sequential on like-for-like rows, all-reduce
 # non-increasing in cpu — every algorithm at dim=1024, pipeline/auto at the
 # large dims —, auto >= 2x over the committed ring rows at w8/dim1024,
-# tcp-batch within 1.10x of tcp, hot-join within 1.25x of the equivalent
-# checkpoint-handed split run) and, when a committed BENCH_runtime.json
-# exists in HEAD, gates the trajectory against it (>15% regression on any
-# matching row fails).
+# hot-join within 1.25x of the equivalent checkpoint-handed split run) and,
+# when a committed BENCH_runtime.json exists in HEAD, gates the trajectory
+# against it (>15% regression on any matching row fails).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -251,9 +250,9 @@ cat "$OUT"
 # sequential on like-for-like rows (loud failure if no row qualifies);
 # all-reduce must not get slower with more cpus (every algorithm at
 # dim=1024, pipeline/auto at the large dims); auto must beat the committed
-# ring rows by >= 2x at w8/dim1024; tcp-batch within 1.10x of plain tcp;
-# and, against the committed baseline, no matching row more than 15%
-# slower. The filtered run checks only the collective sections.
+# ring rows by >= 2x at w8/dim1024; and, against the committed baseline, no
+# matching row more than 15% slower. The filtered run checks only the
+# collective sections.
 ONLY=""
 [ "$BENCH_ONLY" = allreduce ] && ONLY="-only allreduce"
 if [ -n "$BASE" ]; then

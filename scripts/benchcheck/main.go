@@ -47,11 +47,7 @@
 //     halving-doubling on latency-bound payloads must halve the cost, not
 //     shave it.
 //
-//  5. Coalescing gate: the adaptive-batching tcp transport (tcp-batch) must
-//     stay within 1.10x of plain tcp at every cpu — batching may trade a
-//     little latency for fewer writes but must never be a 2x loss.
-//
-//  6. Join-latency gate: on every join_latency row, the run that hot-joins
+//  5. Join-latency gate: on every join_latency row, the run that hot-joins
 //     a worker at an epoch boundary must cost at most 1.25x the identical
 //     training arithmetic performed as two checkpoint-handed static runs —
 //     the membership machinery (probe, bitwise checkpoint verification,
@@ -112,8 +108,6 @@ const (
 	// minAutoSpeedup is the required ring-over-auto advantage at the gate
 	// configuration.
 	minAutoSpeedup = 2.0
-	// maxBatchOverhead caps tcp-batch relative to plain tcp per cpu.
-	maxBatchOverhead = 1.10
 	// maxRegression is the trajectory bound: a matched row may be at most
 	// 15% slower than the committed baseline.
 	maxRegression = 1.15
@@ -310,7 +304,7 @@ func check(f, base *benchFile, only string) error {
 	// additionally report wire cost and coalescing.
 	ringConfigs := [][2]string{
 		{"chan", "ring"}, {"chan", "hd"}, {"chan", "pipeline"},
-		{"tcp", "ring"}, {"tcp-batch", "ring"},
+		{"tcp", "ring"},
 	}
 	if want := len(ringConfigs) * nCPU; len(f.RingTransport) != want {
 		return fmt.Errorf("want %d ring-transport entries (%d transport/algorithm pairs x %d cpus), got %d",
@@ -321,8 +315,6 @@ func check(f, base *benchFile, only string) error {
 	for _, tr := range ringConfigs {
 		known[tr] = true
 	}
-	tcpNs := make(map[int]float64, nCPU)
-	batchNs := make(map[int]float64, nCPU)
 	for _, r := range f.RingTransport {
 		if !known[[2]string{r.Transport, r.Algorithm}] {
 			return fmt.Errorf("ring-transport: unknown transport/algorithm %q/%q", r.Transport, r.Algorithm)
@@ -346,27 +338,11 @@ func check(f, base *benchFile, only string) error {
 				return fmt.Errorf("ring-transport %s cpu=%d: msgs/batch %.2f < 1", r.Transport, r.CPU, r.MsgsPerBatch)
 			}
 		}
-		switch r.Transport {
-		case "tcp":
-			tcpNs[r.CPU] = r.NsPerOp
-		case "tcp-batch":
-			batchNs[r.CPU] = r.NsPerOp
-		}
-	}
-	for _, cpu := range sortedKeys(tcpNs) {
-		plain, batch := tcpNs[cpu], batchNs[cpu]
-		if batch == 0 {
-			continue // structural count check already failed above if so
-		}
-		if batch > plain*maxBatchOverhead {
-			return fmt.Errorf("ring-transport cpu=%d: tcp-batch %.0f ns/op is %.2fx plain tcp %.0f ns/op (cap %.2fx) — adaptive batching over-lingers",
-				cpu, batch, batch/plain, plain, maxBatchOverhead)
-		}
 	}
 
 	if only == "allreduce" {
-		fmt.Printf("benchcheck: allreduce sections ok (%d cores; non-increasing in cpu for every algorithm at dim=%d and pipeline/auto at large dims; auto >= %.0fx ring at w%d/dim%d; tcp-batch <= %.2fx tcp)\n",
-			f.HostCores, smallDim, minAutoSpeedup, autoGateWorkers, smallDim, maxBatchOverhead)
+		fmt.Printf("benchcheck: allreduce sections ok (%d cores; non-increasing in cpu for every algorithm at dim=%d and pipeline/auto at large dims; auto >= %.0fx ring at w%d/dim%d)\n",
+			f.HostCores, smallDim, minAutoSpeedup, autoGateWorkers, smallDim)
 		return nil
 	}
 
@@ -448,8 +424,8 @@ func check(f, base *benchFile, only string) error {
 	if multicore > 0 {
 		fmt.Printf("; live beats sequential by >%.0f%% on all %d multicore rows", 100*(minMulticoreSpeedup-1), multicore)
 	}
-	fmt.Printf("; all-reduce non-increasing in cpu (every algorithm at dim=%d, pipeline/auto at large dims); auto >= %.0fx ring at w%d/dim%d; tcp-batch <= %.2fx tcp; hot-join <= %.2fx its split run on %d rows)\n",
-		smallDim, minAutoSpeedup, autoGateWorkers, smallDim, maxBatchOverhead, maxJoinOverhead, len(f.JoinLatency))
+	fmt.Printf("; all-reduce non-increasing in cpu (every algorithm at dim=%d, pipeline/auto at large dims); auto >= %.0fx ring at w%d/dim%d; hot-join <= %.2fx its split run on %d rows)\n",
+		smallDim, minAutoSpeedup, autoGateWorkers, smallDim, maxJoinOverhead, len(f.JoinLatency))
 	return nil
 }
 

@@ -70,12 +70,12 @@ BIN="$(mktemp -d)"
 trap 'rm -rf "$BIN"' EXIT
 go build -o "$BIN/cannikin" ./cmd/cannikin
 go build -o "$BIN/cannikin-worker" ./cmd/cannikin-worker
-# 3 worker processes, adaptive batching; the coordinator itself verifies
-# every rank's weight hash against the in-process channel-transport
-# reference, so a plain exit-0 here is the bitwise cross-check.
+# 3 worker processes; the coordinator itself verifies every rank's weight
+# hash against the in-process channel-transport reference, so a plain
+# exit-0 here is the bitwise cross-check.
 "$BIN/cannikin" -mlp -transport tcp -mlp-batches 8,4,2 -epochs 1 \
-	-batch-delay auto -worker-bin "$BIN/cannikin-worker" >/dev/null
-# 2 worker processes, guarded hops, no batching.
+	-worker-bin "$BIN/cannikin-worker" >/dev/null
+# 2 worker processes, guarded hops.
 "$BIN/cannikin" -mlp -transport tcp -mlp-batches 6,6 -epochs 1 \
 	-guard -worker-bin "$BIN/cannikin-worker" >/dev/null
 
@@ -158,5 +158,8 @@ lane -run='^$' -fuzz=FuzzRingFaults -fuzztime=10s ./internal/runtime
 
 echo "== elastic fuzz smoke: runtime FuzzElasticMembership =="
 lane -run='^$' -fuzz=FuzzElasticMembership -fuzztime=10s ./internal/runtime
+
+echo "== wire fuzz smoke: allreduce FuzzWireDecode =="
+lane -run='^$' -fuzz=FuzzWireDecode -fuzztime=10s ./internal/allreduce
 
 echo "OK"

@@ -21,12 +21,6 @@ type WorkerRingConfig struct {
 	// Peers[Rank]) — useful when ranks bind 0.0.0.0 but advertise a
 	// routable address.
 	Listen string
-	// BatchDelay is the send-side coalescing delay: 0 sends every ring hop
-	// immediately, a positive value lingers that long to pack hops into one
-	// network write, and a negative value selects adaptive auto-tuning.
-	// Batching is framing-only; results are bitwise-identical at every
-	// setting.
-	BatchDelay time.Duration
 	// DialTimeout bounds ring bring-up (default 10s).
 	DialTimeout time.Duration
 	// Guard runs every ring hop under per-hop deadlines so a stalled peer
@@ -41,8 +35,8 @@ type WorkerRingConfig struct {
 var ErrRemoteMembership = runtime.ErrRemoteMembership
 
 // RingStats reports a worker's wire activity: Batches counts network
-// writes (flushes), MessagesSent the ring hops carried, so MsgsPerBatch
-// is the achieved coalescing factor.
+// writes (flushes), MessagesSent the hops carried, so MsgsPerBatch is how
+// many hops shared a flush.
 type RingStats struct {
 	BytesSent, BytesReceived   int64
 	MessagesSent, MessagesRecv int64
@@ -88,7 +82,6 @@ func TrainMLPWorker(cfg MLPConfig, ring WorkerRingConfig) (*MLPResult, *RingStat
 	tcpCfg := allreduce.TCPConfig{
 		Rank:        ring.Rank,
 		Peers:       ring.Peers,
-		BatchDelay:  ring.BatchDelay,
 		DialTimeout: ring.DialTimeout,
 	}
 	if ring.Listen != "" {
