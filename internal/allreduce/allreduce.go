@@ -66,9 +66,6 @@ type Options struct {
 type Ring struct {
 	n  int
 	tr Transport
-	// sel prices AlgoAuto reduces; the zero value falls back to calibrated
-	// size thresholds. Set once via SetSelector before reducing.
-	sel Selector
 	// scratch[rank] holds rank-private reusable state (chunk bounds, a
 	// spare message buffer, and the resolved endpoint), making steady-state
 	// reduce calls allocation free. Each entry is touched only by its
@@ -122,13 +119,6 @@ func (r *Ring) Workers() int { return r.n }
 // Transport returns the transport the ring runs over.
 func (r *Ring) Transport() Transport { return r.tr }
 
-// SetSelector installs the cost model that prices AlgoAuto reduces (the
-// zero Selector means calibrated size thresholds). Call it before the
-// ring is in use; it is not synchronized against concurrent reduces. All
-// ranks of a multi-process ring must install identical constants, or auto
-// ranks would disagree on the schedule.
-func (r *Ring) SetSelector(s Selector) { r.sel = s }
-
 // ReduceWith performs rank's share of one segment's reduce-scatter followed
 // by all-gather: on return, seg holds the element-wise sum of every rank's
 // segment. Weighted aggregation (Eq. 9) is the caller's concern — each rank
@@ -163,7 +153,10 @@ func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
 	if ep == nil {
 		return fmt.Errorf("allreduce: rank %d is not local to this transport", rank)
 	}
-	switch r.sel.Resolve(opts.Algorithm, n, dim) {
+	// An AlgoAuto that reaches the ring resolves on the calibrated size
+	// thresholds (the zero Selector); callers holding fitted link constants
+	// price per bucket themselves and pass a resolved algorithm.
+	switch (Selector{}).Resolve(opts.Algorithm, n, dim) {
 	case AlgoHD:
 		return r.reduceHD(rank, seg, opts)
 	case AlgoPipeline:
@@ -395,19 +388,14 @@ func AllReduceAlg(vectors [][]float64, weights []float64, algo Algorithm) error 
 	return nil
 }
 
-// AllReduceBuckets runs AllReduce over the vectors segment by segment, as
-// DDP does with gradient buckets. bucketLen is the per-bucket element
-// count; the final bucket may be shorter.
-func AllReduceBuckets(vectors [][]float64, weights []float64, bucketLen int) error {
-	return AllReduceBucketsAlg(vectors, weights, bucketLen, AlgoRing)
-}
-
-// AllReduceBucketsAlg is AllReduceBuckets under an explicit collective
-// algorithm. AlgoAuto is resolved per bucket — the argmin over the cost
-// model at each bucket's own payload size — so a run's final short bucket
-// may legitimately take a different schedule than its full ones. The
-// choice is a pure function of (algorithm, n, bucket length), never of
-// scheduling state, keeping bucketed auto reduces reproducible.
+// AllReduceBucketsAlg runs AllReduceAlg over the vectors segment by
+// segment, as DDP does with gradient buckets. bucketLen is the per-bucket
+// element count; the final bucket may be shorter. AlgoAuto is resolved per
+// bucket — the argmin over the cost model at each bucket's own payload size
+// — so a run's final short bucket may legitimately take a different
+// schedule than its full ones. The choice is a pure function of (algorithm,
+// n, bucket length), never of scheduling state, keeping bucketed auto
+// reduces reproducible.
 func AllReduceBucketsAlg(vectors [][]float64, weights []float64, bucketLen int, algo Algorithm) error {
 	if bucketLen <= 0 {
 		return fmt.Errorf("allreduce: bucket length %d", bucketLen)

@@ -143,7 +143,7 @@ func TestAllReduceBucketsMatchesSingleShot(t *testing.T) {
 	if err := AllReduce(v1, w); err != nil {
 		t.Fatal(err)
 	}
-	if err := AllReduceBuckets(v2, w, 10); err != nil {
+	if err := AllReduceBucketsAlg(v2, w, 10, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	for i := range v1 {
@@ -156,13 +156,13 @@ func TestAllReduceBucketsMatchesSingleShot(t *testing.T) {
 }
 
 func TestAllReduceBucketsErrors(t *testing.T) {
-	if err := AllReduceBuckets([][]float64{{1}}, nil, 0); err == nil {
+	if err := AllReduceBucketsAlg([][]float64{{1}}, nil, 0, AlgoRing); err == nil {
 		t.Fatal("zero bucket length accepted")
 	}
-	if err := AllReduceBuckets(nil, nil, 1); err == nil {
+	if err := AllReduceBucketsAlg(nil, nil, 1, AlgoRing); err == nil {
 		t.Fatal("empty group accepted")
 	}
-	if err := AllReduceBuckets([][]float64{{1, 2}, {1}}, nil, 1); err == nil {
+	if err := AllReduceBucketsAlg([][]float64{{1, 2}, {1}}, nil, 1, AlgoRing); err == nil {
 		t.Fatal("ragged vectors accepted")
 	}
 }

@@ -56,7 +56,7 @@ func TestRingEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := cloneAll(tc.vectors)
-			if err := AllReduceBuckets(got, onesWeights(tc.n), tc.bucketLen); err != nil {
+			if err := AllReduceBucketsAlg(got, onesWeights(tc.n), tc.bucketLen, AlgoRing); err != nil {
 				t.Fatal(err)
 			}
 			assertExact(t, "AllReduceBuckets", got, tc.want)

@@ -133,11 +133,11 @@ func TestBucketPartitionBitsByRingSize(t *testing.T) {
 			weights[i] = 1 / float64(n)
 		}
 		a := cloneVectors(vs)
-		if err := AllReduceBuckets(a, weights, 64); err != nil {
+		if err := AllReduceBucketsAlg(a, weights, 64, AlgoRing); err != nil {
 			t.Fatal(err)
 		}
 		b := cloneVectors(vs)
-		if err := AllReduceBuckets(b, weights, dim); err != nil {
+		if err := AllReduceBucketsAlg(b, weights, dim, AlgoRing); err != nil {
 			t.Fatal(err)
 		}
 		diff := 0

@@ -33,7 +33,7 @@ func TestRingStreamingMatchesAllReduceBuckets(t *testing.T) {
 			weights[i] = 0.05 + s.Float64()
 		}
 		want := cloneAll(vectors)
-		if err := AllReduceBuckets(want, weights, tc.bucketLen); err != nil {
+		if err := AllReduceBucketsAlg(want, weights, tc.bucketLen, AlgoRing); err != nil {
 			t.Fatal(err)
 		}
 
@@ -134,7 +134,7 @@ func TestAllReduceBucketsDimSmallerThanWorkers(t *testing.T) {
 	// 5 workers, 2 elements, 1-element buckets: every bucket has empty
 	// chunks for most of the ring.
 	vectors := [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 2}}
-	if err := AllReduceBuckets(vectors, nil, 1); err != nil {
+	if err := AllReduceBucketsAlg(vectors, nil, 1, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vectors {

@@ -134,10 +134,6 @@ type Event struct {
 	Error string `json:"error,omitempty"`
 	// Epoch accompanies type "epoch".
 	Epoch *Epoch `json:"epoch,omitempty"`
-	// Workers and Devices accompany type "resize": the job's new membership
-	// width and device grant.
-	Workers int   `json:"workers,omitempty"`
-	Devices []int `json:"devices,omitempty"`
 }
 
 // Runner executes one admitted job. Run must honor ctx (a canceled context
@@ -166,7 +162,8 @@ type JobStatus struct {
 	// QueuePos is the 0-based position among waiting jobs (-1 once the job
 	// has left the queue).
 	QueuePos int `json:"queue_pos"`
-	// Workers is the device count the job needs (and holds while running).
+	// Workers is the device count the job needs and holds while running:
+	// for an elastic MLP job, the widest membership the run can reach.
 	Workers   int       `json:"workers"`
 	Submitted time.Time `json:"submitted"`
 	Started   time.Time `json:"started,omitzero"`
@@ -206,12 +203,8 @@ type Stats struct {
 	Queued        int `json:"queued"`
 	MaxQueueDepth int `json:"max_queue_depth"`
 	// PlanEvents counts cluster-level re-planning rounds (arrival, finish,
-	// failure, cancellation, resize, drain).
+	// failure, cancellation, drain).
 	PlanEvents int `json:"plan_events"`
-	// Grown and Shrunk count committed job resizes by direction (explicit
-	// Resize calls and autoscaler decisions alike).
-	Grown  int `json:"grown"`
-	Shrunk int `json:"shrunk"`
 	// GoodputGranted accumulates the allocator's predicted goodput of every
 	// grant actually made; GoodputEqualSplit accumulates, at the same
 	// decision points on the same pool state, what the naive equal-split

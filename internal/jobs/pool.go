@@ -144,19 +144,6 @@ func (p *Pool) acquire(ids []int, jobID string) {
 	}
 }
 
-// releaseDevices frees the listed devices, which must all be held by the
-// job — anything else is a scheduler bug.
-func (p *Pool) releaseDevices(ids []int, jobID string) {
-	for _, id := range ids {
-		d := p.devices[id]
-		if d.Job != jobID {
-			panic(fmt.Sprintf("jobs: device %d released by %q while held by %q", id, jobID, d.Job))
-		}
-		d.Job = ""
-		p.free++
-	}
-}
-
 // release frees every device held by the job and returns how many it held.
 func (p *Pool) release(jobID string) int {
 	n := 0

@@ -45,11 +45,6 @@ type Config struct {
 	// GNSAlpha is the EMA smoothing factor for the pool-level and per-job
 	// noise trackers. Default 0.3.
 	GNSAlpha float64
-	// Autoscale, when set, enables per-job elastic membership: after every
-	// epoch report the reporting job is grown onto the fastest free device
-	// or shrunk off its slowest one according to the policy's goodput
-	// thresholds.
-	Autoscale *AutoscalePolicy
 }
 
 // job is the scheduler's internal record of one submission.
@@ -141,9 +136,13 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 func (s *Scheduler) Pool() *Pool { return s.pool }
 
 // Workers returns the device count a spec needs, mirroring how the run
-// commands size their clusters: MLP jobs run one worker per local batch,
-// simulated jobs one per cluster node (explicit model list, else the
-// preset sizes of the paper's Tables 3/4 and Section 6).
+// commands size their clusters: simulated jobs one per cluster node
+// (explicit model list, else the preset sizes of the paper's Tables 3/4 and
+// Section 6), MLP jobs one per worker at the run's elastic ceiling. The run
+// itself decides when it grows (its scheduled joins and its autoscaler), so
+// the pool grants the widest membership it can reach up front: every
+// scheduled join adds a worker unconditionally, and the autoscaler may
+// already have grown the run to autoscale_max before the joins commit.
 func Workers(spec *runspec.Spec) (int, error) {
 	if spec == nil {
 		return 0, errors.New("nil spec")
@@ -152,7 +151,7 @@ func Workers(spec *runspec.Spec) (int, error) {
 		if len(spec.MLPBatches) == 0 {
 			return 0, errors.New("mlp spec has no local batches")
 		}
-		return len(spec.MLPBatches), nil
+		return max(len(spec.MLPBatches), spec.AutoscaleMax) + len(spec.Joins), nil
 	}
 	if len(spec.Models) > 0 {
 		return len(spec.Models), nil
@@ -366,7 +365,6 @@ func (s *Scheduler) observeEpoch(j *job, e Epoch) {
 	}
 	ec := e
 	s.notifyLocked(j, Event{Job: j.id, Type: "epoch", Epoch: &ec})
-	s.autoscaleLocked(j)
 }
 
 // notifyLocked fans an event out to the job's watchers without ever

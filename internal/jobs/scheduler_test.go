@@ -201,6 +201,71 @@ func TestBadSpecRejected(t *testing.T) {
 	}
 }
 
+// TestElasticAdmission: the run decides when it grows, so the pool accounts
+// for an elastic MLP job at the widest membership the run can reach — it is
+// granted that many devices for its whole life, and a ceiling wider than the
+// pool is rejected at the door. The "both" rows pin the ceiling's shape: a
+// scheduled join commits whether or not the autoscaler already grew the run
+// to autoscale_max, so the two add.
+func TestElasticAdmission(t *testing.T) {
+	joins := []runspec.JoinEntry{{Epoch: 1, Batch: 4}, {Epoch: 2, Batch: 4}}
+	cases := []struct {
+		name         string
+		joins        []runspec.JoinEntry
+		autoscaleMax int
+		ceiling      int
+	}{
+		{"no elasticity", nil, 0, 2},
+		{"joins", joins, 0, 4},
+		{"autoscale_max", nil, 4, 4},
+		{"autoscale_max below the start", nil, 1, 2},
+		{"both", joins[:1], 3, 4},
+	}
+	for _, tc := range cases {
+		spec := mlpSpec(2)
+		spec.Backend = "live"
+		spec.Joins, spec.AutoscaleMax = tc.joins, tc.autoscaleMax
+		t.Run(tc.name+"/fits", func(t *testing.T) {
+			gate := make(chan struct{})
+			s := newScheduler(t, Config{
+				Pool:   PoolConfig{Devices: tc.ceiling, Seed: 1},
+				Runner: &fakeRunner{epochs: 1, gate: gate},
+			})
+			id, err := s.Submit(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			st, err := s.Status(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State != StateRunning || st.Workers != tc.ceiling || len(st.Devices) != tc.ceiling {
+				t.Fatalf("running status = %+v, want %d workers on %d devices", st, tc.ceiling, tc.ceiling)
+			}
+			if busy := s.Stats().Busy; busy != tc.ceiling {
+				t.Fatalf("busy = %d while running, want the ceiling %d", busy, tc.ceiling)
+			}
+			close(gate)
+			if st := waitTerminal(t, s, id); st.State != StateDone || st.Workers != tc.ceiling {
+				t.Fatalf("settled status = %+v", st)
+			}
+			if busy := s.Stats().Busy; busy != 0 {
+				t.Fatalf("busy = %d after the job settled", busy)
+			}
+		})
+		t.Run(tc.name+"/too wide", func(t *testing.T) {
+			r := &fakeRunner{epochs: 1}
+			s := newScheduler(t, Config{Pool: PoolConfig{Devices: tc.ceiling - 1, Seed: 1}, Runner: r})
+			if _, err := s.Submit(spec); !errors.Is(err, ErrBadSpec) {
+				t.Fatalf("ceiling %d on a %d-device pool: err = %v, want ErrBadSpec", tc.ceiling, tc.ceiling-1, err)
+			}
+			if st := s.Stats(); st.Rejected != 1 || st.Submitted != 0 || r.started.Load() != 0 {
+				t.Fatalf("stats = %+v, runs started = %d", st, r.started.Load())
+			}
+		})
+	}
+}
+
 // TestQueueBackpressure: once MaxQueue jobs wait, Submit rejects with a
 // *QueueFullError carrying the retry hint.
 func TestQueueBackpressure(t *testing.T) {

@@ -328,16 +328,6 @@ func (n *Network) BackwardLayerwise(dout *tensor.T, onReady func(frontier int)) 
 	}
 }
 
-// ParamOffsets returns the flat-vector offsets of each layer's parameter
-// block: offsets[i] is where layer i's parameters begin in the
-// FlatGrads/FlatWeights layout and offsets[len(layers)] is NumParams().
-// Parameterless layers contribute empty blocks (offsets[i+1] == offsets[i]).
-// The returned slice is shared and must not be modified.
-func (n *Network) ParamOffsets() []int {
-	n.build()
-	return n.offsets
-}
-
 // Params returns all trainable parameters in layer order. The returned
 // slice is shared and must not be modified.
 func (n *Network) Params() []*Param {
@@ -356,11 +346,6 @@ func (n *Network) ZeroGrad() {
 	for _, p := range n.Params() {
 		p.Grad.Zero()
 	}
-}
-
-// FlatGrads copies all gradients into one contiguous vector (layer order).
-func (n *Network) FlatGrads() []float64 {
-	return n.FlatGradsInto(make([]float64, n.NumParams()))
 }
 
 // FlatGradsInto copies all gradients into dst (layer order) and returns it.

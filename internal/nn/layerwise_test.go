@@ -8,18 +8,31 @@ import (
 	"cannikin/internal/tensor"
 )
 
+// flatGrads copies the network's gradients into a fresh flat vector.
+func flatGrads(n *Network) []float64 {
+	return n.FlatGradsInto(make([]float64, n.NumParams()))
+}
+
+// paramOffsets returns the flat-vector offset table the network builds:
+// offsets[i] is where layer i's parameter block begins and the last entry
+// is NumParams().
+func paramOffsets(n *Network) []int {
+	n.build()
+	return n.offsets
+}
+
 func TestParamOffsets(t *testing.T) {
 	src := rng.New(1)
 	net := NewMLP([]int{3, 5, 2}, src) // Linear(3,5), ReLU, Linear(5,2)
-	got := net.ParamOffsets()
+	got := paramOffsets(net)
 	// Linear(3,5): 15+5 = 20; ReLU: 0; Linear(5,2): 10+2 = 12.
 	want := []int{0, 20, 20, 32}
 	if len(got) != len(want) {
-		t.Fatalf("ParamOffsets = %v, want %v", got, want)
+		t.Fatalf("offsets = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("ParamOffsets = %v, want %v", got, want)
+			t.Fatalf("offsets = %v, want %v", got, want)
 		}
 	}
 	if got[len(got)-1] != net.NumParams() {
@@ -44,14 +57,14 @@ func TestBackwardLayerwiseMatchesBackward(t *testing.T) {
 	var frontiers []int
 	b.BackwardLayerwise(dout2, func(fr int) { frontiers = append(frontiers, fr) })
 
-	ga, gb := a.FlatGrads(), b.FlatGrads()
+	ga, gb := flatGrads(a), flatGrads(b)
 	for i := range ga {
 		if ga[i] != gb[i] {
 			t.Fatalf("grad %d: Backward %v != BackwardLayerwise %v", i, ga[i], gb[i])
 		}
 	}
 
-	offsets := b.ParamOffsets()
+	offsets := paramOffsets(b)
 	if len(frontiers) != len(offsets)-1 {
 		t.Fatalf("%d frontier callbacks for %d layers", len(frontiers), len(offsets)-1)
 	}
@@ -80,11 +93,11 @@ func TestBackwardLayerwiseFrontierGradsFinal(t *testing.T) {
 
 	_, dout := SoftmaxCrossEntropy(ref.Forward(x), labels)
 	ref.Backward(dout)
-	final := ref.FlatGrads()
+	final := flatGrads(ref)
 
 	_, dout2 := SoftmaxCrossEntropy(net.Forward(x), labels)
 	net.BackwardLayerwise(dout2, func(fr int) {
-		got := net.FlatGrads()
+		got := flatGrads(net)
 		for j := fr; j < len(final); j++ {
 			if got[j] != final[j] {
 				t.Fatalf("frontier %d: grad %d = %v not yet final %v", fr, j, got[j], final[j])

@@ -47,7 +47,7 @@ func TestGradientCheck(t *testing.T) {
 	logits := net.Forward(x)
 	_, dlogits := SoftmaxCrossEntropy(logits, labels)
 	net.Backward(dlogits)
-	analytic := net.FlatGrads()
+	analytic := flatGrads(net)
 
 	weights := net.FlatWeights()
 	const eps = 1e-6
@@ -81,7 +81,7 @@ func TestGradientCheckTanhMSE(t *testing.T) {
 	pred := net.Forward(x)
 	_, dpred := MSE(pred, target)
 	net.Backward(dpred)
-	analytic := net.FlatGrads()
+	analytic := flatGrads(net)
 
 	weights := net.FlatWeights()
 	const eps = 1e-6
@@ -250,7 +250,7 @@ func TestFlatGradsRoundTrip(t *testing.T) {
 		v[i] = float64(i)
 	}
 	net.SetFlatGrads(v)
-	got := net.FlatGrads()
+	got := flatGrads(net)
 	for i := range v {
 		if got[i] != v[i] {
 			t.Fatalf("round trip failed at %d", i)
@@ -329,11 +329,11 @@ func TestGradAccumulation(t *testing.T) {
 	logits := net.Forward(x)
 	_, d := SoftmaxCrossEntropy(logits, labels)
 	net.Backward(d)
-	once := net.FlatGrads()
+	once := flatGrads(net)
 	logits = net.Forward(x)
 	_, d = SoftmaxCrossEntropy(logits, labels)
 	net.Backward(d)
-	twice := net.FlatGrads()
+	twice := flatGrads(net)
 	for i := range once {
 		if math.Abs(twice[i]-2*once[i]) > 1e-12 {
 			t.Fatalf("gradient did not accumulate at %d: %v vs 2*%v", i, twice[i], once[i])

@@ -28,7 +28,7 @@ func TestWorkspaceReuseBitwiseStable(t *testing.T) {
 		logits := net.Forward(x)
 		loss, dlogits := SoftmaxCrossEntropy(logits, labels)
 		net.Backward(dlogits)
-		return net.FlatGrads(), loss
+		return flatGrads(net), loss
 	}
 
 	reused := build()
@@ -64,11 +64,11 @@ func TestGradAccumulationUnchanged(t *testing.T) {
 	logits := net.Forward(x)
 	_, d := SoftmaxCrossEntropy(logits, labels)
 	net.Backward(d)
-	once := net.FlatGrads()
+	once := flatGrads(net)
 	logits = net.Forward(x)
 	_, d = SoftmaxCrossEntropy(logits, labels)
 	net.Backward(d)
-	twice := net.FlatGrads()
+	twice := flatGrads(net)
 	for i := range once {
 		if twice[i] != 2*once[i] {
 			t.Fatalf("grad %d: twice %v != 2*once %v", i, twice[i], 2*once[i])
@@ -90,7 +90,7 @@ func TestFlatIntoMatchesAllocating(t *testing.T) {
 	_, d := SoftmaxCrossEntropy(logits, labels)
 	net.Backward(d)
 
-	gw := net.FlatGrads()
+	gw := flatGrads(net)
 	gi := net.FlatGradsInto(make([]float64, net.NumParams()))
 	ww := net.FlatWeights()
 	wi := net.FlatWeightsInto(make([]float64, net.NumParams()))
@@ -204,7 +204,7 @@ func TestShadowForwardWritesNoParam(t *testing.T) {
 	_, dout := SoftmaxCrossEntropy(net.Forward(ids(5)), []int{0, 1, 2, 3, 0})
 	net.Backward(dout)
 	drop.Train = false
-	weights, grads := bits(net.FlatWeights()), bits(net.FlatGrads())
+	weights, grads := bits(net.FlatWeights()), bits(flatGrads(net))
 
 	const shadows = 3
 	want := make([][]uint64, shadows)
@@ -231,7 +231,7 @@ func TestShadowForwardWritesNoParam(t *testing.T) {
 			t.Fatalf("shadow %d forward differs from the original's evaluation-mode forward", i)
 		}
 	}
-	if !slices.Equal(bits(net.FlatWeights()), weights) || !slices.Equal(bits(net.FlatGrads()), grads) {
+	if !slices.Equal(bits(net.FlatWeights()), weights) || !slices.Equal(bits(flatGrads(net)), grads) {
 		t.Fatal("a shadow forward wrote a Param")
 	}
 

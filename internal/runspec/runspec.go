@@ -61,7 +61,6 @@ type Spec struct {
 	// Real MLP training mode.
 	MLP          bool    `json:"mlp,omitempty"`
 	Backend      string  `json:"backend,omitempty"`
-	CommMode     string  `json:"comm,omitempty"`
 	MLPBatches   []int   `json:"mlp_batches,omitempty"`
 	BucketBytes  int     `json:"bucket_bytes,omitempty"`
 	KernelShards int     `json:"kernel_shards,omitempty"`
@@ -339,8 +338,6 @@ func Register(fs *flag.FlagSet) *Binding {
 		func(dst, src *Spec) { dst.MLP = src.MLP })
 	str("backend", &s.Backend, `MLP execution engine: "sim" (sequential reference) or "live" (concurrent workers, overlapped ring all-reduce, wall-clock profile)`,
 		func(dst, src *Spec) { dst.Backend = src.Backend })
-	str("comm", &s.CommMode, `live-backend comm layout: "auto" (default), "overlap" (comm goroutine per worker), or "merged" (single goroutine per worker); weights are identical in every mode`,
-		func(dst, src *Spec) { dst.CommMode = src.CommMode })
 	fs.Var(&commaInts{&s.MLPBatches}, "mlp-batches", "comma-separated per-worker local batch sizes for -mlp")
 	b.override["mlp-batches"] = func(dst, src *Spec) { dst.MLPBatches = src.MLPBatches }
 	intf("bucket-bytes", &s.BucketBytes, "gradient bucket cap in bytes for -mlp (0 = DDP's 25 MB default)",

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -130,11 +131,13 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	if err := writeFile(path, `{"mlp": true, "transprot": "tcp"}`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Load(path); err == nil {
-		t.Fatal("typoed field accepted")
+	for _, body := range []string{`{"mlp": true, "transprot": "tcp"}`, `{"mlp": true, "comm": "merged"}`} {
+		if err := writeFile(path, body); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Load(path); err == nil {
+			t.Fatalf("unknown field accepted: %s", body)
+		}
 	}
 }
 
@@ -169,6 +172,15 @@ func TestFlagsAlone(t *testing.T) {
 	// Untouched fields keep their defaults.
 	if s.Cluster != "a" || s.Seed != 1 || s.System != "cannikin" {
 		t.Fatalf("defaults clobbered: %+v", s)
+	}
+
+	// The goroutine layout is not a flag: the live engine picks it from the
+	// cores the process can use.
+	fs = flag.NewFlagSet("t", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	Register(fs)
+	if err := fs.Parse([]string{"-mlp", "-comm", "merged"}); err == nil || !strings.Contains(err.Error(), "-comm") {
+		t.Fatalf("-comm: err = %v, want flag provided but not defined", err)
 	}
 }
 
@@ -287,9 +299,9 @@ func TestDecodeDefaultsAndStrictness(t *testing.T) {
 		t.Fatalf("Decode sparse body:\n got %+v\nwant %+v", got, want)
 	}
 
-	// A typo and a field that no longer exists (batch_delay went with the
-	// send-linger knob) are rejected alike.
-	for _, body := range []string{`{"mlp": true, "sede": 9}`, `{"mlp": true, "batch_delay": "auto"}`} {
+	// A typo and fields that no longer exist (batch_delay went with the
+	// send-linger knob, comm with the layout override) are rejected alike.
+	for _, body := range []string{`{"mlp": true, "sede": 9}`, `{"mlp": true, "batch_delay": "auto"}`, `{"mlp": true, "comm": "merged"}`} {
 		if _, err := Decode(strings.NewReader(body)); err == nil {
 			t.Fatalf("unknown field accepted: %s", body)
 		} else if !strings.Contains(err.Error(), "decode spec") {

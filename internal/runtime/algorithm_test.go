@@ -52,7 +52,8 @@ func TestAllreduceAlgorithmBackendsAgree(t *testing.T) {
 			want := trainWeights(t, BackendSim, algo, 0, 0, batches, nil)
 			live := trainWeights(t, BackendLive, algo, 0, 0, batches, nil)
 			assertWeightsBitwise(t, "live/"+algo, live.FinalWeights, want.FinalWeights)
-			merged := trainWeights(t, BackendLive, algo, 0, 0, batches, func(c *Config) { c.CommMode = CommMerged })
+			pinLayout(t, layoutMerged)
+			merged := trainWeights(t, BackendLive, algo, 0, 0, batches, nil)
 			assertWeightsBitwise(t, "live-merged/"+algo, merged.FinalWeights, want.FinalWeights)
 		})
 	}

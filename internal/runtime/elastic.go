@@ -371,39 +371,6 @@ func probeJoin(cfg *Config, j Join, seq int) (perSample float64, node *optperf.N
 	return perSample, node
 }
 
-// replanJoin picks the grown cluster's local batches. The default appends
-// the joiner's batch to the incumbents' current plan; ReplanOptPerf fits
-// the paper's performance model to the incumbents' live profile, extends
-// it with the joiner's probe model, and re-solves OptPerf for the grown
-// total — falling back to the default whenever a model is missing or the
-// solve is unusable, so re-planning can never break the run.
-func replanJoin(policy string, prof *Profile, current []int, joinBatch int, joinNode *optperf.NodeModel) (batches []int, replanned bool) {
-	batches = append(append([]int(nil), current...), joinBatch)
-	if policy != ReplanOptPerf || prof == nil || joinNode == nil {
-		return batches, false
-	}
-	model, _, err := prof.FitModel(nil)
-	if err != nil || len(model.Nodes) != len(current) {
-		return batches, false
-	}
-	total := 0
-	for _, b := range batches {
-		total += b
-	}
-	sub := optperf.ClusterModel{Gamma: model.Gamma, To: model.To, Tu: model.Tu}
-	sub.Nodes = append(append([]optperf.NodeModel(nil), model.Nodes...), *joinNode)
-	plan, err := optperf.Solve(sub, total)
-	if err != nil || len(plan.Batches) != len(batches) {
-		return batches, false
-	}
-	for _, b := range plan.Batches {
-		if b < 1 {
-			return batches, false
-		}
-	}
-	return plan.Batches, true
-}
-
 // checkpointState is the two-phase commit's prepare: it verifies every
 // replica's weights AND optimizer velocity are bitwise-identical at the
 // last committed step, and returns both as an owned checkpoint. Any
@@ -439,7 +406,7 @@ func (d *driver) grow(j Join, reason string, startEpoch int, remaining []Join) *
 		}
 		seq := len(res.Joins) + 1
 		perSample, joinNode := probeJoin(cfg, j, seq)
-		batches, replanned := replanJoin(j.Replan, d.exec.profile(), d.localBatches, j.Batch, joinNode)
+		batches, replanned := replan(j.Replan, d.exec.profile(), identity(len(d.localBatches)), d.localBatches, j.Batch, joinNode)
 		joinerOrig := len(cfg.LocalBatches) + len(res.Joins)
 		res.Joins = append(res.Joins, JoinRecord{
 			Epoch:      startEpoch,

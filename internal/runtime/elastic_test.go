@@ -13,12 +13,13 @@ import (
 )
 
 // joinConfig is faultConfig with one hot-join scheduled at epoch 1 and a
-// selectable backend/comm mode.
-func joinConfig(t *testing.T, seed uint64, backend, commMode string) Config {
+// selectable backend, with the live goroutine layout pinned for the rest of
+// the test.
+func joinConfig(t *testing.T, seed uint64, backend, layout string) Config {
 	t.Helper()
 	cfg := faultConfig(t, seed)
 	cfg.Backend = backend
-	cfg.CommMode = commMode
+	pinLayout(t, layout)
 	cfg.Joins = []Join{{Epoch: 1, Batch: 8}}
 	return cfg
 }
@@ -78,8 +79,8 @@ func TestJoinGrowsCluster(t *testing.T) {
 	results := make(map[string]*Result)
 	for _, bk := range []struct{ name, backend, comm string }{
 		{"sim", BackendSim, ""},
-		{"live", BackendLive, CommOverlap},
-		{"merged", BackendLive, CommMerged},
+		{"live", BackendLive, layoutOverlap},
+		{"merged", BackendLive, layoutMerged},
 	} {
 		res, err := Train(joinConfig(t, seed, bk.backend, bk.comm))
 		if err != nil {
@@ -127,8 +128,8 @@ func TestJoinGrowsCluster(t *testing.T) {
 func TestDifferentialJoin(t *testing.T) {
 	for _, bk := range []struct{ name, backend, comm string }{
 		{"sim", BackendSim, ""},
-		{"live", BackendLive, CommOverlap},
-		{"merged", BackendLive, CommMerged},
+		{"live", BackendLive, layoutOverlap},
+		{"merged", BackendLive, layoutMerged},
 	} {
 		t.Run(bk.name, func(t *testing.T) {
 			defer watchdog(t, 3*time.Minute)()

@@ -93,7 +93,8 @@ func TestEpochEvaluationMatchesSequentialForward(t *testing.T) {
 			batches := []int{9, 5, 3}
 			mk := func(backend, comm string, epochs int) Config {
 				cfg := testConfig(t, 29, batches, samples)
-				cfg.Backend, cfg.CommMode, cfg.Epochs = backend, comm, epochs
+				cfg.Backend, cfg.Epochs = backend, epochs
+				pinLayout(t, comm)
 				return cfg
 			}
 			const epochs = 3
@@ -115,8 +116,8 @@ func TestEpochEvaluationMatchesSequentialForward(t *testing.T) {
 					assertBits(t, fmt.Sprintf("%s epoch %d accuracy", name, e), res.EpochAccuracy[e], want.EpochAccuracy[e])
 				}
 			}
-			same("live-overlap", mustTrain(t, mk(BackendLive, CommOverlap, epochs)))
-			same("live-merged", mustTrain(t, mk(BackendLive, CommMerged, epochs)))
+			same("live-overlap", mustTrain(t, mk(BackendLive, layoutOverlap, epochs)))
+			same("live-merged", mustTrain(t, mk(BackendLive, layoutMerged, epochs)))
 			results, errs := runWorkers(t, len(batches), func(int) WorkerConfig {
 				return WorkerConfig{Config: mk("", "", epochs)}
 			})

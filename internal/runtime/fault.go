@@ -204,19 +204,27 @@ func (f *stepFailure) victims() []int {
 	return []int{best}
 }
 
-// replanSurvivors picks the survivor cluster's local batches. The default
-// keeps each survivor's current batch; ReplanOptPerf fits the paper's
-// performance model to the live profile measured so far and re-solves
-// OptPerf over the survivor nodes for the survivor total batch, falling
-// back to the default when no model can be fitted yet.
-func replanSurvivors(policy string, prof *Profile, survivors, current []int) (batches []int, replanned bool) {
-	batches = make([]int, len(survivors))
+// replan picks the local batches of the membership that follows a change:
+// the incumbents that stay (ranks into current) and, when joinBatch is
+// positive, one joiner after them. The default keeps every incumbent's
+// current batch and gives the joiner joinBatch; ReplanOptPerf fits the
+// paper's performance model to the live profile measured so far, keeps the
+// staying incumbents' nodes, appends the joiner's probe model, and re-solves
+// OptPerf for the same total — falling back to the default whenever a model
+// is missing or the solve is unusable, so re-planning can never break the
+// run.
+func replan(policy string, prof *Profile, incumbents, current []int, joinBatch int, joinNode *optperf.NodeModel) (batches []int, replanned bool) {
+	joining := joinBatch > 0
 	total := 0
-	for i, s := range survivors {
-		batches[i] = current[s]
-		total += current[s]
+	for _, r := range incumbents {
+		batches = append(batches, current[r])
+		total += current[r]
 	}
-	if policy != ReplanOptPerf || prof == nil {
+	if joining {
+		batches = append(batches, joinBatch)
+		total += joinBatch
+	}
+	if policy != ReplanOptPerf || prof == nil || (joining && joinNode == nil) {
 		return batches, false
 	}
 	model, _, err := prof.FitModel(nil)
@@ -224,14 +232,17 @@ func replanSurvivors(policy string, prof *Profile, survivors, current []int) (ba
 		return batches, false
 	}
 	sub := optperf.ClusterModel{Gamma: model.Gamma, To: model.To, Tu: model.Tu}
-	for _, s := range survivors {
-		if s >= len(model.Nodes) {
+	for _, r := range incumbents {
+		if r >= len(model.Nodes) {
 			return batches, false
 		}
-		sub.Nodes = append(sub.Nodes, model.Nodes[s])
+		sub.Nodes = append(sub.Nodes, model.Nodes[r])
+	}
+	if joining {
+		sub.Nodes = append(sub.Nodes, *joinNode)
 	}
 	plan, err := optperf.Solve(sub, total)
-	if err != nil || len(plan.Batches) != len(survivors) {
+	if err != nil || len(plan.Batches) != len(batches) {
 		return batches, false
 	}
 	for _, b := range plan.Batches {
@@ -267,7 +278,7 @@ func (d *driver) evict(fail *stepFailure, epoch int) *membershipChange {
 // recovery stream with fresh optimizer state — so the trajectory from here
 // is bitwise-identical to a fresh run launched from the recorded checkpoint
 // on the survivor cluster.
-func (d *driver) survivorIncarnation(victims []int, reason string, epoch int, replan string) (*incarnation, error) {
+func (d *driver) survivorIncarnation(victims []int, reason string, epoch int, policy string) (*incarnation, error) {
 	inc, res := d.inc, d.res
 	evicted := make(map[int]bool, len(victims))
 	for _, v := range victims {
@@ -287,7 +298,7 @@ func (d *driver) survivorIncarnation(victims []int, reason string, epoch int, re
 		return nil, fmt.Errorf("%w among the survivors of %s", err, reason)
 	}
 	checkpoint := append([]float64(nil), ref...)
-	batches, replanned := replanSurvivors(replan, d.exec.profile(), survivors, d.localBatches)
+	batches, replanned := replan(policy, d.exec.profile(), survivors, d.localBatches, 0, nil)
 
 	ev := Eviction{
 		Epoch:           epoch,

@@ -59,7 +59,7 @@ func faultConfig(t *testing.T, seed uint64) Config {
 
 // faultCommModes are the live layouts every fault-path differential runs
 // under: the guarded step is one path, so both must agree bitwise.
-var faultCommModes = []string{CommOverlap, CommMerged}
+var faultCommModes = []string{layoutOverlap, layoutMerged}
 
 func equalWeights(a, b []float64) bool {
 	if len(a) != len(b) {
@@ -112,7 +112,7 @@ func TestGuardedFaultFreeMatchesBaseline(t *testing.T) {
 	}
 	for _, comm := range faultCommModes {
 		cfg := faultConfig(t, 7)
-		cfg.CommMode = comm
+		pinLayout(t, comm)
 		cfg.Fault = fastFault(faultinject.Schedule{})
 		guarded, err := Train(cfg)
 		if err != nil {
@@ -141,7 +141,7 @@ func TestTransientFaultsTolerated(t *testing.T) {
 	}
 	for _, comm := range faultCommModes {
 		cfg := faultConfig(t, 13)
-		cfg.CommMode = comm
+		pinLayout(t, comm)
 		cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
 			{Step: 2, Worker: 0, Kind: faultinject.KindStallCompute, Delay: 10 * time.Millisecond, Steps: 2},
 			{Step: 4, Worker: 1, Kind: faultinject.KindDelayMsg, Delay: 8 * time.Millisecond},
@@ -252,7 +252,7 @@ func TestDifferentialRecovery(t *testing.T) {
 	const seed = 31
 	for _, comm := range faultCommModes {
 		cfg := faultConfig(t, seed)
-		cfg.CommMode = comm
+		pinLayout(t, comm)
 		cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
 			{Step: 12, Worker: 1, Kind: faultinject.KindKillWorker},
 		}})

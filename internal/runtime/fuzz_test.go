@@ -43,10 +43,11 @@ func FuzzRingFaults(f *testing.F) {
 		}
 		// The comm layout is one more fuzz input: the guarded step is the
 		// same path in both, so the trichotomy must hold in either.
-		cfg.CommMode = CommOverlap
+		layout := layoutOverlap
 		if merged {
-			cfg.CommMode = CommMerged
+			layout = layoutMerged
 		}
+		pinLayout(t, layout)
 		schedule, err := faultinject.Generate(faultinject.Profile{
 			Intensity: intensity,
 			Horizon:   12,

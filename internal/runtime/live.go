@@ -18,28 +18,23 @@ import (
 // neighbor without blocking its backprop.
 const ringDepth = 8
 
+// usableCores is the parallelism the process can actually use:
+// min(GOMAXPROCS, NumCPU), so an oversubscribed GOMAXPROCS doesn't fake
+// capacity. It is a variable only so the in-package tests can run both
+// goroutine layouts on any host; nothing outside a test assigns it.
+var usableCores = func() int {
+	return min(stdruntime.GOMAXPROCS(0), stdruntime.NumCPU())
+}
+
 // resolveCommMode decides whether this incarnation's live workers run the
 // merged single-goroutine loop (true) or the overlapped compute+comm pair
-// (false). CommAuto merges when the workers hosted in this process alone
-// already cover the host's usable parallelism — min(GOMAXPROCS, NumCPU), so
-// an oversubscribed GOMAXPROCS doesn't fake capacity — because then the
-// extra comm goroutines buy no overlap, only scheduler churn. The rule reads
-// only what the process observes, so a single-rank worker process overlaps
-// whenever it has a second core.
-func resolveCommMode(mode string, hosted int) bool {
-	switch mode {
-	case CommMerged:
-		return true
-	case CommOverlap:
-		return false
-	default: // "" or CommAuto
-		usable := stdruntime.GOMAXPROCS(0)
-		if ncpu := stdruntime.NumCPU(); ncpu < usable {
-			usable = ncpu
-		}
-		return hosted >= usable
-	}
-}
+// (false). It merges when the workers hosted in this process alone already
+// cover the host's usable parallelism, because then the extra comm
+// goroutines buy no overlap, only scheduler churn. The rule reads only what
+// the process observes, so a single-rank worker process overlaps whenever
+// it has a second core. The choice affects scheduling only, never
+// arithmetic — weights are bitwise-identical either way.
+func resolveCommMode(hosted int) bool { return hosted >= usableCores() }
 
 // liveExec runs every hosted rank as its own worker — a compute and a
 // communication goroutine, or one merged goroutine — attached to a

@@ -27,8 +27,8 @@ func TestEngineFeatureMatrix(t *testing.T) {
 		worker              bool
 	}{
 		{name: "sim", backend: BackendSim},
-		{name: "live-overlap", backend: BackendLive, comm: CommOverlap},
-		{name: "live-merged", backend: BackendLive, comm: CommMerged},
+		{name: "live-overlap", backend: BackendLive, comm: layoutOverlap},
+		{name: "live-merged", backend: BackendLive, comm: layoutMerged},
 		{name: "worker", worker: true},
 	}
 	features := []struct {
@@ -80,7 +80,8 @@ func TestEngineFeatureMatrix(t *testing.T) {
 	for _, ft := range features {
 		armed := func(backend, comm string) Config {
 			cfg := faultConfig(t, seed)
-			cfg.Backend, cfg.CommMode = backend, comm
+			cfg.Backend = backend
+			pinLayout(t, comm)
 			ft.arm(&cfg)
 			return cfg
 		}

@@ -60,21 +60,6 @@ const (
 	BackendLive = "live"
 )
 
-// Comm modes accepted by Config.CommMode (live backend only).
-const (
-	// CommAuto (the default) picks per incarnation: the merged loop when
-	// the workers would oversubscribe the host's usable parallelism, the
-	// overlapped pair otherwise. The choice affects scheduling only, never
-	// arithmetic — weights are bitwise-identical either way.
-	CommAuto = "auto"
-	// CommOverlap always runs one compute + one comm goroutine per worker,
-	// overlapping bucket reduction with backprop.
-	CommOverlap = "overlap"
-	// CommMerged always runs one goroutine per worker that reduces each
-	// bucket inline at the backprop frontier.
-	CommMerged = "merged"
-)
-
 // Config describes one data-parallel training run.
 type Config struct {
 	// Backend selects the execution engine: BackendSim (default) or
@@ -111,18 +96,14 @@ type Config struct {
 	// scheduling state, so every process of a multi-rank run derives the
 	// identical buckets.
 	BucketBytes int
-	// CommMode selects the live backend's worker-goroutine layout:
-	// CommAuto (default), CommOverlap, or CommMerged. Sim ignores it.
-	CommMode string
 	// Allreduce selects the collective algorithm reducing gradient buckets:
 	// "" or "ring" (the default), "hd" (recursive halving-doubling),
 	// "pipeline" (chunk-pipelined ring), or "auto" (cost-model argmin per
-	// bucket). Unlike CommMode this is part of the arithmetic for three or
-	// more workers — each algorithm fixes its own IEEE association order —
-	// so the per-bucket choice is derived from the config alone
-	// (bucketAlgorithms) and every backend and process of one run derives
-	// the identical schedules: sim, live, and worker stay bitwise-equal at
-	// any setting.
+	// bucket). This is part of the arithmetic for three or more workers —
+	// each algorithm fixes its own IEEE association order — so the
+	// per-bucket choice is derived from the config alone (bucketAlgorithms)
+	// and every backend and process of one run derives the identical
+	// schedules: sim, live, and worker stay bitwise-equal at any setting.
 	Allreduce string
 	// LinkAlpha and LinkBeta price "auto": the fitted per-hop link cost
 	// t(b) = LinkAlpha + LinkBeta·b in seconds (from a measured
@@ -219,11 +200,6 @@ func (c *Config) validate() error {
 	case "", BackendSim, BackendLive:
 	default:
 		return fmt.Errorf("runtime: unknown backend %q", c.Backend)
-	}
-	switch c.CommMode {
-	case "", CommAuto, CommOverlap, CommMerged:
-	default:
-		return fmt.Errorf("runtime: unknown comm mode %q", c.CommMode)
 	}
 	if _, err := allreduce.ParseAlgorithm(c.Allreduce); err != nil {
 		return fmt.Errorf("runtime: %w", err)
@@ -357,10 +333,10 @@ type membershipChange struct {
 }
 
 // Train runs the configured training job and reports it. The produced
-// model is a pure function of (Config minus Backend/CommMode): every
-// backend and comm mode yields bitwise-identical weights, because the
-// per-bucket ring fixes the summation order and every engine reduces the
-// same buckets. The bucket partition itself (BucketBytes) is part of the
+// model is a pure function of (Config minus Backend): every backend and
+// either live goroutine layout yields bitwise-identical weights, because
+// the per-bucket ring fixes the summation order and every engine reduces
+// the same buckets. The bucket partition itself (BucketBytes) is part of the
 // arithmetic for three or more workers — different partitions re-associate
 // the per-element sums — so it is derived deterministically from the config
 // alone; with one or two workers every partition is bit-identical (each
@@ -425,11 +401,11 @@ func train(cfg *Config, host hosting) (*Result, error) {
 	}
 }
 
-// driver trains one cluster incarnation. The bucket partition and comm mode
-// are resolved per incarnation: adaptive buckets depend on the worker
-// count, and a fresh run launched from a commit checkpoint on the changed
-// cluster would derive exactly these — which is what keeps the recovery and
-// join differential tests bitwise.
+// driver trains one cluster incarnation. The bucket partition and the
+// goroutine layout are resolved per incarnation: adaptive buckets depend on
+// the worker count, and a fresh run launched from a commit checkpoint on
+// the changed cluster would derive exactly these — which is what keeps the
+// recovery and join differential tests bitwise.
 type driver struct {
 	cfg  *Config
 	inc  *incarnation
@@ -537,7 +513,7 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 	case BackendSim:
 		d.exec = newSeqExec(d.replicas, d.sgd, bucketLen, algs)
 	case BackendLive:
-		merged := resolveCommMode(cfg.CommMode, len(ranks))
+		merged := resolveCommMode(len(ranks))
 		d.rebuild = func() *liveExec {
 			return newLiveExec(d.replicas, d.sgd, bucketLen, algs, ft, merged, host)
 		}

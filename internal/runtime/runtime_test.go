@@ -39,33 +39,34 @@ func TestLiveMatchesSequentialBitwise(t *testing.T) {
 		name    string
 		batches []int
 		samples int
+		layout  string
 		mutate  func(*Config)
 	}{
-		{"two-equal", []int{16, 16}, 256, nil},
-		{"unequal", []int{12, 6, 3}, 300, nil},
-		{"partial-batches", []int{16, 8}, 300, nil},
-		{"single-worker", []int{32}, 256, nil},
-		{"growth-adascale", []int{8, 4}, 240, func(c *Config) {
+		{"two-equal", []int{16, 16}, 256, "", nil},
+		{"unequal", []int{12, 6, 3}, 300, "", nil},
+		{"partial-batches", []int{16, 8}, 300, "", nil},
+		{"single-worker", []int{32}, 256, "", nil},
+		{"growth-adascale", []int{8, 4}, 240, "", func(c *Config) {
 			c.Epochs = 4
 			c.GrowthEpoch = 2
 			c.Scaler = nn.AdaScale{}
 		}},
-		{"tiny-buckets", []int{10, 5}, 300, func(c *Config) {
+		{"tiny-buckets", []int{10, 5}, 300, "", func(c *Config) {
 			c.BucketBytes = 64 * 8 // 64-element buckets: many per step
 		}},
-		{"naive-gns", []int{16, 8}, 300, func(c *Config) { c.NaiveGNS = true }},
-		// The comm mode is scheduling only — sim must match live in every
-		// mode, including the merged single-goroutine loop, at three workers
+		{"naive-gns", []int{16, 8}, 300, "", func(c *Config) { c.NaiveGNS = true }},
+		// The layout is scheduling only — sim must match live in both,
+		// including the merged single-goroutine loop, at three workers
 		// (where summation order is most fragile) and with many buckets.
-		{"merged-comm", []int{12, 6, 3}, 300, func(c *Config) { c.CommMode = CommMerged }},
-		{"overlap-comm", []int{12, 6, 3}, 300, func(c *Config) { c.CommMode = CommOverlap }},
-		{"merged-tiny-buckets", []int{10, 5}, 300, func(c *Config) {
-			c.CommMode = CommMerged
+		{"merged-comm", []int{12, 6, 3}, 300, layoutMerged, nil},
+		{"overlap-comm", []int{12, 6, 3}, 300, layoutOverlap, nil},
+		{"merged-tiny-buckets", []int{10, 5}, 300, layoutMerged, func(c *Config) {
 			c.BucketBytes = 64 * 8
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			pinLayout(t, tc.layout)
 			seq := testConfig(t, 42, tc.batches, tc.samples)
 			if tc.mutate != nil {
 				tc.mutate(&seq)
@@ -176,13 +177,13 @@ func TestBucketPartitionBackendsAgree(t *testing.T) {
 				comm    string
 			}{
 				{"sim", BackendSim, ""},
-				{"live-overlap", BackendLive, CommOverlap},
-				{"live-merged", BackendLive, CommMerged},
+				{"live-overlap", BackendLive, layoutOverlap},
+				{"live-merged", BackendLive, layoutMerged},
 			}
 			for _, b := range backends {
 				cfg := testConfig(t, 21, []int{12, 6, 3}, 300)
 				cfg.Backend = b.backend
-				cfg.CommMode = b.comm
+				pinLayout(t, b.comm)
 				cfg.BucketBytes = p.bytes
 				r, err := Train(cfg)
 				if err != nil {
@@ -292,7 +293,6 @@ func TestTrainValidation(t *testing.T) {
 		{"no-dataset", func(c *Config) { c.Dataset = nil }},
 		{"no-src", func(c *Config) { c.Src = nil }},
 		{"bad-backend", func(c *Config) { c.Backend = "cuda" }},
-		{"bad-comm-mode", func(c *Config) { c.CommMode = "turbo" }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -33,7 +33,7 @@ type WorkerConfig struct {
 // TrainWorker runs one rank of a data-parallel training job whose other
 // ranks live in other processes, connected by cfg.Ring. It is Train's
 // driver and live engine hosting that single rank, so it honors the same
-// Config — CommMode, Ctx, OnEpoch (every rank observes identical epochs) —
+// Config — Ctx, OnEpoch (every rank observes identical epochs) —
 // and Result.Profile carries the hosted rank's samples. It produces weights
 // bitwise-identical to Train on the same Config: determinism rests on
 // rng.Source.Split being pure, so every process independently reproduces

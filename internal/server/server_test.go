@@ -16,6 +16,7 @@ import (
 
 	"cannikin/internal/jobs"
 	"cannikin/internal/runspec"
+	"cannikin/internal/tensor"
 )
 
 // slowRunner is a controllable fake for HTTP-layer tests.
@@ -124,7 +125,6 @@ func TestSubmitStatusRoundTrip(t *testing.T) {
 		"epochs": 3,
 		"seed": 99,
 		"backend": "live",
-		"comm": "merged",
 		"bucket_bytes": 4096,
 		"faults": [
 			{"kind": "stall", "worker": 0, "step": 3, "delay": 40000000},
@@ -444,5 +444,91 @@ func TestSimJobThroughService(t *testing.T) {
 	}
 	if got.Epochs[0].Metric == 0 && got.Epochs[0].Batch == 0 {
 		t.Fatalf("sim epoch not populated: %+v", got.Epochs[0])
+	}
+}
+
+// TestElasticJobGrantedCeiling is the admission differential for elastic
+// specs. The run decides when it grows (its joins, its autoscaler); the pool
+// grants its ceiling up front, so the wide membership is never invisible to
+// the pool: a ceiling wider than the pool is a 400, and a ceiling within it
+// holds that many devices at every epoch, reports it as workers, and trains
+// bitwise what a direct TrainMLP of the same spec trains. (The autoscale row
+// sets a grow threshold no predicted gain can clear: the default pricing
+// reads measured step times, and a differential needs the same decisions on
+// both sides.)
+func TestElasticJobGrantedCeiling(t *testing.T) {
+	const pool = 3
+	var srv *Server
+	busy := make(chan int, 16) // one sample per epoch of the <=3-epoch jobs below
+	srv, ts := newTestServer(t, Config{
+		Pool: jobs.PoolConfig{Devices: pool, Seed: 4},
+		Runner: jobs.RunnerFunc(func(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
+			return TrainRunner{}.Run(ctx, spec, func(e jobs.Epoch) error {
+				busy <- srv.Scheduler().Stats().Busy
+				return onEpoch(e)
+			})
+		}),
+	})
+
+	resp, st := postSpec(t, ts, `{"mlp": true, "backend": "live", "mlp_batches": [8, 8], "autoscale_max": 8}`)
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("ceiling 8 on a %d-device pool = %d (%+v), want 400", pool, resp.StatusCode, st)
+	}
+
+	for name, body := range map[string]string{
+		"joins":         `{"mlp": true, "backend": "live", "mlp_batches": [8, 8], "epochs": 3, "seed": 11, "joins": [{"epoch": 1, "batch": 4}]}`,
+		"autoscale_max": `{"mlp": true, "backend": "live", "mlp_batches": [8, 8], "epochs": 2, "seed": 11, "autoscale_max": 3, "autoscale_grow": 1e9}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := runspec.Decode(strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := cannikin.TrainMLP(MLPConfigOf(spec))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, st := postSpec(t, ts, body)
+			if resp.StatusCode != http.StatusCreated {
+				t.Fatalf("submit = %d (%s)", resp.StatusCode, st.Error)
+			}
+			if st.Workers != pool || len(st.Devices) != pool {
+				t.Fatalf("admitted with %d workers on devices %v, want the ceiling %d", st.Workers, st.Devices, pool)
+			}
+			got := waitDone(t, ts, st.ID)
+			if got.State != jobs.StateDone || got.Workers != pool {
+				t.Fatalf("job = %s with %d workers (err %q)", got.State, got.Workers, got.Error)
+			}
+			for e := 0; e < got.EpochsDone; e++ {
+				if b := <-busy; b != pool {
+					t.Fatalf("epoch %d: %d devices held, want the ceiling %d", e, b, pool)
+				}
+			}
+			if want := WeightsHash(direct.FinalWeights); got.Outcome.WeightsSHA256 != want {
+				t.Fatalf("weights diverged from the direct run:\n server %s\n direct %s", got.Outcome.WeightsSHA256, want)
+			}
+			if name == "joins" && len(direct.Joins) != 1 {
+				t.Fatalf("the reference run never grew: %+v", direct.Joins)
+			}
+		})
+	}
+}
+
+// TestKernelShardsRefused: the kernel pool is process-wide and a setting
+// outlives the run that made it, so a tenant's kernel_shards must fail its
+// own job and leave every other tenant's kernels as the operator set them.
+func TestKernelShardsRefused(t *testing.T) {
+	before := tensor.Parallelism()
+	_, ts := newTestServer(t, Config{Pool: jobs.PoolConfig{Devices: 2, Seed: 1}})
+	resp, st := postSpec(t, ts, `{"mlp": true, "mlp_batches": [4, 4], "epochs": 1, "kernel_shards": 4}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit = %d (%s)", resp.StatusCode, st.Error)
+	}
+	got := waitDone(t, ts, st.ID)
+	if got.State != jobs.StateFailed || got.Error != errTenantKernelShards.Error() {
+		t.Fatalf("job = %s (err %q), want failed with %q", got.State, got.Error, errTenantKernelShards)
+	}
+	if after := tensor.Parallelism(); after != before {
+		t.Fatalf("kernel parallelism %d → %d: a tenant re-sized the process's pool", before, after)
 	}
 }

@@ -13,7 +13,6 @@ package tensor
 
 import (
 	"fmt"
-	"math"
 
 	"cannikin/internal/rng"
 )
@@ -162,42 +161,12 @@ func (t *T) Sub(other *T) *T {
 	return t
 }
 
-// Hadamard multiplies element-wise in place and returns t.
-func (t *T) Hadamard(other *T) *T {
-	t.assertSameShape(other)
-	for i := range t.data {
-		t.data[i] *= other.data[i]
-	}
-	return t
-}
-
 // Scale multiplies every element by s in place and returns t.
 func (t *T) Scale(s float64) *T {
 	for i := range t.data {
 		t.data[i] *= s
 	}
 	return t
-}
-
-// Apply maps f over every element in place and returns t.
-func (t *T) Apply(f func(float64) float64) *T {
-	for i := range t.data {
-		t.data[i] = f(t.data[i])
-	}
-	return t
-}
-
-// SumColumns returns the per-column sums (length Cols) — the bias gradient
-// reduction.
-func (t *T) SumColumns() []float64 {
-	out := make([]float64, t.cols)
-	for i := 0; i < t.rows; i++ {
-		row := t.Row(i)
-		for j, v := range row {
-			out[j] += v
-		}
-	}
-	return out
 }
 
 // SqNorm returns the squared Frobenius norm.
@@ -207,17 +176,6 @@ func (t *T) SqNorm() float64 {
 		s += v * v
 	}
 	return s
-}
-
-// MaxAbs returns the largest absolute element value.
-func (t *T) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // SliceRows returns a copy of rows [from, to).

@@ -57,12 +57,6 @@ type MLPConfig struct {
 	// 25 MB); 0 (the default) sizes buckets adaptively from the model size
 	// and worker count.
 	BucketBytes int
-	// CommMode selects the live backend's worker-goroutine layout: "auto"
-	// (default — merged when workers already saturate the host, overlapped
-	// otherwise), "overlap" (dedicated comm goroutine per worker), or
-	// "merged" (single event-driven goroutine per worker). Scheduling only:
-	// weights are bitwise-identical in every mode, with or without Fault.
-	CommMode string
 	// KernelShards, when positive, shards every matmul across that many
 	// goroutines by contiguous output rows (1 = serial, the default).
 	// Parallel and serial kernels are bitwise identical, so this is purely
@@ -175,11 +169,6 @@ func (c *MLPConfig) defaults() error {
 	case "", "sim", "live":
 	default:
 		return fmt.Errorf("cannikin: unknown backend %q", c.Backend)
-	}
-	switch c.CommMode {
-	case "", "auto", "overlap", "merged":
-	default:
-		return fmt.Errorf("cannikin: unknown comm mode %q", c.CommMode)
 	}
 	if _, err := allreduce.ParseAlgorithm(c.Allreduce); err != nil {
 		return fmt.Errorf("cannikin: %w", err)
@@ -349,7 +338,6 @@ func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 		Scaler:       scaler,
 		NaiveGNS:     cfg.NaiveGNS,
 		BucketBytes:  cfg.BucketBytes,
-		CommMode:     cfg.CommMode,
 		KernelShards: cfg.KernelShards,
 		Allreduce:    cfg.Allreduce,
 		LinkAlpha:    cfg.LinkAlpha,

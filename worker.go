@@ -54,9 +54,9 @@ type RingStats struct {
 // single-process TrainMLP run of the same config.
 //
 // Worker mode runs the same driver and live engine as TrainMLP, hosting one
-// rank: OnEpoch fires on every rank with identical values, CommMode picks
-// the rank's goroutine layout, and MLPResult.Profile summarizes the hosted
-// rank's measured phases. The one thing a process cannot do is change the
+// rank: OnEpoch fires on every rank with identical values, the rank's
+// goroutine layout follows the cores its process can use, and
+// MLPResult.Profile summarizes the hosted rank's measured phases. The one thing a process cannot do is change the
 // membership of a ring it only hosts a part of — a run that reaches a fault
 // eviction, a scheduled join, or an autoscaler decision fails with
 // ErrRemoteMembership (the coordinator runs one process generation per
