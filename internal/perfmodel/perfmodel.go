@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"cannikin/internal/optperf"
 	"cannikin/internal/stats"
@@ -48,10 +49,27 @@ const maxObservations = 4096
 // contradict the fitted model (dynamic resource changes — a co-located
 // tenant appearing, a throttled GPU), the stale history is dropped so the
 // model re-learns from current behaviour.
+//
+// Everything a query needs is kept as observations arrive, so the work per
+// epoch follows the observations that epoch added, not the history: the
+// normal-equation sums of both fits, the distinct batch sizes, and a
+// snapshot of both at the last epoch boundary — the state of
+// bs[:epochStart], the model the next drift check compares against. The
+// sums are accumulated in index order from index 0, which is the order a
+// fresh fit of the slice would use, so they hold the same bits; only an
+// event that moves index 0 (rebuild) has to re-read the slice.
 type NodeLearner struct {
 	bs, as, ps []float64
 	// epochStart indexes the first observation of the current epoch.
 	epochStart int
+	// aSums and pSums fit a(b) and P(b) over all of bs; sizes lists the
+	// distinct values of bs in first-seen order, so sizes[:k] is the
+	// distinct set of the prefix that had k of them.
+	aSums, pSums stats.LineSums
+	sizes        []float64
+	// The same state for bs[:epochStart].
+	prevA, prevP stats.LineSums
+	prevSizes    int
 	// lastEpochPerSample tracks t_compute / b over the most recent epoch
 	// (used by the Eq. 8 bootstrap before models exist).
 	lastEpochTime    float64
@@ -69,6 +87,29 @@ func (l *NodeLearner) Observe(b int, a, p float64) {
 	l.bs = append(l.bs, float64(b))
 	l.as = append(l.as, a)
 	l.ps = append(l.ps, p)
+	l.fold(len(l.bs) - 1)
+}
+
+// fold adds observation i to the sums and the distinct sizes. Steps of one
+// epoch share a batch size, so the common case is settled by the previous
+// observation without a scan.
+func (l *NodeLearner) fold(i int) {
+	b := l.bs[i]
+	l.aSums.Add(b, l.as[i], 1)
+	l.pSums.Add(b, l.ps[i], 1)
+	if (i == 0 || l.bs[i-1] != b) && !slices.Contains(l.sizes, b) {
+		l.sizes = append(l.sizes, b)
+	}
+}
+
+// rebuild re-derives the sums and the distinct sizes from the retained
+// observations, after index 0 moved.
+func (l *NodeLearner) rebuild() {
+	l.aSums, l.pSums = stats.LineSums{}, stats.LineSums{}
+	l.sizes = l.sizes[:0]
+	for i := range l.bs {
+		l.fold(i)
+	}
 }
 
 // EndEpoch marks an epoch boundary: it snapshots the epoch's per-sample
@@ -77,12 +118,17 @@ func (l *NodeLearner) Observe(b int, a, p float64) {
 func (l *NodeLearner) EndEpoch() {
 	l.drifted = false
 	start := l.epochStart
+	prevA, prevP, prevDistinct := l.prevA, l.prevP, l.sizes[:l.prevSizes]
 	if start >= len(l.bs) {
 		// No observations this epoch; fall back to the trailing quarter.
 		start = len(l.bs) * 3 / 4
 		if start == len(l.bs) && len(l.bs) > 0 {
 			start = len(l.bs) - 1
 		}
+		// The earlier history is then not the boundary snapshot.
+		prev := NodeLearner{bs: l.bs[:start], as: l.as[:start], ps: l.ps[:start]}
+		prev.rebuild()
+		prevA, prevP, prevDistinct = prev.aSums, prev.pSums, prev.sizes
 	}
 	l.lastEpochTime = 0
 	l.lastEpochSamples = 0
@@ -96,11 +142,11 @@ func (l *NodeLearner) EndEpoch() {
 	// comparable to what that model was fitted on. A large prediction
 	// error far outside the observed range is extrapolation error, not a
 	// resource change, and must refine the fit rather than reset it.
+	cut := 0
 	if start > 0 && start < len(l.bs) {
-		prev := &NodeLearner{bs: l.bs[:start], as: l.as[:start], ps: l.ps[:start]}
-		if m, err := prev.Fit(); err == nil {
-			minSeen, maxSeen := prev.bs[0], prev.bs[0]
-			for _, b := range prev.bs {
+		if m, err := fitModel(prevA, prevP, len(prevDistinct)); err == nil {
+			minSeen, maxSeen := prevDistinct[0], prevDistinct[0]
+			for _, b := range prevDistinct {
 				if b < minSeen {
 					minSeen = b
 				}
@@ -121,21 +167,24 @@ func (l *NodeLearner) EndEpoch() {
 				if rel > driftThreshold {
 					// Resources changed: only this epoch's measurements
 					// describe the node now.
-					l.bs = append([]float64(nil), l.bs[start:]...)
-					l.as = append([]float64(nil), l.as[start:]...)
-					l.ps = append([]float64(nil), l.ps[start:]...)
+					cut = start
 					l.drifted = true
 				}
 			}
 		}
 	}
-	if len(l.bs) > maxObservations {
-		cut := len(l.bs) - maxObservations
-		l.bs = append([]float64(nil), l.bs[cut:]...)
-		l.as = append([]float64(nil), l.as[cut:]...)
-		l.ps = append([]float64(nil), l.ps[cut:]...)
+	if len(l.bs)-cut > maxObservations {
+		cut = len(l.bs) - maxObservations
+	}
+	if cut > 0 {
+		// Cut in place: a node at the cap drops an epoch's worth every epoch.
+		l.bs = l.bs[:copy(l.bs, l.bs[cut:])]
+		l.as = l.as[:copy(l.as, l.as[cut:])]
+		l.ps = l.ps[:copy(l.ps, l.ps[cut:])]
+		l.rebuild()
 	}
 	l.epochStart = len(l.bs)
+	l.prevA, l.prevP, l.prevSizes = l.aSums, l.pSums, len(l.sizes)
 }
 
 // Drifted reports whether the most recent EndEpoch discarded stale history
@@ -146,26 +195,13 @@ func (l *NodeLearner) Drifted() bool { return l.drifted }
 func (l *NodeLearner) Observations() int { return len(l.bs) }
 
 // DistinctBatches returns the number of distinct batch sizes observed.
-func (l *NodeLearner) DistinctBatches() int {
-	seen := make(map[float64]struct{}, len(l.bs))
-	for _, b := range l.bs {
-		seen[b] = struct{}{}
-	}
-	return len(seen)
-}
+func (l *NodeLearner) DistinctBatches() int { return len(l.sizes) }
 
 // HasModel reports whether a compute-time model can be fitted.
-func (l *NodeLearner) HasModel() bool { return l.DistinctBatches() >= 2 }
+func (l *NodeLearner) HasModel() bool { return len(l.sizes) >= 2 }
 
 // SeenBatch reports whether the node has already trained at batch size b.
-func (l *NodeLearner) SeenBatch(b int) bool {
-	for _, v := range l.bs {
-		if v == float64(b) {
-			return true
-		}
-	}
-	return false
-}
+func (l *NodeLearner) SeenBatch(b int) bool { return slices.Contains(l.sizes, float64(b)) }
 
 // PerSampleTime returns the most recent per-sample compute time estimate
 // (Eq. 8 bootstrap), or an error when nothing was observed yet.
@@ -188,14 +224,20 @@ func (l *NodeLearner) PerSampleTime() (float64, error) {
 // Fit returns the node's learned compute model (without a batch cap; the
 // caller owns memory limits).
 func (l *NodeLearner) Fit() (optperf.NodeModel, error) {
-	if !l.HasModel() {
-		return optperf.NodeModel{}, fmt.Errorf("%w: %d distinct batch sizes", ErrNoModel, l.DistinctBatches())
+	return fitModel(l.aSums, l.pSums, len(l.sizes))
+}
+
+// fitModel solves both line fits of a history given as its sums and its
+// count of distinct batch sizes.
+func fitModel(aSums, pSums stats.LineSums, distinct int) (optperf.NodeModel, error) {
+	if distinct < 2 {
+		return optperf.NodeModel{}, fmt.Errorf("%w: %d distinct batch sizes", ErrNoModel, distinct)
 	}
-	aFit, err := stats.FitLine(l.bs, l.as)
+	aFit, err := aSums.Fit()
 	if err != nil {
 		return optperf.NodeModel{}, fmt.Errorf("perfmodel: fit a(b): %w", err)
 	}
-	pFit, err := stats.FitLine(l.bs, l.ps)
+	pFit, err := pSums.Fit()
 	if err != nil {
 		return optperf.NodeModel{}, fmt.Errorf("perfmodel: fit P(b): %w", err)
 	}

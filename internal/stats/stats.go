@@ -28,62 +28,100 @@ type LineFit struct {
 // Eval returns the fitted value at x.
 func (f LineFit) Eval(x float64) float64 { return f.Slope*x + f.Intercept }
 
+// LineSums is the running state of a weighted least-squares line fit: the
+// five sums of the normal equations, accumulated one point at a time. It is
+// the one implementation of those equations — FitLine and FitLineWeighted
+// feed a fresh LineSums, the online learners keep one alive — so a value
+// maintained incrementally holds bit for bit what a fresh pass over the same
+// points in the same order computes. The zero value is an empty fit; a copy
+// is a snapshot.
+type LineSums struct {
+	n                        int
+	sw, swx, swy, swxx, swxy float64
+}
+
+// Add folds in the point (x, y) with weight w > 0.
+func (s *LineSums) Add(x, y, w float64) {
+	s.n++
+	s.sw += w
+	s.swx += w * x
+	s.swy += w * y
+	s.swxx += w * x * x
+	s.swxy += w * x * y
+}
+
+// Fit solves the normal equations over the points added so far. It requires
+// at least two distinct x values. ResidualVar is left zero: it needs the
+// points themselves.
+func (s *LineSums) Fit() (LineFit, error) {
+	if s.n < 2 || s.sw == 0 {
+		return LineFit{}, ErrInsufficientData
+	}
+	denom := s.sw*s.swxx - s.swx*s.swx
+	if math.Abs(denom) < 1e-12*math.Max(1, s.sw*s.swxx) {
+		return LineFit{}, ErrInsufficientData
+	}
+	slope := (s.sw*s.swxy - s.swx*s.swy) / denom
+	intercept := (s.swy - slope*s.swx) / s.sw
+	return LineFit{Slope: slope, Intercept: intercept, N: s.n}, nil
+}
+
 // FitLine computes the ordinary least-squares line through (x, y) pairs.
 // It requires at least two distinct x values.
 func FitLine(xs, ys []float64) (LineFit, error) {
-	ws := make([]float64, len(xs))
-	for i := range ws {
-		ws[i] = 1
-	}
-	return FitLineWeighted(xs, ys, ws)
+	return fitLine(xs, ys, nil)
 }
 
 // FitLineWeighted computes the weighted least-squares line through (x, y)
 // pairs with non-negative weights. Points with zero weight are ignored.
 func FitLineWeighted(xs, ys, weights []float64) (LineFit, error) {
-	if len(xs) != len(ys) || len(xs) != len(weights) {
-		return LineFit{}, errors.New("stats: FitLineWeighted length mismatch")
+	if len(xs) != len(weights) {
+		return LineFit{}, errLengthMismatch
 	}
-	var sw, swx, swy, swxx, swxy float64
-	n := 0
+	return fitLine(xs, ys, weights)
+}
+
+var errLengthMismatch = errors.New("stats: FitLineWeighted length mismatch")
+
+// fitLine is the batch fit; nil weights mean a unit weight on every point.
+func fitLine(xs, ys, weights []float64) (LineFit, error) {
+	if len(xs) != len(ys) {
+		return LineFit{}, errLengthMismatch
+	}
+	weight := func(i int) float64 {
+		if weights == nil {
+			return 1
+		}
+		return weights[i]
+	}
+	var sums LineSums
 	for i := range xs {
-		w := weights[i]
+		w := weight(i)
 		if w < 0 {
 			return LineFit{}, errors.New("stats: negative weight")
 		}
 		if w == 0 {
 			continue
 		}
-		n++
-		sw += w
-		swx += w * xs[i]
-		swy += w * ys[i]
-		swxx += w * xs[i] * xs[i]
-		swxy += w * xs[i] * ys[i]
+		sums.Add(xs[i], ys[i], w)
 	}
-	if n < 2 || sw == 0 {
-		return LineFit{}, ErrInsufficientData
+	fit, err := sums.Fit()
+	if err != nil {
+		return LineFit{}, err
 	}
-	denom := sw*swxx - swx*swx
-	if math.Abs(denom) < 1e-12*math.Max(1, sw*swxx) {
-		return LineFit{}, ErrInsufficientData
-	}
-	slope := (sw*swxy - swx*swy) / denom
-	intercept := (swy - slope*swx) / sw
-
-	fit := LineFit{Slope: slope, Intercept: intercept, N: n}
-	if n >= 3 {
+	if fit.N >= 3 {
 		var rss, wsum float64
 		for i := range xs {
-			if weights[i] == 0 {
+			w := weight(i)
+			if w == 0 {
 				continue
 			}
 			r := ys[i] - fit.Eval(xs[i])
-			rss += weights[i] * r * r
-			wsum += weights[i]
+			rss += w * r * r
+			wsum += w
 		}
 		// Normalize by effective dof; weights are treated as relative.
-		fit.ResidualVar = rss / wsum * float64(n) / float64(n-2)
+		fit.ResidualVar = rss / wsum * float64(fit.N) / float64(fit.N-2)
 	}
 	return fit, nil
 }

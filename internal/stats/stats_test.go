@@ -270,3 +270,125 @@ func TestRelErr(t *testing.T) {
 		t.Fatal("RelErr with zero want should be positive")
 	}
 }
+
+// referenceFitLineWeighted is the textbook batch fit LineSums replaced, kept
+// as the oracle: one left-to-right pass for the normal-equation sums, one
+// for the residuals.
+func referenceFitLineWeighted(xs, ys, weights []float64) (LineFit, error) {
+	var sw, swx, swy, swxx, swxy float64
+	n := 0
+	for i := range xs {
+		w := weights[i]
+		if w == 0 {
+			continue
+		}
+		n++
+		sw += w
+		swx += w * xs[i]
+		swy += w * ys[i]
+		swxx += w * xs[i] * xs[i]
+		swxy += w * xs[i] * ys[i]
+	}
+	if n < 2 || sw == 0 {
+		return LineFit{}, ErrInsufficientData
+	}
+	denom := sw*swxx - swx*swx
+	if math.Abs(denom) < 1e-12*math.Max(1, sw*swxx) {
+		return LineFit{}, ErrInsufficientData
+	}
+	slope := (sw*swxy - swx*swy) / denom
+	intercept := (swy - slope*swx) / sw
+	fit := LineFit{Slope: slope, Intercept: intercept, N: n}
+	if n >= 3 {
+		var rss, wsum float64
+		for i := range xs {
+			if weights[i] == 0 {
+				continue
+			}
+			r := ys[i] - fit.Eval(xs[i])
+			rss += weights[i] * r * r
+			wsum += weights[i]
+		}
+		fit.ResidualVar = rss / wsum * float64(n) / float64(n-2)
+	}
+	return fit, nil
+}
+
+func sameFit(a, b LineFit) bool {
+	return a.N == b.N &&
+		math.Float64bits(a.Slope) == math.Float64bits(b.Slope) &&
+		math.Float64bits(a.Intercept) == math.Float64bits(b.Intercept) &&
+		math.Float64bits(a.ResidualVar) == math.Float64bits(b.ResidualVar)
+}
+
+// A LineSums kept alive across Add calls, a copy of it taken part-way, and
+// the batch entry points all hold the bits of a fresh pass over the same
+// points: the learners' incremental fits rest on this.
+func TestLineSumsMatchesBatchFitBitwise(t *testing.T) {
+	s := rng.New(11)
+	for trial := 0; trial < 200; trial++ {
+		n := int(s.Float64() * 40)
+		xs := make([]float64, n)
+		ys := make([]float64, n)
+		ones := make([]float64, n)
+		ws := make([]float64, n)
+		for i := range xs {
+			// Few distinct sizes, as a node's batch history has.
+			xs[i] = float64(1 + int(s.Float64()*4)*8)
+			ys[i] = (0.0004*xs[i] + 0.002) * (1 + 0.05*s.Norm(0, 1))
+			ones[i] = 1
+			ws[i] = float64(int(s.Float64()*3)) * s.Float64()
+		}
+		wantUnit, wantUnitErr := referenceFitLineWeighted(xs, ys, ones)
+		got, err := FitLine(xs, ys)
+		if (err == nil) != (wantUnitErr == nil) || !sameFit(got, wantUnit) {
+			t.Fatalf("trial %d: FitLine = %+v, %v; reference %+v, %v", trial, got, err, wantUnit, wantUnitErr)
+		}
+		want, wantErr := referenceFitLineWeighted(xs, ys, ws)
+		got, err = FitLineWeighted(xs, ys, ws)
+		if (err == nil) != (wantErr == nil) || !sameFit(got, want) {
+			t.Fatalf("trial %d: FitLineWeighted = %+v, %v; reference %+v, %v", trial, got, err, want, wantErr)
+		}
+
+		// Incrementally, with a snapshot after the first half.
+		var sums, half LineSums
+		for i := range xs {
+			if i == n/2 {
+				half = sums
+			}
+			sums.Add(xs[i], ys[i], 1)
+		}
+		wantUnit.ResidualVar = 0 // needs the points; LineSums.Fit leaves it zero
+		got, err = sums.Fit()
+		if (err == nil) != (wantUnitErr == nil) || !sameFit(got, wantUnit) {
+			t.Fatalf("trial %d: running sums fit %+v, %v; reference %+v, %v", trial, got, err, wantUnit, wantUnitErr)
+		}
+		wantHalf, wantHalfErr := referenceFitLineWeighted(xs[:n/2], ys[:n/2], ones[:n/2])
+		wantHalf.ResidualVar = 0
+		got, err = half.Fit()
+		if (err == nil) != (wantHalfErr == nil) || !sameFit(got, wantHalf) {
+			t.Fatalf("trial %d: snapshot fit %+v, %v; reference of the prefix %+v, %v", trial, got, err, wantHalf, wantHalfErr)
+		}
+	}
+}
+
+func TestLineSumsFitLineDoesNotAllocate(t *testing.T) {
+	xs := []float64{8, 8, 16, 16, 24, 32}
+	ys := []float64{0.011, 0.012, 0.019, 0.02, 0.031, 0.04}
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := FitLine(xs, ys); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("FitLine allocates %v times per call, want 0", allocs)
+	}
+}
+
+func TestFitLineLengthMismatch(t *testing.T) {
+	if _, err := FitLine([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
+		t.Fatal("FitLine accepted xs and ys of different lengths")
+	}
+	if _, err := FitLineWeighted([]float64{1, 2}, []float64{1, 2}, []float64{1}); err == nil {
+		t.Fatal("FitLineWeighted accepted a short weight slice")
+	}
+}

@@ -13,7 +13,8 @@ import (
 // maximizing goodput, but local batches are split evenly — the system is
 // blind to heterogeneity — and the GNS is aggregated by plain averaging.
 type AdaptDL struct {
-	tracker *gns.Tracker
+	tracker   *gns.Tracker
+	estimator *gns.Estimator
 	// Observed (total batch, step time) pairs for the throughput model.
 	obsB, obsT []float64
 	currentB   int
@@ -24,7 +25,7 @@ var _ System = (*AdaptDL)(nil)
 
 // NewAdaptDL returns a fresh AdaptDL baseline.
 func NewAdaptDL() *AdaptDL {
-	return &AdaptDL{tracker: gns.NewTracker(0.05)}
+	return &AdaptDL{tracker: gns.NewTracker(0.05), estimator: gns.NewEstimator(true)}
 }
 
 // Name implements System.
@@ -95,7 +96,7 @@ func (a *AdaptDL) maxEvenTotal(env *Env) int {
 func (a *AdaptDL) ObserveStep(env *Env, obs StepObs) {
 	a.epochTimes.Add(obs.Step.Time)
 	if obs.GNS != nil {
-		if est, err := gns.EstimateNaive(*obs.GNS); err == nil {
+		if est, err := a.estimator.Estimate(*obs.GNS); err == nil {
 			a.tracker.Observe(est)
 		}
 	}

@@ -28,7 +28,8 @@ type Cannikin struct {
 	// constants (disable for the Section 5.3 ablation).
 	UseIVW bool
 	// UseOptimalGNS toggles the Theorem 4.1 weighted GNS estimator
-	// (disable to fall back to naive averaging, for ablations).
+	// (disable to fall back to naive averaging, for ablations). It is read
+	// when the first epoch is planned.
 	UseOptimalGNS bool
 	// FixedBatch pins the total batch size (the paper's Section 5.2.2
 	// fixed-batch evaluation); 0 enables adaptive batch sizing.
@@ -42,6 +43,9 @@ type Cannikin struct {
 	learner *perfmodel.ClusterLearner
 	planner *optperf.Planner
 	tracker *gns.Tracker
+	// estimator holds the GNS combination weights, which depend only on the
+	// epoch's local batches, across the epoch's steps.
+	estimator *gns.Estimator
 	// Per-node per-epoch communication-constant accumulators.
 	commGamma, commTo, commTu []stats.Welford
 	lastPlan                  optperf.Plan
@@ -77,6 +81,7 @@ func (c *Cannikin) PlanEpoch(env *Env, epoch int) (Plan, error) {
 	n := env.Cluster.N()
 	if c.learner == nil {
 		c.learner = perfmodel.NewClusterLearner(n)
+		c.estimator = gns.NewEstimator(!c.UseOptimalGNS)
 		c.commGamma = make([]stats.Welford, n)
 		c.commTo = make([]stats.Welford, n)
 		c.commTu = make([]stats.Welford, n)
@@ -471,14 +476,7 @@ func (c *Cannikin) ObserveStep(env *Env, obs StepObs) {
 		c.commTu[i].Add(ns.Tu)
 	}
 	if obs.GNS != nil {
-		var est gns.Estimate
-		var err error
-		if c.UseOptimalGNS {
-			est, err = gns.EstimateOptimal(*obs.GNS)
-		} else {
-			est, err = gns.EstimateNaive(*obs.GNS)
-		}
-		if err == nil {
+		if est, err := c.estimator.Estimate(*obs.GNS); err == nil {
 			c.tracker.Observe(est)
 		}
 	}

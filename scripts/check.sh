@@ -151,11 +151,22 @@ grep -q "drained cleanly" "$BIN/serve.log" \
 echo "== load-test smoke: 120 concurrent jobs, goodput vs equal-split =="
 "$BIN/cannikin-loadtest" -jobs 120 -devices 12 -timeout 2m
 
+# The performance-model learner answers every query from running sums and
+# an incrementally kept list of distinct sizes; its contract is bitwise
+# agreement with the batch re-fit kept as the oracle in its tests, also past
+# the history cap, and the trainer's cached Theorem 4.1 weights must track
+# every plan change. By name, so a rename cannot silently drop them.
+echo "== learner lane: incremental == batch fit, history cap, cached GNS weights =="
+lane -race -count=1 -run 'Learner|HistoryCap|CachedWeights|AdaptDLPlans|LineSums' ./internal/perfmodel ./internal/trainer ./internal/stats
+
 echo "== audited fuzz smoke: optperf FuzzSolve =="
 lane -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/optperf
 
 echo "== audited fuzz smoke: gns FuzzEstimators =="
 lane -run='^$' -fuzz=FuzzEstimators -fuzztime=10s ./internal/gns
+
+echo "== learner fuzz smoke: perfmodel FuzzLearnerMatchesBatchFit =="
+lane -run='^$' -fuzz=FuzzLearnerMatchesBatchFit -fuzztime=10s ./internal/perfmodel
 
 echo "== kernel fuzz smoke: tensor FuzzKernelsMatchNaive =="
 lane -run='^$' -fuzz=FuzzKernelsMatchNaive -fuzztime=10s ./internal/tensor
