@@ -324,19 +324,18 @@ func BenchmarkTrainCannikinClusterB(b *testing.B) {
 
 // --- Live execution runtime benchmarks -------------------------------------
 
-// BenchmarkAllReduce measures the collective across worker counts, gradient
-// sizes, and algorithms. Sub-benchmark names are n<N>/dim<D>/<algorithm>;
-// every algorithm runs at the latency-bound dim=1024 (where hd's log-round
-// schedule should win), while the bandwidth-bound dims compare ring against
-// the chunk-pipelined ring and the selector's auto choice — hd's concurrent
-// large-payload path is not a contender there and is skipped to keep the
-// sweep's wall-clock bounded.
+// BenchmarkAllReduce measures the sequential reference reduce across worker
+// counts, gradient sizes, and algorithms. Sub-benchmark names are
+// n<N>/dim<D>/<algorithm>; every algorithm runs at the latency-bound
+// dim=1024 (where hd's log-round schedule should win), while the
+// bandwidth-bound dims run ring and auto's choice (ring) — hd is not a
+// contender there and is skipped to keep the sweep's wall-clock bounded.
 func BenchmarkAllReduce(b *testing.B) {
 	for _, n := range []int{2, 4, 8} {
 		for _, dim := range []int{1 << 10, 1 << 16, 1 << 20} {
-			algos := []allreduce.Algorithm{allreduce.AlgoRing, allreduce.AlgoHD, allreduce.AlgoPipeline, allreduce.AlgoAuto}
+			algos := []allreduce.Algorithm{allreduce.AlgoRing, allreduce.AlgoHD, allreduce.AlgoAuto}
 			if dim > 1<<10 {
-				algos = []allreduce.Algorithm{allreduce.AlgoRing, allreduce.AlgoPipeline, allreduce.AlgoAuto}
+				algos = []allreduce.Algorithm{allreduce.AlgoRing, allreduce.AlgoAuto}
 			}
 			for _, alg := range algos {
 				b.Run(fmt.Sprintf("n%d/dim%d/%s", n, dim, alg), func(b *testing.B) {
@@ -477,9 +476,6 @@ func BenchmarkRingTransport(b *testing.B) {
 	})
 	b.Run("chan-hd", func(b *testing.B) {
 		run(b, chanRings(b), allreduce.Options{Algorithm: allreduce.AlgoHD}, nil)
-	})
-	b.Run("chan-pipeline", func(b *testing.B) {
-		run(b, chanRings(b), allreduce.Options{Algorithm: allreduce.AlgoPipeline}, nil)
 	})
 	b.Run("tcp", func(b *testing.B) {
 		rings, stats, teardown := benchTCPRings(b, n)

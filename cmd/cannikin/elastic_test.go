@@ -110,10 +110,10 @@ func TestRunMLPAutoscaleFlag(t *testing.T) {
 // in-process path.
 func TestRunElasticFlagRejects(t *testing.T) {
 	cases := [][]string{
-		{"-mlp", "-backend", "live", "-join", "0:4"},                       // epoch 0 rejected by the DSL
-		{"-mlp", "-backend", "live", "-epochs", "3", "-join", "3:4"},       // beyond final epoch
-		{"-mlp", "-backend", "live", "-join", "1:4:hope"},                  // unknown replan
-		{"-mlp", "-backend", "live", "-checkpoint-in", "/nonexistent.ck"},  // missing checkpoint
+		{"-mlp", "-backend", "live", "-join", "0:4"},                                   // epoch 0 rejected by the DSL
+		{"-mlp", "-backend", "live", "-epochs", "3", "-join", "3:4"},                   // beyond final epoch
+		{"-mlp", "-backend", "live", "-join", "1:4:hope"},                              // unknown replan
+		{"-mlp", "-backend", "live", "-checkpoint-in", "/nonexistent.ck"},              // missing checkpoint
 		{"-mlp", "-backend", "live", "-autoscale-max", "3", "-autoscale-grow", "-0.5"}, // negative threshold
 	}
 	for _, args := range cases {

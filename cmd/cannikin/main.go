@@ -72,22 +72,7 @@ func run(args []string, w io.Writer) error {
 		return fmt.Errorf("-transport %s requires -mlp", spec.Transport)
 	}
 
-	cfg := cannikin.TrainConfig{
-		Workload:   spec.Workload,
-		System:     cannikin.SystemKind(spec.System),
-		Seed:       spec.Seed,
-		MaxEpochs:  spec.Epochs,
-		FixedBatch: spec.Batch,
-	}
-	if len(spec.Models) > 0 {
-		cfg.Cluster = cannikin.ClusterConfig{Models: spec.Models}
-	} else {
-		cfg.Cluster = cannikin.ClusterConfig{Preset: spec.Cluster}
-	}
-	if spec.Chaos > 0 {
-		cfg.Chaos = cannikin.ChaosConfig{Churn: spec.Chaos}
-	}
-	cfg.Audit = cannikin.AuditLevel(spec.Audit)
+	cfg := server.TrainConfigOf(spec)
 	if spec.Progress {
 		cfg.OnEpoch = func(e cannikin.EpochReport) error {
 			fmt.Fprintf(w, "epoch %3d  batch %4d  step %.4fs  metric %.4f\n",

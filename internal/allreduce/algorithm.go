@@ -23,18 +23,10 @@ const (
 	// into their even neighbors in a pre/post step. Needs a PeerTransport
 	// (non-neighbor links).
 	AlgoHD Algorithm = "hd"
-	// AlgoPipeline is the chunk-pipelined ring: each ring hop's segment is
-	// split into k sub-chunks sent as separate messages, so hop i+1's
-	// transfer overlaps hop i's accumulation and the per-message working
-	// set stays cache-resident. The association order is exactly the
-	// ring's — element-wise identical additions in identical order — so
-	// it is bitwise-identical to AlgoRing at every (n, dim, partition).
-	AlgoPipeline Algorithm = "pipeline"
-	// AlgoAuto prices every candidate with the selector's link cost model
-	// and picks the argmin per call (per bucket, when bucketed). The
-	// choice is a pure function of (constants, n, payload) — never of
-	// scheduling state — so auto runs stay reproducible across backends,
-	// transports, and processes given one config.
+	// AlgoAuto picks hd or ring per call (per bucket, when bucketed) by
+	// payload size alone — see Selector.Pick. The choice is a pure function
+	// of (n, payload), never of scheduling state or a measurement, so auto
+	// runs stay reproducible across backends, transports, and processes.
 	AlgoAuto Algorithm = "auto"
 )
 
@@ -43,134 +35,33 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 	switch a := Algorithm(s); a {
 	case "", AlgoRing:
 		return AlgoRing, nil
-	case AlgoHD, AlgoPipeline, AlgoAuto:
+	case AlgoHD, AlgoAuto:
 		return a, nil
 	default:
-		return "", fmt.Errorf("allreduce: unknown algorithm %q (want ring, hd, pipeline, or auto)", s)
+		return "", fmt.Errorf("allreduce: unknown algorithm %q (want ring, hd, or auto)", s)
 	}
 }
 
-// Selector prices collective algorithms with a fitted per-link cost model
-//
-//	t(b) = Alpha + Beta·b
-//
-// (Alpha: per-hop latency in seconds, Beta: seconds per byte) and picks
-// the cheapest schedule for a payload. The constants come from a measured
-// runtime.Profile via perfmodel.FitLink; the zero Selector has no fit yet
-// and falls back to calibrated size thresholds (hdSmallBytes), the same
-// shape of switch MPI libraries ship as defaults.
-type Selector struct {
-	Alpha float64 // per-hop link latency, seconds
-	Beta  float64 // per-byte link cost, seconds
-}
+// Selector resolves AlgoAuto: one size rule, no state.
+type Selector struct{}
 
-// hdSmallBytes is the calibrated fallback threshold: payloads at or below
-// it are latency-bound and take halving-doubling; larger ones take the
-// chunk-pipelined ring. 128 KiB sits where the measured per-hop cost
+// hdSmallBytes is the payload size at or below which auto takes
+// halving-doubling: such payloads are latency-bound, and hd's 2·log₂(n)
+// hops beat the ring's 2(n-1). 128 KiB sits where the measured per-hop cost
 // (~1-2µs on loopback/channels) stops dominating the per-byte cost.
 const hdSmallBytes = 128 << 10
 
-// pipelineTargetBytes is the sub-chunk size the pipelined ring aims for:
-// large enough to amortize per-message overhead, small enough that one
-// sub-chunk per live rank stays cache-resident. 64 KiB ≈ half an L2 way
-// per rank on common parts.
-const pipelineTargetBytes = 64 << 10
-
-// pipelineMaxChunks caps the sub-chunk fan-out per hop so tiny payloads
-// never dissolve into per-element messages.
-const pipelineMaxChunks = 16
-
-// pipelineChunks returns the number of in-flight sub-chunks per ring hop
-// for an n-way reduce of dim elements — a pure function of (n, dim), so
-// the message schedule (though not the arithmetic, which is
-// partition-independent for the pipelined ring) is reproducible.
-func pipelineChunks(n, dim int) int {
-	if n < 2 || dim <= 0 {
-		return 1
-	}
-	chunkBytes := 8 * ((dim + n - 1) / n)
-	k := (chunkBytes + pipelineTargetBytes - 1) / pipelineTargetBytes
-	if k < 1 {
-		k = 1
-	}
-	if k > pipelineMaxChunks {
-		k = pipelineMaxChunks
-	}
-	return k
-}
-
-// Fitted reports whether the selector carries measured link constants.
-func (s Selector) Fitted() bool { return s.Alpha > 0 && s.Beta > 0 }
-
-// Cost predicts the wall-clock seconds of one algorithm reducing dim
-// float64s across n ranks, under the selector's link model. Only relative
-// order matters for selection; the formulas are the standard collective
-// cost models:
-//
-//	ring:     2(n-1) sequential hops of b/n bytes
-//	hd:       2⌈log₂ g⌉ exchange rounds of halving size over the 2^⌊log₂n⌋
-//	          core group, plus a full-vector fold-in round-trip when n is
-//	          not a power of two
-//	pipeline: a (2(n-1)+k-1)-stage pipe of b/(nk)-byte messages — the k-way
-//	          overlap divides the serialized per-byte term while adding
-//	          k-1 fill/drain hops
-func (s Selector) Cost(a Algorithm, n, dim int) float64 {
-	if n < 2 || dim <= 0 {
-		return 0
-	}
-	b := 8 * float64(dim)
-	nf := float64(n)
-	switch a {
-	case AlgoRing, "":
-		return 2 * (nf - 1) * (s.Alpha + s.Beta*b/nf)
-	case AlgoHD:
-		g, q := 1, 0
-		for g*2 <= n {
-			g *= 2
-			q++
-		}
-		gf := float64(g)
-		cost := 2*float64(q)*s.Alpha + 2*s.Beta*b*(gf-1)/gf
-		if n != g {
-			cost += 2 * (s.Alpha + s.Beta*b) // fold-in send + result return
-		}
-		return cost
-	case AlgoPipeline:
-		k := float64(pipelineChunks(n, dim))
-		stages := 2*(nf-1) + k - 1
-		return stages * (s.Alpha + s.Beta*b/(nf*k))
-	default:
-		return 0
-	}
-}
-
-// Pick returns the algorithm to run for an n-way reduce of dim float64s:
-// the cost-model argmin over {hd, pipeline, ring} when the selector is
-// fitted, else the calibrated size threshold. Deterministic given
-// (selector, n, dim).
-func (s Selector) Pick(n, dim int) Algorithm {
-	if n < 2 || dim <= 0 {
+// Pick returns the algorithm auto runs for an n-way reduce of dim float64s:
+// hd at or below hdSmallBytes, else ring.
+func (Selector) Pick(n, dim int) Algorithm {
+	if n < 2 || dim <= 0 || 8*dim > hdSmallBytes {
 		return AlgoRing
 	}
-	if !s.Fitted() {
-		if 8*dim <= hdSmallBytes {
-			return AlgoHD
-		}
-		return AlgoPipeline
-	}
-	best, bestCost := AlgoRing, s.Cost(AlgoRing, n, dim)
-	for _, a := range [...]Algorithm{AlgoHD, AlgoPipeline} {
-		if c := s.Cost(a, n, dim); c < bestCost {
-			best, bestCost = a, c
-		}
-	}
-	return best
+	return AlgoHD
 }
 
 // Resolve maps an algorithm option to the concrete schedule for one call:
-// auto is priced per payload, the zero value means ring. Callers that must
-// agree on a schedule across processes (the runtime's per-bucket choice)
-// call this with shared constants and pass the result explicitly.
+// auto is picked per payload, the zero value means ring.
 func (s Selector) Resolve(a Algorithm, n, dim int) Algorithm {
 	switch a {
 	case AlgoAuto:

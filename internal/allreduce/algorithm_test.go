@@ -4,15 +4,15 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
 // inlineReference applies algo's sequential reference arithmetic: the
-// bitwise oracle every distributed schedule must reproduce. The pipelined
-// ring's association is the plain ring's, so it shares the ring oracle —
-// the strongest form of its determinism claim.
+// bitwise oracle every distributed schedule must reproduce.
 func inlineReference(algo Algorithm, vectors [][]float64) {
 	switch algo {
 	case AlgoHD:
@@ -47,14 +47,15 @@ func assertBitwise(t *testing.T, label string, got, want [][]float64) {
 
 // TestAlgorithmChanBitwise pins every distributed algorithm to its inline
 // sequential reference, bit for bit, across ring sizes (power-of-two and
-// folded), dims (empty chunks, odd splits, multi-chunk), and guard modes,
-// on the channel transport.
+// folded), dims (empty chunks, odd splits, multi-chunk, and 160 KB — above
+// hdSmallBytes and several ringBlockLen windows a chunk), and guard modes, on
+// the channel transport.
 func TestAlgorithmChanBitwise(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(23))
-	for _, algo := range []Algorithm{AlgoHD, AlgoPipeline} {
+	for _, algo := range []Algorithm{AlgoHD, AlgoRing} {
 		for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 9} {
-			for _, dim := range []int{1, 3, 8, 17, 64, 257} {
+			for _, dim := range []int{1, 3, 8, 17, 64, 257, 20000} {
 				for _, guard := range []bool{false, true} {
 					vs := randomVectors(rng, n, dim)
 					want := cloneVectors(vs)
@@ -74,7 +75,7 @@ func TestAlgorithmChanBitwise(t *testing.T) {
 	}
 }
 
-// TestAlgorithmTCPBitwise proves transport independence for the new
+// TestAlgorithmTCPBitwise proves transport independence for the
 // schedules: TCP rings must match the same inline references bit for bit,
 // peer links included.
 func TestAlgorithmTCPBitwise(t *testing.T) {
@@ -83,9 +84,9 @@ func TestAlgorithmTCPBitwise(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			rng := rand.New(rand.NewSource(29))
-			for _, algo := range []Algorithm{AlgoHD, AlgoPipeline} {
+			for _, algo := range []Algorithm{AlgoHD, AlgoRing} {
 				for _, n := range []int{2, 3, 5} {
-					for _, dim := range []int{17, 257} {
+					for _, dim := range []int{17, 257, 20000} {
 						for _, guard := range []bool{false, true} {
 							vs := randomVectors(rng, n, dim)
 							want := cloneVectors(vs)
@@ -115,7 +116,7 @@ func TestAlgorithmTCPBitwise(t *testing.T) {
 func TestAlgorithmPropertyBuckets(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(31))
-	algos := []Algorithm{AlgoRing, AlgoHD, AlgoPipeline, AlgoAuto}
+	algos := []Algorithm{AlgoRing, AlgoHD, AlgoAuto}
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(8)
 		dim := rng.Intn(401)
@@ -160,10 +161,10 @@ func TestAlgorithmPropertyBuckets(t *testing.T) {
 	}
 }
 
-// TestAllReduceAlgStrategies pins the in-process helper across its
-// execution-strategy boundary: inline small payloads and concurrent large
-// ones must both reproduce the algorithm's inline reference bitwise —
-// execution strategy is framing, never arithmetic.
+// TestAllReduceAlgStrategies pins the sequential reduce to pre-scaling
+// followed by the algorithm's inline reference, bit for bit, on both sides
+// of auto's size rule — in particular hd's fused scale-and-reduce form, which
+// 4 ranks take at every size.
 func TestAllReduceAlgStrategies(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(37))
@@ -171,12 +172,12 @@ func TestAllReduceAlgStrategies(t *testing.T) {
 		algo Algorithm
 		dim  int
 	}{
-		{AlgoHD, 100},       // inline (≤ hdSmallBytes)
-		{AlgoHD, 20000},     // concurrent fan-out (160 KB)
-		{AlgoPipeline, 100}, // always inline
-		{AlgoPipeline, 20000},
+		{AlgoHD, 100},
+		{AlgoHD, 20000}, // 160 KB, above hdSmallBytes
+		{AlgoRing, 100},
+		{AlgoRing, 20000},
 		{AlgoAuto, 100},   // resolves hd
-		{AlgoAuto, 20000}, // resolves pipeline
+		{AlgoAuto, 20000}, // resolves ring
 	}
 	for _, c := range cases {
 		n := 4
@@ -195,67 +196,56 @@ func TestAllReduceAlgStrategies(t *testing.T) {
 			t.Fatalf("%s dim=%d: %v", c.algo, c.dim, err)
 		}
 		assertBitwise(t, string(c.algo), got, want)
-
-		// The bucketed helper with one full-length bucket must agree too.
-		got2 := cloneVectors(vs)
-		if err := AllReduceBucketsAlg(got2, nil, c.dim, c.algo); err != nil {
-			t.Fatalf("%s dim=%d buckets: %v", c.algo, c.dim, err)
-		}
-		assertBitwise(t, string(c.algo)+"/buckets", got2, got)
 	}
 }
 
-// TestSelector covers the pricing and resolution rules: threshold fallback,
-// fitted argmin, degenerate sizes, and name parsing.
+// TestAllReduceAlgIsSequential: the reference reduce runs on the calling
+// goroutine and builds nothing per call — no transport, no goroutines, no
+// allocation — at a payload far above any inline threshold it once had.
+func TestAllReduceAlgIsSequential(t *testing.T) {
+	const n, dim = 4, 65536
+	vs := randomVectors(rand.New(rand.NewSource(41)), n, dim)
+	w := []float64{0.4, 0.3, 0.2, 0.1}
+	reduce := func() {
+		if err := AllReduceAlg(vs, w, AlgoRing); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reduce()
+	before := runtime.NumGoroutine()
+	if allocs := testing.AllocsPerRun(10, reduce); allocs != 0 {
+		t.Fatalf("AllReduceAlg allocates %v times a call, want 0", allocs)
+	}
+	// Earlier tests' goroutines may still be exiting, so only growth counts.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("goroutines %d -> %d across AllReduceAlg", before, after)
+	}
+}
+
+// TestSelector covers auto's size rule, resolution, and name parsing.
 func TestSelector(t *testing.T) {
 	t.Parallel()
-	var zero Selector
-	if zero.Fitted() {
-		t.Fatal("zero selector claims a fit")
-	}
-	if got := zero.Pick(8, 1024); got != AlgoHD { // 8 KB ≤ hdSmallBytes
+	var sel Selector
+	if got := sel.Pick(8, 1024); got != AlgoHD { // 8 KB ≤ hdSmallBytes
 		t.Fatalf("small payload: picked %s, want hd", got)
 	}
-	if got := zero.Pick(8, 1<<20); got != AlgoPipeline { // 8 MB
-		t.Fatalf("large payload: picked %s, want pipeline", got)
+	if got := sel.Pick(8, hdSmallBytes/8); got != AlgoHD {
+		t.Fatalf("payload at the threshold: picked %s, want hd", got)
 	}
-	if got := zero.Pick(1, 1024); got != AlgoRing {
+	if got := sel.Pick(8, hdSmallBytes/8+1); got != AlgoRing {
+		t.Fatalf("payload above the threshold: picked %s, want ring", got)
+	}
+	if got := sel.Pick(1, 1024); got != AlgoRing {
 		t.Fatalf("n=1: picked %s, want ring", got)
 	}
-	if got := zero.Resolve("", 4, 100); got != AlgoRing {
+	if got := sel.Resolve("", 4, 100); got != AlgoRing {
 		t.Fatalf("zero algorithm resolved to %s", got)
 	}
-	if got := zero.Resolve(AlgoHD, 4, 1<<20); got != AlgoHD {
+	if got := sel.Resolve(AlgoHD, 4, 1<<20); got != AlgoHD {
 		t.Fatalf("explicit hd resolved to %s", got)
 	}
-
-	// A fitted selector must return the cost argmin, whatever it is.
-	fit := Selector{Alpha: 2e-6, Beta: 1e-10}
-	if !fit.Fitted() {
-		t.Fatal("fitted selector not recognized")
-	}
-	for _, dim := range []int{64, 4096, 1 << 18, 1 << 21} {
-		n := 8
-		want, wantCost := AlgoRing, fit.Cost(AlgoRing, n, dim)
-		for _, a := range []Algorithm{AlgoHD, AlgoPipeline} {
-			if c := fit.Cost(a, n, dim); c < wantCost {
-				want, wantCost = a, c
-			}
-		}
-		if got := fit.Pick(n, dim); got != want {
-			t.Fatalf("dim=%d: picked %s, argmin is %s", dim, got, want)
-		}
-	}
-	// With latency dominating, log-round hd must beat the ring for small
-	// payloads; with bandwidth dominating, the pipelined ring must win big
-	// payloads (its per-byte term matches the ring's, minus serialization).
-	lat := Selector{Alpha: 1e-5, Beta: 1e-12}
-	if got := lat.Pick(8, 1024); got != AlgoHD {
-		t.Fatalf("latency-bound: picked %s, want hd", got)
-	}
-	bw := Selector{Alpha: 1e-7, Beta: 1e-9}
-	if got := bw.Pick(8, 1<<20); got != AlgoPipeline {
-		t.Fatalf("bandwidth-bound: picked %s, want pipeline", got)
+	if got := sel.Resolve(AlgoAuto, 8, 1<<20); got != AlgoRing { // 8 MB
+		t.Fatalf("auto on a large payload resolved to %s, want ring", got)
 	}
 
 	for _, c := range []struct {
@@ -266,13 +256,19 @@ func TestSelector(t *testing.T) {
 		{"", AlgoRing, true},
 		{"ring", AlgoRing, true},
 		{"hd", AlgoHD, true},
-		{"pipeline", AlgoPipeline, true},
 		{"auto", AlgoAuto, true},
+		{"pipeline", "", false},
 		{"tree", "", false},
 	} {
 		got, err := ParseAlgorithm(c.in)
 		if (err == nil) != c.ok || got != c.want {
 			t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v ok=%v", c.in, got, err, c.want, c.ok)
+		}
+	}
+	_, err := ParseAlgorithm("pipeline")
+	for _, name := range []string{"ring", "hd", "auto"} {
+		if !strings.Contains(err.Error(), name) {
+			t.Fatalf("unknown-algorithm error %q does not list %q", err, name)
 		}
 	}
 }

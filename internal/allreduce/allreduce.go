@@ -21,7 +21,6 @@ package allreduce
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 )
 
@@ -48,16 +47,16 @@ type Options struct {
 	// lost packet under a retransmission timer (guarded calls only).
 	SendDrops int
 	// Algorithm selects the collective schedule: AlgoRing (the zero value),
-	// AlgoHD, AlgoPipeline, or AlgoAuto (priced per payload by the ring's
-	// selector). All ranks of one reduce must pass the same algorithm; hd
-	// additionally requires the transport to implement PeerTransport.
+	// AlgoHD, or AlgoAuto (one of the two, by payload size). All ranks of
+	// one reduce must pass the same algorithm; hd additionally requires the
+	// transport to implement PeerTransport.
 	Algorithm Algorithm
 }
 
 // Ring is a persistent set of point-to-point links connecting n workers,
-// the transport under every ring collective here. Unlike AllReduce, which
-// drives its own goroutines per call, a Ring is driven from the callers'
-// goroutines: each of the n ranks calls ReduceWith from its own goroutine
+// the transport under every distributed collective here. A Ring is driven
+// from the callers' goroutines: each of the n ranks calls ReduceWith from
+// its own goroutine
 // (or its own OS process, on a remote transport), once per segment, and all
 // ranks must reduce the same segments in the same order. Links are FIFO, so
 // back-to-back reductions of different gradient buckets pipeline safely — a
@@ -153,25 +152,15 @@ func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
 	if ep == nil {
 		return fmt.Errorf("allreduce: rank %d is not local to this transport", rank)
 	}
-	// An AlgoAuto that reaches the ring resolves on the calibrated size
-	// thresholds (the zero Selector); callers holding fitted link constants
-	// price per bucket themselves and pass a resolved algorithm.
-	switch (Selector{}).Resolve(opts.Algorithm, n, dim) {
-	case AlgoHD:
+	if (Selector{}).Resolve(opts.Algorithm, n, dim) == AlgoHD {
 		return r.reduceHD(rank, seg, opts)
-	case AlgoPipeline:
-		return r.reduceRing(rank, seg, opts, pipelineChunks(n, dim))
 	}
-	return r.reduceRing(rank, seg, opts, 1)
+	return r.reduceRing(rank, seg, opts)
 }
 
 // reduceRing is the ring schedule — reduce-scatter then all-gather over the
-// neighbor links — with every hop's chunk travelling as k sub-chunk
-// messages: k == 1 is the plain ring, k == pipelineChunks(n, dim) the
-// chunk-pipelined one (pipeline.go). Splitting a message changes framing,
-// never which operands meet in which order, so the result is bitwise the
-// same at every k.
-func (r *Ring) reduceRing(rank int, seg []float64, opts Options, k int) error {
+// neighbor links, one message per hop.
+func (r *Ring) reduceRing(rank int, seg []float64, opts Options) error {
 	n := r.n
 	dim := len(seg)
 	sc := &r.scratch[rank]
@@ -184,63 +173,51 @@ func (r *Ring) reduceRing(rank int, seg []float64, opts Options, k int) error {
 	for c := 0; c <= n; c++ {
 		bounds[c] = c * dim / n
 	}
-	// sub returns sub-chunk t of chunk c: the same fixed subdivision on
-	// every rank, so sender and receiver agree framewise.
-	sub := func(c, t int) []float64 {
+	chunk := func(c int) []float64 {
 		c = ((c % n) + n) % n
-		lo, w := bounds[c], bounds[c+1]-bounds[c]
-		return seg[lo+t*w/k : lo+(t+1)*w/k]
+		return seg[bounds[c]:bounds[c+1]]
 	}
 
 	h := r.begin(rank, opts)
 	// Reduce-scatter: after step s, worker rank holds the partial
 	// sum of chunk (rank - s) accumulated over s+1 workers. After
 	// n-1 steps, worker rank owns the complete chunk (rank+1). Sending
-	// before receiving within each sub-step needs only one slot of link
+	// before receiving within each step needs only one slot of link
 	// buffering.
 	for s := 0; s < n-1; s++ {
-		for t := 0; t < k; t++ {
-			if err := h.send(ep, succ, sub(rank-s, t)); err != nil {
-				return h.finish(err)
-			}
-			dst := sub(rank-s-1, t)
-			msg, err := h.recv(ep, pred, len(dst))
-			if err != nil {
-				return h.finish(err)
-			}
-			for j := range dst {
-				dst[j] += msg[j]
-			}
-			h.retire(msg)
+		if err := h.send(ep, succ, chunk(rank-s)); err != nil {
+			return h.finish(err)
 		}
+		dst := chunk(rank - s - 1)
+		msg, err := h.recv(ep, pred, len(dst))
+		if err != nil {
+			return h.finish(err)
+		}
+		for j := range dst {
+			dst[j] += msg[j]
+		}
+		h.retire(msg)
 	}
 	// All-gather: circulate the completed chunks.
 	for s := 0; s < n-1; s++ {
-		for t := 0; t < k; t++ {
-			if err := h.send(ep, succ, sub(rank+1-s, t)); err != nil {
-				return h.finish(err)
-			}
-			dst := sub(rank-s, t)
-			msg, err := h.recv(ep, pred, len(dst))
-			if err != nil {
-				return h.finish(err)
-			}
-			copy(dst, msg)
-			h.retire(msg)
+		if err := h.send(ep, succ, chunk(rank+1-s)); err != nil {
+			return h.finish(err)
 		}
+		dst := chunk(rank - s)
+		msg, err := h.recv(ep, pred, len(dst))
+		if err != nil {
+			return h.finish(err)
+		}
+		copy(dst, msg)
+		h.retire(msg)
 	}
 	return h.finish(nil)
 }
 
-// smallReduceBytes is the payload size at or below which AllReduce computes
-// the ring arithmetic inline on the calling goroutine instead of fanning out
-// one goroutine per participant. For small messages the goroutine spawn,
-// channel hops, and cross-P wakeups cost more than the arithmetic itself —
-// and on an oversubscribed host (GOMAXPROCS > cores) the futex churn makes
-// ns/op *rise* with added CPUs. This is the MPI-style algorithm switch by
-// message size; the inline path is bit-identical to the concurrent ring by
-// construction (see ringReduceInline).
-const smallReduceBytes = 32 << 10
+// ringBlockLen is the window, in elements, the sequential ring reduce
+// accumulates at a time: 64 KiB, small enough that one window per rank stays
+// cache-resident across its n-1 accumulation passes.
+const ringBlockLen = 8 << 10
 
 // ringReduceInline performs the exact arithmetic of an n-way ring
 // reduce-scatter + all-gather sequentially. For chunk c the ring produces
@@ -253,17 +230,22 @@ const smallReduceBytes = 32 << 10
 // reproduces it bit-for-bit: each partial differs from the ring's only by
 // the operand order of a single two-term IEEE addition, which is exactly
 // commutative. Associativity is never re-grouped, so no float property
-// beyond commutativity is assumed.
+// beyond commutativity is assumed. Each chunk is accumulated in windows of
+// ringBlockLen elements; the additions are element-wise, so the windowing
+// changes the loop nest and never a bit.
 func ringReduceInline(vectors [][]float64) {
 	n := len(vectors)
 	dim := len(vectors[0])
 	for c := 0; c < n; c++ {
 		lo, hi := c*dim/n, (c+1)*dim/n
-		acc := vectors[c][lo:hi]
-		for s := 1; s < n; s++ {
-			src := vectors[(c+s)%n][lo:hi]
-			for j := range acc {
-				acc[j] += src[j]
+		for tlo := lo; tlo < hi; tlo += ringBlockLen {
+			thi := min(tlo+ringBlockLen, hi)
+			acc := vectors[c][tlo:thi]
+			for s := 1; s < n; s++ {
+				src := vectors[(c+s)%n][tlo:thi]
+				for j := range acc {
+					acc[j] += src[j]
+				}
 			}
 		}
 	}
@@ -279,32 +261,19 @@ func ringReduceInline(vectors [][]float64) {
 	}
 }
 
-// AllReduce replaces every vectors[i] in place with the weighted sum
-// Σ_j weights[j]·vectors[j], using a ring reduce-scatter + all-gather among
-// len(vectors) concurrent workers. All vectors must share one length.
+// AllReduceAlg replaces every vectors[i] in place with the weighted sum
+// Σ_j weights[j]·vectors[j] (Eq. 9; nil weights mean a plain average,
+// 1/n each), computed sequentially on the calling goroutine with the
+// arithmetic of the given collective algorithm: ringReduceInline or
+// hdReduceInline, each bitwise-identical to the schedule Ring.ReduceWith
+// runs distributed. It is the reference the sequential backend trains with
+// and the distributed schedules are tested against. All vectors must share
+// one length.
 //
-// Pass nil weights for a plain average (weights 1/n).
-func AllReduce(vectors [][]float64, weights []float64) error {
-	return AllReduceAlg(vectors, weights, AlgoRing)
-}
-
-// AllReduceAlg is AllReduce under an explicit collective algorithm
-// (AlgoAuto prices the payload with the default selector). Every
-// algorithm fixes its own association order, so a given (algorithm, n,
-// dim) is bitwise-deterministic; different algorithms legitimately differ
-// in the last bits for n ≥ 3 — exactly like different bucket partitions.
-//
-// Execution strategy is the helper's own concern and never changes bits:
-// payloads whose schedule can run cheaper on the calling goroutine use
-// the algorithm's inline form (ringReduceInline / hdReduceInline /
-// pipelineReduceInline, each bitwise-identical to its distributed
-// schedule); larger ring and hd payloads fan out one goroutine per rank
-// over a fresh channel transport. The pipelined ring always runs its
-// blocked sequential schedule here: in one address space "hop overlap" is
-// interleaving, and the cache-blocked interleaving is the fastest — and
-// GOMAXPROCS-independent — way to run it. Persistent-ring callers (the
-// live runtime, multi-process workers) run the same algorithms
-// distributed via Ring.ReduceWith.
+// Every algorithm fixes its own association order, so a given (algorithm,
+// n, dim) is bitwise-deterministic; different algorithms legitimately
+// differ in the last bits for n ≥ 3 — exactly like different bucket
+// partitions.
 func AllReduceAlg(vectors [][]float64, weights []float64, algo Algorithm) error {
 	n := len(vectors)
 	if n == 0 {
@@ -326,17 +295,14 @@ func AllReduceAlg(vectors [][]float64, weights []float64, algo Algorithm) error 
 		return fmt.Errorf("allreduce: %d weights for %d participants", len(weights), n)
 	}
 	resolved := (Selector{}).Resolve(algo, n, dim)
-	switch resolved {
-	case AlgoRing, AlgoHD, AlgoPipeline:
-	default:
+	if resolved != AlgoRing && resolved != AlgoHD {
 		return fmt.Errorf("allreduce: unknown algorithm %q", algo)
 	}
 
-	// Power-of-two hd payloads small enough for the fused tree scale their
-	// leaves inside it — one pass over memory instead of scale + tree +
-	// gather, with identical bits (see hdReduceInlineWeighted).
-	if resolved == AlgoHD && n > 1 && dim > 0 && dim*8 <= hdSmallBytes &&
-		hdReduceInlineWeighted(vectors, weights) {
+	// Power-of-two hd rings with a fused tree scale their leaves inside it —
+	// one pass over memory instead of scale + tree + gather, with identical
+	// bits (see hdReduceInlineWeighted).
+	if resolved == AlgoHD && n > 1 && dim > 0 && hdReduceInlineWeighted(vectors, weights) {
 		return nil
 	}
 
@@ -350,84 +316,10 @@ func AllReduceAlg(vectors [][]float64, weights []float64, algo Algorithm) error 
 	if n == 1 || dim == 0 {
 		return nil
 	}
-	switch resolved {
-	case AlgoPipeline:
-		pipelineReduceInline(vectors)
-		return nil
-	case AlgoHD:
-		if dim*8 <= hdSmallBytes {
-			hdReduceInline(vectors)
-			return nil
-		}
-	default:
-		if dim*8 <= smallReduceBytes {
-			ringReduceInline(vectors)
-			return nil
-		}
-	}
-
-	ring, err := NewRing(n, 1)
-	if err != nil {
-		return err
-	}
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(rank int) {
-			defer wg.Done()
-			errs[rank] = ring.ReduceWith(rank, vectors[rank], Options{Algorithm: resolved})
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AllReduceBucketsAlg runs AllReduceAlg over the vectors segment by
-// segment, as DDP does with gradient buckets. bucketLen is the per-bucket
-// element count; the final bucket may be shorter. AlgoAuto is resolved per
-// bucket — the argmin over the cost model at each bucket's own payload size
-// — so a run's final short bucket may legitimately take a different
-// schedule than its full ones. The choice is a pure function of (algorithm,
-// n, bucket length), never of scheduling state, keeping bucketed auto
-// reduces reproducible.
-func AllReduceBucketsAlg(vectors [][]float64, weights []float64, bucketLen int, algo Algorithm) error {
-	if bucketLen <= 0 {
-		return fmt.Errorf("allreduce: bucket length %d", bucketLen)
-	}
-	n := len(vectors)
-	if n == 0 {
-		return errors.New("allreduce: no participants")
-	}
-	dim := len(vectors[0])
-	for i, v := range vectors {
-		if len(v) != dim {
-			return fmt.Errorf("allreduce: vector %d has length %d, want %d", i, len(v), dim)
-		}
-	}
-	// One view slice reused across buckets: the sequential backend calls
-	// this every step, and a per-bucket allocation here is steady-state GC
-	// pressure the AllocsPerRun tests on the live path never see.
-	views := make([][]float64, n)
-	for start := 0; start < dim; start += bucketLen {
-		end := start + bucketLen
-		if end > dim {
-			end = dim
-		}
-		for i, v := range vectors {
-			views[i] = v[start:end]
-		}
-		if err := AllReduceAlg(views, weights, algo); err != nil {
-			return err
-		}
-	}
-	if dim == 0 {
-		return AllReduceAlg(vectors, weights, algo)
+	if resolved == AlgoHD {
+		hdReduceInline(vectors)
+	} else {
+		ringReduceInline(vectors)
 	}
 	return nil
 }

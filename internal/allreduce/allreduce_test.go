@@ -19,6 +19,24 @@ func directWeightedSum(vectors [][]float64, weights []float64) []float64 {
 	return out
 }
 
+// reduceBuckets runs AllReduceAlg bucket by bucket, as DDP does with
+// gradient buckets and as the sequential backend does per step; bucketLen is
+// the per-bucket element count and the final bucket may be shorter.
+func reduceBuckets(vectors [][]float64, weights []float64, bucketLen int, algo Algorithm) error {
+	dim := len(vectors[0])
+	views := make([][]float64, len(vectors))
+	for start := 0; start < dim; start += bucketLen {
+		end := min(start+bucketLen, dim)
+		for i, v := range vectors {
+			views[i] = v[start:end]
+		}
+		if err := AllReduceAlg(views, weights, algo); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 func cloneAll(vectors [][]float64) [][]float64 {
 	out := make([][]float64, len(vectors))
 	for i, v := range vectors {
@@ -43,7 +61,7 @@ func TestAllReduceMatchesDirectSum(t *testing.T) {
 			weights[i] = s.Float64() + 0.01
 		}
 		want := directWeightedSum(vectors, weights)
-		if err := AllReduce(vectors, weights); err != nil {
+		if err := AllReduceAlg(vectors, weights, AlgoRing); err != nil {
 			return false
 		}
 		for i := range vectors {
@@ -62,7 +80,7 @@ func TestAllReduceMatchesDirectSum(t *testing.T) {
 
 func TestAllReduceNilWeightsAverages(t *testing.T) {
 	vectors := [][]float64{{1, 2}, {3, 4}, {5, 6}}
-	if err := AllReduce(vectors, nil); err != nil {
+	if err := AllReduceAlg(vectors, nil, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vectors {
@@ -78,7 +96,7 @@ func TestAllReduceEq9BatchWeighting(t *testing.T) {
 	// gradient 5.0. Global per-sample mean = (3*1 + 1*5)/4 = 2.
 	vectors := [][]float64{{1}, {5}}
 	weights := []float64{0.75, 0.25}
-	if err := AllReduce(vectors, weights); err != nil {
+	if err := AllReduceAlg(vectors, weights, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(vectors[0][0]-2) > 1e-12 || math.Abs(vectors[1][0]-2) > 1e-12 {
@@ -88,7 +106,7 @@ func TestAllReduceEq9BatchWeighting(t *testing.T) {
 
 func TestAllReduceSingleWorker(t *testing.T) {
 	vectors := [][]float64{{2, 4}}
-	if err := AllReduce(vectors, []float64{0.5}); err != nil {
+	if err := AllReduceAlg(vectors, []float64{0.5}, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	if vectors[0][0] != 1 || vectors[0][1] != 2 {
@@ -100,7 +118,7 @@ func TestAllReduceDimSmallerThanWorkers(t *testing.T) {
 	// 5 workers, 2 elements: some ring chunks are empty.
 	vectors := [][]float64{{1, 1}, {1, 1}, {1, 1}, {1, 1}, {1, 1}}
 	weights := []float64{1, 1, 1, 1, 1}
-	if err := AllReduce(vectors, weights); err != nil {
+	if err := AllReduceAlg(vectors, weights, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vectors {
@@ -111,13 +129,13 @@ func TestAllReduceDimSmallerThanWorkers(t *testing.T) {
 }
 
 func TestAllReduceErrors(t *testing.T) {
-	if err := AllReduce(nil, nil); err == nil {
+	if err := AllReduceAlg(nil, nil, AlgoRing); err == nil {
 		t.Fatal("empty group accepted")
 	}
-	if err := AllReduce([][]float64{{1}, {1, 2}}, nil); err == nil {
+	if err := AllReduceAlg([][]float64{{1}, {1, 2}}, nil, AlgoRing); err == nil {
 		t.Fatal("mismatched lengths accepted")
 	}
-	if err := AllReduce([][]float64{{1}, {2}}, []float64{1}); err == nil {
+	if err := AllReduceAlg([][]float64{{1}, {2}}, []float64{1}, AlgoRing); err == nil {
 		t.Fatal("wrong weight count accepted")
 	}
 }
@@ -140,10 +158,10 @@ func TestAllReduceBucketsMatchesSingleShot(t *testing.T) {
 	}
 	v1, w := build()
 	v2 := cloneAll(v1)
-	if err := AllReduce(v1, w); err != nil {
+	if err := AllReduceAlg(v1, w, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
-	if err := AllReduceBucketsAlg(v2, w, 10, AlgoRing); err != nil {
+	if err := reduceBuckets(v2, w, 10, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	for i := range v1 {
@@ -152,18 +170,6 @@ func TestAllReduceBucketsMatchesSingleShot(t *testing.T) {
 				t.Fatalf("bucketed mismatch at (%d,%d)", i, j)
 			}
 		}
-	}
-}
-
-func TestAllReduceBucketsErrors(t *testing.T) {
-	if err := AllReduceBucketsAlg([][]float64{{1}}, nil, 0, AlgoRing); err == nil {
-		t.Fatal("zero bucket length accepted")
-	}
-	if err := AllReduceBucketsAlg(nil, nil, 1, AlgoRing); err == nil {
-		t.Fatal("empty group accepted")
-	}
-	if err := AllReduceBucketsAlg([][]float64{{1, 2}, {1}}, nil, 1, AlgoRing); err == nil {
-		t.Fatal("ragged vectors accepted")
 	}
 }
 
@@ -179,7 +185,7 @@ func BenchmarkAllReduce8x1M(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := AllReduce(vectors, nil); err != nil {
+		if err := AllReduceAlg(vectors, nil, AlgoRing); err != nil {
 			b.Fatal(err)
 		}
 	}

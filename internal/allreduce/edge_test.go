@@ -56,10 +56,10 @@ func TestRingEdgeCases(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			got := cloneAll(tc.vectors)
-			if err := AllReduceBucketsAlg(got, onesWeights(tc.n), tc.bucketLen, AlgoRing); err != nil {
+			if err := reduceBuckets(got, onesWeights(tc.n), tc.bucketLen, AlgoRing); err != nil {
 				t.Fatal(err)
 			}
-			assertExact(t, "AllReduceBuckets", got, tc.want)
+			assertExact(t, "reduceBuckets", got, tc.want)
 
 			// Same layout through the persistent ring, bucket by bucket.
 			dim := len(tc.vectors[0])

@@ -9,7 +9,7 @@ import (
 
 // ringReference runs the real concurrent ring — one goroutine per rank over
 // the channel transport — on the given vectors. It is the oracle the inline
-// fast path must match bit for bit.
+// form must match bit for bit.
 func ringReference(t *testing.T, vectors [][]float64) {
 	t.Helper()
 	n := len(vectors)
@@ -51,7 +51,7 @@ func cloneVectors(vs [][]float64) [][]float64 {
 	return out
 }
 
-// TestRingReduceInlineBitwise proves the sequential fast path reproduces the
+// TestRingReduceInlineBitwise proves the sequential form reproduces the
 // concurrent ring's results exactly, for every ring size and dimension shape
 // the runtime uses — including dims that don't divide evenly and dims below
 // the worker count (empty chunks).
@@ -76,14 +76,13 @@ func TestRingReduceInlineBitwise(t *testing.T) {
 	}
 }
 
-// TestAllReduceSmallUsesSameBits pins the user-visible contract: AllReduce's
-// result for a small payload (inline path) is bit-identical to pre-scaling
-// by the weights and running the concurrent ring — the exact arithmetic the
-// large-payload path performs.
+// TestAllReduceSmallUsesSameBits pins the user-visible contract:
+// AllReduceAlg's ring result is bit-identical to pre-scaling by the weights
+// and running the concurrent ring.
 func TestAllReduceSmallUsesSameBits(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, n := range []int{2, 3, 4} {
-		dim := 512 // 4KB — well under smallReduceBytes
+		dim := 512
 		vs := randomVectors(rng, n, dim)
 		weights := make([]float64, n)
 		sum := 0.0
@@ -104,8 +103,8 @@ func TestAllReduceSmallUsesSameBits(t *testing.T) {
 		ringReference(t, want)
 
 		got := cloneVectors(vs)
-		if err := AllReduce(got, weights); err != nil {
-			t.Fatalf("AllReduce: %v", err)
+		if err := AllReduceAlg(got, weights, AlgoRing); err != nil {
+			t.Fatalf("AllReduceAlg: %v", err)
 		}
 		for i := range got {
 			for j := range got[i] {
@@ -133,11 +132,11 @@ func TestBucketPartitionBitsByRingSize(t *testing.T) {
 			weights[i] = 1 / float64(n)
 		}
 		a := cloneVectors(vs)
-		if err := AllReduceBucketsAlg(a, weights, 64, AlgoRing); err != nil {
+		if err := reduceBuckets(a, weights, 64, AlgoRing); err != nil {
 			t.Fatal(err)
 		}
 		b := cloneVectors(vs)
-		if err := AllReduceBucketsAlg(b, weights, dim, AlgoRing); err != nil {
+		if err := reduceBuckets(b, weights, dim, AlgoRing); err != nil {
 			t.Fatal(err)
 		}
 		diff := 0

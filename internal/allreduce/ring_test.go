@@ -12,8 +12,8 @@ import (
 // TestRingStreamingMatchesAllReduceBuckets drives a persistent Ring the way
 // the live runtime does — each worker goroutine reduces the gradient bucket
 // by bucket, in reverse bucket order, over one long-lived set of links —
-// and requires the result to be bit-identical to AllReduceBuckets on the
-// same inputs.
+// and requires the result to be bit-identical to the sequential reduce of
+// the same buckets.
 func TestRingStreamingMatchesAllReduceBuckets(t *testing.T) {
 	src := rng.New(11)
 	for _, tc := range []struct{ n, dim, bucketLen int }{
@@ -33,7 +33,7 @@ func TestRingStreamingMatchesAllReduceBuckets(t *testing.T) {
 			weights[i] = 0.05 + s.Float64()
 		}
 		want := cloneAll(vectors)
-		if err := AllReduceBucketsAlg(want, weights, tc.bucketLen, AlgoRing); err != nil {
+		if err := reduceBuckets(want, weights, tc.bucketLen, AlgoRing); err != nil {
 			t.Fatal(err)
 		}
 
@@ -91,7 +91,7 @@ func TestNewRingRejectsEmpty(t *testing.T) {
 // reduce-scatter step and one all-gather step.
 func TestAllReduceTwoWorkers(t *testing.T) {
 	vectors := [][]float64{{1, 2, 3}, {10, 20, 30}}
-	if err := AllReduce(vectors, []float64{0.25, 0.75}); err != nil {
+	if err := AllReduceAlg(vectors, []float64{0.25, 0.75}, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	want := []float64{0.25*1 + 0.75*10, 0.25*2 + 0.75*20, 0.25*3 + 0.75*30}
@@ -116,7 +116,7 @@ func TestAllReduceEmptyChunks(t *testing.T) {
 				vectors[i][j] = float64(i + 1)
 			}
 		}
-		if err := AllReduce(vectors, nil); err != nil {
+		if err := AllReduceAlg(vectors, nil, AlgoRing); err != nil {
 			t.Fatal(err)
 		}
 		want := (1.0 + 2 + 3 + 4 + 5 + 6) / 6
@@ -134,7 +134,7 @@ func TestAllReduceBucketsDimSmallerThanWorkers(t *testing.T) {
 	// 5 workers, 2 elements, 1-element buckets: every bucket has empty
 	// chunks for most of the ring.
 	vectors := [][]float64{{1, 2}, {1, 2}, {1, 2}, {1, 2}, {1, 2}}
-	if err := AllReduceBucketsAlg(vectors, nil, 1, AlgoRing); err != nil {
+	if err := reduceBuckets(vectors, nil, 1, AlgoRing); err != nil {
 		t.Fatal(err)
 	}
 	for i := range vectors {
@@ -166,7 +166,7 @@ func TestWeightedAllReducePropertyTight(t *testing.T) {
 			weights[i] = s.Float64()
 		}
 		want := directWeightedSum(vectors, weights)
-		if err := AllReduce(vectors, weights); err != nil {
+		if err := AllReduceAlg(vectors, weights, AlgoRing); err != nil {
 			return false
 		}
 		for i := range vectors {

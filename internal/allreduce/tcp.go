@@ -43,9 +43,9 @@ const tcpMaxMsgLen = 8 << 20
 
 // tcpQueueDepth is every socket's send and receive queue depth in
 // messages. A collective is lock-step — a rank cannot send hop k+1 before
-// it has received hop k — so a couple of slots already decouple the
-// rank's goroutine from the socket loops; 16 covers the pipelined ring's
-// sub-chunk bursts (pipelineMaxChunks) without ever blocking on the queue.
+// it has received hop k — and every schedule sends one message per hop, so
+// a couple of slots already decouple the rank's goroutine from the socket
+// loops; 16 never blocks on the queue.
 const tcpQueueDepth = 16
 
 // tcpBufBytes sizes every socket's buffered reader and writer: room for a

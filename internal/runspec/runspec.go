@@ -65,8 +65,6 @@ type Spec struct {
 	BucketBytes  int     `json:"bucket_bytes,omitempty"`
 	KernelShards int     `json:"kernel_shards,omitempty"`
 	Allreduce    string  `json:"allreduce,omitempty"`
-	LinkAlpha    float64 `json:"link_alpha,omitempty"`
-	LinkBeta     float64 `json:"link_beta,omitempty"`
 	Faults       []Fault `json:"faults,omitempty"`
 	FaultReplan  string  `json:"fault_replan,omitempty"`
 
@@ -286,112 +284,66 @@ type Binding struct {
 	fs       *flag.FlagSet
 	flat     *Spec
 	specPath string
-	// override copies one explicitly-set flag's value from the flag-parsed
-	// Spec onto the file-loaded Spec, keyed by flag name.
-	override map[string]func(dst, src *Spec)
 }
 
 // Register installs the full Spec flag surface (plus -spec itself) on fs,
 // returning the binding to Resolve after fs.Parse.
 func Register(fs *flag.FlagSet) *Binding {
-	s := Default()
-	b := &Binding{fs: fs, flat: s, override: map[string]func(dst, src *Spec){}}
+	b := &Binding{fs: fs, flat: Default()}
 	fs.StringVar(&b.specPath, "spec", "", "JSON run-spec file; explicit flags override its fields")
+	registerFlags(fs, b.flat)
+	return b
+}
 
-	str := func(name string, p *string, usage string, cp func(dst, src *Spec)) {
-		fs.StringVar(p, name, *p, usage)
-		b.override[name] = cp
-	}
-	boolf := func(name string, p *bool, usage string, cp func(dst, src *Spec)) {
-		fs.BoolVar(p, name, *p, usage)
-		b.override[name] = cp
-	}
-	intf := func(name string, p *int, usage string, cp func(dst, src *Spec)) {
-		fs.IntVar(p, name, *p, usage)
-		b.override[name] = cp
-	}
+// registerFlags binds one flag per Spec field to s, with s's current values
+// as the defaults.
+func registerFlags(fs *flag.FlagSet, s *Spec) {
+	str := func(name string, p *string, usage string) { fs.StringVar(p, name, *p, usage) }
+	boolf := func(name string, p *bool, usage string) { fs.BoolVar(p, name, *p, usage) }
+	intf := func(name string, p *int, usage string) { fs.IntVar(p, name, *p, usage) }
 
-	str("cluster", &s.Cluster, `cluster preset: "a", "b", or "c"`,
-		func(dst, src *Spec) { dst.Cluster = src.Cluster })
+	str("cluster", &s.Cluster, `cluster preset: "a", "b", or "c"`)
 	fs.Var(&commaStrings{&s.Models}, "models", "comma-separated GPU models for a custom cluster (overrides -cluster)")
-	b.override["models"] = func(dst, src *Spec) { dst.Models = src.Models }
-	str("workload", &s.Workload, "workload name (see -list)",
-		func(dst, src *Spec) { dst.Workload = src.Workload })
-	str("system", &s.System, "training system: cannikin, adaptdl, lb-bsp, pytorch-ddp, hetpipe",
-		func(dst, src *Spec) { dst.System = src.System })
+	str("workload", &s.Workload, "workload name (see -list)")
+	str("system", &s.System, "training system: cannikin, adaptdl, lb-bsp, pytorch-ddp, hetpipe")
 	fs.Uint64Var(&s.Seed, "seed", s.Seed, "random seed")
-	b.override["seed"] = func(dst, src *Spec) { dst.Seed = src.Seed }
-	intf("epochs", &s.Epochs, "epoch cap (0 = run to convergence; MLP default 10)",
-		func(dst, src *Spec) { dst.Epochs = src.Epochs })
-	intf("batch", &s.Batch, "fixed total batch size (0 = adaptive/default)",
-		func(dst, src *Spec) { dst.Batch = src.Batch })
+	intf("epochs", &s.Epochs, "epoch cap (0 = run to convergence; MLP default 10)")
+	intf("batch", &s.Batch, "fixed total batch size (0 = adaptive/default)")
 	fs.Float64Var(&s.Chaos, "chaos", s.Chaos, "per-epoch probability of a random resource perturbation, in (0, 1]")
-	b.override["chaos"] = func(dst, src *Spec) { dst.Chaos = src.Chaos }
-	str("audit", &s.Audit, `verify OptPerf plans against the paper's optimality invariants: "advisory" or "strict"`,
-		func(dst, src *Spec) { dst.Audit = src.Audit })
-	boolf("progress", &s.Progress, "stream each epoch as it completes",
-		func(dst, src *Spec) { dst.Progress = src.Progress })
-	boolf("csv", &s.CSV, "emit the epoch trace as CSV",
-		func(dst, src *Spec) { dst.CSV = src.CSV })
+	str("audit", &s.Audit, `verify OptPerf plans against the paper's optimality invariants: "advisory" or "strict"`)
+	boolf("progress", &s.Progress, "stream each epoch as it completes")
+	boolf("csv", &s.CSV, "emit the epoch trace as CSV")
 
-	boolf("mlp", &s.MLP, "train the real MLP across data-parallel workers instead of the simulated workload",
-		func(dst, src *Spec) { dst.MLP = src.MLP })
-	str("backend", &s.Backend, `MLP execution engine: "sim" (sequential reference) or "live" (concurrent workers, overlapped ring all-reduce, wall-clock profile)`,
-		func(dst, src *Spec) { dst.Backend = src.Backend })
+	boolf("mlp", &s.MLP, "train the real MLP across data-parallel workers instead of the simulated workload")
+	str("backend", &s.Backend, `MLP execution engine: "sim" (sequential reference) or "live" (concurrent workers, overlapped ring all-reduce, wall-clock profile)`)
 	fs.Var(&commaInts{&s.MLPBatches}, "mlp-batches", "comma-separated per-worker local batch sizes for -mlp")
-	b.override["mlp-batches"] = func(dst, src *Spec) { dst.MLPBatches = src.MLPBatches }
-	intf("bucket-bytes", &s.BucketBytes, "gradient bucket cap in bytes for -mlp (0 = DDP's 25 MB default)",
-		func(dst, src *Spec) { dst.BucketBytes = src.BucketBytes })
-	intf("kernel-shards", &s.KernelShards, "matmul kernel parallelism for -mlp: shard each matmul across this many goroutines (0 = leave serial; results are bitwise identical at any value)",
-		func(dst, src *Spec) { dst.KernelShards = src.KernelShards })
-	str("allreduce", &s.Allreduce, `collective algorithm for -mlp gradient buckets: "ring" (default), "hd" (recursive halving-doubling), "pipeline" (chunk-pipelined ring), or "auto" (cost-model argmin per bucket)`,
-		func(dst, src *Spec) { dst.Allreduce = src.Allreduce })
-	fs.Float64Var(&s.LinkAlpha, "link-alpha", s.LinkAlpha, `fitted per-hop link latency in seconds pricing "-allreduce auto" (0 = calibrated size thresholds)`)
-	b.override["link-alpha"] = func(dst, src *Spec) { dst.LinkAlpha = src.LinkAlpha }
-	fs.Float64Var(&s.LinkBeta, "link-beta", s.LinkBeta, `fitted per-byte link cost in seconds pricing "-allreduce auto" (0 = calibrated size thresholds)`)
-	b.override["link-beta"] = func(dst, src *Spec) { dst.LinkBeta = src.LinkBeta }
+	intf("bucket-bytes", &s.BucketBytes, "gradient bucket cap in bytes for -mlp (0 = DDP's 25 MB default)")
+	intf("kernel-shards", &s.KernelShards, "matmul kernel parallelism for -mlp: shard each matmul across this many goroutines (0 = leave serial; results are bitwise identical at any value)")
+	str("allreduce", &s.Allreduce, `collective algorithm for -mlp gradient buckets: "ring" (default), "hd" (recursive halving-doubling), or "auto" (hd for buckets up to 128 KiB, ring above)`)
 	fs.Var(&faultsValue{&s.Faults}, "fault", `inject deterministic faults into the live MLP run: comma-separated events "kind:worker@step[:arg]" with kinds kill, stall (arg = duration), delay (arg = duration), drop (arg = count), e.g. "stall:0@3:40ms,kill:1@8"`)
-	b.override["fault"] = func(dst, src *Spec) { dst.Faults = src.Faults }
-	str("fault-replan", &s.FaultReplan, `survivor batch policy after an eviction: "keep" (default) or "optperf"`,
-		func(dst, src *Spec) { dst.FaultReplan = src.FaultReplan })
+	str("fault-replan", &s.FaultReplan, `survivor batch policy after an eviction: "keep" (default) or "optperf"`)
 
 	fs.Var(&joinsValue{&s.Joins}, "join", `schedule worker hot-joins into the live MLP run: comma-separated "epoch:batch[:replan]" entries (replan: keep or optperf), e.g. "1:8,3:4:optperf"`)
-	b.override["join"] = func(dst, src *Spec) { dst.Joins = src.Joins }
-	intf("autoscale-max", &s.AutoscaleMax, "enable the goodput-driven autoscaler with this membership ceiling (0 = off)",
-		func(dst, src *Spec) { dst.AutoscaleMax = src.AutoscaleMax })
-	intf("autoscale-min", &s.AutoscaleMin, "autoscaler membership floor (0 = never shrink below the initial membership's minimum of 1)",
-		func(dst, src *Spec) { dst.AutoscaleMin = src.AutoscaleMin })
+	intf("autoscale-max", &s.AutoscaleMax, "enable the goodput-driven autoscaler with this membership ceiling (0 = off)")
+	intf("autoscale-min", &s.AutoscaleMin, "autoscaler membership floor (0 = never shrink below the initial membership's minimum of 1)")
 	fs.Float64Var(&s.AutoscaleGrow, "autoscale-grow", s.AutoscaleGrow, "minimum fractional predicted-goodput gain before the autoscaler admits a worker (0 = default 0.05)")
-	b.override["autoscale-grow"] = func(dst, src *Spec) { dst.AutoscaleGrow = src.AutoscaleGrow }
 	fs.Float64Var(&s.AutoscaleShrink, "autoscale-shrink", s.AutoscaleShrink, "maximum fractional predicted-goodput loss at which the autoscaler evicts the slowest worker (0 = never shrink)")
-	b.override["autoscale-shrink"] = func(dst, src *Spec) { dst.AutoscaleShrink = src.AutoscaleShrink }
-	intf("autoscale-batch", &s.AutoscaleBatch, "local batch granted to autoscaler-admitted workers (0 = smallest incumbent batch)",
-		func(dst, src *Spec) { dst.AutoscaleBatch = src.AutoscaleBatch })
-	str("resume", &s.Resume, `derive the run's randomness from the seed's child stream with this label (e.g. "join-1"), matching an elastic run's post-join incarnation`,
-		func(dst, src *Spec) { dst.Resume = src.Resume })
-	str("checkpoint-in", &s.CheckpointIn, "load initial weights and optimizer velocity from this checkpoint file",
-		func(dst, src *Spec) { dst.CheckpointIn = src.CheckpointIn })
-	str("checkpoint-out", &s.CheckpointOut, "write final weights and optimizer velocity to this checkpoint file (rank 0 only under tcp)",
-		func(dst, src *Spec) { dst.CheckpointOut = src.CheckpointOut })
+	intf("autoscale-batch", &s.AutoscaleBatch, "local batch granted to autoscaler-admitted workers (0 = smallest incumbent batch)")
+	str("resume", &s.Resume, `derive the run's randomness from the seed's child stream with this label (e.g. "join-1"), matching an elastic run's post-join incarnation`)
+	str("checkpoint-in", &s.CheckpointIn, "load initial weights and optimizer velocity from this checkpoint file")
+	str("checkpoint-out", &s.CheckpointOut, "write final weights and optimizer velocity to this checkpoint file (rank 0 only under tcp)")
 
-	str("transport", &s.Transport, `ring transport for -mlp: "chan" (in-process) or "tcp" (one OS process per worker over real sockets)`,
-		func(dst, src *Spec) { dst.Transport = src.Transport })
-	intf("rank", &s.Rank, "this process's ring rank (worker mode)",
-		func(dst, src *Spec) { dst.Rank = src.Rank })
+	str("transport", &s.Transport, `ring transport for -mlp: "chan" (in-process) or "tcp" (one OS process per worker over real sockets)`)
+	intf("rank", &s.Rank, "this process's ring rank (worker mode)")
 	fs.Var(&commaStrings{&s.Peers}, "peers", "comma-separated host:port of every rank, in rank order (empty = coordinator reserves localhost ports)")
-	b.override["peers"] = func(dst, src *Spec) { dst.Peers = src.Peers }
-	str("listen", &s.Listen, "listen address override for this rank (default: peers[rank])",
-		func(dst, src *Spec) { dst.Listen = src.Listen })
-	boolf("guard", &s.Guard, "run every ring hop under per-hop deadlines, so a stalled peer fails the run with blame",
-		func(dst, src *Spec) { dst.Guard = src.Guard })
-	str("worker-bin", &s.WorkerBin, "path to the cannikin-worker binary (coordinator mode; default: next to this binary, then $PATH)",
-		func(dst, src *Spec) { dst.WorkerBin = src.WorkerBin })
-	return b
+	str("listen", &s.Listen, "listen address override for this rank (default: peers[rank])")
+	boolf("guard", &s.Guard, "run every ring hop under per-hop deadlines, so a stalled peer fails the run with blame")
+	str("worker-bin", &s.WorkerBin, "path to the cannikin-worker binary (coordinator mode; default: next to this binary, then $PATH)")
 }
 
 // Resolve returns the final Spec after fs.Parse: the flag-built Spec when
 // no -spec file was named, otherwise the file's Spec with every explicitly
-// set flag copied over it.
+// set flag replayed over it.
 func (b *Binding) Resolve() (*Spec, error) {
 	if b.specPath == "" {
 		return b.flat, nil
@@ -400,11 +352,18 @@ func (b *Binding) Resolve() (*Spec, error) {
 	if err != nil {
 		return nil, err
 	}
+	over := flag.NewFlagSet("", flag.ContinueOnError)
+	registerFlags(over, s)
 	b.fs.Visit(func(f *flag.Flag) {
-		if cp := b.override[f.Name]; cp != nil {
-			cp(s, b.flat)
+		// -spec itself, and flags the command registered beside the Spec's,
+		// are not Spec fields.
+		if over.Lookup(f.Name) != nil && err == nil {
+			err = over.Set(f.Name, f.Value.String())
 		}
 	})
+	if err != nil {
+		return nil, fmt.Errorf("runspec: %w", err)
+	}
 	return s, nil
 }
 

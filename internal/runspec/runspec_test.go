@@ -131,7 +131,8 @@ func TestSpecJSONRoundTrip(t *testing.T) {
 
 func TestLoadRejectsUnknownFields(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.json")
-	for _, body := range []string{`{"mlp": true, "transprot": "tcp"}`, `{"mlp": true, "comm": "merged"}`} {
+	for _, body := range []string{`{"mlp": true, "transprot": "tcp"}`, `{"mlp": true, "comm": "merged"}`,
+		`{"mlp": true, "link_alpha": 1e-6}`, `{"mlp": true, "link_beta": 1e-9}`} {
 		if err := writeFile(path, body); err != nil {
 			t.Fatal(err)
 		}
@@ -175,12 +176,55 @@ func TestFlagsAlone(t *testing.T) {
 	}
 
 	// The goroutine layout is not a flag: the live engine picks it from the
-	// cores the process can use.
-	fs = flag.NewFlagSet("t", flag.ContinueOnError)
-	fs.SetOutput(io.Discard)
-	Register(fs)
-	if err := fs.Parse([]string{"-mlp", "-comm", "merged"}); err == nil || !strings.Contains(err.Error(), "-comm") {
-		t.Fatalf("-comm: err = %v, want flag provided but not defined", err)
+	// cores the process can use. Nor are link constants: auto is a size rule.
+	for _, gone := range [][]string{{"-comm", "merged"}, {"-link-alpha", "1e-6"}} {
+		fs = flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		Register(fs)
+		if err := fs.Parse(append([]string{"-mlp"}, gone...)); err == nil || !strings.Contains(err.Error(), gone[0]) {
+			t.Fatalf("%s: err = %v, want flag provided but not defined", gone[0], err)
+		}
+	}
+}
+
+// TestEveryFlagOverridesSpecFile replays one explicitly-set flag of every
+// value type — and every Spec field — over an empty spec file: flag-over-file
+// precedence is a replay of the visited flags' text, so each flag.Value's
+// String must be a text its Set accepts and reads back unchanged.
+func TestEveryFlagOverridesSpecFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.json")
+	if err := writeFile(path, `{}`); err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	b := Register(fs)
+	err := fs.Parse([]string{"-spec", path,
+		"-cluster", "b", "-models", "H100,P100", "-workload", "imagenet", "-system", "adaptdl",
+		"-seed", "7", "-epochs", "12", "-batch", "256", "-chaos", "0.3", "-audit", "strict", "-progress", "-csv",
+		"-mlp", "-backend", "live", "-mlp-batches", "8,4,2", "-bucket-bytes", "2048", "-kernel-shards", "2",
+		"-allreduce", "hd", "-fault", "stall:1@4:20ms", "-fault-replan", "optperf",
+		"-join", "2:8,5:4:optperf", "-autoscale-max", "6", "-autoscale-min", "2", "-autoscale-grow", "0.1",
+		"-autoscale-shrink", "0.02", "-autoscale-batch", "4", "-resume", "join-1",
+		"-checkpoint-in", "/tmp/in.ckpt", "-checkpoint-out", "/tmp/out.ckpt",
+		"-transport", "tcp", "-rank", "2", "-peers", "127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003",
+		"-listen", "0.0.0.0:9003", "-guard", "-worker-bin", "/tmp/worker",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := b.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fullSpec()
+	want.Allreduce = "hd"
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("every flag over an empty file:\n got %+v\nwant %+v", got, want)
+	}
+	set, fields := 0, reflect.TypeOf(Spec{}).NumField()
+	fs.Visit(func(*flag.Flag) { set++ })
+	if set != fields+1 {
+		t.Fatalf("%d flags set for %d Spec fields plus -spec: a field has no flag in this test", set, fields)
 	}
 }
 
@@ -300,8 +344,10 @@ func TestDecodeDefaultsAndStrictness(t *testing.T) {
 	}
 
 	// A typo and fields that no longer exist (batch_delay went with the
-	// send-linger knob, comm with the layout override) are rejected alike.
-	for _, body := range []string{`{"mlp": true, "sede": 9}`, `{"mlp": true, "batch_delay": "auto"}`, `{"mlp": true, "comm": "merged"}`} {
+	// send-linger knob, comm with the layout override, link_alpha/link_beta
+	// with the α–β selector) are rejected alike.
+	for _, body := range []string{`{"mlp": true, "sede": 9}`, `{"mlp": true, "batch_delay": "auto"}`, `{"mlp": true, "comm": "merged"}`,
+		`{"mlp": true, "link_alpha": 1e-6}`, `{"mlp": true, "link_beta": 1e-9}`} {
 		if _, err := Decode(strings.NewReader(body)); err == nil {
 			t.Fatalf("unknown field accepted: %s", body)
 		} else if !strings.Contains(err.Error(), "decode spec") {

@@ -9,13 +9,11 @@ import (
 )
 
 // trainWeights runs Train on a fresh config and returns the final weights.
-func trainWeights(t *testing.T, backend, algo string, alpha, beta float64, batches []int, mutate func(*Config)) *Result {
+func trainWeights(t *testing.T, backend, algo string, batches []int, mutate func(*Config)) *Result {
 	t.Helper()
 	cfg := testConfig(t, 7, batches, 300)
 	cfg.Backend = backend
 	cfg.Allreduce = algo
-	cfg.LinkAlpha = alpha
-	cfg.LinkBeta = beta
 	cfg.BucketBytes = 64 * 8 // many small buckets: the fragile case
 	if mutate != nil {
 		mutate(&cfg)
@@ -47,25 +45,16 @@ func assertWeightsBitwise(t *testing.T, name string, got, want []float64) {
 // n >= 3 (each fixes its own association order); that is not asserted here.
 func TestAllreduceAlgorithmBackendsAgree(t *testing.T) {
 	batches := []int{12, 6, 3} // n=3: non-power-of-2 hd fold-in, fragile order
-	for _, algo := range []string{"ring", "hd", "pipeline", "auto"} {
+	for _, algo := range []string{"ring", "hd", "auto"} {
 		t.Run(algo, func(t *testing.T) {
-			want := trainWeights(t, BackendSim, algo, 0, 0, batches, nil)
-			live := trainWeights(t, BackendLive, algo, 0, 0, batches, nil)
+			want := trainWeights(t, BackendSim, algo, batches, nil)
+			live := trainWeights(t, BackendLive, algo, batches, nil)
 			assertWeightsBitwise(t, "live/"+algo, live.FinalWeights, want.FinalWeights)
 			pinLayout(t, layoutMerged)
-			merged := trainWeights(t, BackendLive, algo, 0, 0, batches, nil)
+			merged := trainWeights(t, BackendLive, algo, batches, nil)
 			assertWeightsBitwise(t, "live-merged/"+algo, merged.FinalWeights, want.FinalWeights)
 		})
 	}
-	// Fitted constants change which schedule auto picks; the choice must
-	// still agree across backends because both resolve from the same
-	// (alpha, beta) through the same pure function.
-	t.Run("auto-fitted", func(t *testing.T) {
-		const alpha, beta = 2e-6, 1e-9
-		want := trainWeights(t, BackendSim, "auto", alpha, beta, batches, nil)
-		live := trainWeights(t, BackendLive, "auto", alpha, beta, batches, nil)
-		assertWeightsBitwise(t, "live/auto-fitted", live.FinalWeights, want.FinalWeights)
-	})
 }
 
 // TestWorkerAlgorithmMatchesTrain runs the multi-process differential under
@@ -105,10 +94,10 @@ func TestWorkerAlgorithmMatchesTrain(t *testing.T) {
 // TestBucketAlgorithms pins the per-bucket resolution rule: pure in the
 // config, never AlgoAuto in the output, and auto switching per bucket size.
 func TestBucketAlgorithms(t *testing.T) {
-	if _, err := bucketAlgorithms("warp", 0, 0, 100, 10, 4); err == nil {
+	if _, err := bucketAlgorithms("warp", 100, 10, 4); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	algs, err := bucketAlgorithms("", 0, 0, 100, 30, 4)
+	algs, err := bucketAlgorithms("", 100, 30, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,59 +109,20 @@ func TestBucketAlgorithms(t *testing.T) {
 			t.Fatalf("default resolved to %q, want ring", a)
 		}
 	}
-	// Unfitted auto: the calibrated threshold switches at 128 KiB — a run
+	// auto switches at 128 KiB — a run
 	// with one large and one small (tail) bucket must mix schedules.
 	dim := 40<<10 + 100 // bucket 0: 40960 elems = 320 KiB; bucket 1: 100 elems
-	algs, err = bucketAlgorithms("auto", 0, 0, dim, 40<<10, 4)
+	algs, err = bucketAlgorithms("auto", dim, 40<<10, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if algs[0] != allreduce.AlgoPipeline || algs[1] != allreduce.AlgoHD {
-		t.Fatalf("auto resolved to %v, want [pipeline hd]", algs)
+	if algs[0] != allreduce.AlgoRing || algs[1] != allreduce.AlgoHD {
+		t.Fatalf("auto resolved to %v, want [ring hd]", algs)
 	}
 	for _, a := range algs {
 		if a == allreduce.AlgoAuto {
 			t.Fatal("auto leaked through resolution")
 		}
-	}
-}
-
-// TestProfileLinkFit feeds a synthetic profile generated from known link
-// constants through the two-point fit and checks they are recovered.
-func TestProfileLinkFit(t *testing.T) {
-	const (
-		alpha = 3e-6
-		beta  = 2e-9
-		n     = 4
-		dim   = 1000 // 4 buckets of 300 + tail of 100: payload variation
-		bl    = 300
-	)
-	buckets := (dim + bl - 1) / bl
-	hops := 2.0 * (n - 1)
-	tailLen := float64(dim-bl) / float64(buckets-1)
-	p := &Profile{Workers: n, BucketLen: bl, Dim: dim}
-	for s := 0; s < 4; s++ {
-		p.Samples = append(p.Samples, Sample{
-			Buckets: buckets,
-			TuBusy:  hops * (alpha + beta*8*bl/n),
-			CommBusy: hops*(alpha+beta*8*bl/n) +
-				float64(buckets-1)*hops*(alpha+beta*8*tailLen/n),
-		})
-	}
-	m, err := p.LinkFit()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(m.Alpha-alpha)/alpha > 1e-6 || math.Abs(m.Beta-beta)/beta > 1e-6 {
-		t.Fatalf("fit (%g, %g), want (%g, %g)", m.Alpha, m.Beta, alpha, beta)
-	}
-
-	// An even partition has a single payload size: the fit must refuse
-	// rather than invent constants.
-	even := &Profile{Workers: n, BucketLen: 250, Dim: 1000}
-	even.Samples = append(even.Samples, Sample{Buckets: 4, TuBusy: 1e-5, CommBusy: 4e-5})
-	if _, err := even.LinkFit(); err == nil {
-		t.Fatal("degenerate fit accepted")
 	}
 }
 
@@ -183,9 +133,8 @@ func TestConfigValidatesAllreduce(t *testing.T) {
 	if _, err := Train(cfg); err == nil {
 		t.Fatal("unknown allreduce algorithm accepted")
 	}
-	cfg = testConfig(t, 1, []int{4, 4}, 64)
-	cfg.LinkAlpha = -1
+	cfg.Allreduce = "pipeline"
 	if _, err := Train(cfg); err == nil {
-		t.Fatal("negative link alpha accepted")
+		t.Fatal("removed allreduce algorithm accepted")
 	}
 }

@@ -64,7 +64,7 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 					const nWorkers, batch = 2, 64
 					sizes := []int{32, 128, 64, 8}
 					replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, sizes)
-					algs, err := bucketAlgorithms("", 0, 0, replicas[0].NumParams(), 1024, nWorkers)
+					algs, err := bucketAlgorithms("", replicas[0].NumParams(), 1024, nWorkers)
 					if err != nil {
 						t.Fatal(err)
 					}

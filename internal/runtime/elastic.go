@@ -243,7 +243,7 @@ func elasticPrice(obs EpochObs, prof *Profile, workers int, baseBatch int) float
 		return 0
 	}
 	comm := 0.0
-	if model, _, err := prof.FitModel(nil); err == nil && prof.Workers > 1 {
+	if model, err := l.Model(nil); err == nil && prof.Workers > 1 {
 		comm = (model.To + model.Tu) * float64(workers-1) / float64(prof.Workers-1)
 	}
 	b := obs.GlobalBatch

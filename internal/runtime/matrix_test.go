@@ -146,7 +146,7 @@ func TestReplicaConsistencyIsBitwise(t *testing.T) {
 				for _, r := range replicas {
 					r.SetFlatWeights(ref)
 				}
-				algs, err := bucketAlgorithms("", 0, 0, len(ref), len(ref), len(replicas))
+				algs, err := bucketAlgorithms("", len(ref), len(ref), len(replicas))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -1,8 +1,6 @@
 package runtime
 
 import (
-	"fmt"
-
 	"cannikin/internal/optperf"
 	"cannikin/internal/perfmodel"
 	"cannikin/internal/stats"
@@ -130,56 +128,6 @@ func (p *Profile) Feed(l *perfmodel.ClusterLearner) {
 		tu.Add(s.Tu())
 	}
 	flush()
-}
-
-// LinkFit fits the per-hop link cost model t(b) = α + β·b from the
-// profile's measured per-bucket reduce times, closing the loop that prices
-// the "auto" collective algorithm: run once with any algorithm, fit, and
-// feed the constants back through Config.LinkAlpha/LinkBeta.
-//
-// Each sample yields up to two observations of "one ring reduce of payload
-// d": the final bucket's time (TuBusy; a full bucket of BucketLen
-// elements) and the mean non-final bucket time (To/(Buckets-1), at the
-// non-final buckets' mean length — the partition's short tail bucket is
-// among them). A ring reduce moves d/n elements per message over 2(n-1)
-// serialized hops, so perfmodel.FitLink recovers α and β from the least-
-// squares line through (message bytes, seconds). Needs payload variation:
-// when Dim divides evenly into buckets every observation sits at one
-// payload size and ErrNoModel is returned — callers then keep the
-// calibrated threshold fallback.
-func (p *Profile) LinkFit() (perfmodel.LinkModel, error) {
-	n := p.Workers
-	if n < 2 || p.BucketLen < 1 || p.Dim < 1 {
-		return perfmodel.LinkModel{}, fmt.Errorf("%w: profile of %d workers, bucket %d, dim %d",
-			perfmodel.ErrNoModel, n, p.BucketLen, p.Dim)
-	}
-	buckets := (p.Dim + p.BucketLen - 1) / p.BucketLen
-	// Mean element count of the non-final buckets (buckets 1..B-1 cover
-	// everything beyond bucket 0's full BucketLen).
-	var tailLen float64
-	if buckets >= 2 {
-		tailLen = float64(p.Dim-p.BucketLen) / float64(buckets-1)
-	}
-	var bytes, secs []float64
-	for _, s := range p.Samples {
-		// Guard against mixed incarnations (an eviction changes the
-		// partition): only samples matching the profile's own partition
-		// price the link.
-		if s.Buckets != buckets {
-			continue
-		}
-		if s.TuBusy > 0 {
-			bytes = append(bytes, 8*float64(p.BucketLen)/float64(n))
-			secs = append(secs, s.TuBusy)
-		}
-		if buckets >= 2 {
-			if to := s.To(); to > 0 {
-				bytes = append(bytes, 8*tailLen/float64(n))
-				secs = append(secs, to/float64(buckets-1))
-			}
-		}
-	}
-	return perfmodel.FitLink(bytes, secs, 2*float64(n-1))
 }
 
 // FitModel fits the paper's performance model to the measured samples and

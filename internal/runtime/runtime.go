@@ -97,21 +97,14 @@ type Config struct {
 	// identical buckets.
 	BucketBytes int
 	// Allreduce selects the collective algorithm reducing gradient buckets:
-	// "" or "ring" (the default), "hd" (recursive halving-doubling),
-	// "pipeline" (chunk-pipelined ring), or "auto" (cost-model argmin per
-	// bucket). This is part of the arithmetic for three or more workers —
-	// each algorithm fixes its own IEEE association order — so the
-	// per-bucket choice is derived from the config alone (bucketAlgorithms)
-	// and every backend and process of one run derives the identical
-	// schedules: sim, live, and worker stay bitwise-equal at any setting.
+	// "" or "ring" (the default), "hd" (recursive halving-doubling), or
+	// "auto" (hd for buckets up to 128 KiB, ring above). This is part of the
+	// arithmetic for three or more workers — each algorithm fixes its own
+	// IEEE association order — so the per-bucket choice is derived from the
+	// config alone (bucketAlgorithms) and every backend and process of one
+	// run derives the identical schedules: sim, live, and worker stay
+	// bitwise-equal at any setting.
 	Allreduce string
-	// LinkAlpha and LinkBeta price "auto": the fitted per-hop link cost
-	// t(b) = LinkAlpha + LinkBeta·b in seconds (from a measured
-	// Profile.LinkFit). Both zero means unfitted — auto then falls back to
-	// the calibrated size thresholds. All processes of a multi-rank run
-	// must share the same constants, or auto ranks would disagree on the
-	// schedule.
-	LinkAlpha, LinkBeta float64
 	// Dataset is the training set; evaluation runs on all of it.
 	Dataset *data.Dataset
 	// Src drives all run randomness (shard shuffling, replica init). The
@@ -203,9 +196,6 @@ func (c *Config) validate() error {
 	}
 	if _, err := allreduce.ParseAlgorithm(c.Allreduce); err != nil {
 		return fmt.Errorf("runtime: %w", err)
-	}
-	if c.LinkAlpha < 0 || c.LinkBeta < 0 {
-		return fmt.Errorf("runtime: negative link constants (alpha=%g, beta=%g)", c.LinkAlpha, c.LinkBeta)
 	}
 	if err := validateJoins(c.Joins, c.Epochs, c.GrowthEpoch); err != nil {
 		return err
@@ -505,7 +495,7 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 	// the shared Config alone.
 	dim := d.replicas[0].NumParams()
 	bucketLen := bucketLenFor(cfg.BucketBytes, dim, n)
-	algs, err := bucketAlgorithms(cfg.Allreduce, cfg.LinkAlpha, cfg.LinkBeta, dim, bucketLen, n)
+	algs, err := bucketAlgorithms(cfg.Allreduce, dim, bucketLen, n)
 	if err != nil {
 		return nil, err
 	}

@@ -97,20 +97,18 @@ const (
 )
 
 // bucketAlgorithms resolves the configured collective algorithm to one
-// concrete schedule per gradient bucket. "auto" is priced per bucket with
-// the fitted link constants (allreduce.Selector); the result never
-// contains AlgoAuto, so the executors pass fully-resolved schedules to the
-// ring. Like the bucket partition itself, the choice is a pure function of
-// the shared config — (algo, alpha, beta, dim, bucketLen, workers) — never
-// of scheduling state, so sim, live, and every process of a multi-rank run
-// derive the identical schedules and the trained weights stay
-// bitwise-reproducible.
-func bucketAlgorithms(algo string, alpha, beta float64, dim, bucketLen, workers int) ([]allreduce.Algorithm, error) {
+// concrete schedule per gradient bucket ("auto" picks by each bucket's own
+// size); the result never contains AlgoAuto, so the executors pass
+// fully-resolved schedules to the ring. Like the bucket partition itself,
+// the choice is a pure function of the shared config — (algo, dim,
+// bucketLen, workers) — never of scheduling state, so sim, live, and every
+// process of a multi-rank run derive the identical schedules and the trained
+// weights stay bitwise-reproducible.
+func bucketAlgorithms(algo string, dim, bucketLen, workers int) ([]allreduce.Algorithm, error) {
 	a, err := allreduce.ParseAlgorithm(algo)
 	if err != nil {
 		return nil, fmt.Errorf("runtime: %w", err)
 	}
-	sel := allreduce.Selector{Alpha: alpha, Beta: beta}
 	buckets := (dim + bucketLen - 1) / bucketLen
 	if buckets < 1 {
 		buckets = 1
@@ -122,7 +120,7 @@ func bucketAlgorithms(algo string, alpha, beta float64, dim, bucketLen, workers 
 		if hi > dim {
 			hi = dim
 		}
-		out[k] = sel.Resolve(a, workers, hi-lo)
+		out[k] = allreduce.Selector{}.Resolve(a, workers, hi-lo)
 	}
 	return out, nil
 }

@@ -44,8 +44,6 @@ func MLPConfigOf(spec *runspec.Spec) cannikin.MLPConfig {
 		BucketBytes:  spec.BucketBytes,
 		KernelShards: spec.KernelShards,
 		Allreduce:    spec.Allreduce,
-		LinkAlpha:    spec.LinkAlpha,
-		LinkBeta:     spec.LinkBeta,
 		Fault:        faultsToConfig(spec.Faults, spec.FaultReplan),
 		Resume:       spec.Resume,
 	}
@@ -63,6 +61,28 @@ func MLPConfigOf(spec *runspec.Spec) cannikin.MLPConfig {
 			ShrinkThreshold: spec.AutoscaleShrink,
 			JoinBatch:       spec.AutoscaleBatch,
 		}
+	}
+	return cfg
+}
+
+// TrainConfigOf lowers a run spec's simulated-cluster fields onto the
+// public config — MLPConfigOf's twin, shared by the cannikin command and the
+// service. An explicit model list overrides the cluster preset.
+func TrainConfigOf(spec *runspec.Spec) cannikin.TrainConfig {
+	cfg := cannikin.TrainConfig{
+		Cluster:    cannikin.ClusterConfig{Preset: spec.Cluster},
+		Workload:   spec.Workload,
+		System:     cannikin.SystemKind(spec.System),
+		Seed:       spec.Seed,
+		MaxEpochs:  spec.Epochs,
+		FixedBatch: spec.Batch,
+		Audit:      cannikin.AuditLevel(spec.Audit),
+	}
+	if len(spec.Models) > 0 {
+		cfg.Cluster = cannikin.ClusterConfig{Models: spec.Models}
+	}
+	if spec.Chaos > 0 {
+		cfg.Chaos = cannikin.ChaosConfig{Churn: spec.Chaos}
 	}
 	return cfg
 }
@@ -106,25 +126,8 @@ func runMLPJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch)
 	}, nil
 }
 
-// runSimJob mirrors the cannikin command's spec lowering for simulated
-// cluster runs.
 func runSimJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
-	cfg := cannikin.TrainConfig{
-		Workload:   spec.Workload,
-		System:     cannikin.SystemKind(spec.System),
-		Seed:       spec.Seed,
-		MaxEpochs:  spec.Epochs,
-		FixedBatch: spec.Batch,
-		Audit:      cannikin.AuditLevel(spec.Audit),
-	}
-	if len(spec.Models) > 0 {
-		cfg.Cluster = cannikin.ClusterConfig{Models: spec.Models}
-	} else {
-		cfg.Cluster = cannikin.ClusterConfig{Preset: spec.Cluster}
-	}
-	if spec.Chaos > 0 {
-		cfg.Chaos = cannikin.ChaosConfig{Churn: spec.Chaos}
-	}
+	cfg := TrainConfigOf(spec)
 	cfg.OnEpoch = func(e cannikin.EpochReport) error {
 		return onEpoch(jobs.Epoch{
 			Epoch:   e.Epoch,

@@ -43,14 +43,14 @@ func TestMLPConfigOfFaults(t *testing.T) {
 func TestMLPConfigOfFields(t *testing.T) {
 	spec := &runspec.Spec{
 		MLPBatches: []int{8, 4}, Backend: "live", Seed: 9, Epochs: 3,
-		BucketBytes: 512, KernelShards: 2, Allreduce: "hd", LinkAlpha: 1e-6, LinkBeta: 1e-9,
+		BucketBytes: 512, KernelShards: 2, Allreduce: "hd",
 		Resume: "join-1", Joins: []runspec.JoinEntry{{Epoch: 1, Batch: 4, Replan: "keep"}},
 		AutoscaleMin: 1, AutoscaleMax: 4, AutoscaleGrow: 0.1, AutoscaleShrink: 0.02, AutoscaleBatch: 2,
 		CheckpointIn: "/never/opened",
 	}
 	want := cannikin.MLPConfig{
 		LocalBatches: []int{8, 4}, Backend: "live", Seed: 9, Epochs: 3,
-		BucketBytes: 512, KernelShards: 2, Allreduce: "hd", LinkAlpha: 1e-6, LinkBeta: 1e-9,
+		BucketBytes: 512, KernelShards: 2, Allreduce: "hd",
 		Resume: "join-1", Joins: []cannikin.JoinSpec{{Epoch: 1, Batch: 4, Replan: "keep"}},
 		Autoscale: &cannikin.AutoscaleConfig{MinWorkers: 1, MaxWorkers: 4, GrowThreshold: 0.1, ShrinkThreshold: 0.02, JoinBatch: 2},
 	}
@@ -59,5 +59,27 @@ func TestMLPConfigOfFields(t *testing.T) {
 	}
 	if got := MLPConfigOf(&runspec.Spec{MLPBatches: []int{8}}); got.Epochs != 0 || got.Autoscale != nil || got.Joins != nil {
 		t.Fatalf("zero spec fields must keep the library defaults: %+v", got)
+	}
+}
+
+// TestTrainConfigOfFields: every simulated-cluster field of the spec reaches
+// the config, and an explicit model list replaces the preset.
+func TestTrainConfigOfFields(t *testing.T) {
+	spec := &runspec.Spec{
+		Cluster: "b", Workload: "imagenet", System: "adaptdl", Seed: 9, Epochs: 3, Batch: 256,
+		Chaos: 0.5, Audit: "strict",
+	}
+	want := cannikin.TrainConfig{
+		Cluster:  cannikin.ClusterConfig{Preset: "b"},
+		Workload: "imagenet", System: cannikin.SystemKind("adaptdl"), Seed: 9, MaxEpochs: 3, FixedBatch: 256,
+		Chaos: cannikin.ChaosConfig{Churn: 0.5}, Audit: cannikin.AuditLevel("strict"),
+	}
+	if got := TrainConfigOf(spec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("lowered %+v, want %+v", got, want)
+	}
+	spec.Models, spec.Chaos = []string{"a100", "v100"}, 0
+	want.Cluster, want.Chaos = cannikin.ClusterConfig{Models: []string{"a100", "v100"}}, cannikin.ChaosConfig{}
+	if got := TrainConfigOf(spec); !reflect.DeepEqual(got, want) {
+		t.Fatalf("model list: lowered %+v, want %+v", got, want)
 	}
 }

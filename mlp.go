@@ -63,18 +63,13 @@ type MLPConfig struct {
 	// a wall-clock knob; the trained weights never change.
 	KernelShards int
 	// Allreduce selects the collective algorithm reducing gradient buckets:
-	// "" or "ring" (default), "hd" (recursive halving-doubling), "pipeline"
-	// (chunk-pipelined ring), or "auto" (cost-model argmin per bucket).
+	// "" or "ring" (default), "hd" (recursive halving-doubling), or "auto"
+	// (hd for buckets up to 128 KiB, ring above).
 	// Each algorithm fixes its own summation order, so for three or more
 	// workers different algorithms legitimately differ in the last bits —
 	// but any one algorithm is bitwise-identical across backends,
 	// transports, and processes.
 	Allreduce string
-	// LinkAlpha and LinkBeta price "auto": the fitted per-hop link cost
-	// t(b) = LinkAlpha + LinkBeta·b in seconds, typically fed back from a
-	// previous run's profile (MLPProfile.LinkAlpha/LinkBeta). Both zero
-	// means unfitted — auto falls back to calibrated size thresholds.
-	LinkAlpha, LinkBeta float64
 	// InitWeights, when set, is the flat weight vector every replica starts
 	// from instead of random initialization — the recovery entry point:
 	// resuming from an EvictionRecord's Checkpoint on the survivor cluster
@@ -173,9 +168,6 @@ func (c *MLPConfig) defaults() error {
 	if _, err := allreduce.ParseAlgorithm(c.Allreduce); err != nil {
 		return fmt.Errorf("cannikin: %w", err)
 	}
-	if c.LinkAlpha < 0 || c.LinkBeta < 0 {
-		return fmt.Errorf("cannikin: negative link constants (alpha=%g, beta=%g)", c.LinkAlpha, c.LinkBeta)
-	}
 	return nil
 }
 
@@ -240,13 +232,6 @@ type MLPProfile struct {
 	// per-node mean relative residual.
 	FitOK    bool
 	FitError float64
-	// LinkAlpha and LinkBeta are the fitted per-hop link constants
-	// (t(b) = α + β·b seconds) when LinkFitOK — ready to feed back into
-	// MLPConfig.LinkAlpha/LinkBeta so "-allreduce auto" prices schedules
-	// from this cluster's own measurements. The fit needs per-bucket
-	// payload-size variation; LinkFitOK is false when it was degenerate.
-	LinkFitOK           bool
-	LinkAlpha, LinkBeta float64
 }
 
 // TrainMLP runs real heterogeneous data-parallel training: every worker
@@ -340,8 +325,6 @@ func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 		BucketBytes:  cfg.BucketBytes,
 		KernelShards: cfg.KernelShards,
 		Allreduce:    cfg.Allreduce,
-		LinkAlpha:    cfg.LinkAlpha,
-		LinkBeta:     cfg.LinkBeta,
 		Dataset:      ds,
 		Src:          runSrc,
 		InitWeights:  cfg.InitWeights,
@@ -443,11 +426,6 @@ func summarizeProfile(p *runtime.Profile) *MLPProfile {
 		out.Gamma = model.Gamma
 		out.To = model.To
 		out.Tu = model.Tu
-	}
-	if link, err := p.LinkFit(); err == nil {
-		out.LinkFitOK = true
-		out.LinkAlpha = link.Alpha
-		out.LinkBeta = link.Beta
 	}
 	return out
 }

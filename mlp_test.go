@@ -68,6 +68,10 @@ func TestTrainMLPValidation(t *testing.T) {
 	if _, err := TrainMLP(MLPConfig{LocalBatches: []int{8}, Classes: 1}); err == nil {
 		t.Fatal("single class accepted")
 	}
+	// "pipeline" was a fourth name for the ring's arithmetic; it is gone.
+	if _, err := TrainMLP(MLPConfig{LocalBatches: []int{8, 8}, Allreduce: "pipeline"}); err == nil {
+		t.Fatal(`allreduce "pipeline" accepted`)
+	}
 }
 
 func TestTrainMLPDeterministic(t *testing.T) {

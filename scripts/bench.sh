@@ -29,7 +29,7 @@
 # like-for-like entries: "host_cores" is the machine's true core count and
 # each entry carries the "cpu" it ran at. scripts/benchcheck applies the
 # policy (live >= sequential on like-for-like rows, all-reduce
-# non-increasing in cpu — every algorithm at dim=1024, pipeline/auto at the
+# non-increasing in cpu — every algorithm at dim=1024, ring/auto at the
 # large dims —, auto >= 2x over the committed ring rows at w8/dim1024,
 # hot-join within 1.25x of the equivalent checkpoint-handed split run) and,
 # when a committed BENCH_runtime.json exists in HEAD, gates the trajectory
@@ -57,9 +57,10 @@ SMALL_COUNT="${SMALL_COUNT:-$((COUNT * 2))}"
 # The large-dim allreduce and ring-transport lanes also feed monotone /
 # ratio gates but keep the iteration-based BENCHTIME (their methodology
 # must match the committed baseline the trajectory gate compares against —
-# the concurrent paths are bimodal, so a time-based sample would record the
-# steady-state mix where the baseline recorded min-of-short-runs and every
-# comparison would be apples-to-oranges). Robustness comes from doubled
+# the ring transport's concurrent path is bimodal, so a time-based sample
+# would record the steady-state mix where the baseline recorded
+# min-of-short-runs and every comparison would be apples-to-oranges).
+# Robustness comes from doubled
 # repetitions instead: both lanes are cheap relative to the train matrix.
 LARGE_COUNT="${LARGE_COUNT:-$((COUNT * 2))}"
 # The kernel lane is pure unchanged compute, but this host drifts through
@@ -137,8 +138,8 @@ function keepmin(arr, key, val) {
 	if (!(key in arr) || val + 0 < arr[key] + 0) { arr[key] = val; return 1 }
 	return 0
 }
-# BenchmarkAllReduce/n<N>/dim<D>/<algorithm> rows: the in-process collective
-# per worker count, payload, and algorithm (ring, hd, pipeline, auto).
+# BenchmarkAllReduce/n<N>/dim<D>/<algorithm> rows: the sequential reference
+# reduce per worker count, payload, and algorithm (ring, hd, auto).
 /^BenchmarkAllReduce\// {
 	split($1, parts, "/")
 	sub(/^n/, "", parts[2]); sub(/^dim/, "", parts[3])
@@ -149,8 +150,8 @@ function keepmin(arr, key, val) {
 	if (!(key in arseen)) { arorder[++arn] = key; arseen[key] = 1 }
 }
 # BenchmarkRingTransport/<transport> rows: the reduce over the pluggable
-# transports; a -hd or -pipeline suffix names the collective algorithm the
-# chan ring ran (bare names mean ring); tcp rows carry bytes/hop and msgs
+# transports; a -hd suffix names the collective algorithm the chan ring ran
+# (bare names mean ring); tcp rows carry bytes/hop and msgs
 # coalesced per network write as trailing custom metrics (taken from the
 # fastest repetition).
 /^BenchmarkRingTransport\// {
@@ -159,7 +160,6 @@ function keepmin(arr, key, val) {
 	cpu = cpuof(tname); tname = stripcpu(tname)
 	talg = "ring"
 	if (sub(/-hd$/, "", tname)) talg = "hd"
-	else if (sub(/-pipeline$/, "", tname)) talg = "pipeline"
 	bph = 0; mpb = 0
 	for (i = 4; i <= NF; i++) {
 		if ($i == "bytes/hop") bph = $(i-1)
@@ -249,7 +249,7 @@ cat "$OUT"
 # Policy: every configuration present at every GOMAXPROCS value; live >=
 # sequential on like-for-like rows (loud failure if no row qualifies);
 # all-reduce must not get slower with more cpus (every algorithm at
-# dim=1024, pipeline/auto at the large dims); auto must beat the committed
+# dim=1024, ring/auto at the large dims); auto must beat the committed
 # ring rows by >= 2x at w8/dim1024; and, against the committed baseline, no
 # matching row more than 15% slower. The filtered run checks only the
 # collective sections.

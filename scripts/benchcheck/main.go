@@ -27,16 +27,14 @@
 //  2. Small-message scaling gate: the dim=1024 chan all-reduce must not get
 //     slower as GOMAXPROCS grows, for every (workers, algorithm) pair
 //     (ns/op monotone non-increasing cpu 1 -> max, with a small noise
-//     tolerance). Every algorithm's small-payload form runs inline on the
-//     calling goroutine, so none may pay a goroutine fan-out tax.
+//     tolerance). The reduce runs on the calling goroutine, so none may
+//     pay a goroutine fan-out tax.
 //
-//  3. Large-payload scaling gate: at dim=65536 and dim=1048576 the
-//     pipeline and auto rows must likewise be monotone non-increasing in
-//     cpu at every worker count. The chunk-pipelined ring's cache-blocked
-//     schedule is GOMAXPROCS-independent by construction — this pins the
-//     fix for the large-payload regression the plain concurrent ring shows
-//     on few-core hosts (ring rows are exempt: they document exactly that
-//     regression). The tolerance is wider than the small-dim gate's
+//  3. Large-payload scaling gate: at dim=65536 and dim=1048576 the ring
+//     and auto rows must likewise be monotone non-increasing in cpu at
+//     every worker count: the reference reduce is sequential and
+//     cache-blocked, so its cost is GOMAXPROCS-independent by
+//     construction. The tolerance is wider than the small-dim gate's
 //     because multi-ms samples on a shared host carry more jitter.
 //
 //  4. Auto-speedup gate: the selector's auto choice at (chan, workers=8,
@@ -88,8 +86,8 @@ const (
 	smallDim = 1024
 	// smallDimTolerance absorbs scheduler noise in the monotonicity
 	// check: ns/op at cpu k+1 may exceed ns/op at cpu k by at most 10%.
-	// The band was 1.05 when the gate covered 3 ring rows; with four
-	// algorithms it judges 24 adjacent-cpu pairs per sweep, and on ~1 us
+	// The band was 1.05 when the gate covered 3 ring rows; with three
+	// algorithms it judges 18 adjacent-cpu pairs per sweep, and on ~1 us
 	// inline ops the bench host's slow phases alone move the min 5-10%,
 	// so 1.05 flaked on noise. The fan-out pathology this gate exists
 	// for grew >= 1.88x per step — 1.10 still catches it loudly.
@@ -98,8 +96,8 @@ const (
 	// rows: their min-of-short-runs estimate moves ~10% run to run on a
 	// shared host (the bench host drifts through multi-minute slow
 	// phases), so a 1.10 band flakes on noise alone. 1.15 still catches
-	// the concurrent-path pathology this gate exists for — the pre-
-	// pipeline rows grew 1.16-1.73x per cpu step at these dims.
+	// the concurrent-path pathology this gate exists for — the fan-out
+	// rows grew 1.16-1.73x per cpu step at these dims.
 	largeDimTolerance = 1.15
 	// autoGateWorkers pins where the auto-speedup gate is measured: the
 	// widest ring in the sweep, where the latency gap between 2(n-1) ring
@@ -261,19 +259,19 @@ func check(f, base *benchFile, only string) error {
 	nCPU := len(cpus)
 
 	// The allreduce sweep: 3 worker counts; every algorithm (ring, hd,
-	// pipeline, auto) at the latency-bound dim=1024, and ring/pipeline/auto
-	// at the two bandwidth-bound dims (hd's large-payload path is not a
-	// contender there and the harness skips it).
-	if want := 3 * (4 + 2*3) * nCPU; len(f.AllReduce) != want {
-		return fmt.Errorf("want %d allreduce entries (3 worker counts x 10 dim/algorithm pairs x %d cpus), got %d",
+	// auto) at the latency-bound dim=1024, and ring/auto at the two
+	// bandwidth-bound dims (hd is not a contender there and the harness
+	// skips it).
+	if want := 3 * (3 + 2*2) * nCPU; len(f.AllReduce) != want {
+		return fmt.Errorf("want %d allreduce entries (3 worker counts x 7 dim/algorithm pairs x %d cpus), got %d",
 			want, nCPU, len(f.AllReduce))
 	}
 	for _, r := range f.AllReduce {
 		if r.Transport != "chan" {
-			return fmt.Errorf("allreduce n=%d dim=%d: transport %q (the in-process helper always runs over chan)", r.Workers, r.Dim, r.Transport)
+			return fmt.Errorf("allreduce n=%d dim=%d: transport %q (the reference reduce is in-process; its rows are keyed chan)", r.Workers, r.Dim, r.Transport)
 		}
 		switch r.Algorithm {
-		case "ring", "hd", "pipeline", "auto":
+		case "ring", "hd", "auto":
 		default:
 			return fmt.Errorf("allreduce n=%d dim=%d: unknown algorithm %q", r.Workers, r.Dim, r.Algorithm)
 		}
@@ -284,11 +282,11 @@ func check(f, base *benchFile, only string) error {
 			return fmt.Errorf("allreduce n=%d dim=%d/%s cpu=%d: non-positive ns/op", r.Workers, r.Dim, r.Algorithm, r.CPU)
 		}
 	}
-	if err := checkDimScaling(f, smallDim, nil, smallDimTolerance); err != nil {
+	if err := checkDimScaling(f, smallDim, smallDimTolerance); err != nil {
 		return err
 	}
 	for _, dim := range largeDims {
-		if err := checkDimScaling(f, dim, map[string]bool{"pipeline": true, "auto": true}, largeDimTolerance); err != nil {
+		if err := checkDimScaling(f, dim, largeDimTolerance); err != nil {
 			return err
 		}
 	}
@@ -303,8 +301,7 @@ func check(f, base *benchFile, only string) error {
 	// against a tcp row, a ring row never against an hd row; tcp rows must
 	// additionally report wire cost and coalescing.
 	ringConfigs := [][2]string{
-		{"chan", "ring"}, {"chan", "hd"}, {"chan", "pipeline"},
-		{"tcp", "ring"},
+		{"chan", "ring"}, {"chan", "hd"}, {"tcp", "ring"},
 	}
 	if want := len(ringConfigs) * nCPU; len(f.RingTransport) != want {
 		return fmt.Errorf("want %d ring-transport entries (%d transport/algorithm pairs x %d cpus), got %d",
@@ -341,7 +338,7 @@ func check(f, base *benchFile, only string) error {
 	}
 
 	if only == "allreduce" {
-		fmt.Printf("benchcheck: allreduce sections ok (%d cores; non-increasing in cpu for every algorithm at dim=%d and pipeline/auto at large dims; auto >= %.0fx ring at w%d/dim%d)\n",
+		fmt.Printf("benchcheck: allreduce sections ok (%d cores; non-increasing in cpu for every algorithm at dim=%d and ring/auto at large dims; auto >= %.0fx ring at w%d/dim%d)\n",
 			f.HostCores, smallDim, minAutoSpeedup, autoGateWorkers, smallDim)
 		return nil
 	}
@@ -424,24 +421,19 @@ func check(f, base *benchFile, only string) error {
 	if multicore > 0 {
 		fmt.Printf("; live beats sequential by >%.0f%% on all %d multicore rows", 100*(minMulticoreSpeedup-1), multicore)
 	}
-	fmt.Printf("; all-reduce non-increasing in cpu (every algorithm at dim=%d, pipeline/auto at large dims); auto >= %.0fx ring at w%d/dim%d; hot-join <= %.2fx its split run on %d rows)\n",
+	fmt.Printf("; all-reduce non-increasing in cpu (every algorithm at dim=%d, ring/auto at large dims); auto >= %.0fx ring at w%d/dim%d; hot-join <= %.2fx its split run on %d rows)\n",
 		smallDim, minAutoSpeedup, autoGateWorkers, smallDim, maxJoinOverhead, len(f.JoinLatency))
 	return nil
 }
 
 // checkDimScaling enforces that the chan all-reduce at one payload size
 // does not get slower with more GOMAXPROCS: for each worker count and each
-// gated algorithm, the rows must be monotone non-increasing in cpu (modulo
-// the given noise band). algs nil gates every algorithm present at the
-// dim; otherwise only the listed ones (the large dims exempt ring, whose
-// concurrent path documents exactly the regression the pipeline fixes).
-func checkDimScaling(f *benchFile, dim int, algs map[string]bool, tolerance float64) error {
+// algorithm present at the dim, the rows must be monotone non-increasing in
+// cpu (modulo the given noise band).
+func checkDimScaling(f *benchFile, dim int, tolerance float64) error {
 	byConfig := map[string]map[int]float64{}
 	for _, r := range f.AllReduce {
 		if r.Dim != dim {
-			continue
-		}
-		if algs != nil && !algs[r.Algorithm] {
 			continue
 		}
 		key := fmt.Sprintf("n%d/%s", r.Workers, r.Algorithm)
@@ -451,7 +443,7 @@ func checkDimScaling(f *benchFile, dim int, algs map[string]bool, tolerance floa
 		byConfig[key][r.CPU] = r.NsPerOp
 	}
 	if len(byConfig) == 0 {
-		return fmt.Errorf("scaling gate was vacuous: no gated dim=%d allreduce rows in the sweep", dim)
+		return fmt.Errorf("scaling gate was vacuous: no dim=%d allreduce rows in the sweep", dim)
 	}
 	keys := make([]string, 0, len(byConfig))
 	for k := range byConfig {
@@ -554,17 +546,6 @@ func checkTrajectory(f, base *benchFile) error {
 		return nil
 	}
 	for _, r := range f.AllReduce {
-		// The ring's large-dim rows run the concurrent fan-out path,
-		// whose min-of-interleaved estimate is bimodal under GOMAXPROCS
-		// oversubscription on this host (same-code reruns move it up to
-		// ~1.5x), so a regression cap on it gates on luck, not code.
-		// They stay in the file as the documented pathology the
-		// pipeline replaces; the rows the runtime actually executes at
-		// these dims (pipeline, auto — and every dim=1024 row, which is
-		// inline and stable) remain trajectory-gated.
-		if r.Algorithm == "ring" && r.Dim > smallDim {
-			continue
-		}
 		if err := judge("allreduce", fmt.Sprintf("%s/%s/w%d/dim%d/cpu%d", r.Transport, r.Algorithm, r.Workers, r.Dim, r.CPU), r.NsPerOp); err != nil {
 			return err
 		}

@@ -103,6 +103,14 @@ go run ./cmd/cannikin -mlp -backend live -epochs 2 -mlp-batches 16,8,4 -bucket-b
 echo "== allreduce bench smoke: every algorithm x worker x dim runs once =="
 go test -run '^$' -bench 'BenchmarkAllReduce$' -benchtime 1x . >/dev/null
 
+# One ring schedule, one size rule, a sequential reference: the distributed
+# schedules against their inline references on both transports (160 KB
+# included, above auto's threshold), the reference reduce's no-goroutine
+# no-allocation contract, and auto's per-bucket resolution. By name, so a
+# rename cannot silently drop them.
+echo "== collective lane: ring/hd == inline reference, sequential reduce, auto's size rule -race -cpu 1,2,4 =="
+lane -race -count=1 -cpu 1,2,4 -run 'AlgorithmChanBitwise|AlgorithmTCPBitwise|AllReduceAlgIsSequential|Selector|BucketAlgorithms' ./internal/allreduce ./internal/runtime
+
 # Profiling must stay wired up: the live-vs-sequential bench is the tool
 # used to chase scheduling regressions, so a broken -cpuprofile path (or a
 # bench rename) should fail CI, not be discovered mid-investigation.
