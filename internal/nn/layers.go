@@ -7,15 +7,20 @@
 // heterogeneous GNS estimators and the batch-weighted all-reduce on actual
 // training runs, not only on synthetic norms.
 //
-// Every layer owns a reusable workspace (activations, masks, gradient
-// scratch) sized on first use, and the hot path runs through the
+// Every layer owns a reusable workspace (activations, masks, input
+// gradients) sized on first use, and the hot path runs through the
 // destination-passing kernels in internal/tensor, so a steady-state
 // training step allocates nothing. Workspace tensors returned by
 // Forward/Backward are valid until the layer's next Forward/Backward call;
-// callers needing longer-lived values must copy. The arithmetic — down to
-// summation order and the kernels' exact-zero skip — is unchanged from the
-// original allocating implementation, so training trajectories are bitwise
-// identical.
+// callers needing longer-lived values must copy.
+//
+// Parameter gradients are accumulated in place: Backward adds each term of
+// xᵀ·dout and of the bias column sums straight onto Param.Grad, so a step
+// is ZeroGrad, Forward, Backward. After ZeroGrad every gradient element is
+// the naive triple loop's sum — terms added one at a time in ascending
+// sample order onto +0, the kernels' exact-zero skip included — which is
+// the contract every bitwise differential suite pins. A second Backward
+// without ZeroGrad continues that sum from the value already there.
 package nn
 
 import (
@@ -49,12 +54,10 @@ type Linear struct {
 	w, b *Param
 	x    *tensor.T // cached input
 
-	// Reusable workspace, sized on first use: the forward output, the
-	// backward input-gradient, the xᵀ·dout product, and the bias-gradient
-	// column sums. The dw/db scratch keeps Backward's accumulate-into-Grad
-	// arithmetic identical to the original product-then-Add formulation.
-	out, dx, dw *tensor.T
-	db          []float64
+	// Reusable workspace, sized on first use: the forward output and the
+	// backward input-gradient. The parameter gradients have no workspace:
+	// Backward accumulates them directly into w.Grad and b.Grad.
+	out, dx *tensor.T
 }
 
 // NewLinear returns a Linear layer with Xavier/Glorot-initialized weights.
@@ -85,41 +88,27 @@ func (l *Linear) Forward(x *tensor.T) *tensor.T {
 
 // Backward accumulates dW = xᵀ dout, db = Σ dout and returns dx = dout Wᵀ.
 // The transposed products run through the fused kernels — no Transpose
-// copies — with the products formed in scratch and then added, so repeated
-// Backward calls accumulate exactly like the original implementation.
+// copies, no product scratch.
 func (l *Linear) Backward(dout *tensor.T) *tensor.T {
 	l.backwardParams(dout)
 	return l.backwardInput(dout)
 }
 
 // backwardParams is the half of Backward whose results live in the Params:
-// dW = xᵀ dout and db = Σ dout, accumulated into the gradients.
+// the terms of dW = xᵀ dout and db = Σ dout are added, in ascending sample
+// order, straight onto the gradients. Onto a gradient ZeroGrad has just
+// cleared that is bit for bit the product formed in zeroed scratch and then
+// added: a sum started at +0 is never −0, and +0 + x is x exactly.
 func (l *Linear) backwardParams(dout *tensor.T) {
 	if l.x == nil {
 		panic("nn: Linear.Backward before Forward")
 	}
-	in, out := l.w.W.Rows(), l.w.W.Cols()
-	l.dw = tensor.Reuse(l.dw, in, out)
-	l.dw.Zero()
-	tensor.AddMulATInto(l.dw, l.x, dout)
-	l.w.Grad.Add(l.dw)
-
-	if cap(l.db) < out {
-		l.db = make([]float64, out)
-	}
-	bg := l.db[:out]
-	for j := range bg {
-		bg[j] = 0
-	}
+	tensor.AddMulATInto(l.w.Grad, l.x, dout)
+	bg := l.b.Grad.Row(0)
 	for i := 0; i < dout.Rows(); i++ {
-		row := dout.Row(i)
-		for j, v := range row {
+		for j, v := range dout.Row(i) {
 			bg[j] += v
 		}
-	}
-	row := l.b.Grad.Row(0)
-	for j := range row {
-		row[j] += bg[j]
 	}
 }
 

@@ -26,21 +26,59 @@ func NewSGD(momentum, weightDecay float64) *SGD {
 	return &SGD{Momentum: momentum, WeightDecay: weightDecay, velocity: make(map[*Param]*tensor.T)}
 }
 
-// Step applies one update: v = μv + (g + λw); w -= lr·v.
+// Step applies one update from the gradients in Param.Grad:
+// v = μv + (g + λw); w -= lr·v.
 func (o *SGD) Step(params []*Param, lr float64) {
 	for _, p := range params {
-		v, ok := o.velocity[p]
-		if !ok {
-			v = tensor.New(p.W.Rows(), p.W.Cols())
-			o.velocity[p] = v
-		}
-		gd, wd, vd := p.Grad.Data(), p.W.Data(), v.Data()
-		for i := range vd {
-			g := gd[i] + o.WeightDecay*wd[i]
-			vd[i] = o.Momentum*vd[i] + g
-			wd[i] -= lr * vd[i]
-		}
+		o.update(p, p.Grad.Data(), lr)
 	}
+}
+
+// StepFlat applies the same update as Step, reading the gradients from one
+// contiguous vector in params order — a reduced all-reduce buffer — instead
+// of Param.Grad, which it neither reads nor writes. It is SetFlatGrads
+// followed by Step, bit for bit, without the copy.
+func (o *SGD) StepFlat(params []*Param, flat []float64, lr float64) {
+	if n := numel(params); len(flat) != n {
+		panic(fmt.Sprintf("nn: StepFlat gradient length %d != %d", len(flat), n))
+	}
+	off := 0
+	for _, p := range params {
+		sz := p.Size()
+		o.update(p, flat[off:off+sz], lr)
+		off += sz
+	}
+}
+
+// update is the one SGD loop body: parameter p stepped from its gradient g.
+func (o *SGD) update(p *Param, g []float64, lr float64) {
+	wd, vd := p.W.Data(), o.velocityOf(p).Data()
+	g, wd = g[:len(vd)], wd[:len(vd)]
+	mu, decay := o.Momentum, o.WeightDecay
+	for i := range vd {
+		vd[i] = mu*vd[i] + (g[i] + decay*wd[i])
+		wd[i] -= lr * vd[i]
+	}
+}
+
+// numel is the scalar count of params: the length of a flat vector laid
+// out in params order.
+func numel(params []*Param) int {
+	n := 0
+	for _, p := range params {
+		n += p.Size()
+	}
+	return n
+}
+
+// velocityOf returns p's momentum state, zero on first use.
+func (o *SGD) velocityOf(p *Param) *tensor.T {
+	v, ok := o.velocity[p]
+	if !ok {
+		v = tensor.New(p.W.Rows(), p.W.Cols())
+		o.velocity[p] = v
+	}
+	return v
 }
 
 // FlatVelocity returns the momentum state concatenated in params order —
@@ -48,11 +86,7 @@ func (o *SGD) Step(params []*Param, lr float64) {
 // has never stepped contribute zeros, so the result always has exactly as
 // many elements as Network.FlatWeights for the same parameter list.
 func (o *SGD) FlatVelocity(params []*Param) []float64 {
-	n := 0
-	for _, p := range params {
-		n += p.W.Rows() * p.W.Cols()
-	}
-	out := make([]float64, n)
+	out := make([]float64, numel(params))
 	off := 0
 	for _, p := range params {
 		sz := p.W.Rows() * p.W.Cols()
@@ -68,22 +102,13 @@ func (o *SGD) FlatVelocity(params []*Param) []float64 {
 // order — restoring the optimizer half of a checkpoint so a resumed run
 // continues the exact velocity trajectory instead of restarting from zero.
 func (o *SGD) SetFlatVelocity(params []*Param, flat []float64) error {
-	n := 0
-	for _, p := range params {
-		n += p.W.Rows() * p.W.Cols()
-	}
-	if len(flat) != n {
+	if n := numel(params); len(flat) != n {
 		return fmt.Errorf("nn: velocity dim %d, want %d", len(flat), n)
 	}
 	off := 0
 	for _, p := range params {
 		sz := p.W.Rows() * p.W.Cols()
-		v, ok := o.velocity[p]
-		if !ok {
-			v = tensor.New(p.W.Rows(), p.W.Cols())
-			o.velocity[p] = v
-		}
-		copy(v.Data(), flat[off:off+sz])
+		copy(o.velocityOf(p).Data(), flat[off:off+sz])
 		off += sz
 	}
 	return nil

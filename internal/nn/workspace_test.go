@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"cannikin/internal/rng"
@@ -52,27 +53,166 @@ func TestWorkspaceReuseBitwiseStable(t *testing.T) {
 	}
 }
 
-// TestGradAccumulationUnchanged: two Backward calls without ZeroGrad must
-// still accumulate exactly 2× the single-call gradients — the scratch-then-
-// Add formulation in Linear.Backward preserves the original accumulation
-// arithmetic.
-func TestGradAccumulationUnchanged(t *testing.T) {
-	net := NewMLP([]int{4, 8, 2}, rng.New(3))
-	x := tensor.Randn(6, 4, 1, rng.New(4))
-	labels := []int{0, 1, 0, 1, 0, 1}
+// bitsOf is v as IEEE-754 bit patterns: what "bitwise equal" compares, so
+// that −0 differs from +0 and a NaN equals itself.
+func bitsOf(v []float64) []uint64 {
+	out := make([]uint64, len(v))
+	for i, f := range v {
+		out[i] = math.Float64bits(f)
+	}
+	return out
+}
 
-	logits := net.Forward(x)
-	_, d := SoftmaxCrossEntropy(logits, labels)
-	net.Backward(d)
-	once := flatGrads(net)
-	logits = net.Forward(x)
-	_, d = SoftmaxCrossEntropy(logits, labels)
-	net.Backward(d)
-	twice := flatGrads(net)
-	for i := range once {
-		if twice[i] != 2*once[i] {
-			t.Fatalf("grad %d: twice %v != 2*once %v", i, twice[i], 2*once[i])
+// TestBackwardGradsBitwiseReference pins Linear.Backward's gradient
+// contract: accumulated straight onto a gradient ZeroGrad has cleared, dW
+// is bit for bit Transpose-then-MatMul into a zero tensor and db the column
+// sums taken top to bottom from +0 — for dense, ReLU-sparse, zero-row and
+// −0-bearing operands, at batch sizes on both sides of the kernels' 4-term
+// sweep and past their 256-row inner panel. Gradients left by an earlier
+// pass must not leak through ZeroGrad.
+func TestBackwardGradsBitwiseReference(t *testing.T) {
+	const in, out = 9, 7
+	negZero := math.Copysign(0, -1)
+	operands := map[string]func(x, dout *tensor.T){
+		"dense": func(x, dout *tensor.T) {},
+		"relu-sparse": func(x, dout *tensor.T) {
+			for i, v := range x.Data() {
+				x.Data()[i] = max(v, 0)
+			}
+			for i := range dout.Data() {
+				if i%3 == 0 {
+					dout.Data()[i] = 0
+				}
+			}
+		},
+		"zero-rows": func(x, dout *tensor.T) {
+			clear(x.Row(0))
+			clear(dout.Row(dout.Rows() - 1))
+			for i := 0; i < x.Rows(); i++ {
+				x.Set(i, 2, 0) // a whole row of dW stays +0
+			}
+		},
+		"negative-zero": func(x, dout *tensor.T) {
+			for i := range x.Data() {
+				if i%2 == 0 {
+					x.Data()[i] = negZero
+				}
+			}
+			for i := range dout.Data() {
+				if i%4 == 1 {
+					dout.Data()[i] = negZero
+				}
+			}
+			for i := 0; i < dout.Rows(); i++ {
+				dout.Set(i, 3, negZero) // a bias sum of nothing but −0
+			}
+		},
+	}
+	for name, shape := range operands {
+		for _, batch := range []int{1, 3, 4, 5, 260} {
+			t.Run(fmt.Sprintf("%s/batch%d", name, batch), func(t *testing.T) {
+				src := rng.New(uint64(31 + batch))
+				net := NewSequential(NewLinear(in, out, src))
+				l := net.layers[0].(*Linear)
+				x := tensor.Randn(batch, in, 1, src)
+				dout := tensor.Randn(batch, out, 1, src)
+				shape(x, dout)
+
+				// Dirty the gradients with an unrelated pass first.
+				net.Forward(tensor.Randn(2, in, 1, src))
+				net.Backward(tensor.Randn(2, out, 1, src))
+
+				net.ZeroGrad()
+				net.Forward(x)
+				l.Backward(dout)
+
+				wantW := x.Transpose().MatMul(dout)
+				wantB := make([]float64, out)
+				for i := 0; i < batch; i++ {
+					for j, v := range dout.Row(i) {
+						wantB[j] += v
+					}
+				}
+				if !slices.Equal(bitsOf(l.w.Grad.Data()), bitsOf(wantW.Data())) {
+					t.Errorf("dW differs from Transpose().MatMul() into zero:\n got %v\nwant %v", l.w.Grad.Data(), wantW.Data())
+				}
+				if !slices.Equal(bitsOf(l.b.Grad.Data()), bitsOf(wantB)) {
+					t.Errorf("db differs from the column sums from +0:\n got %v\nwant %v", l.b.Grad.Data(), wantB)
+				}
+			})
 		}
+	}
+}
+
+// TestStepFlatMatchesSetFlatGradsStep: stepping SGD from a flat gradient
+// vector is SetFlatGrads followed by Step bit for bit — weights and momentum
+// state — over several steps of a multi-parameter network, with and without
+// momentum and weight decay, from fresh and from checkpoint-restored
+// velocity; and StepFlat leaves Param.Grad alone.
+func TestStepFlatMatchesSetFlatGradsStep(t *testing.T) {
+	sizes := []int{5, 7, 4, 3} // six parameters
+	for _, momentum := range []float64{0, 0.9} {
+		for _, decay := range []float64{0, 1e-3} {
+			for _, restored := range []bool{false, true} {
+				t.Run(fmt.Sprintf("momentum%v/decay%v/restored%v", momentum, decay, restored), func(t *testing.T) {
+					ref, flat := NewMLP(sizes, rng.New(6)), NewMLP(sizes, rng.New(6))
+					refOpt, flatOpt := NewSGD(momentum, decay), NewSGD(momentum, decay)
+					src := rng.New(17)
+					if restored {
+						vel := tensor.Randn(1, ref.NumParams(), 0.1, src).Data()
+						if err := refOpt.SetFlatVelocity(ref.Params(), vel); err != nil {
+							t.Fatal(err)
+						}
+						if err := flatOpt.SetFlatVelocity(flat.Params(), vel); err != nil {
+							t.Fatal(err)
+						}
+					}
+					// StepFlat must not look at Param.Grad: poison it.
+					poison := make([]float64, flat.NumParams())
+					for i := range poison {
+						poison[i] = math.NaN()
+					}
+					flat.SetFlatGrads(poison)
+
+					for step := 0; step < 5; step++ {
+						g := tensor.Randn(1, ref.NumParams(), 1, src).Data()
+						g[step], g[len(g)-1-step] = 0, math.Copysign(0, -1)
+						lr := 0.05 / float64(step+1)
+
+						ref.SetFlatGrads(g)
+						refOpt.Step(ref.Params(), lr)
+						flatOpt.StepFlat(flat.Params(), g, lr)
+
+						if !slices.Equal(bitsOf(flat.FlatWeights()), bitsOf(ref.FlatWeights())) {
+							t.Fatalf("step %d: weights differ", step)
+						}
+						if !slices.Equal(bitsOf(flatOpt.FlatVelocity(flat.Params())), bitsOf(refOpt.FlatVelocity(ref.Params()))) {
+							t.Fatalf("step %d: velocity differs", step)
+						}
+					}
+					if !slices.Equal(bitsOf(flatGrads(flat)), bitsOf(poison)) {
+						t.Fatal("StepFlat wrote Param.Grad")
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestStepFlatLengthMismatchPanics: a flat vector that is not exactly the
+// parameters' size is a caller bug, reported with both sizes.
+func TestStepFlatLengthMismatchPanics(t *testing.T) {
+	net := NewMLP([]int{3, 5, 2}, rng.New(3)) // 32 parameters
+	for _, n := range []int{0, 31, 33} {
+		func() {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, fmt.Sprintf("length %d", n)) || !strings.Contains(msg, "32") {
+					t.Errorf("StepFlat with %d gradients: panic %q does not name both sizes", n, msg)
+				}
+			}()
+			NewSGD(0.9, 0).StepFlat(net.Params(), make([]float64, n), 0.1)
+		}()
 	}
 }
 
@@ -193,23 +333,16 @@ func TestShadowForwardWritesNoParam(t *testing.T) {
 		}
 		return x
 	}
-	bits := func(v []float64) []uint64 {
-		out := make([]uint64, len(v))
-		for i, f := range v {
-			out[i] = math.Float64bits(f)
-		}
-		return out
-	}
 	// Leave non-zero gradients behind so a shadow clearing them would show.
 	_, dout := SoftmaxCrossEntropy(net.Forward(ids(5)), []int{0, 1, 2, 3, 0})
 	net.Backward(dout)
 	drop.Train = false
-	weights, grads := bits(net.FlatWeights()), bits(flatGrads(net))
+	weights, grads := bitsOf(net.FlatWeights()), bitsOf(flatGrads(net))
 
 	const shadows = 3
 	want := make([][]uint64, shadows)
 	for i := range want {
-		want[i] = bits(net.Forward(ids(4 + i)).Data())
+		want[i] = bitsOf(net.Forward(ids(4 + i)).Data())
 	}
 	got := make([][]uint64, shadows)
 	done := make(chan int)
@@ -217,7 +350,7 @@ func TestShadowForwardWritesNoParam(t *testing.T) {
 		shadow := net.Shadow()
 		go func() {
 			for rep := 0; rep < 3; rep++ {
-				got[i] = bits(shadow.Forward(ids(4 + i)).Data())
+				got[i] = bitsOf(shadow.Forward(ids(4 + i)).Data())
 			}
 			done <- i
 		}()
@@ -231,7 +364,7 @@ func TestShadowForwardWritesNoParam(t *testing.T) {
 			t.Fatalf("shadow %d forward differs from the original's evaluation-mode forward", i)
 		}
 	}
-	if !slices.Equal(bits(net.FlatWeights()), weights) || !slices.Equal(bits(flatGrads(net)), grads) {
+	if !slices.Equal(bitsOf(net.FlatWeights()), weights) || !slices.Equal(bitsOf(flatGrads(net)), grads) {
 		t.Fatal("a shadow forward wrote a Param")
 	}
 
@@ -243,7 +376,7 @@ func TestShadowForwardWritesNoParam(t *testing.T) {
 		w[i] *= 0.5
 	}
 	net.SetFlatWeights(w)
-	if !slices.Equal(bits(shadow.Forward(ids(4)).Data()), bits(net.Forward(ids(4)).Data())) {
+	if !slices.Equal(bitsOf(shadow.Forward(ids(4)).Data()), bitsOf(net.Forward(ids(4)).Data())) {
 		t.Fatal("shadow did not follow the original's weight update")
 	}
 }
@@ -251,7 +384,8 @@ func TestShadowForwardWritesNoParam(t *testing.T) {
 // TestSteadyStateStepAllocsZero: after warmup, a full
 // forward/loss/backward/step cycle on reused workspaces must not allocate,
 // with serial kernels and with every product sharded over the kernel pool
-// (the kernels' non-zero gather lives on the stack).
+// (the kernels' non-zero gather lives on the stack), whether the optimizer
+// steps from Param.Grad or from a flat gradient vector.
 func TestSteadyStateStepAllocsZero(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
@@ -266,19 +400,30 @@ func TestSteadyStateStepAllocsZero(t *testing.T) {
 			}
 			dlogits := tensor.New(64, 8)
 			params := net.Params()
+			flat := make([]float64, net.NumParams())
 
-			step := func() {
+			backprop := func() {
 				net.ZeroGrad()
 				logits := net.Forward(x)
 				SoftmaxCrossEntropyInto(dlogits, logits, labels)
 				net.Backward(dlogits)
+			}
+			step := func() {
+				backprop()
 				opt.Step(params, 0.05)
+			}
+			stepFlat := func() {
+				backprop()
+				opt.StepFlat(params, net.FlatGradsInto(flat), 0.05)
 			}
 			for i := 0; i < 3; i++ {
 				step() // warm workspaces and optimizer state
 			}
 			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
 				t.Fatalf("steady-state nn step allocates %v times, want 0", allocs)
+			}
+			if allocs := testing.AllocsPerRun(50, stepFlat); allocs != 0 {
+				t.Fatalf("steady-state nn step from a flat gradient allocates %v times, want 0", allocs)
 			}
 		})
 	}

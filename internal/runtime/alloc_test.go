@@ -50,7 +50,9 @@ func reserveProfile(exec *liveExec, extra int) {
 // and guarded. The guarded step (fault tolerance armed, empty schedule)
 // adds per-hop deadline timers, the two-phase commit, and the driver's
 // deadline-bound result collection, all of which must reuse their state —
-// otherwise a long fault-tolerant run pays them as steady GC pressure. The
+// otherwise a long fault-tolerant run pays them as steady GC pressure. Every
+// row ends in the optimizer stepped from the comm buffer (SGD.StepFlat): by
+// the worker itself on a plain step, on the commit vote on a guarded one. The
 // profile trace is append-only by design, so its storage is pre-reserved
 // here rather than counted against the step.
 func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
@@ -104,5 +106,32 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSeqSteadyStateStepAllocsZero: the sequential reference runs the same
+// step — flat gradients reduced in place, the optimizer stepped from them —
+// and once warm allocates nothing either.
+func TestSeqSteadyStateStepAllocsZero(t *testing.T) {
+	const nWorkers, batch = 2, 64
+	replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, []int{32, 128, 64, 8})
+	algs, err := bucketAlgorithms("", replicas[0].NumParams(), 1024, nWorkers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec := newSeqExec(replicas, opts, 1024, algs)
+	stepWeights := []float64{0.5, 0.5}
+	stepNo := 0
+	step := func() {
+		if _, err := exec.step(0, stepNo, xs, labels, stepWeights, 0.01); err != nil {
+			t.Fatal(err)
+		}
+		stepNo++
+	}
+	for i := 0; i < 3; i++ {
+		step()
+	}
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Fatalf("steady-state sequential step allocates %v times, want 0", allocs)
 	}
 }

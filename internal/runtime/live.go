@@ -103,6 +103,12 @@ type commStats struct {
 	err      error         // sticky first hop failure
 }
 
+// liveWorker is one hosted rank. A step passes over the parameters once per
+// job: ZeroGrad clears Grad, Backward accumulates into it, stageGrads scales
+// it into commBuf, the ring reduces commBuf in place, and the optimizer steps
+// from commBuf. The reduced gradient is never written back, so after a step
+// Param.Grad still holds the rank's raw local gradient — which nothing reads:
+// its next access is the next step's ZeroGrad.
 type liveWorker struct {
 	rank      int
 	net       *nn.Network
@@ -478,12 +484,20 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	var cs commStats
 	nextBucket := w.buckets - 1
 	prevFr := w.dim
+	staged := len(w.params) // params[staged:] are in commBuf already
 	var syncStart time.Time
 	w.net.BackwardLayerwise(w.dlogits, func(fr int) {
 		if fr == prevFr {
 			return
 		}
-		w.stageGrads(fr, prevFr, t.weight)
+		// Frontiers align with layer boundaries and only walk down, so the
+		// newly final region is the run of whole parameters below the cursor.
+		lo := staged
+		for lo > 0 && w.paramOffs[lo-1] >= fr {
+			lo--
+		}
+		w.stageGrads(lo, staged, t.weight)
+		staged = lo
 		for nextBucket >= 0 && nextBucket*w.bucketLen >= fr {
 			if syncStart.IsZero() {
 				syncStart = time.Now()
@@ -502,12 +516,7 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	// |g_i|² over the raw (unscaled) gradients in flat order — identical
 	// association order to the sequential reference — while the ring is
 	// still draining (overlapped mode; in merged mode it is already done).
-	localSq := 0.0
-	for _, p := range w.params {
-		for _, g := range p.Grad.Data() {
-			localSq += g * g
-		}
-	}
+	localSq := gradSqNorm(w.params)
 	if !w.merged {
 		w.commQ <- -1
 		cs = <-w.commDone
@@ -557,26 +566,20 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	}
 }
 
-// applyStep writes the reduced gradient back, applies the optimizer, and
-// reports how long that took (the Post phase).
+// applyStep steps the optimizer straight from the reduced gradient in the
+// comm buffer and reports how long that took (the Post phase).
 func (w *liveWorker) applyStep(lr float64) time.Duration {
 	start := time.Now()
-	w.net.SetFlatGrads(w.commBuf)
-	w.opt.Step(w.params, lr)
+	w.opt.StepFlat(w.params, w.commBuf, lr)
 	return time.Since(start)
 }
 
-// stageGrads copies the newly-final gradient region [fr, prevFr) into the
-// comm buffer, pre-scaled by the Eq. 9 ratio. Frontiers align with layer
-// boundaries, so the region always covers whole parameters.
-func (w *liveWorker) stageGrads(fr, prevFr int, weight float64) {
-	for j, p := range w.params {
-		off := w.paramOffs[j]
-		if off < fr || off >= prevFr {
-			continue
-		}
-		g := p.Grad.Data()
-		dst := w.commBuf[off : off+len(g)]
+// stageGrads copies the newly-final gradients of params[lo:hi] into their
+// region of the comm buffer, pre-scaled by the Eq. 9 ratio.
+func (w *liveWorker) stageGrads(lo, hi int, weight float64) {
+	for j := lo; j < hi; j++ {
+		g := w.params[j].Grad.Data()
+		dst := w.commBuf[w.paramOffs[j]:][:len(g)]
 		for k, v := range g {
 			dst[k] = v * weight
 		}

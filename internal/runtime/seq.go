@@ -86,9 +86,8 @@ func (e *seqExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeig
 		}
 	}
 	sample.GlobalSqNorm = sqNorm(e.grads[0])
-	for i, net := range e.replicas {
-		net.SetFlatGrads(e.grads[i])
-		e.opts[i].Step(e.params[i], lr)
+	for i := range e.replicas {
+		e.opts[i].StepFlat(e.params[i], e.grads[i], lr)
 	}
 	return sample, nil
 }
