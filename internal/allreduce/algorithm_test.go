@@ -385,47 +385,67 @@ func (s stubTransport) Workers() int               { return s.tr.Workers() }
 func (s stubTransport) Endpoint(rank int) Endpoint { return s.tr.Endpoint(rank) }
 func (s stubTransport) Close() error               { return s.tr.Close() }
 
-// TestTCPSteadyStateReduceAllocsZero is the satellite gate for the pooled
-// TCP framing: once the frame scratch, message buffers, and ring scratch
-// are warm, a full ring reduce over real sockets must allocate nothing on
-// either rank's path — reader and writer loops included, since
-// AllocsPerRun counts process-wide mallocs.
+// TestTCPSteadyStateReduceAllocsZero: once the circulating message buffers,
+// the writers' batches and the ring scratch are warm, a full reduce over real
+// sockets must allocate nothing on any rank's path — reader and writer loops
+// included, since AllocsPerRun counts process-wide mallocs. The rows cover
+// the three ways a frame meets the socket: small ring frames through the
+// read buffer, ring frames above tcpBufBytes whose payload read bypasses it,
+// and hd's peer sockets, where several small frames share a write.
 func TestTCPSteadyStateReduceAllocsZero(t *testing.T) {
-	const n, dim = 2, 256
-	set := buildTCPSet(t, n)
-	defer set.close()
-	segs := make([][]float64, n)
-	for i := range segs {
-		segs[i] = make([]float64, dim)
-		for j := range segs[i] {
-			segs[i][j] = float64(i*dim + j)
-		}
-	}
-	start := make(chan struct{})
-	done := make(chan error)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for range start {
-			done <- set.rings[1].ReduceWith(1, segs[1], Options{})
-		}
-	}()
-	defer wg.Wait()
-	defer close(start)
-	step := func() {
-		start <- struct{}{}
-		if err := set.rings[0].ReduceWith(0, segs[0], Options{}); err != nil {
-			t.Error(err)
-		}
-		if err := <-done; err != nil {
-			t.Error(err)
-		}
-	}
-	for i := 0; i < 5; i++ {
-		step() // warm frame scratch, circulating buffers, bufio
-	}
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state TCP reduce allocates %v times, want 0", allocs)
+	for _, row := range []struct {
+		name   string
+		n, dim int
+		algo   Algorithm
+	}{
+		{"ring/small", 2, 256, AlgoRing},
+		{"ring/frame128KiB", 2, 4 * tcpBufBytes / 8, AlgoRing},
+		{"hd/peers", 4, 1024, AlgoHD},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			n, opts := row.n, Options{Algorithm: row.algo}
+			set := buildTCPSet(t, n)
+			defer set.close()
+			segs := make([][]float64, n)
+			for i := range segs {
+				segs[i] = make([]float64, row.dim)
+				for j := range segs[i] {
+					segs[i][j] = float64(i*row.dim + j)
+				}
+			}
+			start := make(chan struct{})
+			done := make(chan error)
+			var wg sync.WaitGroup
+			for rank := 1; rank < n; rank++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for range start {
+						done <- set.rings[rank].ReduceWith(rank, segs[rank], opts)
+					}
+				}()
+			}
+			defer wg.Wait()
+			defer close(start)
+			step := func() {
+				for rank := 1; rank < n; rank++ {
+					start <- struct{}{}
+				}
+				if err := set.rings[0].ReduceWith(0, segs[0], opts); err != nil {
+					t.Error(err)
+				}
+				for rank := 1; rank < n; rank++ {
+					if err := <-done; err != nil {
+						t.Error(err)
+					}
+				}
+			}
+			for i := 0; i < 20; i++ {
+				step() // warm the circulating buffers, batches, bufio, peer links
+			}
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Fatalf("steady-state TCP reduce allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }

@@ -65,19 +65,17 @@ type Options struct {
 type Ring struct {
 	n  int
 	tr Transport
-	// scratch[rank] holds rank-private reusable state (chunk bounds, a
-	// spare message buffer, and the resolved endpoint), making steady-state
-	// reduce calls allocation free. Each entry is touched only by its
-	// rank's goroutine; on remote transports only the local rank's entry is
-	// ever used.
+	// scratch[rank] holds rank-private reusable state (a spare message
+	// buffer and the resolved endpoint), making steady-state reduce calls
+	// allocation free. Each entry is touched only by its rank's goroutine;
+	// on remote transports only the local rank's entry is ever used.
 	scratch []ringScratch
 }
 
 // ringScratch is one rank's reusable reduce state.
 type ringScratch struct {
-	bounds []int
-	spare  []float64
-	ep     Endpoint
+	spare []float64
+	ep    Endpoint
 	// peers caches resolved non-neighbor links (halving-doubling), indexed
 	// by peer rank; spans is the hd per-level window scratch.
 	peers []Endpoint
@@ -106,7 +104,6 @@ func NewRingOver(tr Transport) (*Ring, error) {
 	}
 	r := &Ring{n: n, tr: tr, scratch: make([]ringScratch, n)}
 	for i := range r.scratch {
-		r.scratch[i].bounds = make([]int, n+1)
 		r.scratch[i].ep = tr.Endpoint(i)
 	}
 	return r, nil
@@ -163,19 +160,14 @@ func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
 func (r *Ring) reduceRing(rank int, seg []float64, opts Options) error {
 	n := r.n
 	dim := len(seg)
-	sc := &r.scratch[rank]
-	ep := sc.ep
+	ep := r.scratch[rank].ep
 	succ, pred := (rank+1)%n, (rank-1+n)%n
 
-	// Chunk boundaries: chunk c covers [bounds[c], bounds[c+1]). The
-	// bounds slice is rank-private scratch reused across calls.
-	bounds := sc.bounds
-	for c := 0; c <= n; c++ {
-		bounds[c] = c * dim / n
-	}
+	// Chunk c (taken mod n; callers stay within one lap below zero) covers
+	// [c·dim/n, (c+1)·dim/n).
 	chunk := func(c int) []float64 {
-		c = ((c % n) + n) % n
-		return seg[bounds[c]:bounds[c+1]]
+		c = (c + n) % n
+		return seg[c*dim/n : (c+1)*dim/n]
 	}
 
 	h := r.begin(rank, opts)
@@ -185,7 +177,7 @@ func (r *Ring) reduceRing(rank int, seg []float64, opts Options) error {
 	// before receiving within each step needs only one slot of link
 	// buffering.
 	for s := 0; s < n-1; s++ {
-		if err := h.send(ep, succ, chunk(rank-s)); err != nil {
+		if err := h.send(ep, succ, chunk(rank-s), false); err != nil {
 			return h.finish(err)
 		}
 		dst := chunk(rank - s - 1)
@@ -198,9 +190,10 @@ func (r *Ring) reduceRing(rank int, seg []float64, opts Options) error {
 		}
 		h.retire(msg)
 	}
-	// All-gather: circulate the completed chunks.
+	// All-gather: circulate the completed chunks. The chunk step s >= 1 sends
+	// is the one step s-1 received, so its message is forwarded as it came.
 	for s := 0; s < n-1; s++ {
-		if err := h.send(ep, succ, chunk(rank+1-s)); err != nil {
+		if err := h.send(ep, succ, chunk(rank+1-s), s > 0); err != nil {
 			return h.finish(err)
 		}
 		dst := chunk(rank - s)

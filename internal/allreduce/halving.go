@@ -84,7 +84,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		if err != nil {
 			return h.finish(err)
 		}
-		if err := h.send(ep, rank-1, seg); err != nil {
+		if err := h.send(ep, rank-1, seg, false); err != nil {
 			return h.finish(err)
 		}
 		h.hop++
@@ -143,7 +143,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		} else {
 			klo, khi, slo, shi = mid, hi, lo, mid
 		}
-		if err := h.send(ep, partner, seg[slo:shi]); err != nil {
+		if err := h.send(ep, partner, seg[slo:shi], false); err != nil {
 			return h.finish(err)
 		}
 		msg, err := h.recv(ep, partner, khi-klo)
@@ -183,7 +183,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		} else {
 			siblo, sibhi = plo, mid
 		}
-		if err := h.send(ep, partner, seg[lo:hi]); err != nil {
+		if err := h.send(ep, partner, seg[lo:hi], false); err != nil {
 			return h.finish(err)
 		}
 		msg, err := h.recv(ep, partner, sibhi-siblo)
@@ -201,7 +201,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		if err != nil {
 			return h.finish(err)
 		}
-		if err := h.send(ep, rank+1, seg); err != nil {
+		if err := h.send(ep, rank+1, seg, false); err != nil {
 			return h.finish(err)
 		}
 		h.hop++

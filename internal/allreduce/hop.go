@@ -52,18 +52,21 @@ func (h *hops) finish(err error) error {
 	return err
 }
 
-// send copies src into the spare buffer (or a fresh one) and hands it to ep,
+// send stages src in the spare buffer (or a fresh one) and hands that to ep,
 // whose remote side is rank to. src itself is never given away: the caller
-// keeps reducing into it.
-func (h *hops) send(ep Endpoint, to int, src []float64) error {
-	var msg []float64
-	if cap(h.spare) >= len(src) {
-		msg = h.spare[:len(src)]
-		h.spare = nil
-	} else {
-		msg = make([]float64, len(src))
+// keeps reducing into it. held says the spare is the message src was just
+// copied out of, so it already holds src and goes on without the copy — when
+// it is missing or of another length, send copies as ever.
+func (h *hops) send(ep Endpoint, to int, src []float64, held bool) error {
+	msg := h.spare
+	h.spare = nil
+	if !held || len(msg) != len(src) {
+		if cap(msg) < len(src) {
+			msg = make([]float64, len(src))
+		}
+		msg = msg[:len(src)]
+		copy(msg, src)
 	}
-	copy(msg, src)
 	if h.delay > 0 {
 		time.Sleep(h.delay)
 	}

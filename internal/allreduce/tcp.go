@@ -7,10 +7,12 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // TCP wire protocol. Every connection starts with one fixed-size hello
@@ -22,10 +24,13 @@ import (
 //
 // All integers are little-endian; floats travel as their IEEE-754 bit
 // patterns, so a value is reproduced exactly — transport can never perturb
-// arithmetic. A writer puts everything already queued into one buffered
-// write and flushes once; that is purely a framing concern: the receiver
-// decodes messages one at a time off the buffered stream, so grouping on
-// the wire changes syscall counts, never content or order.
+// arithmetic. On a little-endian host those are the bytes a []float64
+// already is, so a payload is never re-encoded: it is written from, and read
+// into, the message buffer itself (wireBytes); a big-endian host byte-swaps
+// that buffer in place while the transport owns it (wireOrder). A writer
+// puts everything already queued into one vectored write; that is purely a
+// framing concern: the receiver reads messages one at a time off the stream,
+// so grouping on the wire changes syscall counts, never content or order.
 //
 // Peer links (the PeerTransport extension carrying halving-doubling's
 // non-neighbor exchanges) reuse the identical frame layout on dedicated
@@ -48,10 +53,10 @@ const tcpMaxMsgLen = 8 << 20
 // loops; 16 never blocks on the queue.
 const tcpQueueDepth = 16
 
-// tcpBufBytes sizes every socket's buffered reader and writer: room for a
-// burst of small frames to share one syscall, while a frame larger than the
-// buffer (a ring hop of a big bucket) goes straight to the socket without
-// being copied through it.
+// tcpBufBytes sizes every socket's buffered reader: room for a burst of
+// small frames to share one read syscall, while what is left of a payload
+// larger than the buffer (a ring hop of a big bucket) comes off the socket
+// straight into its message buffer. Writes are not buffered at all.
 const tcpBufBytes = 64 << 10
 
 // TCPConfig configures one rank's attachment to a ring spanning OS
@@ -73,8 +78,9 @@ type TCPConfig struct {
 }
 
 // TCPStats counts one transport's wire activity. Batches is the number of
-// flushes (≈ send syscalls); Messages the hops carried, so
-// Messages/Batches is how many hops shared a flush.
+// vectored writes — one writev each, which the kernel may take in several
+// pieces when the frames outgrow the socket buffer; Messages the hops
+// carried, so Messages/Batches is how many hops shared a write.
 type TCPStats struct {
 	BytesSent, BytesReceived   int64
 	MessagesSent, MessagesRecv int64
@@ -493,72 +499,98 @@ func (c *tcpConn) attach(sock net.Conn) {
 	close(c.ready)
 }
 
+// frameBatch is a writer's one vectored write in the making: per queued
+// message its header, the two byte slices that are its frame, and the
+// message itself, kept until the write has returned. It lives on the heap,
+// not on writeLoop's stack: (*net.Buffers).WriteTo takes its receiver's
+// address, so a local would be allocated again every batch.
+type frameBatch struct {
+	n     int
+	bytes int64
+	msgs  [tcpQueueDepth][]float64
+	hdrs  [tcpQueueDepth][4]byte
+	vec   [2 * tcpQueueDepth][]byte
+	bufs  net.Buffers // vec[:2n]; WriteTo consumes it
+}
+
+func (b *frameBatch) add(msg []float64) {
+	hdr := b.hdrs[b.n][:]
+	binary.LittleEndian.PutUint32(hdr, uint32(len(msg)))
+	wireOrder(msg)
+	b.bufs = append(b.vec[:2*b.n], hdr, wireBytes(msg))
+	b.msgs[b.n] = msg
+	b.n++
+	b.bytes += int64(4 + 8*len(msg))
+}
+
 // writeLoop drains the send queue onto the socket: take one message, then
-// everything else already queued, and flush once — so hops that pile up
-// behind a slow write share a syscall and an idle link pays no latency.
-// (Lingering for more would buy nothing: a collective is lock-step, the
-// next hop is not sent before this one is answered.) At graceful close it
+// everything else already queued, and write them all at once — so hops that
+// pile up behind a slow write share a syscall and an idle link pays no
+// latency. (Lingering for more would buy nothing: a collective is lock-step,
+// the next hop is not sent before this one is answered.) At graceful close it
 // writes what is still queued the same, counted, way and exits.
 func (c *tcpConn) writeLoop() {
 	t := c.t
 	defer t.wg.Done()
 	defer close(c.wDone)
-	w := bufio.NewWriterSize(c.sock, tcpBufBytes)
-	var frame []byte // per-writer scratch: grows to the largest frame once
-	var msgs, bytes int64
-	write := func(msg []float64) bool {
-		n, err := writeFrame(w, msg, &frame)
-		t.recycle(msg)
-		if err != nil {
-			c.f.fail(fmt.Errorf("allreduce: rank %d send to rank %d: %w", t.rank, c.remote, err))
-			return false
-		}
-		msgs++
-		bytes += n
-		return true
-	}
+	b := new(frameBatch)
 	for closing := false; !closing; {
 		// Note no fault case: the fault may fire because a *read* side saw a
 		// finished peer close (EOF) while the remote side still needs our
 		// queued and future sends, so the writer keeps serving sendQ until
 		// graceful close (quit) or its own write error.
-		msgs, bytes = 0, 0
 		select {
 		case msg := <-c.sendQ:
-			if !write(msg) {
-				return
-			}
+			b.add(msg)
 		case <-c.quit:
 			closing = true
 		}
 		for len(c.sendQ) > 0 { // the only consumer: what len counts stays receivable
-			if !write(<-c.sendQ) {
+			if b.n == len(b.msgs) && !c.flush(b) {
 				return
 			}
+			b.add(<-c.sendQ)
 		}
-		if msgs == 0 {
-			continue
-		}
-		if err := w.Flush(); err != nil {
-			c.f.fail(fmt.Errorf("allreduce: rank %d flush to rank %d: %w", t.rank, c.remote, err))
+		if !c.flush(b) {
 			return
 		}
-		t.batches.Add(1)
-		t.msgsSent.Add(msgs)
-		t.bytesSent.Add(bytes)
 	}
 }
 
-// readLoop decodes messages off the socket into the receive queue, reusing
+// flush puts the batch on the socket in one vectored write — header and
+// payload slices of every frame, the payloads being the message buffers'
+// own bytes — counts it, and only then recycles the buffers: until the
+// write returns, the kernel is still reading them.
+func (c *tcpConn) flush(b *frameBatch) bool {
+	if b.n == 0 {
+		return true
+	}
+	t := c.t
+	_, err := b.bufs.WriteTo(c.sock)
+	if err == nil {
+		t.batches.Add(1)
+		t.msgsSent.Add(int64(b.n))
+		t.bytesSent.Add(b.bytes)
+	} else {
+		c.f.fail(fmt.Errorf("allreduce: rank %d send to rank %d: %w", t.rank, c.remote, err))
+	}
+	for _, msg := range b.msgs[:b.n] {
+		t.recycle(msg)
+	}
+	clear(b.msgs[:b.n])
+	b.n, b.bytes = 0, 0
+	return err == nil
+}
+
+// readLoop reads messages off the socket into the receive queue, reusing
 // buffers the writers retired.
 func (c *tcpConn) readLoop() {
 	t := c.t
 	defer t.wg.Done()
 	r := bufio.NewReaderSize(c.sock, tcpBufBytes)
-	var rbuf []byte
 	take := t.take
 	for {
-		msg, err := readFrame(r, &rbuf, take)
+		msg, err := readFrame(r, take)
 		if err != nil {
 			c.f.fail(fmt.Errorf("allreduce: rank %d recv from rank %d: %w", t.rank, c.remote, err))
 			return
@@ -573,62 +605,51 @@ func (c *tcpConn) readLoop() {
 	}
 }
 
-// writeFrame encodes msg into *frame — per-writer scratch grown once to the
-// largest frame seen, then reused forever — and hands it to the buffered
-// writer in a single Write. One allocation amortized over a connection's
-// lifetime, zero steady-state: the framing analogue of the circulating
-// message buffers.
-func writeFrame(w *bufio.Writer, msg []float64, frame *[]byte) (int64, error) {
-	need := 4 + 8*len(msg)
-	buf := *frame
-	if cap(buf) < need {
-		buf = make([]byte, need)
-		*frame = buf
-	}
-	buf = buf[:need]
-	binary.LittleEndian.PutUint32(buf[:4], uint32(len(msg)))
-	for i, v := range msg {
-		binary.LittleEndian.PutUint64(buf[4+8*i:], math.Float64bits(v))
-	}
-	if _, err := w.Write(buf); err != nil {
-		return 0, err
-	}
-	return int64(need), nil
-}
-
-// readFrame decodes one length-prefixed message off the stream. The payload
-// lands in *rbuf (per-reader scratch, grown once) before being unpacked
-// into a []float64 from take — steady-state reads allocate nothing.
-func readFrame(r io.Reader, rbuf *[]byte, take func(count int) []float64) ([]float64, error) {
-	// The length prefix lands in the scratch buffer too: a stack [4]byte
-	// would escape through the io.Reader interface and cost one heap
-	// allocation per frame.
-	buf := *rbuf
-	if cap(buf) < 4 {
-		buf = make([]byte, 64)
-		*rbuf = buf
-	}
-	if _, err := io.ReadFull(r, buf[:4]); err != nil {
+// readFrame reads one length-prefixed message off the stream: the header is
+// parsed where it lies in r's buffer, the payload lands in a message buffer
+// from take and nowhere else — steady-state reads allocate nothing.
+func readFrame(r *bufio.Reader, take func(count int) []float64) ([]float64, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
 		return nil, err
 	}
-	count := int(binary.LittleEndian.Uint32(buf[:4]))
+	count := int(binary.LittleEndian.Uint32(hdr))
 	if count > tcpMaxMsgLen {
 		return nil, fmt.Errorf("frame of %d elements", count)
 	}
-	need := 8 * count
-	if cap(buf) < need {
-		buf = make([]byte, need)
-		*rbuf = buf
-	}
-	buf = buf[:need]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	_, _ = r.Discard(4) // cannot fail: Peek has just buffered them
+	msg := take(count)
+	if _, err := io.ReadFull(r, wireBytes(msg)); err != nil {
 		return nil, err
 	}
-	msg := take(count)
-	for i := range msg {
-		msg[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
+	wireOrder(msg)
 	return msg, nil
+}
+
+// wireBytes views msg as the bytes it occupies in memory — on a
+// little-endian host, its wire payload. The one use of unsafe in the
+// package: the view aliases msg, so it is good for exactly as long as the
+// caller owns msg.
+func wireBytes(msg []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(msg))), 8*len(msg))
+}
+
+// hostBigEndian reports whether this host stores a uint64's most significant
+// byte first, i.e. whether wireBytes is not already the wire's byte order.
+var hostBigEndian = binary.NativeEndian.Uint16([]byte{0, 1}) == 1
+
+// wireOrder converts msg in place between host and wire byte order, either
+// way (a byte swap is its own inverse). A no-op on little-endian hosts.
+func wireOrder(msg []float64) {
+	if hostBigEndian {
+		swapBytes(msg)
+	}
+}
+
+func swapBytes(msg []float64) {
+	for i, v := range msg {
+		msg[i] = math.Float64frombits(bits.ReverseBytes64(math.Float64bits(v)))
+	}
 }
 
 // ReserveRingAddrs binds n loopback listeners on kernel-assigned ports and

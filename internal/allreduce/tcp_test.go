@@ -1,8 +1,13 @@
 package allreduce
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
+	"io"
+	"math"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -77,6 +82,129 @@ func TestTCPCloseLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// loopbackPair returns the two ends of one established loopback TCP
+// connection.
+func loopbackPair(t *testing.T) (dialed, accepted net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	if dialed, err = net.Dial("tcp", ln.Addr().String()); err != nil {
+		t.Fatal(err)
+	}
+	if accepted, err = ln.Accept(); err != nil {
+		dialed.Close()
+		t.Fatal(err)
+	}
+	return dialed, accepted
+}
+
+// TestTCPWireFormatGolden pins the frame layout by its bytes, so a peer built
+// from any other commit keeps interoperating: u32le(count), then every
+// element's IEEE-754 bit pattern as a little-endian u64 — encoded here by
+// hand, not by the code under test. The values are the ones a re-encoding
+// could mangle: both zeros, both infinities, a subnormal, MaxFloat64, and a
+// quiet and a signalling NaN with distinct payloads and signs.
+func TestTCPWireFormatGolden(t *testing.T) {
+	t.Parallel()
+	vals := []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, math.MaxFloat64,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff4000000000abc),
+	}
+	var wire []byte
+	wire = binary.LittleEndian.AppendUint32(wire, uint32(len(vals)))
+	for _, v := range vals {
+		wire = binary.LittleEndian.AppendUint64(wire, math.Float64bits(v))
+	}
+	wire = binary.LittleEndian.AppendUint32(wire, 0) // a zero-length message is a bare header
+	const golden = "08000000" +
+		"0000000000000000" + "0000000000000080" + "000000000000f07f" + "000000000000f0ff" +
+		"0100000000000000" + "ffffffffffffef7f" + "010000000000f87f" + "bc0a00000000f4ff" +
+		"00000000"
+	if got := hex.EncodeToString(wire); got != golden {
+		t.Fatalf("the test's own encoding drifted:\n got %s\nwant %s", got, golden)
+	}
+
+	tr := &TCPTransport{n: 2, fault: newFault(), free: make(chan []float64, 4)}
+	tr.succ = tr.newConn(1, tr.fault, true, false)
+	tr.pred = tr.newConn(1, tr.fault, false, true)
+	defer tr.Close()
+
+	// Write path. Both messages are queued before the writer exists, so it
+	// must find the second behind the first and send the two as one batch.
+	tr.succ.sendQ <- append([]float64(nil), vals...)
+	tr.succ.sendQ <- []float64{}
+	out, raw := loopbackPair(t)
+	defer raw.Close()
+	tr.succ.attach(out)
+	got := make([]byte, len(wire))
+	if _, err := io.ReadFull(raw, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, wire) {
+		t.Fatalf("bytes on the wire:\n got %x\nwant %x", got, wire)
+	}
+
+	// Read path: the same bytes come back as the same bit patterns.
+	raw2, in := loopbackPair(t)
+	defer raw2.Close()
+	tr.pred.attach(in)
+	if _, err := raw2.Write(wire); err != nil {
+		t.Fatal(err)
+	}
+	msg := <-tr.pred.recvQ
+	if len(msg) != len(vals) {
+		t.Fatalf("read %d elements, want %d", len(msg), len(vals))
+	}
+	for i, v := range vals {
+		if g, w := math.Float64bits(msg[i]), math.Float64bits(v); g != w {
+			t.Fatalf("element %d read back as %#x, want %#x", i, g, w)
+		}
+	}
+	if empty := <-tr.pred.recvQ; len(empty) != 0 {
+		t.Fatalf("bare header read as %d elements", len(empty))
+	}
+
+	tr.Close() // the writer has exited: its counters are final
+	want := TCPStats{
+		BytesSent: int64(len(wire)), BytesReceived: int64(len(wire)),
+		MessagesSent: 2, MessagesRecv: 2, Batches: 1,
+	}
+	if st := tr.Stats(); st != want {
+		t.Fatalf("stats %+v, want %+v", st, want)
+	}
+}
+
+// TestTCPWireSwapBytes checks the big-endian path's one helper on whatever
+// host runs the test: swapped, a buffer's bytes are the other byte order's
+// encoding of its values; swapped twice, it is itself again.
+func TestTCPWireSwapBytes(t *testing.T) {
+	t.Parallel()
+	vals := []float64{1.5, math.Copysign(0, -1), math.MaxFloat64, math.Float64frombits(0xfff4000000000abc)}
+	var other binary.AppendByteOrder = binary.BigEndian
+	if hostBigEndian {
+		other = binary.LittleEndian
+	}
+	var want []byte
+	for _, v := range vals {
+		want = other.AppendUint64(want, math.Float64bits(v))
+	}
+	msg := append([]float64(nil), vals...)
+	swapBytes(msg)
+	if got := wireBytes(msg); !bytes.Equal(got, want) {
+		t.Fatalf("swapped bytes %x, want %x", got, want)
+	}
+	swapBytes(msg)
+	for i, v := range vals {
+		if g, w := math.Float64bits(msg[i]), math.Float64bits(v); g != w {
+			t.Fatalf("element %d after two swaps %#x, want %#x", i, g, w)
+		}
+	}
+}
+
 // FuzzWireDecode feeds arbitrary bytes to the two decoders a socket's bytes
 // reach — the hello, then the frame stream: each must yield a value or an
 // error, never a panic, and never ask for a buffer above the frame cap.
@@ -113,7 +241,8 @@ func FuzzWireDecode(f *testing.F) {
 		if magic != tcpMagic && magic != tcpPeerMagic {
 			t.Fatalf("readHello accepted magic %q", magic)
 		}
-		var rbuf []byte
+		br := bufio.NewReaderSize(r, tcpBufBytes)
+		unread := func() int { return r.Len() + br.Buffered() }
 		take := func(count int) []float64 {
 			if count > tcpMaxMsgLen {
 				t.Fatalf("frame reader asked for %d elements, cap %d", count, tcpMaxMsgLen)
@@ -121,15 +250,12 @@ func FuzzWireDecode(f *testing.F) {
 			return make([]float64, count)
 		}
 		for {
-			before := r.Len()
-			msg, err := readFrame(r, &rbuf, take)
-			if cap(rbuf) > 8*tcpMaxMsgLen {
-				t.Fatalf("frame scratch grew to %d bytes, cap %d", cap(rbuf), 8*tcpMaxMsgLen)
-			}
+			before := unread()
+			msg, err := readFrame(br, take)
 			if err != nil {
 				return
 			}
-			if used := before - r.Len(); used != 4+8*len(msg) {
+			if used := before - unread(); used != 4+8*len(msg) {
 				t.Fatalf("frame of %d elements consumed %d bytes", len(msg), used)
 			}
 		}

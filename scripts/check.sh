@@ -86,6 +86,15 @@ lane -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal/ru
 echo "== go test -race -cpu 1,2,4 (tcp transport + worker runtime) =="
 lane -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker' ./internal/allreduce ./internal/runtime
 
+# A tcp frame's payload is the message buffer's own bytes, viewed through
+# the package's one unsafe helper: -race is what turns checkptr on over that
+# view, the golden pins the bytes on the wire against a hand-written
+# encoding (and the big-endian swap against encoding/binary), and the
+# allocation and conservation gates cover the vectored write and its
+# recycle-after-write. By name, so a rename cannot silently drop them.
+echo "== wire lane: frames written from and read into the message buffers -race -cpu 1,2,4 =="
+lane -race -count=1 -cpu 1,2,4 -run 'TestTCPWireFormatGolden|TestTCPWireSwapBytes|TestTCPSteadyStateReduceAllocsZero|TestTCPStatsConservation' ./internal/allreduce
+
 echo "== multi-process smoke: coordinator + worker processes over loopback tcp =="
 go build -o "$BIN/cannikin" ./cmd/cannikin
 go build -o "$BIN/cannikin-worker" ./cmd/cannikin-worker

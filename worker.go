@@ -35,8 +35,8 @@ type WorkerRingConfig struct {
 var ErrRemoteMembership = runtime.ErrRemoteMembership
 
 // RingStats reports a worker's wire activity: Batches counts network
-// writes (flushes), MessagesSent the hops carried, so MsgsPerBatch is how
-// many hops shared a flush.
+// writes (one vectored write of everything queued), MessagesSent the hops
+// carried, so MsgsPerBatch is how many hops shared a write.
 type RingStats struct {
 	BytesSent, BytesReceived   int64
 	MessagesSent, MessagesRecv int64
