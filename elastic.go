@@ -51,7 +51,7 @@ type JoinRecord struct {
 	Batch   int
 	Batches []int
 	// Checkpoint and Velocity are the flat weight vector and SGD momentum
-	// every replica of the grown cluster started from. A fresh run seeded
+	// the grown cluster started from. A fresh run seeded
 	// with InitWeights = Checkpoint, InitVelocity = Velocity,
 	// LocalBatches = Batches, and Resume = "join-<n>" (n counting joins
 	// from 1) reproduces the post-join trajectory bitwise.

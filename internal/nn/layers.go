@@ -41,6 +41,11 @@ type Param struct {
 // Size returns the number of scalar weights.
 func (p *Param) Size() int { return p.W.Rows() * p.W.Cols() }
 
+// replica is p's training twin: the same weight tensor, a gradient of its own.
+func (p *Param) replica() *Param {
+	return &Param{Name: p.Name, W: p.W, Grad: tensor.New(p.W.Rows(), p.W.Cols())}
+}
+
 // Layer is a differentiable network stage. Backward must be called after
 // Forward with the same batch and accumulates into parameter gradients.
 type Layer interface {
@@ -125,6 +130,8 @@ func (l *Linear) Params() []*Param { return []*Param{l.w, l.b} }
 
 func (l *Linear) shadow() Layer { return &Linear{w: l.w, b: l.b} }
 
+func (l *Linear) replica() Layer { return &Linear{w: l.w.replica(), b: l.b.replica()} }
+
 // ReLU is the rectified linear activation.
 type ReLU struct {
 	mask, out, dx *tensor.T
@@ -170,6 +177,8 @@ func (r *ReLU) Params() []*Param { return nil }
 
 func (r *ReLU) shadow() Layer { return &ReLU{} }
 
+func (r *ReLU) replica() Layer { return &ReLU{} }
+
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
 	out, dx *tensor.T
@@ -208,6 +217,8 @@ func (t *Tanh) Params() []*Param { return nil }
 
 func (t *Tanh) shadow() Layer { return &Tanh{} }
 
+func (t *Tanh) replica() Layer { return &Tanh{} }
+
 // Network is a sequential stack of layers. The layer set is fixed at
 // construction, so the flattened parameter list and the per-layer offsets
 // are computed once and cached.
@@ -244,14 +255,33 @@ func NewSequential(layers ...Layer) *Network { return &Network{layers: layers} }
 // the shadow and on the original (or on another shadow) never touch the same
 // memory and write no Param. Stochastic layers shadow in evaluation mode.
 // Backward on a shadow would accumulate into the shared gradients; don't.
-func (n *Network) Shadow() *Network {
+func (n *Network) Shadow() *Network { return twin(n, "shadowed", shadower.shadow) }
+
+// Replica returns a training twin of the network for another data-parallel
+// rank in the same address space: every parameter shares the original's
+// weight tensor W — one weight store, stepped by one optimizer for all of
+// them — but owns its Grad, and every layer owns its workspaces. Forward and
+// Backward on the replica and on the original (or on another replica) may
+// run concurrently: they read the shared weights and write nothing in
+// common. A write to the weights must not overlap any of them. Layers that
+// draw randomness (Dropout) have no replica: twins would race on one stream.
+func (n *Network) Replica() *Network { return twin(n, "replicated", replicator.replica) }
+
+// shadower and replicator are the per-layer hooks behind Shadow and Replica.
+type (
+	shadower   interface{ shadow() Layer }
+	replicator interface{ replica() Layer }
+)
+
+// twin builds the network whose every layer is hook's twin of n's.
+func twin[H any](n *Network, what string, hook func(H) Layer) *Network {
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
-		s, ok := l.(interface{ shadow() Layer })
+		h, ok := l.(H)
 		if !ok {
-			panic(fmt.Sprintf("nn: Shadow: layer %d (%T) cannot be shadowed", i, l))
+			panic(fmt.Sprintf("nn: layer %d (%T) cannot be %s", i, l, what))
 		}
-		layers[i] = s.shadow()
+		layers[i] = hook(h)
 	}
 	return &Network{layers: layers}
 }

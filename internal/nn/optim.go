@@ -30,7 +30,7 @@ func NewSGD(momentum, weightDecay float64) *SGD {
 // v = μv + (g + λw); w -= lr·v.
 func (o *SGD) Step(params []*Param, lr float64) {
 	for _, p := range params {
-		o.update(p, p.Grad.Data(), lr)
+		o.update(p, p.Grad.Data(), 0, p.Size(), lr)
 	}
 }
 
@@ -39,20 +39,36 @@ func (o *SGD) Step(params []*Param, lr float64) {
 // of Param.Grad, which it neither reads nor writes. It is SetFlatGrads
 // followed by Step, bit for bit, without the copy.
 func (o *SGD) StepFlat(params []*Param, flat []float64, lr float64) {
+	o.StepFlatRange(params, flat, 0, len(flat), lr)
+}
+
+// StepFlatRange is StepFlat restricted to the flat elements [lo, hi): the
+// weights and velocity outside the range are neither read nor written. The
+// update is elementwise, so stepping the shards of any partition of
+// [0, len(flat)) — in any order, or concurrently from several goroutines
+// once Bind has run — is StepFlat bit for bit.
+func (o *SGD) StepFlatRange(params []*Param, flat []float64, lo, hi int, lr float64) {
 	if n := numel(params); len(flat) != n {
 		panic(fmt.Sprintf("nn: StepFlat gradient length %d != %d", len(flat), n))
 	}
+	if lo < 0 || lo > hi || hi > len(flat) {
+		panic(fmt.Sprintf("nn: StepFlatRange [%d, %d) outside [0, %d)", lo, hi, len(flat)))
+	}
 	off := 0
 	for _, p := range params {
-		sz := p.Size()
-		o.update(p, flat[off:off+sz], lr)
-		off += sz
+		end := off + p.Size()
+		if a, b := max(lo, off), min(hi, end); a < b {
+			o.update(p, flat[off:end], a-off, b-off, lr)
+		}
+		off = end
 	}
 }
 
-// update is the one SGD loop body: parameter p stepped from its gradient g.
-func (o *SGD) update(p *Param, g []float64, lr float64) {
-	wd, vd := p.W.Data(), o.velocityOf(p).Data()
+// update is the one SGD loop body: elements [lo, hi) of parameter p stepped
+// from its gradient g.
+func (o *SGD) update(p *Param, g []float64, lo, hi int, lr float64) {
+	vd := o.velocityOf(p).Data()[lo:hi]
+	g, wd := g[lo:hi], p.W.Data()[lo:hi]
 	g, wd = g[:len(vd)], wd[:len(vd)]
 	mu, decay := o.Momentum, o.WeightDecay
 	for i := range vd {
@@ -69,6 +85,16 @@ func numel(params []*Param) int {
 		n += p.Size()
 	}
 	return n
+}
+
+// Bind allocates the zero momentum state of every parameter in params that
+// has none yet. Afterwards a step over those parameters only reads the
+// optimizer's bookkeeping, which is what lets disjoint StepFlatRange shards
+// run from several goroutines at once.
+func (o *SGD) Bind(params []*Param) {
+	for _, p := range params {
+		o.velocityOf(p)
+	}
 }
 
 // velocityOf returns p's momentum state, zero on first use.

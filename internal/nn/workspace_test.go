@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"cannikin/internal/rng"
@@ -381,49 +382,252 @@ func TestShadowForwardWritesNoParam(t *testing.T) {
 	}
 }
 
+// TestReplicaSharesWeightsOwnsGrads: a replica's parameters share the
+// original's weight tensors and own their gradients, and every layer owns its
+// workspaces. Two replicas and the original run Forward/Backward concurrently
+// on different batches — the race detector checks that nothing is written in
+// common — and each replica's gradients are bitwise those of an independent
+// NewMLP built from the same seed. A write to the store is what every
+// replica computes with next; a layer that draws randomness refuses.
+func TestReplicaSharesWeightsOwnsGrads(t *testing.T) {
+	sizes := []int{6, 16, 8, 3}
+	net := NewMLP(sizes, rng.New(5))
+	replicas := []*Network{net.Replica(), net.Replica()}
+	for r, rep := range replicas {
+		for j, p := range rep.Params() {
+			q := net.Params()[j]
+			if p.W != q.W || p.Name != q.Name {
+				t.Fatalf("replica %d param %d (%s) does not share the original's weights", r, j, p.Name)
+			}
+			if p.Grad == q.Grad || &p.Grad.Data()[0] == &q.Grad.Data()[0] {
+				t.Fatalf("replica %d param %d shares the original's gradient", r, j)
+			}
+		}
+	}
+	if &replicas[0].Params()[0].Grad.Data()[0] == &replicas[1].Params()[0].Grad.Data()[0] {
+		t.Fatal("two replicas share a gradient")
+	}
+
+	src := rng.New(9)
+	xs := []*tensor.T{tensor.Randn(5, 6, 1, src), tensor.Randn(7, 6, 1, src)}
+	labels := [][]int{{0, 1, 2, 0, 1}, {2, 1, 0, 2, 1, 0, 2}}
+	backprop := func(n *Network, i int) []uint64 {
+		n.ZeroGrad()
+		_, dout := SoftmaxCrossEntropy(n.Forward(xs[i]), labels[i])
+		n.Backward(dout)
+		return bitsOf(flatGrads(n))
+	}
+	got := make([][]uint64, len(replicas))
+	done := make(chan struct{})
+	for i, rep := range replicas {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for pass := 0; pass < 3; pass++ {
+				got[i] = backprop(rep, i)
+			}
+		}()
+	}
+	backprop(net, 1) // the original trains meanwhile, on its own gradients
+	for range replicas {
+		<-done
+	}
+	for i := range replicas {
+		if want := backprop(NewMLP(sizes, rng.New(5)), i); !slices.Equal(got[i], want) {
+			t.Fatalf("replica %d gradients differ from an independent copy's", i)
+		}
+	}
+
+	// Distinct workspaces, one store: after a weight write every twin
+	// computes the original's output, each in its own tensor.
+	w := net.FlatWeights()
+	for i := range w {
+		w[i] *= 0.5
+	}
+	net.SetFlatWeights(w)
+	want := bitsOf(net.Forward(xs[0]).Data())
+	a, b := replicas[0].Forward(xs[0]), replicas[1].Forward(xs[0])
+	if a == b || &a.Data()[0] == &b.Data()[0] {
+		t.Fatal("two replicas share a forward workspace")
+	}
+	if !slices.Equal(bitsOf(a.Data()), want) || !slices.Equal(bitsOf(b.Data()), want) {
+		t.Fatal("a replica did not follow the store's weight update")
+	}
+
+	// Every parameterized layer kind replicates; Dropout refuses.
+	emb := NewSequential(NewEmbedding(11, 3, src), NewLinear(3, 4, src), &Tanh{})
+	for j, p := range emb.Replica().Params() {
+		if q := emb.Params()[j]; p.W != q.W || p.Grad == q.Grad {
+			t.Fatalf("embedding network param %d: want shared W and an own Grad", j)
+		}
+	}
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "cannot be replicated") {
+				t.Fatalf("replicating a Dropout: panic %q, want a refusal", msg)
+			}
+		}()
+		NewSequential(NewDropout(0.5, src)).Replica()
+	}()
+}
+
+// TestStepFlatRangeShardsBitwise: stepping the shards of a partition of the
+// flat vector — partitions whose cuts fall inside a Param, empty shards
+// included — in ascending order, descending order, or concurrently from one
+// goroutine per shard is StepFlat bit for bit, weights and FlatVelocity,
+// over several steps with and without momentum and weight decay, on
+// gradients carrying +0, −0 and NaN. A gradient vector of the wrong length
+// panics naming both sizes, and so does a range outside it.
+func TestStepFlatRangeShardsBitwise(t *testing.T) {
+	sizes := []int{5, 7, 4, 3} // params of 35, 7, 28, 4, 12, 3 elements: 89
+	const dim = 89
+	partitions := map[string][]int{
+		"whole":         {0, dim},
+		"mid-param":     {0, 20, dim},
+		"param-edges":   {0, 35, 42, 70, dim},
+		"empty-shards":  {0, 0, 1, 40, 40, 41, dim, dim},
+		"quarters":      {0, dim / 4, dim / 2, 3 * dim / 4, dim},
+		"every-element": nil, // filled below: one shard per element
+	}
+	for i := 0; i <= dim; i++ {
+		partitions["every-element"] = append(partitions["every-element"], i)
+	}
+	orders := []string{"ascending", "descending", "concurrent"}
+	for _, momentum := range []float64{0, 0.9} {
+		for _, decay := range []float64{0, 1e-3} {
+			for name, cuts := range partitions {
+				for _, order := range orders {
+					t.Run(fmt.Sprintf("momentum%v/decay%v/%s/%s", momentum, decay, name, order), func(t *testing.T) {
+						ref, sharded := NewMLP(sizes, rng.New(6)), NewMLP(sizes, rng.New(6))
+						if ref.NumParams() != dim {
+							t.Fatalf("%d params, want %d", ref.NumParams(), dim)
+						}
+						refOpt, shardOpt := NewSGD(momentum, decay), NewSGD(momentum, decay)
+						params := sharded.Params()
+						shardOpt.Bind(params)
+						src := rng.New(23)
+						for step := 0; step < 4; step++ {
+							g := tensor.Randn(1, dim, 1, src).Data()
+							g[step], g[dim-1-step], g[40+step] = 0, math.Copysign(0, -1), math.NaN()
+							lr := 0.05 / float64(step+1)
+							refOpt.StepFlat(ref.Params(), g, lr)
+
+							shard := func(k int) { shardOpt.StepFlatRange(params, g, cuts[k], cuts[k+1], lr) }
+							switch order {
+							case "ascending":
+								for k := 0; k+1 < len(cuts); k++ {
+									shard(k)
+								}
+							case "descending":
+								for k := len(cuts) - 2; k >= 0; k-- {
+									shard(k)
+								}
+							case "concurrent":
+								var wg sync.WaitGroup
+								for k := 0; k+1 < len(cuts); k++ {
+									wg.Add(1)
+									go func() {
+										defer wg.Done()
+										shard(k)
+									}()
+								}
+								wg.Wait()
+							}
+							if !slices.Equal(bitsOf(sharded.FlatWeights()), bitsOf(ref.FlatWeights())) {
+								t.Fatalf("step %d: weights differ", step)
+							}
+							if !slices.Equal(bitsOf(shardOpt.FlatVelocity(params)), bitsOf(refOpt.FlatVelocity(ref.Params()))) {
+								t.Fatalf("step %d: velocity differs", step)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+
+	net := NewMLP(sizes, rng.New(3))
+	panics := func(what string, flat []float64, lo, hi int, want ...string) {
+		t.Helper()
+		defer func() {
+			msg := fmt.Sprint(recover())
+			for _, w := range want {
+				if !strings.Contains(msg, w) {
+					t.Errorf("StepFlatRange %s: panic %q does not name %q", what, msg, w)
+				}
+			}
+		}()
+		NewSGD(0.9, 0).StepFlatRange(net.Params(), flat, lo, hi, 0.1)
+	}
+	for _, n := range []int{0, dim - 1, dim + 1} {
+		panics(fmt.Sprintf("with %d gradients", n), make([]float64, n), 0, min(n, dim), fmt.Sprintf("length %d", n), fmt.Sprint(dim))
+	}
+	panics("past the end", make([]float64, dim), 10, dim+1, "[10, 90)", fmt.Sprint(dim))
+	panics("reversed", make([]float64, dim), 10, 9, "[10, 9)")
+	panics("below zero", make([]float64, dim), -1, 5, "[-1, 5)")
+}
+
 // TestSteadyStateStepAllocsZero: after warmup, a full
 // forward/loss/backward/step cycle on reused workspaces must not allocate,
 // with serial kernels and with every product sharded over the kernel pool
 // (the kernels' non-zero gather lives on the stack), whether the optimizer
-// steps from Param.Grad or from a flat gradient vector.
+// steps from Param.Grad or from flat gradient vectors — with 1, 2 and 4
+// replicas on one store, each stepping its shard from its own vector.
 func TestSteadyStateStepAllocsZero(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
 			tensor.SetParallelism(shards)
 			defer tensor.SetParallelism(1)
-			net := NewMLP([]int{32, 128, 64, 8}, rng.New(1))
-			opt := NewSGD(0.9, 0)
-			x := tensor.Randn(64, 32, 1, rng.New(2))
-			labels := make([]int, 64)
-			for i := range labels {
-				labels[i] = i % 8
-			}
-			dlogits := tensor.New(64, 8)
-			params := net.Params()
-			flat := make([]float64, net.NumParams())
+			for _, hosted := range []int{1, 2, 4} {
+				t.Run(fmt.Sprintf("hosted%d", hosted), func(t *testing.T) {
+					net := NewMLP([]int{32, 128, 64, 8}, rng.New(1))
+					replicas := []*Network{net}
+					for len(replicas) < hosted {
+						replicas = append(replicas, net.Replica())
+					}
+					opt := NewSGD(0.9, 0)
+					params := net.Params()
+					opt.Bind(params)
+					x := tensor.Randn(64, 32, 1, rng.New(2))
+					labels := make([]int, 64)
+					for i := range labels {
+						labels[i] = i % 8
+					}
+					dim := net.NumParams()
+					dlogits := make([]*tensor.T, hosted)
+					flats := make([][]float64, hosted)
+					for i := range replicas {
+						dlogits[i] = tensor.New(64, 8)
+						flats[i] = make([]float64, dim)
+					}
 
-			backprop := func() {
-				net.ZeroGrad()
-				logits := net.Forward(x)
-				SoftmaxCrossEntropyInto(dlogits, logits, labels)
-				net.Backward(dlogits)
-			}
-			step := func() {
-				backprop()
-				opt.Step(params, 0.05)
-			}
-			stepFlat := func() {
-				backprop()
-				opt.StepFlat(params, net.FlatGradsInto(flat), 0.05)
-			}
-			for i := 0; i < 3; i++ {
-				step() // warm workspaces and optimizer state
-			}
-			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-				t.Fatalf("steady-state nn step allocates %v times, want 0", allocs)
-			}
-			if allocs := testing.AllocsPerRun(50, stepFlat); allocs != 0 {
-				t.Fatalf("steady-state nn step from a flat gradient allocates %v times, want 0", allocs)
+					backprop := func() {
+						for i, r := range replicas {
+							r.ZeroGrad()
+							logits := r.Forward(x)
+							SoftmaxCrossEntropyInto(dlogits[i], logits, labels)
+							r.Backward(dlogits[i])
+						}
+					}
+					step := func() {
+						backprop()
+						opt.Step(params, 0.05)
+					}
+					stepShards := func() {
+						backprop()
+						for i, r := range replicas {
+							opt.StepFlatRange(params, r.FlatGradsInto(flats[i]), i*dim/hosted, (i+1)*dim/hosted, 0.05)
+						}
+					}
+					for i := 0; i < 3; i++ {
+						step() // warm workspaces and optimizer state
+					}
+					if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+						t.Fatalf("steady-state nn step allocates %v times, want 0", allocs)
+					}
+					if allocs := testing.AllocsPerRun(50, stepShards); allocs != 0 {
+						t.Fatalf("steady-state nn step from flat gradient shards allocates %v times, want 0", allocs)
+					}
+				})
 			}
 		})
 	}

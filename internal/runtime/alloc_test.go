@@ -12,15 +12,19 @@ import (
 	"cannikin/internal/tensor"
 )
 
-func allocTestWorkers(t *testing.T, nWorkers, batch int, sizes []int) ([]*nn.Network, []*nn.SGD, []*tensor.T, [][]int) {
+// allocTestWorkers builds nWorkers hosted ranks on one shared store: a
+// model, nWorkers-1 replicas of it, and the one optimizer over it, bound —
+// what newDriver builds — plus a batch of inputs and labels per rank.
+func allocTestWorkers(t *testing.T, nWorkers, batch int, sizes []int) ([]*nn.Network, *nn.SGD, []*tensor.T, [][]int) {
 	t.Helper()
 	src := rng.New(7)
-	replicas := make([]*nn.Network, nWorkers)
-	opts := make([]*nn.SGD, nWorkers)
-	for i := range replicas {
-		replicas[i] = nn.NewMLP(sizes, src.Split(fmt.Sprintf("init-%d", i)))
-		opts[i] = nn.NewSGD(0.9, 0)
+	net := nn.NewMLP(sizes, src.Split("init-0"))
+	replicas := []*nn.Network{net}
+	for len(replicas) < nWorkers {
+		replicas = append(replicas, net.Replica())
 	}
+	opt := nn.NewSGD(0.9, 0)
+	opt.Bind(net.Params())
 	xs := make([]*tensor.T, nWorkers)
 	labels := make([][]int, nWorkers)
 	for i := range xs {
@@ -30,7 +34,20 @@ func allocTestWorkers(t *testing.T, nWorkers, batch int, sizes []int) ([]*nn.Net
 			labels[i][j] = j % sizes[len(sizes)-1]
 		}
 	}
-	return replicas, opts, xs, labels
+	return replicas, opt, xs, labels
+}
+
+// hostedCounts are the hosted-rank counts the allocation gates run on the
+// shared store: one rank (worker mode), two, and mlp_comm's four.
+var hostedCounts = []int{1, 2, 4}
+
+// evenRatios is the Eq. 9 ratio vector for n equal local batches.
+func evenRatios(n int) []float64 {
+	w := make([]float64, n)
+	for i := range w {
+		w[i] = 1 / float64(n)
+	}
+	return w
 }
 
 // reserveProfile swaps the executor's append-only profile trace for one with
@@ -47,12 +64,13 @@ func reserveProfile(exec *liveExec, extra int) {
 // bucketed backprop, ring all-reduce, optimizer — must perform zero heap
 // allocations on the compute path, with both serial and sharded kernels,
 // in both comm modes (overlapped pair and merged single goroutine), plain
-// and guarded. The guarded step (fault tolerance armed, empty schedule)
-// adds per-hop deadline timers, the two-phase commit, and the driver's
-// deadline-bound result collection, all of which must reuse their state —
-// otherwise a long fault-tolerant run pays them as steady GC pressure. Every
-// row ends in the optimizer stepped from the comm buffer (SGD.StepFlat): by
-// the worker itself on a plain step, on the commit vote on a guarded one. The
+// and guarded, with 1, 2 and 4 ranks hosted on the shared store. The guarded
+// step (fault tolerance armed, empty schedule) adds per-hop deadline timers,
+// the two-phase commit, and the driver's deadline-bound result collection,
+// all of which must reuse their state — otherwise a long fault-tolerant run
+// pays them as steady GC pressure. Every row ends in each worker stepping
+// its shard of the weights from its comm buffer (SGD.StepFlatRange): by the
+// worker itself on a plain step, on the commit vote on a guarded one. The
 // profile trace is append-only by design, so its storage is pre-reserved
 // here rather than counted against the step.
 func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
@@ -62,46 +80,10 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 				t.Run(fmt.Sprintf("shards%d/%s/%s", shards, mode, guard), func(t *testing.T) {
 					tensor.SetParallelism(shards)
 					defer tensor.SetParallelism(1)
-
-					const nWorkers, batch = 2, 64
-					sizes := []int{32, 128, 64, 8}
-					replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, sizes)
-					algs, err := bucketAlgorithms("", replicas[0].NumParams(), 1024, nWorkers)
-					if err != nil {
-						t.Fatal(err)
-					}
-					var ft *faultTolerance
-					if guard == "guarded" {
-						inj, err := faultinject.NewInjector(faultinject.Schedule{}, nWorkers)
-						if err != nil {
-							t.Fatal(err)
-						}
-						ft = &faultTolerance{
-							inj:         inj,
-							policy:      allreduce.RetryPolicy{}.WithDefaults(),
-							stepTimeout: 2 * time.Second,
-							record:      func(r FaultRecord) { t.Errorf("fault-free step recorded %v", r) },
-						}
-					}
-					// 13k params in 1024-element buckets: multi-bucket streaming.
-					exec := newLiveExec(replicas, opts, 1024, algs, ft, mode == "merged", hosting{})
-					defer exec.close()
-					stepWeights := []float64{0.5, 0.5}
-
-					stepNo := 0
-					step := func() {
-						if _, err := exec.step(0, stepNo, xs, labels, stepWeights, 0.01); err != nil {
-							t.Fatal(err)
-						}
-						stepNo++
-					}
-					for i := 0; i < 3; i++ {
-						step() // warm workspaces, ring scratch, optimizer state
-					}
-					reserveProfile(exec, nWorkers*200)
-
-					if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-						t.Fatalf("steady-state live step allocates %v times, want 0", allocs)
+					for _, hosted := range hostedCounts {
+						t.Run(fmt.Sprintf("hosted%d", hosted), func(t *testing.T) {
+							liveStepAllocs(t, hosted, mode == "merged", guard == "guarded")
+						})
 					}
 				})
 			}
@@ -109,18 +91,32 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 	}
 }
 
-// TestSeqSteadyStateStepAllocsZero: the sequential reference runs the same
-// step — flat gradients reduced in place, the optimizer stepped from them —
-// and once warm allocates nothing either.
-func TestSeqSteadyStateStepAllocsZero(t *testing.T) {
-	const nWorkers, batch = 2, 64
-	replicas, opts, xs, labels := allocTestWorkers(t, nWorkers, batch, []int{32, 128, 64, 8})
+// liveStepAllocs is one row of the live allocation gate.
+func liveStepAllocs(t *testing.T, nWorkers int, merged, guarded bool) {
+	const batch = 64
+	replicas, opt, xs, labels := allocTestWorkers(t, nWorkers, batch, []int{32, 128, 64, 8})
 	algs, err := bucketAlgorithms("", replicas[0].NumParams(), 1024, nWorkers)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exec := newSeqExec(replicas, opts, 1024, algs)
-	stepWeights := []float64{0.5, 0.5}
+	var ft *faultTolerance
+	if guarded {
+		inj, err := faultinject.NewInjector(faultinject.Schedule{}, nWorkers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ft = &faultTolerance{
+			inj:         inj,
+			policy:      allreduce.RetryPolicy{}.WithDefaults(),
+			stepTimeout: 2 * time.Second,
+			record:      func(r FaultRecord) { t.Errorf("fault-free step recorded %v", r) },
+		}
+	}
+	// 13k params in 1024-element buckets: multi-bucket streaming.
+	exec := newLiveExec(replicas, opt, 1024, algs, ft, merged, hosting{})
+	defer exec.close()
+	stepWeights := evenRatios(nWorkers)
+
 	stepNo := 0
 	step := func() {
 		if _, err := exec.step(0, stepNo, xs, labels, stepWeights, 0.01); err != nil {
@@ -129,9 +125,42 @@ func TestSeqSteadyStateStepAllocsZero(t *testing.T) {
 		stepNo++
 	}
 	for i := 0; i < 3; i++ {
-		step()
+		step() // warm workspaces, ring scratch, optimizer state
 	}
+	reserveProfile(exec, nWorkers*200)
+
 	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
-		t.Fatalf("steady-state sequential step allocates %v times, want 0", allocs)
+		t.Fatalf("steady-state live step allocates %v times, want 0", allocs)
+	}
+}
+
+// TestSeqSteadyStateStepAllocsZero: the sequential reference runs the same
+// step — flat gradients reduced in place, the optimizer stepped once from
+// them — and once warm allocates nothing either, at every hosted count.
+func TestSeqSteadyStateStepAllocsZero(t *testing.T) {
+	for _, nWorkers := range hostedCounts {
+		t.Run(fmt.Sprintf("hosted%d", nWorkers), func(t *testing.T) {
+			const batch = 64
+			replicas, opt, xs, labels := allocTestWorkers(t, nWorkers, batch, []int{32, 128, 64, 8})
+			algs, err := bucketAlgorithms("", replicas[0].NumParams(), 1024, nWorkers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := newSeqExec(replicas, opt, 1024, algs)
+			stepWeights := evenRatios(nWorkers)
+			stepNo := 0
+			step := func() {
+				if _, err := exec.step(0, stepNo, xs, labels, stepWeights, 0.01); err != nil {
+					t.Fatal(err)
+				}
+				stepNo++
+			}
+			for i := 0; i < 3; i++ {
+				step()
+			}
+			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+				t.Fatalf("steady-state sequential step allocates %v times, want 0", allocs)
+			}
+		})
 	}
 }

@@ -19,12 +19,12 @@ const defaultProbeSteps = 3
 // Join schedules one worker hot-join: at the given epoch boundary the
 // cluster grows by one worker. The join is a two-phase commit on top of
 // the incarnation-restart machinery: the driver first verifies every
-// incumbent replica (weights and optimizer velocity) sits bitwise at the
-// last committed step, then checkpoints that state, bootstraps the
-// joiner's compute profile with a few timed probe passes (Eq. 8), and only
-// then starts the grown incarnation — incumbents resume from their own
-// checkpoint, so their momentum is preserved, and the joiner receives the
-// identical weights and velocity so the replicas never diverge.
+// incumbent rank stepped from the same reduced gradient at the last
+// committed step, then checkpoints the weights and optimizer velocity,
+// bootstraps the joiner's compute profile with a few timed probe passes
+// (Eq. 8), and only then starts the grown incarnation from that checkpoint
+// — the momentum is preserved, and the joiner trains on the very same
+// weights and velocity as the incumbents.
 type Join struct {
 	// Epoch is the epoch boundary the worker joins at (1 ≤ Epoch <
 	// Epochs). When an eviction pushes the incarnation past this epoch,
@@ -58,10 +58,10 @@ type JoinRecord struct {
 	// cluster's full plan.
 	Batch   int
 	Batches []int
-	// Checkpoint and Velocity are the weight vector and SGD momentum every
-	// replica of the grown cluster started from — bitwise-identical on all
-	// incumbents at commit time. A fresh run seeded with both on the grown
-	// cluster reproduces the post-join trajectory exactly.
+	// Checkpoint and Velocity are the weight vector and SGD momentum the
+	// grown cluster started from — the incumbents' state at commit time. A
+	// fresh run seeded with both on the grown cluster reproduces the
+	// post-join trajectory exactly.
 	Checkpoint []float64
 	Velocity   []float64
 	// PerSample is the joiner's Eq. 8 per-sample compute time estimated by
@@ -372,21 +372,16 @@ func probeJoin(cfg *Config, j Join, seq int) (perSample float64, node *optperf.N
 }
 
 // checkpointState is the two-phase commit's prepare: it verifies every
-// replica's weights AND optimizer velocity are bitwise-identical at the
-// last committed step, and returns both as an owned checkpoint. Any
-// divergence aborts the membership change before anything is mutated.
+// hosted rank stepped its shard of the one weight store from the same
+// reduced gradient at the last committed step, and returns the weights and
+// the optimizer velocity as an owned checkpoint. A divergence aborts the
+// membership change before anything is mutated.
 func (d *driver) checkpointState() (weights, velocity []float64, err error) {
-	ref, err := d.exec.finalWeights()
+	weights, err = d.exec.finalWeights()
 	if err != nil {
 		return nil, nil, err
 	}
-	velocity, err = replicasAgree("optimizer state", len(d.sgd), func(i int) []float64 {
-		return d.sgd[i].FlatVelocity(d.replicas[i].Params())
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return append([]float64(nil), ref...), velocity, nil
+	return weights, d.sgd.FlatVelocity(d.replicas[0].Params()), nil
 }
 
 // grow is the membership change that commits one worker hot-join; the

@@ -271,13 +271,12 @@ func (d *driver) evict(fail *stepFailure, epoch int) *membershipChange {
 }
 
 // survivorIncarnation is the commit shared by a fault eviction and a
-// voluntary shrink: it verifies the survivors' replicas are bitwise
-// consistent at the last committed step (the two-phase commit guarantees
-// it), checkpoints their weights, re-plans the survivor batches, records
-// the Eviction, and builds the incarnation that resumes at epoch on its own
-// recovery stream with fresh optimizer state — so the trajectory from here
-// is bitwise-identical to a fresh run launched from the recorded checkpoint
-// on the survivor cluster.
+// voluntary shrink: it checkpoints the weights of the last committed step
+// (the two-phase commit guarantees no shard of a failed step was applied),
+// re-plans the survivor batches, records the Eviction, and builds the
+// incarnation that resumes at epoch on its own recovery stream with fresh
+// optimizer state — so the trajectory from here is bitwise-identical to a
+// fresh run launched from the recorded checkpoint on the survivor cluster.
 func (d *driver) survivorIncarnation(victims []int, reason string, epoch int, policy string) (*incarnation, error) {
 	inc, res := d.inc, d.res
 	evicted := make(map[int]bool, len(victims))
@@ -293,11 +292,7 @@ func (d *driver) survivorIncarnation(victims []int, reason string, epoch int, po
 	if len(survivors) == 0 {
 		return nil, ErrNoSurvivors
 	}
-	ref, err := replicasAgree("weights", len(survivors), func(i int) []float64 { return d.replicas[survivors[i]].FlatWeights() })
-	if err != nil {
-		return nil, fmt.Errorf("%w among the survivors of %s", err, reason)
-	}
-	checkpoint := append([]float64(nil), ref...)
+	checkpoint := d.replicas[0].FlatWeights()
 	batches, replanned := replan(policy, d.exec.profile(), survivors, d.localBatches, 0, nil)
 
 	ev := Eviction{

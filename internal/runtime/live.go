@@ -47,9 +47,9 @@ func resolveCommMode(hosted int) bool { return hosted >= usableCores() }
 // With fault tolerance armed (ft != nil) the same step runs every ring hop
 // under a per-hop deadline with bounded retry, consults the deterministic
 // fault injector at step start and first send, and turns the optimizer
-// update into a driver-coordinated commit: no replica applies a step until
-// every replica has finished the step's communication, so a failed step
-// never leaves the replicas divergent.
+// update into a driver-coordinated commit: no worker steps its shard until
+// every worker has finished the step's communication, so a failed step
+// never leaves the weights partly stepped.
 type liveExec struct {
 	workers []*liveWorker
 	prof    *Profile
@@ -106,9 +106,19 @@ type commStats struct {
 // liveWorker is one hosted rank. A step passes over the parameters once per
 // job: ZeroGrad clears Grad, Backward accumulates into it, stageGrads scales
 // it into commBuf, the ring reduces commBuf in place, and the optimizer steps
-// from commBuf. The reduced gradient is never written back, so after a step
-// Param.Grad still holds the rank's raw local gradient — which nothing reads:
-// its next access is the next step's ZeroGrad.
+// the worker's shard of the weights from commBuf. The reduced gradient is
+// never written back, so after a step Param.Grad still holds the rank's raw
+// local gradient — which nothing reads: its next access is the next step's
+// ZeroGrad.
+//
+// The hosted workers share one weight store (net is a replica of the
+// model) and one optimizer, and each steps only its contiguous shard
+// [shardLo, shardHi) of the flat vector. No lock orders the shard writes
+// against the other workers' reads of the weights: a worker writes only
+// after its bucket-0 reduce has returned, which no rank can finish before
+// every rank has staged bucket 0 — the last thing its backward pass does,
+// after its last read of the weights this step — and the next step's
+// forward starts only after the driver has collected every worker's result.
 type liveWorker struct {
 	rank      int
 	net       *nn.Network
@@ -116,6 +126,11 @@ type liveWorker struct {
 	dim       int
 	bucketLen int
 	buckets   int
+	// opt is shared by every hosted worker; store is the model's parameter
+	// list, the keys of opt's state, and [shardLo, shardHi) the part of the
+	// flat vector this worker steps.
+	store            []*nn.Param
+	shardLo, shardHi int
 	// algs is the driver-resolved per-bucket collective schedule; every
 	// rank (and the sim backend) holds the identical slice, so all ranks of
 	// one bucket's reduce agree on the algorithm by construction.
@@ -169,10 +184,13 @@ type liveWorker struct {
 	ackQ    chan time.Duration
 }
 
-// newLiveExec starts one worker per replica. host.ranks maps the replicas
-// to ring ranks (nil: replica i is rank i) and host.ring is the ring they
-// attach to (nil: a fresh in-process channel ring, one rank per replica).
-func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []allreduce.Algorithm, ft *faultTolerance, merged bool, host hosting) *liveExec {
+// newLiveExec starts one worker per replica. replicas[0] is the model the
+// others replicate and opt the optimizer over it, bound before the first
+// step; worker i steps the i-th of len(replicas) contiguous shards of it.
+// host.ranks maps the replicas to ring ranks (nil: replica i is rank i) and
+// host.ring is the ring they attach to (nil: a fresh in-process channel
+// ring, one rank per replica).
+func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allreduce.Algorithm, ft *faultTolerance, merged bool, host hosting) *liveExec {
 	ring, ranks := host.ring, host.ranks
 	if ring == nil {
 		var err error
@@ -189,6 +207,8 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 	}
 	n := ring.Workers()
 	dim := replicas[0].NumParams()
+	store := replicas[0].Params()
+	hosted := len(replicas)
 	buckets := len(algs) // one schedule per bucket of the partition
 	e := &liveExec{
 		workers:       make([]*liveWorker, len(replicas)),
@@ -212,7 +232,10 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 		w := &liveWorker{
 			rank:      ranks[i],
 			net:       replicas[i],
-			opt:       opts[i],
+			opt:       opt,
+			store:     store,
+			shardLo:   i * dim / hosted,
+			shardHi:   (i + 1) * dim / hosted,
 			dim:       dim,
 			bucketLen: bucketLen,
 			buckets:   buckets,
@@ -270,9 +293,9 @@ func newLiveExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []a
 // ends in the commit vote: the optimizer update is applied only if every
 // worker finished the step's communication cleanly. Otherwise step fails
 // with a *stepFailure saying which workers went silent and whom the failed
-// hops suspect; no replica has applied the step, so the replicas remain
-// bitwise-consistent at the last committed step. Without fault tolerance a
-// hop failure (a broken link to a remote rank) is simply the step's error.
+// hops suspect; no shard has been stepped, so the weights remain those of
+// the last committed step. Without fault tolerance a hop failure (a broken
+// link to a remote rank) is simply the step's error.
 func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error) {
 	for _, w := range e.workers {
 		w.tasks <- stepTask{epoch: epoch, step: step, x: xs[w.rank], labels: labels[w.rank], weight: stepWeights[w.rank], lr: lr}
@@ -407,7 +430,10 @@ func (e *liveExec) failure(firstErr error) *stepFailure {
 }
 
 func (e *liveExec) finalWeights() ([]float64, error) {
-	return replicasAgree("weights", len(e.workers), func(i int) []float64 { return e.workers[i].net.FlatWeights() })
+	if _, err := replicasAgree("reduced gradient", len(e.workers), func(i int) []float64 { return e.workers[i].commBuf }); err != nil {
+		return nil, err
+	}
+	return e.workers[0].net.FlatWeights(), nil
 }
 
 func (e *liveExec) profile() *Profile { return e.prof }
@@ -427,8 +453,8 @@ func (w *liveWorker) computeLoop() {
 		if w.ft == nil || r.aborted {
 			continue
 		}
-		// Two-phase commit: apply the optimizer step only on a unanimous
-		// driver vote, so a failed step never diverges the replicas.
+		// Two-phase commit: step the shard only on a unanimous driver vote,
+		// so a failed step never leaves the weights partly stepped.
 		select {
 		case commit := <-w.commitQ:
 			var took time.Duration
@@ -566,11 +592,12 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	}
 }
 
-// applyStep steps the optimizer straight from the reduced gradient in the
-// comm buffer and reports how long that took (the Post phase).
+// applyStep steps the worker's shard of the shared weights straight from
+// the reduced gradient in its comm buffer and reports how long that took
+// (the Post phase).
 func (w *liveWorker) applyStep(lr float64) time.Duration {
 	start := time.Now()
-	w.opt.StepFlat(w.params, w.commBuf, lr)
+	w.opt.StepFlatRange(w.store, w.commBuf, w.shardLo, w.shardHi, lr)
 	return time.Since(start)
 }
 

@@ -129,10 +129,13 @@ func mustTrain(t *testing.T, cfg Config) *Result {
 }
 
 // TestReplicaConsistencyIsBitwise is the regression test for the replica
-// checks: the contract is bitwise, so a replica poisoned with NaN (to which
-// every numeric comparison is blind) or off by a single ulp (inside the old
-// 1e-9 tolerance) must fail finalWeights on both engines, naming the first
-// differing index.
+// check that the shared weight store leaves able to fail: each hosted rank
+// steps its shard of the one store from its own copy of the step's reduced
+// gradient, so finalWeights compares those copies, bitwise. One rank's final
+// gradient poisoned with NaN (to which every numeric comparison is blind)
+// or moved by a single ulp (inside the old 1e-9 tolerance) must fail
+// finalWeights on both engines with the named "diverged" error, naming the
+// rank and the first differing index.
 func TestReplicaConsistencyIsBitwise(t *testing.T) {
 	poisons := map[string]func(v float64) float64{
 		"nan":     func(float64) float64 { return math.NaN() },
@@ -141,30 +144,38 @@ func TestReplicaConsistencyIsBitwise(t *testing.T) {
 	for name, poison := range poisons {
 		for _, engine := range []string{BackendSim, BackendLive} {
 			t.Run(name+"/"+engine, func(t *testing.T) {
-				replicas, opts, _, _ := allocTestWorkers(t, 3, 4, []int{8, 16, 4})
-				ref := replicas[0].FlatWeights()
-				for _, r := range replicas {
-					r.SetFlatWeights(ref)
-				}
-				algs, err := bucketAlgorithms("", len(ref), len(ref), len(replicas))
+				const nWorkers = 3
+				replicas, opt, xs, labels := allocTestWorkers(t, nWorkers, 4, []int{8, 16, 4})
+				dim := replicas[0].NumParams()
+				algs, err := bucketAlgorithms("", dim, dim, nWorkers)
 				if err != nil {
 					t.Fatal(err)
 				}
-				var exec executor = newSeqExec(replicas, opts, len(ref), algs)
+				var exec executor
+				var reduced func(i int) []float64 // hosted rank i's last reduced gradient
 				if engine == BackendLive {
-					exec = newLiveExec(replicas, opts, len(ref), algs, nil, false, hosting{})
+					live := newLiveExec(replicas, opt, dim, algs, nil, false, hosting{})
+					exec, reduced = live, func(i int) []float64 { return live.workers[i].commBuf }
+				} else {
+					seq := newSeqExec(replicas, opt, dim, algs)
+					exec, reduced = seq, func(i int) []float64 { return seq.grads[i] }
 				}
 				defer exec.close()
-				if _, err := exec.finalWeights(); err != nil {
-					t.Fatalf("identical replicas rejected: %v", err)
+				if _, err := exec.step(0, 0, xs, labels, evenRatios(nWorkers), 0.01); err != nil {
+					t.Fatal(err)
 				}
+				got, err := exec.finalWeights()
+				if err != nil {
+					t.Fatalf("a clean step rejected: %v", err)
+				}
+				assertWeightsBitwise(t, engine, got, replicas[0].FlatWeights())
 
 				const at = 5
-				bad := append([]float64(nil), ref...)
-				bad[at] = poison(bad[at])
-				replicas[2].SetFlatWeights(bad)
-				if _, err := exec.finalWeights(); err == nil {
-					t.Fatal("poisoned replica accepted")
+				g := reduced(2)
+				g[at] = poison(g[at])
+				_, err = exec.finalWeights()
+				if err == nil || !strings.Contains(err.Error(), "replica 2 reduced gradient diverged") || !strings.Contains(err.Error(), "index 5") {
+					t.Fatalf("err = %v, want replica 2's reduced gradient named as diverged at index 5", err)
 				}
 			})
 		}

@@ -8,8 +8,10 @@
 //     between steps. No wall-clock profile is produced; timing comes from
 //     the analytic simulation layers elsewhere in the repo.
 //   - "live": a concurrent execution engine — every worker is a goroutine
-//     owning its replica, optimizer, and data shard. Workers synchronize
-//     through a persistent message-passing ring (internal/allreduce.Ring),
+//     owning its replica (gradients and workspaces over the process's one
+//     weight store), its shard of the optimizer step, and its data shard.
+//     Workers synchronize through a persistent message-passing ring
+//     (internal/allreduce.Ring),
 //     splitting the flat gradient into DDP-style buckets and launching
 //     each bucket's reduction as soon as backpropagation has produced it,
 //     so communication genuinely overlaps compute. Each worker measures
@@ -107,20 +109,20 @@ type Config struct {
 	Allreduce string
 	// Dataset is the training set; evaluation runs on all of it.
 	Dataset *data.Dataset
-	// Src drives all run randomness (shard shuffling, replica init). The
-	// loader and replicas consume it in a fixed order, so two runs from
+	// Src drives all run randomness (shard shuffling, model init). The
+	// loader and the model consume it in a fixed order, so two runs from
 	// equal sources are identical.
 	Src *rng.Source
-	// InitWeights, when set, is the flat weight vector every replica starts
+	// InitWeights, when set, is the flat weight vector the model starts
 	// from, bypassing random initialization and the rank-0 broadcast. This
 	// is the recovery entry point: resuming from an Eviction's Checkpoint
 	// on the survivor cluster reproduces the post-eviction trajectory
 	// bitwise.
 	InitWeights []float64
-	// InitVelocity, when set, seeds every replica's SGD momentum from a
-	// flat vector in parameter order — the optimizer half of the hot-join
-	// handoff: resuming from a JoinRecord's Checkpoint AND Velocity on the
-	// grown cluster reproduces the post-join trajectory bitwise.
+	// InitVelocity, when set, seeds the SGD momentum from a flat vector in
+	// parameter order — the optimizer half of the hot-join handoff:
+	// resuming from a JoinRecord's Checkpoint AND Velocity on the grown
+	// cluster reproduces the post-join trajectory bitwise.
 	InitVelocity []float64
 	// Joins schedules worker hot-joins: at each entry's epoch boundary the
 	// cluster grows by one worker via the two-phase join commit (both
@@ -235,8 +237,9 @@ type Result struct {
 	// count).
 	FinalAccuracy float64
 	Steps         int
-	// FinalWeights is the flat weight vector after training (identical on
-	// every replica — the run fails if they diverge).
+	// FinalWeights is the flat weight vector after training (one store per
+	// process — the run fails if the hosted ranks' last reduced gradients,
+	// from which each stepped its shard of it, diverge).
 	FinalWeights []float64
 	// Profile holds the measured wall-clock phase samples of the ranks this
 	// process hosted (every rank for the live backend, the one hosted rank
@@ -252,8 +255,8 @@ type Result struct {
 	// FaultEvents records every injected fault a worker consumed, in the
 	// order they were suffered, with original worker ranks.
 	FaultEvents []FaultRecord
-	// FinalVelocity is the SGD momentum state at run end (identical on
-	// every replica) — with FinalWeights, a complete resume checkpoint.
+	// FinalVelocity is the SGD momentum state at run end — with
+	// FinalWeights, a complete resume checkpoint.
 	FinalVelocity []float64
 }
 
@@ -270,7 +273,9 @@ var ErrRemoteMembership = errors.New("runtime: membership change with a remote r
 // that could not commit fails with a *stepFailure.
 type executor interface {
 	step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error)
-	// finalWeights checks replica consistency and returns the weights.
+	// finalWeights checks that every hosted rank reduced the same last
+	// gradient — each stepped its shard of the one weight store from its
+	// own copy — and returns a copy of the weights.
 	finalWeights() ([]float64, error)
 	profile() *Profile
 	close()
@@ -299,10 +304,10 @@ type incarnation struct {
 	localBatches []int
 	lr           float64
 	src          *rng.Source
-	// initWeights, when set, seeds every replica directly (recovery from a
+	// initWeights, when set, seeds the model directly (recovery from a
 	// checkpoint, or Config.InitWeights on the first incarnation);
-	// initVelocity likewise seeds every replica's SGD momentum (a join
-	// handoff, or Config.InitVelocity).
+	// initVelocity likewise seeds its SGD momentum (a join handoff, or
+	// Config.InitVelocity).
 	initWeights  []float64
 	initVelocity []float64
 	// pendingJoins are the scheduled joins not yet committed, in epoch
@@ -403,12 +408,16 @@ type driver struct {
 	host hosting
 
 	loader *data.HeteroLoader
-	// replicas and sgd hold one entry per hosted rank; the driver owns them,
-	// so they stay readable after the executor is closed.
+	// replicas holds one training twin per hosted rank over the process's
+	// one model: replicas[0] is the model itself, the rest nn.Replica()s of
+	// it — the same weight tensors, their own gradients and workspaces. sgd
+	// is the one optimizer over that store; each hosted rank steps its own
+	// shard of it. The driver owns both, so they stay readable after the
+	// executor is closed.
 	replicas []*nn.Network
-	sgd      []*nn.SGD
+	sgd      *nn.SGD
 	exec     executor
-	// eval evaluates the first hosted replica between steps.
+	// eval evaluates the model between steps.
 	eval *evaluator
 	// rebuild returns a live executor over a fresh ring (step retry).
 	rebuild func() *liveExec
@@ -425,8 +434,8 @@ type driver struct {
 	weights, partialWeights []float64
 }
 
-// newDriver is the build phase: loader, replicas, optimizers, fault
-// tolerance, bucket schedule, and the executor.
+// newDriver is the build phase: loader, the model and its replicas, the
+// optimizer, fault tolerance, bucket schedule, and the executor.
 func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*driver, error) {
 	n := len(inc.localBatches)
 	ranks := host.ranks
@@ -437,7 +446,7 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 		cfg: cfg, inc: inc, res: res, host: host,
 		loader:         data.NewHeteroLoader(cfg.Dataset, inc.src),
 		replicas:       make([]*nn.Network, len(ranks)),
-		sgd:            make([]*nn.SGD, len(ranks)),
+		sgd:            nn.NewSGD(cfg.Momentum, 0),
 		tracker:        gns.NewTracker(0.1),
 		estimator:      gns.NewEstimator(cfg.NaiveGNS),
 		localBatches:   inc.localBatches,
@@ -448,27 +457,30 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 	}
 	d.planWeights()
 
-	// All replicas start from identical weights: the incarnation's seed
-	// vector (a commit checkpoint, or Config.InitWeights), or rank 0's
-	// random initialization — Split is pure, so every replica and every
-	// process derives it directly instead of receiving a broadcast.
-	for i := range d.replicas {
-		net := nn.NewMLP(cfg.Sizes, inc.src.Split("init-0"))
-		if inc.initWeights != nil {
-			if want := net.NumParams(); len(inc.initWeights) != want {
-				return nil, fmt.Errorf("runtime: init weights dim %d, want %d", len(inc.initWeights), want)
-			}
-			net.SetFlatWeights(inc.initWeights)
+	// The process holds one model, built once: the incarnation's seed vector
+	// (a commit checkpoint, or Config.InitWeights), or rank 0's random
+	// initialization — Split is pure, so every process derives it directly
+	// instead of receiving a broadcast. Every hosted rank trains a replica of
+	// it: the weights are one store, the gradients are per rank.
+	net := nn.NewMLP(cfg.Sizes, inc.src.Split("init-0"))
+	if inc.initWeights != nil {
+		if want := net.NumParams(); len(inc.initWeights) != want {
+			return nil, fmt.Errorf("runtime: init weights dim %d, want %d", len(inc.initWeights), want)
 		}
-		d.replicas[i] = net
-		d.sgd[i] = nn.NewSGD(cfg.Momentum, 0)
-		// A join handoff restores momentum on every replica — incumbents
-		// continue their velocity trajectory, and the joiner adopts the
-		// identical state so the replicas stay bitwise-consistent.
-		if inc.initVelocity != nil {
-			if err := d.sgd[i].SetFlatVelocity(net.Params(), inc.initVelocity); err != nil {
-				return nil, fmt.Errorf("runtime: %w", err)
-			}
+		net.SetFlatWeights(inc.initWeights)
+	}
+	d.replicas[0] = net
+	for i := 1; i < len(d.replicas); i++ {
+		d.replicas[i] = net.Replica()
+	}
+	// Velocity is bound before the first step, so the hosted ranks stepping
+	// their shards concurrently never write the optimizer's map. A join
+	// handoff restores it: the incumbents continue their velocity trajectory
+	// and the joiner adopts it.
+	d.sgd.Bind(net.Params())
+	if inc.initVelocity != nil {
+		if err := d.sgd.SetFlatVelocity(net.Params(), inc.initVelocity); err != nil {
+			return nil, fmt.Errorf("runtime: %w", err)
 		}
 	}
 
@@ -493,7 +505,7 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 
 	// Every process must derive the identical partition and schedules from
 	// the shared Config alone.
-	dim := d.replicas[0].NumParams()
+	dim := net.NumParams()
 	bucketLen := bucketLenFor(cfg.BucketBytes, dim, n)
 	algs, err := bucketAlgorithms(cfg.Allreduce, dim, bucketLen, n)
 	if err != nil {
@@ -509,7 +521,7 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 		}
 		d.exec = d.rebuild()
 	}
-	d.eval = newEvaluator(d.replicas[0], cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1])
+	d.eval = newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1])
 	return d, nil
 }
 
@@ -641,14 +653,14 @@ func (d *driver) runEpochs() (*membershipChange, error) {
 		return nil, err
 	}
 	res.FinalWeights = final
-	res.FinalVelocity = d.sgd[0].FlatVelocity(d.replicas[0].Params())
+	res.FinalVelocity = d.sgd.FlatVelocity(d.replicas[0].Params())
 	res.Profile = d.exec.profile()
 	return nil, nil
 }
 
 // step runs one synchronized step. A fault-tolerant step that fails with
-// every worker responsive is retried on a rebuilt ring: replicas and
-// optimizers carry over untouched (the failed step was never applied), so
+// every worker responsive is retried on a rebuilt ring: the model and the
+// optimizer carry over untouched (the failed step was never applied), so
 // a successful retry is bitwise-identical to an undisturbed run. A failure
 // that survives the retries — or names a dead worker, or sits on a
 // caller-supplied ring this process cannot rebuild — is returned for

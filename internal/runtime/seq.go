@@ -13,41 +13,42 @@ import (
 // engine — same bucket boundaries, same per-bucket ring summation order —
 // which is what makes the bitwise differential test possible.
 type seqExec struct {
+	// replicas share one weight store, replicas[0]'s, which opt steps once
+	// per step.
 	replicas  []*nn.Network
-	opts      []*nn.SGD
+	opt       *nn.SGD
 	bucketLen int
 	// algs is the per-bucket collective schedule, resolved once by the
 	// driver (bucketAlgorithms) so sim and live reduce identically.
 	algs []allreduce.Algorithm
 	// Persistent step state: flat gradient staging buffers, per-replica
-	// loss-gradient workspaces, cached parameter slices, the per-bucket
+	// loss-gradient workspaces, the model's parameter list, the per-bucket
 	// view slice, and the GNS sample backing arrays. All are reused across
 	// steps, so the steady-state step re-allocates none of them.
 	grads   [][]float64
 	views   [][]float64
 	dlogits []*tensor.T
-	params  [][]*nn.Param
+	store   []*nn.Param
 	batches []int
 	localSq []float64
 }
 
-func newSeqExec(replicas []*nn.Network, opts []*nn.SGD, bucketLen int, algs []allreduce.Algorithm) *seqExec {
+func newSeqExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allreduce.Algorithm) *seqExec {
 	n := len(replicas)
 	e := &seqExec{
 		replicas:  replicas,
-		opts:      opts,
+		opt:       opt,
 		bucketLen: bucketLen,
 		algs:      algs,
 		grads:     make([][]float64, n),
 		views:     make([][]float64, n),
 		dlogits:   make([]*tensor.T, n),
-		params:    make([][]*nn.Param, n),
+		store:     replicas[0].Params(),
 		batches:   make([]int, n),
 		localSq:   make([]float64, n),
 	}
 	for i, net := range replicas {
 		e.grads[i] = make([]float64, net.NumParams())
-		e.params[i] = net.Params()
 	}
 	return e
 }
@@ -86,14 +87,15 @@ func (e *seqExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeig
 		}
 	}
 	sample.GlobalSqNorm = sqNorm(e.grads[0])
-	for i := range e.replicas {
-		e.opts[i].StepFlat(e.params[i], e.grads[i], lr)
-	}
+	e.opt.StepFlat(e.store, e.grads[0], lr)
 	return sample, nil
 }
 
 func (e *seqExec) finalWeights() ([]float64, error) {
-	return replicasAgree("weights", len(e.replicas), func(i int) []float64 { return e.replicas[i].FlatWeights() })
+	if _, err := replicasAgree("reduced gradient", len(e.grads), func(i int) []float64 { return e.grads[i] }); err != nil {
+		return nil, err
+	}
+	return e.replicas[0].FlatWeights(), nil
 }
 
 func (e *seqExec) profile() *Profile { return nil }

@@ -70,15 +70,15 @@ type MLPConfig struct {
 	// but any one algorithm is bitwise-identical across backends,
 	// transports, and processes.
 	Allreduce string
-	// InitWeights, when set, is the flat weight vector every replica starts
+	// InitWeights, when set, is the flat weight vector the model starts
 	// from instead of random initialization — the recovery entry point:
 	// resuming from an EvictionRecord's Checkpoint on the survivor cluster
 	// reproduces the post-eviction trajectory bitwise.
 	InitWeights []float64
-	// InitVelocity, when set, seeds every replica's SGD momentum from this
-	// flat vector (same layout and length as InitWeights) — the optimizer
-	// half of a checkpoint. A run resumed from a JoinRecord needs both to
-	// reproduce the post-join trajectory bitwise.
+	// InitVelocity, when set, seeds the SGD momentum from this flat vector
+	// (same layout and length as InitWeights) — the optimizer half of a
+	// checkpoint. A run resumed from a JoinRecord needs both to reproduce
+	// the post-join trajectory bitwise.
 	InitVelocity []float64
 	// Resume, when non-empty, derives the run's randomness from the seed's
 	// child stream with this label instead of the root stream. Elastic
@@ -195,7 +195,7 @@ type MLPResult struct {
 	// Steps is the total number of synchronized steps executed.
 	Steps int
 	// FinalWeights is the trained flat weight vector, identical bit for
-	// bit on every replica and across backends.
+	// bit on every rank and across backends.
 	FinalWeights []float64
 	// Profile summarizes the measured wall-clock phases (live backend
 	// only; nil for sim). After an eviction it covers the final survivor
@@ -207,7 +207,7 @@ type MLPResult struct {
 	// Joins records every committed worker hot-join (elastic runs only).
 	Joins []JoinRecord
 	// FinalVelocity is the final SGD momentum state, bitwise-identical on
-	// every replica — together with FinalWeights it is a complete training
+	// every rank — together with FinalWeights it is a complete training
 	// checkpoint.
 	FinalVelocity []float64
 	// FaultEvents lists the injected faults workers actually consumed, in

@@ -148,6 +148,17 @@ lane -race -count=1 -cpu 1,2,4 -run 'AlgorithmChanBitwise|AlgorithmTCPBitwise|Al
 echo "== differential lane: in-place gradients == reference product, StepFlat == SetFlatGrads + Step -race -cpu 1,2,4 =="
 lane -race -count=1 -cpu 1,2,4 -run 'TestBackwardGradsBitwiseReference|TestStepFlatMatchesSetFlatGradsStep' ./internal/nn
 
+# One model per process: co-hosted ranks train replicas that share the
+# weight tensors and own their gradients and workspaces, and each steps only
+# its shard of the one store, with no lock — the happens-before chain is the
+# bucket-0 reduce and the driver's step barrier. Replicas backpropagating
+# concurrently, shards stepped concurrently and in any order (bitwise
+# StepFlat), the one replica check left (every rank reduced the same last
+# gradient), and every mode x membership feature, under the race detector.
+# By name, so a rename cannot silently drop them.
+echo "== shared-store lane: replicas, sharded steps, reduced-gradient agreement, feature matrix -race -cpu 1,2,4 =="
+lane -race -count=1 -cpu 1,2,4 -run 'TestReplicaSharesWeightsOwnsGrads|TestStepFlatRangeShardsBitwise|TestReplicaConsistencyIsBitwise|TestEngineFeatureMatrix' ./internal/nn ./internal/runtime
+
 # Profiling must stay wired up: the live-vs-sequential bench is the tool
 # used to chase scheduling regressions, so a broken -cpuprofile path (or a
 # bench rename) should fail CI, not be discovered mid-investigation.
