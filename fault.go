@@ -76,7 +76,8 @@ type FaultConfig struct {
 }
 
 // lower converts the public config to the runtime's, generating the
-// churn schedule deterministically from the seed.
+// churn schedule deterministically from the seed; the runtime validates the
+// result.
 func (c *FaultConfig) lower(workers int, seed uint64) (*runtime.FaultConfig, error) {
 	var events []faultinject.Event
 	for _, e := range c.Events {
@@ -97,48 +98,22 @@ func (c *FaultConfig) lower(workers int, seed uint64) (*runtime.FaultConfig, err
 		}
 		events = append(events, gen.Events...)
 	}
-	var replan string
-	switch c.Replan {
-	case "", "keep":
-		replan = runtime.ReplanKeep
-	case "optperf":
-		replan = runtime.ReplanOptPerf
-	default:
-		return nil, fmt.Errorf("cannikin: unknown replan policy %q", c.Replan)
-	}
-	out := &runtime.FaultConfig{
+	return &runtime.FaultConfig{
 		Schedule:    faultinject.Schedule{Events: events},
 		HopTimeout:  c.HopTimeout,
 		Retries:     c.Retries,
 		StepTimeout: c.StepTimeout,
 		StepRetries: c.StepRetries,
-		Replan:      replan,
-	}
-	if err := out.Schedule.Validate(workers); err != nil {
-		return nil, fmt.Errorf("cannikin: %w", err)
-	}
-	return out, nil
+		Replan:      c.Replan,
+	}, nil
 }
 
 // EvictionRecord is one coordinated worker eviction during a
-// fault-tolerant live run. Worker indices are the run's original ranks.
-type EvictionRecord struct {
-	// Epoch and Step locate the failed step.
-	Epoch, Step int
-	// Workers are the evicted ranks; Reason says why.
-	Workers []int
-	Reason  string
-	// Survivors are the remaining ranks; SurvivorBatches the local batches
-	// they resumed with.
-	Survivors       []int
-	SurvivorBatches []int
-	// Checkpoint is the flat weight vector training resumed from — resuming
-	// a fresh run with InitWeights = Checkpoint on the survivor cluster
-	// reproduces the post-eviction trajectory bitwise.
-	Checkpoint []float64
-	// Replanned reports that OptPerf re-planning chose the survivor batches.
-	Replanned bool
-}
+// fault-tolerant or autoscaled live run (MLPResult.Evictions). Worker
+// indices are the run's original ranks; resuming a fresh run with
+// InitWeights = Checkpoint and Resume = "recovery-<n>" on the survivor
+// cluster reproduces the post-eviction trajectory bitwise.
+type EvictionRecord = runtime.Eviction
 
 // faultEventRecords converts one consumed runtime fault into public event
 // records, one per fault aspect, sharing the chaos record type.

@@ -12,6 +12,7 @@ package runspec
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -132,14 +133,21 @@ func Load(path string) (*Spec, error) {
 }
 
 // Decode reads a Spec from JSON on r with exactly Load's semantics — the
-// defaults as the base, unknown fields rejected — so an HTTP request body
-// and a -spec file parse identically.
+// defaults as the base, unknown fields rejected, nothing but whitespace
+// after the spec object — so an HTTP request body and a -spec file parse
+// identically.
 func Decode(r io.Reader) (*Spec, error) {
 	s := Default()
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(s); err != nil {
 		return nil, fmt.Errorf("decode spec: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return nil, fmt.Errorf("decode spec: trailing data after the spec object: %w", err)
 	}
 	return s, nil
 }

@@ -385,3 +385,29 @@ func TestDecodeFullSpecRoundTrip(t *testing.T) {
 		t.Fatalf("fault DSL round trip: %+v != %+v", back, want.Faults)
 	}
 }
+
+// TestDecodeRejectsTrailingData: a spec body is one JSON object. A second
+// object after it, or any other non-whitespace, is an error — not a spec
+// that silently drops the rest — while trailing whitespace (the newline a
+// file or an HTTP client ends with) still parses.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	for _, body := range []string{
+		`{"mlp": true} {"seed": 9}`,
+		`{"mlp": true}garbage`,
+		`{"mlp": true}}`,
+		`{"mlp": true} 7`,
+	} {
+		if _, err := Decode(strings.NewReader(body)); err == nil || !strings.Contains(err.Error(), "trailing data") {
+			t.Fatalf("Decode(%q): err = %v, want a trailing-data rejection", body, err)
+		}
+	}
+	for _, body := range []string{"{\"mlp\": true, \"seed\": 9}\n", "{\"mlp\": true, \"seed\": 9} \r\n\t\n"} {
+		got, err := Decode(strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("Decode(%q): %v", body, err)
+		}
+		if !got.MLP || got.Seed != 9 {
+			t.Fatalf("Decode(%q) = %+v", body, got)
+		}
+	}
+}

@@ -72,11 +72,12 @@ func TestWorkerAlgorithmMatchesTrain(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	results, errs := runWorkers(t, len(batches), func(rank int) WorkerConfig {
+	opts := allreduce.Options{Policy: allreduce.RetryPolicy{HopTimeout: 200 * time.Millisecond}}
+	results, errs := runWorkers(t, len(batches), opts, func(rank int) Config {
 		cfg := testConfig(t, 7, batches, 200)
 		cfg.Allreduce = "hd"
 		cfg.BucketBytes = 64 * 8
-		return WorkerConfig{Config: cfg, Policy: allreduce.RetryPolicy{HopTimeout: 200 * time.Millisecond}}
+		return cfg
 	})
 	for rank, err := range errs {
 		if err != nil {

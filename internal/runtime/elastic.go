@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -38,11 +39,10 @@ type Join struct {
 	// ProbeSteps is how many timed probe passes (per batch size) bootstrap
 	// the joiner's Eq. 8 compute profile (default 3).
 	ProbeSteps int
-	// Replan picks the grown cluster's batch policy: ReplanKeep (default —
-	// incumbents keep their batches, the joiner adopts Batch) or
-	// ReplanOptPerf (re-solve OptPerf over incumbents' live profile plus
-	// the joiner's probe model; falls back to keep when either model is
-	// unavailable).
+	// Replan picks the grown cluster's batch policy: "keep" or "" (default —
+	// incumbents keep their batches, the joiner adopts Batch) or "optperf"
+	// (re-solve OptPerf over incumbents' live profile plus the joiner's
+	// probe model; falls back to keep when either model is unavailable).
 	Replan string
 }
 
@@ -60,8 +60,10 @@ type JoinRecord struct {
 	Batches []int
 	// Checkpoint and Velocity are the weight vector and SGD momentum the
 	// grown cluster started from — the incumbents' state at commit time. A
-	// fresh run seeded with both on the grown cluster reproduces the
-	// post-join trajectory exactly.
+	// fresh run seeded with InitWeights = Checkpoint and InitVelocity =
+	// Velocity on LocalBatches = Batches, drawing from the "join-<n>" child
+	// stream (n counting joins from 1), reproduces the post-join trajectory
+	// bitwise.
 	Checkpoint []float64
 	Velocity   []float64
 	// PerSample is the joiner's Eq. 8 per-sample compute time estimated by
@@ -108,11 +110,14 @@ type ElasticController interface {
 	Decide(obs EpochObs, prof *Profile) ElasticDecision
 }
 
-// Autoscaler is the built-in goodput-driven ElasticController: it prices
-// candidate memberships with the goodput machinery (throughput × GNS
-// statistical efficiency) and grows while the marginal worker's predicted
-// contribution exceeds GrowThreshold, shrinks when it falls below
-// ShrinkThreshold.
+// Autoscaler is the built-in goodput-driven ElasticController: at each epoch
+// boundary it prices candidate memberships with the goodput model
+// (throughput × gradient-noise statistical efficiency, bootstrapped from the
+// live profile via Eq. 8) and grows through the hot-join path while the
+// marginal worker's predicted contribution exceeds GrowThreshold, or sheds
+// the marginal worker through the eviction path when its contribution falls
+// below ShrinkThreshold. The pricing reads the live profile, so on the sim
+// backend the autoscaler always holds.
 type Autoscaler struct {
 	// MinWorkers and MaxWorkers bound the membership (defaults 1 and the
 	// current size — i.e. never grow unless MaxWorkers is set).
@@ -130,13 +135,25 @@ type Autoscaler struct {
 	// BaseBatch is the Eq. 2 reference batch B0 for the efficiency term;
 	// zero uses the observed global batch (efficiency 1, pure throughput).
 	BaseBatch int
-	// Probe and Replan parameterize the join a grow decision issues.
+	// ProbeSteps and Replan parameterize the joins a grow decision issues,
+	// exactly like the Join fields of the same names.
 	ProbeSteps int
 	Replan     string
-	// Price overrides membership pricing: predicted goodput at the given
+	// price overrides membership pricing: predicted goodput at the given
 	// worker count (tests inject a pure function for determinism). Nil
 	// uses the Eq. 8 bootstrap over the live profile.
-	Price func(obs EpochObs, prof *Profile, workers int) float64
+	price func(obs EpochObs, prof *Profile, workers int) float64
+}
+
+func (a *Autoscaler) validate() error {
+	if a == nil {
+		return errors.New("runtime: Elastic is a nil *Autoscaler")
+	}
+	if a.MinWorkers < 0 || a.MaxWorkers < 0 || a.GrowThreshold < 0 || a.ShrinkThreshold < 0 {
+		return fmt.Errorf("runtime: negative autoscale bound (min %d, max %d, grow %v, shrink %v)",
+			a.MinWorkers, a.MaxWorkers, a.GrowThreshold, a.ShrinkThreshold)
+	}
+	return checkReplan("autoscale", a.Replan)
 }
 
 func (a *Autoscaler) growThreshold() float64 {
@@ -148,7 +165,7 @@ func (a *Autoscaler) growThreshold() float64 {
 
 // Decide implements ElasticController.
 func (a *Autoscaler) Decide(obs EpochObs, prof *Profile) ElasticDecision {
-	price := a.Price
+	price := a.price
 	if price == nil {
 		price = func(obs EpochObs, prof *Profile, workers int) float64 {
 			return elasticPrice(obs, prof, workers, a.BaseBatch)
@@ -271,10 +288,8 @@ func validateJoins(joins []Join, epochs, growthEpoch int) error {
 		if j.ProbeSteps < 0 {
 			return fmt.Errorf("runtime: join %d probe steps %d", i, j.ProbeSteps)
 		}
-		switch j.Replan {
-		case "", ReplanKeep, ReplanOptPerf:
-		default:
-			return fmt.Errorf("runtime: join %d unknown replan policy %q", i, j.Replan)
+		if err := checkReplan(fmt.Sprintf("join %d", i), j.Replan); err != nil {
+			return err
 		}
 		if growthEpoch > 0 && j.Epoch == growthEpoch {
 			return fmt.Errorf("runtime: join %d epoch %d collides with the growth epoch", i, j.Epoch)

@@ -69,6 +69,43 @@ func TestJoinConfigValidate(t *testing.T) {
 	}
 }
 
+// TestAutoscalerConfigValidate: Train checks the autoscaler it is handed —
+// negative bounds, an unknown replan name and a nil *Autoscaler are
+// rejected before any epoch trains, not run with the unknown policy read as
+// keep.
+func TestAutoscalerConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		a    *Autoscaler
+	}{
+		{"unknown replan", &Autoscaler{MaxWorkers: 4, Replan: "bogus"}},
+		{"negative min workers", &Autoscaler{MinWorkers: -1}},
+		{"negative max workers", &Autoscaler{MaxWorkers: -1}},
+		{"negative grow threshold", &Autoscaler{GrowThreshold: -0.1}},
+		{"negative shrink threshold", &Autoscaler{ShrinkThreshold: -0.1}},
+		{"nil autoscaler", nil},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := faultConfig(t, 1)
+			cfg.Elastic = tc.a
+			epochs := 0
+			cfg.OnEpoch = func(EpochObs) error { epochs++; return nil }
+			if _, err := Train(cfg); err == nil {
+				t.Fatal("accepted")
+			}
+			if epochs != 0 {
+				t.Fatalf("rejected only after %d epochs trained", epochs)
+			}
+		})
+	}
+	cfg := faultConfig(t, 1)
+	cfg.Elastic = &Autoscaler{Replan: ReplanOptPerf}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("a valid autoscaler rejected: %v", err)
+	}
+}
+
 // TestJoinGrowsCluster checks the committed join's report and that the
 // elastically-grown trajectory is bitwise-identical across sim, live, and
 // merged execution — the join commit is part of the shared driver, not of
@@ -347,7 +384,7 @@ func TestAutoscalerGrowsAndImprovesGoodput(t *testing.T) {
 		MaxWorkers:    4,
 		GrowThreshold: 0.10,
 		JoinBatch:     2,
-		Price:         price,
+		price:         price,
 	}, &grownObs))
 	if err != nil {
 		t.Fatal(err)
@@ -421,7 +458,7 @@ func TestAutoscalerShrinks(t *testing.T) {
 		MinWorkers:      2,
 		ShrinkThreshold: 0.05,
 		// Constant price: the marginal worker contributes nothing.
-		Price: func(EpochObs, *Profile, int) float64 { return 10 },
+		price: func(EpochObs, *Profile, int) float64 { return 10 },
 	}
 	res, err := Train(cfg)
 	if err != nil {
@@ -456,7 +493,7 @@ func TestAutoscalerShrinks(t *testing.T) {
 }
 
 // TestAutoscalerDefaultPricing exercises the autoscaler's built-in Eq. 8
-// price path (no injected Price): it must produce positive goodput
+// price path (no injected price): it must produce positive goodput
 // estimates from a real live profile at every candidate membership, decide
 // a well-formed action, and hold when no profile exists (sim backend).
 func TestAutoscalerDefaultPricing(t *testing.T) {

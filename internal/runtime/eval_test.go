@@ -6,6 +6,7 @@ import (
 	gort "runtime"
 	"testing"
 
+	"cannikin/internal/allreduce"
 	"cannikin/internal/nn"
 	"cannikin/internal/rng"
 )
@@ -118,8 +119,8 @@ func TestEpochEvaluationMatchesSequentialForward(t *testing.T) {
 			}
 			same("live-overlap", mustTrain(t, mk(BackendLive, layoutOverlap, epochs)))
 			same("live-merged", mustTrain(t, mk(BackendLive, layoutMerged, epochs)))
-			results, errs := runWorkers(t, len(batches), func(int) WorkerConfig {
-				return WorkerConfig{Config: mk("", "", epochs)}
+			results, errs := runWorkers(t, len(batches), allreduce.Options{}, func(int) Config {
+				return mk("", "", epochs)
 			})
 			for rank, err := range errs {
 				if err != nil {

@@ -22,6 +22,16 @@ const (
 	ReplanOptPerf = "optperf"
 )
 
+// checkReplan is the one check of a replan policy name, wherever one is
+// configured: "" (keep), "keep" or "optperf".
+func checkReplan(what, name string) error {
+	switch name {
+	case "", ReplanKeep, ReplanOptPerf:
+		return nil
+	}
+	return fmt.Errorf("runtime: %s: unknown replan policy %q (want keep or optperf)", what, name)
+}
+
 // ErrNoSurvivors reports that every worker was evicted: there is no
 // cluster left to resume training on.
 var ErrNoSurvivors = errors.New("runtime: all workers evicted")
@@ -53,8 +63,7 @@ type FaultConfig struct {
 	// worker is retried on a rebuilt ring before the most-suspected worker
 	// is evicted (default 1).
 	StepRetries int
-	// Replan picks the survivor batch policy: ReplanKeep (default) or
-	// ReplanOptPerf.
+	// Replan picks the survivor batch policy: "keep" (default) or "optperf".
 	Replan string
 }
 
@@ -89,10 +98,8 @@ func (c *FaultConfig) validate(workers int) error {
 	if err := c.Schedule.Validate(workers); err != nil {
 		return fmt.Errorf("runtime: %w", err)
 	}
-	switch c.Replan {
-	case "", ReplanKeep, ReplanOptPerf:
-	default:
-		return fmt.Errorf("runtime: unknown replan policy %q", c.Replan)
+	if err := checkReplan("fault", c.Replan); err != nil {
+		return err
 	}
 	if c.HopTimeout < 0 || c.Retries < 0 || c.StepTimeout < 0 || c.StepRetries < 0 {
 		return fmt.Errorf("runtime: negative fault-tolerance timing")
@@ -115,7 +122,10 @@ type Eviction struct {
 	// with (after re-planning).
 	SurvivorBatches []int
 	// Checkpoint is the flat weight vector training resumed from: the last
-	// fully-reduced weights, bitwise-identical on every survivor.
+	// fully-reduced weights, bitwise-identical on every survivor. A fresh run
+	// seeded with InitWeights = Checkpoint on the survivor cluster, drawing
+	// from the "recovery-<n>" child stream (n counting evictions from 1),
+	// reproduces the post-eviction trajectory bitwise.
 	Checkpoint []float64
 	// Replanned reports that OptPerf re-planning produced the survivor
 	// batches (false = survivors kept their current batches).

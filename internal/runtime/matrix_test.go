@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cannikin/internal/allreduce"
 	"cannikin/internal/faultinject"
 	"cannikin/internal/rng"
 )
@@ -17,7 +18,7 @@ import (
 // reference, or — where a process hosts only part of its ring and the
 // feature reaches an actual membership change — the run fails with
 // ErrRemoteMembership. The one cell outside that rule is documented in
-// validate(): fault injection needs a live engine to inject into, so sim
+// Validate(): fault injection needs a live engine to inject into, so sim
 // rejects a FaultConfig outright.
 func TestEngineFeatureMatrix(t *testing.T) {
 	defer watchdog(t, 5*time.Minute)()
@@ -70,7 +71,7 @@ func TestEngineFeatureMatrix(t *testing.T) {
 			arm: func(c *Config) {
 				// A pure price curve: the decision is the same in every
 				// mode and on every rank.
-				c.Elastic = &Autoscaler{MaxWorkers: 4, JoinBatch: 4, Price: func(_ EpochObs, _ *Profile, workers int) float64 {
+				c.Elastic = &Autoscaler{MaxWorkers: 4, JoinBatch: 4, price: func(_ EpochObs, _ *Profile, workers int) float64 {
 					return float64(workers)
 				}}
 			},
@@ -95,8 +96,8 @@ func TestEngineFeatureMatrix(t *testing.T) {
 				switch {
 				case m.worker:
 					n := len(faultConfig(t, seed).LocalBatches)
-					_, errs := runWorkers(t, n, func(int) WorkerConfig {
-						return WorkerConfig{Config: armed("", "")}
+					_, errs := runWorkers(t, n, allreduce.Options{}, func(int) Config {
+						return armed("", "")
 					})
 					for rank, err := range errs {
 						if !errors.Is(err, ErrRemoteMembership) {

@@ -167,7 +167,11 @@ type EpochObs struct {
 	Steps int
 }
 
-func (c *Config) validate() error {
+// Validate checks every rule of the run that needs no model or ring: worker
+// batches, shape, backend, collective, join schedule, autoscaler and fault
+// plan. Train runs it first; a caller with a ring to bring up runs it
+// before dialing.
+func (c *Config) Validate() error {
 	if len(c.LocalBatches) == 0 {
 		return errors.New("runtime: config needs at least one worker batch")
 	}
@@ -201,6 +205,11 @@ func (c *Config) validate() error {
 	}
 	if err := validateJoins(c.Joins, c.Epochs, c.GrowthEpoch); err != nil {
 		return err
+	}
+	if a, ok := c.Elastic.(*Autoscaler); ok {
+		if err := a.validate(); err != nil {
+			return err
+		}
 	}
 	if c.Fault != nil {
 		if c.Backend != BackendLive {
@@ -347,7 +356,7 @@ func Train(cfg Config) (*Result, error) {
 // incarnations — build, epoch loop, membership change — until the epochs
 // complete, over whatever part of the ring host says lives here.
 func train(cfg *Config, host hosting) (*Result, error) {
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if cfg.KernelShards > 0 {

@@ -10,36 +10,28 @@ import (
 // BackendWorker names the single-rank multi-process engine in Result.Backend.
 const BackendWorker = "worker"
 
-// WorkerConfig describes one rank's share of a training run that spans
-// processes: the full run Config (every process passes the identical one)
-// plus this process's rank and its attachment to the ring.
-type WorkerConfig struct {
-	Config
-	// Rank is this process's position in the ring; the ring's worker count
-	// must equal len(Config.LocalBatches).
-	Rank int
-	// Ring is the process's ring attachment — in practice a Ring over a
-	// TCPTransport hosting exactly this rank. The caller owns the ring's
-	// transport and closes it after TrainWorker returns.
-	Ring *allreduce.Ring
-	// Guard runs every ring hop under per-hop deadlines (Policy), so a
-	// stalled peer fails the run with a *RingFault blaming it. Without
-	// Guard, hops block indefinitely on a silent peer but still fail
-	// promptly when a peer's socket breaks.
-	Guard  bool
-	Policy allreduce.RetryPolicy
-}
-
 // TrainWorker runs one rank of a data-parallel training job whose other
-// ranks live in other processes, connected by cfg.Ring. It is Train's
-// driver and live engine hosting that single rank, so it honors the same
-// Config — Ctx, OnEpoch (every rank observes identical epochs) —
-// and Result.Profile carries the hosted rank's samples. It produces weights
-// bitwise-identical to Train on the same Config: determinism rests on
-// rng.Source.Split being pure, so every process independently reproduces
-// the dataset, the loader's full draw sequence (it draws every rank's shard
-// and trains only on its own), and the common initial weights — and on the
-// ring fixing the gradient summation order regardless of transport.
+// ranks live in other processes, connected by ring — in practice a Ring over
+// a TCPTransport hosting exactly this rank, with len(cfg.LocalBatches)
+// workers. The caller owns the ring's transport and closes it after
+// TrainWorker returns. Every process passes the identical cfg, whose Backend
+// is empty, live or worker: a worker always runs the live engine.
+//
+// Of opts only Guard and Policy are read, and only without a FaultConfig:
+// Guard runs every ring hop under Policy's per-hop deadlines, so a stalled
+// peer fails the run with a *RingFault blaming it. Without Guard, hops block
+// indefinitely on a silent peer but still fail promptly when a peer's socket
+// breaks.
+//
+// TrainWorker is Train's driver and live engine hosting that single rank, so
+// it honors the same Config — Ctx, OnEpoch (every rank observes identical
+// epochs) — and Result.Profile carries the hosted rank's samples. It
+// produces weights bitwise-identical to Train on the same Config:
+// determinism rests on rng.Source.Split being pure, so every process
+// independently reproduces the dataset, the loader's full draw sequence (it
+// draws every rank's shard and trains only on its own), and the common
+// initial weights — and on the ring fixing the gradient summation order
+// regardless of transport.
 //
 // Cross-rank GNS state is replicated exactly by ring-reducing each rank's
 // one-hot |g_i|² vector: adding zeros is exact in floating point, so every
@@ -51,26 +43,27 @@ type WorkerConfig struct {
 // or an elastic grow/shrink fails with ErrRemoteMembership. Without a
 // FaultConfig a dead peer fails the run with a *RingFault naming the
 // suspect, and recovery is the coordinator's concern.
-func TrainWorker(cfg WorkerConfig) (*Result, error) {
-	if cfg.Backend != "" && cfg.Backend != BackendWorker {
+func TrainWorker(cfg Config, rank int, ring *allreduce.Ring, opts allreduce.Options) (*Result, error) {
+	switch cfg.Backend {
+	case "", BackendLive, BackendWorker:
+	default:
 		return nil, fmt.Errorf("runtime: worker mode cannot run backend %q", cfg.Backend)
 	}
-	if cfg.Ring == nil {
+	if ring == nil {
 		return nil, errors.New("runtime: worker mode needs a ring")
 	}
 	n := len(cfg.LocalBatches)
-	if cfg.Ring.Workers() != n {
-		return nil, fmt.Errorf("runtime: ring of %d workers for %d local batches", cfg.Ring.Workers(), n)
+	if ring.Workers() != n {
+		return nil, fmt.Errorf("runtime: ring of %d workers for %d local batches", ring.Workers(), n)
 	}
-	if cfg.Rank < 0 || cfg.Rank >= n {
-		return nil, fmt.Errorf("runtime: rank %d of %d", cfg.Rank, n)
+	if rank < 0 || rank >= n {
+		return nil, fmt.Errorf("runtime: rank %d of %d", rank, n)
 	}
-	run := cfg.Config
-	run.Backend = BackendLive
-	res, err := train(&run, hosting{
-		ring:  cfg.Ring,
-		ranks: []int{cfg.Rank},
-		opts:  allreduce.Options{Guard: cfg.Guard, Policy: cfg.Policy},
+	cfg.Backend = BackendLive
+	res, err := train(&cfg, hosting{
+		ring:  ring,
+		ranks: []int{rank},
+		opts:  allreduce.Options{Guard: opts.Guard, Policy: opts.Policy},
 	})
 	if err != nil {
 		return nil, err

@@ -65,7 +65,7 @@ func buildWorkerRings(t *testing.T, n int) ([]*allreduce.Ring, func()) {
 // transport when its TrainWorker returns, the way a process exit closes its
 // sockets (so one rank's failure cascades around the ring instead of
 // leaving its neighbors blocked).
-func runWorkers(t *testing.T, n int, mk func(rank int) WorkerConfig) ([]*Result, []error) {
+func runWorkers(t *testing.T, n int, opts allreduce.Options, mk func(rank int) Config) ([]*Result, []error) {
 	t.Helper()
 	rings, closeAll := buildWorkerRings(t, n)
 	defer closeAll()
@@ -77,9 +77,7 @@ func runWorkers(t *testing.T, n int, mk func(rank int) WorkerConfig) ([]*Result,
 		go func(rank int) {
 			defer wg.Done()
 			defer rings[rank].Transport().Close()
-			cfg := mk(rank)
-			cfg.Rank, cfg.Ring = rank, rings[rank]
-			results[rank], errs[rank] = TrainWorker(cfg)
+			results[rank], errs[rank] = TrainWorker(mk(rank), rank, rings[rank], opts)
 		}(i)
 	}
 	wg.Wait()
@@ -122,16 +120,13 @@ func TestWorkerMatchesTrainBitwise(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			results, errs := runWorkers(t, len(tc.batches), func(rank int) WorkerConfig {
+			opts := allreduce.Options{Guard: tc.guard, Policy: allreduce.RetryPolicy{HopTimeout: 200 * time.Millisecond}}
+			results, errs := runWorkers(t, len(tc.batches), opts, func(rank int) Config {
 				cfg := testConfig(t, 7, tc.batches, tc.samples)
 				if tc.mutate != nil {
 					tc.mutate(&cfg)
 				}
-				return WorkerConfig{
-					Config: cfg,
-					Guard:  tc.guard,
-					Policy: allreduce.RetryPolicy{HopTimeout: 200 * time.Millisecond},
-				}
+				return cfg
 			})
 			for rank, err := range errs {
 				if err != nil {
@@ -193,7 +188,7 @@ func TestWorkerDeadPeerFault(t *testing.T) {
 			defer rings[rank].Transport().Close()
 			cfg := testConfig(t, 9, []int{8, 8, 8}, 192)
 			cfg.Epochs = 50 // long enough to be mid-run when the peer dies
-			_, errs[rank] = TrainWorker(WorkerConfig{Config: cfg, Rank: rank, Ring: rings[rank]})
+			_, errs[rank] = TrainWorker(cfg, rank, rings[rank], allreduce.Options{})
 		}(i)
 	}
 	wg.Wait()
@@ -225,13 +220,13 @@ func TestWorkerObservesLikeTrain(t *testing.T) {
 	}
 
 	seen := make([][]EpochObs, len(batches))
-	results, errs := runWorkers(t, len(batches), func(rank int) WorkerConfig {
+	results, errs := runWorkers(t, len(batches), allreduce.Options{}, func(rank int) Config {
 		cfg := testConfig(t, 7, batches, 200)
 		cfg.OnEpoch = func(o EpochObs) error {
 			seen[rank] = append(seen[rank], o)
 			return nil
 		}
-		return WorkerConfig{Config: cfg}
+		return cfg
 	})
 	for rank, err := range errs {
 		if err != nil {
@@ -272,7 +267,7 @@ func TestWorkerCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	batches := []int{8, 8, 8}
-	_, errs := runWorkers(t, len(batches), func(rank int) WorkerConfig {
+	_, errs := runWorkers(t, len(batches), allreduce.Options{}, func(rank int) Config {
 		cfg := testConfig(t, 9, batches, 192)
 		cfg.Epochs = 200 // long enough to be mid-run when the cancel lands
 		cfg.Ctx = ctx
@@ -284,7 +279,7 @@ func TestWorkerCancel(t *testing.T) {
 				return nil
 			}
 		}
-		return WorkerConfig{Config: cfg}
+		return cfg
 	})
 	canceled := 0
 	for rank, err := range errs {

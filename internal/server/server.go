@@ -13,7 +13,7 @@
 //
 // Backpressure surfaces as HTTP 429 with a Retry-After header when the
 // bounded queue is full; specs the pool cannot place are 400; submissions
-// during drain are 503.
+// during drain are 503; a spec body over 1 MiB is 413.
 package server
 
 import (
@@ -121,14 +121,23 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxSpecBytes caps a submitted spec body: a spec is a few hundred bytes, so
+// a larger body is refused (413) before it is read in full.
+const maxSpecBytes = 1 << 20
+
 // handleSubmit parses the request body with runspec.Decode — the same
 // defaults-plus-strict-fields semantics as a -spec file — and admits it.
 // The response echoes the admitted job's status, spec included, so clients
 // can verify the round-trip field for field.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	spec, err := runspec.Decode(r.Body)
+	spec, err := runspec.Decode(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, errorBody{Error: err.Error()})
 		return
 	}
 	if spec.Transport == runspec.TransportTCP {

@@ -181,6 +181,36 @@ func TestSubmitRejectsBadBodies(t *testing.T) {
 	}
 }
 
+// TestSubmitOversizedBody413: a spec body over the 1 MiB cap is refused with
+// 413 and the JSON error body, before it is read in full, and admits
+// nothing — /stats counts no submission.
+func TestSubmitOversizedBody413(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Pool:   jobs.PoolConfig{Devices: 2, Seed: 1},
+		Runner: &slowRunner{epochs: 1},
+	})
+	body := `{"mlp": true, "resume": "` + strings.Repeat("a", maxSpecBytes) + `"}`
+	resp, st := postSpec(t, ts, body)
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("code = %d, want 413", resp.StatusCode)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/json" || st.Error == "" {
+		t.Fatalf("413 body: content type %q, error %q", ct, st.Error)
+	}
+	stats, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stats.Body.Close()
+	var got jobs.Stats
+	if err := json.NewDecoder(stats.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Submitted != 0 || got.Queued != 0 || got.Running != 0 {
+		t.Fatalf("oversized body admitted something: %+v", got)
+	}
+}
+
 // TestQueueFull429: admission backpressure surfaces as HTTP 429 with both
 // a Retry-After header and a machine-readable hint in the body.
 func TestQueueFull429(t *testing.T) {

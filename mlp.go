@@ -2,10 +2,8 @@ package cannikin
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
-	"cannikin/internal/allreduce"
 	"cannikin/internal/data"
 	"cannikin/internal/nn"
 	"cannikin/internal/rng"
@@ -105,31 +103,14 @@ type MLPConfig struct {
 }
 
 // MLPEpoch is one completed epoch of a real training run, streamed through
-// MLPConfig.OnEpoch.
-type MLPEpoch struct {
-	// Epoch is the epoch index; Workers the live replica count (shrinks
-	// after an eviction).
-	Epoch   int
-	Workers int
-	// GlobalBatch and LearningRate are the values the epoch trained with.
-	GlobalBatch  int
-	LearningRate float64
-	// Loss and Accuracy are measured on the full dataset after the epoch;
-	// Noise is the smoothed heterogeneous GNS estimate.
-	Loss, Accuracy, Noise float64
-	// Steps is the cumulative committed step count at epoch end.
-	Steps int
-}
+// MLPConfig.OnEpoch: Epoch, Workers (the live replica count), GlobalBatch,
+// LearningRate, the full-dataset Loss and Accuracy, the smoothed GNS Noise,
+// and the cumulative Steps.
+type MLPEpoch = runtime.EpochObs
 
+// defaults fills in the MLPConfig defaults and checks the dataset shape;
+// every other rule is the runtime's (runtime.Config.Validate).
 func (c *MLPConfig) defaults() error {
-	if len(c.LocalBatches) == 0 {
-		return errors.New("cannikin: MLPConfig needs at least one worker batch")
-	}
-	for i, b := range c.LocalBatches {
-		if b < 1 {
-			return fmt.Errorf("cannikin: worker %d local batch %d", i, b)
-		}
-	}
 	if len(c.Hidden) == 0 {
 		c.Hidden = []int{32}
 	}
@@ -154,19 +135,8 @@ func (c *MLPConfig) defaults() error {
 	if c.Momentum == 0 {
 		c.Momentum = 0.9
 	}
-	if c.Dim < 1 || c.Classes < 2 || c.Samples < 1 || c.Epochs < 1 || c.LearningRate <= 0 {
-		return fmt.Errorf("cannikin: invalid MLP config %+v", *c)
-	}
-	if c.KernelShards < 0 {
-		return fmt.Errorf("cannikin: kernel shards %d", c.KernelShards)
-	}
-	switch c.Backend {
-	case "", "sim", "live":
-	default:
-		return fmt.Errorf("cannikin: unknown backend %q", c.Backend)
-	}
-	if _, err := allreduce.ParseAlgorithm(c.Allreduce); err != nil {
-		return fmt.Errorf("cannikin: %w", err)
+	if c.Dim < 1 || c.Classes < 2 || c.Samples < 1 {
+		return fmt.Errorf("cannikin: invalid MLP dataset shape: dim %d, classes %d, samples %d", c.Dim, c.Classes, c.Samples)
 	}
 	return nil
 }
@@ -274,7 +244,8 @@ func TrainMLPContext(ctx context.Context, cfg MLPConfig) (*MLPResult, error) {
 
 // lowerRuntime translates a defaulted MLPConfig into the internal runtime
 // config: scaler lookup, synthetic dataset, layer sizes, rng source, fault
-// schedule.
+// schedule. The joins, the autoscaler and the epoch hook are the runtime's
+// own types and pass through as they are.
 func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 	var scaler nn.LRScaler
 	switch cfg.Scaler {
@@ -301,14 +272,6 @@ func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 	if cfg.Resume != "" {
 		runSrc = src.Split(cfg.Resume)
 	}
-	joins, err := lowerJoins(cfg.Joins)
-	if err != nil {
-		return nil, err
-	}
-	elastic, err := cfg.Autoscale.lower()
-	if err != nil {
-		return nil, err
-	}
 	sizes := append([]int{cfg.Dim}, cfg.Hidden...)
 	sizes = append(sizes, cfg.Classes)
 
@@ -329,8 +292,12 @@ func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 		Src:          runSrc,
 		InitWeights:  cfg.InitWeights,
 		InitVelocity: cfg.InitVelocity,
-		Joins:        joins,
-		Elastic:      elastic,
+		Joins:        cfg.Joins,
+		OnEpoch:      cfg.OnEpoch,
+	}
+	// A nil *Autoscaler in the interface would be a controller, not none.
+	if cfg.Autoscale != nil {
+		rc.Elastic = cfg.Autoscale
 	}
 	if cfg.Fault != nil {
 		// The fault rank space spans the initial cluster plus every
@@ -338,21 +305,6 @@ func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 		// yet, and its events lie dormant until the join.
 		if rc.Fault, err = cfg.Fault.lower(len(cfg.LocalBatches)+len(cfg.Joins), cfg.Seed); err != nil {
 			return nil, err
-		}
-	}
-	if cfg.OnEpoch != nil {
-		hook := cfg.OnEpoch
-		rc.OnEpoch = func(e runtime.EpochObs) error {
-			return hook(MLPEpoch{
-				Epoch:        e.Epoch,
-				Workers:      e.Workers,
-				GlobalBatch:  e.GlobalBatch,
-				LearningRate: e.LearningRate,
-				Loss:         e.Loss,
-				Accuracy:     e.Accuracy,
-				Noise:        e.Noise,
-				Steps:        e.Steps,
-			})
 		}
 	}
 	return rc, nil
@@ -373,24 +325,11 @@ func mlpResultOf(r *runtime.Result) *MLPResult {
 		Steps:         r.Steps,
 		FinalWeights:  r.FinalWeights,
 		FinalVelocity: r.FinalVelocity,
-	}
-	for _, jr := range r.Joins {
-		res.Joins = append(res.Joins, joinRecordOf(jr))
+		Evictions:     r.Evictions,
+		Joins:         r.Joins,
 	}
 	if r.Profile != nil {
 		res.Profile = summarizeProfile(r.Profile)
-	}
-	for _, ev := range r.Evictions {
-		res.Evictions = append(res.Evictions, EvictionRecord{
-			Epoch:           ev.Epoch,
-			Step:            ev.Step,
-			Workers:         append([]int(nil), ev.Workers...),
-			Reason:          ev.Reason,
-			Survivors:       append([]int(nil), ev.Survivors...),
-			SurvivorBatches: append([]int(nil), ev.SurvivorBatches...),
-			Checkpoint:      ev.Checkpoint,
-			Replanned:       ev.Replanned,
-		})
 	}
 	for _, f := range r.FaultEvents {
 		res.FaultEvents = append(res.FaultEvents, faultEventRecords(f)...)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"cannikin/internal/allreduce"
 )
@@ -200,5 +201,31 @@ func TestMLPWorkerJoinRefused(t *testing.T) {
 		if epochs[rank] != 1 {
 			t.Fatalf("rank %d: trained %d epochs before the join at epoch 1", rank, epochs[rank])
 		}
+	}
+}
+
+// TestMLPWorkerValidatesBeforeDial: a worker checks every run rule before it
+// brings its ring up, so a rank with a bad spec fails at once — here a join
+// at the final epoch, a rule only the runtime knows — instead of waiting out
+// DialTimeout for a peer that never comes and reporting a dial error.
+func TestMLPWorkerValidatesBeforeDial(t *testing.T) {
+	cfg := elasticMLPConfig(1)
+	cfg.Backend = ""
+	cfg.Joins[0].Epoch = cfg.Epochs
+	addrs, listeners, err := allreduce.ReserveRingAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range listeners {
+		ln.Close() // rank 1 is never started
+	}
+	start := time.Now()
+	_, _, err = TrainMLPWorker(cfg, WorkerRingConfig{Rank: 0, Peers: addrs, DialTimeout: 3 * time.Second})
+	took := time.Since(start)
+	if err == nil || !strings.Contains(err.Error(), "join 0 epoch") {
+		t.Fatalf("err = %v, want the join-epoch rule", err)
+	}
+	if took > time.Second {
+		t.Fatalf("the join error took %v: the rank dialed before it validated", took)
 	}
 }

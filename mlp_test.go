@@ -4,6 +4,51 @@ import (
 	"testing"
 )
 
+// TestMLPConfigRulesAtPublicBoundary pins that checking each run rule once,
+// in the runtime, dropped none of the rules the public API used to check
+// itself: every case must fail TrainMLP before a single epoch trains.
+func TestMLPConfigRulesAtPublicBoundary(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*MLPConfig)
+	}{
+		{"join replan", func(c *MLPConfig) { c.Joins = []JoinSpec{{Epoch: 1, Batch: 4, Replan: "chaotic"}} }},
+		{"autoscale replan", func(c *MLPConfig) { c.Autoscale = &AutoscaleConfig{MaxWorkers: 3, Replan: "chaotic"} }},
+		{"fault replan", func(c *MLPConfig) { c.Fault = &FaultConfig{Replan: "chaotic"} }},
+		{"autoscale min workers", func(c *MLPConfig) { c.Autoscale = &AutoscaleConfig{MinWorkers: -1} }},
+		{"autoscale max workers", func(c *MLPConfig) { c.Autoscale = &AutoscaleConfig{MaxWorkers: -1} }},
+		{"autoscale grow threshold", func(c *MLPConfig) { c.Autoscale = &AutoscaleConfig{GrowThreshold: -0.5} }},
+		{"autoscale shrink threshold", func(c *MLPConfig) { c.Autoscale = &AutoscaleConfig{ShrinkThreshold: -0.5} }},
+		{"backend", func(c *MLPConfig) { c.Backend = "tpu" }},
+		{"allreduce", func(c *MLPConfig) { c.Allreduce = "warp" }},
+		{"kernel shards", func(c *MLPConfig) { c.KernelShards = -1 }},
+		{"no local batches", func(c *MLPConfig) { c.LocalBatches = nil }},
+		{"zero local batch", func(c *MLPConfig) { c.LocalBatches = []int{8, 0} }},
+		{"join at the last epoch", func(c *MLPConfig) { c.Joins = []JoinSpec{{Epoch: c.Epochs, Batch: 4}} }},
+		{"join after the last epoch", func(c *MLPConfig) { c.Joins = []JoinSpec{{Epoch: c.Epochs + 1, Batch: 4}} }},
+	}
+	base := func() MLPConfig {
+		return MLPConfig{LocalBatches: []int{8, 8}, Samples: 64, Epochs: 3, Seed: 1, Backend: "live"}
+	}
+	if _, err := TrainMLP(base()); err != nil {
+		t.Fatalf("the unedited config is rejected: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base()
+			tc.edit(&cfg)
+			epochs := 0
+			cfg.OnEpoch = func(MLPEpoch) error { epochs++; return nil }
+			if _, err := TrainMLP(cfg); err == nil {
+				t.Fatal("accepted")
+			}
+			if epochs != 0 {
+				t.Fatalf("rejected only after %d epochs trained", epochs)
+			}
+		})
+	}
+}
+
 func TestTrainMLPHeterogeneousWorkersConverge(t *testing.T) {
 	res, err := TrainMLP(MLPConfig{
 		LocalBatches: []int{48, 24, 12, 4}, // strongly uneven shards

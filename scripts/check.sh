@@ -114,6 +114,16 @@ go build -o "$BIN/cannikin-worker" ./cmd/cannikin-worker
 echo "== elastic lane: join/evict differential suite -race -cpu 1,2,4 =="
 lane -race -count=1 -cpu 1,2,4 -run 'Elastic|Join|Autoscal' ./internal/runtime .
 
+# One definition per run concept: the public join, eviction, epoch and
+# autoscaler types are the runtime's own, and every run rule is checked
+# once, by runtime.Config.Validate. The public-boundary table (each rule the
+# public layer used to check still fails TrainMLP before an epoch trains),
+# the autoscaler's own checks, a worker validating before it dials, and the
+# HTTP edge's one-spec-per-body and 1 MiB limits. By name, so a rename
+# cannot silently drop them.
+echo "== config lane: each run rule validated once, before training, dialing or admission -race =="
+lane -race -count=1 -run 'TestMLPConfigRulesAtPublicBoundary|TestMLPWorkerValidatesBeforeDial|TestAutoscalerConfigValidate|TestDecodeRejectsTrailingData|TestSubmitOversizedBody413' . ./internal/runtime ./internal/runspec ./internal/server
+
 echo "== elastic smoke: tcp hot-join, a 4th worker process joins mid-run =="
 # Generation 1 runs 3 worker processes; at epoch 1 the coordinator hands
 # the weights+velocity checkpoint to a 4-process generation. The

@@ -70,14 +70,19 @@ func TrainMLPWorker(cfg MLPConfig, ring WorkerRingConfig) (*MLPResult, *RingStat
 	if err := cfg.defaults(); err != nil {
 		return nil, nil, err
 	}
-	if len(ring.Peers) != len(cfg.LocalBatches) {
-		return nil, nil, fmt.Errorf("cannikin: %d peers for %d workers", len(ring.Peers), len(cfg.LocalBatches))
-	}
 	rc, err := cfg.lowerRuntime()
 	if err != nil {
 		return nil, nil, err
 	}
-	rc.Backend = ""
+	// Every rule is checked before the ring is dialed: a rank with a bad
+	// spec fails at once instead of after its peers' DialTimeout.
+	rc.Backend = runtime.BackendLive
+	if err := rc.Validate(); err != nil {
+		return nil, nil, err
+	}
+	if len(ring.Peers) != len(cfg.LocalBatches) {
+		return nil, nil, fmt.Errorf("cannikin: %d peers for %d workers", len(ring.Peers), len(cfg.LocalBatches))
+	}
 
 	tcpCfg := allreduce.TCPConfig{
 		Rank:        ring.Rank,
@@ -101,12 +106,7 @@ func TrainMLPWorker(cfg MLPConfig, ring WorkerRingConfig) (*MLPResult, *RingStat
 		return nil, nil, err
 	}
 
-	res, err := runtime.TrainWorker(runtime.WorkerConfig{
-		Config: *rc,
-		Rank:   ring.Rank,
-		Ring:   r,
-		Guard:  ring.Guard,
-	})
+	res, err := runtime.TrainWorker(*rc, ring.Rank, r, allreduce.Options{Guard: ring.Guard})
 	if err != nil {
 		return nil, nil, err
 	}
