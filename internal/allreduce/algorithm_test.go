@@ -403,49 +403,59 @@ func TestTCPSteadyStateReduceAllocsZero(t *testing.T) {
 		{"hd/peers", 4, 1024, AlgoHD},
 	} {
 		t.Run(row.name, func(t *testing.T) {
-			n, opts := row.n, Options{Algorithm: row.algo}
-			set := buildTCPSet(t, n)
+			set := buildTCPSet(t, row.n)
 			defer set.close()
-			segs := make([][]float64, n)
-			for i := range segs {
-				segs[i] = make([]float64, row.dim)
-				for j := range segs[i] {
-					segs[i][j] = float64(i*row.dim + j)
-				}
-			}
-			start := make(chan struct{})
-			done := make(chan error)
-			var wg sync.WaitGroup
-			for rank := 1; rank < n; rank++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for range start {
-						done <- set.rings[rank].ReduceWith(rank, segs[rank], opts)
-					}
-				}()
-			}
-			defer wg.Wait()
-			defer close(start)
-			step := func() {
-				for rank := 1; rank < n; rank++ {
-					start <- struct{}{}
-				}
-				if err := set.rings[0].ReduceWith(0, segs[0], opts); err != nil {
-					t.Error(err)
-				}
-				for rank := 1; rank < n; rank++ {
-					if err := <-done; err != nil {
-						t.Error(err)
-					}
-				}
-			}
-			for i := 0; i < 20; i++ {
-				step() // warm the circulating buffers, batches, bufio, peer links
-			}
-			if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+			if allocs := steadyReduceAllocs(t, set, row.dim, Options{Algorithm: row.algo}); allocs != 0 {
 				t.Fatalf("steady-state TCP reduce allocates %v times, want 0", allocs)
 			}
 		})
 	}
+}
+
+// steadyReduceAllocs warms set's ring with 20 reduces of one dim-element
+// segment per rank under opts, then reports the allocations of one more as
+// measured by testing.AllocsPerRun: rank 0 reduces on the calling goroutine
+// and every other rank on its own, released once per reduce — the
+// circulating buffers, batches and peer links are all warm by then.
+func steadyReduceAllocs(t *testing.T, set ringSet, dim int, opts Options) float64 {
+	t.Helper()
+	n := len(set.rings)
+	segs := make([][]float64, n)
+	for i := range segs {
+		segs[i] = make([]float64, dim)
+		for j := range segs[i] {
+			segs[i][j] = float64(i*dim + j)
+		}
+	}
+	start := make(chan struct{})
+	done := make(chan error)
+	var wg sync.WaitGroup
+	for rank := 1; rank < n; rank++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range start {
+				done <- set.rings[rank].ReduceWith(rank, segs[rank], opts)
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(start)
+	step := func() {
+		for rank := 1; rank < n; rank++ {
+			start <- struct{}{}
+		}
+		if err := set.rings[0].ReduceWith(0, segs[0], opts); err != nil {
+			t.Error(err)
+		}
+		for rank := 1; rank < n; rank++ {
+			if err := <-done; err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	for i := 0; i < 20; i++ {
+		step()
+	}
+	return testing.AllocsPerRun(50, step)
 }

@@ -51,6 +51,11 @@ type Options struct {
 	// one reduce must pass the same algorithm; hd additionally requires the
 	// transport to implement PeerTransport.
 	Algorithm Algorithm
+	// ScatterOnly stops the reduce after its reduce-scatter: the call
+	// returns once this rank's owned span of the segment (OwnedSpan) holds
+	// the sum, and the all-gather never runs. All ranks of one reduce must
+	// pass the same value.
+	ScatterOnly bool
 }
 
 // Ring is a persistent set of point-to-point links connecting n workers,
@@ -76,6 +81,8 @@ type Ring struct {
 type ringScratch struct {
 	spare []float64
 	ep    Endpoint
+	// pool is the buffer pool of ep's transport (nil: none).
+	pool bufPool
 	// peers caches resolved non-neighbor links (halving-doubling), indexed
 	// by peer rank; spans is the hd per-level window scratch.
 	peers []Endpoint
@@ -104,7 +111,11 @@ func NewRingOver(tr Transport) (*Ring, error) {
 	}
 	r := &Ring{n: n, tr: tr, scratch: make([]ringScratch, n)}
 	for i := range r.scratch {
-		r.scratch[i].ep = tr.Endpoint(i)
+		ep := tr.Endpoint(i)
+		r.scratch[i].ep = ep
+		if l, ok := ep.(*link); ok {
+			r.scratch[i].pool = l.free
+		}
 	}
 	return r, nil
 }
@@ -131,6 +142,12 @@ func (r *Ring) Transport() Transport { return r.tr }
 // is why the runtime derives its bucket partition from (dim, workers,
 // BucketBytes) only — never from scheduling state such as GOMAXPROCS.
 //
+// With opts.ScatterOnly set the call returns after the reduce-scatter: only
+// rank's owned span of seg, OwnedSpan(opts.Algorithm, n, rank, len(seg)),
+// holds the sum — bitwise the value a full reduce leaves there — and the
+// rest of seg holds partial sums. Like Algorithm, every rank of one reduce
+// must pass the same value.
+//
 // With opts.Guard set, every hop runs under a per-hop deadline with bounded
 // retry; on exhaustion — or on a broken link — ReduceWith returns a
 // *RingFault naming the suspected neighbor, and the segment holds
@@ -155,8 +172,32 @@ func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
 	return r.reduceRing(rank, seg, opts)
 }
 
-// reduceRing is the ring schedule — reduce-scatter then all-gather over the
-// neighbor links, one message per hop.
+// OwnedSpan returns the span [lo, hi) of a dim-element segment that rank of
+// an n-rank reduce holds fully reduced once its reduce-scatter is done —
+// all a ScatterOnly call leaves summed. algo is resolved through the same
+// Selector the reduce uses. Ring rank r owns chunk (r+1) mod n; an hd core
+// rank owns its recursive-halving span, and a folded hd rank owns nothing.
+// The spans of all n ranks tile [0, dim).
+func OwnedSpan(algo Algorithm, n, rank, dim int) (lo, hi int) {
+	if n == 1 || dim == 0 {
+		return 0, dim
+	}
+	if (Selector{}).Resolve(algo, n, dim) == AlgoHD {
+		g, q, ext := hdGroup(n)
+		if rank < 2*ext {
+			if rank%2 == 1 {
+				return 0, 0
+			}
+			return hdOwnedSpan(dim, g, q, rank/2)
+		}
+		return hdOwnedSpan(dim, g, q, rank-ext)
+	}
+	c := (rank + 1) % n
+	return c * dim / n, (c + 1) * dim / n
+}
+
+// reduceRing is the ring schedule — reduce-scatter then, unless
+// opts.ScatterOnly, all-gather over the neighbor links, one message per hop.
 func (r *Ring) reduceRing(rank int, seg []float64, opts Options) error {
 	n := r.n
 	dim := len(seg)
@@ -189,6 +230,9 @@ func (r *Ring) reduceRing(rank int, seg []float64, opts Options) error {
 			dst[j] += msg[j]
 		}
 		h.retire(msg)
+	}
+	if opts.ScatterOnly {
+		return h.finish(nil)
 	}
 	// All-gather: circulate the completed chunks. The chunk step s >= 1 sends
 	// is the one step s-1 received, so its message is forwarded as it came.

@@ -68,7 +68,9 @@ func (r *Ring) peer(rank, to int) (Endpoint, error) {
 
 // reduceHD performs rank's share of one halving-doubling all-reduce. The
 // transport must implement PeerTransport; every rank of the ring must
-// call it concurrently with equal options.
+// call it concurrently with equal options. With opts.ScatterOnly it stops
+// after the halving rounds: folded ranks only hand their segment over, and
+// neither the doubling rounds nor the post-step run.
 func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 	n := r.n
 	dim := len(seg)
@@ -78,7 +80,8 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 	h := r.begin(rank, opts)
 
 	// Folded odd ranks: hand the whole segment to the even neighbor, then
-	// wait out the core rounds and copy the finished result back in.
+	// (unless scatter-only) wait out the core rounds and copy the finished
+	// result back in.
 	if rank < 2*ext && rank%2 == 1 {
 		ep, err := r.peer(rank, rank-1)
 		if err != nil {
@@ -88,6 +91,9 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 			return h.finish(err)
 		}
 		h.hop++
+		if opts.ScatterOnly {
+			return h.finish(nil)
+		}
 		msg, err := h.recv(ep, rank-1, dim)
 		if err != nil {
 			return h.finish(err)
@@ -157,6 +163,9 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		h.retire(msg)
 		lo, hi = klo, khi
 		spans[2*(i+1)], spans[2*(i+1)+1] = lo, hi
+	}
+	if opts.ScatterOnly {
+		return h.finish(nil)
 	}
 
 	// All-gather: mirror the rounds back with recursive doubling. At step
@@ -380,20 +389,25 @@ func hdReduceInlineWeighted(vectors [][]float64, weights []float64) bool {
 	return true
 }
 
-// hdOwnedSpans fills los/his with each group member's finally-owned span:
-// the recursive-halving descent steered by the member's bits, high bit
-// first (bit set ⇒ keep the upper half).
+// hdOwnedSpans fills los/his with each group member's finally-owned span.
 func hdOwnedSpans(dim, g, q int, los, his []int) {
 	for c := 0; c < g; c++ {
-		lo, hi := 0, dim
-		for i := 0; i < q; i++ {
-			mid := lo + (hi-lo)/2
-			if c&(g>>(i+1)) == 0 {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		los[c], his[c] = lo, hi
+		los[c], his[c] = hdOwnedSpan(dim, g, q, c)
 	}
+}
+
+// hdOwnedSpan is group member c's finally-owned span: the recursive-halving
+// descent steered by c's bits, high bit first (bit set ⇒ keep the upper
+// half).
+func hdOwnedSpan(dim, g, q, c int) (lo, hi int) {
+	lo, hi = 0, dim
+	for i := 0; i < q; i++ {
+		mid := lo + (hi-lo)/2
+		if c&(g>>(i+1)) == 0 {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return lo, hi
 }

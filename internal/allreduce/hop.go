@@ -18,7 +18,9 @@ var ErrFrameSize = errors.New("allreduce: received message has the wrong element
 // buffers travel with the messages: once a received buffer has been
 // consumed it becomes this rank's next send buffer (retire), and the last
 // one is parked in the rank's scratch for the next call (finish), so a
-// steady-state reduce allocates nothing.
+// steady-state reduce allocates nothing. Where the flow is one-way the
+// transport's pool balances it: a spare a received buffer displaces is put
+// there, and a send with no usable spare takes from it.
 type hops struct {
 	sc   *ringScratch
 	rank int
@@ -62,7 +64,7 @@ func (h *hops) send(ep Endpoint, to int, src []float64, held bool) error {
 	h.spare = nil
 	if !held || len(msg) != len(src) {
 		if cap(msg) < len(src) {
-			msg = make([]float64, len(src))
+			msg = h.sc.pool.take(len(src))
 		}
 		msg = msg[:len(src)]
 		copy(msg, src)
@@ -99,8 +101,12 @@ func (h *hops) recv(ep Endpoint, from, want int) ([]float64, error) {
 }
 
 // retire recycles a consumed message as the next send buffer and advances
-// the hop counter: one send/receive exchange is done.
+// the hop counter: one send/receive exchange is done. A spare it displaces
+// (the fold-in receives without sending first) goes to the pool.
 func (h *hops) retire(msg []float64) {
+	if h.spare != nil {
+		h.sc.pool.put(h.spare)
+	}
 	h.spare = msg
 	h.hop++
 }

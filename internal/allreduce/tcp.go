@@ -117,9 +117,10 @@ type TCPTransport struct {
 	ep         link // the ring endpoint: succ's send queue, pred's receive queue
 
 	// free recycles message buffers from the writers (which retire one per
-	// frame sent) to the readers (which need one per frame received),
-	// best-effort; sized for both directions of the ring's queues.
-	free chan []float64
+	// frame sent) to the readers (which need one per frame received) and to
+	// the local rank's sends, best-effort; sized for both directions of the
+	// ring's queues.
+	free bufPool
 
 	mu      sync.Mutex
 	closed  bool             // under mu: no socket is attached once set
@@ -151,7 +152,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		dialTimeout: cfg.DialTimeout,
 		ln:          cfg.Listener, // owned even when unused: Close releases it
 		fault:       newFault(),
-		free:        make(chan []float64, 2*tcpQueueDepth),
+		free:        make(bufPool, 2*tcpQueueDepth),
 	}
 	if t.dialTimeout <= 0 {
 		t.dialTimeout = 10 * time.Second
@@ -181,7 +182,7 @@ func (t *TCPTransport) connect() error {
 	succ, pred := (t.rank+1)%t.n, (t.rank-1+t.n)%t.n
 	t.succ = t.newConn(succ, t.fault, true, false)
 	t.pred = t.newConn(pred, t.fault, false, true)
-	t.ep = link{out: t.succ.sendQ, in: t.pred.recvQ, f: t.fault}
+	t.ep = link{out: t.succ.sendQ, in: t.pred.recvQ, f: t.fault, free: t.free}
 	t.wg.Add(1)
 	go t.acceptLoop()
 
@@ -329,28 +330,6 @@ func (t *TCPTransport) Close() error {
 	return nil
 }
 
-// take returns a message buffer of the given element count, preferring a
-// recycled one.
-func (t *TCPTransport) take(count int) []float64 {
-	select {
-	case buf := <-t.free:
-		if cap(buf) >= count {
-			return buf[:count]
-		}
-	default:
-	}
-	return make([]float64, count)
-}
-
-// recycle parks a retired buffer for the readers (best-effort: dropped when
-// the pool is full).
-func (t *TCPTransport) recycle(buf []float64) {
-	select {
-	case t.free <- buf:
-	default:
-	}
-}
-
 // Peer returns the local rank's endpoint on a dedicated socket to peer,
 // establishing it on first use: the lower rank dials the higher rank's
 // ring listener with a tcpPeerMagic hello, the higher rank's accept loop
@@ -391,7 +370,7 @@ func (t *TCPTransport) peerConn(peer int) *tcpConn {
 		return c
 	}
 	c := t.newConn(peer, newFault(), true, true)
-	c.ep = link{out: c.sendQ, in: c.recvQ, f: c.f}
+	c.ep = link{out: c.sendQ, in: c.recvQ, f: c.f, free: t.free}
 	if t.peers == nil {
 		t.peers = make(map[int]*tcpConn)
 	}
@@ -575,7 +554,7 @@ func (c *tcpConn) flush(b *frameBatch) bool {
 		c.f.fail(fmt.Errorf("allreduce: rank %d send to rank %d: %w", t.rank, c.remote, err))
 	}
 	for _, msg := range b.msgs[:b.n] {
-		t.recycle(msg)
+		t.free.put(msg)
 	}
 	clear(b.msgs[:b.n])
 	b.n, b.bytes = 0, 0
@@ -588,7 +567,7 @@ func (c *tcpConn) readLoop() {
 	t := c.t
 	defer t.wg.Done()
 	r := bufio.NewReaderSize(c.sock, tcpBufBytes)
-	take := t.take
+	take := t.free.take
 	for {
 		msg, err := readFrame(r, take)
 		if err != nil {

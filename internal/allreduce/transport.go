@@ -118,6 +118,9 @@ type link struct {
 	out chan<- []float64
 	in  <-chan []float64
 	f   *fault // nil: an in-process link, which cannot break
+	// free is the transport's buffer pool, shared by all its links: where a
+	// rank parks a spare it cannot use and finds one when it has none.
+	free bufPool
 
 	sendTimer *time.Timer
 	recvTimer *time.Timer
@@ -227,6 +230,34 @@ func (l *link) recv(p RetryPolicy) ([]float64, error) {
 	}
 }
 
+// bufPool recycles message buffers between the holders of one transport's
+// links, best-effort: put drops a buffer when the pool is full and take
+// allocates when it is empty (or its head is too small). Buffers circulate
+// with the messages, so a rank only meets the pool when the flow is one-way
+// — a scatter-only fold-in sends a buffer that never comes back, and the
+// rank that absorbs it is left holding one spare too many.
+type bufPool chan []float64
+
+// take returns a buffer of count elements, preferring a pooled one.
+func (p bufPool) take(count int) []float64 {
+	select {
+	case buf := <-p:
+		if cap(buf) >= count {
+			return buf[:count]
+		}
+	default:
+	}
+	return make([]float64, count)
+}
+
+// put parks a buffer in the pool, or drops it when the pool is full.
+func (p bufPool) put(buf []float64) {
+	select {
+	case p <- buf:
+	default:
+	}
+}
+
 // ChanTransport is the in-process transport: n buffered FIFO channels, one
 // per rank, connecting each rank's send side to its successor's receive
 // side. It is the transport NewRing builds and the reference every other
@@ -235,6 +266,7 @@ type ChanTransport struct {
 	n     int
 	depth int
 	eps   []link
+	free  bufPool
 
 	// Peer links are built lazily under peersMu: most reduces are plain
 	// rings and should not pay for an n² mesh. Each ordered (from, to) pair
@@ -258,13 +290,13 @@ func NewChanTransport(n, depth int) (*ChanTransport, error) {
 	if depth < 1 {
 		depth = 1
 	}
-	t := &ChanTransport{n: n, depth: depth, eps: make([]link, n)}
+	t := &ChanTransport{n: n, depth: depth, eps: make([]link, n), free: make(bufPool, n)}
 	chans := make([]chan []float64, n)
 	for i := range chans {
 		chans[i] = make(chan []float64, depth)
 	}
 	for i := range t.eps {
-		t.eps[i] = link{out: chans[i], in: chans[(i-1+n)%n]}
+		t.eps[i] = link{out: chans[i], in: chans[(i-1+n)%n], free: t.free}
 	}
 	return t, nil
 }
@@ -306,7 +338,7 @@ func (t *ChanTransport) Peer(rank, peer int) (Endpoint, error) {
 		}
 		return ch
 	}
-	ep := &link{out: directed(rank, peer), in: directed(peer, rank)}
+	ep := &link{out: directed(rank, peer), in: directed(peer, rank), free: t.free}
 	t.peerEps[key] = ep
 	return ep, nil
 }

@@ -69,8 +69,9 @@ func reserveProfile(exec *liveExec, extra int) {
 // the two-phase commit, and the driver's deadline-bound result collection,
 // all of which must reuse their state — otherwise a long fault-tolerant run
 // pays them as steady GC pressure. Every row ends in each worker stepping
-// its shard of the weights from its comm buffer (SGD.StepFlatRange): by the
-// worker itself on a plain step, on the commit vote on a guarded one. The
+// its owned spans of the weights from its comm buffer (SGD.StepFlatRange,
+// over a span list built once with the exec): by the worker itself on a
+// plain step, on the commit vote on a guarded one. The
 // profile trace is append-only by design, so its storage is pre-reserved
 // here rather than counted against the step.
 func TestLiveSteadyStateStepAllocsZero(t *testing.T) {

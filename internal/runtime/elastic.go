@@ -386,11 +386,11 @@ func probeJoin(cfg *Config, j Join, seq int) (perSample float64, node *optperf.N
 	return perSample, node
 }
 
-// checkpointState is the two-phase commit's prepare: it verifies every
-// hosted rank stepped its shard of the one weight store from the same
-// reduced gradient at the last committed step, and returns the weights and
-// the optimizer velocity as an owned checkpoint. A divergence aborts the
-// membership change before anything is mutated.
+// checkpointState is the two-phase commit's prepare: it returns the weights
+// and the optimizer velocity of the last committed step as an owned
+// checkpoint. On the sim backend it first verifies every replica reduced
+// the same last gradient; a divergence aborts the membership change before
+// anything is mutated.
 func (d *driver) checkpointState() (weights, velocity []float64, err error) {
 	weights, err = d.exec.finalWeights()
 	if err != nil {

@@ -282,7 +282,7 @@ func (d *driver) evict(fail *stepFailure, epoch int) *membershipChange {
 
 // survivorIncarnation is the commit shared by a fault eviction and a
 // voluntary shrink: it checkpoints the weights of the last committed step
-// (the two-phase commit guarantees no shard of a failed step was applied),
+// (the two-phase commit guarantees no span of a failed step was applied),
 // re-plans the survivor batches, records the Eviction, and builds the
 // incarnation that resumes at epoch on its own recovery stream with fresh
 // optimizer state — so the trajectory from here is bitwise-identical to a

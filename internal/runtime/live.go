@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	stdruntime "runtime"
+	"slices"
 	"sync"
 	"time"
 
@@ -47,13 +48,17 @@ func resolveCommMode(hosted int) bool { return hosted >= usableCores() }
 // With fault tolerance armed (ft != nil) the same step runs every ring hop
 // under a per-hop deadline with bounded retry, consults the deterministic
 // fault injector at step start and first send, and turns the optimizer
-// update into a driver-coordinated commit: no worker steps its shard until
+// update into a driver-coordinated commit: no worker steps its spans until
 // every worker has finished the step's communication, so a failed step
 // never leaves the weights partly stepped.
 type liveExec struct {
 	workers []*liveWorker
-	prof    *Profile
-	ft      *faultTolerance
+	// spans tiles [0, dim) in ascending order with the spans each hosted
+	// worker's reduce leaves fully summed in its commBuf — what the driver
+	// reads |g|² from.
+	spans []ownedSpan
+	prof  *Profile
+	ft    *faultTolerance
 	// remote marks a ring that reaches into other processes: the per-rank
 	// |g_i|² then come from the workers' one-hot ring reduce instead of
 	// being collected locally.
@@ -82,11 +87,14 @@ type stepTask struct {
 	lr          float64
 }
 
+// ownedSpan is a span [lo, hi) of the flat gradient that hosted worker
+// worker's reduce leaves fully summed in its commBuf.
+type ownedSpan struct{ lo, hi, worker int }
+
 // stepResult reports one worker's completed share.
 type stepResult struct {
-	localSq  float64 // |g_i|² of the raw local gradient
-	globalSq float64 // |g|² of the reduced weighted gradient
-	sample   Sample
+	localSq float64 // |g_i|² of the raw local gradient
+	sample  Sample
 	// err is the hop failure that aborted the step's communication.
 	err error
 	// aborted marks a result produced by teardown waking a parked worker.
@@ -106,19 +114,22 @@ type commStats struct {
 // liveWorker is one hosted rank. A step passes over the parameters once per
 // job: ZeroGrad clears Grad, Backward accumulates into it, stageGrads scales
 // it into commBuf, the ring reduces commBuf in place, and the optimizer steps
-// the worker's shard of the weights from commBuf. The reduced gradient is
+// the worker's spans of the weights from commBuf. The reduced gradient is
 // never written back, so after a step Param.Grad still holds the rank's raw
 // local gradient — which nothing reads: its next access is the next step's
 // ZeroGrad.
 //
 // The hosted workers share one weight store (net is a replica of the
-// model) and one optimizer, and each steps only its contiguous shard
-// [shardLo, shardHi) of the flat vector. No lock orders the shard writes
-// against the other workers' reads of the weights: a worker writes only
-// after its bucket-0 reduce has returned, which no rank can finish before
-// every rank has staged bucket 0 — the last thing its backward pass does,
-// after its last read of the weights this step — and the next step's
-// forward starts only after the driver has collected every worker's result.
+// model) and one optimizer. When every rank is hosted the ring runs only
+// its reduce-scatter, and each worker steps exactly the spans its
+// collective owns — the only part of its commBuf that holds the sum; in
+// worker mode (one hosted rank, the all-gather kept) that is the whole
+// vector. No lock orders the span writes against the other workers' reads
+// of the weights: a worker writes only after its bucket-0 reduce-scatter
+// has returned, and every owned span of bucket 0 sums every rank's staged
+// bucket 0 — the last thing a backward pass does, after its last read of the
+// weights this step — and the next step's forward starts only after the
+// driver has collected every worker's result.
 type liveWorker struct {
 	rank      int
 	net       *nn.Network
@@ -127,23 +138,22 @@ type liveWorker struct {
 	bucketLen int
 	buckets   int
 	// opt is shared by every hosted worker; store is the model's parameter
-	// list, the keys of opt's state, and [shardLo, shardHi) the part of the
+	// list, the keys of opt's state, and spans the ascending parts of the
 	// flat vector this worker steps.
-	store            []*nn.Param
-	shardLo, shardHi int
+	store []*nn.Param
+	spans []ownedSpan
 	// algs is the driver-resolved per-bucket collective schedule; every
 	// rank (and the sim backend) holds the identical slice, so all ranks of
 	// one bucket's reduce agree on the algorithm by construction.
 	algs []allreduce.Algorithm
 	ring *allreduce.Ring
-	// opts is what guarding amounts to at this layer: the Guard and Policy
-	// every reduce of this worker passes to the ring.
+	// opts is what every reduce of this worker passes to the ring: the
+	// Guard and Policy guarding amounts to at this layer, and ScatterOnly
+	// when every rank is hosted here (dropped for guarded hd buckets, see
+	// reduceBucket).
 	opts    allreduce.Options
 	ft      *faultTolerance
 	closing chan struct{}
-	// lead marks the first hosted worker, the only one whose reduced
-	// gradient norm the driver consumes.
-	lead bool
 	// merged runs the worker as a single event-driven goroutine: each
 	// bucket is reduced inline at the backprop frontier instead of being
 	// handed to a comm goroutine (commQ/commDone stay nil). Chosen when
@@ -155,9 +165,9 @@ type liveWorker struct {
 	merged bool
 
 	// commBuf carries the weight-scaled local gradient into the ring and
-	// the reduced global gradient back out. The compute goroutine writes
-	// a region and only then enqueues the buckets it completes, so the
-	// two goroutines never touch a region concurrently.
+	// the reduced global gradient — on the worker's spans — back out. The
+	// compute goroutine writes a region and only then enqueues the buckets
+	// it completes, so the two goroutines never touch a region concurrently.
 	commBuf []float64
 	// normBuf, on a ring with remote ranks, is the one-hot |g_i|² vector
 	// whose ring reduce replicates every rank's norm in every process.
@@ -186,10 +196,10 @@ type liveWorker struct {
 
 // newLiveExec starts one worker per replica. replicas[0] is the model the
 // others replicate and opt the optimizer over it, bound before the first
-// step; worker i steps the i-th of len(replicas) contiguous shards of it.
-// host.ranks maps the replicas to ring ranks (nil: replica i is rank i) and
-// host.ring is the ring they attach to (nil: a fresh in-process channel
-// ring, one rank per replica).
+// step. host.ranks maps the replicas to ring ranks (nil: replica i is rank
+// i) and host.ring is the ring they attach to (nil: a fresh in-process
+// channel ring, one rank per replica). A ring with every rank hosted here
+// reduces scatter-only, and worker i steps the spans its rank owns.
 func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allreduce.Algorithm, ft *faultTolerance, merged bool, host hosting) *liveExec {
 	ring, ranks := host.ring, host.ranks
 	if ring == nil {
@@ -205,13 +215,14 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 	if ft != nil {
 		reduceOpts = allreduce.Options{Guard: true, Policy: ft.policy}
 	}
+	reduceOpts.ScatterOnly = !host.remote()
 	n := ring.Workers()
 	dim := replicas[0].NumParams()
 	store := replicas[0].Params()
-	hosted := len(replicas)
 	buckets := len(algs) // one schedule per bucket of the partition
 	e := &liveExec{
 		workers:       make([]*liveWorker, len(replicas)),
+		spans:         ownedSpans(dim, bucketLen, algs, n, ranks, reduceOpts.ScatterOnly),
 		prof:          &Profile{Workers: n, BucketLen: bucketLen, Dim: dim},
 		ft:            ft,
 		remote:        host.remote(),
@@ -234,8 +245,6 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 			net:       replicas[i],
 			opt:       opt,
 			store:     store,
-			shardLo:   i * dim / hosted,
-			shardHi:   (i + 1) * dim / hosted,
 			dim:       dim,
 			bucketLen: bucketLen,
 			buckets:   buckets,
@@ -244,7 +253,6 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 			opts:      reduceOpts,
 			ft:        ft,
 			closing:   e.closing,
-			lead:      i == 0,
 			merged:    merged,
 			commBuf:   make([]float64, dim),
 			params:    params,
@@ -253,6 +261,11 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 			results:   make(chan stepResult, 1),
 			commitQ:   make(chan bool, 1),
 			ackQ:      make(chan time.Duration, 1),
+		}
+		for _, sp := range e.spans {
+			if sp.worker == i {
+				w.spans = append(w.spans, sp)
+			}
 		}
 		if e.remote {
 			w.normBuf = make([]float64, n)
@@ -284,7 +297,32 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 	return e
 }
 
-// step runs one synchronized step: hand every hosted worker its shard,
+// ownedSpans lists, bucket by bucket in ascending order, the spans of the
+// flat vector each hosted worker's reduce leaves fully summed: with
+// scatterOnly the part of each bucket its rank's collective owns
+// (allreduce.OwnedSpan, resolved per bucket like the reduce itself), and
+// otherwise — worker mode, one hosted rank, the all-gather kept — the whole
+// vector. The spans tile [0, dim).
+func ownedSpans(dim, bucketLen int, algs []allreduce.Algorithm, n int, ranks []int, scatterOnly bool) []ownedSpan {
+	if !scatterOnly {
+		return []ownedSpan{{lo: 0, hi: dim, worker: 0}}
+	}
+	var spans []ownedSpan
+	for k := range algs {
+		blo := k * bucketLen
+		bhi := min(blo+bucketLen, dim)
+		first := len(spans)
+		for i, rank := range ranks {
+			if lo, hi := allreduce.OwnedSpan(algs[k], n, rank, bhi-blo); lo < hi {
+				spans = append(spans, ownedSpan{lo: blo + lo, hi: blo + hi, worker: i})
+			}
+		}
+		slices.SortFunc(spans[first:], func(a, b ownedSpan) int { return a.lo - b.lo })
+	}
+	return spans
+}
+
+// step runs one synchronized step: hand every hosted worker its batch,
 // collect their outcomes in rank order (a BSP barrier, and a deterministic
 // profile), and return the GNS observations. The sample aliases exec-owned
 // buffers valid until the next step call.
@@ -293,7 +331,7 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 // ends in the commit vote: the optimizer update is applied only if every
 // worker finished the step's communication cleanly. Otherwise step fails
 // with a *stepFailure saying which workers went silent and whom the failed
-// hops suspect; no shard has been stepped, so the weights remain those of
+// hops suspect; no span has been stepped, so the weights remain those of
 // the last committed step. Without fault tolerance a hop failure (a broken
 // link to a remote rank) is simply the step's error.
 func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error) {
@@ -329,7 +367,7 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 	sample := gns.Sample{
 		Batches:      e.sampleBatches[:n],
 		LocalSqNorms: e.sampleNorms[:n],
-		GlobalSqNorm: e.results[0].globalSq,
+		GlobalSqNorm: e.globalSqNorm(),
 	}
 	for i, x := range xs {
 		sample.Batches[i] = x.Rows()
@@ -342,6 +380,19 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 		copy(sample.LocalSqNorms, e.workers[0].normBuf)
 	}
 	return sample, nil
+}
+
+// globalSqNorm is |g|² of the step's reduced gradient: one serial chain in
+// ascending flat order over the owned spans, each read from its owner's
+// commBuf — sqNorm of the full reduced vector, bit for bit.
+func (e *liveExec) globalSqNorm() float64 {
+	s := 0.0
+	for _, sp := range e.spans {
+		for _, x := range e.workers[sp.worker].commBuf[sp.lo:sp.hi] {
+			s += x * x
+		}
+	}
+	return s
 }
 
 // collect waits for one worker's step outcome — indefinitely on a plain
@@ -430,9 +481,6 @@ func (e *liveExec) failure(firstErr error) *stepFailure {
 }
 
 func (e *liveExec) finalWeights() ([]float64, error) {
-	if _, err := replicasAgree("reduced gradient", len(e.workers), func(i int) []float64 { return e.workers[i].commBuf }); err != nil {
-		return nil, err
-	}
 	return e.workers[0].net.FlatWeights(), nil
 }
 
@@ -453,7 +501,7 @@ func (w *liveWorker) computeLoop() {
 		if w.ft == nil || r.aborted {
 			continue
 		}
-		// Two-phase commit: step the shard only on a unanimous driver vote,
+		// Two-phase commit: step the spans only on a unanimous driver vote,
 		// so a failed step never leaves the weights partly stepped.
 		select {
 		case commit := <-w.commitQ:
@@ -559,22 +607,14 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 		return stepResult{err: cs.err, faults: f}
 	}
 
-	// |g|² of the reduced gradient: the driver only consumes the lead
-	// worker's value (the all-gather makes every rank's commBuf identical),
-	// so the other ranks skip the pass entirely.
-	var globalSq float64
-	if w.lead {
-		globalSq = sqNorm(w.commBuf)
-	}
 	var post time.Duration
 	if w.ft == nil {
 		post = w.applyStep(t.lr)
 	}
 
 	return stepResult{
-		localSq:  localSq,
-		globalSq: globalSq,
-		faults:   f,
+		localSq: localSq,
+		faults:  f,
 		sample: Sample{
 			Epoch:          t.epoch,
 			Step:           t.step,
@@ -592,12 +632,14 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	}
 }
 
-// applyStep steps the worker's shard of the shared weights straight from
+// applyStep steps the worker's spans of the shared weights straight from
 // the reduced gradient in its comm buffer and reports how long that took
 // (the Post phase).
 func (w *liveWorker) applyStep(lr float64) time.Duration {
 	start := time.Now()
-	w.opt.StepFlatRange(w.store, w.commBuf, w.shardLo, w.shardHi, lr)
+	for _, sp := range w.spans {
+		w.opt.StepFlatRange(w.store, w.commBuf, sp.lo, sp.hi, lr)
+	}
 	return time.Since(start)
 }
 
@@ -630,6 +672,11 @@ func (w *liveWorker) reduceBucket(k int, cs *commStats) {
 	}
 	o := w.opts
 	o.Algorithm = w.algs[k]
+	// A guarded hd bucket keeps its all-gather: the suspicions of the
+	// doubling rounds and of the folded ranks' wait for the result are what
+	// tell a dropping rank from its halving partner in the blame tally. The
+	// owned span still holds the sum, so the spans stand.
+	o.ScatterOnly = o.ScatterOnly && !(o.Guard && o.Algorithm == allreduce.AlgoHD)
 	if k == w.buckets-1 {
 		// The step's injected message faults hit its first send, and the
 		// highest bucket always goes out first.

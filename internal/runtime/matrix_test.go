@@ -130,56 +130,45 @@ func mustTrain(t *testing.T, cfg Config) *Result {
 }
 
 // TestReplicaConsistencyIsBitwise is the regression test for the replica
-// check that the shared weight store leaves able to fail: each hosted rank
-// steps its shard of the one store from its own copy of the step's reduced
-// gradient, so finalWeights compares those copies, bitwise. One rank's final
-// gradient poisoned with NaN (to which every numeric comparison is blind)
-// or moved by a single ulp (inside the old 1e-9 tolerance) must fail
-// finalWeights on both engines with the named "diverged" error, naming the
-// rank and the first differing index.
+// check the sequential reference keeps: every replica reduces the full
+// gradient there, so finalWeights compares those copies, bitwise. One
+// replica's final gradient poisoned with NaN (to which every numeric
+// comparison is blind) or moved by a single ulp (inside the old 1e-9
+// tolerance) must fail finalWeights with the named "diverged" error, naming
+// the replica and the first differing index. (The live engine has no such
+// copies: each hosted rank holds the sum only on the spans it owns.)
 func TestReplicaConsistencyIsBitwise(t *testing.T) {
 	poisons := map[string]func(v float64) float64{
 		"nan":     func(float64) float64 { return math.NaN() },
 		"one-ulp": func(v float64) float64 { return math.Nextafter(v, math.Inf(1)) },
 	}
 	for name, poison := range poisons {
-		for _, engine := range []string{BackendSim, BackendLive} {
-			t.Run(name+"/"+engine, func(t *testing.T) {
-				const nWorkers = 3
-				replicas, opt, xs, labels := allocTestWorkers(t, nWorkers, 4, []int{8, 16, 4})
-				dim := replicas[0].NumParams()
-				algs, err := bucketAlgorithms("", dim, dim, nWorkers)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var exec executor
-				var reduced func(i int) []float64 // hosted rank i's last reduced gradient
-				if engine == BackendLive {
-					live := newLiveExec(replicas, opt, dim, algs, nil, false, hosting{})
-					exec, reduced = live, func(i int) []float64 { return live.workers[i].commBuf }
-				} else {
-					seq := newSeqExec(replicas, opt, dim, algs)
-					exec, reduced = seq, func(i int) []float64 { return seq.grads[i] }
-				}
-				defer exec.close()
-				if _, err := exec.step(0, 0, xs, labels, evenRatios(nWorkers), 0.01); err != nil {
-					t.Fatal(err)
-				}
-				got, err := exec.finalWeights()
-				if err != nil {
-					t.Fatalf("a clean step rejected: %v", err)
-				}
-				assertWeightsBitwise(t, engine, got, replicas[0].FlatWeights())
+		t.Run(name+"/"+BackendSim, func(t *testing.T) {
+			const nWorkers = 3
+			replicas, opt, xs, labels := allocTestWorkers(t, nWorkers, 4, []int{8, 16, 4})
+			dim := replicas[0].NumParams()
+			algs, err := bucketAlgorithms("", dim, dim, nWorkers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			exec := newSeqExec(replicas, opt, dim, algs)
+			if _, err := exec.step(0, 0, xs, labels, evenRatios(nWorkers), 0.01); err != nil {
+				t.Fatal(err)
+			}
+			got, err := exec.finalWeights()
+			if err != nil {
+				t.Fatalf("a clean step rejected: %v", err)
+			}
+			assertWeightsBitwise(t, BackendSim, got, replicas[0].FlatWeights())
 
-				const at = 5
-				g := reduced(2)
-				g[at] = poison(g[at])
-				_, err = exec.finalWeights()
-				if err == nil || !strings.Contains(err.Error(), "replica 2 reduced gradient diverged") || !strings.Contains(err.Error(), "index 5") {
-					t.Fatalf("err = %v, want replica 2's reduced gradient named as diverged at index 5", err)
-				}
-			})
-		}
+			const at = 5
+			g := exec.grads[2]
+			g[at] = poison(g[at])
+			_, err = exec.finalWeights()
+			if err == nil || !strings.Contains(err.Error(), "replica 2 reduced gradient diverged") || !strings.Contains(err.Error(), "index 5") {
+				t.Fatalf("err = %v, want replica 2's reduced gradient named as diverged at index 5", err)
+			}
+		})
 	}
 
 	// The helper names the first differing index (-0 is not +0 bitwise)

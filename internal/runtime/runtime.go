@@ -9,7 +9,8 @@
 //     the analytic simulation layers elsewhere in the repo.
 //   - "live": a concurrent execution engine — every worker is a goroutine
 //     owning its replica (gradients and workspaces over the process's one
-//     weight store), its shard of the optimizer step, and its data shard.
+//     weight store), the spans of the optimizer step its collective owns,
+//     and its data shard.
 //     Workers synchronize through a persistent message-passing ring
 //     (internal/allreduce.Ring),
 //     splitting the flat gradient into DDP-style buckets and launching
@@ -247,8 +248,8 @@ type Result struct {
 	FinalAccuracy float64
 	Steps         int
 	// FinalWeights is the flat weight vector after training (one store per
-	// process — the run fails if the hosted ranks' last reduced gradients,
-	// from which each stepped its shard of it, diverge).
+	// process; the sim backend fails the run if its replicas' last reduced
+	// gradients diverge).
 	FinalWeights []float64
 	// Profile holds the measured wall-clock phase samples of the ranks this
 	// process hosted (every rank for the live backend, the one hosted rank
@@ -282,9 +283,10 @@ var ErrRemoteMembership = errors.New("runtime: membership change with a remote r
 // that could not commit fails with a *stepFailure.
 type executor interface {
 	step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeights []float64, lr float64) (gns.Sample, error)
-	// finalWeights checks that every hosted rank reduced the same last
-	// gradient — each stepped its shard of the one weight store from its
-	// own copy — and returns a copy of the weights.
+	// finalWeights returns a copy of the weights. The sequential reference
+	// first checks that every replica reduced the same last gradient; the
+	// live engine keeps no redundant copy to compare — each hosted rank
+	// holds the sum only on the spans it steps.
 	finalWeights() ([]float64, error)
 	profile() *Profile
 	close()
@@ -420,8 +422,8 @@ type driver struct {
 	// replicas holds one training twin per hosted rank over the process's
 	// one model: replicas[0] is the model itself, the rest nn.Replica()s of
 	// it — the same weight tensors, their own gradients and workspaces. sgd
-	// is the one optimizer over that store; each hosted rank steps its own
-	// shard of it. The driver owns both, so they stay readable after the
+	// is the one optimizer over that store; each hosted rank steps the spans
+	// of it its collective owns. The driver owns both, so they stay readable after the
 	// executor is closed.
 	replicas []*nn.Network
 	sgd      *nn.SGD
@@ -483,7 +485,7 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 		d.replicas[i] = net.Replica()
 	}
 	// Velocity is bound before the first step, so the hosted ranks stepping
-	// their shards concurrently never write the optimizer's map. A join
+	// their spans concurrently never write the optimizer's map. A join
 	// handoff restores it: the incumbents continue their velocity trajectory
 	// and the joiner adopts it.
 	d.sgd.Bind(net.Params())

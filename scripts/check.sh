@@ -160,14 +160,24 @@ lane -race -count=1 -cpu 1,2,4 -run 'TestBackwardGradsBitwiseReference|TestStepF
 
 # One model per process: co-hosted ranks train replicas that share the
 # weight tensors and own their gradients and workspaces, and each steps only
-# its shard of the one store, with no lock — the happens-before chain is the
-# bucket-0 reduce and the driver's step barrier. Replicas backpropagating
-# concurrently, shards stepped concurrently and in any order (bitwise
-# StepFlat), the one replica check left (every rank reduced the same last
-# gradient), and every mode x membership feature, under the race detector.
+# the spans of the one store its collective owns, with no lock — the
+# happens-before chain is the bucket-0 reduce-scatter and the driver's step
+# barrier. Replicas backpropagating concurrently, spans stepped concurrently
+# and in any order (bitwise StepFlat), the sequential reference's replica
+# check, and every mode x membership feature, under the race detector.
 # By name, so a rename cannot silently drop them.
-echo "== shared-store lane: replicas, sharded steps, reduced-gradient agreement, feature matrix -race -cpu 1,2,4 =="
+echo "== shared-store lane: replicas, span steps, sim replica agreement, feature matrix -race -cpu 1,2,4 =="
 lane -race -count=1 -cpu 1,2,4 -run 'TestReplicaSharesWeightsOwnsGrads|TestStepFlatRangeShardsBitwise|TestReplicaConsistencyIsBitwise|TestEngineFeatureMatrix' ./internal/nn ./internal/runtime
+
+# In one address space only the reduce-scatter runs: each rank's owned span
+# is bitwise the full reduce's and the spans tile the vector (ring, hd, auto,
+# both transports, plain and guarded), a warm scatter-only reduce allocates
+# nothing, the driver's |g|² over the owners' spans is bitwise the sequential
+# reference's, a faulted scatter-only step aborts as the full reduce does,
+# and the hosted step still allocates nothing. By name, so a rename cannot
+# silently drop them.
+echo "== scatter-only lane: owned spans == full reduce, driver |g|², fault abort, zero allocs -race -cpu 1,2,4 =="
+lane -race -count=1 -cpu 1,2,4 -run 'TestScatterOnly|GlobalSqNorm|TestLiveSteadyStateStepAllocsZero|TestEngineFeatureMatrix' ./internal/allreduce ./internal/runtime
 
 # Profiling must stay wired up: the live-vs-sequential bench is the tool
 # used to chase scheduling regressions, so a broken -cpuprofile path (or a
