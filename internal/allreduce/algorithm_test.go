@@ -2,6 +2,7 @@ package allreduce
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -393,19 +394,32 @@ func (s stubTransport) Close() error               { return s.tr.Close() }
 // read buffer, ring frames above tcpBufBytes whose payload read bypasses it,
 // and hd's peer sockets, where several small frames share a write.
 func TestTCPSteadyStateReduceAllocsZero(t *testing.T) {
-	for _, row := range []struct {
+	type row struct {
 		name   string
 		n, dim int
-		algo   Algorithm
-	}{
-		{"ring/small", 2, 256, AlgoRing},
-		{"ring/frame128KiB", 2, 4 * tcpBufBytes / 8, AlgoRing},
-		{"hd/peers", 4, 1024, AlgoHD},
-	} {
+		opts   Options
+		into   bool
+	}
+	rows := []row{
+		{"ring/small", 2, 256, Options{Algorithm: AlgoRing}, false},
+		{"ring/frame128KiB", 2, 4 * tcpBufBytes / 8, Options{Algorithm: AlgoRing}, false},
+		{"hd/peers", 4, 1024, Options{Algorithm: AlgoHD}, false},
+	}
+	// ReduceInto: the weighted reduce out of a read-only gradient into a
+	// separate sum, full and scatter-only.
+	for _, algo := range []Algorithm{AlgoRing, AlgoHD} {
+		for _, n := range []int{3, 4, 5} {
+			for _, scatter := range []bool{false, true} {
+				rows = append(rows, row{fmt.Sprintf("into/%s/n=%d/scatter=%v", algo, n, scatter), n, 1024,
+					Options{Algorithm: algo, ScatterOnly: scatter}, true})
+			}
+		}
+	}
+	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			set := buildTCPSet(t, row.n)
 			defer set.close()
-			if allocs := steadyReduceAllocs(t, set, row.dim, Options{Algorithm: row.algo}); allocs != 0 {
+			if allocs := steadyReduceAllocs(t, set, row.dim, row.opts, row.into); allocs != 0 {
 				t.Fatalf("steady-state TCP reduce allocates %v times, want 0", allocs)
 			}
 		})
@@ -416,16 +430,29 @@ func TestTCPSteadyStateReduceAllocsZero(t *testing.T) {
 // segment per rank under opts, then reports the allocations of one more as
 // measured by testing.AllocsPerRun: rank 0 reduces on the calling goroutine
 // and every other rank on its own, released once per reduce — the
-// circulating buffers, batches and peer links are all warm by then.
-func steadyReduceAllocs(t *testing.T, set ringSet, dim int, opts Options) float64 {
+// circulating buffers, batches and peer links are all warm by then. Each
+// rank reduces its segment in place (ReduceWith), or with into set weighted
+// into a separate sum (ReduceInto).
+func steadyReduceAllocs(t *testing.T, set ringSet, dim int, opts Options, into bool) float64 {
 	t.Helper()
 	n := len(set.rings)
 	segs := make([][]float64, n)
+	sums := make([][]float64, n)
 	for i := range segs {
 		segs[i] = make([]float64, dim)
 		for j := range segs[i] {
 			segs[i][j] = float64(i*dim + j)
 		}
+		sums[i] = segs[i]
+		if into {
+			sums[i] = make([]float64, dim)
+		}
+	}
+	reduce := func(rank int) error {
+		if into {
+			return set.rings[rank].ReduceInto(rank, sums[rank], segs[rank], 1/float64(rank+2), opts)
+		}
+		return set.rings[rank].ReduceWith(rank, segs[rank], opts)
 	}
 	start := make(chan struct{})
 	done := make(chan error)
@@ -435,7 +462,7 @@ func steadyReduceAllocs(t *testing.T, set ringSet, dim int, opts Options) float6
 		go func() {
 			defer wg.Done()
 			for range start {
-				done <- set.rings[rank].ReduceWith(rank, segs[rank], opts)
+				done <- reduce(rank)
 			}
 		}()
 	}
@@ -445,7 +472,7 @@ func steadyReduceAllocs(t *testing.T, set ringSet, dim int, opts Options) float6
 		for rank := 1; rank < n; rank++ {
 			start <- struct{}{}
 		}
-		if err := set.rings[0].ReduceWith(0, segs[0], opts); err != nil {
+		if err := reduce(0); err != nil {
 			t.Error(err)
 		}
 		for rank := 1; rank < n; rank++ {

@@ -5,8 +5,11 @@
 //	g = Σ_i r_i · g_i
 //
 // so that samples on nodes with different local batch sizes carry identical
-// weight in the global gradient. PyTorch-DDP-style gradient bucketing is
-// supported by reducing the vector in fixed-size segments.
+// weight in the global gradient. Ring.ReduceInto applies each rank's r_i as
+// the collective first reads an element of its gradient, and the partial
+// sums travel in the messages, so a rank's gradient is read once and never
+// written. PyTorch-DDP-style gradient bucketing is supported by reducing the
+// vector in fixed-size segments.
 //
 // Communication is pluggable: a Ring runs over any Transport — in-process
 // FIFO channels (ChanTransport, the bitwise reference) or real TCP sockets
@@ -60,8 +63,8 @@ type Options struct {
 
 // Ring is a persistent set of point-to-point links connecting n workers,
 // the transport under every distributed collective here. A Ring is driven
-// from the callers' goroutines: each of the n ranks calls ReduceWith from
-// its own goroutine
+// from the callers' goroutines: each of the n ranks calls ReduceInto (or
+// ReduceWith) from its own goroutine
 // (or its own OS process, on a remote transport), once per segment, and all
 // ranks must reduce the same segments in the same order. Links are FIFO, so
 // back-to-back reductions of different gradient buckets pipeline safely — a
@@ -79,8 +82,10 @@ type Ring struct {
 
 // ringScratch is one rank's reusable reduce state.
 type ringScratch struct {
-	spare []float64
-	ep    Endpoint
+	// spare is the message buffer the last call ended with; extra is a
+	// second one hd parks for its accumulating rounds (hops.park).
+	spare, extra []float64
+	ep           Endpoint
 	// pool is the buffer pool of ep's transport (nil: none).
 	pool bufPool
 	// peers caches resolved non-neighbor links (halving-doubling), indexed
@@ -126,11 +131,17 @@ func (r *Ring) Workers() int { return r.n }
 // Transport returns the transport the ring runs over.
 func (r *Ring) Transport() Transport { return r.tr }
 
-// ReduceWith performs rank's share of one segment's reduce-scatter followed
-// by all-gather: on return, seg holds the element-wise sum of every rank's
-// segment. Weighted aggregation (Eq. 9) is the caller's concern — each rank
-// pre-scales its segment by its weight r_i before calling. All n ranks must
-// call ReduceWith concurrently, with segments of one common length and
+// ReduceInto performs rank's share of one segment's weighted reduce-scatter
+// followed by all-gather: on return, dst holds Σ_i w_i·src_i over every
+// rank's segment, the Eq. 9 aggregate with this rank's ratio w. src is read
+// once per element, as w·src[j] rounded on its own — a float64 conversion
+// forbids fusing it into the add — exactly the value staging w·src and
+// reducing that would sum, so the result is bitwise the staged reduce's. src
+// is never written; the partial sums travel in the message buffers, and dst
+// is written only where a finished sum lands. dst and src have one length
+// and may be the same slice.
+//
+// All n ranks must call concurrently, with segments of one common length and
 // equal Guard settings; the summation order is fixed by the ring topology
 // alone, so the result is bit-identical regardless of scheduling,
 // buffering, or transport. Splitting a segment into buckets moves elements
@@ -143,33 +154,45 @@ func (r *Ring) Transport() Transport { return r.tr }
 // BucketBytes) only — never from scheduling state such as GOMAXPROCS.
 //
 // With opts.ScatterOnly set the call returns after the reduce-scatter: only
-// rank's owned span of seg, OwnedSpan(opts.Algorithm, n, rank, len(seg)),
-// holds the sum — bitwise the value a full reduce leaves there — and the
-// rest of seg holds partial sums. Like Algorithm, every rank of one reduce
-// must pass the same value.
+// rank's owned span of dst, OwnedSpan(opts.Algorithm, n, rank, len(dst)),
+// receives the sum — bitwise the value a full reduce leaves there — and the
+// rest of dst is not written. Like Algorithm, every rank of one reduce must
+// pass the same value.
 //
 // With opts.Guard set, every hop runs under a per-hop deadline with bounded
-// retry; on exhaustion — or on a broken link — ReduceWith returns a
-// *RingFault naming the suspected neighbor, and the segment holds
-// partially-reduced data that the caller must discard. A guarded reduce
-// that completes is bitwise-identical to an unguarded one. When one rank
-// fails, its neighbors' pending hops are guaranteed to fail (or complete)
-// within their own budgets: no call blocks forever.
-func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
+// retry; on exhaustion — or on a broken link — the call returns a
+// *RingFault naming the suspected neighbor, and dst holds partial results
+// that the caller must discard. A guarded reduce that completes is
+// bitwise-identical to an unguarded one. When one rank fails, its
+// neighbors' pending hops are guaranteed to fail (or complete) within their
+// own budgets: no call blocks forever.
+func (r *Ring) ReduceInto(rank int, dst, src []float64, w float64, opts Options) error {
 	n := r.n
-	dim := len(seg)
-	if n == 1 || dim == 0 {
+	dim := len(src)
+	if len(dst) != dim {
+		return fmt.Errorf("allreduce: rank %d reduces %d elements into %d", rank, dim, len(dst))
+	}
+	if dim == 0 {
 		return nil
 	}
-	sc := &r.scratch[rank]
-	ep := sc.ep
-	if ep == nil {
+	if n == 1 {
+		scaleInto(dst, src, w)
+		return nil
+	}
+	if r.scratch[rank].ep == nil {
 		return fmt.Errorf("allreduce: rank %d is not local to this transport", rank)
 	}
 	if (Selector{}).Resolve(opts.Algorithm, n, dim) == AlgoHD {
-		return r.reduceHD(rank, seg, opts)
+		return r.reduceHD(rank, dst, src, w, opts)
 	}
-	return r.reduceRing(rank, seg, opts)
+	return r.reduceRing(rank, dst, src, w, opts)
+}
+
+// ReduceWith is ReduceInto(rank, seg, seg, 1, opts): seg reduced in place,
+// unweighted. With opts.ScatterOnly the part of seg outside rank's owned
+// span keeps the rank's own input.
+func (r *Ring) ReduceWith(rank int, seg []float64, opts Options) error {
+	return r.ReduceInto(rank, seg, seg, 1, opts)
 }
 
 // OwnedSpan returns the span [lo, hi) of a dim-element segment that rank of
@@ -198,37 +221,50 @@ func OwnedSpan(algo Algorithm, n, rank, dim int) (lo, hi int) {
 
 // reduceRing is the ring schedule — reduce-scatter then, unless
 // opts.ScatterOnly, all-gather over the neighbor links, one message per hop.
-func (r *Ring) reduceRing(rank int, seg []float64, opts Options) error {
+func (r *Ring) reduceRing(rank int, dst, src []float64, w float64, opts Options) error {
 	n := r.n
-	dim := len(seg)
+	dim := len(src)
 	ep := r.scratch[rank].ep
 	succ, pred := (rank+1)%n, (rank-1+n)%n
 
 	// Chunk c (taken mod n; callers stay within one lap below zero) covers
 	// [c·dim/n, (c+1)·dim/n).
-	chunk := func(c int) []float64 {
+	chunk := func(c int) (lo, hi int) {
 		c = (c + n) % n
-		return seg[c*dim/n : (c+1)*dim/n]
+		return c * dim / n, (c + 1) * dim / n
 	}
 
 	h := r.begin(rank, opts)
-	// Reduce-scatter: after step s, worker rank holds the partial
-	// sum of chunk (rank - s) accumulated over s+1 workers. After
-	// n-1 steps, worker rank owns the complete chunk (rank+1). Sending
-	// before receiving within each step needs only one slot of link
-	// buffering.
+	// Reduce-scatter: the partial sum of chunk (rank - s) leaves at step s in
+	// a message — at step 0 the rank's own scaled chunk, later the message
+	// step s-1 received with the rank's scaled chunk added into it, forwarded
+	// as it is. After n-1 steps chunk (rank+1) is complete and its sum lands
+	// in dst. Reducing a staged copy of w·src would add the received partial
+	// onto it; this adds w·src onto the received partial — the same two-term
+	// IEEE addition with its operands swapped, exactly commutative, so every
+	// sum has the staged reduce's bits. Sending before receiving within each
+	// step needs only one slot of link buffering.
 	for s := 0; s < n-1; s++ {
-		if err := h.send(ep, succ, chunk(rank-s), false); err != nil {
-			return h.finish(err)
+		var err error
+		if s == 0 {
+			lo, hi := chunk(rank)
+			err = h.sendScaled(ep, succ, src[lo:hi], w)
+		} else {
+			err = h.forward(ep, succ)
 		}
-		dst := chunk(rank - s - 1)
-		msg, err := h.recv(ep, pred, len(dst))
 		if err != nil {
 			return h.finish(err)
 		}
-		for j := range dst {
-			dst[j] += msg[j]
+		lo, hi := chunk(rank - s - 1)
+		msg, err := h.recv(ep, pred, hi-lo)
+		if err != nil {
+			return h.finish(err)
 		}
+		out := msg
+		if s == n-2 {
+			out = dst[lo:hi]
+		}
+		sumScaled(out, msg, src[lo:hi], w)
 		h.retire(msg)
 	}
 	if opts.ScatterOnly {
@@ -237,18 +273,43 @@ func (r *Ring) reduceRing(rank int, seg []float64, opts Options) error {
 	// All-gather: circulate the completed chunks. The chunk step s >= 1 sends
 	// is the one step s-1 received, so its message is forwarded as it came.
 	for s := 0; s < n-1; s++ {
-		if err := h.send(ep, succ, chunk(rank+1-s), s > 0); err != nil {
-			return h.finish(err)
+		var err error
+		if s == 0 {
+			lo, hi := chunk(rank + 1)
+			err = h.send(ep, succ, dst[lo:hi])
+		} else {
+			err = h.forward(ep, succ)
 		}
-		dst := chunk(rank - s)
-		msg, err := h.recv(ep, pred, len(dst))
 		if err != nil {
 			return h.finish(err)
 		}
-		copy(dst, msg)
+		lo, hi := chunk(rank - s)
+		msg, err := h.recv(ep, pred, hi-lo)
+		if err != nil {
+			return h.finish(err)
+		}
+		copy(dst[lo:hi], msg)
 		h.retire(msg)
 	}
 	return h.finish(nil)
+}
+
+// scaleInto sets out[j] = w·src[j], each product rounded on its own.
+func scaleInto(out, src []float64, w float64) {
+	src = src[:len(out)]
+	for j := range out {
+		out[j] = float64(w * src[j])
+	}
+}
+
+// sumScaled sets out[j] = acc[j] + w·src[j], the product rounded on its own
+// (the float64 conversion forbids a fused multiply-add). out may be acc or
+// src itself: each element is read before it is written.
+func sumScaled(out, acc, src []float64, w float64) {
+	acc, src = acc[:len(out)], src[:len(out)]
+	for j := range out {
+		out[j] = acc[j] + float64(w*src[j])
+	}
 }
 
 // ringBlockLen is the window, in elements, the sequential ring reduce

@@ -11,7 +11,9 @@ import "fmt"
 // its even neighbor, idles through the core rounds, and receives the
 // finished result in a post-step.
 //
-// Determinism: every round accumulates kept[j] += received[j], so the
+// Determinism: every round accumulates kept[j] += received[j] (where the
+// kept value is still the rank's scaled input, as received[j] + w·src[j]:
+// the same two operands swapped, which IEEE addition does not see), so the
 // final value of each element is a fixed binary tree over the (pre-folded)
 // rank contributions, determined by (n, dim) alone. hdReduceInline
 // replays exactly that tree sequentially; the conformance suite pins the
@@ -71,23 +73,30 @@ func (r *Ring) peer(rank, to int) (Endpoint, error) {
 // call it concurrently with equal options. With opts.ScatterOnly it stops
 // after the halving rounds: folded ranks only hand their segment over, and
 // neither the doubling rounds nor the post-step run.
-func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
+//
+// Like the ring, it reads src once, scaled, and writes dst only where a
+// finished sum lands: a folded rank's fold-in and a core rank's first round
+// send w·src, the first message a core rank receives takes its scaled kept
+// half and becomes its accumulator, deeper rounds add into that, and the last
+// round's sums go to dst. Every addition keeps the staged reduce's operands,
+// at most swapped.
+func (r *Ring) reduceHD(rank int, dst, src []float64, w float64, opts Options) error {
 	n := r.n
-	dim := len(seg)
+	dim := len(src)
 	sc := &r.scratch[rank]
 	g, q, ext := hdGroup(n)
 
 	h := r.begin(rank, opts)
 
-	// Folded odd ranks: hand the whole segment to the even neighbor, then
+	// Folded odd ranks: hand the scaled segment to the even neighbor, then
 	// (unless scatter-only) wait out the core rounds and copy the finished
-	// result back in.
+	// result into dst.
 	if rank < 2*ext && rank%2 == 1 {
 		ep, err := r.peer(rank, rank-1)
 		if err != nil {
 			return h.finish(err)
 		}
-		if err := h.send(ep, rank-1, seg, false); err != nil {
+		if err := h.sendScaled(ep, rank-1, src, w); err != nil {
 			return h.finish(err)
 		}
 		h.hop++
@@ -98,7 +107,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		if err != nil {
 			return h.finish(err)
 		}
-		copy(seg, msg)
+		copy(dst, msg)
 		h.spare = msg
 		return h.finish(nil)
 	}
@@ -110,7 +119,14 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		gid = rank - ext
 	}
 
-	// Pre-step: absorb the folded neighbor's contribution.
+	// acc holds the rank's partial sums of the current window, acc[j-base]
+	// for element j, once a message has become it (accumulating); until then
+	// the rank's values are w·src, read where they lie.
+	var acc []float64
+	base, accumulating := 0, false
+
+	// Pre-step: the folded neighbor's scaled segment arrives and takes this
+	// rank's scaled segment on.
 	if rank < 2*ext {
 		ep, err := r.peer(rank, rank+1)
 		if err != nil {
@@ -120,10 +136,9 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		if err != nil {
 			return h.finish(err)
 		}
-		for j := range seg {
-			seg[j] += msg[j]
-		}
-		h.retire(msg)
+		sumScaled(msg, msg, src, w)
+		acc, accumulating = msg, true
+		h.hop++
 	}
 
 	// Reduce-scatter: q rounds of recursive vector halving. spans records
@@ -149,18 +164,44 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		} else {
 			klo, khi, slo, shi = mid, hi, lo, mid
 		}
-		if err := h.send(ep, partner, seg[slo:shi], false); err != nil {
+		if accumulating {
+			err = h.send(ep, partner, acc[slo-base:shi-base])
+		} else {
+			err = h.sendScaled(ep, partner, src[slo:shi], w)
+		}
+		if err != nil {
 			return h.finish(err)
 		}
 		msg, err := h.recv(ep, partner, khi-klo)
 		if err != nil {
 			return h.finish(err)
 		}
-		dst := seg[klo:khi]
-		for j := range dst {
-			dst[j] += msg[j]
+		// kept += received: the sum lands in dst on the last round, else in
+		// the accumulator — the received message itself, the first time.
+		last := i == q-1
+		switch {
+		case accumulating && last:
+			for j, v := range acc[klo-base : khi-base] {
+				dst[klo+j] = v + msg[j]
+			}
+			// The accumulator, the larger buffer, becomes the spare; the
+			// message is parked as the extra buffer that the next call's
+			// first send from an accumulator takes, finding the spare gone.
+			h.retire(acc)
+			h.park(msg)
+		case accumulating:
+			for j, v := range acc[klo-base : khi-base] {
+				acc[klo-base+j] = v + msg[j]
+			}
+			h.retire(msg)
+		case last:
+			sumScaled(dst[klo:khi], msg, src[klo:khi], w)
+			h.retire(msg)
+		default:
+			sumScaled(msg, msg, src[klo:khi], w)
+			acc, base, accumulating = msg, klo, true
+			h.hop++
 		}
-		h.retire(msg)
 		lo, hi = klo, khi
 		spans[2*(i+1)], spans[2*(i+1)+1] = lo, hi
 	}
@@ -192,14 +233,14 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		} else {
 			siblo, sibhi = plo, mid
 		}
-		if err := h.send(ep, partner, seg[lo:hi], false); err != nil {
+		if err := h.send(ep, partner, dst[lo:hi]); err != nil {
 			return h.finish(err)
 		}
 		msg, err := h.recv(ep, partner, sibhi-siblo)
 		if err != nil {
 			return h.finish(err)
 		}
-		copy(seg[siblo:sibhi], msg)
+		copy(dst[siblo:sibhi], msg)
 		h.retire(msg)
 		lo, hi = plo, phi
 	}
@@ -210,7 +251,7 @@ func (r *Ring) reduceHD(rank int, seg []float64, opts Options) error {
 		if err != nil {
 			return h.finish(err)
 		}
-		if err := h.send(ep, rank+1, seg, false); err != nil {
+		if err := h.send(ep, rank+1, dst); err != nil {
 			return h.finish(err)
 		}
 		h.hop++

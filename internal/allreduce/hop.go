@@ -16,9 +16,10 @@ var ErrFrameSize = errors.New("allreduce: received message has the wrong element
 // algorithm: the hop policy, the injected first-send fault, the hop counter
 // that fault blame reports, and the circulating spare buffer. Message
 // buffers travel with the messages: once a received buffer has been
-// consumed it becomes this rank's next send buffer (retire), and the last
-// one is parked in the rank's scratch for the next call (finish), so a
-// steady-state reduce allocates nothing. Where the flow is one-way the
+// consumed — or reduced into, and so become the partial sum the next hop
+// forwards as it is — it becomes this rank's next send buffer (retire), and
+// the last one is parked in the rank's scratch for the next call (finish),
+// so a steady-state reduce allocates nothing. Where the flow is one-way the
 // transport's pool balances it: a spare a received buffer displaces is put
 // there, and a send with no usable spare takes from it.
 type hops struct {
@@ -54,21 +55,63 @@ func (h *hops) finish(err error) error {
 	return err
 }
 
-// send stages src in the spare buffer (or a fresh one) and hands that to ep,
-// whose remote side is rank to. src itself is never given away: the caller
-// keeps reducing into it. held says the spare is the message src was just
-// copied out of, so it already holds src and goes on without the copy — when
-// it is missing or of another length, send copies as ever.
-func (h *hops) send(ep Endpoint, to int, src []float64, held bool) error {
+// buf takes a message buffer of count elements: the spare — or, with none,
+// the rank's parked extra buffer — when it is large enough, else one from the
+// pool. A spare too small for this send goes to the pool, not to the
+// collector: chunks of one reduce differ by an element, and a buffer dropped
+// here would come back as an allocation on the next empty take.
+func (h *hops) buf(count int) []float64 {
 	msg := h.spare
 	h.spare = nil
-	if !held || len(msg) != len(src) {
-		if cap(msg) < len(src) {
-			msg = h.sc.pool.take(len(src))
-		}
-		msg = msg[:len(src)]
-		copy(msg, src)
+	if msg == nil {
+		msg, h.sc.extra = h.sc.extra, nil
 	}
+	if cap(msg) < count {
+		if msg != nil {
+			h.sc.pool.put(msg)
+		}
+		msg = h.sc.pool.take(count)
+	}
+	return msg[:count]
+}
+
+// park keeps msg as the rank's extra buffer — what an hd round that keeps
+// its accumulator and sends too needs beside the spare — or gives it to the
+// pool when one is parked already.
+func (h *hops) park(msg []float64) {
+	if h.sc.extra == nil {
+		h.sc.extra = msg
+		return
+	}
+	h.sc.pool.put(msg)
+}
+
+// send stages src in a message buffer and hands that to ep, whose remote side
+// is rank to. src itself is never given away: the caller keeps reading it.
+func (h *hops) send(ep Endpoint, to int, src []float64) error {
+	msg := h.buf(len(src))
+	copy(msg, src)
+	return h.post(ep, to, msg)
+}
+
+// sendScaled sends w·src, each product rounded on its own, staged straight
+// into the message buffer — the first time the collective reads src.
+func (h *hops) sendScaled(ep Endpoint, to int, src []float64, w float64) error {
+	msg := h.buf(len(src))
+	scaleInto(msg, src, w)
+	return h.post(ep, to, msg)
+}
+
+// forward sends the spare on as it is: the message the last exchange
+// received, which the schedule has since reduced into or copied out of.
+func (h *hops) forward(ep Endpoint, to int) error {
+	msg := h.spare
+	h.spare = nil
+	return h.post(ep, to, msg)
+}
+
+// post hands msg to ep, paying the call's injected first-send fault first.
+func (h *hops) post(ep Endpoint, to int, msg []float64) error {
 	if h.delay > 0 {
 		time.Sleep(h.delay)
 	}

@@ -85,20 +85,28 @@ func checkScatterOnly(t *testing.T, label string, set ringSet, vs [][]float64, o
 // TestScatterOnlySteadyStateAllocsZero: a warm scatter-only reduce, plain or
 // guarded, allocates nothing on either transport. At n = 3 and 5 hd folds a
 // rank whose fold-in buffer never comes back; the transport's buffer pool
-// returns it.
+// returns it. The into rows run ReduceInto — weighted, out of a read-only
+// segment into a separate sum, whose hd core ranks keep a received message
+// as their accumulator — scatter-only and full.
 func TestScatterOnlySteadyStateAllocsZero(t *testing.T) {
+	modes := []struct {
+		suffix        string
+		into, scatter bool
+	}{{"", false, true}, {"/into", true, true}, {"/into/full", true, false}}
 	for _, tc := range transportCases() {
 		for _, algo := range []Algorithm{AlgoRing, AlgoHD} {
 			for _, n := range []int{3, 4, 5} {
 				for _, guard := range []bool{false, true} {
-					t.Run(fmt.Sprintf("%s/%s/n=%d/guard=%v", tc.name, algo, n, guard), func(t *testing.T) {
-						set := tc.build(t, n)
-						defer set.close()
-						opts := Options{Algorithm: algo, Guard: guard, ScatterOnly: true}
-						if allocs := steadyReduceAllocs(t, set, 1000, opts); allocs != 0 {
-							t.Fatalf("steady-state scatter-only reduce allocates %v times, want 0", allocs)
-						}
-					})
+					for _, m := range modes {
+						t.Run(fmt.Sprintf("%s/%s/n=%d/guard=%v%s", tc.name, algo, n, guard, m.suffix), func(t *testing.T) {
+							set := tc.build(t, n)
+							defer set.close()
+							opts := Options{Algorithm: algo, Guard: guard, ScatterOnly: m.scatter}
+							if allocs := steadyReduceAllocs(t, set, 1000, opts, m.into); allocs != 0 {
+								t.Fatalf("steady-state reduce allocates %v times, want 0", allocs)
+							}
+						})
+					}
 				}
 			}
 		}

@@ -104,7 +104,7 @@ func (s TCPStats) MsgsPerBatch() float64 {
 // The two ring sockets are one failure domain (fault): either breaking
 // fails every pending and future ring hop with the socket error. Each peer
 // socket is a domain of its own: a broken peer link fails only its own
-// hops, never the ring. ReduceWith maps a tripped fault and a lapsed hop
+// hops, never the ring. ReduceInto maps a tripped fault and a lapsed hop
 // deadline alike onto *RingFault blame.
 type TCPTransport struct {
 	rank, n     int

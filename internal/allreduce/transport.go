@@ -21,7 +21,7 @@ import (
 //
 // Both hand out the same endpoint type, link: a transport only decides what
 // sits behind the link's two queues. The ring arithmetic (chunking,
-// summation order) lives entirely in Ring.ReduceWith and never depends on
+// summation order) lives entirely in Ring.ReduceInto and never depends on
 // the transport, so switching transports can change wall-clock behavior and
 // failure modes but never the reduced values: a TCP ring is
 // bitwise-identical to a channel ring.

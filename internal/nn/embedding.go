@@ -93,6 +93,8 @@ func (e *Embedding) Params() []*Param { return []*Param{e.table} }
 
 func (e *Embedding) shadow() Layer { return &Embedding{table: e.table, dim: e.dim} }
 
-func (e *Embedding) replica() Layer { return &Embedding{table: e.table.replica(), dim: e.dim} }
+func (e *Embedding) replica(grad []float64) Layer {
+	return &Embedding{table: e.table.replica(grad), dim: e.dim}
+}
 
 var _ Layer = (*Embedding)(nil)

@@ -20,7 +20,10 @@
 // the naive triple loop's sum — terms added one at a time in ascending
 // sample order onto +0, the kernels' exact-zero skip included — which is
 // the contract every bitwise differential suite pins. A second Backward
-// without ZeroGrad continues that sum from the value already there.
+// without ZeroGrad continues that sum from the value already there. In a
+// network from NewMLP or Replica every Param.Grad is a view of one slab in
+// Params order (FlatGrad), so a collective reads the gradient where Backward
+// left it.
 package nn
 
 import (
@@ -41,9 +44,10 @@ type Param struct {
 // Size returns the number of scalar weights.
 func (p *Param) Size() int { return p.W.Rows() * p.W.Cols() }
 
-// replica is p's training twin: the same weight tensor, a gradient of its own.
-func (p *Param) replica() *Param {
-	return &Param{Name: p.Name, W: p.W, Grad: tensor.New(p.W.Rows(), p.W.Cols())}
+// replica is p's training twin: the same weight tensor, a gradient of its
+// own — a view of grad, which holds exactly p's element count.
+func (p *Param) replica(grad []float64) *Param {
+	return &Param{Name: p.Name, W: p.W, Grad: tensor.View(p.W.Rows(), p.W.Cols(), grad)}
 }
 
 // Layer is a differentiable network stage. Backward must be called after
@@ -67,17 +71,26 @@ type Linear struct {
 
 // NewLinear returns a Linear layer with Xavier/Glorot-initialized weights.
 func NewLinear(in, out int, src *rng.Source) *Linear {
+	return newLinear(in, out, src, make([]float64, linearSize(in, out)))
+}
+
+// linearSize is the scalar count of an in x out Linear layer's parameters.
+func linearSize(in, out int) int { return in*out + out }
+
+// newLinear is NewLinear with the gradients laid out in grad, which holds
+// linearSize(in, out) elements: the weight's first, then the bias's.
+func newLinear(in, out int, src *rng.Source, grad []float64) *Linear {
 	std := math.Sqrt(2.0 / float64(in+out))
 	return &Linear{
 		w: &Param{
 			Name: fmt.Sprintf("linear_%dx%d/w", in, out),
 			W:    tensor.Randn(in, out, std, src),
-			Grad: tensor.New(in, out),
+			Grad: tensor.View(in, out, grad[:in*out]),
 		},
 		b: &Param{
 			Name: fmt.Sprintf("linear_%dx%d/b", in, out),
 			W:    tensor.New(1, out),
-			Grad: tensor.New(1, out),
+			Grad: tensor.View(1, out, grad[in*out:]),
 		},
 	}
 }
@@ -130,7 +143,10 @@ func (l *Linear) Params() []*Param { return []*Param{l.w, l.b} }
 
 func (l *Linear) shadow() Layer { return &Linear{w: l.w, b: l.b} }
 
-func (l *Linear) replica() Layer { return &Linear{w: l.w.replica(), b: l.b.replica()} }
+func (l *Linear) replica(grad []float64) Layer {
+	nw := l.w.Size()
+	return &Linear{w: l.w.replica(grad[:nw]), b: l.b.replica(grad[nw:])}
+}
 
 // ReLU is the rectified linear activation.
 type ReLU struct {
@@ -177,7 +193,7 @@ func (r *ReLU) Params() []*Param { return nil }
 
 func (r *ReLU) shadow() Layer { return &ReLU{} }
 
-func (r *ReLU) replica() Layer { return &ReLU{} }
+func (r *ReLU) replica([]float64) Layer { return &ReLU{} }
 
 // Tanh is the hyperbolic-tangent activation.
 type Tanh struct {
@@ -217,7 +233,7 @@ func (t *Tanh) Params() []*Param { return nil }
 
 func (t *Tanh) shadow() Layer { return &Tanh{} }
 
-func (t *Tanh) replica() Layer { return &Tanh{} }
+func (t *Tanh) replica([]float64) Layer { return &Tanh{} }
 
 // Network is a sequential stack of layers. The layer set is fixed at
 // construction, so the flattened parameter list and the per-layer offsets
@@ -225,25 +241,38 @@ func (t *Tanh) replica() Layer { return &Tanh{} }
 type Network struct {
 	layers []Layer
 
+	// grads is the gradient slab: every Param.Grad is a view of it, in
+	// Params order. NewMLP and Replica lay it out at construction; a Shadow
+	// shares its original's. A NewSequential network has none — its layers
+	// were built with gradients of their own.
+	grads []float64
+
 	params  []*Param
 	offsets []int
 	built   bool
 }
 
 // NewMLP builds Linear+ReLU stacks with a final Linear, e.g. sizes
-// [in, hidden..., out].
+// [in, hidden..., out]. The gradients are one slab (FlatGrad).
 func NewMLP(sizes []int, src *rng.Source) *Network {
 	if len(sizes) < 2 {
 		panic("nn: NewMLP needs at least input and output sizes")
 	}
-	var layers []Layer
+	dim := 0
 	for i := 0; i < len(sizes)-1; i++ {
-		layers = append(layers, NewLinear(sizes[i], sizes[i+1], src))
+		dim += linearSize(sizes[i], sizes[i+1])
+	}
+	grads := make([]float64, dim)
+	var layers []Layer
+	for i, off := 0, 0; i < len(sizes)-1; i++ {
+		size := linearSize(sizes[i], sizes[i+1])
+		layers = append(layers, newLinear(sizes[i], sizes[i+1], src, grads[off:off+size]))
+		off += size
 		if i < len(sizes)-2 {
 			layers = append(layers, &ReLU{})
 		}
 	}
-	return &Network{layers: layers}
+	return &Network{layers: layers, grads: grads}
 }
 
 // NewSequential wraps explicit layers.
@@ -255,35 +284,47 @@ func NewSequential(layers ...Layer) *Network { return &Network{layers: layers} }
 // the shadow and on the original (or on another shadow) never touch the same
 // memory and write no Param. Stochastic layers shadow in evaluation mode.
 // Backward on a shadow would accumulate into the shared gradients; don't.
-func (n *Network) Shadow() *Network { return twin(n, "shadowed", shadower.shadow) }
+func (n *Network) Shadow() *Network {
+	return twin(n, "shadowed", n.grads, func(l shadower, _ []float64) Layer { return l.shadow() })
+}
 
 // Replica returns a training twin of the network for another data-parallel
 // rank in the same address space: every parameter shares the original's
 // weight tensor W — one weight store, stepped by one optimizer for all of
-// them — but owns its Grad, and every layer owns its workspaces. Forward and
-// Backward on the replica and on the original (or on another replica) may
-// run concurrently: they read the shared weights and write nothing in
-// common. A write to the weights must not overlap any of them. Layers that
-// draw randomness (Dropout) have no replica: twins would race on one stream.
-func (n *Network) Replica() *Network { return twin(n, "replicated", replicator.replica) }
+// them — but owns its Grad, a view of the replica's own gradient slab, and
+// every layer owns its workspaces. Forward and Backward on the replica and on
+// the original (or on another replica) may run concurrently: they read the
+// shared weights and write nothing in common. A write to the weights must not
+// overlap any of them. Layers that draw randomness (Dropout) have no replica:
+// twins would race on one stream.
+func (n *Network) Replica() *Network {
+	return twin(n, "replicated", make([]float64, n.NumParams()), replicator.replica)
+}
 
-// shadower and replicator are the per-layer hooks behind Shadow and Replica.
+// shadower and replicator are the per-layer hooks behind Shadow and Replica;
+// a replica lays its gradients out in grad, its span of the twin's slab.
 type (
 	shadower   interface{ shadow() Layer }
-	replicator interface{ replica() Layer }
+	replicator interface{ replica(grad []float64) Layer }
 )
 
-// twin builds the network whose every layer is hook's twin of n's.
-func twin[H any](n *Network, what string, hook func(H) Layer) *Network {
+// twin builds the network over the gradient slab grads whose every layer is
+// hook's twin of n's, handed that layer's span of grads (nil without one).
+func twin[H any](n *Network, what string, grads []float64, hook func(H, []float64) Layer) *Network {
+	n.build()
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
 		h, ok := l.(H)
 		if !ok {
 			panic(fmt.Sprintf("nn: layer %d (%T) cannot be %s", i, l, what))
 		}
-		layers[i] = hook(h)
+		var g []float64
+		if grads != nil {
+			g = grads[n.offsets[i]:n.offsets[i+1]]
+		}
+		layers[i] = hook(h, g)
 	}
-	return &Network{layers: layers}
+	return &Network{layers: layers, grads: grads}
 }
 
 // build computes the cached parameter list and layer offsets.
@@ -360,11 +401,26 @@ func (n *Network) NumParams() int {
 	return n.offsets[len(n.offsets)-1]
 }
 
-// ZeroGrad clears all parameter gradients.
+// ZeroGrad clears all parameter gradients to +0.
 func (n *Network) ZeroGrad() {
+	if n.grads != nil {
+		clear(n.grads)
+		return
+	}
 	for _, p := range n.Params() {
 		p.Grad.Zero()
 	}
+}
+
+// FlatGrad returns the gradient slab itself, not a copy: every gradient in
+// Params order, the memory Backward accumulates into. It panics on a
+// NewSequential network, whose gradients are not one slab (FlatGradsInto
+// copies them).
+func (n *Network) FlatGrad() []float64 {
+	if n.grads == nil {
+		panic("nn: FlatGrad on a network without a gradient slab (NewSequential)")
+	}
+	return n.grads
 }
 
 // FlatGradsInto copies all gradients into dst (layer order) and returns it.

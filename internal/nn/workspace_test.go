@@ -470,6 +470,86 @@ func TestReplicaSharesWeightsOwnsGrads(t *testing.T) {
 	}()
 }
 
+// TestFlatGradIsParamStorage: the gradients of a NewMLP network, and of each
+// Replica of any network, are views of one slab in Params order — FlatGrad
+// returns that memory, not a copy — a Shadow shares its original's slab,
+// Backward lands in it, ZeroGrad clears it to +0, and FlatGradsInto is a
+// copy of it. A NewSequential network has no slab and FlatGrad refuses.
+func TestFlatGradIsParamStorage(t *testing.T) {
+	sizes := []int{6, 16, 8, 3}
+	net := NewMLP(sizes, rng.New(5))
+	assertViews := func(label string, n *Network) {
+		t.Helper()
+		flat := n.FlatGrad()
+		if len(flat) != n.NumParams() {
+			t.Fatalf("%s: slab of %d elements, want %d", label, len(flat), n.NumParams())
+		}
+		off := 0
+		for j, p := range n.Params() {
+			g := p.Grad.Data()
+			if len(g) != p.Size() || cap(g) != p.Size() || &g[0] != &flat[off] {
+				t.Fatalf("%s: param %d (%s) gradient is not the slab's [%d, %d)", label, j, p.Name, off, off+p.Size())
+			}
+			off += p.Size()
+		}
+	}
+	assertViews("NewMLP", net)
+	replicas := []*Network{net.Replica(), net.Replica()}
+	for i, rep := range replicas {
+		assertViews(fmt.Sprintf("replica %d", i), rep)
+		if &rep.FlatGrad()[0] == &net.FlatGrad()[0] {
+			t.Fatalf("replica %d shares the original's slab", i)
+		}
+	}
+	if &replicas[0].FlatGrad()[0] == &replicas[1].FlatGrad()[0] {
+		t.Fatal("two replicas share a slab")
+	}
+	for i, n := range []*Network{net, replicas[0]} {
+		shadow := n.Shadow()
+		assertViews(fmt.Sprintf("shadow %d", i), shadow)
+		if &shadow.FlatGrad()[0] != &n.FlatGrad()[0] {
+			t.Fatalf("shadow %d does not share its original's slab", i)
+		}
+	}
+
+	// Backward lands in the slab; FlatGradsInto copies it bit for bit.
+	src := rng.New(9)
+	x := tensor.Randn(5, 6, 1, src)
+	for _, n := range append([]*Network{net}, replicas...) {
+		flat := n.FlatGrad()
+		for j := range flat {
+			flat[j] = math.Copysign(0, -1)
+		}
+		n.ZeroGrad()
+		for j, v := range flat {
+			if math.Float64bits(v) != 0 {
+				t.Fatalf("ZeroGrad left slab element %d at %v, want +0", j, v)
+			}
+		}
+		_, dout := SoftmaxCrossEntropy(n.Forward(x), []int{0, 1, 2, 0, 1})
+		n.Backward(dout)
+		if !slices.ContainsFunc(flat, func(v float64) bool { return v != 0 }) {
+			t.Fatal("Backward left the slab at zero")
+		}
+		if got := n.FlatGradsInto(make([]float64, n.NumParams())); !slices.Equal(bitsOf(got), bitsOf(slices.Clone(flat))) {
+			t.Fatal("FlatGradsInto is not a copy of the slab")
+		}
+	}
+
+	// Layers built on their own keep their own gradients: no slab to return,
+	// though a replica of such a network lays one out.
+	seq := NewSequential(NewEmbedding(11, 3, src), NewLinear(3, 4, src), &Tanh{})
+	assertViews("replica of a NewSequential network", seq.Replica())
+	func() {
+		defer func() {
+			if msg := fmt.Sprint(recover()); !strings.Contains(msg, "gradient slab") {
+				t.Fatalf("FlatGrad on a NewSequential network: panic %q, want a refusal", msg)
+			}
+		}()
+		seq.FlatGrad()
+	}()
+}
+
 // TestStepFlatRangeShardsBitwise: stepping the shards of a partition of the
 // flat vector — partitions whose cuts fall inside a Param, empty shards
 // included — in ascending order, descending order, or concurrently from one

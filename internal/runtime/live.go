@@ -54,7 +54,7 @@ func resolveCommMode(hosted int) bool { return hosted >= usableCores() }
 type liveExec struct {
 	workers []*liveWorker
 	// spans tiles [0, dim) in ascending order with the spans each hosted
-	// worker's reduce leaves fully summed in its commBuf — what the driver
+	// worker's reduce leaves fully summed in its sum buffer — what the driver
 	// reads |g|² from.
 	spans []ownedSpan
 	prof  *Profile
@@ -88,7 +88,7 @@ type stepTask struct {
 }
 
 // ownedSpan is a span [lo, hi) of the flat gradient that hosted worker
-// worker's reduce leaves fully summed in its commBuf.
+// worker's reduce leaves fully summed in its sum buffer.
 type ownedSpan struct{ lo, hi, worker int }
 
 // stepResult reports one worker's completed share.
@@ -112,24 +112,26 @@ type commStats struct {
 }
 
 // liveWorker is one hosted rank. A step passes over the parameters once per
-// job: ZeroGrad clears Grad, Backward accumulates into it, stageGrads scales
-// it into commBuf, the ring reduces commBuf in place, and the optimizer steps
-// the worker's spans of the weights from commBuf. The reduced gradient is
-// never written back, so after a step Param.Grad still holds the rank's raw
-// local gradient — which nothing reads: its next access is the next step's
+// job: ZeroGrad clears the gradient slab, Backward accumulates into it, the
+// ring reads it — once per element, scaled by the Eq. 9 ratio as it enters
+// the sum — and leaves the reduced gradient in sum, and the optimizer steps
+// the worker's spans of the weights from sum. The slab is the ring's
+// read-only input, so after a step it still holds the rank's raw local
+// gradient — which nothing reads: its next access is the next step's
 // ZeroGrad.
 //
 // The hosted workers share one weight store (net is a replica of the
 // model) and one optimizer. When every rank is hosted the ring runs only
 // its reduce-scatter, and each worker steps exactly the spans its
-// collective owns — the only part of its commBuf that holds the sum; in
+// collective owns — the only part of its sum that the ring writes; in
 // worker mode (one hosted rank, the all-gather kept) that is the whole
 // vector. No lock orders the span writes against the other workers' reads
 // of the weights: a worker writes only after its bucket-0 reduce-scatter
-// has returned, and every owned span of bucket 0 sums every rank's staged
-// bucket 0 — the last thing a backward pass does, after its last read of the
-// weights this step — and the next step's forward starts only after the
-// driver has collected every worker's result.
+// has returned, and every owned span of bucket 0 sums every rank's bucket 0,
+// which a rank hands to the ring only after its last read of the weights
+// this step (bucket 0 is the last a backward pass finishes) — and the next
+// step's forward starts only after the driver has collected every worker's
+// result.
 type liveWorker struct {
 	rank      int
 	net       *nn.Network
@@ -164,23 +166,23 @@ type liveWorker struct {
 	// bitwise-identical to the overlapped mode.
 	merged bool
 
-	// commBuf carries the weight-scaled local gradient into the ring and
-	// the reduced global gradient — on the worker's spans — back out. The
-	// compute goroutine writes a region and only then enqueues the buckets
-	// it completes, so the two goroutines never touch a region concurrently.
-	commBuf []float64
+	// sum receives the reduced global gradient — on the worker's spans —
+	// from the ring, which reads the local gradient from net's slab. Backward
+	// finishes a region of the slab and only then does the compute goroutine
+	// enqueue the buckets it completes, so the two goroutines never touch a
+	// region of either buffer concurrently.
+	sum []float64
 	// normBuf, on a ring with remote ranks, is the one-hot |g_i|² vector
 	// whose ring reduce replicates every rank's norm in every process.
 	normBuf []float64
-	// params and paramOffs map flat-vector regions back to parameters.
-	params    []*nn.Param
-	paramOffs []int
 	// dlogits is the reusable loss-gradient workspace.
 	dlogits *tensor.T
-	// curFaults is written by the compute goroutine before it enqueues any
-	// bucket of the step and read by the comm goroutine after the first
-	// bucket arrives; the channel send orders the accesses.
+	// curFaults and curWeight (the step's Eq. 9 ratio) are written by the
+	// compute goroutine before it enqueues any bucket of the step and read
+	// by the comm goroutine after the first bucket arrives; the channel send
+	// orders the accesses.
 	curFaults faultinject.StepFaults
+	curWeight float64
 
 	tasks    chan stepTask
 	results  chan stepResult
@@ -233,13 +235,6 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 		responded:     make([]bool, len(replicas)),
 	}
 	for i := range e.workers {
-		params := replicas[i].Params()
-		offs := make([]int, len(params))
-		off := 0
-		for j, p := range params {
-			offs[j] = off
-			off += p.Size()
-		}
 		w := &liveWorker{
 			rank:      ranks[i],
 			net:       replicas[i],
@@ -254,9 +249,7 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 			ft:        ft,
 			closing:   e.closing,
 			merged:    merged,
-			commBuf:   make([]float64, dim),
-			params:    params,
-			paramOffs: offs,
+			sum:       make([]float64, dim),
 			tasks:     make(chan stepTask),
 			results:   make(chan stepResult, 1),
 			commitQ:   make(chan bool, 1),
@@ -384,11 +377,11 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 
 // globalSqNorm is |g|² of the step's reduced gradient: one serial chain in
 // ascending flat order over the owned spans, each read from its owner's
-// commBuf — sqNorm of the full reduced vector, bit for bit.
+// sum — sqNorm of the full reduced vector, bit for bit.
 func (e *liveExec) globalSqNorm() float64 {
 	s := 0.0
 	for _, sp := range e.spans {
-		for _, x := range e.workers[sp.worker].commBuf[sp.lo:sp.hi] {
+		for _, x := range e.workers[sp.worker].sum[sp.lo:sp.hi] {
 			s += x * x
 		}
 	}
@@ -522,6 +515,7 @@ func (w *liveWorker) computeLoop() {
 // stops responding — and leaves the optimizer update to the driver's commit
 // vote; otherwise it applies the update itself.
 func (w *liveWorker) runStep(t stepTask) stepResult {
+	w.curWeight = t.weight
 	var f faultinject.StepFaults
 	if w.ft != nil {
 		f = w.ft.inj.At(w.rank, t.step)
@@ -549,29 +543,15 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	preEnd := time.Now()
 
 	// Backprop with streaming bucket launch: the frontier walks down as
-	// layers finish; completed regions are scaled by r_i into commBuf and
-	// every fully-final bucket is handed to the comm goroutine (or, in
-	// merged mode, reduced inline right here). Buckets go out
-	// high-index-first because gradients finalize in reverse layer order —
-	// every rank launches the identical sequence, which keeps the FIFO ring
-	// links aligned.
+	// layers finish, and every bucket whose gradient is final is handed to
+	// the comm goroutine (or, in merged mode, reduced inline right here).
+	// Buckets go out high-index-first because gradients finalize in reverse
+	// layer order — every rank launches the identical sequence, which keeps
+	// the FIFO ring links aligned.
 	var cs commStats
 	nextBucket := w.buckets - 1
-	prevFr := w.dim
-	staged := len(w.params) // params[staged:] are in commBuf already
 	var syncStart time.Time
 	w.net.BackwardLayerwise(w.dlogits, func(fr int) {
-		if fr == prevFr {
-			return
-		}
-		// Frontiers align with layer boundaries and only walk down, so the
-		// newly final region is the run of whole parameters below the cursor.
-		lo := staged
-		for lo > 0 && w.paramOffs[lo-1] >= fr {
-			lo--
-		}
-		w.stageGrads(lo, staged, t.weight)
-		staged = lo
 		for nextBucket >= 0 && nextBucket*w.bucketLen >= fr {
 			if syncStart.IsZero() {
 				syncStart = time.Now()
@@ -583,14 +563,13 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 			}
 			nextBucket--
 		}
-		prevFr = fr
 	})
 	backEnd := time.Now()
 
-	// |g_i|² over the raw (unscaled) gradients in flat order — identical
-	// association order to the sequential reference — while the ring is
-	// still draining (overlapped mode; in merged mode it is already done).
-	localSq := gradSqNorm(w.params)
+	// |g_i|² over the raw gradient in flat order — identical association
+	// order to the sequential reference — while the ring is still reading it
+	// (overlapped mode; in merged mode it is already done).
+	localSq := sqNorm(w.net.FlatGrad())
 	if !w.merged {
 		w.commQ <- -1
 		cs = <-w.commDone
@@ -633,29 +612,18 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 }
 
 // applyStep steps the worker's spans of the shared weights straight from
-// the reduced gradient in its comm buffer and reports how long that took
+// the reduced gradient in its sum buffer and reports how long that took
 // (the Post phase).
 func (w *liveWorker) applyStep(lr float64) time.Duration {
 	start := time.Now()
 	for _, sp := range w.spans {
-		w.opt.StepFlatRange(w.store, w.commBuf, sp.lo, sp.hi, lr)
+		w.opt.StepFlatRange(w.store, w.sum, sp.lo, sp.hi, lr)
 	}
 	return time.Since(start)
 }
 
-// stageGrads copies the newly-final gradients of params[lo:hi] into their
-// region of the comm buffer, pre-scaled by the Eq. 9 ratio.
-func (w *liveWorker) stageGrads(lo, hi int, weight float64) {
-	for j := lo; j < hi; j++ {
-		g := w.params[j].Grad.Data()
-		dst := w.commBuf[w.paramOffs[j]:][:len(g)]
-		for k, v := range g {
-			dst[k] = v * weight
-		}
-	}
-}
-
-// reduceBucket runs bucket k's ring reduction and accumulates its timing —
+// reduceBucket reduces bucket k of the gradient slab into sum, weighted by
+// the step's Eq. 9 ratio, and accumulates its timing —
 // the one body shared by the overlapped comm goroutine and the merged
 // inline path, so both layouts measure and fail identically. Guarding is
 // nothing more here than the Options value handed to the ring; the first
@@ -684,7 +652,7 @@ func (w *liveWorker) reduceBucket(k int, cs *commStats) {
 		o.SendDrops = w.curFaults.SendDrops
 	}
 	t0 := time.Now()
-	if cs.err = w.ring.ReduceWith(w.rank, w.commBuf[lo:hi], o); cs.err != nil {
+	if cs.err = w.ring.ReduceInto(w.rank, w.sum[lo:hi], w.net.FlatGrad()[lo:hi], w.curWeight, o); cs.err != nil {
 		return
 	}
 	now := time.Now()

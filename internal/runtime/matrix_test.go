@@ -162,7 +162,7 @@ func TestReplicaConsistencyIsBitwise(t *testing.T) {
 			assertWeightsBitwise(t, BackendSim, got, replicas[0].FlatWeights())
 
 			const at = 5
-			g := exec.grads[2]
+			g := replicas[2].FlatGrad()
 			g[at] = poison(g[at])
 			_, err = exec.finalWeights()
 			if err == nil || !strings.Contains(err.Error(), "replica 2 reduced gradient diverged") || !strings.Contains(err.Error(), "index 5") {

@@ -736,18 +736,6 @@ func sqNorm(v []float64) float64 {
 	return s
 }
 
-// gradSqNorm is sqNorm over the parameters' gradients as one flat vector:
-// a single serial sum in ascending flat order, carried across parameters.
-func gradSqNorm(params []*nn.Param) float64 {
-	s := 0.0
-	for _, p := range params {
-		for _, g := range p.Grad.Data() {
-			s += g * g
-		}
-	}
-	return s
-}
-
 // replicasAgree is the one replica-consistency check: every vector must
 // equal the first as IEEE-754 bit patterns — the contract is bitwise, and a
 // numeric comparison is blind to NaN. It names the first differing index.

@@ -14,18 +14,17 @@ import (
 // which is what makes the bitwise differential test possible.
 type seqExec struct {
 	// replicas share one weight store, replicas[0]'s, which opt steps once
-	// per step.
+	// per step. Each replica's gradient slab (FlatGrad) is reduced in place.
 	replicas  []*nn.Network
 	opt       *nn.SGD
 	bucketLen int
 	// algs is the per-bucket collective schedule, resolved once by the
 	// driver (bucketAlgorithms) so sim and live reduce identically.
 	algs []allreduce.Algorithm
-	// Persistent step state: flat gradient staging buffers, per-replica
-	// loss-gradient workspaces, the model's parameter list, the per-bucket
-	// view slice, and the GNS sample backing arrays. All are reused across
-	// steps, so the steady-state step re-allocates none of them.
-	grads   [][]float64
+	// Persistent step state: the per-bucket view slice, per-replica
+	// loss-gradient workspaces, the model's parameter list, and the GNS
+	// sample backing arrays. All are reused across steps, so the
+	// steady-state step re-allocates none of them.
 	views   [][]float64
 	dlogits []*tensor.T
 	store   []*nn.Param
@@ -35,22 +34,17 @@ type seqExec struct {
 
 func newSeqExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allreduce.Algorithm) *seqExec {
 	n := len(replicas)
-	e := &seqExec{
+	return &seqExec{
 		replicas:  replicas,
 		opt:       opt,
 		bucketLen: bucketLen,
 		algs:      algs,
-		grads:     make([][]float64, n),
 		views:     make([][]float64, n),
 		dlogits:   make([]*tensor.T, n),
 		store:     replicas[0].Params(),
 		batches:   make([]int, n),
 		localSq:   make([]float64, n),
 	}
-	for i, net := range replicas {
-		e.grads[i] = make([]float64, net.NumParams())
-	}
-	return e
 }
 
 // step runs one synchronized step. The returned sample aliases
@@ -67,32 +61,30 @@ func (e *seqExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeig
 		e.dlogits[i] = tensor.Reuse(e.dlogits[i], logits.Rows(), logits.Cols())
 		nn.SoftmaxCrossEntropyInto(e.dlogits[i], logits, labels[i])
 		net.Backward(e.dlogits[i])
-		net.FlatGradsInto(e.grads[i])
 		sample.Batches[i] = xs[i].Rows()
-		sample.LocalSqNorms[i] = sqNorm(e.grads[i])
+		// |g_i|² of the raw gradient, before the reduce scales it.
+		sample.LocalSqNorms[i] = sqNorm(net.FlatGrad())
 	}
 	// Bucket-by-bucket reduce under the driver's per-bucket schedule —
 	// the same (bucket, algorithm) sequence the live workers run.
-	dim := len(e.grads[0])
+	dim := e.replicas[0].NumParams()
 	for k, lo := 0, 0; lo < dim; k, lo = k+1, lo+e.bucketLen {
-		hi := lo + e.bucketLen
-		if hi > dim {
-			hi = dim
-		}
-		for i, g := range e.grads {
-			e.views[i] = g[lo:hi]
+		hi := min(lo+e.bucketLen, dim)
+		for i, net := range e.replicas {
+			e.views[i] = net.FlatGrad()[lo:hi]
 		}
 		if err := allreduce.AllReduceAlg(e.views, stepWeights, e.algs[k]); err != nil {
 			return sample, err
 		}
 	}
-	sample.GlobalSqNorm = sqNorm(e.grads[0])
-	e.opt.StepFlat(e.store, e.grads[0], lr)
+	reduced := e.replicas[0].FlatGrad()
+	sample.GlobalSqNorm = sqNorm(reduced)
+	e.opt.StepFlat(e.store, reduced, lr)
 	return sample, nil
 }
 
 func (e *seqExec) finalWeights() ([]float64, error) {
-	if _, err := replicasAgree("reduced gradient", len(e.grads), func(i int) []float64 { return e.grads[i] }); err != nil {
+	if _, err := replicasAgree("reduced gradient", len(e.replicas), func(i int) []float64 { return e.replicas[i].FlatGrad() }); err != nil {
 		return nil, err
 	}
 	return e.replicas[0].FlatWeights(), nil

@@ -31,6 +31,16 @@ func New(rows, cols int) *T {
 	return &T{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
+// View returns a rows x cols tensor over data itself, not a copy: writes
+// through either are seen by both. len(data) must be rows*cols. The view's
+// capacity is its length, so Reuse never grows it into memory past data.
+func View(rows, cols int, data []float64) *T {
+	if rows <= 0 || cols <= 0 || len(data) != rows*cols {
+		panic(fmt.Sprintf("tensor: view of %d elements as %dx%d", len(data), rows, cols))
+	}
+	return &T{rows: rows, cols: cols, data: data[:len(data):len(data)]}
+}
+
 // FromRows builds a tensor from row slices (copied).
 func FromRows(rows [][]float64) *T {
 	if len(rows) == 0 || len(rows[0]) == 0 {

@@ -179,6 +179,16 @@ lane -race -count=1 -cpu 1,2,4 -run 'TestReplicaSharesWeightsOwnsGrads|TestStepF
 echo "== scatter-only lane: owned spans == full reduce, driver |g|², fault abort, zero allocs -race -cpu 1,2,4 =="
 lane -race -count=1 -cpu 1,2,4 -run 'TestScatterOnly|GlobalSqNorm|TestLiveSteadyStateStepAllocsZero|TestEngineFeatureMatrix' ./internal/allreduce ./internal/runtime
 
+# The collective reads the raw gradient once: ReduceInto's result is bitwise
+# staging w·src and reducing that (ring, hd, auto, both transports, plain and
+# guarded, full and scatter-only, in place included) and src is never
+# written; every Param.Grad is a view of its network's one slab, which the
+# live workers hand the ring as it is; and the driver's |g|², the owned spans
+# and every mode x membership feature stay bitwise. By name, so a rename
+# cannot silently drop them.
+echo "== read-once lane: ReduceInto == staged reduce, gradients one slab -race -cpu 1,2,4 =="
+lane -race -count=1 -cpu 1,2,4 -run 'TestReduceIntoMatchesStagedReduce|TestFlatGradIsParamStorage|TestScatterOnly|GlobalSqNorm|TestEngineFeatureMatrix' ./internal/allreduce ./internal/nn ./internal/runtime
+
 # Profiling must stay wired up: the live-vs-sequential bench is the tool
 # used to chase scheduling regressions, so a broken -cpuprofile path (or a
 # bench rename) should fail CI, not be discovered mid-investigation.
