@@ -9,18 +9,15 @@ import (
 	"cannikin/internal/tensor"
 )
 
-// evalShardRows is the sharding floor: a shard of fewer rows is not worth a
-// goroutine.
-const evalShardRows = 64
-
 // evaluator measures the model on the full dataset after each epoch. Every
 // hosted rank is parked while it runs, so it shards the rows over the cores
-// they left idle: each shard forwards its rows through a shadow of the model
-// (the replica's Params, its own workspaces) into its rows of one logits
-// tensor, and the loss and accuracy are then computed once, sequentially,
-// over the assembled logits. Every kernel and layer forward is
-// row-independent, so the result is bitwise that of one sequential Forward
-// of the full set at any shard count. All storage is allocated here, once.
+// they left idle, down to one row a shard: each shard forwards its rows
+// through a shadow of the model (the replica's Params, its own workspaces)
+// into its rows of one logits tensor, and the loss and accuracy are then
+// computed once, sequentially, over the assembled logits. Every kernel and
+// layer forward is row-independent, so the result is bitwise that of one
+// sequential Forward of the full set at any shard count. All storage is
+// allocated here, once.
 type evaluator struct {
 	labels []int
 	logits *tensor.T
@@ -37,11 +34,15 @@ type evalShard struct {
 	run func()
 }
 
-// newEvaluator shards ds over min(GOMAXPROCS, rows/evalShardRows) shadows of
-// net, whose output width is classes.
+// newEvaluator shards ds over min(GOMAXPROCS, rows) shadows of net, whose
+// output width is classes — or over one when the whole forward, about
+// 2·rows·params flops, is under the kernel pool's work floor.
 func newEvaluator(net *nn.Network, ds *data.Dataset, classes int) *evaluator {
 	rows := ds.Len()
-	p := max(1, min(stdruntime.GOMAXPROCS(0), rows/evalShardRows))
+	p := 1
+	if 2*rows*net.NumParams() >= tensor.ParallelWorkFloor {
+		p = min(stdruntime.GOMAXPROCS(0), rows)
+	}
 	e := &evaluator{
 		labels: ds.Labels,
 		logits: tensor.New(rows, classes),

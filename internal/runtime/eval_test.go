@@ -30,63 +30,90 @@ func assertBits(t *testing.T, what string, got, want float64) {
 	}
 }
 
-// TestEvaluatorMatchesSequentialForward: at every shard count, for row
-// counts that split unevenly and below the sharding floor, the evaluator
-// returns the bits of a sequential Forward of the full set; it follows
-// weight updates (the shadows share the replica's Params); and once built
-// it allocates nothing — shadow workspaces and the logits tensor are
-// one-time, and starting a shard goroutine costs no allocation.
+// TestEvaluatorMatchesSequentialForward: the evaluator runs one shard per
+// core down to one row a shard — min(GOMAXPROCS, rows) — or one shard when
+// the whole forward is under the kernel pool's work floor. At every shard
+// count, for row counts that split unevenly, fewer rows than cores, and a
+// model on either side of the floor, it returns the bits of a sequential
+// Forward of the full set; it follows weight updates (the shadows share the
+// replica's Params); and once built it allocates nothing — shadow
+// workspaces and the logits tensor are one-time, and starting a shard
+// goroutine costs no allocation.
 func TestEvaluatorMatchesSequentialForward(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
-	for _, rows := range []int{1, 63, 64, 130, 513} {
-		for _, procs := range []int{1, 2, 3, 4} {
-			t.Run(fmt.Sprintf("rows%d/procs%d", rows, procs), func(t *testing.T) {
-				gort.GOMAXPROCS(procs)
-				cfg := testConfig(t, 23, []int{8}, rows)
-				net := nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
-				e := newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1])
-
-				if want := max(1, min(procs, rows/evalShardRows)); len(e.shards) != want {
-					t.Fatalf("%d shards, want %d", len(e.shards), want)
-				}
-				covered := 0
-				for i, s := range e.shards {
-					if s.x.Rows() == 0 {
-						t.Fatalf("shard %d is empty", i)
+	// testConfig's model has 420 parameters: the forward of fewer than 40
+	// rows, about 2·rows·420 flops, is under the floor. The wide model has
+	// 16 644: even one row is over it.
+	for _, c := range []struct {
+		prefix string
+		hidden int
+		rows   []int
+	}{
+		{"", 32, []int{1, 2, 3, 4, 63, 64, 130, 513}},
+		{"wide/", 1280, []int{1, 2, 3, 4, 5}},
+	} {
+		for _, rows := range c.rows {
+			for _, procs := range []int{1, 2, 3, 4} {
+				t.Run(fmt.Sprintf("%srows%d/procs%d", c.prefix, rows, procs), func(t *testing.T) {
+					gort.GOMAXPROCS(procs)
+					cfg := testConfig(t, 23, []int{8}, rows)
+					cfg.Sizes = []int{8, c.hidden, 4}
+					want := min(procs, rows)
+					if c.hidden == 32 && rows < 40 {
+						want = 1
 					}
-					covered += s.x.Rows()
-				}
-				if covered != rows {
-					t.Fatalf("shards cover %d rows of %d", covered, rows)
-				}
-
-				for round := 0; round < 2; round++ {
-					loss, acc := e.eval()
-					wantLoss, wantAcc := sequentialEval(cfg, net.FlatWeights())
-					assertBits(t, fmt.Sprintf("round %d loss", round), loss, wantLoss)
-					assertBits(t, fmt.Sprintf("round %d accuracy", round), acc, wantAcc)
-					w := net.FlatWeights()
-					for i := range w {
-						w[i] = w[i]*0.5 + 0.01
-					}
-					net.SetFlatWeights(w)
-				}
-				if allocs := testing.AllocsPerRun(10, func() { e.eval() }); allocs != 0 {
-					t.Fatalf("a warm evaluation allocates %v times, want 0", allocs)
-				}
-			})
+					evaluatorMatchesSequential(t, cfg, want)
+				})
+			}
 		}
 	}
 }
 
+// evaluatorMatchesSequential is one row of
+// TestEvaluatorMatchesSequentialForward: an evaluator of cfg's model over
+// its dataset, which must have wantShards shards.
+func evaluatorMatchesSequential(t *testing.T, cfg Config, wantShards int) {
+	rows := cfg.Dataset.Len()
+	net := nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
+	e := newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1])
+
+	if len(e.shards) != wantShards {
+		t.Fatalf("%d shards, want %d", len(e.shards), wantShards)
+	}
+	covered := 0
+	for i, s := range e.shards {
+		if s.x.Rows() == 0 {
+			t.Fatalf("shard %d is empty", i)
+		}
+		covered += s.x.Rows()
+	}
+	if covered != rows {
+		t.Fatalf("shards cover %d rows of %d", covered, rows)
+	}
+
+	for round := 0; round < 2; round++ {
+		loss, acc := e.eval()
+		wantLoss, wantAcc := sequentialEval(cfg, net.FlatWeights())
+		assertBits(t, fmt.Sprintf("round %d loss", round), loss, wantLoss)
+		assertBits(t, fmt.Sprintf("round %d accuracy", round), acc, wantAcc)
+		w := net.FlatWeights()
+		for i := range w {
+			w[i] = w[i]*0.5 + 0.01
+		}
+		net.SetFlatWeights(w)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { e.eval() }); allocs != 0 {
+		t.Fatalf("a warm evaluation allocates %v times, want 0", allocs)
+	}
+}
+
 // TestEpochEvaluationMatchesSequentialForward: one evaluator serves every
-// backend. For a dataset that does not divide by the shard count and one
-// below the sharding floor, the per-epoch loss and accuracy of a sim, a
-// live-overlap, a live-merged and a loopback-worker run are bitwise equal,
-// every epoch's pair is what a sequential Forward of the full set gives for
-// the weights of that epoch, and no goroutine outlives the runs. (-cpu sets
-// the shard count; check.sh runs this at 1, 2 and 4 under the race
-// detector.)
+// backend. For two datasets that do not divide evenly over the shards, the
+// per-epoch loss and accuracy of a sim, a live-overlap, a live-merged and a
+// loopback-worker run are bitwise equal, every epoch's pair is what a
+// sequential Forward of the full set gives for the weights of that epoch,
+// and no goroutine outlives the runs. (-cpu sets the shard count; check.sh
+// runs this at 1, 2 and 4 under the race detector.)
 func TestEpochEvaluationMatchesSequentialForward(t *testing.T) {
 	baseline := gort.NumGoroutine()
 	for _, samples := range []int{513, 50} {

@@ -31,6 +31,14 @@ func pinLayout(t testing.TB, layout string) {
 	default:
 		t.Fatalf("unknown layout %q", layout)
 	}
+	pinCores(t, cores)
+}
+
+// pinCores makes every live incarnation built before the test (or subtest)
+// ends see the given number of usable cores: its layout and its norm lanes
+// follow from it.
+func pinCores(t testing.TB, cores int) {
+	t.Helper()
 	prev := usableCores
 	usableCores = func() int { return cores }
 	t.Cleanup(func() { usableCores = prev })

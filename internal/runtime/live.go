@@ -51,18 +51,31 @@ func resolveCommMode(hosted int) bool { return hosted >= usableCores() }
 // update into a driver-coordinated commit: no worker steps its spans until
 // every worker has finished the step's communication, so a failed step
 // never leaves the weights partly stepped.
+//
+// The step's GNS norms are computed after the barrier (and the commit), when
+// every worker is idle: |g|² over the owned spans and, when every rank is
+// hosted, each worker's |g_i|² over its gradient slab. These chains are split,
+// each whole, over lanes on the idle cores — lane 0 on the driver, carrying
+// |g|² — and each lane runs its chains side by side through sqNorms.
 type liveExec struct {
 	workers []*liveWorker
 	// spans tiles [0, dim) in ascending order with the spans each hosted
-	// worker's reduce leaves fully summed in its sum buffer — what the driver
-	// reads |g|² from.
+	// worker's reduce leaves fully summed in its sum buffer — what |g|² is
+	// read from.
 	spans []ownedSpan
 	prof  *Profile
 	ft    *faultTolerance
 	// remote marks a ring that reaches into other processes: the per-rank
 	// |g_i|² then come from the workers' one-hot ring reduce instead of
-	// being collected locally.
+	// the norm lanes.
 	remote bool
+	// norms holds the step's norm chains: norms[0] is |g|² and, unless
+	// remote, norms[1+i] is hosted worker i's |g_i|². lanes split them, each
+	// whole, over min(usableCores, chains) lanes — one when the chains are
+	// too little work to share — and laneWG joins lanes 1… to the driver.
+	norms  []float64
+	lanes  []normLane
+	laneWG sync.WaitGroup
 	// closing, when closed, wakes workers parked in injected stalls or
 	// kills so teardown never waits on a simulated-dead goroutine.
 	closing chan struct{}
@@ -91,10 +104,17 @@ type stepTask struct {
 // worker's reduce leaves fully summed in its sum buffer.
 type ownedSpan struct{ lo, hi, worker int }
 
+// normLane carries the norm chains [lo, hi) of liveExec.norms.
+type normLane struct {
+	lo, hi int
+	// run is the lane on a goroutine of its own (lanes 1…; lane 0 runs on
+	// the driver), built once so that starting it allocates nothing.
+	run func()
+}
+
 // stepResult reports one worker's completed share.
 type stepResult struct {
-	localSq float64 // |g_i|² of the raw local gradient
-	sample  Sample
+	sample Sample
 	// err is the hop failure that aborted the step's communication.
 	err error
 	// aborted marks a result produced by teardown waking a parked worker.
@@ -117,8 +137,10 @@ type commStats struct {
 // the sum — and leaves the reduced gradient in sum, and the optimizer steps
 // the worker's spans of the weights from sum. The slab is the ring's
 // read-only input, so after a step it still holds the rank's raw local
-// gradient — which nothing reads: its next access is the next step's
-// ZeroGrad.
+// gradient. A hosted worker computes no norm: its |g_i|² is a chain of the
+// driver's norm lanes, which read the slab after the step barrier, before
+// the next step's ZeroGrad. Only on a ring with remote ranks does the worker
+// square its slab itself, mid-step, for the one-hot normBuf reduce.
 //
 // The hosted workers share one weight store (net is a replica of the
 // model) and one optimizer. When every rank is hosted the ring runs only
@@ -234,6 +256,26 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 		results:       make([]stepResult, len(replicas)),
 		responded:     make([]bool, len(replicas)),
 	}
+	chains := 1
+	if !e.remote {
+		chains += len(replicas)
+	}
+	lanes := 1
+	if chains*dim >= tensor.ParallelWorkFloor {
+		lanes = min(usableCores(), chains)
+	}
+	e.norms = make([]float64, chains)
+	e.lanes = make([]normLane, lanes)
+	for l := range e.lanes {
+		ln := &e.lanes[l]
+		ln.lo, ln.hi = l*chains/lanes, (l+1)*chains/lanes
+		if l > 0 {
+			ln.run = func() {
+				defer e.laneWG.Done()
+				e.sumNorms(ln.lo, ln.hi)
+			}
+		}
+	}
 	for i := range e.workers {
 		w := &liveWorker{
 			rank:      ranks[i],
@@ -317,8 +359,9 @@ func ownedSpans(dim, bucketLen int, algs []allreduce.Algorithm, n int, ranks []i
 
 // step runs one synchronized step: hand every hosted worker its batch,
 // collect their outcomes in rank order (a BSP barrier, and a deterministic
-// profile), and return the GNS observations. The sample aliases exec-owned
-// buffers valid until the next step call.
+// profile), run the norm lanes over the idle workers' buffers, and return
+// the GNS observations. The sample aliases exec-owned buffers valid until
+// the next step call.
 //
 // Under fault tolerance the collection runs against the step deadline and
 // ends in the commit vote: the optimizer update is applied only if every
@@ -356,17 +399,26 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 		return gns.Sample{}, firstErr
 	}
 
+	e.laneWG.Add(len(e.lanes) - 1)
+	for _, ln := range e.lanes[1:] {
+		go ln.run()
+	}
+	e.sumNorms(e.lanes[0].lo, e.lanes[0].hi)
+	e.laneWG.Wait()
+
 	n := len(e.sampleBatches)
 	sample := gns.Sample{
 		Batches:      e.sampleBatches[:n],
 		LocalSqNorms: e.sampleNorms[:n],
-		GlobalSqNorm: e.globalSqNorm(),
+		GlobalSqNorm: e.norms[0],
 	}
 	for i, x := range xs {
 		sample.Batches[i] = x.Rows()
 	}
 	for i, w := range e.workers {
-		sample.LocalSqNorms[w.rank] = e.results[i].localSq
+		if !e.remote {
+			sample.LocalSqNorms[w.rank] = e.norms[1+i]
+		}
 		e.prof.Samples = append(e.prof.Samples, e.results[i].sample)
 	}
 	if e.remote {
@@ -375,17 +427,28 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 	return sample, nil
 }
 
-// globalSqNorm is |g|² of the step's reduced gradient: one serial chain in
-// ascending flat order over the owned spans, each read from its owner's
-// sum — sqNorm of the full reduced vector, bit for bit.
-func (e *liveExec) globalSqNorm() float64 {
-	s := 0.0
-	for _, sp := range e.spans {
-		for _, x := range e.workers[sp.worker].sum[sp.lo:sp.hi] {
-			s += x * x
+// sumNorms computes the norm chains [lo, hi), four at a time, each group in
+// one ascending pass over the span list: chain 0, |g|², reads every span
+// from its owner's sum, and chain 1+i, |g_i|², reads hosted worker i's
+// gradient slab. Every chain is the serial ascending sum over its whole
+// vector — sqNorm of it, bit for bit.
+func (e *liveExec) sumNorms(lo, hi int) {
+	for c0 := lo; c0 < hi; c0 += 4 {
+		k := min(4, hi-c0)
+		acc := e.norms[c0 : c0+k]
+		clear(acc)
+		var v [4][]float64
+		for _, sp := range e.spans {
+			for j := range k {
+				if c := c0 + j; c == 0 {
+					v[j] = e.workers[sp.worker].sum[sp.lo:sp.hi]
+				} else {
+					v[j] = e.workers[c-1].net.FlatGrad()[sp.lo:sp.hi]
+				}
+			}
+			sqNorms(acc, v[:k])
 		}
 	}
-	return s
 }
 
 // collect waits for one worker's step outcome — indefinitely on a plain
@@ -566,10 +629,14 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	})
 	backEnd := time.Now()
 
-	// |g_i|² over the raw gradient in flat order — identical association
-	// order to the sequential reference — while the ring is still reading it
-	// (overlapped mode; in merged mode it is already done).
-	localSq := sqNorm(w.net.FlatGrad())
+	if w.normBuf != nil {
+		// A ring with remote ranks needs this rank's |g_i|² mid-step, so the
+		// worker squares its raw gradient itself — in flat order, the
+		// sequential reference's association — while the ring may still be
+		// reading it (overlapped mode; in merged mode it is already done).
+		clear(w.normBuf)
+		w.normBuf[w.rank] = sqNorm(w.net.FlatGrad())
+	}
 	if !w.merged {
 		w.commQ <- -1
 		cs = <-w.commDone
@@ -578,8 +645,6 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 		// Replicate every rank's |g_i|² exactly in every process: each rank
 		// contributes a one-hot vector, and adding zeros is exact. The comm
 		// goroutine is idle by now, so the rank's ring state is ours.
-		clear(w.normBuf)
-		w.normBuf[w.rank] = localSq
 		cs.err = w.ring.ReduceWith(w.rank, w.normBuf, w.opts)
 	}
 	if cs.err != nil {
@@ -592,8 +657,7 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 	}
 
 	return stepResult{
-		localSq: localSq,
-		faults:  f,
+		faults: f,
 		sample: Sample{
 			Epoch:          t.epoch,
 			Step:           t.step,

@@ -728,12 +728,66 @@ func sum(xs []int) int {
 	return total
 }
 
-func sqNorm(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
+// sqNorms adds the squares of each v[c]'s elements, in ascending order, to
+// acc[c]: one pass over equal-length vectors carries up to four independent
+// chains in registers, and more go four at a time. Each chain is the same
+// serial sum, in the same order, as it would be alone — only the loop is
+// shared, so a core overlaps the chains' add latencies instead of waiting
+// out one. It is the only norm loop of the package: |g|² and every |g_i|²,
+// on both backends, are its chains.
+func sqNorms(acc []float64, v [][]float64) {
+	for len(v) > 0 {
+		k := min(4, len(v))
+		switch k {
+		case 1:
+			s0 := acc[0]
+			for _, x := range v[0] {
+				s0 += x * x
+			}
+			acc[0] = s0
+		case 2:
+			a, b := v[0], v[1]
+			b = b[:len(a)]
+			s0, s1 := acc[0], acc[1]
+			for j, x := range a {
+				y := b[j]
+				s0 += x * x
+				s1 += y * y
+			}
+			acc[0], acc[1] = s0, s1
+		case 3:
+			a, b, c := v[0], v[1], v[2]
+			b, c = b[:len(a)], c[:len(a)]
+			s0, s1, s2 := acc[0], acc[1], acc[2]
+			for j, x := range a {
+				y, z := b[j], c[j]
+				s0 += x * x
+				s1 += y * y
+				s2 += z * z
+			}
+			acc[0], acc[1], acc[2] = s0, s1, s2
+		default:
+			a, b, c, d := v[0], v[1], v[2], v[3]
+			b, c, d = b[:len(a)], c[:len(a)], d[:len(a)]
+			s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
+			for j, x := range a {
+				y, z, u := b[j], c[j], d[j]
+				s0 += x * x
+				s1 += y * y
+				s2 += z * z
+				s3 += u * u
+			}
+			acc[0], acc[1], acc[2], acc[3] = s0, s1, s2, s3
+		}
+		acc, v = acc[k:], v[k:]
 	}
-	return s
+}
+
+// sqNorm is |v|², the kernel's one-chain case.
+func sqNorm(v []float64) float64 {
+	var acc [1]float64
+	sqNorms(acc[:], [][]float64{v})
+	return acc[0]
 }
 
 // replicasAgree is the one replica-consistency check: every vector must

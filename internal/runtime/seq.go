@@ -21,10 +21,11 @@ type seqExec struct {
 	// algs is the per-bucket collective schedule, resolved once by the
 	// driver (bucketAlgorithms) so sim and live reduce identically.
 	algs []allreduce.Algorithm
-	// Persistent step state: the per-bucket view slice, per-replica
-	// loss-gradient workspaces, the model's parameter list, and the GNS
-	// sample backing arrays. All are reused across steps, so the
-	// steady-state step re-allocates none of them.
+	// Persistent step state: the view slice (the whole slabs for the norm
+	// pass, then each bucket's), per-replica loss-gradient workspaces, the
+	// model's parameter list, and the GNS sample backing arrays. All are
+	// reused across steps, so the steady-state step re-allocates none of
+	// them.
 	views   [][]float64
 	dlogits []*tensor.T
 	store   []*nn.Param
@@ -62,9 +63,12 @@ func (e *seqExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWeig
 		nn.SoftmaxCrossEntropyInto(e.dlogits[i], logits, labels[i])
 		net.Backward(e.dlogits[i])
 		sample.Batches[i] = xs[i].Rows()
-		// |g_i|² of the raw gradient, before the reduce scales it.
-		sample.LocalSqNorms[i] = sqNorm(net.FlatGrad())
+		e.views[i] = net.FlatGrad()
 	}
+	// Every |g_i|² of the raw gradients, before the reduce scales them: one
+	// pass of the norm kernel over all the slabs.
+	clear(sample.LocalSqNorms)
+	sqNorms(sample.LocalSqNorms, e.views)
 	// Bucket-by-bucket reduce under the driver's per-bucket schedule —
 	// the same (bucket, algorithm) sequence the live workers run.
 	dim := e.replicas[0].NumParams()

@@ -35,9 +35,11 @@ type poolTask struct {
 	done      chan struct{}
 }
 
-// parallelWorkFloor is the approximate flop count below which sharding
-// overhead outweighs the parallel win and kernels run inline.
-const parallelWorkFloor = 1 << 15
+// ParallelWorkFloor is the approximate flop count below which sharding
+// overhead outweighs the parallel win and kernels run inline. Other
+// goroutine-sharded work (the runtime's evaluation and norm lanes) uses the
+// same floor.
+const ParallelWorkFloor = 1 << 15
 
 // doneFreeSlots bounds how many kernel invocations can be in flight at
 // once before dispatchers briefly queue for a completion channel. Live
@@ -122,7 +124,7 @@ func dispatch(op kernelOp, dst, a, b *T, rows, work int) {
 	pool.mu.RLock()
 	defer pool.mu.RUnlock()
 	p := pool.size
-	if p <= 1 || rows < 2 || work < parallelWorkFloor {
+	if p <= 1 || rows < 2 || work < ParallelWorkFloor {
 		runShard(op, dst, a, b, 0, rows)
 		return
 	}

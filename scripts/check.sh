@@ -189,6 +189,17 @@ lane -race -count=1 -cpu 1,2,4 -run 'TestScatterOnly|GlobalSqNorm|TestLiveSteady
 echo "== read-once lane: ReduceInto == staged reduce, gradients one slab -race -cpu 1,2,4 =="
 lane -race -count=1 -cpu 1,2,4 -run 'TestReduceIntoMatchesStagedReduce|TestFlatGradIsParamStorage|TestScatterOnly|GlobalSqNorm|TestEngineFeatureMatrix' ./internal/allreduce ./internal/nn ./internal/runtime
 
+# No core idles while the driver works alone: after the step barrier the
+# norm chains — |g|² over the owners' spans and every hosted |g_i|² — run
+# whole, side by side, over min(cores, chains) lanes, bitwise the sequential
+# reference's at 1-4 usable cores, plain and guarded (a failed step retried
+# included), and one lane under the work floor; the epoch's evaluation runs
+# min(GOMAXPROCS, rows) shards, bitwise one sequential forward; and the
+# hosted step still allocates nothing. By name, so a rename cannot silently
+# drop them.
+echo "== norm-lane lane: norm chains over lanes, evaluation over cores, zero allocs -race -cpu 1,2,4 =="
+lane -race -count=1 -cpu 1,2,4 -run 'TestLiveGlobalSqNormMatchesSeq|TestEvaluatorMatchesSequentialForward|TestEpochEvaluationMatchesSequentialForward|TestLiveSteadyStateStepAllocsZero' ./internal/runtime
+
 # Profiling must stay wired up: the live-vs-sequential bench is the tool
 # used to chase scheduling regressions, so a broken -cpuprofile path (or a
 # bench rename) should fail CI, not be discovered mid-investigation.
