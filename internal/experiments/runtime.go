@@ -7,48 +7,32 @@ import (
 	"cannikin/internal/data"
 	"cannikin/internal/rng"
 	"cannikin/internal/runtime"
-	"cannikin/internal/tensor"
 	"cannikin/internal/trace"
 )
 
 // Runtime compares the two real-execution backends head to head: the
 // sequential reference versus the live concurrent engine with overlapped
-// bucketed ring all-reduce, at increasing worker counts, then sweeps the
-// tensor kernel parallelism (1/2/4 shards) on the four-worker cluster.
-// Every configuration does identical arithmetic (the differential tests
-// prove bitwise-equal weights at any backend, bucket size, or shard
-// count), so the wall-clock columns isolate the execution model: on a
-// multicore host the live engine pulls ahead as workers are added, and
-// sharded kernels shrink both walls while the speedup column shows how
-// the backend gap responds. The last columns close the paper's loop — the
-// communication constants and fit error of the performance model learned
-// from the live run's own measured samples.
+// bucketed ring all-reduce, at increasing worker counts. Every
+// configuration does identical arithmetic (the differential tests prove
+// bitwise-equal weights at any backend or bucket size), so the wall-clock
+// columns isolate the execution model: on a multicore host the live engine
+// pulls ahead as workers are added. The last columns close the paper's
+// loop — the communication constants and fit error of the performance
+// model learned from the live run's own measured samples.
 func Runtime(opt Options) (*trace.Table, error) {
-	tab := trace.NewTable("workers", "local batches", "shards", "sim wall (s)", "live wall (s)",
+	tab := trace.NewTable("workers", "local batches", "sim wall (s)", "live wall (s)",
 		"speedup", "buckets", "overlap", "gamma", "fit err")
-	// Kernel parallelism is a process-wide setting; restore the serial
-	// default so later experiments are unaffected.
-	defer tensor.SetParallelism(1)
 
 	epochs := 3
 	if opt.Quick {
 		epochs = 2
 	}
-	runs := []struct {
-		batches []int
-		shards  int
-	}{
-		{[]int{64}, 1},
-		{[]int{48, 16}, 1},
-		{[]int{32, 16, 8, 8}, 1},
-		{[]int{16, 12, 8, 8, 8, 4, 4, 4}, 1},
-		// The kernel-parallelism sweep: the same four-worker cluster with
-		// matmuls sharded across 2 and 4 goroutines (1 is the row above).
-		{[]int{32, 16, 8, 8}, 2},
-		{[]int{32, 16, 8, 8}, 4},
-	}
-	for _, run := range runs {
-		batches := run.batches
+	for _, batches := range [][]int{
+		{64},
+		{48, 16},
+		{32, 16, 8, 8},
+		{16, 12, 8, 8, 8, 4, 4, 4},
+	} {
 		cfg := func(backend string) (runtime.Config, error) {
 			// 2000 is not a multiple of any global batch below, so every
 			// epoch ends in a partial batch: each node sees two distinct
@@ -66,7 +50,6 @@ func Runtime(opt Options) (*trace.Table, error) {
 				LearningRate: 0.05,
 				Momentum:     0.9,
 				BucketBytes:  8192 * 8,
-				KernelShards: run.shards,
 				Dataset:      ds,
 				Src:          src,
 			}, nil
@@ -101,7 +84,7 @@ func Runtime(opt Options) (*trace.Table, error) {
 		if model, fe, err := p.FitModel(nil); err == nil {
 			gamma, fitErr = model.Gamma, fe
 		}
-		tab.AddRowValues(len(batches), intsString(batches), run.shards, simWall, liveWall,
+		tab.AddRowValues(len(batches), intsString(batches), simWall, liveWall,
 			simWall/liveWall, buckets, p.OverlapObserved(), gamma, fitErr)
 	}
 	return tab, nil

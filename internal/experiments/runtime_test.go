@@ -10,8 +10,8 @@ func TestRuntimeExperimentShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tab.Rows) != 6 {
-		t.Fatalf("want 6 configurations (4 worker counts + 2 extra shard settings), got %d", len(tab.Rows))
+	if len(tab.Rows) != 4 {
+		t.Fatalf("want 4 configurations (one per worker count), got %d", len(tab.Rows))
 	}
 	col := func(name string) int {
 		for i, h := range tab.Headers {
@@ -23,19 +23,14 @@ func TestRuntimeExperimentShape(t *testing.T) {
 		return -1
 	}
 	workers := col("workers")
-	shards := col("shards")
 	overlap := col("overlap")
 	gamma := col("gamma")
 	fitErr := col("fit err")
 	speedup := col("speedup")
-	wantWorkers := []string{"1", "2", "4", "8", "4", "4"}
-	wantShards := []string{"1", "1", "1", "1", "2", "4"}
+	wantWorkers := []string{"1", "2", "4", "8"}
 	for i, row := range tab.Rows {
 		if row[workers] != wantWorkers[i] {
 			t.Fatalf("row %d workers = %q, want %q", i, row[workers], wantWorkers[i])
-		}
-		if row[shards] != wantShards[i] {
-			t.Fatalf("row %d shards = %q, want %q", i, row[shards], wantShards[i])
 		}
 		if row[overlap] != "true" {
 			t.Fatalf("row %d: overlap not observed: %v", i, row)

@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -648,15 +649,15 @@ func TestStepFlatRangeShardsBitwise(t *testing.T) {
 
 // TestSteadyStateStepAllocsZero: after warmup, a full
 // forward/loss/backward/step cycle on reused workspaces must not allocate,
-// with serial kernels and with every product sharded over the kernel pool
-// (the kernels' non-zero gather lives on the stack), whether the optimizer
+// with one usable core (every kernel inline) and with two (every large
+// product tiled over the kernel pool; the kernels' non-zero gather lives on
+// the stack), whether the optimizer
 // steps from Param.Grad or from flat gradient vectors — with 1, 2 and 4
 // replicas on one store, each stepping its shard from its own vector.
 func TestSteadyStateStepAllocsZero(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
-			tensor.SetParallelism(shards)
-			defer tensor.SetParallelism(1)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(shards))
 			for _, hosted := range []int{1, 2, 4} {
 				t.Run(fmt.Sprintf("hosted%d", hosted), func(t *testing.T) {
 					net := NewMLP([]int{32, 128, 64, 8}, rng.New(1))
@@ -701,16 +702,31 @@ func TestSteadyStateStepAllocsZero(t *testing.T) {
 					for i := 0; i < 3; i++ {
 						step() // warm workspaces and optimizer state
 					}
-					if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+					if allocs := allocsPerRun(50, step); allocs != 0 {
 						t.Fatalf("steady-state nn step allocates %v times, want 0", allocs)
 					}
-					if allocs := testing.AllocsPerRun(50, stepShards); allocs != 0 {
+					if allocs := allocsPerRun(50, stepShards); allocs != 0 {
 						t.Fatalf("steady-state nn step from flat gradient shards allocates %v times, want 0", allocs)
 					}
 				})
 			}
 		})
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1): the heap
+// allocations per call of f, averaged over runs calls after one warm-up, at
+// the caller's GOMAXPROCS — so a width-2 gate measures the kernels tiled
+// over the pool, not run inline.
+func allocsPerRun(runs int, f func()) uint64 {
+	var before, after runtime.MemStats
+	f()
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 // BenchmarkLinearForwardBackward measures one dense layer's full cycle at

@@ -60,14 +60,13 @@ type Spec struct {
 	CSV      bool     `json:"csv,omitempty"`
 
 	// Real MLP training mode.
-	MLP          bool    `json:"mlp,omitempty"`
-	Backend      string  `json:"backend,omitempty"`
-	MLPBatches   []int   `json:"mlp_batches,omitempty"`
-	BucketBytes  int     `json:"bucket_bytes,omitempty"`
-	KernelShards int     `json:"kernel_shards,omitempty"`
-	Allreduce    string  `json:"allreduce,omitempty"`
-	Faults       []Fault `json:"faults,omitempty"`
-	FaultReplan  string  `json:"fault_replan,omitempty"`
+	MLP         bool    `json:"mlp,omitempty"`
+	Backend     string  `json:"backend,omitempty"`
+	MLPBatches  []int   `json:"mlp_batches,omitempty"`
+	BucketBytes int     `json:"bucket_bytes,omitempty"`
+	Allreduce   string  `json:"allreduce,omitempty"`
+	Faults      []Fault `json:"faults,omitempty"`
+	FaultReplan string  `json:"fault_replan,omitempty"`
 
 	// Elastic membership (MLP mode). Joins schedules worker hot-joins at
 	// epoch boundaries; the Autoscale* knobs enable the goodput-driven
@@ -326,7 +325,6 @@ func registerFlags(fs *flag.FlagSet, s *Spec) {
 	str("backend", &s.Backend, `MLP execution engine: "sim" (sequential reference) or "live" (concurrent workers, overlapped ring all-reduce, wall-clock profile)`)
 	fs.Var(&commaInts{&s.MLPBatches}, "mlp-batches", "comma-separated per-worker local batch sizes for -mlp")
 	intf("bucket-bytes", &s.BucketBytes, "gradient bucket cap in bytes for -mlp (0 = DDP's 25 MB default)")
-	intf("kernel-shards", &s.KernelShards, "matmul kernel parallelism for -mlp: shard each matmul across this many goroutines (0 = leave serial; results are bitwise identical at any value)")
 	str("allreduce", &s.Allreduce, `collective algorithm for -mlp gradient buckets: "ring" (default), "hd" (recursive halving-doubling), or "auto" (hd for buckets up to 128 KiB, ring above)`)
 	fs.Var(&faultsValue{&s.Faults}, "fault", `inject deterministic faults into the live MLP run: comma-separated events "kind:worker@step[:arg]" with kinds kill, stall (arg = duration), delay (arg = duration), drop (arg = count), e.g. "stall:0@3:40ms,kill:1@8"`)
 	str("fault-replan", &s.FaultReplan, `survivor batch policy after an eviction: "keep" (default) or "optperf"`)

@@ -102,7 +102,7 @@ func fullSpec() *Spec {
 		System: "adaptdl", Seed: 7, Epochs: 12, Batch: 256, Chaos: 0.3,
 		Audit: "strict", Progress: true, CSV: true,
 		MLP: true, Backend: "live", MLPBatches: []int{8, 4, 2},
-		BucketBytes: 2048, KernelShards: 2,
+		BucketBytes:  2048,
 		Faults:       []Fault{{Kind: "stall", Worker: 1, Step: 4, Delay: 20 * time.Millisecond}},
 		FaultReplan:  "optperf",
 		Joins:        []JoinEntry{{Epoch: 2, Batch: 8}, {Epoch: 5, Batch: 4, Replan: "optperf"}},
@@ -201,7 +201,7 @@ func TestEveryFlagOverridesSpecFile(t *testing.T) {
 	err := fs.Parse([]string{"-spec", path,
 		"-cluster", "b", "-models", "H100,P100", "-workload", "imagenet", "-system", "adaptdl",
 		"-seed", "7", "-epochs", "12", "-batch", "256", "-chaos", "0.3", "-audit", "strict", "-progress", "-csv",
-		"-mlp", "-backend", "live", "-mlp-batches", "8,4,2", "-bucket-bytes", "2048", "-kernel-shards", "2",
+		"-mlp", "-backend", "live", "-mlp-batches", "8,4,2", "-bucket-bytes", "2048",
 		"-allreduce", "hd", "-fault", "stall:1@4:20ms", "-fault-replan", "optperf",
 		"-join", "2:8,5:4:optperf", "-autoscale-max", "6", "-autoscale-min", "2", "-autoscale-grow", "0.1",
 		"-autoscale-shrink", "0.02", "-autoscale-batch", "4", "-resume", "join-1",

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	stdruntime "runtime"
 	"testing"
 	"time"
 
@@ -62,8 +63,8 @@ func reserveProfile(exec *liveExec, extra int) {
 // live engine's hot loop: once workspaces, ring scratch, and optimizer
 // state are warm, a full synchronized step — forward, loss, streaming
 // bucketed backprop, ring all-reduce, optimizer — must perform zero heap
-// allocations on the compute path, with both serial and sharded kernels,
-// in both comm modes (overlapped pair and merged single goroutine), plain
+// allocations on the compute path, with one usable core (every kernel
+// inline) and two (large kernels tiled over the pool), in both comm modes (overlapped pair and merged single goroutine), plain
 // and guarded, with 1, 2 and 4 ranks hosted on the shared store. The guarded
 // step (fault tolerance armed, empty schedule) adds per-hop deadline timers,
 // the two-phase commit, and the driver's deadline-bound result collection,
@@ -79,8 +80,7 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 		for _, mode := range []string{"overlap", "merged"} {
 			for _, guard := range []string{"plain", "guarded"} {
 				t.Run(fmt.Sprintf("shards%d/%s/%s", shards, mode, guard), func(t *testing.T) {
-					tensor.SetParallelism(shards)
-					defer tensor.SetParallelism(1)
+					defer stdruntime.GOMAXPROCS(stdruntime.GOMAXPROCS(shards))
 					for _, hosted := range hostedCounts {
 						t.Run(fmt.Sprintf("hosted%d", hosted), func(t *testing.T) {
 							liveStepAllocs(t, hosted, mode == "merged", guard == "guarded")
@@ -90,6 +90,21 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 			}
 		}
 	}
+}
+
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1): the heap
+// allocations per call of f, averaged over runs calls after one warm-up, at
+// the caller's GOMAXPROCS — so a width-2 gate measures the kernels tiled
+// over the pool and the workers on two cores, not everything on one.
+func allocsPerRun(runs int, f func()) uint64 {
+	var before, after stdruntime.MemStats
+	f()
+	stdruntime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	stdruntime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
 
 // liveStepAllocs is one row of the live allocation gate.
@@ -130,7 +145,7 @@ func liveStepAllocs(t *testing.T, nWorkers int, merged, guarded bool) {
 	}
 	reserveProfile(exec, nWorkers*200)
 
-	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+	if allocs := allocsPerRun(50, step); allocs != 0 {
 		t.Fatalf("steady-state live step allocates %v times, want 0", allocs)
 	}
 }

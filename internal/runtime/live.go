@@ -2,7 +2,6 @@ package runtime
 
 import (
 	"errors"
-	stdruntime "runtime"
 	"slices"
 	"sync"
 	"time"
@@ -19,13 +18,11 @@ import (
 // neighbor without blocking its backprop.
 const ringDepth = 8
 
-// usableCores is the parallelism the process can actually use:
-// min(GOMAXPROCS, NumCPU), so an oversubscribed GOMAXPROCS doesn't fake
-// capacity. It is a variable only so the in-package tests can run both
-// goroutine layouts on any host; nothing outside a test assigns it.
-var usableCores = func() int {
-	return min(stdruntime.GOMAXPROCS(0), stdruntime.NumCPU())
-}
+// usableCores is the parallelism the process can actually use — the kernel
+// pool's width, tensor.UsableCores. It is a variable only so the in-package
+// tests can run both goroutine layouts on any host; nothing outside a test
+// assigns it.
+var usableCores = tensor.UsableCores
 
 // resolveCommMode decides whether this incarnation's live workers run the
 // merged single-goroutine loop (true) or the overlapped compute+comm pair

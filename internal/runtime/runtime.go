@@ -85,12 +85,6 @@ type Config struct {
 	// NaiveGNS switches GNS aggregation to plain averaging instead of the
 	// Theorem 4.1 minimum-variance weights.
 	NaiveGNS bool
-	// KernelShards, when positive, sets the process-wide tensor kernel
-	// worker-pool size: matmuls are sharded across that many goroutines by
-	// contiguous output rows (1 = serial). Parallel kernels are bitwise
-	// identical to serial ones, so this changes wall-clock time only, never
-	// the trained weights. The setting persists after Train returns.
-	KernelShards int
 	// BucketBytes caps the gradient bucket size for the ring all-reduce. A
 	// positive value is an explicit per-bucket byte cap (PyTorch DDP uses
 	// 25 MB); zero (the default) sizes buckets adaptively from the model
@@ -186,9 +180,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Epochs < 1 || c.LearningRate <= 0 {
 		return fmt.Errorf("runtime: invalid epochs %d / learning rate %v", c.Epochs, c.LearningRate)
-	}
-	if c.KernelShards < 0 {
-		return fmt.Errorf("runtime: kernel shards %d", c.KernelShards)
 	}
 	if c.Dataset == nil || c.Dataset.Len() < 1 {
 		return errors.New("runtime: config needs a non-empty dataset")
@@ -360,9 +351,6 @@ func Train(cfg Config) (*Result, error) {
 func train(cfg *Config, host hosting) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.KernelShards > 0 {
-		tensor.SetParallelism(cfg.KernelShards)
 	}
 
 	res := &Result{Backend: cfg.Backend, Workers: len(cfg.LocalBatches), GlobalBatch: sum(cfg.LocalBatches)}

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"crypto/sha256"
-	"errors"
 	"fmt"
 	"math"
 	"time"
@@ -42,7 +41,6 @@ func MLPConfigOf(spec *runspec.Spec) cannikin.MLPConfig {
 		Backend:      spec.Backend,
 		Seed:         spec.Seed,
 		BucketBytes:  spec.BucketBytes,
-		KernelShards: spec.KernelShards,
 		Allreduce:    spec.Allreduce,
 		Fault:        faultsToConfig(spec.Faults, spec.FaultReplan),
 		Resume:       spec.Resume,
@@ -87,18 +85,9 @@ func TrainConfigOf(spec *runspec.Spec) cannikin.TrainConfig {
 	return cfg
 }
 
-// errTenantKernelShards refuses a served spec that sets kernel_shards: the
-// tensor kernel pool is process-wide and a setting outlives the run that
-// made it, so one tenant would re-size every tenant's kernels. Process
-// parallelism is the operator's, not a tenant's.
-var errTenantKernelShards = errors.New("server: kernel_shards jobs are not supported (the kernel pool is process-wide; its size is the operator's)")
-
 func runMLPJob(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
 	if spec.Transport == runspec.TransportTCP {
 		return nil, fmt.Errorf("server: tcp transport jobs are not supported (the service runs workers in-process)")
-	}
-	if spec.KernelShards != 0 {
-		return nil, errTenantKernelShards
 	}
 	cfg := MLPConfigOf(spec)
 	start := time.Now()

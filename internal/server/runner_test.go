@@ -43,14 +43,14 @@ func TestMLPConfigOfFaults(t *testing.T) {
 func TestMLPConfigOfFields(t *testing.T) {
 	spec := &runspec.Spec{
 		MLPBatches: []int{8, 4}, Backend: "live", Seed: 9, Epochs: 3,
-		BucketBytes: 512, KernelShards: 2, Allreduce: "hd",
+		BucketBytes: 512, Allreduce: "hd",
 		Resume: "join-1", Joins: []runspec.JoinEntry{{Epoch: 1, Batch: 4, Replan: "keep"}},
 		AutoscaleMin: 1, AutoscaleMax: 4, AutoscaleGrow: 0.1, AutoscaleShrink: 0.02, AutoscaleBatch: 2,
 		CheckpointIn: "/never/opened",
 	}
 	want := cannikin.MLPConfig{
 		LocalBatches: []int{8, 4}, Backend: "live", Seed: 9, Epochs: 3,
-		BucketBytes: 512, KernelShards: 2, Allreduce: "hd",
+		BucketBytes: 512, Allreduce: "hd",
 		Resume: "join-1", Joins: []cannikin.JoinSpec{{Epoch: 1, Batch: 4, Replan: "keep"}},
 		Autoscale: &cannikin.AutoscaleConfig{MinWorkers: 1, MaxWorkers: 4, GrowThreshold: 0.1, ShrinkThreshold: 0.02, JoinBatch: 2},
 	}

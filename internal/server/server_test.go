@@ -16,7 +16,6 @@ import (
 
 	"cannikin/internal/jobs"
 	"cannikin/internal/runspec"
-	"cannikin/internal/tensor"
 )
 
 // slowRunner is a controllable fake for HTTP-layer tests.
@@ -544,21 +543,29 @@ func TestElasticJobGrantedCeiling(t *testing.T) {
 	}
 }
 
-// TestKernelShardsRefused: the kernel pool is process-wide and a setting
-// outlives the run that made it, so a tenant's kernel_shards must fail its
-// own job and leave every other tenant's kernels as the operator set them.
-func TestKernelShardsRefused(t *testing.T) {
-	before := tensor.Parallelism()
-	_, ts := newTestServer(t, Config{Pool: jobs.PoolConfig{Devices: 2, Seed: 1}})
+// TestKernelShardsSpecRejected400: the kernel pool's width is the host's,
+// so no spec field sets it — a spec that still names kernel_shards fails
+// runspec.Decode's unknown-field check like any other unknown field: HTTP
+// 400 naming the field, and nothing admitted.
+func TestKernelShardsSpecRejected400(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Pool:   jobs.PoolConfig{Devices: 2, Seed: 1},
+		Runner: &slowRunner{epochs: 1},
+	})
 	resp, st := postSpec(t, ts, `{"mlp": true, "mlp_batches": [4, 4], "epochs": 1, "kernel_shards": 4}`)
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("submit = %d (%s)", resp.StatusCode, st.Error)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(st.Error, "kernel_shards") {
+		t.Fatalf("submit = %d (%q), want 400 naming kernel_shards", resp.StatusCode, st.Error)
 	}
-	got := waitDone(t, ts, st.ID)
-	if got.State != jobs.StateFailed || got.Error != errTenantKernelShards.Error() {
-		t.Fatalf("job = %s (err %q), want failed with %q", got.State, got.Error, errTenantKernelShards)
+	stats, err := http.Get(ts.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if after := tensor.Parallelism(); after != before {
-		t.Fatalf("kernel parallelism %d → %d: a tenant re-sized the process's pool", before, after)
+	defer stats.Body.Close()
+	var got jobs.Stats
+	if err := json.NewDecoder(stats.Body).Decode(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.Submitted != 0 || got.Queued != 0 || got.Running != 0 {
+		t.Fatalf("a kernel_shards spec admitted something: %+v", got)
 	}
 }

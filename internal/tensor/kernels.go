@@ -28,8 +28,8 @@ import (
 // The inner dimension is blocked in ascending panels so the right-hand
 // working set stays in cache; panels only regroup the same ascending order.
 //
-// Kernels shard across output rows through the package worker pool (see
-// pool.go); each output element is owned by one shard, so parallel runs are
+// Large kernels are cut into output-row tiles over the package pool (see
+// pool.go); each output element is owned by one tile, so tiled runs are
 // bitwise equal to serial runs.
 
 // kernelBlockK is the inner-dimension panel size: 256 float64 rows of the

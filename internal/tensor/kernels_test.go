@@ -3,6 +3,8 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 
 	"cannikin/internal/rng"
@@ -205,15 +207,43 @@ func TestKernelsZeroSkipEdgeCases(t *testing.T) {
 	}
 }
 
+// tiledInto runs one kernel over rows [0, rows) of dst cut into exactly
+// tiles tiles, offered to every helper the pool has: the unexported hook the
+// tiling tests drive the tile count through, whatever the process's width.
+func tiledInto(op kernelOp, dst, a, b *T, tiles int) {
+	rows := a.rows
+	if op == opAddMulAT {
+		rows = a.cols
+	}
+	acquire(op, dst, a, b, rows, tiles).run(runtime.NumCPU() - 1)
+}
+
+// assertTiledMatchesNaive is assertProductMatchesNaive through tiledInto:
+// the one product l·r through all three kernels, each cut into tiles tiles
+// (capped at its own output rows), bitwise the naive loop's.
+func assertTiledMatchesNaive(t *testing.T, name string, l, r *T, tiles int) {
+	t.Helper()
+	want := naiveMatMul(l, r)
+	mm := New(l.rows, r.cols)
+	tiledInto(opMatMul, mm, l, r, min(tiles, l.rows))
+	assertBitwiseEqual(t, name+" MatMulInto", mm, want)
+	bt := New(l.rows, r.cols)
+	tiledInto(opMulBT, bt, l, r.Transpose(), min(tiles, l.rows))
+	assertBitwiseEqual(t, name+" MulBTInto", bt, want)
+	at := New(l.rows, r.cols)
+	tiledInto(opAddMulAT, at, l.Transpose(), r, min(tiles, l.rows))
+	assertBitwiseEqual(t, name+" AddMulATInto", at, want)
+}
+
 // FuzzKernelsMatchNaive: for any shape, sparsity and seed, all three kernels
-// produce the naive loop's bits, run serially and sharded three ways.
+// produce the naive loop's bits, run serially and cut into one tile, every
+// row its own tile, and a seed-chosen count in between.
 func FuzzKernelsMatchNaive(f *testing.F) {
 	f.Add(uint8(3), uint16(5), uint8(7), uint8(80), uint64(1))
 	f.Add(uint8(17), uint16(kernelBlockK+3), uint8(9), uint8(128), uint64(2))
 	f.Add(uint8(1), uint16(1), uint8(1), uint8(0), uint64(3))
 	f.Add(uint8(23), uint16(2*kernelBlockK), uint8(22), uint8(250), uint64(4))
 	f.Fuzz(func(t *testing.T, rows uint8, inner uint16, cols uint8, zeros uint8, seed uint64) {
-		defer SetParallelism(1)
 		src := rng.New(seed)
 		l := Randn(1+int(rows)%24, 1+int(inner)%(2*kernelBlockK+8), 1, src)
 		r := Randn(l.cols, 1+int(cols)%24, 1, src)
@@ -222,21 +252,20 @@ func FuzzKernelsMatchNaive(f *testing.F) {
 				l.data[i] = math.Copysign(0, src.Float64()-0.5)
 			}
 		}
-		for _, p := range []int{1, 3} {
-			SetParallelism(p)
-			assertProductMatchesNaive(t, fmt.Sprintf("shards=%d %dx%dx%d", p, l.rows, l.cols, r.cols), l, r)
+		assertProductMatchesNaive(t, fmt.Sprintf("serial %dx%dx%d", l.rows, l.cols, r.cols), l, r)
+		for _, tiles := range []int{1, 1 + int(seed%uint64(l.rows)), l.rows} {
+			assertTiledMatchesNaive(t, fmt.Sprintf("tiles=%d %dx%dx%d", tiles, l.rows, l.cols, r.cols), l, r, tiles)
 		}
 	})
 }
 
 // TestParallelKernelsBitwiseEqualSerial is the determinism property test:
-// for every shape (including row counts that do not divide evenly across
-// the shards) and every pool size, the parallel kernels must produce the
-// same bits as the serial ones. Row-sharded dispatch owns each output row
-// exclusively and keeps the per-row summation order, so any difference is
-// a bug.
+// for every shape and every tile count from one to the kernel's output rows
+// (rows 1, 2 and 3 among them, and row counts the tile count does not
+// divide), the tiled kernels must produce the serial kernels' bits, which
+// are the naive loop's. Each output row belongs to one tile and keeps its
+// serial summation order, so any difference is a bug.
 func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
-	defer SetParallelism(1)
 	src := rng.New(11)
 	for _, sh := range kernelShapes {
 		x := Randn(sh.n, sh.k, 1, src)
@@ -244,31 +273,94 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 		dout := Randn(sh.n, sh.c, 1, src)
 		sparsify(x, src)
 
-		SetParallelism(1)
 		serialMM := New(sh.n, sh.c)
-		MatMulInto(serialMM, x, w)
+		runRows(opMatMul, serialMM, x, w, 0, sh.n)
+		assertBitwiseEqual(t, fmt.Sprintf("serial MatMulInto %v", sh), serialMM, naiveMatMul(x, w))
 		serialAT := New(sh.k, sh.c)
-		AddMulATInto(serialAT, x, dout)
+		runRows(opAddMulAT, serialAT, x, dout, 0, sh.k)
+		assertBitwiseEqual(t, fmt.Sprintf("serial AddMulATInto %v", sh), serialAT, naiveMatMul(x.Transpose(), dout))
 		serialBT := New(sh.n, sh.k)
-		MulBTInto(serialBT, dout, w)
+		runRows(opMulBT, serialBT, dout, w, 0, sh.n)
+		assertBitwiseEqual(t, fmt.Sprintf("serial MulBTInto %v", sh), serialBT, naiveMatMul(dout, w.Transpose()))
 
-		for _, p := range []int{2, 3, 4, 7} {
-			SetParallelism(p)
-			if got := Parallelism(); got != p {
-				t.Fatalf("Parallelism() = %d after SetParallelism(%d)", got, p)
-			}
+		for tiles := 1; tiles <= sh.n; tiles++ {
 			mm := New(sh.n, sh.c)
-			MatMulInto(mm, x, w)
-			assertBitwiseEqual(t, fmt.Sprintf("p=%d MatMulInto %v", p, sh), mm, serialMM)
-
-			at := New(sh.k, sh.c)
-			AddMulATInto(at, x, dout)
-			assertBitwiseEqual(t, fmt.Sprintf("p=%d AddMulATInto %v", p, sh), at, serialAT)
+			tiledInto(opMatMul, mm, x, w, tiles)
+			assertBitwiseEqual(t, fmt.Sprintf("tiles=%d MatMulInto %v", tiles, sh), mm, serialMM)
 
 			bt := New(sh.n, sh.k)
-			MulBTInto(bt, dout, w)
-			assertBitwiseEqual(t, fmt.Sprintf("p=%d MulBTInto %v", p, sh), bt, serialBT)
+			tiledInto(opMulBT, bt, dout, w, tiles)
+			assertBitwiseEqual(t, fmt.Sprintf("tiles=%d MulBTInto %v", tiles, sh), bt, serialBT)
 		}
+		for tiles := 1; tiles <= sh.k; tiles++ {
+			at := New(sh.k, sh.c)
+			tiledInto(opAddMulAT, at, x, dout, tiles)
+			assertBitwiseEqual(t, fmt.Sprintf("tiles=%d AddMulATInto %v", tiles, sh), at, serialAT)
+		}
+	}
+}
+
+// TestTiledJobLateHelper: a helper that took a job from the open list but is
+// scheduled only after the job has finished — and after the caller has
+// moved on to a new dispatch — must claim no tile, and the job may not be
+// recycled into that new dispatch while the helper still holds it. Once the
+// helper drops its reference the job is recycled, and the dispatch that
+// reuses it is bitwise correct.
+func TestTiledJobLateHelper(t *testing.T) {
+	src := rng.New(19)
+	x := Randn(12, 40, 1, src)
+	w := Randn(40, 24, 1, src)
+	want := naiveMatMul(x, w)
+	const tiles = 6
+
+	first := New(12, 24)
+	j := acquire(opMatMul, first, x, w, 12, tiles)
+	j.refs.Add(1) // taken by a helper that has not been scheduled yet
+	j.run(0)      // the caller alone runs every tile
+	assertBitwiseEqual(t, "first dispatch", first, want)
+	pool.mu.Lock()
+	listed := slices.Contains(pool.open, j)
+	pool.mu.Unlock()
+	if listed {
+		t.Fatal("a finished job is still on the open list")
+	}
+
+	// The caller's next dispatch may not get j back: the late helper holds it.
+	second := New(12, 24)
+	next := acquire(opMatMul, second, x, w, 12, tiles)
+	if next == j {
+		t.Fatal("a job still held by a helper was recycled into a new dispatch")
+	}
+	next.run(runtime.NumCPU() - 1)
+	assertBitwiseEqual(t, "second dispatch", second, want)
+
+	// The helper wakes: the cursor is exhausted, it claims nothing.
+	if j.work() {
+		t.Fatal("the late helper finished a tile")
+	}
+	if got := j.finished.Load(); got != tiles {
+		t.Fatalf("finished tiles = %d after the late helper, want %d", got, tiles)
+	}
+	assertBitwiseEqual(t, "first dispatch after the late helper", first, want)
+	j.release()
+
+	// Its reference gone, j is recycled into a later dispatch.
+	var held []*job
+	third := New(12, 24)
+	for {
+		got := acquire(opMatMul, third, x, w, 12, tiles)
+		if got == j {
+			break
+		}
+		held = append(held, got)
+		if len(held) > cap(pool.free) {
+			t.Fatal("a job whose last reference was dropped never came back off the free list")
+		}
+	}
+	j.run(runtime.NumCPU() - 1)
+	assertBitwiseEqual(t, "dispatch on the recycled job", third, want)
+	for _, h := range held {
+		h.release()
 	}
 }
 
@@ -276,8 +368,6 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 // goroutines at once (the live runtime's shape: one kernel caller per
 // worker) under the race detector, checking results stay bitwise correct.
 func TestParallelKernelsConcurrentCallers(t *testing.T) {
-	defer SetParallelism(1)
-	SetParallelism(4)
 	src := rng.New(13)
 	x := Randn(33, 64, 1, src)
 	w := Randn(64, 48, 1, src)
@@ -289,7 +379,11 @@ func TestParallelKernelsConcurrentCallers(t *testing.T) {
 		go func() {
 			for iter := 0; iter < 50; iter++ {
 				out := New(33, 48)
-				MatMulInto(out, x, w)
+				if iter%2 == 0 {
+					MatMulInto(out, x, w)
+				} else {
+					tiledInto(opMatMul, out, x, w, 1+(g+iter)%33)
+				}
 				for i, v := range out.data {
 					if v != want.data[i] {
 						errs <- fmt.Errorf("iter %d element %d: %v != %v", iter, i, v, want.data[i])
@@ -424,7 +518,8 @@ func BenchmarkAddMulAT(b *testing.B) {
 	}, AddMulATInto)
 }
 
-// BenchmarkMatMulParallel measures the pool's scaling on one big matmul.
+// BenchmarkMatMulParallel measures the pool's scaling on one big matmul:
+// shardsN runs it with N usable cores.
 func BenchmarkMatMulParallel(b *testing.B) {
 	src := rng.New(1)
 	x := Randn(256, 256, 1, src)
@@ -432,8 +527,7 @@ func BenchmarkMatMulParallel(b *testing.B) {
 	out := New(256, 256)
 	for _, p := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards%d", p), func(b *testing.B) {
-			SetParallelism(p)
-			defer SetParallelism(1)
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(p))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				MatMulInto(out, x, w)

@@ -2,23 +2,35 @@ package tensor
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
-// The kernel worker pool shards the row loops of the destination-passing
-// kernels (MatMulInto, AddMulATInto, MulBTInto) across long-lived worker
-// goroutines. Sharding is by contiguous output-row ranges and every row is
-// owned by exactly one shard, so the floating-point accumulation order of
-// each output element is identical to the serial kernel regardless of how
-// the scheduler interleaves the shards — parallel and serial results are
-// bitwise equal (see TestParallelKernelsBitwiseEqualSerial).
+// The kernel pool lets idle cores finish a busy caller's matmul. A kernel at
+// or above ParallelWorkFloor is cut into contiguous output-row tiles, about
+// tilesPerCore per usable core. The caller lists the job as open, wakes
+// parked helper goroutines with non-blocking sends, then claims tiles from
+// the job's atomic cursor itself; whoever is free claims the next tile. A
+// woken helper works through whichever open job has the most tiles left, so
+// a helper one caller woke but the scheduler ran late still finishes the
+// straggler's kernel. The caller waits only for tiles a helper has already
+// claimed, never for a helper the scheduler has not yet run: a helper that
+// reaches a job after it has finished finds the cursor exhausted and touches
+// nothing.
 //
-// The dispatch path allocates nothing: tasks are plain structs sent by
-// value over a buffered channel, and completion channels are recycled
-// through a free list, so the pool can sit on the zero-allocation training
-// step of internal/runtime.
+// Every output row belongs to exactly one tile and each tile runs the serial
+// row-range kernel, so the floating-point accumulation order of every output
+// element is the serial kernel's at any tile count and any interleaving —
+// tiled and serial results are bitwise equal (see
+// TestParallelKernelsBitwiseEqualSerial).
+//
+// The dispatch path allocates nothing once warm: jobs are recycled through a
+// free list, and a job returns to it only when its reference count — the
+// caller's plus one per helper that took it from the open list — drops to
+// zero, so a late helper can never claim a tile of a later dispatch.
 
-// kernelOp selects the row-range kernel a pool task runs.
+// kernelOp selects the row-range kernel a job runs.
 type kernelOp uint8
 
 const (
@@ -27,84 +39,190 @@ const (
 	opMulBT
 )
 
-// poolTask is one contiguous row shard of a kernel invocation.
-type poolTask struct {
-	op        kernelOp
-	dst, a, b *T
-	lo, hi    int
-	done      chan struct{}
-}
-
-// ParallelWorkFloor is the approximate flop count below which sharding
+// ParallelWorkFloor is the approximate flop count below which tiling
 // overhead outweighs the parallel win and kernels run inline. Other
 // goroutine-sharded work (the runtime's evaluation and norm lanes) uses the
 // same floor.
 const ParallelWorkFloor = 1 << 15
 
-// doneFreeSlots bounds how many kernel invocations can be in flight at
-// once before dispatchers briefly queue for a completion channel. Live
-// training runs one kernel per worker goroutine at a time, so this only
-// needs to cover a realistic worker count.
-const doneFreeSlots = 32
+// tilesPerCore is how many tiles a kernel is cut into per usable core: enough
+// that a caller or helper arriving late still finds work, few enough that a
+// tile's rows amortize its claim.
+const tilesPerCore = 4
 
-var pool struct {
-	mu       sync.RWMutex
-	size     int
-	tasks    chan poolTask
-	doneFree chan chan struct{}
+// UsableCores is the parallelism the process can actually use:
+// min(GOMAXPROCS, NumCPU), so an oversubscribed GOMAXPROCS doesn't fake
+// capacity. The kernel pool reads it on every dispatch.
+func UsableCores() int {
+	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
-// Parallelism returns the current kernel shard count (1 = serial).
-func Parallelism() int {
-	pool.mu.RLock()
-	defer pool.mu.RUnlock()
-	if pool.size < 1 {
-		return 1
-	}
-	return pool.size
+// job is one tiled kernel invocation.
+type job struct {
+	op        kernelOp
+	dst, a, b *T
+	rows      int
+	tiles     int32
+	next      atomic.Int32 // cursor: the next unclaimed tile
+	finished  atomic.Int32 // tiles run to completion
+	refs      atomic.Int32 // the caller's reference plus one per helper holding the job
+	done      chan struct{}
 }
 
-// SetParallelism resizes the shared kernel worker pool to n shards.
-// n <= 1 disables the pool and every kernel runs serially in its caller.
-// The call blocks until in-flight kernel dispatches finish, then replaces
-// the workers; results are bitwise independent of the setting.
-func SetParallelism(n int) {
-	if n < 1 {
-		n = 1
+var pool = struct {
+	mu   sync.Mutex
+	open []*job        // jobs whose callers are still claiming tiles
+	wake chan struct{} // unbuffered: a send succeeds only to a parked helper
+	// free holds recycled jobs. In flight at once are one job per kernel
+	// caller plus one per helper still holding a finished one, far under
+	// the 64 slots for the callers the runtime and the service start; a job
+	// released into a full list is left to the collector.
+	free chan *job
+}{
+	open: make([]*job, 0, 64),
+	wake: make(chan struct{}),
+	free: make(chan *job, 64),
+}
+
+// The helpers start with the package so the goroutine count is the same
+// before and after any kernel runs; NumCPU-1 of them with the caller cover
+// every core the process could be given.
+func init() {
+	for range runtime.NumCPU() - 1 {
+		go helper()
 	}
+}
+
+func helper() {
+	for range pool.wake {
+		for j := openJob(); j != nil; j = openJob() {
+			j.help()
+		}
+	}
+}
+
+// openJob returns the open job with the most unclaimed tiles, holding a
+// reference for the helper, or nil when no job has a tile left.
+func openJob() *job {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
-	if n == pool.size || (n == 1 && pool.size == 0) {
+	var best *job
+	var most int32
+	for _, j := range pool.open {
+		if left := j.tiles - j.next.Load(); left > most {
+			best, most = j, left
+		}
+	}
+	if best != nil {
+		best.refs.Add(1)
+	}
+	return best
+}
+
+// dispatch runs rows [0, rows) of the kernel, tiled over the pool when the
+// process has a core to spare and the invocation is large enough to benefit.
+// work is the approximate flop count of the full invocation.
+func dispatch(op kernelOp, dst, a, b *T, rows, work int) {
+	cores := UsableCores()
+	if cores < 2 || rows < 2 || work < ParallelWorkFloor {
+		runRows(op, dst, a, b, 0, rows)
 		return
 	}
-	if pool.tasks != nil {
-		close(pool.tasks) // retire the old workers
-		pool.tasks = nil
-		pool.doneFree = nil
+	acquire(op, dst, a, b, rows, min(rows, tilesPerCore*cores)).run(cores - 1)
+}
+
+// run lists the job as open, wakes at most helpers parked helpers, works on
+// it alongside them until every tile has run, and drops the caller's
+// reference.
+func (j *job) run(helpers int) {
+	pool.mu.Lock()
+	pool.open = append(pool.open, j)
+	pool.mu.Unlock()
+wake:
+	for range min(helpers, int(j.tiles)-1) {
+		select {
+		case pool.wake <- struct{}{}:
+		default: // no helper parked
+			break wake
+		}
 	}
-	pool.size = n
-	if n == 1 {
-		return
+	last := j.work()
+	pool.mu.Lock()
+	for i, o := range pool.open {
+		if o == j {
+			pool.open = append(pool.open[:i], pool.open[i+1:]...)
+			break
+		}
 	}
-	pool.tasks = make(chan poolTask, 4*n)
-	pool.doneFree = make(chan chan struct{}, doneFreeSlots)
-	for i := 0; i < doneFreeSlots; i++ {
-		pool.doneFree <- make(chan struct{}, n)
+	pool.mu.Unlock()
+	if !last {
+		<-j.done
 	}
-	for i := 0; i < n; i++ {
-		go poolWorker(pool.tasks)
+	j.release()
+}
+
+// acquire takes a job off the free list (or makes one, before the pool is
+// warm) for rows [0, rows) cut into tiles, holding the caller's reference.
+func acquire(op kernelOp, dst, a, b *T, rows, tiles int) *job {
+	var j *job
+	select {
+	case j = <-pool.free:
+	default:
+		j = &job{done: make(chan struct{}, 1)}
+	}
+	j.op, j.dst, j.a, j.b, j.rows, j.tiles = op, dst, a, b, rows, int32(tiles)
+	j.next.Store(0)
+	j.finished.Store(0)
+	j.refs.Store(1)
+	return j
+}
+
+// work claims and runs tiles until the cursor is exhausted, and reports
+// whether it finished the job's last tile. When a helper finishes it
+// instead, that helper signals done, exactly once.
+func (j *job) work() (last bool) {
+	for {
+		t := j.next.Add(1) - 1
+		if t >= j.tiles {
+			return last
+		}
+		lo, hi := j.tile(int(t))
+		runRows(j.op, j.dst, j.a, j.b, lo, hi)
+		last = j.finished.Add(1) == j.tiles
 	}
 }
 
-func poolWorker(tasks chan poolTask) {
-	for t := range tasks {
-		runShard(t.op, t.dst, t.a, t.b, t.lo, t.hi)
-		t.done <- struct{}{}
+// help is a helper's share of the job: the tiles it can still claim, the
+// done signal if it ran the last one, and its reference.
+func (j *job) help() {
+	if j.work() {
+		j.done <- struct{}{}
+	}
+	j.release()
+}
+
+// tile is the row range [lo, hi) of tile t: the rows split as evenly as the
+// tile count allows, in order.
+func (j *job) tile(t int) (lo, hi int) {
+	n := int(j.tiles)
+	return t * j.rows / n, (t + 1) * j.rows / n
+}
+
+// release drops one reference; the last one returns the job to the free
+// list.
+func (j *job) release() {
+	if j.refs.Add(-1) != 0 {
+		return
+	}
+	j.dst, j.a, j.b = nil, nil, nil
+	select {
+	case pool.free <- j:
+	default: // more jobs than the free list holds: let this one go
 	}
 }
 
-// runShard executes rows [lo, hi) of the selected kernel.
-func runShard(op kernelOp, dst, a, b *T, lo, hi int) {
+// runRows executes rows [lo, hi) of the selected kernel.
+func runRows(op kernelOp, dst, a, b *T, lo, hi int) {
 	switch op {
 	case opMatMul:
 		matMulRange(dst, a, b, lo, hi)
@@ -115,38 +233,4 @@ func runShard(op kernelOp, dst, a, b *T, lo, hi int) {
 	default:
 		panic(fmt.Sprintf("tensor: unknown kernel op %d", op))
 	}
-}
-
-// dispatch shards rows [0, rows) of the kernel across the pool, or runs it
-// inline when the pool is disabled or the matrix is too small to benefit.
-// work is the approximate flop count of the full invocation.
-func dispatch(op kernelOp, dst, a, b *T, rows, work int) {
-	pool.mu.RLock()
-	defer pool.mu.RUnlock()
-	p := pool.size
-	if p <= 1 || rows < 2 || work < ParallelWorkFloor {
-		runShard(op, dst, a, b, 0, rows)
-		return
-	}
-	if p > rows {
-		p = rows
-	}
-	chunk := (rows + p - 1) / p
-	done := <-pool.doneFree
-	issued := 0
-	for lo := chunk; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		pool.tasks <- poolTask{op: op, dst: dst, a: a, b: b, lo: lo, hi: hi, done: done}
-		issued++
-	}
-	// The caller keeps the first shard for itself so p shards use p
-	// goroutines, then joins the rest.
-	runShard(op, dst, a, b, 0, chunk)
-	for i := 0; i < issued; i++ {
-		<-done
-	}
-	pool.doneFree <- done
 }

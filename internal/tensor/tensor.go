@@ -4,11 +4,11 @@
 // cols index features.
 //
 // The hot path runs through destination-passing kernels (kernels.go):
-// cache-blocked loops writing into caller-owned storage, optionally sharded
-// across a package worker pool (pool.go, SetParallelism). Sharding is by
-// output rows and every row keeps the serial summation order, so results
-// are bitwise identical at any parallelism — determinism the training
-// goldens depend on.
+// cache-blocked loops writing into caller-owned storage, large ones cut into
+// output-row tiles that the caller and the package's parked helpers claim
+// (pool.go). Every row belongs to one tile and keeps the serial summation
+// order, so results are bitwise identical at any core count — determinism
+// the training goldens depend on.
 package tensor
 
 import (

@@ -55,11 +55,6 @@ type MLPConfig struct {
 	// 25 MB); 0 (the default) sizes buckets adaptively from the model size
 	// and worker count.
 	BucketBytes int
-	// KernelShards, when positive, shards every matmul across that many
-	// goroutines by contiguous output rows (1 = serial, the default).
-	// Parallel and serial kernels are bitwise identical, so this is purely
-	// a wall-clock knob; the trained weights never change.
-	KernelShards int
 	// Allreduce selects the collective algorithm reducing gradient buckets:
 	// "" or "ring" (default), "hd" (recursive halving-doubling), or "auto"
 	// (hd for buckets up to 128 KiB, ring above).
@@ -286,7 +281,6 @@ func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 		Scaler:       scaler,
 		NaiveGNS:     cfg.NaiveGNS,
 		BucketBytes:  cfg.BucketBytes,
-		KernelShards: cfg.KernelShards,
 		Allreduce:    cfg.Allreduce,
 		Dataset:      ds,
 		Src:          runSrc,

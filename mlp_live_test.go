@@ -2,6 +2,8 @@ package cannikin
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -70,6 +72,44 @@ func TestTrainMLPLiveMatchesSim(t *testing.T) {
 		}
 		if rl.Profile == nil {
 			t.Fatal("live backend reported no profile")
+		}
+	}
+}
+
+// TestTrainMLPLiveMatchesSimAcrossWidths is the differential at the
+// compute-bound benchmark's shape — local batches [48, 16], hidden 256×256,
+// where rank 0's matmuls are tiled over the kernel pool while rank 1 waits —
+// with one usable core (every kernel inline) and two: sim and live weights
+// are bitwise one vector at both widths.
+func TestTrainMLPLiveMatchesSimAcrossWidths(t *testing.T) {
+	defer watchdog(t, 5*time.Minute)()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	base := MLPConfig{
+		LocalBatches: []int{48, 16}, Hidden: []int{256, 256}, Dim: 64, Classes: 16, Samples: 512,
+		Noise: 2.0, LearningRate: 0.0075, Epochs: 2, Seed: 1,
+	}
+	var ref []float64
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		for _, backend := range []string{"sim", "live"} {
+			cfg := base
+			cfg.Backend = backend
+			res, err := TrainMLP(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ref == nil {
+				ref = res.FinalWeights
+				continue
+			}
+			if len(res.FinalWeights) != len(ref) {
+				t.Fatalf("GOMAXPROCS %d %s: %d weights, want %d", procs, backend, len(res.FinalWeights), len(ref))
+			}
+			for i, w := range res.FinalWeights {
+				if math.Float64bits(w) != math.Float64bits(ref[i]) {
+					t.Fatalf("GOMAXPROCS %d %s: weight %d = %v, want %v (sim at GOMAXPROCS 1)", procs, backend, i, w, ref[i])
+				}
+			}
 		}
 	}
 }

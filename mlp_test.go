@@ -21,7 +21,6 @@ func TestMLPConfigRulesAtPublicBoundary(t *testing.T) {
 		{"autoscale shrink threshold", func(c *MLPConfig) { c.Autoscale = &AutoscaleConfig{ShrinkThreshold: -0.5} }},
 		{"backend", func(c *MLPConfig) { c.Backend = "tpu" }},
 		{"allreduce", func(c *MLPConfig) { c.Allreduce = "warp" }},
-		{"kernel shards", func(c *MLPConfig) { c.KernelShards = -1 }},
 		{"no local batches", func(c *MLPConfig) { c.LocalBatches = nil }},
 		{"zero local batch", func(c *MLPConfig) { c.LocalBatches = []int{8, 0} }},
 		{"join at the last epoch", func(c *MLPConfig) { c.Joins = []JoinSpec{{Epoch: c.Epochs, Batch: 4}} }},

@@ -56,13 +56,16 @@ go test -race ./...
 echo "== go test -race -count=2 (runtime + allreduce) =="
 go test -race -count=2 ./internal/runtime ./internal/allreduce
 
-# The tensor kernel worker pool shards matmuls across goroutines and is
-# resized at runtime (SetParallelism); run its parallel property tests —
-# parallel == serial bitwise, concurrent callers, pool resizing — and the
-# kernels' bitwise-equals-naive contract (tile remainders, the zero skip's
-# edge cases) under the race detector at several GOMAXPROCS values.
+# The tensor kernel pool is always on: every large kernel is cut into
+# output-row tiles that the caller and the parked helpers claim from an
+# atomic cursor, and jobs are recycled under a reference count. Run its
+# property tests by name — tiled == serial == naive bitwise at every tile
+# count, a helper reaching a recycled job late claims nothing, concurrent
+# callers — and the kernels' bitwise-equals-naive contract (tile
+# remainders, the zero skip's edge cases) under the race detector at
+# several GOMAXPROCS values.
 echo "== go test -race -count=2 -cpu 1,2,4 (tensor kernels + pool) =="
-lane -race -count=2 -cpu 1,2,4 -run 'Parallel|Pool|Kernels' ./internal/tensor
+lane -race -count=2 -cpu 1,2,4 -run 'TestParallelKernelsBitwiseEqualSerial|TestTiledJobLateHelper|TestParallelKernelsConcurrentCallers|Kernels' ./internal/tensor
 
 # The kernel benchmarks feed scripts/bench.sh's kernel lane and the
 # trajectory gate; a renamed or panicking sub-benchmark should fail here.
@@ -133,7 +136,7 @@ echo "== elastic smoke: tcp hot-join, a 4th worker process joins mid-run =="
 	-join 1:4 -worker-bin "$BIN/cannikin-worker" >/dev/null
 
 echo "== live-backend smoke: short epochs through the CLI =="
-go run ./cmd/cannikin -mlp -backend live -epochs 2 -mlp-batches 16,8,4 -bucket-bytes 2048 -kernel-shards 2 >/dev/null
+go run ./cmd/cannikin -mlp -backend live -epochs 2 -mlp-batches 16,8,4 -bucket-bytes 2048 >/dev/null
 
 # The collective-engine benchmarks feed scripts/bench.sh's JSON parser and
 # the benchcheck gates; a renamed sub-benchmark or a panicking algorithm
