@@ -165,13 +165,8 @@ func Fig7(opt Options) ([]*trace.Figure, error) {
 		fig := trace.NewFigure(
 			fmt.Sprintf("Fig 7: convergence of %s on %s (cluster B)", w.ModelName, w.Dataset),
 			"seconds", w.Convergence.MetricName)
-		for name, sys := range map[string]trainer.System{
-			"cannikin":    trainer.NewCannikin(),
-			"adaptdl":     trainer.NewAdaptDL(),
-			"lb-bsp":      trainer.NewLBBSP(),
-			"pytorch-ddp": trainer.NewDDP(),
-		} {
-			res, err := runJob("b", wl, sys, opt.seed(), "fig7/"+wl)
+		for _, name := range []string{"cannikin", "adaptdl", "lb-bsp", "pytorch-ddp"} {
+			res, err := runJob("b", wl, systemByName(name), opt.seed(), "fig7/"+wl)
 			if err != nil {
 				return nil, err
 			}

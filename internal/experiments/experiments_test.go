@@ -85,6 +85,29 @@ func TestFig7CannikinFastestOnBothWorkloads(t *testing.T) {
 	}
 }
 
+// TestFig7SeriesInFixedOrder: Fig 7's columns come out in one order on every
+// run, so two runs of the same seed print the same tables.
+func TestFig7SeriesInFixedOrder(t *testing.T) {
+	if testing.Short() {
+		t.Skip("imagenet run in short mode")
+	}
+	figs, err := Fig7(quick)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"cannikin", "adaptdl", "lb-bsp", "pytorch-ddp"}
+	for _, fig := range figs {
+		if len(fig.Series) != len(want) {
+			t.Fatalf("%s: %d series, want %d", fig.Title, len(fig.Series), len(want))
+		}
+		for i, s := range fig.Series {
+			if s.Name != want[i] {
+				t.Fatalf("%s: series %d is %q, want %q", fig.Title, i, s.Name, want[i])
+			}
+		}
+	}
+}
+
 func TestFig8ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")

@@ -6,12 +6,18 @@ import (
 )
 
 // FuzzSolve feeds arbitrary (clamped-to-valid) models and batch sizes into
-// the solver: it must never panic, and every successful plan must satisfy
-// the allocation invariants and never lose to the even split.
+// the solver: it must never panic, every successful plan must satisfy the
+// allocation invariants and never lose to the even split, and wherever the
+// sample-by-sample greedy is cheap enough to run its time must be the plan's.
 func FuzzSolve(f *testing.F) {
 	f.Add(uint8(3), int64(48), 0.25, 0.01, 0.004, 1.0, 3.0)
 	f.Add(uint8(16), int64(512), 0.05, 0.0, 0.0, 0.5, 10.0)
 	f.Add(uint8(1), int64(1), 1.0, 0.5, 0.5, 1.0, 1.0)
+	// Several nodes tie as slowest at the optimum; a search that moved one
+	// sample off the single slowest node stopped short on all three.
+	f.Add(uint8(9), int64(255), 0.001, 0.0, 0.0, 0.1, 88.8657371316289)
+	f.Add(uint8(9), int64(261), 0.001, 0.001, 0.01, 0.1, 0.1)
+	f.Add(uint8(4), int64(415), 0.125, 1.0, 0.0, 0.5, 10.0)
 	f.Fuzz(func(t *testing.T, nRaw uint8, totalRaw int64, gamma, to, tu, speedLo, speedHi float64) {
 		n := int(nRaw%32) + 1
 		total := int(totalRaw % 100000)
@@ -53,6 +59,11 @@ func FuzzSolve(f *testing.F) {
 		if plan.Time <= 0 || math.IsNaN(plan.Time) || math.IsInf(plan.Time, 0) {
 			t.Fatalf("bad plan time %v", plan.Time)
 		}
+		if total*n <= 200000 {
+			if ref := greedyTime(m, total); plan.Time != ref {
+				t.Fatalf("plan %v at %v, greedy min-max %v", plan.Batches, plan.Time, ref)
+			}
+		}
 		// Never worse than the even split.
 		even := make([]int, n)
 		base, rem := total/n, total%n
@@ -68,6 +79,29 @@ func FuzzSolve(f *testing.F) {
 			}
 		}
 	})
+}
+
+// greedyTime is Eq. 7's exact integer minimum by its definition: from
+// minLocalBatch everywhere, each remaining sample goes to the node whose time
+// after taking it is smallest.
+func greedyTime(m ClusterModel, total int) float64 {
+	batches := make([]int, len(m.Nodes))
+	for i := range batches {
+		batches[i] = minLocalBatch
+	}
+	for k := len(batches) * minLocalBatch; k < total; k++ {
+		best, bestT := -1, math.Inf(1)
+		for i, b := range batches {
+			if c := m.Nodes[i].MaxBatch; c > 0 && b >= c {
+				continue
+			}
+			if t := m.NodeTime(i, float64(b+1)); t < bestT {
+				best, bestT = i, t
+			}
+		}
+		batches[best]++
+	}
+	return m.PredictTime(batches)
 }
 
 func clampFinite(v, lo, hi float64) float64 {

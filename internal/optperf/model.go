@@ -126,6 +126,37 @@ func (c ClusterModel) NodeTime(i int, b float64) float64 {
 	return comm
 }
 
+// batchAt is NodeTime's closed-form inverse: the real local batch at which
+// node i's batch time reaches t.
+func (c ClusterModel) batchAt(i int, t float64) float64 {
+	n := c.Nodes[i]
+	// compute path: (Q+K) b + S + M + Tu = t
+	bCompute := (t - c.Tu - n.S - n.M) / (n.Q + n.K)
+	// comm path: (Q + γK) b + S + γM + TComm = t
+	bComm := (t - c.TComm() - n.S - c.Gamma*n.M) / (n.Q + c.Gamma*n.K)
+	return math.Min(bCompute, bComm)
+}
+
+// batchBelow returns the largest local batch in [minLocalBatch, limit]
+// whose NodeTime is below t, or minLocalBatch when there is none. batchAt
+// gives the estimate and NodeTime settles the last sample, so the count is
+// exact in floating point.
+func (c ClusterModel) batchBelow(i int, t float64, limit int) int {
+	b := minLocalBatch
+	if est := math.Ceil(c.batchAt(i, t)) - 1; est >= float64(limit) {
+		b = limit
+	} else if est > minLocalBatch {
+		b = int(est)
+	}
+	for b < limit && c.NodeTime(i, float64(b+1)) < t {
+		b++
+	}
+	for b > minLocalBatch && c.NodeTime(i, float64(b)) >= t {
+		b--
+	}
+	return b
+}
+
 // NodeState returns node i's bottleneck state at local batch b:
 // compute-bound when (1−γ)P_i(b) ≥ T_o.
 func (c ClusterModel) NodeState(i int, b float64) Bottleneck {

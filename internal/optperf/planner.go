@@ -28,7 +28,7 @@ type Planner struct {
 	AuditTol Tolerances
 
 	model ClusterModel
-	cache map[int]cachedPlan
+	cache map[int]Plan
 	stats SolveStats
 	hits  int
 	audit AuditSummary
@@ -75,20 +75,12 @@ func (s *AuditSummary) Merge(o AuditSummary) {
 	}
 }
 
-type cachedPlan struct {
-	plan Plan
-	// computeBound is the warm-start hint: how many boundary-search
-	// outliers were assigned compute-bottleneck (approximated by the
-	// solved state count).
-	computeBound int
-}
-
 // NewPlanner returns a planner for the given model.
 func NewPlanner(model ClusterModel) (*Planner, error) {
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	return &Planner{model: model, cache: make(map[int]cachedPlan)}, nil
+	return &Planner{model: model, cache: make(map[int]Plan)}, nil
 }
 
 // Model returns the planner's current cluster model.
@@ -104,7 +96,7 @@ func (p *Planner) UpdateModel(model ClusterModel) error {
 	p.model = model
 	// Keep the cache only as hints: times must be recomputed lazily.
 	for b, c := range p.cache {
-		c.plan.Time = -1
+		c.Time = -1
 		p.cache[b] = c
 	}
 	return nil
@@ -113,25 +105,7 @@ func (p *Planner) UpdateModel(model ClusterModel) error {
 // Plan solves OptPerf for one total batch size, reusing cached results when
 // the model has not changed since they were computed.
 func (p *Planner) Plan(totalBatch int) (Plan, error) {
-	if c, ok := p.cache[totalBatch]; ok && c.plan.Time >= 0 {
-		p.hits++
-		return c.plan, nil
-	}
-	var hint *int
-	if c, ok := p.cache[totalBatch]; ok {
-		h := c.computeBound
-		hint = &h
-	}
-	plan, report, stats, err := solveWithHintAudited(p.model, totalBatch, hint, p.Audit, p.AuditTol)
-	p.stats.add(stats)
-	if p.Audit != AuditOff && (err == nil || errors.Is(err, ErrAuditFailed)) {
-		p.audit.Add(report)
-	}
-	if err != nil {
-		return Plan{}, err
-	}
-	p.cache[totalBatch] = cachedPlan{plan: plan, computeBound: plan.NumComputeBound()}
-	return plan, nil
+	return p.solve(totalBatch, nil)
 }
 
 // PlanAll solves OptPerf for every candidate total batch size, enumerating
@@ -143,32 +117,41 @@ func (p *Planner) PlanAll(candidates []int) ([]Plan, error) {
 	plans := make([]Plan, 0, len(sorted))
 	var prevState *int
 	for _, b := range sorted {
-		if c, ok := p.cache[b]; ok && c.plan.Time >= 0 {
-			p.hits++
-			plans = append(plans, c.plan)
-			h := c.computeBound
-			prevState = &h
-			continue
-		}
-		hint := prevState
-		if c, ok := p.cache[b]; ok {
-			h := c.computeBound
-			hint = &h
-		}
-		plan, report, stats, err := solveWithHintAudited(p.model, b, hint, p.Audit, p.AuditTol)
-		p.stats.add(stats)
-		if p.Audit != AuditOff && (err == nil || errors.Is(err, ErrAuditFailed)) {
-			p.audit.Add(report)
-		}
+		plan, err := p.solve(b, prevState)
 		if err != nil {
 			return nil, fmt.Errorf("candidate %d: %w", b, err)
 		}
-		p.cache[b] = cachedPlan{plan: plan, computeBound: plan.NumComputeBound()}
 		plans = append(plans, plan)
 		h := plan.NumComputeBound()
 		prevState = &h
 	}
 	return plans, nil
+}
+
+// solve returns the cached plan for totalBatch while its time is current.
+// Otherwise it solves, warm-started from a stale cached plan's overlap state
+// (how many nodes were compute-bottleneck) or else from hint, and audits and
+// caches the result.
+func (p *Planner) solve(totalBatch int, hint *int) (Plan, error) {
+	c, ok := p.cache[totalBatch]
+	if ok && c.Time >= 0 {
+		p.hits++
+		return c, nil
+	}
+	if ok {
+		h := c.NumComputeBound()
+		hint = &h
+	}
+	plan, report, stats, err := solveWithHintAudited(p.model, totalBatch, hint, p.Audit, p.AuditTol)
+	p.stats.add(stats)
+	if p.Audit != AuditOff && (err == nil || errors.Is(err, ErrAuditFailed)) {
+		p.audit.Add(report)
+	}
+	if err != nil {
+		return Plan{}, err
+	}
+	p.cache[totalBatch] = plan
+	return plan, nil
 }
 
 // Stats returns cumulative solver work counters.
@@ -188,5 +171,5 @@ func (p *Planner) CacheHits() int { return p.hits }
 // InvalidateCache drops all cached plans (used when the overlap pattern
 // changed and Section 4.5 requires re-determining every candidate).
 func (p *Planner) InvalidateCache() {
-	p.cache = make(map[int]cachedPlan)
+	p.cache = make(map[int]Plan)
 }

@@ -39,7 +39,7 @@ func TestPropertySolveMatchesWaterfill(t *testing.T) {
 		total := float64(n * (2 + s.Intn(50)))
 
 		var stats SolveStats
-		b1, t1 := solveContinuous(m, total, nil, &stats)
+		t1 := solveContinuous(m, total, nil, &stats)
 		idx := make([]int, n)
 		for i := range idx {
 			idx[i] = i
@@ -56,7 +56,6 @@ func TestPropertySolveMatchesWaterfill(t *testing.T) {
 			return true // waterfill reference unconstrained; skip
 		}
 		t2 := m.PredictTimeFloat(b2)
-		_ = b1
 		return t1 <= t2*(1+1e-6) && t2 <= t1*(1+1e-6)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -229,4 +228,63 @@ func TestPropertySolveScaleInvariance(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestPropertySolveIsExactMinMax: on every small model, with and without
+// caps, the plan's time is the minimum of Eq. 7 over all integer
+// allocations, found by enumerating them.
+func TestPropertySolveIsExactMinMax(t *testing.T) {
+	src := rng.New(3)
+	for trial := 0; trial < 400; trial++ {
+		n := 1 + src.Intn(5)
+		m := randomModel(src, n)
+		capped := trial%2 == 1
+		if capped {
+			for i := range m.Nodes {
+				m.Nodes[i].MaxBatch = 1 + src.Intn(16)
+			}
+		}
+		total := n + src.Intn(41-n)
+		if capTotal, bounded := m.Capacity(); bounded && total > capTotal {
+			total = capTotal
+		}
+		plan, err := mustAuditedSolve(t, m, total)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if best := bruteMinMax(m, total); plan.Time != best {
+			t.Fatalf("trial %d (n=%d B=%d capped=%v): plan %v at %v, optimum %v",
+				trial, n, total, capped, plan.Batches, plan.Time, best)
+		}
+	}
+}
+
+// bruteMinMax enumerates every allocation of total over the model's nodes
+// within [minLocalBatch, cap] and returns the smallest Eq. 7 time.
+func bruteMinMax(m ClusterModel, total int) float64 {
+	n := len(m.Nodes)
+	b := make([]int, n)
+	best := math.Inf(1)
+	var walk func(i, left int)
+	walk = func(i, left int) {
+		hi := left - (n-1-i)*minLocalBatch
+		if c := m.Nodes[i].MaxBatch; c > 0 && c < hi {
+			hi = c
+		}
+		if i == n-1 {
+			if left < minLocalBatch || left > hi {
+				return
+			}
+			b[i] = left
+			if t := m.PredictTime(b); t < best {
+				best = t
+			}
+			return
+		}
+		for b[i] = minLocalBatch; b[i] <= hi; b[i]++ {
+			walk(i+1, left-b[i])
+		}
+	}
+	walk(0, total)
+	return best
 }

@@ -47,9 +47,8 @@ func TestWaterfillResidueRespectsCaps(t *testing.T) {
 // code still ranked it by the raw fractional part (here 0.9, the largest),
 // so it also won the remainder unit that belonged to a faster node.
 func TestRoundAllocationMinClampPriority(t *testing.T) {
-	m := threeNodeModel(0.01, 0.005, 0.25)
 	cont := []float64{0.9, 3.55, 3.55}
-	batches, err := roundAllocation(m, cont, 8)
+	batches, err := roundAllocation(cont, 8, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,19 +65,8 @@ func TestRoundAllocationMinClampPriority(t *testing.T) {
 // overshoot. The pre-fix code ranked it by the raw fractional part (0.0, the
 // smallest), so it lost a unit below a cap it should stay pinned at.
 func TestRoundAllocationCapClampPriority(t *testing.T) {
-	m := ClusterModel{
-		Nodes: []NodeModel{
-			{Q: 0.0001, S: 0.004, K: 0.0002, M: 0.002, MaxBatch: 100},
-			{Q: 0.0004, S: 0.005, K: 0.0008, M: 0.003},
-			{Q: 0.0004, S: 0.005, K: 0.0008, M: 0.003},
-			{Q: 0.0008, S: 0.006, K: 0.0016, M: 0.004},
-		},
-		Gamma: 0.25,
-		To:    0.01,
-		Tu:    0.005,
-	}
 	cont := []float64{250.0, 2.6, 2.7, 1.4}
-	batches, err := roundAllocation(m, cont, 104)
+	batches, err := roundAllocation(cont, 104, []int{100, 0, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,12 +82,11 @@ func TestRoundAllocationCapClampPriority(t *testing.T) {
 	}
 }
 
-// TestLocalSearchContinuesPastMinPinnedCritical: when the critical node is
-// stuck at minLocalBatch its time is a fixed floor on the batch time, but
-// the pre-fix early return also abandoned the rest of the cluster in a
-// skewed state. The search must freeze the immovable node and keep
-// equalizing the movable ones.
-func TestLocalSearchContinuesPastMinPinnedCritical(t *testing.T) {
+// TestSolveEqualizesPastMinPinnedCritical: when the critical node is stuck
+// at minLocalBatch its time is a fixed floor on the batch time, but the rest
+// of the cluster must still be equalized. A pre-fix local search aborted at
+// the pinned critical node and left the healthy nodes skewed.
+func TestSolveEqualizesPastMinPinnedCritical(t *testing.T) {
 	m := ClusterModel{
 		Nodes: []NodeModel{
 			{Q: 1.0, S: 0.1, K: 0.1, M: 0.01}, // pathologically slow, pinned at min
@@ -110,19 +97,13 @@ func TestLocalSearchContinuesPastMinPinnedCritical(t *testing.T) {
 		To:    0.0001,
 		Tu:    0.0001,
 	}
-	batches := []int{1, 10, 2}
-	localSearch(m, batches)
-	if batches[0] != 1 {
-		t.Fatalf("min-pinned node moved: %v", batches)
+	plan, err := Solve(m, 13)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if batches[0]+batches[1]+batches[2] != 13 {
-		t.Fatalf("total changed: %v", batches)
-	}
-	// Nodes 1 and 2 are identical, so the healthy sub-cluster equalizes to
-	// 6/6. Pre-fix the search aborted at the pinned critical node and left
-	// the skewed 10/2 split untouched.
-	if d := batches[1] - batches[2]; d < -1 || d > 1 {
-		t.Fatalf("healthy nodes left unequalized: %v", batches)
+	// Nodes 1 and 2 are identical, so the healthy sub-cluster splits 6/6.
+	if got := plan.Batches; got[0] != 1 || got[1] != 6 || got[2] != 6 {
+		t.Fatalf("batches %v, want [1 6 6]", got)
 	}
 }
 

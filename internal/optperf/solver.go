@@ -28,7 +28,8 @@ func (s *SolveStats) add(o SolveStats) {
 }
 
 // Solve computes OptPerf and the optimal local batch sizes for total batch
-// size B using Algorithm 1, then rounds to a feasible integer allocation.
+// size B: Algorithm 1 finds the continuous optimum, and integerPlan the
+// integer allocation that minimizes Eq. 7 exactly.
 func Solve(model ClusterModel, totalBatch int) (Plan, error) {
 	p, _, err := solveWithHint(model, totalBatch, nil)
 	return p, err
@@ -74,13 +75,8 @@ func solveWithHint(model ClusterModel, totalBatch int, hint *int) (Plan, SolveSt
 		return Plan{}, stats, fmt.Errorf("%w: total batch %d exceeds capacity %d", ErrInfeasible, totalBatch, capTotal)
 	}
 
-	cont, contTime := solveContinuous(model, float64(totalBatch), hint, &stats)
-
-	batches, err := roundAllocation(model, cont, totalBatch)
-	if err != nil {
-		return Plan{}, stats, err
-	}
-	localSearch(model, batches)
+	contTime := solveContinuous(model, float64(totalBatch), hint, &stats)
+	batches := integerPlan(model, totalBatch, contTime)
 
 	plan := Plan{
 		TotalBatch:     totalBatch,
@@ -97,11 +93,12 @@ func solveWithHint(model ClusterModel, totalBatch int, hint *int) (Plan, SolveSt
 	return plan, stats, nil
 }
 
-// solveContinuous finds the relaxed optimum with caps and minimums handled
-// by an active-set (waterfilling) outer loop around Algorithm 1.
-func solveContinuous(model ClusterModel, totalBatch float64, hint *int, stats *SolveStats) (b []float64, optPerf float64) {
+// solveContinuous returns the relaxed optimum's batch time (OptPerf), with
+// caps and minimums handled by an active-set (waterfilling) outer loop around
+// Algorithm 1.
+func solveContinuous(model ClusterModel, totalBatch float64, hint *int, stats *SolveStats) float64 {
 	n := len(model.Nodes)
-	b = make([]float64, n)
+	b := make([]float64, n)
 	pinned := make([]bool, n)
 	remaining := totalBatch
 	free := make([]int, 0, n)
@@ -155,7 +152,7 @@ func solveContinuous(model ClusterModel, totalBatch float64, hint *int, stats *S
 		free = next
 	}
 
-	return b, model.PredictTimeFloat(b)
+	return model.PredictTimeFloat(b)
 }
 
 // algorithm1 is the paper's overlap-state search over the given node subset
@@ -343,19 +340,10 @@ func algorithm1(model ClusterModel, idx []int, total float64, hint *int) (b []fl
 // It is the provably optimal reference solver (each f_i is increasing and
 // convex, so equalized times minimize the maximum).
 func waterfill(model ClusterModel, idx []int, total float64) []float64 {
-	tcomm := model.TComm()
-	batchAt := func(i int, tau float64) float64 {
-		nm := model.Nodes[i]
-		// compute path: (Q+K) b + S + M + Tu = tau
-		bCompute := (tau - model.Tu - nm.S - nm.M) / (nm.Q + nm.K)
-		// comm path: (Q + gamma K) b + S + gamma M + TComm = tau
-		bComm := (tau - tcomm - nm.S - model.Gamma*nm.M) / (nm.Q + model.Gamma*nm.K)
-		return math.Min(bCompute, bComm)
-	}
 	sumAt := func(tau float64) float64 {
 		s := 0.0
 		for _, i := range idx {
-			s += math.Max(batchAt(i, tau), 0)
+			s += math.Max(model.batchAt(i, tau), 0)
 		}
 		return s
 	}
@@ -376,7 +364,7 @@ func waterfill(model ClusterModel, idx []int, total float64) []float64 {
 	}
 	out := make([]float64, len(idx))
 	for j, i := range idx {
-		out[j] = math.Max(batchAt(i, hi), 0)
+		out[j] = math.Max(model.batchAt(i, hi), 0)
 	}
 	// Normalize the bisection residue across nodes with slack toward their
 	// box bounds. Dumping it all on one node can push that node above its
@@ -442,11 +430,65 @@ func distributeResidue(model ClusterModel, idx []int, out []float64, diff float6
 	}
 }
 
+// integerPlan returns the integer allocation of totalBatch that minimizes
+// Eq. 7. Every NodeTime is the max of two increasing lines in b, so it is
+// nondecreasing, and handing samples out one at a time from minLocalBatch,
+// each to the node whose time after taking it is smallest (ties to the
+// lowest index), is optimal. integerPlan returns exactly that allocation:
+// every sample whose time is below the continuous optimum contTime goes out
+// at once, and only the last few go one by one.
+func integerPlan(model ClusterModel, totalBatch int, contTime float64) []int {
+	limits := make([]int, len(model.Nodes))
+	for i, nm := range model.Nodes {
+		limits[i] = totalBatch
+		if nm.MaxBatch > 0 && nm.MaxBatch < totalBatch {
+			limits[i] = nm.MaxBatch
+		}
+	}
+	batches := make([]int, len(limits))
+	below := func(t float64) int {
+		sum := 0
+		for i := range batches {
+			batches[i] = model.batchBelow(i, t, limits[i])
+			sum += batches[i]
+		}
+		return sum
+	}
+	assigned := below(contTime)
+	if assigned > totalBatch {
+		// Rounding put the continuous bound above the integer optimum:
+		// bisect down to the last time whose samples all fit.
+		lo, hi := 0.0, contTime
+		for iter := 0; iter < 64; iter++ {
+			if mid := (lo + hi) / 2; below(mid) > totalBatch {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		assigned = below(lo)
+	}
+	for ; assigned < totalBatch; assigned++ {
+		best, bestT := -1, 0.0
+		for i, b := range batches {
+			if b >= limits[i] {
+				continue
+			}
+			if t := model.NodeTime(i, float64(b+1)); best < 0 || t < bestT {
+				best, bestT = i, t
+			}
+		}
+		batches[best]++
+	}
+	return batches
+}
+
 // roundAllocation converts a continuous allocation to integers that sum to
-// totalBatch, respect caps, and keep every node at minLocalBatch or more,
-// using largest-remainder apportionment.
-func roundAllocation(model ClusterModel, cont []float64, totalBatch int) ([]int, error) {
+// totalBatch, respect caps (0 or a nil caps means unlimited), and keep every
+// node at minLocalBatch or more, using largest-remainder apportionment.
+func roundAllocation(cont []float64, totalBatch int, caps []int) ([]int, error) {
 	n := len(cont)
+	limits := make([]int, n)
 	batches := make([]int, n)
 	assigned := 0
 	type frac struct {
@@ -455,12 +497,16 @@ func roundAllocation(model ClusterModel, cont []float64, totalBatch int) ([]int,
 	}
 	fracs := make([]frac, 0, n)
 	for i, v := range cont {
+		limits[i] = math.MaxInt
+		if caps != nil && caps[i] > 0 {
+			limits[i] = caps[i]
+		}
 		fl := int(math.Floor(v))
 		if fl < minLocalBatch {
 			fl = minLocalBatch
 		}
-		if c := model.Nodes[i].cap(); float64(fl) > c {
-			fl = int(c)
+		if fl > limits[i] {
+			fl = limits[i]
 		}
 		batches[i] = fl
 		assigned += fl
@@ -479,7 +525,7 @@ func roundAllocation(model ClusterModel, cont []float64, totalBatch int) ([]int,
 			if assigned == totalBatch {
 				break
 			}
-			if float64(batches[fr.i]+1) <= model.Nodes[fr.i].cap() {
+			if batches[fr.i] < limits[fr.i] {
 				batches[fr.i]++
 				assigned++
 				progressed = true
@@ -509,74 +555,6 @@ func roundAllocation(model ClusterModel, cont []float64, totalBatch int) ([]int,
 	return batches, nil
 }
 
-// localSearch greedily moves single samples off the critical node while it
-// strictly improves the predicted batch time. A critical node sitting at
-// minLocalBatch cannot donate — its time is a fixed floor on Eq. 7 — but
-// that must not end the search: ties are broken so the immovable node is
-// frozen out and an equally slow movable node still gets to donate,
-// keeping the rest of the cluster equalized.
-func localSearch(model ClusterModel, batches []int) {
-	n := len(batches)
-	frozen := make([]bool, n)
-	for iter := 0; iter < 4*n; iter++ {
-		// Find the critical (slowest) unfrozen node. Ties break toward
-		// nodes at the minimum so they freeze first and movable tied nodes
-		// keep optimizing.
-		worst, worstT := -1, -1.0
-		for i, b := range batches {
-			if frozen[i] {
-				continue
-			}
-			t := model.NodeTime(i, float64(b))
-			tied := worst >= 0 && t >= worstT*(1-1e-12) &&
-				b <= minLocalBatch && batches[worst] > minLocalBatch
-			if t > worstT || tied {
-				worst, worstT = i, t
-			}
-		}
-		if worst < 0 {
-			return
-		}
-		if batches[worst] <= minLocalBatch {
-			frozen[worst] = true
-			continue
-		}
-		bestJ, bestT := -1, worstT
-		for j := range batches {
-			if j == worst || frozen[j] || float64(batches[j]+1) > model.Nodes[j].cap() {
-				continue
-			}
-			batches[worst]--
-			batches[j]++
-			if t := predictUnfrozen(model, batches, frozen); t < bestT {
-				bestJ, bestT = j, t
-			}
-			batches[worst]++
-			batches[j]--
-		}
-		if bestJ < 0 {
-			return
-		}
-		batches[worst]--
-		batches[bestJ]++
-	}
-}
-
-// predictUnfrozen is Eq. 7 restricted to the unfrozen nodes: frozen nodes
-// are min-pinned maxima whose time no move can change.
-func predictUnfrozen(model ClusterModel, batches []int, frozen []bool) float64 {
-	worst := 0.0
-	for i, b := range batches {
-		if frozen[i] {
-			continue
-		}
-		if t := model.NodeTime(i, float64(b)); t > worst {
-			worst = t
-		}
-	}
-	return worst
-}
-
 // ProportionalAllocation implements Eq. 8: before performance models exist
 // (the first two epochs), local batches are assigned inversely proportional
 // to the measured per-sample compute times. Caps may be nil for unlimited.
@@ -601,12 +579,5 @@ func ProportionalAllocation(perSampleTime []float64, totalBatch int, caps []int)
 	for i := range cont {
 		cont[i] = weights[i] / sumW * float64(totalBatch)
 	}
-	m := ClusterModel{Nodes: make([]NodeModel, n), Gamma: 0.5}
-	for i := range m.Nodes {
-		m.Nodes[i] = NodeModel{Q: perSampleTime[i], K: perSampleTime[i], MaxBatch: 0}
-		if caps != nil {
-			m.Nodes[i].MaxBatch = caps[i]
-		}
-	}
-	return roundAllocation(m, cont, totalBatch)
+	return roundAllocation(cont, totalBatch, caps)
 }

@@ -25,7 +25,7 @@ trap 'rm -rf "$BIN"' EXIT
 echo "== go build =="
 go build ./...
 
-# ROADMAP 3(d): bench's calibration probe reads the same host 10-60% slower
+# ROADMAP 5(b): bench's calibration probe reads the same host 10-60% slower
 # when its loop straddles a 64-byte line, and any code linked ahead of main
 # moves it in 32-byte steps, so a change that flips the placement shifts
 # every calibrated metric of every workload by that much and cannot be
@@ -38,7 +38,7 @@ go build -o "$BIN/bench" ./bench
 PROBE_ADDR=$(go tool nm "$BIN/bench" | awk '$3 == "main.probe.func1" { print $1 }')
 [ -n "$PROBE_ADDR" ] || { echo "main.probe.func1 not found in the bench binary" >&2; exit 1; }
 if [ $((0x$PROBE_ADDR % 64)) -ne 32 ]; then
-	echo "main.probe.func1 at 0x$PROBE_ADDR = $((0x$PROBE_ADDR % 64)) (mod 64), want 32: the calibration probe would read this host differently than at the parent (ROADMAP 3(d))" >&2
+	echo "main.probe.func1 at 0x$PROBE_ADDR = $((0x$PROBE_ADDR % 64)) (mod 64), want 32: the calibration probe would read this host differently than at the parent (ROADMAP 5(b))" >&2
 	exit 1
 fi
 echo "main.probe.func1 at 0x$PROBE_ADDR"
@@ -258,6 +258,14 @@ echo "== load-test smoke: 120 concurrent jobs, goodput vs equal-split =="
 # every plan change. By name, so a rename cannot silently drop them.
 echo "== learner lane: incremental == batch fit, history cap, cached GNS weights =="
 lane -race -count=1 -run 'Learner|HistoryCap|CachedWeights|AdaptDLPlans|LineSums' ./internal/perfmodel ./internal/trainer ./internal/stats
+
+# OptPerf's integer plan is the exact min-max of Eq. 7: the plan's time
+# equals an enumeration over every allocation on small models (capped and
+# uncapped), the committed FuzzSolve seeds (several nodes tied as slowest)
+# equal the sample-by-sample greedy, and a min-pinned slowest node leaves the
+# rest equalized. By name, so a rename cannot silently drop them.
+echo "== optperf lane: integer plan == exact min-max =="
+lane -count=1 -run 'TestPropertySolveIsExactMinMax|FuzzSolve|TestSolveEqualizesPastMinPinnedCritical|TestSolveBeatsBruteForce' ./internal/optperf
 
 echo "== audited fuzz smoke: optperf FuzzSolve =="
 lane -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/optperf
