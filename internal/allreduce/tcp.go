@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/bits"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -426,19 +427,49 @@ func (t *TCPTransport) newConn(remote int, f *fault, writes, reads bool) *tcpCon
 	return c
 }
 
+// A rank dials its successor, or a peer, as soon as it starts, usually
+// before that rank has bound its port. The retries back off exponentially
+// from dialRetryMin to dialRetryMax: a ring whose ranks start together forms
+// within a millisecond or two of the last bind, while a peer that takes
+// seconds to boot is polled no more often than every dialRetryMax.
+const (
+	dialRetryMin = 500 * time.Microsecond
+	dialRetryMax = 20 * time.Millisecond
+)
+
+// dialBackoff returns how long to wait after the given failed attempt
+// (0-based) before the next one: dialRetryMin doubled per attempt, capped at
+// dialRetryMax and at left, the time remaining before the deadline.
+func dialBackoff(attempt int, left time.Duration) time.Duration {
+	wait := dialRetryMin
+	for ; attempt > 0 && wait < dialRetryMax; attempt-- {
+		wait *= 2
+	}
+	return max(min(wait, dialRetryMax, left), 0)
+}
+
 // dial connects to the remote rank's listener, retrying while it boots,
-// announces this rank with the given hello, and attaches the socket.
+// announces this rank with the given hello, and attaches the socket. It
+// gives up when the transport fails or closes, even mid-wait, or at the
+// deadline, never waiting past it, with the cause of the last attempt that
+// got an answer (or of the first, when none did): a refusal from a rank
+// that never listens is reported as such, not masked by the timeout of a
+// final attempt cut short by the deadline.
 func (c *tcpConn) dial(magic string, deadline time.Time) error {
 	t := c.t
 	addr := t.addrs[c.remote]
-	var lastErr error
-	for time.Now().Before(deadline) {
+	lastErr := os.ErrDeadlineExceeded
+	for attempt := 0; ; attempt++ {
+		left := time.Until(deadline)
+		if left <= 0 {
+			break
+		}
 		select {
 		case <-t.fault.done:
 			return t.fault.err
 		default:
 		}
-		sock, err := net.DialTimeout("tcp", addr, time.Until(deadline))
+		sock, err := net.DialTimeout("tcp", addr, left)
 		if err == nil {
 			if err = writeHello(sock, magic, t.rank, t.n); err == nil {
 				c.attach(sock)
@@ -446,8 +477,15 @@ func (c *tcpConn) dial(magic string, deadline time.Time) error {
 			}
 			sock.Close()
 		}
-		lastErr = err
-		time.Sleep(20 * time.Millisecond)
+		var ne net.Error
+		if attempt == 0 || !errors.As(err, &ne) || !ne.Timeout() {
+			lastErr = err
+		}
+		select {
+		case <-t.fault.done:
+			return t.fault.err
+		case <-time.After(dialBackoff(attempt, time.Until(deadline))):
+		}
 	}
 	return fmt.Errorf("allreduce: rank %d dial rank %d (%s): %w", t.rank, c.remote, addr, lastErr)
 }

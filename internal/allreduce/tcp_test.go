@@ -5,11 +5,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"net"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 )
@@ -260,4 +266,134 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestDialBackoffSchedule pins the bring-up retry schedule: the first wait
+// is at most a millisecond, each next one doubles until dialRetryMax caps
+// it, and no wait runs past the deadline.
+func TestDialBackoffSchedule(t *testing.T) {
+	if first := dialBackoff(0, time.Hour); first <= 0 || first > time.Millisecond {
+		t.Fatalf("first wait %v, want in (0, 1ms]", first)
+	}
+	prev := dialBackoff(0, time.Hour)
+	for attempt := 1; attempt < 80; attempt++ {
+		got := dialBackoff(attempt, time.Hour)
+		if want := min(2*prev, dialRetryMax); got != want {
+			t.Fatalf("attempt %d waits %v after %v, want %v", attempt, got, prev, want)
+		}
+		prev = got
+	}
+	if prev != dialRetryMax || dialRetryMax != 20*time.Millisecond {
+		t.Fatalf("waits settle at %v (cap %v), want 20ms", prev, dialRetryMax)
+	}
+	for attempt := range 12 {
+		for _, left := range []time.Duration{-time.Second, 0, time.Microsecond, 3 * time.Millisecond} {
+			if got := dialBackoff(attempt, left); got < 0 || got > max(left, 0) {
+				t.Fatalf("attempt %d with %v left waits %v", attempt, left, got)
+			}
+		}
+	}
+}
+
+// TestTCPDialRefusedNamesCause: a successor that never listens fails the
+// bring-up with the refusal as the wrapped cause, at the dial timeout and
+// not a retry interval past it; a dial whose deadline has already lapsed
+// reports the lapse.
+func TestTCPDialRefusedNamesCause(t *testing.T) {
+	t.Parallel()
+	addrs, listeners, err := ReserveRingAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	listeners[1].Close() // rank 1 never comes up
+	const timeout = 300 * time.Millisecond
+	start := time.Now()
+	tr, err := NewTCPTransport(TCPConfig{Rank: 0, Peers: addrs, Listener: listeners[0], DialTimeout: timeout})
+	took := time.Since(start)
+	if err == nil {
+		tr.Close()
+		t.Fatal("ring came up without rank 1")
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("err = %v, want a wrapped ECONNREFUSED", err)
+	}
+	if took < timeout || took >= 2*timeout {
+		t.Fatalf("gave up after %v, want within [%v, %v)", took, timeout, 2*timeout)
+	}
+
+	lapsed := &TCPTransport{rank: 0, n: 2, addrs: addrs, fault: newFault()}
+	c := lapsed.newConn(1, lapsed.fault, true, false)
+	err = c.dial(tcpMagic, time.Now().Add(-time.Second))
+	if !errors.Is(err, os.ErrDeadlineExceeded) || strings.Contains(err.Error(), "%!") {
+		t.Fatalf("lapsed dial: err = %v, want a wrapped os.ErrDeadlineExceeded", err)
+	}
+}
+
+// TestTCPRingFormsInAnyStartOrder: four ranks that each bind their own port
+// start in reverse rank order, a few milliseconds apart, so every rank but
+// the first dials a successor that is not listening yet. The ring forms and
+// its ring and hd reduces (hd's peer links dialed lazily, in whatever order
+// the ranks reach them) are bitwise those of a ring whose ranks started
+// together, and the inline reference's.
+func TestTCPRingFormsInAnyStartOrder(t *testing.T) {
+	t.Parallel()
+	const n = 4
+	addrs, listeners, err := ReserveRingAddrs(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range listeners {
+		ln.Close() // each rank binds its own address, as a worker process does
+	}
+	trs := make([]*TCPTransport, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		rank := n - 1 - i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trs[rank], errs[rank] = NewTCPTransport(TCPConfig{Rank: rank, Peers: addrs, DialTimeout: 5 * time.Second})
+		}()
+		time.Sleep(3 * time.Millisecond)
+	}
+	wg.Wait()
+	staggered := ringSet{close: func() {
+		for _, tr := range trs {
+			if tr != nil {
+				tr.Close()
+			}
+		}
+	}}
+	defer staggered.close()
+	for rank, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+		ring, err := NewRingOver(trs[rank])
+		if err != nil {
+			t.Fatal(err)
+		}
+		staggered.rings = append(staggered.rings, ring)
+	}
+	together := buildTCPSet(t, n)
+	defer together.close()
+
+	rng := rand.New(rand.NewSource(37))
+	for _, algo := range []Algorithm{AlgoRing, AlgoHD} {
+		for _, dim := range []int{3, 257, 20000} {
+			vs := randomVectors(rng, n, dim)
+			want := cloneVectors(vs)
+			inlineReference(algo, want)
+			for name, set := range map[string]ringSet{"staggered": staggered, "together": together} {
+				got := cloneVectors(vs)
+				for rank, err := range reduceAllAlg(set, got, algo, false) {
+					if err != nil {
+						t.Fatalf("%s %s dim=%d rank %d: %v", name, algo, dim, rank, err)
+					}
+				}
+				assertBitwise(t, fmt.Sprintf("%s %s dim=%d", name, algo, dim), got, want)
+			}
+		}
+	}
 }

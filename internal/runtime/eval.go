@@ -4,25 +4,45 @@ import (
 	stdruntime "runtime"
 	"sync"
 
+	"cannikin/internal/allreduce"
 	"cannikin/internal/data"
 	"cannikin/internal/nn"
 	"cannikin/internal/tensor"
 )
 
 // evaluator measures the model on the full dataset after each epoch. Every
-// hosted rank is parked while it runs, so it shards the rows over the cores
-// they left idle, down to one row a shard: each shard forwards its rows
-// through a shadow of the model (the replica's Params, its own workspaces)
-// into its rows of one logits tensor, and the loss and accuracy are then
-// computed once, sequentially, over the assembled logits. Every kernel and
-// layer forward is row-independent, so the result is bitwise that of one
-// sequential Forward of the full set at any shard count. All storage is
-// allocated here, once.
+// hosted rank is parked while it runs, so it shards the rows it forwards
+// over the cores they left idle, down to one row a shard: each shard
+// forwards its rows through a shadow of the model (the replica's Params,
+// its own workspaces) into its rows of one logits tensor, and the loss and
+// accuracy are then computed once, sequentially, over the assembled logits.
+// Every kernel and layer forward is row-independent, so the result is
+// bitwise that of one sequential Forward of the full set at any shard
+// count. All storage is allocated here, once.
+//
+// In one process the evaluator forwards every row. On a ring whose other
+// ranks live in other processes (worker mode, one hosted rank) it forwards
+// only its rank's 1/n of the rows, zeroes the rest, and one ring reduce
+// replicates the tensor: each entry then has at most one contributor that
+// is not +0, and adding +0 to x gives x exactly, except that −0 comes back
+// +0 — a sign that neither softmax cross-entropy nor argmax can see.
 type evaluator struct {
 	labels []int
 	logits *tensor.T
 	shards []*evalShard
 	wg     sync.WaitGroup
+	// own is the span of logits.Data() the shards write; share, when set,
+	// replicates the rest from the other ranks.
+	own   [2]int
+	share *evalShare
+}
+
+// evalShare is a worker-mode rank's part in the evaluation: rank of ring
+// forwards rows [rank·R/n, (rank+1)·R/n), and the logits reduce passes opts.
+type evalShare struct {
+	ring *allreduce.Ring
+	rank int
+	opts allreduce.Options
 }
 
 type evalShard struct {
@@ -34,26 +54,35 @@ type evalShard struct {
 	run func()
 }
 
-// newEvaluator shards ds over min(GOMAXPROCS, rows) shadows of net, whose
-// output width is classes — or over one when the whole forward, about
-// 2·rows·params flops, is under the kernel pool's work floor.
-func newEvaluator(net *nn.Network, ds *data.Dataset, classes int) *evaluator {
+// newEvaluator builds the evaluation of net, whose output width is classes,
+// over ds: every row, or share's rank's rows when share is set. The rows
+// are sharded over min(GOMAXPROCS, rows) shadows of net — or over one when
+// their whole forward, about 2·rows·params flops, is under the kernel pool's
+// work floor, and over none when the rank has no rows.
+func newEvaluator(net *nn.Network, ds *data.Dataset, classes int, share *evalShare) *evaluator {
 	rows := ds.Len()
-	p := 1
-	if 2*rows*net.NumParams() >= tensor.ParallelWorkFloor {
-		p = min(stdruntime.GOMAXPROCS(0), rows)
+	lo, hi := 0, rows
+	if share != nil {
+		n := share.ring.Workers()
+		lo, hi = share.rank*rows/n, (share.rank+1)*rows/n
+	}
+	p := min(1, hi-lo)
+	if 2*(hi-lo)*net.NumParams() >= tensor.ParallelWorkFloor {
+		p = min(stdruntime.GOMAXPROCS(0), hi-lo)
 	}
 	e := &evaluator{
 		labels: ds.Labels,
 		logits: tensor.New(rows, classes),
 		shards: make([]*evalShard, p),
+		own:    [2]int{lo * classes, hi * classes},
+		share:  share,
 	}
 	for i := range e.shards {
-		lo, hi := i*rows/p, (i+1)*rows/p
+		slo, shi := lo+i*(hi-lo)/p, lo+(i+1)*(hi-lo)/p
 		s := &evalShard{
 			net: net.Shadow(),
-			x:   ds.X.SliceRows(lo, hi),
-			out: e.logits.Data()[lo*classes : hi*classes],
+			x:   ds.X.SliceRows(slo, shi),
+			out: e.logits.Data()[slo*classes : shi*classes],
 		}
 		s.run = func() {
 			defer e.wg.Done()
@@ -66,10 +95,24 @@ func newEvaluator(net *nn.Network, ds *data.Dataset, classes int) *evaluator {
 
 func (s *evalShard) forward() { copy(s.out, s.net.Forward(s.x).Data()) }
 
-// eval returns the loss and accuracy of the current weights. Only valid
-// between steps, when nothing is writing them; every goroutine it starts has
-// exited when it returns.
-func (e *evaluator) eval() (loss, accuracy float64) {
+// eval returns the loss and accuracy of the current weights, or the error
+// of the logits reduce. Only valid between steps, when nothing is writing
+// the weights and no hosted worker is using the ring; every goroutine it
+// starts has exited when it returns.
+func (e *evaluator) eval() (loss, accuracy float64, err error) {
+	e.forward()
+	if err := e.replicate(); err != nil {
+		return 0, 0, err
+	}
+	loss, accuracy = e.score()
+	return loss, accuracy, nil
+}
+
+// forward writes the evaluator's rows of the logits.
+func (e *evaluator) forward() {
+	if len(e.shards) == 0 {
+		return
+	}
 	rest := e.shards[1:]
 	e.wg.Add(len(rest))
 	for _, s := range rest {
@@ -77,5 +120,23 @@ func (e *evaluator) eval() (loss, accuracy float64) {
 	}
 	e.shards[0].forward()
 	e.wg.Wait()
+}
+
+// replicate fills in the other ranks' rows of the logits, when they live
+// elsewhere: the rows this rank does not forward are re-zeroed — the last
+// epoch's reduce left the other ranks' logits there — and one unweighted
+// ring reduce sums every rank's tensor.
+func (e *evaluator) replicate() error {
+	if e.share == nil {
+		return nil
+	}
+	all := e.logits.Data()
+	clear(all[:e.own[0]])
+	clear(all[e.own[1]:])
+	return e.share.ring.ReduceWith(e.share.rank, all, e.share.opts)
+}
+
+// score is the loss and accuracy of the assembled logits.
+func (e *evaluator) score() (loss, accuracy float64) {
 	return nn.SoftmaxCrossEntropyLoss(e.logits, e.labels), nn.Accuracy(e.logits, e.labels)
 }

@@ -75,7 +75,7 @@ func TestEvaluatorMatchesSequentialForward(t *testing.T) {
 func evaluatorMatchesSequential(t *testing.T, cfg Config, wantShards int) {
 	rows := cfg.Dataset.Len()
 	net := nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
-	e := newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1])
+	e := newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1], nil)
 
 	if len(e.shards) != wantShards {
 		t.Fatalf("%d shards, want %d", len(e.shards), wantShards)
@@ -92,7 +92,10 @@ func evaluatorMatchesSequential(t *testing.T, cfg Config, wantShards int) {
 	}
 
 	for round := 0; round < 2; round++ {
-		loss, acc := e.eval()
+		loss, acc, err := e.eval()
+		if err != nil {
+			t.Fatal(err)
+		}
 		wantLoss, wantAcc := sequentialEval(cfg, net.FlatWeights())
 		assertBits(t, fmt.Sprintf("round %d loss", round), loss, wantLoss)
 		assertBits(t, fmt.Sprintf("round %d accuracy", round), acc, wantAcc)

@@ -49,11 +49,13 @@ func resolveCommMode(hosted int) bool { return hosted >= usableCores() }
 // every worker has finished the step's communication, so a failed step
 // never leaves the weights partly stepped.
 //
-// The step's GNS norms are computed after the barrier (and the commit), when
-// every worker is idle: |g|² over the owned spans and, when every rank is
-// hosted, each worker's |g_i|² over its gradient slab. These chains are split,
-// each whole, over lanes on the idle cores — lane 0 on the driver, carrying
-// |g|² — and each lane runs its chains side by side through sqNorms.
+// When every rank is hosted, the step's GNS norms are computed after the
+// barrier (and the commit), when every worker is idle: |g|² over the owned
+// spans and each worker's |g_i|² over its gradient slab. These chains are
+// split, each whole, over lanes on the idle cores — lane 0 on the driver,
+// carrying |g|² — and each lane runs its chains side by side through
+// sqNorms. On a ring with remote ranks the norms travel in the workers'
+// one-hot normBuf reduce instead, and the executor runs no chain.
 type liveExec struct {
 	workers []*liveWorker
 	// spans tiles [0, dim) in ascending order with the spans each hosted
@@ -62,12 +64,12 @@ type liveExec struct {
 	spans []ownedSpan
 	prof  *Profile
 	ft    *faultTolerance
-	// remote marks a ring that reaches into other processes: the per-rank
-	// |g_i|² then come from the workers' one-hot ring reduce instead of
-	// the norm lanes.
+	// remote marks a ring that reaches into other processes: |g|² and the
+	// per-rank |g_i|² then come from the workers' one-hot ring reduce
+	// instead of the norm lanes.
 	remote bool
-	// norms holds the step's norm chains: norms[0] is |g|² and, unless
-	// remote, norms[1+i] is hosted worker i's |g_i|². lanes split them, each
+	// norms holds the step's norm chains unless remote: norms[0] is |g|²
+	// and norms[1+i] is hosted worker i's |g_i|². lanes split them, each
 	// whole, over min(usableCores, chains) lanes — one when the chains are
 	// too little work to share — and laneWG joins lanes 1… to the driver.
 	norms  []float64
@@ -137,7 +139,8 @@ type commStats struct {
 // gradient. A hosted worker computes no norm: its |g_i|² is a chain of the
 // driver's norm lanes, which read the slab after the step barrier, before
 // the next step's ZeroGrad. Only on a ring with remote ranks does the worker
-// square its slab itself, mid-step, for the one-hot normBuf reduce.
+// square its slab itself, mid-step, for the one-hot normBuf reduce — and
+// rank 0 its fully gathered sum, |g|², into the buffer's extra slot.
 //
 // The hosted workers share one weight store (net is a replica of the
 // model) and one optimizer. When every rank is hosted the ring runs only
@@ -191,8 +194,9 @@ type liveWorker struct {
 	// enqueue the buckets it completes, so the two goroutines never touch a
 	// region of either buffer concurrently.
 	sum []float64
-	// normBuf, on a ring with remote ranks, is the one-hot |g_i|² vector
-	// whose ring reduce replicates every rank's norm in every process.
+	// normBuf, on a ring with remote ranks, is the one-hot vector whose
+	// ring reduce replicates the step's norms in every process: slot r is
+	// rank r's |g_i|², and slot n is |g|², which rank 0 alone squares.
 	normBuf []float64
 	// dlogits is the reusable loss-gradient workspace.
 	dlogits *tensor.T
@@ -232,10 +236,7 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 	if ranks == nil {
 		ranks = identity(len(replicas))
 	}
-	reduceOpts := host.opts
-	if ft != nil {
-		reduceOpts = allreduce.Options{Guard: true, Policy: ft.policy}
-	}
+	reduceOpts := host.hopOptions(ft)
 	reduceOpts.ScatterOnly = !host.remote()
 	n := ring.Workers()
 	dim := replicas[0].NumParams()
@@ -253,13 +254,12 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 		results:       make([]stepResult, len(replicas)),
 		responded:     make([]bool, len(replicas)),
 	}
-	chains := 1
+	chains, lanes := 0, 0
 	if !e.remote {
-		chains += len(replicas)
-	}
-	lanes := 1
-	if chains*dim >= tensor.ParallelWorkFloor {
-		lanes = min(usableCores(), chains)
+		chains, lanes = 1+len(replicas), 1
+		if chains*dim >= tensor.ParallelWorkFloor {
+			lanes = min(usableCores(), chains)
+		}
 	}
 	e.norms = make([]float64, chains)
 	e.lanes = make([]normLane, lanes)
@@ -300,7 +300,7 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 			}
 		}
 		if e.remote {
-			w.normBuf = make([]float64, n)
+			w.normBuf = make([]float64, n+1)
 		}
 		e.workers[i] = w
 		if merged {
@@ -396,30 +396,32 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 		return gns.Sample{}, firstErr
 	}
 
-	e.laneWG.Add(len(e.lanes) - 1)
-	for _, ln := range e.lanes[1:] {
-		go ln.run()
-	}
-	e.sumNorms(e.lanes[0].lo, e.lanes[0].hi)
-	e.laneWG.Wait()
-
 	n := len(e.sampleBatches)
 	sample := gns.Sample{
 		Batches:      e.sampleBatches[:n],
 		LocalSqNorms: e.sampleNorms[:n],
-		GlobalSqNorm: e.norms[0],
 	}
 	for i, x := range xs {
 		sample.Batches[i] = x.Rows()
 	}
-	for i, w := range e.workers {
-		if !e.remote {
+	if e.remote {
+		norms := e.workers[0].normBuf
+		copy(sample.LocalSqNorms, norms[:n])
+		sample.GlobalSqNorm = norms[n]
+	} else {
+		e.laneWG.Add(len(e.lanes) - 1)
+		for _, ln := range e.lanes[1:] {
+			go ln.run()
+		}
+		e.sumNorms(e.lanes[0].lo, e.lanes[0].hi)
+		e.laneWG.Wait()
+		sample.GlobalSqNorm = e.norms[0]
+		for i, w := range e.workers {
 			sample.LocalSqNorms[w.rank] = e.norms[1+i]
 		}
-		e.prof.Samples = append(e.prof.Samples, e.results[i].sample)
 	}
-	if e.remote {
-		copy(sample.LocalSqNorms, e.workers[0].normBuf)
+	for i := range e.workers {
+		e.prof.Samples = append(e.prof.Samples, e.results[i].sample)
 	}
 	return sample, nil
 }
@@ -639,9 +641,15 @@ func (w *liveWorker) runStep(t stepTask) stepResult {
 		cs = <-w.commDone
 	}
 	if cs.err == nil && w.normBuf != nil {
-		// Replicate every rank's |g_i|² exactly in every process: each rank
-		// contributes a one-hot vector, and adding zeros is exact. The comm
+		// Replicate the step's norms exactly in every process: each rank
+		// contributes a one-hot vector, and adding +0 to a norm, which is
+		// never −0, is exact. Every rank's sum holds the whole reduced
+		// gradient by now, bit for bit the same, so rank 0 alone squares it,
+		// in ascending order — the sequential reference's |g|². The comm
 		// goroutine is idle by now, so the rank's ring state is ours.
+		if w.rank == 0 {
+			w.normBuf[len(w.normBuf)-1] = sqNorm(w.sum)
+		}
 		cs.err = w.ring.ReduceWith(w.rank, w.normBuf, w.opts)
 	}
 	if cs.err != nil {

@@ -298,6 +298,15 @@ type hosting struct {
 // process — which is also when this process cannot rebuild the ring.
 func (h hosting) remote() bool { return h.ring != nil }
 
+// hopOptions is the guarding every reduce of the run passes to its ring:
+// the fault tolerance's per-hop deadlines when it is armed, else h.opts.
+func (h hosting) hopOptions(ft *faultTolerance) allreduce.Options {
+	if ft != nil {
+		return allreduce.Options{Guard: true, Policy: ft.policy}
+	}
+	return h.opts
+}
+
 // incarnation is one cluster configuration the training loop runs under:
 // the initial cluster, and after each membership change, the next one. All
 // fields are in the incarnation's own rank space except origIdx, which
@@ -520,7 +529,13 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 		}
 		d.exec = d.rebuild()
 	}
-	d.eval = newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1])
+	// A worker process evaluates its rank's share of the rows; the
+	// replicating reduce is guarded like the step's.
+	var share *evalShare
+	if host.remote() {
+		share = &evalShare{ring: host.ring, rank: ranks[0], opts: host.hopOptions(ft)}
+	}
+	d.eval = newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1], share)
 	return d, nil
 }
 
@@ -604,7 +619,10 @@ func (d *driver) runEpochs() (*membershipChange, error) {
 			}
 			res.Steps++
 		}
-		loss, accuracy := d.eval.eval()
+		loss, accuracy, err := d.eval.eval()
+		if err != nil {
+			return nil, fmt.Errorf("runtime: epoch %d evaluation: %w", epoch, err)
+		}
 		obs := EpochObs{
 			Epoch:        epoch,
 			Workers:      n,
@@ -716,6 +734,25 @@ func sum(xs []int) int {
 	return total
 }
 
+// replicasAgree is the one replica-consistency check: every vector must
+// equal the first as IEEE-754 bit patterns — the contract is bitwise, and a
+// numeric comparison is blind to NaN. It names the first differing index.
+func replicasAgree(what string, n int, vec func(i int) []float64) ([]float64, error) {
+	ref := vec(0)
+	for i := 1; i < n; i++ {
+		got := vec(i)
+		if len(got) != len(ref) {
+			return nil, fmt.Errorf("runtime: replica %d %s has %d elements, replica 0 has %d", i, what, len(got), len(ref))
+		}
+		for j := range ref {
+			if math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
+				return nil, fmt.Errorf("runtime: replica %d %s diverged from replica 0 at index %d (%v vs %v)", i, what, j, got[j], ref[j])
+			}
+		}
+	}
+	return ref, nil
+}
+
 // sqNorms adds the squares of each v[c]'s elements, in ascending order, to
 // acc[c]: one pass over equal-length vectors carries up to four independent
 // chains in registers, and more go four at a time. Each chain is the same
@@ -776,23 +813,4 @@ func sqNorm(v []float64) float64 {
 	var acc [1]float64
 	sqNorms(acc[:], [][]float64{v})
 	return acc[0]
-}
-
-// replicasAgree is the one replica-consistency check: every vector must
-// equal the first as IEEE-754 bit patterns — the contract is bitwise, and a
-// numeric comparison is blind to NaN. It names the first differing index.
-func replicasAgree(what string, n int, vec func(i int) []float64) ([]float64, error) {
-	ref := vec(0)
-	for i := 1; i < n; i++ {
-		got := vec(i)
-		if len(got) != len(ref) {
-			return nil, fmt.Errorf("runtime: replica %d %s has %d elements, replica 0 has %d", i, what, len(got), len(ref))
-		}
-		for j := range ref {
-			if math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
-				return nil, fmt.Errorf("runtime: replica %d %s diverged from replica 0 at index %d (%v vs %v)", i, what, j, got[j], ref[j])
-			}
-		}
-	}
-	return ref, nil
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	gort "runtime"
 	"sync"
@@ -10,7 +11,9 @@ import (
 	"time"
 
 	"cannikin/internal/allreduce"
+	"cannikin/internal/gns"
 	"cannikin/internal/nn"
+	"cannikin/internal/tensor"
 )
 
 // buildWorkerRings stands a TCP ring up on loopback and returns one Ring
@@ -296,4 +299,211 @@ func TestWorkerCancel(t *testing.T) {
 		t.Fatalf("no rank reported the cancellation: %v", errs)
 	}
 	waitGoroutines(t, before)
+}
+
+// onEveryRank runs f(rank) for every rank but 0 on a long-lived goroutine of
+// its own, released once per call of the returned function, which runs
+// f(0) itself and returns when every rank is done — so a measured call
+// starts no goroutine. stop ends the goroutines.
+func onEveryRank(n int, f func(rank int)) (run, stop func()) {
+	start := make([]chan struct{}, n)
+	var wg sync.WaitGroup
+	for rank := 1; rank < n; rank++ {
+		start[rank] = make(chan struct{})
+		go func() {
+			for range start[rank] {
+				f(rank)
+				wg.Done()
+			}
+		}()
+	}
+	run = func() {
+		wg.Add(n - 1)
+		for _, c := range start[1:] {
+			c <- struct{}{}
+		}
+		f(0)
+		wg.Wait()
+	}
+	stop = func() {
+		for _, c := range start[1:] {
+			close(c)
+		}
+	}
+	return run, stop
+}
+
+// quietestAllocs is allocsPerRun(runs, f) over the quietest of three
+// windows. Goroutines blocking on channels and sockets make the Go runtime
+// allocate now and then for itself — a sudog cache refilled after a GC, an
+// M for a thread parked in a syscall — which no code here can avoid and
+// which lands in one window; a call that allocates does so in every window.
+func quietestAllocs(runs int, f func()) uint64 {
+	least := allocsPerRun(runs, f)
+	for range 2 {
+		least = min(least, allocsPerRun(runs, f))
+	}
+	return least
+}
+
+// TestWorkerEvaluationSharesRows: in worker mode each rank forwards its
+// 1/n of the rows and one ring reduce replicates the logits. Over a
+// loopback TCP ring — for a row count that splits unevenly, and for fewer
+// rows than ranks, where some rank forwards nothing — every rank's loss and
+// accuracy are bitwise the single-process evaluator's, also in a second
+// epoch with other weights (the replicated rows of the first are zeroed
+// again), and with a −0 planted in some rank's rows: the reduce returns it
+// as +0, which neither the loss nor the accuracy sees. Once warm, a
+// replicated evaluation allocates nothing.
+func TestWorkerEvaluationSharesRows(t *testing.T) {
+	const n = 3
+	for _, rows := range []int{50, 2} {
+		t.Run(fmt.Sprintf("rows%d", rows), func(t *testing.T) {
+			rings, closeAll := buildWorkerRings(t, n)
+			defer closeAll()
+			cfg := testConfig(t, 31, []int{4, 4, 4}, rows)
+			classes := cfg.Sizes[len(cfg.Sizes)-1]
+			nets := make([]*nn.Network, n)
+			evals := make([]*evaluator, n)
+			for rank := range evals {
+				nets[rank] = nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
+				evals[rank] = newEvaluator(nets[rank], cfg.Dataset, classes, &evalShare{ring: rings[rank], rank: rank})
+			}
+			refNet := nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
+			ref := newEvaluator(refNet, cfg.Dataset, classes, nil)
+
+			empty := 0
+			for rank, e := range evals {
+				if e.own[0] == e.own[1] {
+					empty++
+					if len(e.shards) != 0 {
+						t.Fatalf("rank %d has no rows but %d shards", rank, len(e.shards))
+					}
+				}
+			}
+			if rows < n && empty == 0 {
+				t.Fatalf("%d rows over %d ranks left no rank empty", rows, n)
+			}
+
+			// planted are the logits set to −0 in round 0: a whole row (an
+			// all-zero tie) and the label logit of the last row.
+			last := rows - 1
+			planted := []int{0, 1, 2, 3, last*classes + cfg.Dataset.Labels[last]}
+			errs := make([]error, n)
+			replicate, stop := onEveryRank(n, func(rank int) { errs[rank] = evals[rank].replicate() })
+			defer stop()
+			for round := range 2 {
+				for _, e := range append(evals, ref) {
+					e.forward()
+					if round == 0 {
+						for _, i := range planted {
+							if i >= e.own[0] && i < e.own[1] {
+								e.logits.Data()[i] = math.Copysign(0, -1)
+							}
+						}
+					}
+				}
+				replicate()
+				wantLoss, wantAcc := ref.score()
+				for rank, e := range evals {
+					if errs[rank] != nil {
+						t.Fatalf("round %d rank %d: %v", round, rank, errs[rank])
+					}
+					loss, acc := e.score()
+					assertBits(t, fmt.Sprintf("round %d rank %d loss", round, rank), loss, wantLoss)
+					assertBits(t, fmt.Sprintf("round %d rank %d accuracy", round, rank), acc, wantAcc)
+					if round == 0 {
+						for _, i := range planted {
+							if got := e.logits.Data()[i]; got != 0 || math.Signbit(got) {
+								t.Fatalf("rank %d planted logit %d replicated as %v (sign %v), want +0", rank, i, got, math.Signbit(got))
+							}
+						}
+					}
+				}
+				for _, net := range append(nets, refNet) {
+					w := net.FlatWeights()
+					for i := range w {
+						w[i] = w[i]*0.5 + 0.01
+					}
+					net.SetFlatWeights(w)
+				}
+			}
+
+			evalAll, stopEval := onEveryRank(n, func(rank int) { _, _, errs[rank] = evals[rank].eval() })
+			defer stopEval()
+			if allocs := quietestAllocs(20, evalAll); allocs != 0 {
+				t.Fatalf("a warm replicated evaluation allocates %v times, want 0", allocs)
+			}
+			for rank, err := range errs {
+				if err != nil {
+					t.Fatalf("rank %d: %v", rank, err)
+				}
+			}
+		})
+	}
+}
+
+// TestWorkerSteadyStateStepAllocsZero is the allocation gate of worker
+// mode: one executor per rank, each hosting its rank of a loopback TCP ring,
+// in both goroutine layouts, plain and guarded. Once warm, a step on every
+// rank — the bucket reduces, rank 0 squaring the gathered sum into the norm
+// vector's extra slot, the one-hot norm reduce and the optimizer —
+// allocates nothing, and every rank reads the same |g|², the sequential
+// chain over rank 0's sum.
+func TestWorkerSteadyStateStepAllocsZero(t *testing.T) {
+	const n, batch = 3, 16
+	for _, mode := range []string{"overlap", "merged"} {
+		for _, guard := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/guard=%v", mode, guard), func(t *testing.T) {
+				rings, closeAll := buildWorkerRings(t, n)
+				defer closeAll()
+				execs := make([]*liveExec, n)
+				var xs []*tensor.T
+				var labels [][]int
+				for rank := range execs {
+					replicas, opt, x, l := allocTestWorkers(t, 1, batch, []int{32, 128, 64, 8})
+					xs, labels = append(xs, x[0]), append(labels, l[0])
+					algs, err := bucketAlgorithms("", replicas[0].NumParams(), 1024, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					host := hosting{ring: rings[rank], ranks: []int{rank}, opts: allreduce.Options{Guard: guard}}
+					execs[rank] = newLiveExec(replicas, opt, 1024, algs, nil, mode == "merged", host)
+					defer execs[rank].close()
+				}
+				stepWeights := evenRatios(n)
+				samples := make([]gns.Sample, n)
+				errs := make([]error, n)
+				stepNo := 0
+				step, stop := onEveryRank(n, func(rank int) {
+					samples[rank], errs[rank] = execs[rank].step(0, stepNo, xs, labels, stepWeights, 0.01)
+				})
+				defer stop()
+				// Warm workspaces, ring scratch and optimizer state, and the
+				// sockets: the transport's buffer pool and each writer's
+				// vectored-write list grow to the deepest burst of queued hops
+				// the scheduler produces, which at four procs on two cores
+				// takes tens of steps to meet.
+				for range 50 {
+					step()
+					stepNo++
+				}
+				for rank := range execs {
+					if errs[rank] != nil {
+						t.Fatalf("rank %d: %v", rank, errs[rank])
+					}
+					assertBits(t, fmt.Sprintf("rank %d |g|²", rank), samples[rank].GlobalSqNorm, sqNorm(execs[0].workers[0].sum))
+					reserveProfile(execs[rank], 100)
+				}
+				if allocs := quietestAllocs(20, func() { step(); stepNo++ }); allocs != 0 {
+					t.Fatalf("steady-state worker step allocates %v times, want 0", allocs)
+				}
+				for rank, err := range errs {
+					if err != nil {
+						t.Fatalf("rank %d: %v", rank, err)
+					}
+				}
+			})
+		}
+	}
 }

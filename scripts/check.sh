@@ -42,6 +42,19 @@ if [ $((0x$PROBE_ADDR % 64)) -ne 32 ]; then
 	exit 1
 fi
 echo "main.probe.func1 at 0x$PROBE_ADDR"
+# Information only, not a gate: where the hot loops of the calibrated
+# workloads sit modulo 64. A loop that moves across a 64-byte line can read
+# a few percent slower or faster with no change of its own, so a ledger
+# figure that moved with one of these is placement, not the change.
+go tool nm "$BIN/bench" > "$BIN/bench.nm"
+for fn in runtime.sqNorms tensor.axpy4 tensor.dot4 'nn.(*SGD).update' allreduce.sumScaled; do
+	addr=$(awk -v f="cannikin/internal/$fn" '$3 == f { print $1 }' "$BIN/bench.nm")
+	if [ -n "$addr" ]; then
+		echo "  $fn at 0x$addr = $((0x$addr % 64)) (mod 64)"
+	else
+		echo "  $fn: inlined"
+	fi
+done
 
 echo "== go vet =="
 go vet ./...
@@ -88,6 +101,19 @@ lane -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal/ru
 # several GOMAXPROCS values.
 echo "== go test -race -cpu 1,2,4 (tcp transport + worker runtime) =="
 lane -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker' ./internal/allreduce ./internal/runtime
+
+# Worker mode, one rank per process over loopback tcp: a ring forms in any
+# start order (the dial backs off from half a millisecond instead of
+# sleeping a fixed 20 ms, and a successor that never listens fails at the
+# timeout with the refusal as its cause), ring and hd reduce bitwise the
+# inline reference, each rank evaluates 1/n of the rows and one reduce
+# replicates the logits (a planted -0 and a rank with no rows included),
+# rank 0 alone squares |g|² into the norm vector's extra slot, a warm step
+# allocates nothing, every rank trains and observes bitwise like Train, and
+# a bad spec fails before dialing. By name, so a rename cannot silently
+# drop them.
+echo "== worker lane: ring bring-up, 1/n evaluation, |g|² once, worker == Train -race -count=2 =="
+lane -race -count=2 -run 'TestWorkerMatchesTrainBitwise|TestWorkerObservesLikeTrain|TestAlgorithmTCPBitwise|TestMLPWorkerValidatesBeforeDial|TestWorkerEvaluationSharesRows|TestWorkerSteadyStateStepAllocsZero|TestDialBackoffSchedule|TestTCPDialRefusedNamesCause|TestTCPRingFormsInAnyStartOrder' . ./internal/allreduce ./internal/runtime
 
 # A tcp frame's payload is the message buffer's own bytes, viewed through
 # the package's one unsafe helper: -race is what turns checkptr on over that
