@@ -4,6 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -257,5 +260,29 @@ func TestTrainAuditErrors(t *testing.T) {
 	cfg.System = SystemDDP
 	if _, err := Train(cfg); !errors.Is(err, ErrAudit) {
 		t.Fatalf("auditing a non-OptPerf system: %v", err)
+	}
+}
+
+// TestChurnOutsideUnitIntervalRejected: a churn that is set must be a
+// probability in (0, 1]; a negative or NaN churn is an error on both
+// perturbation configs, never a run without perturbation.
+func TestChurnOutsideUnitIntervalRejected(t *testing.T) {
+	for _, churn := range []float64{-0.5, math.NaN()} {
+		want := fmt.Sprintf("intensity %v outside (0, 1]", churn)
+		_, err := Train(TrainConfig{
+			Cluster:   ClusterConfig{Preset: "a"},
+			Workload:  "cifar10",
+			System:    SystemCannikin,
+			MaxEpochs: 2,
+			Chaos:     ChaosConfig{Churn: churn},
+		})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("ChaosConfig churn %v: err = %v, want %q", churn, err, want)
+		}
+		cfg := faultMLP(1)
+		cfg.Fault = &FaultConfig{Churn: churn}
+		if _, err := TrainMLP(cfg); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("FaultConfig churn %v: err = %v, want %q", churn, err, want)
+		}
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"cannikin/internal/chaos"
 	"cannikin/internal/cluster"
@@ -151,61 +152,45 @@ func (c ClusterConfig) build(src *rng.Source) (*cluster.Cluster, error) {
 	return cl, nil
 }
 
-// ChaosKind names a dynamic-heterogeneity perturbation type.
-type ChaosKind string
+// ChaosKind names a perturbation type: the Chaos* kinds below perturb the
+// simulated cluster, the Fault* kinds (fault.go) the live runtime.
+type ChaosKind = chaos.Kind
 
 // Perturbation kinds for ChaosEvent and ChaosEventRecord.
 const (
 	// ChaosComputeShare sets a node's compute share to Value (absolute
 	// fraction in (0, 1]) — a co-located tenant arriving or leaving.
-	ChaosComputeShare = ChaosKind(chaos.KindComputeShare)
+	ChaosComputeShare = chaos.KindComputeShare
 	// ChaosBandwidth multiplies a node's ring link bandwidth by Value (> 0).
-	ChaosBandwidth = ChaosKind(chaos.KindBandwidth)
+	ChaosBandwidth = chaos.KindBandwidth
 	// ChaosStraggler multiplies a node's compute share by Value (in (0, 1))
 	// for Duration epochs (default 1), then restores it.
-	ChaosStraggler = ChaosKind(chaos.KindStraggler)
+	ChaosStraggler = chaos.KindStraggler
 )
 
-// ChaosEvent is one scheduled perturbation of the simulated cluster.
-type ChaosEvent struct {
-	// Epoch is when the event takes effect (before that epoch is planned).
-	Epoch int
-	// Node is the affected node index.
-	Node int
-	Kind ChaosKind
-	// Value is interpreted per Kind; see the ChaosKind constants.
-	Value float64
-	// Duration, when positive, automatically reverts the event after that
-	// many epochs.
-	Duration int
-}
+// ChaosEvent is one scheduled perturbation of the simulated cluster: it
+// takes effect at Epoch (before that epoch is planned) on Node, with Value
+// read per Kind; a positive Duration reverts it after that many epochs.
+type ChaosEvent = chaos.Event
 
 // ChaosConfig enables dynamic-heterogeneity injection during training. The
 // zero value disables it.
 type ChaosConfig struct {
 	// Events are explicit scheduled perturbations.
 	Events []ChaosEvent
-	// Churn, when positive, additionally generates a seeded random event
-	// schedule with that per-epoch probability (in (0, 1]). Generation is
-	// deterministic in the job Seed.
+	// Churn, when non-zero, additionally generates a seeded random event
+	// schedule with that per-epoch probability, which must lie in (0, 1].
+	// Generation is deterministic in the job Seed.
 	Churn float64
 	// FirstEpoch and Horizon bound the generated events (defaults 4 and 32).
 	FirstEpoch int
 	Horizon    int
 }
 
-func (c ChaosConfig) enabled() bool { return len(c.Events) > 0 || c.Churn > 0 }
-
 // schedule lowers the public config to an internal, validated schedule.
 func (c ChaosConfig) schedule(nodes int, seed uint64) (chaos.Schedule, error) {
-	var events []chaos.Event
-	for _, e := range c.Events {
-		events = append(events, chaos.Event{
-			Epoch: e.Epoch, Node: e.Node, Kind: chaos.Kind(e.Kind),
-			Value: e.Value, Duration: e.Duration,
-		})
-	}
-	if c.Churn > 0 {
+	s := chaos.Schedule{Events: c.Events}
+	if c.Churn != 0 {
 		gen, err := chaos.Generate(chaos.Profile{
 			Intensity:  c.Churn,
 			FirstEpoch: c.FirstEpoch,
@@ -214,9 +199,8 @@ func (c ChaosConfig) schedule(nodes int, seed uint64) (chaos.Schedule, error) {
 		if err != nil {
 			return chaos.Schedule{}, fmt.Errorf("cannikin: %w", err)
 		}
-		events = append(events, gen.Events...)
+		s.Events = append(slices.Clip(s.Events), gen.Events...)
 	}
-	s := chaos.Schedule{Events: events}
 	if err := s.Validate(nodes); err != nil {
 		return chaos.Schedule{}, fmt.Errorf("cannikin: %w", err)
 	}
@@ -247,24 +231,14 @@ type TrainConfig struct {
 }
 
 // ChaosEventRecord is one perturbation that took effect during a run. It
-// carries both vocabularies of the unified event model: chaos kinds
-// (simulated-cluster perturbations, applied at epoch boundaries) and
-// fault kinds (live-runtime fault injection, applied at step boundaries —
-// see the Fault* constants).
-type ChaosEventRecord struct {
-	// Epoch is the epoch boundary a chaos event fired at; Step the global
-	// training step a fault event fired at (zero for the other vocabulary).
-	Epoch int
-	Step  int
-	Node  int
-	Kind  ChaosKind
-	// Value is the applied value: the new compute share, the new link
-	// bandwidth in GB/s, the straggler share multiplier — or, for fault
-	// kinds, the injected delay in seconds / the dropped-send count.
-	Value float64
-	// Revert marks the automatic restoration of a transient chaos event.
-	Revert bool
-}
+// carries both halves of the one event vocabulary: chaos kinds
+// (simulated-cluster perturbations, applied at epoch boundaries, with Epoch
+// set) and fault kinds (live-runtime fault injection, applied at step
+// boundaries, with Step set — see the Fault* constants). Value is the
+// applied value: the new compute share, the new link bandwidth in GB/s —
+// or, for fault kinds, the injected delay in seconds or the dropped-send
+// count. Revert marks the automatic restoration of a transient chaos event.
+type ChaosEventRecord = chaos.Applied
 
 // EpochReport summarizes one training epoch.
 type EpochReport struct {
@@ -357,11 +331,9 @@ func TrainContext(ctx context.Context, cfg TrainConfig) (*Report, error) {
 	if auditMode != optperf.AuditOff && cfg.System != SystemCannikin {
 		return nil, fmt.Errorf("cannikin: system %q does not solve OptPerf plans to audit: %w", cfg.System, ErrAudit)
 	}
-	var sched chaos.Schedule
-	if cfg.Chaos.enabled() {
-		if sched, err = cfg.Chaos.schedule(cl.N(), cfg.Seed); err != nil {
-			return nil, err
-		}
+	sched, err := cfg.Chaos.schedule(cl.N(), cfg.Seed)
+	if err != nil {
+		return nil, err
 	}
 	var hook func(trainer.EpochStats) error
 	if cfg.OnEpoch != nil {
@@ -464,16 +436,8 @@ func toEpochReport(e trainer.EpochStats) EpochReport {
 		ElapsedTime:  e.SimTimeEnd,
 		Metric:       e.Metric,
 		Progress:     e.Progress,
+		Events:       e.Events,
 		Reprofiled:   e.Reprofiled,
-	}
-	for _, a := range e.Events {
-		r.Events = append(r.Events, ChaosEventRecord{
-			Epoch:  a.Epoch,
-			Node:   a.Node,
-			Kind:   ChaosKind(a.Kind),
-			Value:  a.Value,
-			Revert: a.Revert,
-		})
 	}
 	if e.Audit != nil {
 		s := &AuditSummary{

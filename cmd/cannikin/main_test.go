@@ -222,3 +222,13 @@ func TestRunFaultRequiresMLP(t *testing.T) {
 		t.Fatal("out-of-range fault worker accepted")
 	}
 }
+
+// TestRunNegativeChaosRejected: -chaos outside (0, 1] is an error (exit 1)
+// on either side of the interval, not a silently unperturbed run.
+func TestRunNegativeChaosRejected(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"-cluster", "a", "-workload", "cifar10", "-epochs", "2", "-chaos", "-0.5"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "intensity -0.5 outside (0, 1]") {
+		t.Fatalf("-chaos -0.5: err = %v", err)
+	}
+}

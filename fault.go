@@ -2,9 +2,10 @@ package cannikin
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
-	"cannikin/internal/faultinject"
+	"cannikin/internal/chaos"
 	"cannikin/internal/rng"
 	"cannikin/internal/runtime"
 )
@@ -15,37 +16,28 @@ import (
 var ErrNoSurvivors = runtime.ErrNoSurvivors
 
 // Fault kinds for the live runtime's deterministic fault injection
-// (MLPConfig.Fault). They extend the ChaosKind vocabulary: chaos kinds
+// (MLPConfig.Fault). They share the ChaosKind vocabulary: chaos kinds
 // perturb the simulated cluster at epoch boundaries, fault kinds perturb
-// the real goroutine runtime at step boundaries, and the two sets never
-// collide, so both surface through ChaosEventRecord.
+// the real goroutine runtime at step boundaries, and both surface through
+// ChaosEventRecord.
 const (
 	// FaultStallCompute stalls a worker's compute for Delay at the start of
 	// each of Steps consecutive steps.
-	FaultStallCompute = ChaosKind(faultinject.KindStallCompute)
+	FaultStallCompute = chaos.KindStallCompute
 	// FaultDelayMsg delays the worker's first ring send of the step.
-	FaultDelayMsg = ChaosKind(faultinject.KindDelayMsg)
+	FaultDelayMsg = chaos.KindDelayMsg
 	// FaultDropMsg drops the first Count attempts of the worker's first ring
 	// send of the step (each is retransmitted after a timeout).
-	FaultDropMsg = ChaosKind(faultinject.KindDropMsg)
+	FaultDropMsg = chaos.KindDropMsg
 	// FaultKillWorker kills the worker at the step: it stops responding
 	// permanently, as a crashed process would.
-	FaultKillWorker = ChaosKind(faultinject.KindKillWorker)
+	FaultKillWorker = chaos.KindKillWorker
 )
 
-// FaultEvent is one scheduled fault against a live training run.
-type FaultEvent struct {
-	// Step is the global training step at which the fault fires; Worker the
-	// affected rank.
-	Step, Worker int
-	Kind         ChaosKind
-	// Delay is the stall or message delay (FaultStallCompute, FaultDelayMsg).
-	Delay time.Duration
-	// Steps is how many consecutive steps a stall lasts (default 1).
-	Steps int
-	// Count is how many send attempts are dropped (default 1).
-	Count int
-}
+// FaultEvent is one scheduled fault against a live training run: Step is
+// the global training step it fires at, Worker the affected rank; Delay,
+// Steps and Count are read per Kind (see the Fault* constants).
+type FaultEvent = chaos.Fault
 
 // FaultConfig enables deterministic fault injection and fault tolerance
 // for the live backend: every ring hop runs under a bounded retry
@@ -54,9 +46,9 @@ type FaultEvent struct {
 type FaultConfig struct {
 	// Events are explicit scheduled faults.
 	Events []FaultEvent
-	// Churn, when positive, additionally generates a seeded random fault
-	// schedule with that per-step probability (in (0, 1]). Generation is
-	// deterministic in the job Seed.
+	// Churn, when non-zero, additionally generates a seeded random fault
+	// schedule with that per-step probability, which must lie in (0, 1].
+	// Generation is deterministic in the job Seed.
 	Churn float64
 	// FirstStep and Horizon bound the generated events (defaults 1 and 32).
 	FirstStep, Horizon int
@@ -79,15 +71,9 @@ type FaultConfig struct {
 // churn schedule deterministically from the seed; the runtime validates the
 // result.
 func (c *FaultConfig) lower(workers int, seed uint64) (*runtime.FaultConfig, error) {
-	var events []faultinject.Event
-	for _, e := range c.Events {
-		events = append(events, faultinject.Event{
-			Step: e.Step, Worker: e.Worker, Kind: faultinject.Kind(e.Kind),
-			Delay: e.Delay, Steps: e.Steps, Count: e.Count,
-		})
-	}
-	if c.Churn > 0 {
-		gen, err := faultinject.Generate(faultinject.Profile{
+	events := c.Events
+	if c.Churn != 0 {
+		gen, err := chaos.GenerateFaults(chaos.FaultProfile{
 			Intensity: c.Churn,
 			FirstStep: c.FirstStep,
 			Horizon:   c.Horizon,
@@ -96,10 +82,10 @@ func (c *FaultConfig) lower(workers int, seed uint64) (*runtime.FaultConfig, err
 		if err != nil {
 			return nil, fmt.Errorf("cannikin: %w", err)
 		}
-		events = append(events, gen.Events...)
+		events = append(slices.Clip(events), gen.Events...)
 	}
 	return &runtime.FaultConfig{
-		Schedule:    faultinject.Schedule{Events: events},
+		Schedule:    chaos.FaultSchedule{Events: events},
 		HopTimeout:  c.HopTimeout,
 		Retries:     c.Retries,
 		StepTimeout: c.StepTimeout,

@@ -1,16 +1,25 @@
-// Package chaos generates and injects dynamic-heterogeneity events into a
-// simulated cluster mid-training: compute-share changes (GPU sharing
-// churn), per-link bandwidth shifts, and transient stragglers that recover
-// after a few epochs. These are the "sudden changes of resources" the
-// paper's introduction motivates — clusters with dynamic resource
-// allocation where a tenant arriving or leaving reshapes the performance
-// landscape Cannikin has learned.
+// Package chaos is the one perturbation vocabulary of the repo: the
+// "sudden changes of resources" the paper's introduction motivates —
+// clusters with dynamic resource allocation where a tenant arriving or
+// leaving reshapes the performance landscape Cannikin has learned — and the
+// faults a real cluster adds on top. Every perturbation kind is one Kind;
+// two executors apply them:
 //
-// A Schedule is a deterministic, epoch-ordered event plan: either written
-// explicitly or generated from a seeded stream, so every chaotic run is
-// exactly reproducible. An Injector binds a schedule to one cluster and
-// applies the due events at each epoch boundary, automatically restoring
-// the pre-event state when a transient event expires.
+//   - Event schedules perturb the *simulated* cluster at epoch boundaries:
+//     compute-share changes (GPU sharing churn), per-link bandwidth shifts,
+//     and transient stragglers that recover after a few epochs. An Injector
+//     binds a Schedule to one cluster, applies the due events at each epoch
+//     boundary and restores the pre-event state when a transient expires.
+//   - Fault schedules perturb the *live* goroutine runtime at step
+//     boundaries: compute stalls, delayed or dropped ring messages, and
+//     worker kills. A FaultInjector compiles a FaultSchedule into pure
+//     (worker, step) lookups, so a fault scenario replays exactly: the same
+//     schedule against the same training config produces the same stalls,
+//     timeouts and eviction decisions.
+//
+// Both schedule kinds are deterministic: either written explicitly or
+// generated from a seeded stream, so every perturbed run is exactly
+// reproducible.
 package chaos
 
 import (
@@ -23,7 +32,8 @@ import (
 // Kind names a perturbation type.
 type Kind string
 
-// Perturbation kinds.
+// Perturbation kinds. The first three are Event kinds for the simulated
+// cluster, the last four Fault kinds for the live runtime.
 const (
 	// KindComputeShare sets a node's compute share to Value (absolute
 	// fraction in (0, 1]) — a co-located tenant arriving or leaving.
@@ -35,16 +45,31 @@ const (
 	// (in (0, 1)) for Duration epochs, then restores it — a transient
 	// slowdown such as thermal throttling or a noisy neighbour burst.
 	KindStraggler Kind = "straggler"
+	// KindStallCompute stalls the worker's compute goroutine for Delay at
+	// the start of each of Steps consecutive steps — a GC pause, a
+	// preempted VM, or (with a long Delay) a permanently hung process.
+	KindStallCompute Kind = "stall-compute"
+	// KindDelayMsg delays the worker's first ring send of the step by
+	// Delay — transient network congestion on one link.
+	KindDelayMsg Kind = "delay-msg"
+	// KindDropMsg drops the first Count attempts of the worker's first
+	// ring send of the step; each lost attempt is retransmitted after a
+	// timeout — packet loss on one link.
+	KindDropMsg Kind = "drop-msg"
+	// KindKillWorker kills the worker at the step: it stops responding
+	// permanently, as a crashed process would.
+	KindKillWorker Kind = "kill-worker"
 )
 
-// Kinds lists the chaos vocabulary. It shares one namespace with
-// internal/faultinject's kinds — the two sets must stay disjoint so the
-// public API can surface both through one event-record type.
+// Kinds lists every perturbation kind.
 func Kinds() []Kind {
-	return []Kind{KindComputeShare, KindBandwidth, KindStraggler}
+	return []Kind{
+		KindComputeShare, KindBandwidth, KindStraggler,
+		KindStallCompute, KindDelayMsg, KindDropMsg, KindKillWorker,
+	}
 }
 
-// Event is one scheduled perturbation.
+// Event is one scheduled perturbation of the simulated cluster.
 type Event struct {
 	// Epoch is when the event takes effect (before that epoch is planned).
 	Epoch int
@@ -96,9 +121,6 @@ type Schedule struct {
 	Events []Event
 }
 
-// Empty reports whether the schedule carries no events.
-func (s Schedule) Empty() bool { return len(s.Events) == 0 }
-
 // Validate checks every event against a cluster of the given size.
 func (s Schedule) Validate(nodes int) error {
 	for i, e := range s.Events {
@@ -141,12 +163,21 @@ func (p Profile) defaults() Profile {
 
 // Validate checks the profile.
 func (p Profile) Validate() error {
-	if p.Intensity <= 0 || p.Intensity > 1 {
-		return fmt.Errorf("chaos: intensity %v outside (0, 1]", p.Intensity)
+	if err := validIntensity(p.Intensity); err != nil {
+		return err
 	}
 	p = p.defaults()
 	if p.Horizon < p.FirstEpoch {
 		return fmt.Errorf("chaos: horizon %d before first epoch %d", p.Horizon, p.FirstEpoch)
+	}
+	return nil
+}
+
+// validIntensity checks a generator's per-boundary event probability; NaN
+// is outside (0, 1] too.
+func validIntensity(x float64) error {
+	if !(x > 0 && x <= 1) {
+		return fmt.Errorf("chaos: intensity %v outside (0, 1]", x)
 	}
 	return nil
 }

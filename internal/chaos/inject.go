@@ -14,15 +14,20 @@ const (
 	minLinkGBps = 0.05
 )
 
-// Applied records one perturbation (or automatic recovery) that took
-// effect at an epoch boundary.
+// Applied records one perturbation that took effect: an Event (or its
+// automatic recovery) at an epoch boundary, or a Fault a live worker
+// consumed at a step.
 type Applied struct {
+	// Epoch is the epoch boundary an Event fired at; Step the global
+	// training step a Fault fired at (each zero in the other's records).
 	Epoch int
+	Step  int
 	Node  int
 	Kind  Kind
 	// Value is the resulting setting: the node's new compute share
 	// (KindComputeShare, KindStraggler) or its new link bandwidth in GB/s
-	// (KindBandwidth).
+	// (KindBandwidth) — or, for fault kinds, the injected delay in seconds
+	// or the dropped-send count.
 	Value float64
 	// Revert marks the automatic restoration at the end of a transient
 	// event.

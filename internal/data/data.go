@@ -12,6 +12,10 @@ import (
 	"cannikin/internal/tensor"
 )
 
+// ErrTooFewSamples reports a dataset with fewer rows than nodes: no global
+// batch can give every node a sample. Test with errors.Is.
+var ErrTooFewSamples = errors.New("data: fewer samples than nodes")
+
 // Dataset is an in-memory labeled dataset.
 type Dataset struct {
 	X       *tensor.T
@@ -116,6 +120,9 @@ func (l *HeteroLoader) NextGlobalBatch(localSizes []int) (xs []*tensor.T, labels
 			return nil, nil, fmt.Errorf("data: node %d local batch %d", i, b)
 		}
 		want += b
+	}
+	if l.ds.Len() < n {
+		return nil, nil, fmt.Errorf("%w: %d samples, %d nodes", ErrTooFewSamples, l.ds.Len(), n)
 	}
 	if l.Remaining() < n { // cannot give every node a sample: roll epoch
 		l.epoch++

@@ -42,7 +42,9 @@ func Dynamic(opt Options) (*trace.Figure, int, error) {
 		res, err := trainer.Run(trainer.Config{
 			Cluster: c, Workload: w, System: sys,
 			Seed: opt.seed(), MaxEpochs: epochs,
-			Events: []trainer.ResourceEvent{{Epoch: eventEpoch, Node: victim, ComputeShare: share}},
+			Chaos: chaos.Schedule{Events: []chaos.Event{
+				{Epoch: eventEpoch, Node: victim, Kind: chaos.KindComputeShare, Value: share},
+			}},
 		})
 		if err != nil {
 			return err

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"cannikin/internal/allreduce"
-	"cannikin/internal/faultinject"
+	"cannikin/internal/chaos"
 	"cannikin/internal/nn"
 	"cannikin/internal/rng"
 	"cannikin/internal/tensor"
@@ -117,7 +117,7 @@ func liveStepAllocs(t *testing.T, nWorkers int, merged, guarded bool) {
 	}
 	var ft *faultTolerance
 	if guarded {
-		inj, err := faultinject.NewInjector(faultinject.Schedule{}, nWorkers)
+		inj, err := chaos.NewFaultInjector(chaos.FaultSchedule{}, nWorkers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"time"
 
-	"cannikin/internal/faultinject"
 	"cannikin/internal/goodput"
 	"cannikin/internal/nn"
 	"cannikin/internal/optperf"
@@ -297,31 +296,6 @@ func validateJoins(joins []Join, epochs, growthEpoch int) error {
 		prev = j.Epoch
 	}
 	return nil
-}
-
-// clampSchedule drops fault events targeting ranks outside the
-// incarnation: a schedule may name a worker that has not joined yet, and
-// its events only become live once the join grows the cluster past that
-// rank. (After an eviction, Schedule.Remap drops not-yet-joined workers'
-// events entirely — renumbering cannot know future ranks.)
-func clampSchedule(s faultinject.Schedule, workers int) faultinject.Schedule {
-	keep := true
-	for _, e := range s.Events {
-		if e.Worker >= workers {
-			keep = false
-			break
-		}
-	}
-	if keep {
-		return s
-	}
-	var out faultinject.Schedule
-	for _, e := range s.Events {
-		if e.Worker < workers {
-			out.Events = append(out.Events, e)
-		}
-	}
-	return out
 }
 
 // probeJoin bootstraps the joining worker's compute profile the way the

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"cannikin/internal/chaos"
 	"cannikin/internal/data"
-	"cannikin/internal/faultinject"
 	"cannikin/internal/goodput"
 	"cannikin/internal/rng"
 )
@@ -61,8 +61,8 @@ func TestJoinConfigValidate(t *testing.T) {
 	// worker 3 of a 3-worker run with one join is addressable, worker 4 is
 	// not.
 	cfg = joinConfig(t, 1, BackendLive, "")
-	cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-		{Step: 25, Worker: 4, Kind: faultinject.KindKillWorker},
+	cfg.Fault = fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+		{Step: 25, Worker: 4, Kind: chaos.KindKillWorker},
 	}})
 	if _, err := Train(cfg); err == nil {
 		t.Fatal("schedule referencing worker 4 of 3+1 accepted")
@@ -268,8 +268,8 @@ func TestDifferentialJoinThenEvict(t *testing.T) {
 	cfg := joinConfig(t, seed, BackendLive, "")
 	// Worker 3 is the joiner: it exists from epoch 1 (step 10) on, and the
 	// kill at step 15 removes it again.
-	cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-		{Step: 15, Worker: 3, Kind: faultinject.KindKillWorker},
+	cfg.Fault = fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+		{Step: 15, Worker: 3, Kind: chaos.KindKillWorker},
 	}})
 	res, err := Train(cfg)
 	if err != nil {
@@ -560,7 +560,7 @@ func FuzzElasticMembership(f *testing.F) {
 			Src:          src,
 			Joins:        []Join{{Epoch: int(joinEpoch%2) + 1, Batch: int(seed%4) + 1}},
 		}
-		schedule, err := faultinject.Generate(faultinject.Profile{
+		schedule, err := chaos.GenerateFaults(chaos.FaultProfile{
 			Intensity: intensity,
 			Horizon:   16,
 			Kill:      kill,

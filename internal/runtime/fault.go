@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"cannikin/internal/allreduce"
-	"cannikin/internal/faultinject"
+	"cannikin/internal/chaos"
 	"cannikin/internal/optperf"
 )
 
@@ -47,7 +47,7 @@ var ErrNoSurvivors = errors.New("runtime: all workers evicted")
 type FaultConfig struct {
 	// Schedule is the deterministic fault plan (may be empty: then the
 	// config only arms the detection/retry machinery).
-	Schedule faultinject.Schedule
+	Schedule chaos.FaultSchedule
 	// HopTimeout, Retries, Backoff, MaxTimeout parameterize the per-hop
 	// retry policy (see allreduce.RetryPolicy; zero fields take its
 	// defaults).
@@ -164,7 +164,7 @@ func (f FaultRecord) String() string {
 // deadline, and the sink for every injected fault a worker consumed
 // (incarnation-relative ranks).
 type faultTolerance struct {
-	inj         *faultinject.Injector
+	inj         *chaos.FaultInjector
 	policy      allreduce.RetryPolicy
 	stepTimeout time.Duration
 	record      func(FaultRecord)

@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"cannikin/internal/chaos"
 	"cannikin/internal/data"
-	"cannikin/internal/faultinject"
 	"cannikin/internal/rng"
 )
 
@@ -25,7 +25,7 @@ func watchdog(t *testing.T, d time.Duration) func() {
 // fastFault is a FaultConfig tuned for test speed: tight hop deadlines,
 // a sub-second step deadline, still generous against race-detector
 // slowdowns of the actual compute.
-func fastFault(schedule faultinject.Schedule) *FaultConfig {
+func fastFault(schedule chaos.FaultSchedule) *FaultConfig {
 	return &FaultConfig{
 		Schedule:    schedule,
 		HopTimeout:  25 * time.Millisecond,
@@ -87,8 +87,8 @@ func TestFaultConfigValidate(t *testing.T) {
 		t.Fatal("unknown replan policy accepted")
 	}
 	cfg = faultConfig(t, 1)
-	cfg.Fault = &FaultConfig{Schedule: faultinject.Schedule{Events: []faultinject.Event{
-		{Step: 0, Worker: 9, Kind: faultinject.KindKillWorker},
+	cfg.Fault = &FaultConfig{Schedule: chaos.FaultSchedule{Events: []chaos.Fault{
+		{Step: 0, Worker: 9, Kind: chaos.KindKillWorker},
 	}}}
 	if _, err := Train(cfg); err == nil {
 		t.Fatal("schedule referencing worker 9 of 3 accepted")
@@ -113,7 +113,7 @@ func TestGuardedFaultFreeMatchesBaseline(t *testing.T) {
 	for _, comm := range faultCommModes {
 		cfg := faultConfig(t, 7)
 		pinLayout(t, comm)
-		cfg.Fault = fastFault(faultinject.Schedule{})
+		cfg.Fault = fastFault(chaos.FaultSchedule{})
 		guarded, err := Train(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", comm, err)
@@ -142,10 +142,10 @@ func TestTransientFaultsTolerated(t *testing.T) {
 	for _, comm := range faultCommModes {
 		cfg := faultConfig(t, 13)
 		pinLayout(t, comm)
-		cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-			{Step: 2, Worker: 0, Kind: faultinject.KindStallCompute, Delay: 10 * time.Millisecond, Steps: 2},
-			{Step: 4, Worker: 1, Kind: faultinject.KindDelayMsg, Delay: 8 * time.Millisecond},
-			{Step: 6, Worker: 2, Kind: faultinject.KindDropMsg, Count: 1},
+		cfg.Fault = fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+			{Step: 2, Worker: 0, Kind: chaos.KindStallCompute, Delay: 10 * time.Millisecond, Steps: 2},
+			{Step: 4, Worker: 1, Kind: chaos.KindDelayMsg, Delay: 8 * time.Millisecond},
+			{Step: 6, Worker: 2, Kind: chaos.KindDropMsg, Count: 1},
 		}})
 		faulty, err := Train(cfg)
 		if err != nil {
@@ -179,8 +179,8 @@ func TestTransientFaultsTolerated(t *testing.T) {
 func TestPermanentStallEvicts(t *testing.T) {
 	defer watchdog(t, 2*time.Minute)()
 	cfg := faultConfig(t, 19)
-	cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-		{Step: 12, Worker: 1, Kind: faultinject.KindStallCompute, Delay: time.Hour},
+	cfg.Fault = fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+		{Step: 12, Worker: 1, Kind: chaos.KindStallCompute, Delay: time.Hour},
 	}})
 	res, err := Train(cfg)
 	if err != nil {
@@ -224,8 +224,8 @@ func TestPermanentStallEvicts(t *testing.T) {
 func TestKillWorkerEvicts(t *testing.T) {
 	defer watchdog(t, 2*time.Minute)()
 	cfg := faultConfig(t, 23)
-	cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-		{Step: 5, Worker: 2, Kind: faultinject.KindKillWorker},
+	cfg.Fault = fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+		{Step: 5, Worker: 2, Kind: chaos.KindKillWorker},
 	}})
 	res, err := Train(cfg)
 	if err != nil {
@@ -253,8 +253,8 @@ func TestDifferentialRecovery(t *testing.T) {
 	for _, comm := range faultCommModes {
 		cfg := faultConfig(t, seed)
 		pinLayout(t, comm)
-		cfg.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-			{Step: 12, Worker: 1, Kind: faultinject.KindKillWorker},
+		cfg.Fault = fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+			{Step: 12, Worker: 1, Kind: chaos.KindKillWorker},
 		}})
 		faulty, err := Train(cfg)
 		if err != nil {
@@ -300,8 +300,8 @@ func TestDifferentialRecovery(t *testing.T) {
 func TestReplanOptPerf(t *testing.T) {
 	defer watchdog(t, 2*time.Minute)()
 	cfg := faultConfig(t, 37)
-	f := fastFault(faultinject.Schedule{Events: []faultinject.Event{
-		{Step: 15, Worker: 0, Kind: faultinject.KindKillWorker},
+	f := fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+		{Step: 15, Worker: 0, Kind: chaos.KindKillWorker},
 	}})
 	f.Replan = ReplanOptPerf
 	cfg.Fault = f
@@ -345,8 +345,8 @@ func TestAllWorkersEvicted(t *testing.T) {
 		Momentum:     0.9,
 		Dataset:      ds,
 		Src:          src,
-		Fault: fastFault(faultinject.Schedule{Events: []faultinject.Event{
-			{Step: 3, Worker: 0, Kind: faultinject.KindKillWorker},
+		Fault: fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+			{Step: 3, Worker: 0, Kind: chaos.KindKillWorker},
 		}}),
 	}
 	if _, err := Train(cfg); !errors.Is(err, ErrNoSurvivors) {

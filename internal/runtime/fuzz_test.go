@@ -5,8 +5,8 @@ import (
 	"testing"
 	"time"
 
+	"cannikin/internal/chaos"
 	"cannikin/internal/data"
-	"cannikin/internal/faultinject"
 	"cannikin/internal/rng"
 )
 
@@ -48,7 +48,7 @@ func FuzzRingFaults(f *testing.F) {
 			layout = layoutMerged
 		}
 		pinLayout(t, layout)
-		schedule, err := faultinject.Generate(faultinject.Profile{
+		schedule, err := chaos.GenerateFaults(chaos.FaultProfile{
 			Intensity: intensity,
 			Horizon:   12,
 			Kill:      kill,

@@ -7,7 +7,7 @@ import (
 	"time"
 
 	"cannikin/internal/allreduce"
-	"cannikin/internal/faultinject"
+	"cannikin/internal/chaos"
 	"cannikin/internal/gns"
 	"cannikin/internal/nn"
 	"cannikin/internal/tensor"
@@ -119,7 +119,7 @@ type stepResult struct {
 	// aborted marks a result produced by teardown waking a parked worker.
 	aborted bool
 	// faults are the injected faults this worker consumed at this step.
-	faults faultinject.StepFaults
+	faults chaos.StepFaults
 }
 
 // commStats aggregates one step's communication timing.
@@ -204,7 +204,7 @@ type liveWorker struct {
 	// compute goroutine before it enqueues any bucket of the step and read
 	// by the comm goroutine after the first bucket arrives; the channel send
 	// orders the accesses.
-	curFaults faultinject.StepFaults
+	curFaults chaos.StepFaults
 	curWeight float64
 
 	tasks    chan stepTask
@@ -510,7 +510,7 @@ func (e *liveExec) commit(step int, ok bool) {
 	}
 }
 
-func (e *liveExec) report(step, rank int, f faultinject.StepFaults) {
+func (e *liveExec) report(step, rank int, f chaos.StepFaults) {
 	if f.Any() {
 		e.ft.record(FaultRecord{
 			Step: step, Worker: rank,
@@ -578,7 +578,7 @@ func (w *liveWorker) computeLoop() {
 // vote; otherwise it applies the update itself.
 func (w *liveWorker) runStep(t stepTask) stepResult {
 	w.curWeight = t.weight
-	var f faultinject.StepFaults
+	var f chaos.StepFaults
 	if w.ft != nil {
 		f = w.ft.inj.At(w.rank, t.step)
 		w.curFaults = f

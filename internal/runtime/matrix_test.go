@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"cannikin/internal/allreduce"
-	"cannikin/internal/faultinject"
+	"cannikin/internal/chaos"
 	"cannikin/internal/rng"
 )
 
@@ -43,8 +43,8 @@ func TestEngineFeatureMatrix(t *testing.T) {
 		{
 			name: "fault",
 			arm: func(c *Config) {
-				c.Fault = fastFault(faultinject.Schedule{Events: []faultinject.Event{
-					{Step: 12, Worker: 1, Kind: faultinject.KindKillWorker},
+				c.Fault = fastFault(chaos.FaultSchedule{Events: []chaos.Fault{
+					{Step: 12, Worker: 1, Kind: chaos.KindKillWorker},
 				}})
 			},
 			changed: func(r *Result) bool { return len(r.Evictions) == 1 },

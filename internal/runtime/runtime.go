@@ -49,8 +49,8 @@ import (
 	"math"
 
 	"cannikin/internal/allreduce"
+	"cannikin/internal/chaos"
 	"cannikin/internal/data"
-	"cannikin/internal/faultinject"
 	"cannikin/internal/gns"
 	"cannikin/internal/nn"
 	"cannikin/internal/rng"
@@ -183,6 +183,9 @@ func (c *Config) Validate() error {
 	}
 	if c.Dataset == nil || c.Dataset.Len() < 1 {
 		return errors.New("runtime: config needs a non-empty dataset")
+	}
+	if n := len(c.LocalBatches); c.Dataset.Len() < n {
+		return fmt.Errorf("runtime: %w: %d samples, %d workers", data.ErrTooFewSamples, c.Dataset.Len(), n)
 	}
 	if c.Src == nil {
 		return errors.New("runtime: config needs an rng source")
@@ -324,7 +327,7 @@ type incarnation struct {
 	// pendingJoins are the scheduled joins not yet committed, in epoch
 	// order.
 	pendingJoins []Join
-	schedule     faultinject.Schedule
+	schedule     chaos.FaultSchedule
 	// epochBase is the first (absolute) epoch this incarnation runs; after
 	// an eviction the interrupted epoch restarts from its beginning.
 	epochBase int
@@ -495,8 +498,11 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 	var ft *faultTolerance
 	if cfg.Fault != nil {
 		// Events addressed to not-yet-joined ranks stay dormant until a
-		// join grows the cluster past them.
-		inj, err := faultinject.NewInjector(clampSchedule(inc.schedule, n), n)
+		// join grows the cluster past them: remapping onto the identity
+		// drops them for this incarnation and keeps every other rank. (After
+		// an eviction, Remap onto the survivors drops them for good —
+		// renumbering cannot know future ranks.)
+		inj, err := chaos.NewFaultInjector(inc.schedule.Remap(identity(n)), n)
 		if err != nil {
 			return nil, err
 		}
@@ -590,7 +596,7 @@ func (d *driver) runEpochs() (*membershipChange, error) {
 			// every process.
 			xs, labels, err := d.loader.NextGlobalBatch(d.localBatches)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("runtime: epoch %d: %w", epoch, err)
 			}
 			// Eq. 9 weights must track the actual shard sizes (the final
 			// partial batch shrinks every shard).
@@ -718,14 +724,6 @@ func orDefault(s, def string) string {
 	return s
 }
 
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 func sum(xs []int) int {
 	total := 0
 	for _, x := range xs {
@@ -806,6 +804,14 @@ func sqNorms(acc []float64, v [][]float64) {
 		}
 		acc, v = acc[k:], v[k:]
 	}
+}
+
+func identity(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
 }
 
 // sqNorm is |v|², the kernel's one-chain case.

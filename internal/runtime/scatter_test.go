@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"cannikin/internal/allreduce"
-	"cannikin/internal/faultinject"
+	"cannikin/internal/chaos"
 	"cannikin/internal/gns"
 	"cannikin/internal/tensor"
 )
@@ -105,11 +105,11 @@ func (r *normRef) matchLive(t *testing.T, merged, guarded bool) int {
 	t.Helper()
 	reps, opt, xs, labels := allocTestWorkers(t, r.n, 6, r.sizes)
 	weights := evenRatios(r.n)
-	guard := func(policy allreduce.RetryPolicy, events ...faultinject.Event) *faultTolerance {
+	guard := func(policy allreduce.RetryPolicy, events ...chaos.Fault) *faultTolerance {
 		if !guarded {
 			return nil
 		}
-		inj, err := faultinject.NewInjector(faultinject.Schedule{Events: events}, r.n)
+		inj, err := chaos.NewFaultInjector(chaos.FaultSchedule{Events: events}, r.n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func (r *normRef) matchLive(t *testing.T, merged, guarded bool) int {
 	if guarded && r.n > 1 {
 		// A 15 ms hop budget against 8 retransmits 5 ms apart.
 		tight := allreduce.RetryPolicy{HopTimeout: 5 * time.Millisecond, Retries: 1, MaxTimeout: 10 * time.Millisecond}
-		drop := faultinject.Event{Worker: r.n - 1, Kind: faultinject.KindDropMsg, Count: 8}
+		drop := chaos.Fault{Worker: r.n - 1, Kind: chaos.KindDropMsg, Count: 8}
 		failing := newLiveExec(reps, opt, r.bucketLen, r.algs, guard(tight, drop), merged, hosting{})
 		before := reps[0].FlatWeights()
 		_, err := failing.step(0, 0, xs, labels, weights, 0.05)
@@ -162,10 +162,10 @@ func TestScatterOnlyFaultAbortsLikeFullReduce(t *testing.T) {
 	defer watchdog(t, 3*time.Minute)()
 	policy := allreduce.RetryPolicy{HopTimeout: 10 * time.Millisecond, Retries: 2, MaxTimeout: 40 * time.Millisecond}
 	const stepTimeout = 600 * time.Millisecond
-	faults := map[string]faultinject.Event{
-		"kill":  {Step: 1, Kind: faultinject.KindKillWorker},
-		"stall": {Step: 1, Kind: faultinject.KindStallCompute, Delay: 2 * stepTimeout},
-		"drop":  {Step: 1, Kind: faultinject.KindDropMsg, Count: 30},
+	faults := map[string]chaos.Fault{
+		"kill":  {Step: 1, Kind: chaos.KindKillWorker},
+		"stall": {Step: 1, Kind: chaos.KindStallCompute, Delay: 2 * stepTimeout},
+		"drop":  {Step: 1, Kind: chaos.KindDropMsg, Count: 30},
 	}
 	for _, n := range []int{3, 4, 5} {
 		for _, algo := range []string{"ring", "hd"} {
@@ -185,7 +185,7 @@ func TestScatterOnlyFaultAbortsLikeFullReduce(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							inj, err := faultinject.NewInjector(faultinject.Schedule{Events: []faultinject.Event{ev}}, n)
+							inj, err := chaos.NewFaultInjector(chaos.FaultSchedule{Events: []chaos.Fault{ev}}, n)
 							if err != nil {
 								t.Fatal(err)
 							}

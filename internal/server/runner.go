@@ -79,7 +79,7 @@ func TrainConfigOf(spec *runspec.Spec) cannikin.TrainConfig {
 	if len(spec.Models) > 0 {
 		cfg.Cluster = cannikin.ClusterConfig{Models: spec.Models}
 	}
-	if spec.Chaos > 0 {
+	if spec.Chaos != 0 {
 		cfg.Chaos = cannikin.ChaosConfig{Churn: spec.Chaos}
 	}
 	return cfg

@@ -476,6 +476,22 @@ func TestSimJobThroughService(t *testing.T) {
 	}
 }
 
+// TestNegativeChaosJobFails: a sim spec whose churn lies outside (0, 1]
+// fails with the intensity error instead of training unperturbed.
+func TestNegativeChaosJobFails(t *testing.T) {
+	_, ts := newTestServer(t, Config{
+		Pool: jobs.PoolConfig{Devices: 4, Seed: 2},
+	})
+	resp, st := postSpec(t, ts, `{"cluster": "a", "workload": "cifar10", "system": "pytorch-ddp", "seed": 3, "epochs": 4, "chaos": -0.5}`)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit = %d (%s)", resp.StatusCode, st.Error)
+	}
+	got := waitDone(t, ts, st.ID)
+	if got.State != jobs.StateFailed || !strings.Contains(got.Error, "intensity -0.5 outside (0, 1]") {
+		t.Fatalf("job = %s (err %q), want failed with the intensity error", got.State, got.Error)
+	}
+}
+
 // TestElasticJobGrantedCeiling is the admission differential for elastic
 // specs. The run decides when it grows (its joins, its autoscaler); the pool
 // grants its ceiling up front, so the wide membership is never invisible to

@@ -213,24 +213,3 @@ func TestHetPipeChaosDegrades(t *testing.T) {
 		t.Fatalf("epoch 3 events = %v", res.Epochs[3].Events)
 	}
 }
-
-func TestLegacyResourceEventsStillApply(t *testing.T) {
-	res, err := Run(Config{
-		Cluster:   mustCluster(t, "a", 17),
-		Workload:  mustWorkload(t, "cifar10"),
-		System:    NewDDP(),
-		Seed:      17,
-		MaxEpochs: 8,
-		Events:    []ResourceEvent{{Epoch: 3, Node: 1, ComputeShare: 0.5}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Epochs) <= 3 {
-		t.Fatalf("run ended after %d epochs", len(res.Epochs))
-	}
-	ev := res.Epochs[3].Events
-	if len(ev) != 1 || ev[0].Kind != chaos.KindComputeShare || ev[0].Node != 1 {
-		t.Fatalf("legacy event not annotated: %v", ev)
-	}
-}

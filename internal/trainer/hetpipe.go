@@ -151,12 +151,9 @@ func (h *HetPipe) RunContext(ctx context.Context, env *Env, opt PipeOpts) (*Resu
 	if err != nil {
 		return nil, err
 	}
-	var injector *chaos.Injector
-	if !opt.Chaos.Empty() {
-		injector, err = chaos.NewInjector(opt.Chaos, env.Cluster)
-		if err != nil {
-			return nil, fmt.Errorf("hetpipe: %w", err)
-		}
+	injector, err := chaos.NewInjector(opt.Chaos, env.Cluster)
+	if err != nil {
+		return nil, fmt.Errorf("hetpipe: %w", err)
 	}
 	batchTime, err := h.BatchTime(env)
 	if err != nil {
@@ -169,17 +166,15 @@ func (h *HetPipe) RunContext(ctx context.Context, env *Env, opt PipeOpts) (*Resu
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("hetpipe: canceled at epoch %d: %w", epoch, err)
 		}
-		var applied []chaos.Applied
-		if injector != nil {
-			if applied, err = injector.BeginEpoch(epoch); err != nil {
-				return nil, fmt.Errorf("hetpipe: epoch %d: %w", epoch, err)
-			}
-			if len(applied) > 0 {
-				// The cluster changed under the frozen partition: the
-				// slowed stage now paces every batch.
-				if batchTime, err = h.BatchTime(env); err != nil {
-					return nil, err
-				}
+		applied, err := injector.BeginEpoch(epoch)
+		if err != nil {
+			return nil, fmt.Errorf("hetpipe: epoch %d: %w", epoch, err)
+		}
+		if len(applied) > 0 {
+			// The cluster changed under the frozen partition: the slowed
+			// stage now paces every batch.
+			if batchTime, err = h.BatchTime(env); err != nil {
+				return nil, err
 			}
 		}
 		steps := env.Workload.DatasetSize / b

@@ -2,6 +2,8 @@ package trainer
 
 import (
 	"testing"
+
+	"cannikin/internal/chaos"
 )
 
 // TestAllSystemsAllWorkloadsClusterA is the robustness matrix: every
@@ -81,14 +83,14 @@ func TestResourceEventValidation(t *testing.T) {
 	w := mustWorkload(t, "cifar10")
 	_, err := Run(Config{
 		Cluster: c, Workload: w, System: NewDDP(), Seed: 50, MaxEpochs: 3,
-		Events: []ResourceEvent{{Epoch: 1, Node: 99, ComputeShare: 0.5}},
+		Chaos: chaos.Schedule{Events: []chaos.Event{{Epoch: 1, Node: 99, Kind: chaos.KindComputeShare, Value: 0.5}}},
 	})
 	if err == nil {
 		t.Fatal("out-of-range node accepted")
 	}
 	_, err = Run(Config{
 		Cluster: mustCluster(t, "a", 51), Workload: w, System: NewDDP(), Seed: 51, MaxEpochs: 3,
-		Events: []ResourceEvent{{Epoch: 1, Node: 0, ComputeShare: 1.5}},
+		Chaos: chaos.Schedule{Events: []chaos.Event{{Epoch: 1, Node: 0, Kind: chaos.KindComputeShare, Value: 1.5}}},
 	})
 	if err == nil {
 		t.Fatal("invalid share accepted")

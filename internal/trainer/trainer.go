@@ -228,11 +228,6 @@ type Config struct {
 	// longer epochs are strided, charging each simulated step for the
 	// logical steps it covers (default 192).
 	MaxSimSteps int
-	// Events injects dynamic resource changes — the "sudden changes of
-	// resources" in clusters with dynamic allocation that the paper's
-	// introduction motivates. Each takes effect at its epoch boundary.
-	// Chaos is the richer superset; both may be combined.
-	Events []ResourceEvent
 	// Chaos schedules dynamic-heterogeneity perturbations — compute-share
 	// churn, per-link bandwidth shifts, transient stragglers — applied at
 	// epoch boundaries and annotated on the resulting EpochStats.
@@ -240,16 +235,6 @@ type Config struct {
 	// OnEpoch, when non-nil, streams each epoch's stats to the caller as
 	// soon as the epoch completes; returning an error aborts the run.
 	OnEpoch func(EpochStats) error
-}
-
-// ResourceEvent changes a node's available compute at an epoch boundary.
-type ResourceEvent struct {
-	// Epoch is when the change takes effect (before planning).
-	Epoch int
-	// Node is the affected node index.
-	Node int
-	// ComputeShare is the node's new compute fraction in (0, 1].
-	ComputeShare float64
 }
 
 func (c *Config) defaults() {
@@ -292,20 +277,6 @@ func Run(cfg Config) (*Result, error) {
 	return RunContext(context.Background(), cfg)
 }
 
-// chaosSchedule merges the legacy ResourceEvents with the chaos schedule.
-func (c *Config) chaosSchedule() chaos.Schedule {
-	events := append([]chaos.Event(nil), c.Chaos.Events...)
-	for _, ev := range c.Events {
-		events = append(events, chaos.Event{
-			Epoch: ev.Epoch,
-			Node:  ev.Node,
-			Kind:  chaos.KindComputeShare,
-			Value: ev.ComputeShare,
-		})
-	}
-	return chaos.Schedule{Events: events}
-}
-
 // RunContext executes a full training job and returns its trace.
 // Cancellation is checked at every epoch boundary.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
@@ -324,12 +295,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	var injector *chaos.Injector
-	if sched := cfg.chaosSchedule(); !sched.Empty() {
-		injector, err = chaos.NewInjector(sched, cfg.Cluster)
-		if err != nil {
-			return nil, fmt.Errorf("trainer: %w", err)
-		}
+	injector, err := chaos.NewInjector(cfg.Chaos, cfg.Cluster)
+	if err != nil {
+		return nil, fmt.Errorf("trainer: %w", err)
 	}
 
 	res := &Result{
@@ -344,12 +312,9 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("trainer: %s canceled at epoch %d: %w", cfg.System.Name(), epoch, err)
 		}
-		var applied []chaos.Applied
-		if injector != nil {
-			applied, err = injector.BeginEpoch(epoch)
-			if err != nil {
-				return nil, fmt.Errorf("trainer: epoch %d: %w", epoch, err)
-			}
+		applied, err := injector.BeginEpoch(epoch)
+		if err != nil {
+			return nil, fmt.Errorf("trainer: epoch %d: %w", epoch, err)
 		}
 		plan, err := cfg.System.PlanEpoch(env, epoch)
 		if err != nil {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"cannikin/internal/allreduce"
+	"cannikin/internal/data"
 )
 
 // elasticMLPConfig is a small live run with one scheduled hot-join.
@@ -227,5 +228,43 @@ func TestMLPWorkerValidatesBeforeDial(t *testing.T) {
 	}
 	if took > time.Second {
 		t.Fatalf("the join error took %v: the rank dialed before it validated", took)
+	}
+}
+
+// TestMLPFewerSamplesThanWorkers: a dataset smaller than the cluster is a
+// configuration error, not a loader panic — at the start, and when a join
+// later grows the cluster past the dataset.
+func TestMLPFewerSamplesThanWorkers(t *testing.T) {
+	_, err := TrainMLP(MLPConfig{Samples: 2, LocalBatches: []int{1, 1, 1}, Epochs: 1})
+	if !errors.Is(err, data.ErrTooFewSamples) {
+		t.Fatalf("err = %v, want data.ErrTooFewSamples", err)
+	}
+	cfg := elasticMLPConfig(1)
+	cfg.Samples, cfg.LocalBatches = 2, []int{1, 1}
+	_, err = TrainMLP(cfg)
+	if !errors.Is(err, data.ErrTooFewSamples) || !strings.Contains(err.Error(), "epoch 1") {
+		t.Fatalf("join past the dataset: err = %v, want data.ErrTooFewSamples at epoch 1", err)
+	}
+}
+
+// TestMLPWorkerRejectsFewerSamplesBeforeDial: worker mode checks the
+// starting membership against the dataset before it dials its peers.
+func TestMLPWorkerRejectsFewerSamplesBeforeDial(t *testing.T) {
+	cfg := MLPConfig{Samples: 2, LocalBatches: []int{1, 1, 1}, Epochs: 1}
+	addrs, listeners, err := allreduce.ReserveRingAddrs(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range listeners {
+		ln.Close() // no peer is ever started
+	}
+	start := time.Now()
+	_, _, err = TrainMLPWorker(cfg, WorkerRingConfig{Rank: 0, Peers: addrs, DialTimeout: 3 * time.Second})
+	took := time.Since(start)
+	if !errors.Is(err, data.ErrTooFewSamples) {
+		t.Fatalf("err = %v, want data.ErrTooFewSamples", err)
+	}
+	if took > time.Second {
+		t.Fatalf("the sample-count error took %v: the rank dialed before it validated", took)
 	}
 }

@@ -87,11 +87,12 @@ go test -run xxx -bench 'MulBT|AddMulAT|MatMul' -benchtime 3x ./internal/tensor 
 
 # The fault-tolerance layer races workers against injected stalls, drops,
 # and kills and drives the retry/eviction state machine from timeouts; run
-# the injector package and the fault-path tests (guarded ring, eviction,
-# differential recovery) under the race detector at several GOMAXPROCS
-# values — determinism claims must hold at every parallelism level.
+# the injector package (internal/chaos) and the fault-path tests (guarded
+# ring, eviction, differential recovery) under the race detector at several
+# GOMAXPROCS values — determinism claims must hold at every parallelism
+# level.
 echo "== go test -race -count=2 -cpu 1,2,4 (fault injection + fault paths) =="
-go test -race -count=2 -cpu 1,2,4 ./internal/faultinject
+go test -race -count=2 -cpu 1,2,4 ./internal/chaos
 lane -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal/runtime ./internal/allreduce
 
 # The TCP ring transport runs a writer and a reader goroutine per process
@@ -245,6 +246,13 @@ go tool pprof -top "$BIN/bench.test" "$BIN/cpu.pprof" | grep -q 'flat' \
 echo "== fault-tolerance smoke: injected kill evicts and the run completes, default layout and merged (GOMAXPROCS=1) =="
 go run ./cmd/cannikin -mlp -backend live -epochs 2 -mlp-batches 8,8,8 -bucket-bytes 1024 -fault kill:1@6 >/dev/null
 GOMAXPROCS=1 go run ./cmd/cannikin -mlp -backend live -epochs 2 -mlp-batches 8,8,8 -bucket-bytes 1024 -fault kill:1@6 >/dev/null
+
+# A churn outside (0, 1] is an error, never a run without perturbation.
+echo "== chaos smoke: -chaos -0.5 exits non-zero =="
+if go run ./cmd/cannikin -cluster a -workload cifar10 -epochs 2 -chaos -0.5 >/dev/null 2>&1; then
+	echo "cannikin -chaos -0.5 exited 0: a negative churn must be rejected" >&2
+	exit 1
+fi
 
 echo "== server lane: multi-tenant scheduler + HTTP service under -race =="
 go test -race -count=1 ./internal/jobs ./internal/server
