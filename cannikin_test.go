@@ -237,3 +237,34 @@ func TestEstimateGNSPublicAPI(t *testing.T) {
 		t.Fatal("single node accepted")
 	}
 }
+
+// TestTrainGolden pins Cannikin's simulated time-to-target and epoch count
+// on Clusters B and C for two workloads: the whole trainer — planner,
+// cluster simulator and its noise, GNS draws — to the bit. The values were
+// taken from the unbuffered serial draws.
+func TestTrainGolden(t *testing.T) {
+	for _, c := range []struct {
+		preset, workload string
+		convergeBits     uint64
+		epochs           int
+	}{
+		{"b", "cifar10", 0x4053f7ba060423b7, 98},
+		{"b", "imagenet", 0x40c0a29724dfd660, 70},
+		{"c", "cifar10", 0x405f59b02c6453a9, 78},
+		{"c", "imagenet", 0x40d083a664c396b1, 68},
+	} {
+		rep, err := Train(TrainConfig{
+			Cluster:  ClusterConfig{Preset: c.preset},
+			Workload: c.workload,
+			System:   SystemCannikin,
+			Seed:     1,
+		})
+		if err != nil {
+			t.Fatalf("%s/%s: %v", c.preset, c.workload, err)
+		}
+		if got := math.Float64bits(rep.ConvergeTime); got != c.convergeBits || len(rep.Epochs) != c.epochs {
+			t.Fatalf("%s/%s: converged at %#016x (%v s) in %d epochs, want %#016x in %d",
+				c.preset, c.workload, got, rep.ConvergeTime, len(rep.Epochs), c.convergeBits, c.epochs)
+		}
+	}
+}

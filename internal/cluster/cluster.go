@@ -19,6 +19,7 @@ import (
 	"cannikin/internal/optperf"
 	"cannikin/internal/rng"
 	"cannikin/internal/simnet"
+	"cannikin/internal/tensor"
 )
 
 // Cluster is a set of devices joined by an all-reduce ring.
@@ -30,6 +31,8 @@ type Cluster struct {
 	BucketBytes float64
 
 	src *rng.Source
+	// noise streams Step's draws from src; PrefetchSteps fills it ahead.
+	noise *tensor.Normals
 	// contended flags nodes suffering interference this epoch: their
 	// communication-constant measurements are much noisier.
 	contended []bool
@@ -57,6 +60,7 @@ func New(name string, devices []*gpu.Device, ring simnet.RingSpec, src *rng.Sour
 		contended:   make([]bool, len(devices)),
 		commNoise:   make([]float64, len(devices)),
 	}
+	c.noise = tensor.NewNormals(c.src)
 	c.BeginEpoch(0)
 	return c, nil
 }
@@ -219,7 +223,7 @@ func (c *Cluster) Step(p gpu.JobProfile, batches []int) (StepResult, error) {
 			}
 		}
 		// Small shared jitter on the wire time (stragglers, retransmits).
-		finishPrev = start + plan.PerBucket*c.src.LogNormFactor(0.02)
+		finishPrev = start + plan.PerBucket*c.noise.LogNormFactor(0.02)
 	}
 	res.Time = finishPrev
 	for i := range res.PerNode {
@@ -235,15 +239,34 @@ func (c *Cluster) Step(p gpu.JobProfile, batches []int) (StepResult, error) {
 		sigma := c.commNoise[i]
 		inflate := 1.0
 		if c.contended[i] {
-			if d := c.src.Norm(0.45, 0.35); d > 0 {
+			if d := c.noise.Norm(0.45, 0.35); d > 0 {
 				inflate += d
 			}
 		}
-		res.PerNode[i].Gamma = clamp01(gamma * c.src.LogNormFactor(sigma))
-		res.PerNode[i].To = plan.To * inflate * c.src.LogNormFactor(sigma)
-		res.PerNode[i].Tu = plan.Tu * inflate * c.src.LogNormFactor(sigma)
+		res.PerNode[i].Gamma = clamp01(gamma * c.noise.LogNormFactor(sigma))
+		res.PerNode[i].To = plan.To * inflate * c.noise.LogNormFactor(sigma)
+		res.PerNode[i].Tu = plan.Tu * inflate * c.noise.LogNormFactor(sigma)
 	}
 	return res, nil
+}
+
+// PrefetchSteps draws ahead, over every usable core, the normals that the
+// next steps Step calls for job p will read this epoch: one per gradient
+// bucket, three per node and one more per contended node. The count is a
+// hint — a wrong one costs time, never a bit (tensor.Normals) — so an
+// invalid job simply prefetches nothing and leaves Step to report it.
+func (c *Cluster) PrefetchSteps(p gpu.JobProfile, steps int) {
+	plan, err := simnet.PlanBuckets(c.Ring, p.ParamBytes, c.BucketBytes)
+	if err != nil {
+		return
+	}
+	perStep := plan.NumBuckets + 3*c.N()
+	for _, busy := range c.contended {
+		if busy {
+			perStep++
+		}
+	}
+	c.noise.Prefetch(steps * perStep)
 }
 
 func clamp01(v float64) float64 {

@@ -20,6 +20,7 @@ import (
 	"cannikin/internal/gns"
 	"cannikin/internal/goodput"
 	"cannikin/internal/rng"
+	"cannikin/internal/tensor"
 )
 
 // Direction says whether a workload's target metric improves upward
@@ -74,7 +75,9 @@ type State struct {
 	model Model
 	// effective is the count of effective samples processed.
 	effective float64
-	src       *rng.Source
+	// norms streams the gradient-proxy draws; PrefetchGradientNorms fills
+	// it ahead for a run of samples.
+	norms *tensor.Normals
 }
 
 // NewState returns a fresh training state for the model.
@@ -82,7 +85,7 @@ func NewState(m Model, src *rng.Source) (*State, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &State{model: m, src: src.Split("convergence")}, nil
+	return &State{model: m, norms: tensor.NewNormals(src.Split("convergence"))}, nil
 }
 
 // Progress returns the fraction of the effective-sample budget consumed,
@@ -169,7 +172,7 @@ func (s *State) GradientNorms(batches []int) gns.Sample {
 		perCoordSD := sigma / math.Sqrt(float64(b))
 		sq := 0.0
 		for j := 0; j < d; j++ {
-			v := mu + s.src.Norm(0, perCoordSD)
+			v := mu + s.norms.Norm(0, perCoordSD)
 			sq += v * v
 			global[j] += r * v
 		}
@@ -179,6 +182,13 @@ func (s *State) GradientNorms(batches []int) gns.Sample {
 		sample.GlobalSqNorm += v * v
 	}
 	return sample
+}
+
+// PrefetchGradientNorms draws ahead, over every usable core, the normals
+// that the next samples GradientNorms calls over nodes nodes will read. The
+// counts are a hint: a wrong one costs time, never a bit (tensor.Normals).
+func (s *State) PrefetchGradientNorms(samples, nodes int) {
+	s.norms.Prefetch(samples * nodes * gnsProxyDim)
 }
 
 // Model returns the underlying convergence model.

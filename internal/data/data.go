@@ -7,6 +7,7 @@ package data
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"cannikin/internal/rng"
 	"cannikin/internal/tensor"
@@ -15,6 +16,11 @@ import (
 // ErrTooFewSamples reports a dataset with fewer rows than nodes: no global
 // batch can give every node a sample. Test with errors.Is.
 var ErrTooFewSamples = errors.New("data: fewer samples than nodes")
+
+// ErrBadNoise reports a blob spread that is NaN, infinite or negative: the
+// dataset would be garbage, or its labels unlearnable, without any error.
+// Test with errors.Is.
+var ErrBadNoise = errors.New("data: blob noise must be finite and non-negative")
 
 // Dataset is an in-memory labeled dataset.
 type Dataset struct {
@@ -47,14 +53,21 @@ func SyntheticBlobs(n, dim, classes int, noise float64, src *rng.Source) (*Datas
 	if classes > 2*dim {
 		return nil, fmt.Errorf("data: %d classes need dim >= %d", classes, (classes+1)/2)
 	}
+	if !(noise >= 0) || math.IsInf(noise, 1) { // NaN fails every comparison
+		return nil, fmt.Errorf("%w: %v", ErrBadNoise, noise)
+	}
 	ds := &Dataset{X: tensor.New(n, dim), Labels: make([]int, n), Classes: classes}
 	s := src.Split("blobs")
+	// One standard draw per element in row-major order. NormalsInto leaves
+	// s where a per-element loop would, so the shuffle below draws from the
+	// serial position.
+	tensor.NormalsInto(ds.X.Data(), s)
 	for i := 0; i < n; i++ {
 		c := i % classes
 		ds.Labels[i] = c
 		row := ds.X.Row(i)
-		for j := range row {
-			row[j] = s.Norm(0, noise)
+		for j, z := range row {
+			row[j] = 0 + noise*z // s.Norm(0, noise) to the bit
 		}
 		// Center: +2 on axis c/2, sign alternating.
 		axis := c / 2

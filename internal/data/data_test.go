@@ -1,6 +1,11 @@
 package data
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math"
 	"testing"
 
 	"cannikin/internal/rng"
@@ -77,6 +82,40 @@ func TestSyntheticBlobsValidation(t *testing.T) {
 	}
 	if _, err := SyntheticBlobs(10, 2, 9, 0.5, src); err == nil {
 		t.Fatal("too many classes for dim accepted")
+	}
+}
+
+func TestSyntheticBlobsRejectsBadNoise(t *testing.T) {
+	for _, noise := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.1} {
+		if _, err := SyntheticBlobs(10, 4, 2, noise, rng.New(3)); !errors.Is(err, ErrBadNoise) {
+			t.Fatalf("noise %v: err = %v, want ErrBadNoise", noise, err)
+		}
+	}
+	if _, err := SyntheticBlobs(10, 4, 2, 0, rng.New(3)); err != nil {
+		t.Fatalf("zero noise (points on their centers) rejected: %v", err)
+	}
+}
+
+// TestSyntheticBlobsGolden pins every bit of a dataset large enough that
+// its draws are tiled over the kernel pool: the hash was taken from the
+// serial per-row Norm loop.
+func TestSyntheticBlobsGolden(t *testing.T) {
+	ds, err := SyntheticBlobs(1500, 20, 6, 0.8, rng.New(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range ds.X.Data() {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	for _, l := range ds.Labels {
+		h.Write([]byte{byte(l)})
+	}
+	const want = "1c67b58b6e1fba381af943ccbed2352134e3af508c09ccbc5f42f76bad57a1f5"
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Fatalf("blobs hash %s, want %s", got, want)
 	}
 }
 

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"cannikin/internal/goodput"
@@ -41,7 +42,7 @@ type PoolConfig struct {
 	// Seed roots every pool random stream; equal seeds give equal pools.
 	Seed uint64
 	// Jitter is the log-space sigma of per-device and per-job speed noise
-	// (0 disables it; negative is rejected).
+	// (0 disables it; negative, NaN and infinite values are rejected).
 	Jitter float64
 }
 
@@ -67,8 +68,8 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 	if cfg.Devices < 1 {
 		return nil, fmt.Errorf("jobs: pool needs at least 1 device, got %d", cfg.Devices)
 	}
-	if cfg.Jitter < 0 {
-		return nil, fmt.Errorf("jobs: negative jitter %v", cfg.Jitter)
+	if math.IsNaN(cfg.Jitter) || math.IsInf(cfg.Jitter, 0) || cfg.Jitter < 0 {
+		return nil, fmt.Errorf("jobs: jitter %v must be finite and non-negative", cfg.Jitter)
 	}
 	models := cfg.Models
 	if len(models) == 0 {

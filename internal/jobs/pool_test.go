@@ -42,6 +42,16 @@ func TestNewPoolRejectsBadConfig(t *testing.T) {
 	}
 }
 
+// TestNewPoolRejectsNonFiniteJitter: a NaN jitter made every job profile
+// NaN and +Inf made device speeds NaN or 0, yet both were accepted.
+func TestNewPoolRejectsNonFiniteJitter(t *testing.T) {
+	for _, j := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewPool(PoolConfig{Devices: 2, Jitter: j}); err == nil {
+			t.Fatalf("jitter %v accepted", j)
+		}
+	}
+}
+
 // TestProfileIsolation is the per-job isolation guarantee: a job's device
 // profile depends only on (pool seed, job ID), never on what was drawn
 // before it or what else is running.

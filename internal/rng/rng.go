@@ -69,23 +69,48 @@ func (s *Source) Intn(n int) int {
 	return int(s.Uint64() % uint64(n))
 }
 
-// Norm returns a normally distributed value with the given mean and
-// standard deviation, using the Box-Muller transform.
-func (s *Source) Norm(mean, stddev float64) float64 {
+// NormUint64s is how many Uint64 values one standard normal draw consumes.
+const NormUint64s = 2
+
+// StdNorm returns a standard normal draw by the Box-Muller transform,
+// consuming exactly NormUint64s Uint64 values. Norm and LogNormFactor are
+// maps of it, so a consumer that buffers standard draws computes bitwise
+// what the direct calls would.
+func (s *Source) StdNorm() float64 {
 	// Draw u1 in (0, 1] to avoid log(0).
 	u1 := 1.0 - s.Float64()
 	u2 := s.Float64()
-	z := math.Sqrt(-2.0*math.Log(u1)) * math.Cos(2.0*math.Pi*u2)
-	return mean + stddev*z
+	return math.Sqrt(-2.0*math.Log(u1)) * math.Cos(2.0*math.Pi*u2)
+}
+
+// Norm returns a normally distributed value with the given mean and
+// standard deviation: mean + stddev·z over one StdNorm draw z.
+func (s *Source) Norm(mean, stddev float64) float64 {
+	return mean + stddev*s.StdNorm()
 }
 
 // LogNormFactor returns a multiplicative noise factor exp(N(0, sigma))
 // normalized to have mean 1. sigma is the log-space standard deviation.
+// sigma == 0 returns 1 and draws nothing.
 func (s *Source) LogNormFactor(sigma float64) float64 {
 	if sigma == 0 {
 		return 1
 	}
-	return math.Exp(s.Norm(-sigma*sigma/2, sigma))
+	return LogNorm(sigma, s.StdNorm())
+}
+
+// LogNorm is LogNormFactor's map of a standard normal draw z:
+// exp(N(-sigma²/2, sigma)).
+func LogNorm(sigma, z float64) float64 {
+	return math.Exp(-sigma*sigma/2 + sigma*z)
+}
+
+// Skip advances the stream by n Uint64 draws in O(1): the state is a Weyl
+// counter that every draw moves by inc, so draw k is reached by adding
+// k·inc (mod 2⁶⁴). Skip(n) leaves the source exactly where n calls of
+// Uint64 would.
+func (s *Source) Skip(n uint64) {
+	s.state += n * s.inc
 }
 
 // Perm returns a uniformly random permutation of [0, n).

@@ -5,9 +5,12 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"cannikin/internal/rng"
 )
 
-// The kernel pool lets idle cores finish a busy caller's matmul. A kernel at
+// The kernel pool lets idle cores finish a busy caller's matmul — or its
+// long run of normal draws (NormalsInto, whose rows are draws). A kernel at
 // or above ParallelWorkFloor is cut into contiguous output-row tiles, about
 // tilesPerCore per usable core. The caller lists the job as open, wakes
 // parked helper goroutines with non-blocking sends, then claims tiles from
@@ -37,6 +40,9 @@ const (
 	opMatMul kernelOp = iota
 	opAddMulAT
 	opMulBT
+	// opNormals is NormalsInto's fill: its rows are draws, written from
+	// the job's own copy of the source (normals.go).
+	opNormals
 )
 
 // ParallelWorkFloor is the approximate flop count below which tiling
@@ -61,6 +67,8 @@ func UsableCores() int {
 type job struct {
 	op        kernelOp
 	dst, a, b *T
+	norms     []float64  // opNormals: the fill's destination
+	src       rng.Source // opNormals: the source at draw 0 of the fill
 	rows      int
 	tiles     int32
 	next      atomic.Int32 // cursor: the next unclaimed tile
@@ -187,7 +195,11 @@ func (j *job) work() (last bool) {
 			return last
 		}
 		lo, hi := j.tile(int(t))
-		runRows(j.op, j.dst, j.a, j.b, lo, hi)
+		if j.op == opNormals {
+			normalsRange(j.norms, j.src, lo, hi)
+		} else {
+			runRows(j.op, j.dst, j.a, j.b, lo, hi)
+		}
 		last = j.finished.Add(1) == j.tiles
 	}
 }
@@ -214,7 +226,7 @@ func (j *job) release() {
 	if j.refs.Add(-1) != 0 {
 		return
 	}
-	j.dst, j.a, j.b = nil, nil, nil
+	j.dst, j.a, j.b, j.norms = nil, nil, nil, nil
 	select {
 	case pool.free <- j:
 	default: // more jobs than the free list holds: let this one go

@@ -56,11 +56,14 @@ func FromRows(rows [][]float64) *T {
 	return t
 }
 
-// Randn fills a new tensor with N(0, std) entries from src.
+// Randn fills a new tensor with N(0, std) entries from src: bitwise
+// src.Norm(0, std) per element in order, the standard draws filled by
+// NormalsInto.
 func Randn(rows, cols int, std float64, src *rng.Source) *T {
 	t := New(rows, cols)
-	for i := range t.data {
-		t.data[i] = src.Norm(0, std)
+	NormalsInto(t.data, src)
+	for i, z := range t.data {
+		t.data[i] = 0 + std*z // Norm(0, std) to the bit: 0 + -0 is +0
 	}
 	return t
 }

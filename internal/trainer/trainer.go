@@ -339,6 +339,12 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 		if logicalSteps > cfg.MaxSimSteps {
 			stride = (logicalSteps + cfg.MaxSimSteps - 1) / cfg.MaxSimSteps
 		}
+		// Draw the epoch's simulator noise up front, over every usable
+		// core. The counts are hints: an epoch that converges early leaves
+		// draws buffered, and every value is the serial one regardless.
+		simSteps := (logicalSteps + stride - 1) / stride
+		cfg.Cluster.PrefetchSteps(cfg.Workload.Profile, simSteps)
+		state.PrefetchGradientNorms((simSteps+cfg.GNSEvery-1)/cfg.GNSEvery, len(plan.Local))
 
 		stats := EpochStats{
 			Epoch:      epoch,

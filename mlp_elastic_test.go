@@ -268,3 +268,32 @@ func TestMLPWorkerRejectsFewerSamplesBeforeDial(t *testing.T) {
 		t.Fatalf("the sample-count error took %v: the rank dialed before it validated", took)
 	}
 }
+
+// TestMLPRejectsBadNoise: a NaN blob spread used to train with its loss
+// stuck at ln 4 and +Inf with a NaN loss, both without an error. TrainMLP
+// and worker mode return data.ErrBadNoise, the worker before it dials.
+func TestMLPRejectsBadNoise(t *testing.T) {
+	for _, noise := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -0.5} {
+		_, err := TrainMLP(MLPConfig{LocalBatches: []int{4, 4}, Epochs: 1, Noise: noise})
+		if !errors.Is(err, data.ErrBadNoise) {
+			t.Fatalf("noise %v: err = %v, want data.ErrBadNoise", noise, err)
+		}
+	}
+	addrs, listeners, err := allreduce.ReserveRingAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range listeners {
+		ln.Close() // no peer is ever started
+	}
+	start := time.Now()
+	cfg := MLPConfig{LocalBatches: []int{4, 4}, Epochs: 1, Noise: math.NaN()}
+	_, _, err = TrainMLPWorker(cfg, WorkerRingConfig{Rank: 0, Peers: addrs, DialTimeout: 3 * time.Second})
+	took := time.Since(start)
+	if !errors.Is(err, data.ErrBadNoise) {
+		t.Fatalf("worker: err = %v, want data.ErrBadNoise", err)
+	}
+	if took > time.Second {
+		t.Fatalf("the noise error took %v: the rank dialed before it validated", took)
+	}
+}

@@ -74,11 +74,23 @@ go test -race -count=2 ./internal/runtime ./internal/allreduce
 # atomic cursor, and jobs are recycled under a reference count. Run its
 # property tests by name — tiled == serial == naive bitwise at every tile
 # count, a helper reaching a recycled job late claims nothing, concurrent
-# callers — and the kernels' bitwise-equals-naive contract (tile
-# remainders, the zero skip's edge cases) under the race detector at
-# several GOMAXPROCS values.
+# callers, the normal fill == the serial Box-Muller loop (values and where
+# it leaves the source) at every length and tile count — and the kernels'
+# bitwise-equals-naive contract (tile remainders, the zero skip's edge
+# cases) under the race detector at several GOMAXPROCS values.
 echo "== go test -race -count=2 -cpu 1,2,4 (tensor kernels + pool) =="
-lane -race -count=2 -cpu 1,2,4 -run 'TestParallelKernelsBitwiseEqualSerial|TestTiledJobLateHelper|TestParallelKernelsConcurrentCallers|Kernels' ./internal/tensor
+lane -race -count=2 -cpu 1,2,4 -run 'TestParallelKernelsBitwiseEqualSerial|TestTiledJobLateHelper|TestParallelKernelsConcurrentCallers|Kernels|TestNormalsInto' ./internal/tensor
+
+# The simulator draws each epoch's noise ahead over the kernel pool, and the
+# values must be the serial draws' whatever the core count and whatever was
+# prefetched. Literal goldens taken from the serial draws pin the bits: Norm
+# and LogNormFactor, Skip against Uint64 calls, a buffered stream against a
+# serial source (Split included), GradientNorms and Cluster.Step under
+# every prefetch count, Randn and SyntheticBlobs hashes, and Train's
+# time-to-target on Clusters B and C. By name, so a rename cannot silently
+# drop them.
+echo "== noise goldens lane: every simulator draw the serial one -race -cpu 1,2,4 =="
+lane -race -count=1 -cpu 1,2,4 -run 'TestNormGolden|TestLogNormFactorGolden|TestSkipEqualsUint64Calls|TestNormalsStreamMatchesSerial|TestRandnGolden|TestGradientNormsGolden|TestStepGolden|TestSyntheticBlobsGolden|TestTrainGolden' ./internal/rng ./internal/tensor ./internal/convergence ./internal/cluster ./internal/data .
 
 # The kernel benchmarks feed scripts/bench.sh's kernel lane and the
 # trajectory gate; a renamed or panicking sub-benchmark should fail here.
@@ -251,6 +263,13 @@ GOMAXPROCS=1 go run ./cmd/cannikin -mlp -backend live -epochs 2 -mlp-batches 8,8
 echo "== chaos smoke: -chaos -0.5 exits non-zero =="
 if go run ./cmd/cannikin -cluster a -workload cifar10 -epochs 2 -chaos -0.5 >/dev/null 2>&1; then
 	echo "cannikin -chaos -0.5 exited 0: a negative churn must be rejected" >&2
+	exit 1
+fi
+
+# A non-finite jitter is an error, never a pool of NaN speeds.
+echo "== jitter smoke: cannikin-serve -jitter NaN exits non-zero =="
+if go run ./cmd/cannikin-serve -addr 127.0.0.1:0 -jitter NaN >/dev/null 2>&1; then
+	echo "cannikin-serve -jitter NaN exited 0: a non-finite jitter must be rejected" >&2
 	exit 1
 fi
 
