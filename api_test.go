@@ -8,6 +8,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"cannikin/internal/gpu"
+	"cannikin/internal/rng"
 )
 
 func TestSentinelErrors(t *testing.T) {
@@ -284,5 +287,58 @@ func TestChurnOutsideUnitIntervalRejected(t *testing.T) {
 		if _, err := TrainMLP(cfg); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("FaultConfig churn %v: err = %v, want %q", churn, err, want)
 		}
+	}
+}
+
+// TestTrainRejectsNegativeMaxEpochs: a negative epoch cap is an error that
+// names the field, returned before any simulation — not the default cap.
+func TestTrainRejectsNegativeMaxEpochs(t *testing.T) {
+	for _, system := range Systems() {
+		for _, m := range []int{-1, -3, math.MinInt} {
+			epochs := 0
+			rep, err := Train(TrainConfig{
+				Cluster:   ClusterConfig{Preset: "a"},
+				Workload:  "cifar10",
+				System:    system,
+				MaxEpochs: m,
+				OnEpoch:   func(EpochReport) error { epochs++; return nil },
+			})
+			if !errors.Is(err, ErrEpochRange) || !strings.Contains(err.Error(), "MaxEpochs") {
+				t.Fatalf("%s MaxEpochs %d: err %v, want ErrEpochRange naming MaxEpochs", system, m, err)
+			}
+			if rep != nil || epochs != 0 {
+				t.Fatalf("%s MaxEpochs %d: trained %d epochs before failing", system, m, epochs)
+			}
+		}
+	}
+}
+
+// TestClusterRejectsNonFinite: NaN and infinite CPU speeds and compute
+// shares fail the cluster config with ErrBadCluster, and SetSharing — which
+// ComputeShares and chaos events go through — refuses NaN itself.
+func TestClusterRejectsNonFinite(t *testing.T) {
+	models := []string{"V100", "A100"}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for name, c := range map[string]ClusterConfig{
+			"CPUSpeeds":     {Models: models, CPUSpeeds: []float64{bad, 1}},
+			"ComputeShares": {Models: models, ComputeShares: []float64{1, bad}},
+		} {
+			_, err := Train(TrainConfig{Cluster: c, Workload: "cifar10", System: SystemCannikin, MaxEpochs: 2})
+			if !errors.Is(err, ErrBadCluster) {
+				t.Fatalf("%s %v: err %v, want ErrBadCluster", name, bad, err)
+			}
+		}
+	}
+	d, err := gpu.NewDevice("d", "V100", rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range [][2]float64{{math.NaN(), 1}, {1, math.NaN()}, {math.Inf(1), 1}, {1, math.Inf(1)}} {
+		if err := d.SetSharing(f[0], f[1]); err == nil {
+			t.Fatalf("SetSharing(%v, %v) accepted", f[0], f[1])
+		}
+	}
+	if d.SpeedFraction != 1 || d.MemFraction != 1 {
+		t.Fatalf("a rejected SetSharing changed the device: speed %v mem %v", d.SpeedFraction, d.MemFraction)
 	}
 }

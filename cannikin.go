@@ -20,6 +20,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 
 	"cannikin/internal/chaos"
@@ -41,6 +42,8 @@ var (
 	ErrBadCluster = errors.New("bad cluster config")
 	// ErrBatchRange reports a FixedBatch the workload or system cannot run.
 	ErrBatchRange = errors.New("batch size out of range")
+	// ErrEpochRange reports a negative TrainConfig.MaxEpochs.
+	ErrEpochRange = errors.New("epoch cap out of range")
 	// ErrAudit reports a plan-audit failure in strict mode (an OptPerf
 	// solution violated the paper's optimality invariants), or an invalid
 	// audit configuration.
@@ -133,7 +136,7 @@ func (c ClusterConfig) build(src *rng.Source) (*cluster.Cluster, error) {
 			return nil, fmt.Errorf("cannikin: %d CPU speeds for %d nodes: %w", len(c.CPUSpeeds), len(c.Models), ErrBadCluster)
 		}
 		for i, s := range c.CPUSpeeds {
-			if s <= 0 {
+			if !(s > 0) || math.IsInf(s, 1) { // NaN fails s > 0
 				return nil, fmt.Errorf("cannikin: node %d CPU speed %v: %w", i, s, ErrBadCluster)
 			}
 			cl.Devices[i].CPUSpeed = s
@@ -214,7 +217,8 @@ type TrainConfig struct {
 	Workload string
 	System   SystemKind
 	Seed     uint64
-	// MaxEpochs caps the run (0 = default safety limit).
+	// MaxEpochs caps the run (0 = default safety limit; a negative cap
+	// fails with ErrEpochRange).
 	MaxEpochs int
 	// FixedBatch pins the total batch size for systems that support it
 	// (Cannikin, LB-BSP, DDP, HetPipe); 0 keeps each system's default
@@ -311,6 +315,9 @@ func Train(cfg TrainConfig) (*Report, error) {
 func TrainContext(ctx context.Context, cfg TrainConfig) (*Report, error) {
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if cfg.MaxEpochs < 0 {
+		return nil, fmt.Errorf("cannikin: MaxEpochs %d (0 = default safety limit): %w", cfg.MaxEpochs, ErrEpochRange)
 	}
 	src := rng.New(cfg.Seed)
 	cl, err := cfg.Cluster.build(src)

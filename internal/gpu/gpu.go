@@ -167,9 +167,10 @@ func NewDevice(id, modelKey string, src *rng.Source) (*Device, error) {
 }
 
 // SetSharing constrains the device to the given compute and memory
-// fractions, modeling a co-located tenant.
+// fractions, modeling a co-located tenant. Each must be in (0, 1]; NaN is
+// not.
 func (d *Device) SetSharing(speedFraction, memFraction float64) error {
-	if speedFraction <= 0 || speedFraction > 1 || memFraction <= 0 || memFraction > 1 {
+	if !(speedFraction > 0 && speedFraction <= 1 && memFraction > 0 && memFraction <= 1) {
 		return fmt.Errorf("gpu: sharing fractions must be in (0, 1], got speed=%v mem=%v", speedFraction, memFraction)
 	}
 	d.SpeedFraction = speedFraction

@@ -233,3 +233,38 @@ func TestProfileValidate(t *testing.T) {
 		t.Fatal("zero per-sample memory accepted")
 	}
 }
+
+// TestMeasureComputeGolden pins the bits of a device's per-measurement
+// noise: the first 8 MeasureCompute results (batches 4, 16, ..., 88) for a
+// dedicated V100 and an A100 shared at (0.6, 0.75), on seeds 1 and 7919.
+// Inside Cluster.Step these draws interleave with the cluster's buffered
+// stream, so a change to either stream's order shows here or in its own
+// golden. The patterns were taken from the serial LogNormFactor draws.
+func TestMeasureComputeGolden(t *testing.T) {
+	p := testProfile()
+	for _, c := range []struct {
+		seed       uint64
+		model      string
+		speed, mem float64
+		want       [8][2]uint64 // A, P
+	}{
+		{1, "V100", 1, 1, [8][2]uint64{{0x3f66470dc8b542f9, 0x3f6efd39643f407b}, {0x3f80cb802bdcee06, 0x3f8b1523c8b68c16}, {0x3f8b80644c31f98f, 0x3f96b4e4c864554f}, {0x3f935f4df32422f2, 0x3fa01c3d3ff01fbf}, {0x3f989e2af81085d8, 0x3fa4a268bf6b9fa6}, {0x3f9ec24053a638a7, 0x3faa2cfc86182b97}, {0x3fa236032fc818e3, 0x3fae82f0da20b389}, {0x3fa4a13a43f42042, 0x3fb1d74d9aed921e}}},
+		{1, "A100", 0.6, 0.75, [8][2]uint64{{0x3f62a0164431b380, 0x3f66e65282ec6399}, {0x3f78f4438cba3cba, 0x3f82eb9edd7788a3}, {0x3f850ff5872e6a20, 0x3f900dae09578c4e}, {0x3f8c501eca082e98, 0x3f962796c421aff6}, {0x3f918c8f795392e2, 0x3f9da9b0682bb07a}, {0x3f95dbc689dfb2a1, 0x3fa1058933da9060}, {0x3f99fde0ea90d802, 0x3fa4eef0536e9363}, {0x3f9dc34937867624, 0x3fa81751bbcbec7e}}},
+		{7919, "V100", 1, 1, [8][2]uint64{{0x3f65ceaf8a00b975, 0x3f6f00399cb0f12d}, {0x3f801a7ce9b650bb, 0x3f8aafa7052158d3}, {0x3f8c946e94d30075, 0x3f971bdde886cee1}, {0x3f938552f8a64339, 0x3fa06484015fe603}, {0x3f9900cac705247d, 0x3fa49b4bd12d6fb3}, {0x3f9e8496b3580766, 0x3fa9e9b2fb23b254}, {0x3fa20582da4a4264, 0x3fae11efd1ab8717}, {0x3fa487768de9f17f, 0x3fb1d3d88c373967}}},
+		{7919, "A100", 0.6, 0.75, [8][2]uint64{{0x3f61d8245fa50651, 0x3f66ca7826ab4656}, {0x3f78f37909654804, 0x3f82b67314924d35}, {0x3f8500be15b87c66, 0x3f900e71e6186009}, {0x3f8bc5034389ae33, 0x3f964ad46017fa42}, {0x3f926ea2a4f54060, 0x3f9c5b61f181dc03}, {0x3f95c5b98cd881bd, 0x3fa1dae2fc5d3d61}, {0x3f9a55d3a8a6c4b5, 0x3fa4babd037b438c}, {0x3f9e999a68df9272, 0x3fa76194a59e45d9}}},
+	} {
+		d, err := NewDevice("node-"+c.model, c.model, rng.New(c.seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.SetSharing(c.speed, c.mem); err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range c.want {
+			m := d.MeasureCompute(p, 4+12*i)
+			if a, pb := math.Float64bits(m.A), math.Float64bits(m.P); a != w[0] || pb != w[1] {
+				t.Fatalf("seed %d %s measurement %d: A, P = %#x, %#x, want %#x, %#x", c.seed, c.model, i, a, pb, w[0], w[1])
+			}
+		}
+	}
+}

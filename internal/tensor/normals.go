@@ -49,51 +49,105 @@ func normalsRange(dst []float64, src rng.Source, lo, hi int) {
 	}
 }
 
+// streamTile is how many draws one tile of a stream's fill holds: 1024
+// draws, about 15 µs on one core of a 2-vCPU AMD EPYC host. Long enough that a claim, a flag and a wake-up are
+// noise beside it; short enough that a reader caught up with the fill waits
+// at most that long for the tile it needs, and that an epoch's fill splits
+// into tiles the reader and the helpers can trade.
+const streamTile = 1024
+
 // Normals is a buffered stream of standard normal draws from one source.
-// Prefetch fills the buffer ahead in one NormalsInto; Next hands the draws
-// out in order and, when the buffer is empty, draws straight from the
-// source. The source always stays at the stream's logical position — every
-// buffered draw handed out skips it by rng.NormUint64s — so a Split of it,
-// or any later use, sees the source a serial consumer would have left. A
-// prefetch count is only a hint: draws left unread stay buffered for the
-// next reads, and a stream that runs short draws serially, so no count can
-// change a value.
+// Prefetch starts filling the buffer ahead as a kernel-pool job and returns
+// without waiting; Next hands the draws out in order, waiting only for the
+// tile that holds the draw it reads — and while that tile is not ready it
+// claims and runs the lowest unclaimed tile itself. When the buffer is
+// empty, Next draws straight from the source. Every value is the serial one
+// whichever goroutine computes it (NormalsInto).
+//
+// The source always stays at the stream's logical position — every
+// buffered draw handed out skips it by rng.NormUint64s, and the fill works
+// on its own copy — so a Split of it, or any later use, even mid-fill, sees
+// the source a serial consumer would have left. A prefetch count is only a
+// hint: draws left unread stay buffered for the next reads, and a stream
+// that runs short draws serially, so no count can change a value. A stream
+// dropped mid-fill leaves its job to the helpers, which finish its tiles and
+// let it go.
 //
 // While draws are buffered every draw from the source must go through the
 // stream; one taken from the source directly would make the buffer stale.
 type Normals struct {
-	src  *rng.Source
-	buf  []float64
-	next int // index of the next unread buffered draw
+	src   *rng.Source
+	buf   []float64
+	next  int  // index of the next unread buffered draw
+	ready int  // draws before this index are written
+	fill  *job // the fill of buf[base:] still outstanding, or nil
+	base  int  // buffer index of the fill's draw 0
 }
 
 // NewNormals returns a stream over src, which it advances as draws are read.
 func NewNormals(src *rng.Source) *Normals { return &Normals{src: src} }
 
-// Prefetch makes the next n reads come from the buffer, filling only the
-// draws not already buffered.
+// Prefetch makes the next n reads come from the buffer, starting the fill
+// of the draws not already buffered. A long fill runs on the kernel pool
+// while the caller goes on; a short one, or one on a single usable core,
+// runs inline.
 func (s *Normals) Prefetch(n int) {
 	have := len(s.buf) - s.next
 	if n <= have {
 		return
 	}
+	s.join()
 	s.buf = slices.Grow(append(s.buf[:0], s.buf[s.next:]...), n-have)[:n]
 	s.next = 0
 	ahead := *s.src
 	ahead.Skip(rng.NormUint64s * uint64(have))
-	NormalsInto(s.buf[have:], &ahead)
+	fill := s.buf[have:]
+	cores := UsableCores()
+	if cores < 2 || len(fill)*normalWork < ParallelWorkFloor {
+		NormalsInto(fill, &ahead)
+		s.ready = n
+		return
+	}
+	j := acquire(opNormals, nil, nil, nil, len(fill), (len(fill)+streamTile-1)/streamTile)
+	j.norms, j.src = fill, ahead
+	j.start(min(cores-1, int(j.tiles)))
+	s.fill, s.base, s.ready = j, have, have
 }
 
 // Next returns the next standard normal draw: src.StdNorm() of the serial
 // stream.
 func (s *Normals) Next() float64 {
-	if s.next == len(s.buf) {
-		return s.src.StdNorm()
+	if s.next == s.ready {
+		if s.fill == nil {
+			return s.src.StdNorm()
+		}
+		s.await()
 	}
 	z := s.buf[s.next]
 	s.next++
 	s.src.Skip(rng.NormUint64s)
 	return z
+}
+
+// await waits for the fill's tile holding draw s.next and makes it
+// readable. The reader awaits the tiles in order, so after the last one
+// every tile has run and the fill is joined.
+func (s *Normals) await() {
+	t := s.fill.tileOf(s.next - s.base)
+	s.fill.await(t)
+	_, hi := s.fill.tile(t)
+	if s.ready = s.base + hi; s.ready == len(s.buf) {
+		s.join()
+	}
+}
+
+// join finishes the outstanding fill, if any, and releases its job.
+func (s *Normals) join() {
+	if s.fill != nil {
+		s.fill.join()
+		s.fill = nil
+		s.ready = len(s.buf)
+	}
 }
 
 // Norm is src.Norm(mean, stddev) of the serial stream.

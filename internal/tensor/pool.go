@@ -3,24 +3,38 @@ package tensor
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"cannikin/internal/rng"
 )
 
-// The kernel pool lets idle cores finish a busy caller's matmul — or its
-// long run of normal draws (NormalsInto, whose rows are draws). A kernel at
-// or above ParallelWorkFloor is cut into contiguous output-row tiles, about
-// tilesPerCore per usable core. The caller lists the job as open, wakes
-// parked helper goroutines with non-blocking sends, then claims tiles from
-// the job's atomic cursor itself; whoever is free claims the next tile. A
-// woken helper works through whichever open job has the most tiles left, so
-// a helper one caller woke but the scheduler ran late still finishes the
-// straggler's kernel. The caller waits only for tiles a helper has already
-// claimed, never for a helper the scheduler has not yet run: a helper that
-// reaches a job after it has finished finds the cursor exhausted and touches
-// nothing.
+// The kernel pool lets idle cores share one caller's work: a matmul's
+// output rows, or a run of normal draws (normals.go), whose rows are draws.
+// Work at or above ParallelWorkFloor becomes a job cut into contiguous row
+// tiles, and every job has one lifecycle:
+//
+//   - Start. Its owner takes it off the free list (or makes one, before the
+//     pool is warm), lists it as open and wakes parked helpers.
+//   - Claim. Whoever is free claims the next tile from the job's atomic
+//     cursor, runs it and sets that tile's completion flag. A helper works
+//     through whichever open job has the most tiles left, then the next, so
+//     a helper woken for one owner but run late still finishes another's.
+//   - Unlist. The claim of the last tile takes the job off the open list,
+//     whoever makes it, so a job nobody joins (a stream abandoned mid-fill)
+//     leaves nothing listed once its tiles are handed out.
+//   - Join. The owner claims whatever tiles are left and waits only for the
+//     tiles helpers hold: whoever finishes the last tile signals done, and
+//     only when that is not the owner. A kernel caller (run) joins at once;
+//     a stream (Normals) returns from its Prefetch, awaits single tiles by
+//     their flags as it reads, and joins after its last tile or when it
+//     needs its buffer back.
+//   - Release. The owner drops its reference. A job returns to the free
+//     list only when its reference count — the owner's plus one per helper
+//     that took it from the open list — reaches zero, so a late helper can
+//     never claim a tile of a later use: it finds the cursor exhausted and
+//     touches nothing.
 //
 // Every output row belongs to exactly one tile and each tile runs the serial
 // row-range kernel, so the floating-point accumulation order of every output
@@ -28,10 +42,8 @@ import (
 // tiled and serial results are bitwise equal (see
 // TestParallelKernelsBitwiseEqualSerial).
 //
-// The dispatch path allocates nothing once warm: jobs are recycled through a
-// free list, and a job returns to it only when its reference count — the
-// caller's plus one per helper that took it from the open list — drops to
-// zero, so a late helper can never claim a tile of a later dispatch.
+// Once warm, nothing in a job's lifecycle allocates: jobs and their tile
+// flags are recycled through the free list.
 
 // kernelOp selects the row-range kernel a job runs.
 type kernelOp uint8
@@ -63,7 +75,7 @@ func UsableCores() int {
 	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
-// job is one tiled kernel invocation.
+// job is one tiled kernel invocation or normal fill.
 type job struct {
 	op        kernelOp
 	dst, a, b *T
@@ -71,24 +83,36 @@ type job struct {
 	src       rng.Source // opNormals: the source at draw 0 of the fill
 	rows      int
 	tiles     int32
-	next      atomic.Int32 // cursor: the next unclaimed tile
-	finished  atomic.Int32 // tiles run to completion
-	refs      atomic.Int32 // the caller's reference plus one per helper holding the job
+	next      atomic.Int32  // cursor: the next unclaimed tile
+	finished  atomic.Int32  // tiles run to completion
+	ready     []atomic.Bool // ready[t]: tile t has run
+	refs      atomic.Int32  // the owner's reference plus one per helper holding the job
 	done      chan struct{}
+	// ownerLast records that the owner ran the tile that completed the
+	// job, so no helper will signal done. Only the owner touches it.
+	ownerLast bool
 }
 
 var pool = struct {
 	mu   sync.Mutex
-	open []*job        // jobs whose callers are still claiming tiles
-	wake chan struct{} // unbuffered: a send succeeds only to a parked helper
+	open []*job // started jobs with a tile not yet claimed
+	// parked counts helpers that found no open job and wait on wake; a
+	// start takes the helpers it wakes off the count under mu, so a job
+	// listed while a helper is on its way to park is never missed.
+	parked int
+	// wake carries one token per helper taken off parked. It holds every
+	// helper's token, so a start never blocks.
+	wake chan struct{}
 	// free holds recycled jobs. In flight at once are one job per kernel
-	// caller plus one per helper still holding a finished one, far under
-	// the 64 slots for the callers the runtime and the service start; a job
-	// released into a full list is left to the collector.
+	// caller, one per stream with a fill outstanding (two per simulated
+	// run) and one per helper still holding a finished job — far under the
+	// 64 slots for the callers the runtime and the service start. A job
+	// released into a full list, or abandoned by its stream, is left to the
+	// collector.
 	free chan *job
 }{
 	open: make([]*job, 0, 64),
-	wake: make(chan struct{}),
+	wake: make(chan struct{}, runtime.NumCPU()),
 	free: make(chan *job, 64),
 }
 
@@ -102,15 +126,18 @@ func init() {
 }
 
 func helper() {
-	for range pool.wake {
-		for j := openJob(); j != nil; j = openJob() {
+	for {
+		if j := openJob(); j != nil {
 			j.help()
+		} else {
+			<-pool.wake
 		}
 	}
 }
 
 // openJob returns the open job with the most unclaimed tiles, holding a
-// reference for the helper, or nil when no job has a tile left.
+// reference for the helper, or nil — counting the helper as parked — when
+// no job has a tile left.
 func openJob() *job {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
@@ -123,6 +150,8 @@ func openJob() *job {
 	}
 	if best != nil {
 		best.refs.Add(1)
+	} else {
+		pool.parked++
 	}
 	return best
 }
@@ -139,38 +168,28 @@ func dispatch(op kernelOp, dst, a, b *T, rows, work int) {
 	acquire(op, dst, a, b, rows, min(rows, tilesPerCore*cores)).run(cores - 1)
 }
 
-// run lists the job as open, wakes at most helpers parked helpers, works on
-// it alongside them until every tile has run, and drops the caller's
-// reference.
+// run is a kernel caller's whole lifecycle: start the job with at most
+// helpers parked helpers, work on it alongside them, join and release.
 func (j *job) run(helpers int) {
+	j.start(min(helpers, int(j.tiles)-1))
+	j.join()
+}
+
+// start lists the job as open and wakes up to helpers parked helpers. The
+// owner keeps its reference and must join or abandon the job.
+func (j *job) start(helpers int) {
 	pool.mu.Lock()
 	pool.open = append(pool.open, j)
+	woken := min(helpers, pool.parked)
+	pool.parked -= woken
 	pool.mu.Unlock()
-wake:
-	for range min(helpers, int(j.tiles)-1) {
-		select {
-		case pool.wake <- struct{}{}:
-		default: // no helper parked
-			break wake
-		}
+	for range woken {
+		pool.wake <- struct{}{}
 	}
-	last := j.work()
-	pool.mu.Lock()
-	for i, o := range pool.open {
-		if o == j {
-			pool.open = append(pool.open[:i], pool.open[i+1:]...)
-			break
-		}
-	}
-	pool.mu.Unlock()
-	if !last {
-		<-j.done
-	}
-	j.release()
 }
 
 // acquire takes a job off the free list (or makes one, before the pool is
-// warm) for rows [0, rows) cut into tiles, holding the caller's reference.
+// warm) for rows [0, rows) cut into tiles, holding the owner's reference.
 func acquire(op kernelOp, dst, a, b *T, rows, tiles int) *job {
 	var j *job
 	select {
@@ -181,27 +200,80 @@ func acquire(op kernelOp, dst, a, b *T, rows, tiles int) *job {
 	j.op, j.dst, j.a, j.b, j.rows, j.tiles = op, dst, a, b, rows, int32(tiles)
 	j.next.Store(0)
 	j.finished.Store(0)
+	if cap(j.ready) < tiles {
+		j.ready = make([]atomic.Bool, tiles)
+	}
+	j.ready = j.ready[:tiles]
+	for t := range j.ready {
+		j.ready[t].Store(false)
+	}
 	j.refs.Store(1)
+	j.ownerLast = false
 	return j
 }
 
-// work claims and runs tiles until the cursor is exhausted, and reports
-// whether it finished the job's last tile. When a helper finishes it
-// instead, that helper signals done, exactly once.
-func (j *job) work() (last bool) {
-	for {
-		t := j.next.Add(1) - 1
-		if t >= j.tiles {
-			return last
-		}
-		lo, hi := j.tile(int(t))
-		if j.op == opNormals {
-			normalsRange(j.norms, j.src, lo, hi)
-		} else {
-			runRows(j.op, j.dst, j.a, j.b, lo, hi)
-		}
-		last = j.finished.Add(1) == j.tiles
+// claim takes the next unclaimed tile, or reports false when the cursor is
+// exhausted. The claim of the last tile takes the job off the open list.
+func (j *job) claim() (int, bool) {
+	t := j.next.Add(1) - 1
+	if t >= j.tiles {
+		return 0, false
 	}
+	if t == j.tiles-1 {
+		j.unlist()
+	}
+	return int(t), true
+}
+
+// unlist takes the job off the open list.
+func (j *job) unlist() {
+	pool.mu.Lock()
+	defer pool.mu.Unlock()
+	pool.open = slices.DeleteFunc(pool.open, func(o *job) bool { return o == j })
+}
+
+// runTile runs claimed tile t, flags it and reports whether it was the
+// job's last tile to finish.
+func (j *job) runTile(t int) (last bool) {
+	lo, hi := j.tile(t)
+	if j.op == opNormals {
+		normalsRange(j.norms, j.src, lo, hi)
+	} else {
+		runRows(j.op, j.dst, j.a, j.b, lo, hi)
+	}
+	j.ready[t].Store(true)
+	return j.finished.Add(1) == j.tiles
+}
+
+// work claims and runs tiles until the cursor is exhausted, and reports
+// whether it finished the job's last tile.
+func (j *job) work() (last bool) {
+	for t, ok := j.claim(); ok; t, ok = j.claim() {
+		last = j.runTile(t)
+	}
+	return last
+}
+
+// await returns once tile t has run. Until it has, the owner claims and
+// runs the lowest unclaimed tile itself, and yields only while helpers hold
+// every tile left.
+func (j *job) await(t int) {
+	for !j.ready[t].Load() {
+		if u, ok := j.claim(); ok {
+			j.ownerLast = j.runTile(u) || j.ownerLast
+		} else {
+			runtime.Gosched()
+		}
+	}
+}
+
+// join is the owner's end of the job: it runs the tiles left, waits for
+// those helpers hold and drops the owner's reference.
+func (j *job) join() {
+	if !j.work() && !j.ownerLast {
+		<-j.done
+	}
+	j.release()
 }
 
 // help is a helper's share of the job: the tiles it can still claim, the
@@ -218,6 +290,11 @@ func (j *job) help() {
 func (j *job) tile(t int) (lo, hi int) {
 	n := int(j.tiles)
 	return t * j.rows / n, (t + 1) * j.rows / n
+}
+
+// tileOf is the tile holding row r: the last t with tile(t)'s lo <= r.
+func (j *job) tileOf(r int) int {
+	return ((r+1)*int(j.tiles) - 1) / j.rows
 }
 
 // release drops one reference; the last one returns the job to the free

@@ -75,22 +75,26 @@ go test -race -count=2 ./internal/runtime ./internal/allreduce
 # property tests by name — tiled == serial == naive bitwise at every tile
 # count, a helper reaching a recycled job late claims nothing, concurrent
 # callers, the normal fill == the serial Box-Muller loop (values and where
-# it leaves the source) at every length and tile count — and the kernels'
-# bitwise-equals-naive contract (tile remainders, the zero skip's edge
-# cases) under the race detector at several GOMAXPROCS values.
+# it leaves the source) at every length and tile count, a stream read while
+# its fill runs on the pool (tile edges, tiles finishing out of order, a
+# second Prefetch or a Split mid-fill, no allocation once warm), no job left
+# open however a simulated run ends — and the kernels' bitwise-equals-naive
+# contract (tile remainders, the zero skip's edge cases) under the race
+# detector at several GOMAXPROCS values.
 echo "== go test -race -count=2 -cpu 1,2,4 (tensor kernels + pool) =="
-lane -race -count=2 -cpu 1,2,4 -run 'TestParallelKernelsBitwiseEqualSerial|TestTiledJobLateHelper|TestParallelKernelsConcurrentCallers|Kernels|TestNormalsInto' ./internal/tensor
+lane -race -count=2 -cpu 1,2,4 -run 'TestParallelKernelsBitwiseEqualSerial|TestTiledJobLateHelper|TestParallelKernelsConcurrentCallers|Kernels|TestNormalsInto|TestNormalsStreamFillBoundaries|TestNormalsStreamTilesOutOfOrder|TestNormalsStreamPrefetchWhileFilling|TestNormalsStreamSplitMidFill|TestNormalsStreamWarmAllocsZero|TestTrainLeavesNoOpenJob' ./internal/tensor
 
 # The simulator draws each epoch's noise ahead over the kernel pool, and the
 # values must be the serial draws' whatever the core count and whatever was
 # prefetched. Literal goldens taken from the serial draws pin the bits: Norm
 # and LogNormFactor, Skip against Uint64 calls, a buffered stream against a
 # serial source (Split included), GradientNorms and Cluster.Step under
-# every prefetch count, Randn and SyntheticBlobs hashes, and Train's
-# time-to-target on Clusters B and C. By name, so a rename cannot silently
-# drop them.
+# every prefetch count, a device's per-measurement noise (interleaved with
+# the cluster's stream inside Step), Randn and SyntheticBlobs hashes, and
+# Train's time-to-target on Clusters B and C. By name, so a rename cannot
+# silently drop them.
 echo "== noise goldens lane: every simulator draw the serial one -race -cpu 1,2,4 =="
-lane -race -count=1 -cpu 1,2,4 -run 'TestNormGolden|TestLogNormFactorGolden|TestSkipEqualsUint64Calls|TestNormalsStreamMatchesSerial|TestRandnGolden|TestGradientNormsGolden|TestStepGolden|TestSyntheticBlobsGolden|TestTrainGolden' ./internal/rng ./internal/tensor ./internal/convergence ./internal/cluster ./internal/data .
+lane -race -count=1 -cpu 1,2,4 -run 'TestNormGolden|TestLogNormFactorGolden|TestSkipEqualsUint64Calls|TestNormalsStreamMatchesSerial|TestRandnGolden|TestGradientNormsGolden|TestStepGolden|TestMeasureComputeGolden|TestSyntheticBlobsGolden|TestTrainGolden' ./internal/rng ./internal/tensor ./internal/convergence ./internal/cluster ./internal/gpu ./internal/data .
 
 # The kernel benchmarks feed scripts/bench.sh's kernel lane and the
 # trajectory gate; a renamed or panicking sub-benchmark should fail here.
@@ -161,10 +165,11 @@ lane -race -count=1 -cpu 1,2,4 -run 'Elastic|Join|Autoscal' ./internal/runtime .
 # once, by runtime.Config.Validate. The public-boundary table (each rule the
 # public layer used to check still fails TrainMLP before an epoch trains),
 # the autoscaler's own checks, a worker validating before it dials, and the
-# HTTP edge's one-spec-per-body and 1 MiB limits. By name, so a rename
-# cannot silently drop them.
+# HTTP edge's one-spec-per-body and 1 MiB limits; on the simulated side, a
+# negative MaxEpochs and non-finite CPU speeds or compute shares fail Train
+# before any epoch. By name, so a rename cannot silently drop them.
 echo "== config lane: each run rule validated once, before training, dialing or admission -race =="
-lane -race -count=1 -run 'TestMLPConfigRulesAtPublicBoundary|TestMLPWorkerValidatesBeforeDial|TestAutoscalerConfigValidate|TestDecodeRejectsTrailingData|TestSubmitOversizedBody413' . ./internal/runtime ./internal/runspec ./internal/server
+lane -race -count=1 -run 'TestMLPConfigRulesAtPublicBoundary|TestMLPWorkerValidatesBeforeDial|TestAutoscalerConfigValidate|TestDecodeRejectsTrailingData|TestSubmitOversizedBody413|TestTrainRejectsNegativeMaxEpochs|TestClusterRejectsNonFinite' . ./internal/runtime ./internal/runspec ./internal/server
 
 echo "== elastic smoke: tcp hot-join, a 4th worker process joins mid-run =="
 # Generation 1 runs 3 worker processes; at epoch 1 the coordinator hands
