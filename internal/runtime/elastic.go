@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"cannikin/internal/goodput"
@@ -148,8 +149,10 @@ func (a *Autoscaler) validate() error {
 	if a == nil {
 		return errors.New("runtime: Elastic is a nil *Autoscaler")
 	}
-	if a.MinWorkers < 0 || a.MaxWorkers < 0 || a.GrowThreshold < 0 || a.ShrinkThreshold < 0 {
-		return fmt.Errorf("runtime: negative autoscale bound (min %d, max %d, grow %v, shrink %v)",
+	// !(x >= 0) catches NaN, which would read as a default or as no shrink.
+	if a.MinWorkers < 0 || a.MaxWorkers < 0 || !(a.GrowThreshold >= 0) || !(a.ShrinkThreshold >= 0) ||
+		math.IsInf(a.GrowThreshold, 1) || math.IsInf(a.ShrinkThreshold, 1) {
+		return fmt.Errorf("runtime: autoscale bound negative or not finite (min %d, max %d, grow %v, shrink %v)",
 			a.MinWorkers, a.MaxWorkers, a.GrowThreshold, a.ShrinkThreshold)
 	}
 	return checkReplan("autoscale", a.Replan)

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -103,6 +104,73 @@ func TestAutoscalerConfigValidate(t *testing.T) {
 	cfg.Elastic = &Autoscaler{Replan: ReplanOptPerf}
 	if err := cfg.Validate(); err != nil {
 		t.Fatalf("a valid autoscaler rejected: %v", err)
+	}
+}
+
+// TestValidateRejectsMembershipPastDataset: a membership the dataset
+// cannot give every node a sample of is a configuration error, wrapping
+// data.ErrTooFewSamples, before any epoch trains — scheduled joins that
+// outgrow the dataset, and an autoscaler allowed to grow past it. A
+// membership that just fits passes.
+func TestValidateRejectsMembershipPastDataset(t *testing.T) {
+	for _, backend := range []string{BackendSim, BackendLive} {
+		for _, c := range []struct {
+			name string
+			edit func(*Config)
+			ok   bool
+		}{
+			{"two joins past 3 samples", func(cfg *Config) {
+				cfg.Joins = []Join{{Epoch: 1, Batch: 1}, {Epoch: 2, Batch: 1}}
+			}, false},
+			{"one join to 3 samples", func(cfg *Config) { cfg.Joins = []Join{{Epoch: 1, Batch: 1}} }, true},
+			{"autoscale max past 3 samples", func(cfg *Config) { cfg.Elastic = &Autoscaler{MaxWorkers: 5} }, false},
+			{"autoscale max 3 samples", func(cfg *Config) { cfg.Elastic = &Autoscaler{MaxWorkers: 3} }, true},
+		} {
+			t.Run(backend+"/"+c.name, func(t *testing.T) {
+				cfg := testConfig(t, 3, []int{1, 1}, 3)
+				cfg.Backend = backend
+				c.edit(&cfg)
+				err := cfg.Validate()
+				if c.ok {
+					if err != nil {
+						t.Fatalf("rejected: %v", err)
+					}
+					return
+				}
+				if !errors.Is(err, data.ErrTooFewSamples) {
+					t.Fatalf("Validate = %v, want data.ErrTooFewSamples", err)
+				}
+				epochs := 0
+				cfg.OnEpoch = func(EpochObs) error { epochs++; return nil }
+				if _, err := Train(cfg); !errors.Is(err, data.ErrTooFewSamples) || epochs != 0 {
+					t.Fatalf("Train = %v after %d epochs, want data.ErrTooFewSamples before any", err, epochs)
+				}
+			})
+		}
+	}
+}
+
+// TestAutoscalerRejectsNonFiniteThresholds: a NaN threshold passes a < 0
+// check — a NaN grow threshold then read as the 0.05 default and a NaN
+// shrink threshold as shrinking off — and +Inf is no threshold at all.
+// Validate rejects both with the bound error.
+func TestAutoscalerRejectsNonFiniteThresholds(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		a    *Autoscaler
+	}{
+		{"NaN grow", &Autoscaler{MaxWorkers: 4, GrowThreshold: math.NaN()}},
+		{"NaN shrink", &Autoscaler{ShrinkThreshold: math.NaN()}},
+		{"+Inf grow", &Autoscaler{MaxWorkers: 4, GrowThreshold: math.Inf(1)}},
+		{"+Inf shrink", &Autoscaler{ShrinkThreshold: math.Inf(1)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := faultConfig(t, 1)
+			cfg.Elastic = c.a
+			if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "autoscale bound") {
+				t.Fatalf("Validate = %v, want the autoscale bound error", err)
+			}
+		})
 	}
 }
 

@@ -1,9 +1,6 @@
 package runtime
 
 import (
-	stdruntime "runtime"
-	"sync"
-
 	"cannikin/internal/allreduce"
 	"cannikin/internal/data"
 	"cannikin/internal/nn"
@@ -12,13 +9,13 @@ import (
 
 // evaluator measures the model on the full dataset after each epoch. Every
 // hosted rank is parked while it runs, so it shards the rows it forwards
-// over the cores they left idle, down to one row a shard: each shard
-// forwards its rows through a shadow of the model (the replica's Params,
-// its own workspaces) into its rows of one logits tensor, and the loss and
-// accuracy are then computed once, sequentially, over the assembled logits.
+// over the cores they left idle, down to one row a shard: each shard, a
+// tile of one pool range job, forwards its rows through a shadow of the
+// model (the replica's Params, its own workspaces) into its rows of one
+// logits tensor; loss and accuracy are then computed once, sequentially.
 // Every kernel and layer forward is row-independent, so the result is
-// bitwise that of one sequential Forward of the full set at any shard
-// count. All storage is allocated here, once.
+// bitwise one sequential Forward of the full set at any shard count. All
+// storage is allocated here, once.
 //
 // In one process the evaluator forwards every row. On a ring whose other
 // ranks live in other processes (worker mode, one hosted rank) it forwards
@@ -29,8 +26,9 @@ import (
 type evaluator struct {
 	labels []int
 	logits *tensor.T
-	shards []*evalShard
-	wg     sync.WaitGroup
+	shards []evalShard
+	// forwardShards is forwardRange, bound once for allocation-free dispatch.
+	forwardShards func(lo, hi int)
 	// own is the span of logits.Data() the shards write; share, when set,
 	// replicates the rest from the other ranks.
 	own   [2]int
@@ -49,14 +47,11 @@ type evalShard struct {
 	net *nn.Network
 	x   *tensor.T // the shard's rows of the dataset
 	out []float64 // the shard's rows of evaluator.logits
-	// run is forward on a goroutine of its own, built once so that starting
-	// it allocates nothing.
-	run func()
 }
 
 // newEvaluator builds the evaluation of net, whose output width is classes,
 // over ds: every row, or share's rank's rows when share is set. The rows
-// are sharded over min(GOMAXPROCS, rows) shadows of net — or over one when
+// are sharded over min(usableCores, rows) shadows of net — or over one when
 // their whole forward, about 2·rows·params flops, is under the kernel pool's
 // work floor, and over none when the rank has no rows.
 func newEvaluator(net *nn.Network, ds *data.Dataset, classes int, share *evalShare) *evaluator {
@@ -68,37 +63,30 @@ func newEvaluator(net *nn.Network, ds *data.Dataset, classes int, share *evalSha
 	}
 	p := min(1, hi-lo)
 	if 2*(hi-lo)*net.NumParams() >= tensor.ParallelWorkFloor {
-		p = min(stdruntime.GOMAXPROCS(0), hi-lo)
+		p = min(usableCores(), hi-lo)
 	}
 	e := &evaluator{
 		labels: ds.Labels,
 		logits: tensor.New(rows, classes),
-		shards: make([]*evalShard, p),
+		shards: make([]evalShard, p),
 		own:    [2]int{lo * classes, hi * classes},
 		share:  share,
 	}
+	e.forwardShards = e.forwardRange
 	for i := range e.shards {
 		slo, shi := lo+i*(hi-lo)/p, lo+(i+1)*(hi-lo)/p
-		s := &evalShard{
+		e.shards[i] = evalShard{
 			net: net.Shadow(),
 			x:   ds.X.SliceRows(slo, shi),
 			out: e.logits.Data()[slo*classes : shi*classes],
 		}
-		s.run = func() {
-			defer e.wg.Done()
-			s.forward()
-		}
-		e.shards[i] = s
 	}
 	return e
 }
 
-func (s *evalShard) forward() { copy(s.out, s.net.Forward(s.x).Data()) }
-
 // eval returns the loss and accuracy of the current weights, or the error
 // of the logits reduce. Only valid between steps, when nothing is writing
-// the weights and no hosted worker is using the ring; every goroutine it
-// starts has exited when it returns.
+// the weights and no hosted worker is using the ring.
 func (e *evaluator) eval() (loss, accuracy float64, err error) {
 	e.forward()
 	if err := e.replicate(); err != nil {
@@ -108,18 +96,17 @@ func (e *evaluator) eval() (loss, accuracy float64, err error) {
 	return loss, accuracy, nil
 }
 
-// forward writes the evaluator's rows of the logits.
+// forward writes the evaluator's rows of the logits: one range tile per
+// shard.
 func (e *evaluator) forward() {
-	if len(e.shards) == 0 {
-		return
+	tensor.Range(len(e.shards), len(e.shards), e.forwardShards)
+}
+
+// forwardRange forwards shards [lo, hi).
+func (e *evaluator) forwardRange(lo, hi int) {
+	for _, s := range e.shards[lo:hi] {
+		copy(s.out, s.net.Forward(s.x).Data())
 	}
-	rest := e.shards[1:]
-	e.wg.Add(len(rest))
-	for _, s := range rest {
-		go s.run()
-	}
-	e.shards[0].forward()
-	e.wg.Wait()
 }
 
 // replicate fills in the other ranks' rows of the logits, when they live

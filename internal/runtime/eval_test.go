@@ -31,14 +31,15 @@ func assertBits(t *testing.T, what string, got, want float64) {
 }
 
 // TestEvaluatorMatchesSequentialForward: the evaluator runs one shard per
-// core down to one row a shard — min(GOMAXPROCS, rows) — or one shard when
-// the whole forward is under the kernel pool's work floor. At every shard
-// count, for row counts that split unevenly, fewer rows than cores, and a
-// model on either side of the floor, it returns the bits of a sequential
-// Forward of the full set; it follows weight updates (the shadows share the
-// replica's Params); and once built it allocates nothing — shadow
-// workspaces and the logits tensor are one-time, and starting a shard
-// goroutine costs no allocation.
+// usable core down to one row a shard — min(usableCores, rows), so a
+// GOMAXPROCS past the host's cores adds none — or one shard when the whole
+// forward is under the kernel pool's work floor. At every shard count, for
+// row counts that split unevenly, fewer rows than cores, and a model on
+// either side of the floor, it returns the bits of a sequential Forward of
+// the full set; it follows weight updates (the shadows share the replica's
+// Params); and once built it allocates nothing at the caller's width —
+// shadow workspaces and the logits tensor are one-time, and the shards'
+// range job comes off the pool's free list.
 func TestEvaluatorMatchesSequentialForward(t *testing.T) {
 	defer gort.GOMAXPROCS(gort.GOMAXPROCS(0))
 	// testConfig's model has 420 parameters: the forward of fewer than 40
@@ -58,7 +59,7 @@ func TestEvaluatorMatchesSequentialForward(t *testing.T) {
 					gort.GOMAXPROCS(procs)
 					cfg := testConfig(t, 23, []int{8}, rows)
 					cfg.Sizes = []int{8, c.hidden, 4}
-					want := min(procs, rows)
+					want := min(usableCores(), rows)
 					if c.hidden == 32 && rows < 40 {
 						want = 1
 					}
@@ -105,7 +106,7 @@ func evaluatorMatchesSequential(t *testing.T, cfg Config, wantShards int) {
 		}
 		net.SetFlatWeights(w)
 	}
-	if allocs := testing.AllocsPerRun(10, func() { e.eval() }); allocs != 0 {
+	if allocs := allocsPerRun(10, func() { e.eval() }); allocs != 0 {
 		t.Fatalf("a warm evaluation allocates %v times, want 0", allocs)
 	}
 }

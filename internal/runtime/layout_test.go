@@ -35,8 +35,8 @@ func pinLayout(t testing.TB, layout string) {
 }
 
 // pinCores makes every live incarnation built before the test (or subtest)
-// ends see the given number of usable cores: its layout and its norm lanes
-// follow from it.
+// ends see the given number of usable cores: its layout, its norm tiles and
+// its evaluation shards follow from it.
 func pinCores(t testing.TB, cores int) {
 	t.Helper()
 	prev := usableCores

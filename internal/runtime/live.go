@@ -51,11 +51,10 @@ func resolveCommMode(hosted int) bool { return hosted >= usableCores() }
 //
 // When every rank is hosted, the step's GNS norms are computed after the
 // barrier (and the commit), when every worker is idle: |g|² over the owned
-// spans and each worker's |g_i|² over its gradient slab. These chains are
-// split, each whole, over lanes on the idle cores — lane 0 on the driver,
-// carrying |g|² — and each lane runs its chains side by side through
-// sqNorms. On a ring with remote ranks the norms travel in the workers'
-// one-hot normBuf reduce instead, and the executor runs no chain.
+// spans and each worker's |g_i|² over its gradient slab: whole chains in
+// the tiles of one pool range job, each tile's side by side through sqNorms.
+// On a ring with remote ranks the norms travel in the workers' one-hot
+// normBuf reduce instead, and the executor runs no chain.
 type liveExec struct {
 	workers []*liveWorker
 	// spans tiles [0, dim) in ascending order with the spans each hosted
@@ -66,15 +65,15 @@ type liveExec struct {
 	ft    *faultTolerance
 	// remote marks a ring that reaches into other processes: |g|² and the
 	// per-rank |g_i|² then come from the workers' one-hot ring reduce
-	// instead of the norm lanes.
+	// instead of the norm chains.
 	remote bool
 	// norms holds the step's norm chains unless remote: norms[0] is |g|²
-	// and norms[1+i] is hosted worker i's |g_i|². lanes split them, each
-	// whole, over min(usableCores, chains) lanes — one when the chains are
-	// too little work to share — and laneWG joins lanes 1… to the driver.
-	norms  []float64
-	lanes  []normLane
-	laneWG sync.WaitGroup
+	// and norms[1+i] is hosted worker i's |g_i|², each whole in one of
+	// normTiles range tiles: min(usableCores, chains), one when too little
+	// work to share. sumNormsBody is sumNorms, bound once.
+	norms        []float64
+	normTiles    int
+	sumNormsBody func(lo, hi int)
 	// closing, when closed, wakes workers parked in injected stalls or
 	// kills so teardown never waits on a simulated-dead goroutine.
 	closing chan struct{}
@@ -103,14 +102,6 @@ type stepTask struct {
 // worker's reduce leaves fully summed in its sum buffer.
 type ownedSpan struct{ lo, hi, worker int }
 
-// normLane carries the norm chains [lo, hi) of liveExec.norms.
-type normLane struct {
-	lo, hi int
-	// run is the lane on a goroutine of its own (lanes 1…; lane 0 runs on
-	// the driver), built once so that starting it allocates nothing.
-	run func()
-}
-
 // stepResult reports one worker's completed share.
 type stepResult struct {
 	sample Sample
@@ -136,8 +127,8 @@ type commStats struct {
 // the sum — and leaves the reduced gradient in sum, and the optimizer steps
 // the worker's spans of the weights from sum. The slab is the ring's
 // read-only input, so after a step it still holds the rank's raw local
-// gradient. A hosted worker computes no norm: its |g_i|² is a chain of the
-// driver's norm lanes, which read the slab after the step barrier, before
+// gradient. A hosted worker computes no norm: its |g_i|² is one of the
+// driver's norm chains, which read the slab after the step barrier, before
 // the next step's ZeroGrad. Only on a ring with remote ranks does the worker
 // square its slab itself, mid-step, for the one-hot normBuf reduce — and
 // rank 0 its fully gathered sum, |g|², into the buffer's extra slot.
@@ -254,24 +245,13 @@ func newLiveExec(replicas []*nn.Network, opt *nn.SGD, bucketLen int, algs []allr
 		results:       make([]stepResult, len(replicas)),
 		responded:     make([]bool, len(replicas)),
 	}
-	chains, lanes := 0, 0
 	if !e.remote {
-		chains, lanes = 1+len(replicas), 1
-		if chains*dim >= tensor.ParallelWorkFloor {
-			lanes = min(usableCores(), chains)
+		e.norms = make([]float64, 1+len(replicas))
+		e.normTiles = 1
+		if len(e.norms)*dim >= tensor.ParallelWorkFloor {
+			e.normTiles = min(usableCores(), len(e.norms))
 		}
-	}
-	e.norms = make([]float64, chains)
-	e.lanes = make([]normLane, lanes)
-	for l := range e.lanes {
-		ln := &e.lanes[l]
-		ln.lo, ln.hi = l*chains/lanes, (l+1)*chains/lanes
-		if l > 0 {
-			ln.run = func() {
-				defer e.laneWG.Done()
-				e.sumNorms(ln.lo, ln.hi)
-			}
-		}
+		e.sumNormsBody = e.sumNorms
 	}
 	for i := range e.workers {
 		w := &liveWorker{
@@ -356,7 +336,7 @@ func ownedSpans(dim, bucketLen int, algs []allreduce.Algorithm, n int, ranks []i
 
 // step runs one synchronized step: hand every hosted worker its batch,
 // collect their outcomes in rank order (a BSP barrier, and a deterministic
-// profile), run the norm lanes over the idle workers' buffers, and return
+// profile), run the norm chains over the idle workers' buffers, and return
 // the GNS observations. The sample aliases exec-owned buffers valid until
 // the next step call.
 //
@@ -409,12 +389,7 @@ func (e *liveExec) step(epoch, step int, xs []*tensor.T, labels [][]int, stepWei
 		copy(sample.LocalSqNorms, norms[:n])
 		sample.GlobalSqNorm = norms[n]
 	} else {
-		e.laneWG.Add(len(e.lanes) - 1)
-		for _, ln := range e.lanes[1:] {
-			go ln.run()
-		}
-		e.sumNorms(e.lanes[0].lo, e.lanes[0].hi)
-		e.laneWG.Wait()
+		tensor.Range(len(e.norms), e.normTiles, e.sumNormsBody)
 		sample.GlobalSqNorm = e.norms[0]
 		for i, w := range e.workers {
 			sample.LocalSqNorms[w.rank] = e.norms[1+i]

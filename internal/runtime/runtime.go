@@ -201,9 +201,17 @@ func (c *Config) Validate() error {
 	if err := validateJoins(c.Joins, c.Epochs, c.GrowthEpoch); err != nil {
 		return err
 	}
+	if k := c.Dataset.Len() - len(c.LocalBatches); k < len(c.Joins) {
+		return fmt.Errorf("runtime: join %d at epoch %d: %w: %d samples, %d workers",
+			k, c.Joins[k].Epoch, data.ErrTooFewSamples, c.Dataset.Len(), c.Dataset.Len()+1)
+	}
 	if a, ok := c.Elastic.(*Autoscaler); ok {
 		if err := a.validate(); err != nil {
 			return err
+		}
+		if a.MaxWorkers > c.Dataset.Len() {
+			return fmt.Errorf("runtime: autoscale max workers: %w: %d samples, %d workers",
+				data.ErrTooFewSamples, c.Dataset.Len(), a.MaxWorkers)
 		}
 	}
 	if c.Fault != nil {

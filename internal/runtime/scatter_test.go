@@ -97,7 +97,7 @@ func newNormRef(t *testing.T, sizes []int, bucketLen, n int, algo string) *normR
 
 // matchLive runs the reference's steps on n hosted live ranks, asserts every
 // step's GNS sample and the final weights bitwise the reference's, and
-// returns the live exec's norm lane count. Guarded, with n > 1, the live
+// returns the live exec's norm tile count. Guarded, with n > 1, the live
 // side first fails step 0 on an exec of its own — a send dropped past its
 // hop budget — and checks that the failed step left the weights alone. (A
 // one-rank ring has no hop to fail.)
@@ -146,7 +146,7 @@ func (r *normRef) matchLive(t *testing.T, merged, guarded bool) int {
 	}
 	gotW, _ := live.finalWeights()
 	assertWeightsBitwise(t, "weights", gotW, r.weights)
-	return len(live.lanes)
+	return live.normTiles
 }
 
 // TestScatterOnlyFaultAbortsLikeFullReduce: a guarded hosted step that

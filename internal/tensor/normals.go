@@ -22,31 +22,13 @@ const normalWork = 64
 // the serial one at any tile count and any interleaving.
 func NormalsInto(dst []float64, src *rng.Source) {
 	n := len(dst)
-	cores := UsableCores()
-	if cores < 2 || n*normalWork < ParallelWorkFloor {
-		for i := range dst {
-			dst[i] = src.StdNorm()
-		}
-		return
+	f := &normalFill{dst: dst, src: *src}
+	if cores := UsableCores(); cores < 2 || n*normalWork < ParallelWorkFloor {
+		f.draws(0, n)
+	} else {
+		rangeJob(n, min(n, tilesPerCore*cores), f.draws).run(cores - 1)
 	}
-	normalsTiled(dst, src, min(n, tilesPerCore*cores), cores-1)
-}
-
-// normalsTiled is NormalsInto's fill cut into tiles tiles (1 <= tiles <=
-// len(dst)), worked by the caller and up to helpers parked helpers.
-func normalsTiled(dst []float64, src *rng.Source, tiles, helpers int) {
-	j := acquire(opNormals, nil, nil, nil, len(dst), tiles)
-	j.norms, j.src = dst, *src
-	j.run(helpers)
-	src.Skip(rng.NormUint64s * uint64(len(dst)))
-}
-
-// normalsRange writes draws [lo, hi) of a fill that starts at src.
-func normalsRange(dst []float64, src rng.Source, lo, hi int) {
-	src.Skip(rng.NormUint64s * uint64(lo))
-	for i := lo; i < hi; i++ {
-		dst[i] = src.StdNorm()
-	}
+	src.Skip(rng.NormUint64s * uint64(n))
 }
 
 // streamTile is how many draws one tile of a stream's fill holds: 1024
@@ -82,10 +64,17 @@ type Normals struct {
 	ready int  // draws before this index are written
 	fill  *job // the fill of buf[base:] still outstanding, or nil
 	base  int  // buffer index of the fill's draw 0
+	// ahead is the latest fill; draws, its range body, is bound once.
+	ahead normalFill
+	draws func(lo, hi int)
 }
 
 // NewNormals returns a stream over src, which it advances as draws are read.
-func NewNormals(src *rng.Source) *Normals { return &Normals{src: src} }
+func NewNormals(src *rng.Source) *Normals {
+	s := &Normals{src: src}
+	s.draws = s.ahead.draws
+	return s
+}
 
 // Prefetch makes the next n reads come from the buffer, starting the fill
 // of the draws not already buffered. A long fill runs on the kernel pool
@@ -99,17 +88,16 @@ func (s *Normals) Prefetch(n int) {
 	s.join()
 	s.buf = slices.Grow(append(s.buf[:0], s.buf[s.next:]...), n-have)[:n]
 	s.next = 0
-	ahead := *s.src
-	ahead.Skip(rng.NormUint64s * uint64(have))
-	fill := s.buf[have:]
+	s.ahead.dst, s.ahead.src = s.buf[have:], *s.src
+	s.ahead.src.Skip(rng.NormUint64s * uint64(have))
+	fill := len(s.buf) - have
 	cores := UsableCores()
-	if cores < 2 || len(fill)*normalWork < ParallelWorkFloor {
-		NormalsInto(fill, &ahead)
+	if cores < 2 || fill*normalWork < ParallelWorkFloor {
+		s.draws(0, fill)
 		s.ready = n
 		return
 	}
-	j := acquire(opNormals, nil, nil, nil, len(fill), (len(fill)+streamTile-1)/streamTile)
-	j.norms, j.src = fill, ahead
+	j := rangeJob(fill, (fill+streamTile-1)/streamTile, s.draws)
 	j.start(min(cores-1, int(j.tiles)))
 	s.fill, s.base, s.ready = j, have, have
 }
@@ -162,4 +150,20 @@ func (s *Normals) LogNormFactor(sigma float64) float64 {
 		return 1
 	}
 	return rng.LogNorm(sigma, s.Next())
+}
+
+// normalFill is a fill of dst with the draws of a stream starting at src.
+type normalFill struct {
+	dst []float64
+	src rng.Source
+}
+
+// draws writes draws [lo, hi) of the fill, from its own copy of the source.
+// It reads f once: a stream's reader writes the cache line f sits in.
+func (f *normalFill) draws(lo, hi int) {
+	dst, src := f.dst, f.src
+	src.Skip(rng.NormUint64s * uint64(lo))
+	for i := lo; i < hi; i++ {
+		dst[i] = src.StdNorm()
+	}
 }

@@ -43,6 +43,14 @@ func normalsLengths() []int {
 	return []int{0, 1, 2, 3, cut - 1, cut, cut + 1, floor - 1, floor, floor + 1, 4*floor + 7, 1<<16 + 3}
 }
 
+// normalsTiled is NormalsInto's fill cut into tiles tiles (1 <= tiles <=
+// len(dst)), worked by the caller and up to helpers parked helpers.
+func normalsTiled(dst []float64, src *rng.Source, tiles, helpers int) {
+	f := &normalFill{dst: dst, src: *src}
+	rangeJob(len(dst), tiles, f.draws).run(helpers)
+	src.Skip(rng.NormUint64s * uint64(len(dst)))
+}
+
 // TestNormalsIntoBitwiseEqualSerial is the fill's determinism property: at
 // every length, and cut into 1 to 64 tiles (one draw per tile on the short
 // lengths), the fill writes the serial loop's bits and leaves the source

@@ -6,30 +6,27 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"cannikin/internal/rng"
 )
 
 // The kernel pool lets idle cores share one caller's work: a matmul's
-// output rows, or a run of normal draws (normals.go), whose rows are draws.
-// Work at or above ParallelWorkFloor becomes a job cut into contiguous row
-// tiles, and every job has one lifecycle:
+// output rows, or the rows of a Range — normal draws, evaluation shards, norm
+// chains. Work at or above ParallelWorkFloor becomes a job cut into
+// contiguous row tiles, and every job has one lifecycle:
 //
 //   - Start. Its owner takes it off the free list (or makes one, before the
 //     pool is warm), lists it as open and wakes parked helpers.
 //   - Claim. Whoever is free claims the next tile from the job's atomic
 //     cursor, runs it and sets that tile's completion flag. A helper works
-//     through whichever open job has the most tiles left, then the next, so
-//     a helper woken for one owner but run late still finishes another's.
+//     through an open job with tiles left (openJob), then the next, so a
+//     helper woken for one owner but run late still finishes another's.
 //   - Unlist. The claim of the last tile takes the job off the open list,
 //     whoever makes it, so a job nobody joins (a stream abandoned mid-fill)
 //     leaves nothing listed once its tiles are handed out.
 //   - Join. The owner claims whatever tiles are left and waits only for the
 //     tiles helpers hold: whoever finishes the last tile signals done, and
-//     only when that is not the owner. A kernel caller (run) joins at once;
-//     a stream (Normals) returns from its Prefetch, awaits single tiles by
-//     their flags as it reads, and joins after its last tile or when it
-//     needs its buffer back.
+//     only when that is not the owner. A kernel or Range caller (run) joins
+//     at once; a stream (Normals) returns from its Prefetch, awaits tiles by
+//     their flags as it reads, and joins after its last or to reuse them.
 //   - Release. The owner drops its reference. A job returns to the free
 //     list only when its reference count — the owner's plus one per helper
 //     that took it from the open list — reaches zero, so a late helper can
@@ -40,27 +37,26 @@ import (
 // row-range kernel, so the floating-point accumulation order of every output
 // element is the serial kernel's at any tile count and any interleaving —
 // tiled and serial results are bitwise equal (see
-// TestParallelKernelsBitwiseEqualSerial).
+// TestParallelKernelsBitwiseEqualSerial); a range body owes the same. A tile
+// may start a job of its own (a shard's forward, its matmuls): an owner
+// waits only on claimed tiles, so nested jobs cannot deadlock.
 //
 // Once warm, nothing in a job's lifecycle allocates: jobs and their tile
 // flags are recycled through the free list.
 
-// kernelOp selects the row-range kernel a job runs.
+// kernelOp selects the matmul a kernel job runs: an enumeration, because a
+// range body over one call's operands would be a closure allocated per call.
 type kernelOp uint8
 
 const (
 	opMatMul kernelOp = iota
 	opAddMulAT
 	opMulBT
-	// opNormals is NormalsInto's fill: its rows are draws, written from
-	// the job's own copy of the source (normals.go).
-	opNormals
 )
 
 // ParallelWorkFloor is the approximate flop count below which tiling
-// overhead outweighs the parallel win and kernels run inline. Other
-// goroutine-sharded work (the runtime's evaluation and norm lanes) uses the
-// same floor.
+// overhead outweighs the parallel win: kernels run inline under it, and so
+// does the work the runtime hands Range (its evaluation and norm chains).
 const ParallelWorkFloor = 1 << 15
 
 // tilesPerCore is how many tiles a kernel is cut into per usable core: enough
@@ -75,12 +71,11 @@ func UsableCores() int {
 	return min(runtime.GOMAXPROCS(0), runtime.NumCPU())
 }
 
-// job is one tiled kernel invocation or normal fill.
+// job is one tiled kernel invocation or range.
 type job struct {
 	op        kernelOp
 	dst, a, b *T
-	norms     []float64  // opNormals: the fill's destination
-	src       rng.Source // opNormals: the source at draw 0 of the fill
+	body      func(lo, hi int) // a range's tile body; nil for a kernel
 	rows      int
 	tiles     int32
 	next      atomic.Int32  // cursor: the next unclaimed tile
@@ -135,16 +130,21 @@ func helper() {
 	}
 }
 
-// openJob returns the open job with the most unclaimed tiles, holding a
-// reference for the helper, or nil — counting the helper as parked — when
-// no job has a tile left.
+// openJob returns the open job with the most unclaimed tiles, range jobs
+// first, holding a reference for the helper, or nil — counting the helper as
+// parked — when no job has a tile left. A range tile may hold jobs (a shard's
+// matmuls), so the helper takes a whole shard rather than split its owner's.
 func openJob() *job {
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
 	var best *job
 	var most int32
 	for _, j := range pool.open {
-		if left := j.tiles - j.next.Load(); left > most {
+		left := j.tiles - j.next.Load()
+		if left > 0 && j.body != nil {
+			left |= 1 << 30 // above any kernel's count: tiles are far fewer
+		}
+		if left > most {
 			best, most = j, left
 		}
 	}
@@ -168,8 +168,30 @@ func dispatch(op kernelOp, dst, a, b *T, rows, work int) {
 	acquire(op, dst, a, b, rows, min(rows, tilesPerCore*cores)).run(cores - 1)
 }
 
-// run is a kernel caller's whole lifecycle: start the job with at most
-// helpers parked helpers, work on it alongside them, join and release.
+// Range runs body over [0, n) in tiles tiles (1 <= tiles <= n), cut as a
+// kernel's rows and claimed by the caller and idle helpers, and returns when
+// all have run: body(0, n) on one tile or usable core, nothing for n == 0.
+// A body bound once dispatches without allocating.
+func Range(n, tiles int, body func(lo, hi int)) {
+	cores := UsableCores()
+	switch {
+	case n < 1:
+	case cores < 2 || tiles < 2:
+		body(0, n)
+	default:
+		rangeJob(n, tiles, body).run(cores - 1)
+	}
+}
+
+// rangeJob acquires a job that runs body over [0, n) in tiles tiles.
+func rangeJob(n, tiles int, body func(lo, hi int)) *job {
+	j := acquire(0, nil, nil, nil, n, tiles)
+	j.body = body
+	return j
+}
+
+// run is a kernel or Range caller's whole lifecycle: start the job with at
+// most helpers parked helpers, work on it alongside them, join and release.
 func (j *job) run(helpers int) {
 	j.start(min(helpers, int(j.tiles)-1))
 	j.join()
@@ -236,8 +258,8 @@ func (j *job) unlist() {
 // job's last tile to finish.
 func (j *job) runTile(t int) (last bool) {
 	lo, hi := j.tile(t)
-	if j.op == opNormals {
-		normalsRange(j.norms, j.src, lo, hi)
+	if j.body != nil {
+		j.body(lo, hi)
 	} else {
 		runRows(j.op, j.dst, j.a, j.b, lo, hi)
 	}
@@ -303,7 +325,7 @@ func (j *job) release() {
 	if j.refs.Add(-1) != 0 {
 		return
 	}
-	j.dst, j.a, j.b, j.norms = nil, nil, nil, nil
+	j.dst, j.a, j.b, j.body = nil, nil, nil, nil
 	select {
 	case pool.free <- j:
 	default: // more jobs than the free list holds: let this one go

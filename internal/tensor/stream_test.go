@@ -75,8 +75,8 @@ func TestNormalsStreamTilesOutOfOrder(t *testing.T) {
 	src, ref := rng.New(61).Split("stream"), rng.New(61).Split("stream")
 	s := NewNormals(src)
 	s.buf = make([]float64, n)
-	j := acquire(opNormals, nil, nil, nil, n, tiles)
-	j.norms, j.src = s.buf, *src
+	s.ahead.dst, s.ahead.src = s.buf, *src
+	j := rangeJob(n, tiles, s.draws)
 	stalled, _ := j.claim() // a helper's claim, before the job is listed
 	j.refs.Add(1)
 	j.start(0)
@@ -143,8 +143,9 @@ func TestNormalsStreamSplitMidFill(t *testing.T) {
 }
 
 // TestNormalsStreamWarmAllocsZero: once warm, a Prefetch and the reads of
-// its fill allocate nothing — the job, its tile flags and the buffer are
-// all reused.
+// its fill allocate nothing — the job, its tile flags, the buffer and the
+// fill's range body are all reused. It counts at the caller's width, so at
+// -cpu 2 and up the fill is a range job on the pool.
 func TestNormalsStreamWarmAllocsZero(t *testing.T) {
 	s := NewNormals(rng.New(73))
 	cycle := func() {
@@ -156,7 +157,7 @@ func TestNormalsStreamWarmAllocsZero(t *testing.T) {
 	for range 8 {
 		cycle()
 	}
-	if a := testing.AllocsPerRun(50, cycle); a != 0 {
+	if a := allocsPerRun(50, cycle); a != 0 {
 		t.Fatalf("a warm Prefetch + Next cycle allocates %v times", a)
 	}
 }

@@ -78,11 +78,14 @@ go test -race -count=2 ./internal/runtime ./internal/allreduce
 # it leaves the source) at every length and tile count, a stream read while
 # its fill runs on the pool (tile edges, tiles finishing out of order, a
 # second Prefetch or a Split mid-fill, no allocation once warm), no job left
-# open however a simulated run ends — and the kernels' bitwise-equals-naive
-# contract (tile remainders, the zero skip's edge cases) under the race
-# detector at several GOMAXPROCS values.
+# open however a simulated run ends, a range job's tiles each run once (a
+# late helper included), a range tile that dispatches a matmul, a helper
+# taking a range tile before a kernel's, concurrent range and kernel
+# callers, no allocation by a warm Range at width 2 — and the kernels'
+# bitwise-equals-naive contract (tile remainders, the zero skip's edge
+# cases) under the race detector at several GOMAXPROCS values.
 echo "== go test -race -count=2 -cpu 1,2,4 (tensor kernels + pool) =="
-lane -race -count=2 -cpu 1,2,4 -run 'TestParallelKernelsBitwiseEqualSerial|TestTiledJobLateHelper|TestParallelKernelsConcurrentCallers|Kernels|TestNormalsInto|TestNormalsStreamFillBoundaries|TestNormalsStreamTilesOutOfOrder|TestNormalsStreamPrefetchWhileFilling|TestNormalsStreamSplitMidFill|TestNormalsStreamWarmAllocsZero|TestTrainLeavesNoOpenJob' ./internal/tensor
+lane -race -count=2 -cpu 1,2,4 -run 'TestParallelKernelsBitwiseEqualSerial|TestTiledJobLateHelper|TestParallelKernelsConcurrentCallers|Kernels|TestNormalsInto|TestNormalsStreamFillBoundaries|TestNormalsStreamTilesOutOfOrder|TestNormalsStreamPrefetchWhileFilling|TestNormalsStreamSplitMidFill|TestNormalsStreamWarmAllocsZero|TestTrainLeavesNoOpenJob|TestRangeTilesRunOnce|TestRangeTileDispatchesKernel|TestOpenJobTakesRangeTileFirst|TestRangeConcurrentCallers|TestRangeWarmAllocsZero' ./internal/tensor
 
 # The simulator draws each epoch's noise ahead over the kernel pool, and the
 # values must be the serial draws' whatever the core count and whatever was
@@ -167,9 +170,11 @@ lane -race -count=1 -cpu 1,2,4 -run 'Elastic|Join|Autoscal' ./internal/runtime .
 # the autoscaler's own checks, a worker validating before it dials, and the
 # HTTP edge's one-spec-per-body and 1 MiB limits; on the simulated side, a
 # negative MaxEpochs and non-finite CPU speeds or compute shares fail Train
-# before any epoch. By name, so a rename cannot silently drop them.
+# before any epoch; joins or an autoscale ceiling the dataset cannot cover,
+# and NaN or infinite autoscale thresholds, fail Validate. By name, so a
+# rename cannot silently drop them.
 echo "== config lane: each run rule validated once, before training, dialing or admission -race =="
-lane -race -count=1 -run 'TestMLPConfigRulesAtPublicBoundary|TestMLPWorkerValidatesBeforeDial|TestAutoscalerConfigValidate|TestDecodeRejectsTrailingData|TestSubmitOversizedBody413|TestTrainRejectsNegativeMaxEpochs|TestClusterRejectsNonFinite' . ./internal/runtime ./internal/runspec ./internal/server
+lane -race -count=1 -run 'TestMLPConfigRulesAtPublicBoundary|TestMLPWorkerValidatesBeforeDial|TestAutoscalerConfigValidate|TestDecodeRejectsTrailingData|TestSubmitOversizedBody413|TestTrainRejectsNegativeMaxEpochs|TestClusterRejectsNonFinite|TestValidateRejectsMembershipPastDataset|TestAutoscalerRejectsNonFiniteThresholds' . ./internal/runtime ./internal/runspec ./internal/server
 
 echo "== elastic smoke: tcp hot-join, a 4th worker process joins mid-run =="
 # Generation 1 runs 3 worker processes; at epoch 1 the coordinator hands
@@ -238,12 +243,12 @@ lane -race -count=1 -cpu 1,2,4 -run 'TestReduceIntoMatchesStagedReduce|TestFlatG
 
 # No core idles while the driver works alone: after the step barrier the
 # norm chains — |g|² over the owners' spans and every hosted |g_i|² — run
-# whole, side by side, over min(cores, chains) lanes, bitwise the sequential
-# reference's at 1-4 usable cores, plain and guarded (a failed step retried
-# included), and one lane under the work floor; the epoch's evaluation runs
-# min(GOMAXPROCS, rows) shards, bitwise one sequential forward; and the
-# hosted step still allocates nothing. By name, so a rename cannot silently
-# drop them.
+# whole, side by side, as min(cores, chains) tiles of one pool range job,
+# bitwise the sequential reference's at 1-4 usable cores, plain and guarded
+# (a failed step retried included), and one tile under the work floor; the
+# epoch's evaluation runs min(usable cores, rows) shards as range tiles,
+# bitwise one sequential forward; and the hosted step and a warm evaluation
+# still allocate nothing. By name, so a rename cannot silently drop them.
 echo "== norm-lane lane: norm chains over lanes, evaluation over cores, zero allocs -race -cpu 1,2,4 =="
 lane -race -count=1 -cpu 1,2,4 -run 'TestLiveGlobalSqNormMatchesSeq|TestEvaluatorMatchesSequentialForward|TestEpochEvaluationMatchesSequentialForward|TestLiveSteadyStateStepAllocsZero' ./internal/runtime
 
