@@ -467,6 +467,102 @@ func (a *auditor) auditReferenceGap(model ClusterModel, plan Plan) {
 	}
 }
 
+// waterfill equalizes each node's batch-time envelope
+// f_i(b) = max(compute path, comm path) by bisection on the target time.
+// It is the provably optimal reference solver (each f_i is increasing and
+// convex, so equalized times minimize the maximum), independent of
+// Algorithm 1, and the oracle of auditReferenceGap.
+func waterfill(model ClusterModel, idx []int, total float64) []float64 {
+	sumAt := func(tau float64) float64 {
+		s := 0.0
+		for _, i := range idx {
+			s += math.Max(model.batchAt(i, tau), 0)
+		}
+		return s
+	}
+	lo, hi := 0.0, 1.0
+	for sumAt(hi) < total {
+		hi *= 2
+		if hi > 1e12 {
+			break
+		}
+	}
+	for iter := 0; iter < 200; iter++ {
+		mid := (lo + hi) / 2
+		if sumAt(mid) < total {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	out := make([]float64, len(idx))
+	for j, i := range idx {
+		out[j] = math.Max(model.batchAt(i, hi), 0)
+	}
+	// Normalize the bisection residue across nodes with slack toward their
+	// box bounds. Dumping it all on one node can push that node above its
+	// cap or below minLocalBatch when the residue is large (bisection hit
+	// its range limit on an extreme model).
+	diff := total
+	for _, v := range out {
+		diff -= v
+	}
+	distributeResidue(model, idx, out, diff)
+	return out
+}
+
+// distributeResidue spreads diff over out, adding only up to each node's
+// cap and removing only down to minLocalBatch. Any residue that no node
+// can absorb is left undistributed, and the caller sees a box-infeasible
+// reference.
+func distributeResidue(model ClusterModel, idx []int, out []float64, diff float64) {
+	for pass := 0; pass < 4 && math.Abs(diff) > 1e-12; pass++ {
+		slacks := make([]float64, len(out))
+		var slackSum float64
+		unbounded := 0
+		for j, i := range idx {
+			if diff > 0 {
+				slacks[j] = model.Nodes[i].cap() - out[j]
+			} else {
+				slacks[j] = out[j] - minLocalBatch
+			}
+			if slacks[j] < 0 {
+				slacks[j] = 0
+			}
+			if math.IsInf(slacks[j], 1) {
+				unbounded++
+			} else {
+				slackSum += slacks[j]
+			}
+		}
+		if diff > 0 && unbounded > 0 {
+			// Uncapped nodes absorb a surplus directly.
+			share := diff / float64(unbounded)
+			for j := range slacks {
+				if math.IsInf(slacks[j], 1) {
+					out[j] += share
+				}
+			}
+			return
+		}
+		if slackSum <= 0 {
+			return // no node can absorb it
+		}
+		want := diff
+		for j := range out {
+			if slacks[j] <= 0 {
+				continue
+			}
+			d := want * slacks[j] / slackSum
+			if math.Abs(d) > slacks[j] {
+				d = math.Copysign(slacks[j], d)
+			}
+			out[j] += d
+			diff -= d
+		}
+	}
+}
+
 // auditNeighborhood brute-forces every integer allocation within
 // NeighborhoodRadius samples of the plan (preserving the total and the box
 // constraints) on clusters small enough to enumerate, and flags any

@@ -93,19 +93,23 @@ func (c ClusterModel) Validate() error {
 	if len(c.Nodes) == 0 {
 		return errors.New("optperf: model has no nodes")
 	}
+	// Every test is written so that NaN fails it.
 	for i, n := range c.Nodes {
-		if n.Q < 0 || n.K <= 0 || n.S < 0 || n.M < 0 {
+		if !finiteNonNeg(n.Q) || !finiteNonNeg(n.S) || !finiteNonNeg(n.M) || !(n.K > 0) || math.IsInf(n.K, 1) {
 			return fmt.Errorf("optperf: node %d has invalid coefficients %+v", i, n)
 		}
 	}
-	if c.Gamma <= 0 || c.Gamma > 1 {
+	if !(c.Gamma > 0 && c.Gamma <= 1) {
 		return fmt.Errorf("optperf: gamma %v out of (0, 1]", c.Gamma)
 	}
-	if c.To < 0 || c.Tu < 0 {
-		return fmt.Errorf("optperf: negative communication times To=%v Tu=%v", c.To, c.Tu)
+	if !finiteNonNeg(c.To) || !finiteNonNeg(c.Tu) {
+		return fmt.Errorf("optperf: communication times To=%v Tu=%v must be finite and non-negative", c.To, c.Tu)
 	}
 	return nil
 }
+
+// finiteNonNeg reports whether x is a finite number ≥ 0.
+func finiteNonNeg(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 // SyncStart returns node i's first-bucket-ready instant at local batch b
 // (Eq. 4).
@@ -164,6 +168,22 @@ func (c ClusterModel) NodeState(i int, b float64) Bottleneck {
 		return ComputeBound
 	}
 	return CommBound
+}
+
+// kinkTime returns the batch time at which node i's compute and comm paths
+// meet, at the b where (1−γ)P_i(b) = T_o (P_i = 0 when T_o = 0). Node i is
+// compute-bound exactly when its batch time reaches its kink time; with
+// γ = 1 and T_o > 0 it never does.
+func (c ClusterModel) kinkTime(i int) float64 {
+	if c.To > 0 && c.Gamma == 1 {
+		return math.Inf(1)
+	}
+	p := 0.0
+	if c.To > 0 {
+		p = c.To / (1 - c.Gamma)
+	}
+	n := c.Nodes[i]
+	return n.Compute((p-n.M)/n.K) + c.Tu
 }
 
 // PredictTimeFloat evaluates Eq. 7 — the cluster batch processing time —

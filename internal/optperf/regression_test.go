@@ -107,11 +107,12 @@ func TestSolveEqualizesPastMinPinnedCritical(t *testing.T) {
 	}
 }
 
-// TestWaterfillFallbackAudited forces the exhaustive scan and waterfill
-// fallback path with an extreme coefficient spread, then checks the audited
-// plan still respects the box constraints and is within tolerance of a full
-// brute-force search over all integer allocations.
-func TestWaterfillFallbackAudited(t *testing.T) {
+// TestBoundarySearchOnExtremeSpread: on this extreme coefficient spread a
+// search over only the nodes the two checks disagree on finds no consistent
+// split. The search over the kink-time order must solve it on the mixed
+// branch, with the plan a full brute-force search over all integer
+// allocations finds.
+func TestBoundarySearchOnExtremeSpread(t *testing.T) {
 	m := ClusterModel{
 		Nodes: []NodeModel{
 			{Q: 1, S: 0.1, K: 0.1, M: 1e-05},
@@ -127,25 +128,14 @@ func TestWaterfillFallbackAudited(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.WaterfillFallbacks == 0 {
-		t.Fatalf("model no longer exercises the waterfill fallback (stats %+v)", stats)
+	if stats.BoundarySearchSteps == 0 {
+		t.Fatalf("model no longer reaches the mixed branch (stats %+v)", stats)
 	}
 	report := AuditPlan(m, plan, Tolerances{})
-	if hasViolation(report, InvBatchSum) || hasViolation(report, InvBox) || hasViolation(report, InvTimeConsistent) {
-		t.Fatalf("fallback plan violates hard invariants: %v", report.Violations)
+	if !report.OK() {
+		t.Fatalf("plan violates invariants: %v", report.Violations)
 	}
-	// Full brute force: every split of 177 samples over 3 nodes.
-	best := math.Inf(1)
-	b := make([]int, 3)
-	for b[0] = minLocalBatch; b[0] <= total-2*minLocalBatch; b[0]++ {
-		for b[1] = minLocalBatch; b[1] <= total-b[0]-minLocalBatch; b[1]++ {
-			b[2] = total - b[0] - b[1]
-			if tm := m.PredictTime(b); tm < best {
-				best = tm
-			}
-		}
-	}
-	if plan.Time > best*1.001 {
-		t.Fatalf("fallback plan time %v exceeds brute-force optimum %v", plan.Time, best)
+	if best := bruteMinMax(m, total); plan.Time != best {
+		t.Fatalf("plan %v at %v, brute-force optimum %v", plan.Batches, plan.Time, best)
 	}
 }

@@ -17,14 +17,11 @@ type SolveStats struct {
 	LinearSolves int
 	// BoundarySearchSteps is the number of mixed-bottleneck probes.
 	BoundarySearchSteps int
-	// WaterfillFallbacks counts how often the reference solver was needed.
-	WaterfillFallbacks int
 }
 
 func (s *SolveStats) add(o SolveStats) {
 	s.LinearSolves += o.LinearSolves
 	s.BoundarySearchSteps += o.BoundarySearchSteps
-	s.WaterfillFallbacks += o.WaterfillFallbacks
 }
 
 // Solve computes OptPerf and the optimal local batch sizes for total batch
@@ -107,15 +104,7 @@ func solveContinuous(model ClusterModel, totalBatch float64, hint *int, stats *S
 	}
 
 	for len(free) > 0 {
-		sub, subStats, ok := algorithm1(model, free, remaining, hint)
-		stats.add(subStats)
-		if !ok {
-			// Inconsistent boundary search (can happen with extreme
-			// coefficient spreads): fall back to the provably optimal
-			// waterfill on the per-node time envelope.
-			sub = waterfill(model, free, remaining)
-			stats.WaterfillFallbacks++
-		}
+		sub := algorithm1(model, free, remaining, hint, stats)
 		// Pin violators of box constraints and re-solve for the rest.
 		var repinned bool
 		// Handle cap violations first: they free up batch for others.
@@ -156,278 +145,127 @@ func solveContinuous(model ClusterModel, totalBatch float64, hint *int, stats *S
 }
 
 // algorithm1 is the paper's overlap-state search over the given node subset
-// with no box constraints. It returns the equalized allocation, or ok=false
-// when the boundary search cannot find a consistent partition.
-func algorithm1(model ClusterModel, idx []int, total float64, hint *int) (b []float64, stats SolveStats, ok bool) {
+// with no box constraints, returning the allocation that equalizes every
+// node's batch time at OptPerf T*.
+//
+// A node is compute-bound at the optimum exactly when T* reaches its kink
+// time (kinkTime), so the compute-bound nodes are always a prefix of the
+// nodes sorted by kink time. Splitting that order after t nodes — the first
+// t on their compute path, the rest on their comm path — is one diagonal
+// equalization with time T(t) ≤ T*; t = k is Check 1 and t = 0 is Check 2.
+// T(t) ≥ kink[t−1] holds exactly for t ≤ t*, the optimum's prefix length,
+// and T(t) < kink[t] exactly for t ≥ t*, so a binary search on it always
+// ends at a consistent split. The Section 4.5 warm-start hint is a prefix
+// length to probe first; a hint of 0 runs Check 2 before Check 1. The work
+// is counted into stats.
+func algorithm1(model ClusterModel, idx []int, total float64, hint *int, stats *SolveStats) []float64 {
 	k := len(idx)
 	gamma, to := model.Gamma, model.To
 
-	computeD := func(i int) (d, c float64) { // equal t_compute system
-		nm := model.Nodes[i]
-		return nm.Q + nm.K, nm.S + nm.M
-	}
-	commD := func(i int) (d, c float64) { // equal syncStart system
-		nm := model.Nodes[i]
-		return nm.Q + gamma*nm.K, nm.S + gamma*nm.M
-	}
-
-	solveEqual := func(ds, cs []float64) (mu float64, bs []float64) {
-		stats.LinearSolves++
-		var sumInvD, sumCD float64
-		for i := range ds {
-			sumInvD += 1 / ds[i]
-			sumCD += cs[i] / ds[i]
-		}
-		mu = (total + sumCD) / sumInvD
-		bs = make([]float64, len(ds))
-		for i := range ds {
-			bs[i] = (mu - cs[i]) / ds[i]
-		}
-		return mu, bs
-	}
-
-	computeBound := func(i int, bi float64) bool {
-		return (1-gamma)*model.Nodes[i].P(bi) >= to
+	order := make([]int, k) // positions into idx, by kink time once sorted
+	kinks := make([]float64, k)
+	lowest, highest := math.Inf(1), math.Inf(-1)
+	for j, i := range idx {
+		order[j], kinks[j] = j, model.kinkTime(i)
+		lowest, highest = min(lowest, kinks[j]), max(highest, kinks[j])
 	}
 
 	ds := make([]float64, k)
 	cs := make([]float64, k)
-	check1 := func() (bs []float64, valid bool) { // all compute-bottleneck
-		for j, i := range idx {
-			ds[j], cs[j] = computeD(i)
-		}
-		_, bs = solveEqual(ds, cs)
-		for j, i := range idx {
-			if !computeBound(i, bs[j]) {
-				return bs, false
+	split := func(t int) (bs []float64, time float64) {
+		stats.LinearSolves++
+		for p, j := range order {
+			nm := model.Nodes[idx[j]]
+			if p < t { // equal t_compute
+				ds[j], cs[j] = nm.Q+nm.K, nm.S+nm.M
+			} else { // equal syncStart + To
+				ds[j], cs[j] = nm.Q+gamma*nm.K, nm.S+gamma*nm.M+to
 			}
 		}
-		return bs, true
+		var sumInvD, sumCD float64
+		for j := range ds {
+			sumInvD += 1 / ds[j]
+			sumCD += cs[j] / ds[j]
+		}
+		mu := (total + sumCD) / sumInvD
+		bs = make([]float64, k)
+		for j := range ds {
+			bs[j] = (mu - cs[j]) / ds[j]
+		}
+		return bs, mu + model.Tu
 	}
-	check2 := func() (bs []float64, valid bool) { // all comm-bottleneck
+	envelope := func(bs []float64) float64 { // Eq. 7 over the subset
+		worst := 0.0
 		for j, i := range idx {
-			ds[j], cs[j] = commD(i)
+			worst = math.Max(worst, model.NodeTime(i, bs[j]))
 		}
-		_, bs = solveEqual(ds, cs)
-		for j, i := range idx {
-			if computeBound(i, bs[j]) {
-				return bs, false
-			}
-		}
-		return bs, true
+		return worst
 	}
 
-	// Section 4.5 warm start: begin from the previous candidate's overlap
-	// state. A hint of 0 (all communication-bottleneck) reverses the check
-	// order; either way both checks run before the mixed search so their
-	// agreement classification stays available.
+	// Check 1 (all compute-bound) and Check 2 (all comm-bound) put every
+	// node on one side, so they need no order.
 	var b1, b2 []float64
-	var ok1, ok2 bool
+	var t1, t2 float64
+	check1 := func() bool { b1, t1 = split(k); return t1 >= highest }
+	check2 := func() bool { b2, t2 = split(0); return t2 < lowest }
 	if hint != nil && *hint == 0 {
-		if b2, ok2 = check2(); ok2 {
-			return b2, stats, true
+		if check2() {
+			return b2
 		}
-		if b1, ok1 = check1(); ok1 {
-			return b1, stats, true
+		if check1() {
+			return b1
 		}
 	} else {
-		if b1, ok1 = check1(); ok1 {
-			return b1, stats, true
+		if check1() {
+			return b1
 		}
-		if b2, ok2 = check2(); ok2 {
-			return b2, stats, true
+		if check2() {
+			return b2
 		}
 	}
 
-	// Mixed bottleneck. Nodes that agree across both checks keep that
-	// state; the outliers are ordered by how compute-leaning they are at
-	// the Check-1 solution and a boundary is searched among them.
-	type entry struct {
-		node  int // index into idx
-		score float64
+	// Mixed bottleneck. Both checks are lower bounds on T* and the Eq. 7
+	// time of either check's allocation an upper bound, which brackets t*.
+	sort.SliceStable(order, func(a, b int) bool { return kinks[order[a]] < kinks[order[b]] })
+	sorted := make([]float64, k)
+	for p, j := range order {
+		sorted[p] = kinks[j]
 	}
-	var fixedCompute, fixedComm []int
-	var outliers []entry
-	for j, i := range idx {
-		c1 := computeBound(i, b1[j])
-		c2 := computeBound(i, b2[j])
-		switch {
-		case c1 && c2:
-			fixedCompute = append(fixedCompute, j)
-		case !c1 && !c2:
-			fixedComm = append(fixedComm, j)
-		default:
-			outliers = append(outliers, entry{node: j, score: (1-gamma)*model.Nodes[i].P(b1[j]) - to})
-		}
+	atOrBelow := func(t float64) int { // how many kink times are ≤ t
+		return sort.Search(k, func(p int) bool { return sorted[p] > t })
 	}
-	sort.Slice(outliers, func(a, b int) bool { return outliers[a].score > outliers[b].score })
-
-	trySplit := func(t int) (bs []float64, valid bool, wantMore bool) {
+	// Clamping keeps lo ≤ hi ≤ k−1 where rounding crosses the bounds.
+	hi := min(k-1, atOrBelow(math.Min(envelope(b1), envelope(b2))))
+	lo := min(hi, atOrBelow(math.Max(t1, t2)))
+	var at []float64 // the allocation at split lo, once solved
+	if lo == 0 {
+		at = b2 // split 0 is Check 2; every probe is then at t ≥ 1
+	}
+	probe := func(t int) (consistent bool) {
 		stats.BoundarySearchSteps++
-		for j := range idx {
-			ds[j], cs[j] = commD(idx[j])
-			cs[j] += to // comm side solves syncStart + To = mu
-		}
-		assignCompute := make([]bool, k)
-		for _, j := range fixedCompute {
-			assignCompute[j] = true
-		}
-		for _, e := range outliers[:t] {
-			assignCompute[e.node] = true
-		}
-		for j := range idx {
-			if assignCompute[j] {
-				ds[j], cs[j] = computeD(idx[j])
-			}
-		}
-		mu, bs := solveEqual(ds, cs)
-		_ = mu
-		valid = true
-		computeViolated, commViolated := false, false
-		for j, i := range idx {
-			isComputeSide := assignCompute[j]
-			actual := computeBound(i, bs[j])
-			if isComputeSide && !actual {
-				computeViolated = true
-				valid = false
-			}
-			if !isComputeSide && actual {
-				commViolated = true
-				valid = false
-			}
-		}
-		// Too many compute-assigned nodes -> shrink t; too few -> grow.
-		wantMore = commViolated && !computeViolated
-		return bs, valid, wantMore
-	}
-
-	lo, hi := 0, len(outliers)
-	if hint != nil {
-		t := *hint
-		if t < lo {
-			t = lo
-		}
-		if t > hi {
-			t = hi
-		}
-		if bs, valid, _ := trySplit(t); valid {
-			return bs, stats, true
-		}
-	}
-	for lo <= hi {
-		t := (lo + hi) / 2
-		bs, valid, wantMore := trySplit(t)
-		if valid {
-			return bs, stats, true
-		}
-		if wantMore {
-			lo = t + 1
-		} else {
+		bs, time := split(t)
+		if time < sorted[t-1] { // too many nodes on the compute side
 			hi = t - 1
+			return false
+		}
+		lo, at = t, bs
+		return time < sorted[t]
+	}
+	if hint != nil {
+		if t := max(lo, min(*hint, hi)); (t > lo || at == nil) && probe(t) {
+			return at
 		}
 	}
-	// Exhaustive scan as a last resort before the waterfill fallback.
-	for t := 0; t <= len(outliers); t++ {
-		if bs, valid, _ := trySplit(t); valid {
-			return bs, stats, true
+	for lo < hi {
+		if probe((lo + hi + 1) / 2) {
+			return at
 		}
 	}
-	return nil, stats, false
-}
-
-// waterfill equalizes each node's batch-time envelope
-// f_i(b) = max(compute path, comm path) by bisection on the target time.
-// It is the provably optimal reference solver (each f_i is increasing and
-// convex, so equalized times minimize the maximum).
-func waterfill(model ClusterModel, idx []int, total float64) []float64 {
-	sumAt := func(tau float64) float64 {
-		s := 0.0
-		for _, i := range idx {
-			s += math.Max(model.batchAt(i, tau), 0)
-		}
-		return s
+	if at == nil {
+		stats.BoundarySearchSteps++
+		at, _ = split(lo)
 	}
-	lo, hi := 0.0, 1.0
-	for sumAt(hi) < total {
-		hi *= 2
-		if hi > 1e12 {
-			break
-		}
-	}
-	for iter := 0; iter < 200; iter++ {
-		mid := (lo + hi) / 2
-		if sumAt(mid) < total {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	out := make([]float64, len(idx))
-	for j, i := range idx {
-		out[j] = math.Max(model.batchAt(i, hi), 0)
-	}
-	// Normalize the bisection residue across nodes with slack toward their
-	// box bounds. Dumping it all on one node can push that node above its
-	// cap or below minLocalBatch when the residue is large (bisection hit
-	// its range limit on an extreme model).
-	diff := total
-	for _, v := range out {
-		diff -= v
-	}
-	distributeResidue(model, idx, out, diff)
-	return out
-}
-
-// distributeResidue spreads diff over out, adding only up to each node's
-// cap and removing only down to minLocalBatch. Any residue that no node
-// can absorb is left undistributed for the caller's box-constraint pinning
-// to resolve.
-func distributeResidue(model ClusterModel, idx []int, out []float64, diff float64) {
-	for pass := 0; pass < 4 && math.Abs(diff) > 1e-12; pass++ {
-		slacks := make([]float64, len(out))
-		var slackSum float64
-		unbounded := 0
-		for j, i := range idx {
-			if diff > 0 {
-				slacks[j] = model.Nodes[i].cap() - out[j]
-			} else {
-				slacks[j] = out[j] - minLocalBatch
-			}
-			if slacks[j] < 0 {
-				slacks[j] = 0
-			}
-			if math.IsInf(slacks[j], 1) {
-				unbounded++
-			} else {
-				slackSum += slacks[j]
-			}
-		}
-		if diff > 0 && unbounded > 0 {
-			// Uncapped nodes absorb a surplus directly.
-			share := diff / float64(unbounded)
-			for j := range slacks {
-				if math.IsInf(slacks[j], 1) {
-					out[j] += share
-				}
-			}
-			return
-		}
-		if slackSum <= 0 {
-			return // no node can absorb it; the caller's pinning resolves it
-		}
-		want := diff
-		for j := range out {
-			if slacks[j] <= 0 {
-				continue
-			}
-			d := want * slacks[j] / slackSum
-			if math.Abs(d) > slacks[j] {
-				d = math.Copysign(slacks[j], d)
-			}
-			out[j] += d
-			diff -= d
-		}
-	}
+	return at
 }
 
 // integerPlan returns the integer allocation of totalBatch that minimizes
@@ -569,8 +407,8 @@ func ProportionalAllocation(perSampleTime []float64, totalBatch int, caps []int)
 	weights := make([]float64, n)
 	var sumW float64
 	for i, t := range perSampleTime {
-		if t <= 0 {
-			return nil, fmt.Errorf("optperf: node %d has non-positive per-sample time %v", i, t)
+		if !(t > 0) || math.IsInf(t, 1) { // NaN fails t > 0
+			return nil, fmt.Errorf("optperf: node %d has non-positive or non-finite per-sample time %v", i, t)
 		}
 		weights[i] = 1 / t
 		sumW += weights[i]

@@ -195,6 +195,50 @@ func TestMixedBottleneckGeneralCase(t *testing.T) {
 	}
 }
 
+// TestHintAtOptimumIsOneProbe: the Section 4.5 warm-start hint is the
+// optimum's prefix length in kink-time order, so a hint equal to it settles
+// a mixed model in one boundary probe, with the cold search's allocation.
+func TestHintAtOptimumIsOneProbe(t *testing.T) {
+	src := rng.New(8)
+	mixed, saved := 0, 0
+	for trial := 0; trial < 200; trial++ {
+		n := 2 + src.Intn(15)
+		m := randomModel(src, n)
+		total := float64(n * (2 + src.Intn(50)))
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		var coldStats, warmStats SolveStats
+		cold := algorithm1(m, idx, total, nil, &coldStats)
+		if coldStats.BoundarySearchSteps == 0 {
+			continue // not a mixed model
+		}
+		mixed++
+		if coldStats.BoundarySearchSteps > 1 {
+			saved++
+		}
+		tStar := 0
+		for i, b := range cold {
+			if m.NodeState(i, b) == ComputeBound {
+				tStar++
+			}
+		}
+		warm := algorithm1(m, idx, total, &tStar, &warmStats)
+		if warmStats.BoundarySearchSteps != 1 {
+			t.Fatalf("trial %d: hint %d took %d probes (cold %d)", trial, tStar, warmStats.BoundarySearchSteps, coldStats.BoundarySearchSteps)
+		}
+		for i := range cold {
+			if warm[i] != cold[i] {
+				t.Fatalf("trial %d: warm allocation %v != cold %v", trial, warm, cold)
+			}
+		}
+	}
+	if saved == 0 {
+		t.Fatalf("none of %d mixed models needed more than one cold probe", mixed)
+	}
+}
+
 func TestSolveBeatsBruteForce(t *testing.T) {
 	// Exhaustively enumerate every integer allocation on a 3-node cluster
 	// and confirm the solver matches the true optimum.
@@ -399,6 +443,12 @@ func TestProportionalAllocationErrors(t *testing.T) {
 	}
 	if _, err := ProportionalAllocation([]float64{0.001, 0}, 10, nil); err == nil {
 		t.Fatal("zero per-sample time accepted")
+	}
+	// Eq. 8 weights a node by 1/time, so NaN or +Inf has no share.
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		if b, err := ProportionalAllocation([]float64{0.01, bad, 0.02}, 30, nil); err == nil {
+			t.Fatalf("per-sample time %v accepted: %v", bad, b)
+		}
 	}
 	if _, err := ProportionalAllocation([]float64{0.001, 0.002}, 1, nil); err == nil {
 		t.Fatal("B < n accepted")

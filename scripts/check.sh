@@ -326,9 +326,13 @@ lane -race -count=1 -run 'Learner|HistoryCap|CachedWeights|AdaptDLPlans|LineSums
 # equals an enumeration over every allocation on small models (capped and
 # uncapped), the committed FuzzSolve seeds (several nodes tied as slowest)
 # equal the sample-by-sample greedy, and a min-pinned slowest node leaves the
-# rest equalized. By name, so a rename cannot silently drop them.
-echo "== optperf lane: integer plan == exact min-max =="
-lane -count=1 -run 'TestPropertySolveIsExactMinMax|FuzzSolve|TestSolveEqualizesPastMinPinnedCritical|TestSolveBeatsBruteForce' ./internal/optperf
+# rest equalized. Algorithm 1's search over the kink-time order matches the
+# waterfill reference on every model family, settles in one probe when the
+# warm-start hint is the optimum's prefix, and leaves the trainer's plans
+# bitwise; NaN and infinite model inputs are rejected. By name, so a rename
+# cannot silently drop them.
+echo "== optperf lane: integer plan == exact min-max, Algorithm 1 search =="
+lane -count=1 -run 'TestPropertySolveIsExactMinMax|FuzzSolve|TestSolveEqualizesPastMinPinnedCritical|TestSolveBeatsBruteForce|TestPropertySolveMatchesWaterfill|TestHintAtOptimumIsOneProbe|TestBoundarySearchOnExtremeSpread|TestValidate|TestProportionalAllocationErrors|TestSolveOptPerfRejectsNonFinite|TestTrainPlanSequenceGolden' ./internal/optperf .
 
 echo "== audited fuzz smoke: optperf FuzzSolve =="
 lane -run='^$' -fuzz=FuzzSolve -fuzztime=10s ./internal/optperf
