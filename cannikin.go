@@ -48,6 +48,9 @@ var (
 	// solution violated the paper's optimality invariants), or an invalid
 	// audit configuration.
 	ErrAudit = errors.New("audit failed")
+	// ErrBadJob reports a ScheduleConfig job with a submit time off the
+	// simulated timeline (see JobSpec) or an ID another job already has.
+	ErrBadJob = errors.New("bad job")
 )
 
 // AuditLevel selects how OptPerf plans are verified during training.

@@ -1,28 +1,13 @@
-// Command cannikin-loadtest drives the multi-tenant training service at
-// scale and checks its scheduling claims.
+// Command cannikin-loadtest smoke-drives a running cannikin-serve over
+// HTTP: concurrent submissions, an NDJSON epoch stream read to completion,
+// a cancellation, and a stats read. It prints PASS and exits 0 when every
+// job settles done or canceled and the stats agree.
 //
-// In-process mode (default) runs the same deterministic stream of short
-// jobs through two schedulers — the marginal-goodput allocator and the
-// naive equal-split baseline — over an identically seeded heterogeneous
-// device pool, recording admission latency, queue depth, backpressure
-// retries, and accumulated goodput, then asserts that
-//
-//  1. every job settles (no deadlock, no stuck queue),
-//  2. no goroutines leak,
-//  3. the goodput allocator's granted goodput is at least the equal-split
-//     counterfactual priced at the same decision points.
-//
-// With -url it instead smoke-drives a running cannikin-serve over HTTP:
-// concurrent submissions, an NDJSON epoch stream, a cancellation, and a
-// stats read.
-//
-//	cannikin-loadtest -jobs 200 -devices 12
 //	cannikin-loadtest -url http://127.0.0.1:8080 -jobs 3
 package main
 
 import (
 	"bufio"
-	"context"
 	"encoding/json"
 	"errors"
 	"flag"
@@ -30,15 +15,11 @@ import (
 	"io"
 	"net/http"
 	"os"
-	gort "runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"cannikin/internal/jobs"
-	"cannikin/internal/runspec"
-	"cannikin/internal/server"
 )
 
 func main() {
@@ -50,246 +31,35 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cannikin-loadtest", flag.ContinueOnError)
-	numJobs := fs.Int("jobs", 200, "number of jobs to submit")
-	devices := fs.Int("devices", 12, "device pool size (in-process mode)")
-	seed := fs.Uint64("seed", 7, "pool + job-stream seed")
-	maxQueue := fs.Int("queue", 32, "bounded queue depth (small, to exercise backpressure)")
-	clients := fs.Int("clients", 16, "concurrent submitting clients")
-	epochMS := fs.Int("epoch-ms", 2, "synthetic per-epoch duration in milliseconds")
-	epochs := fs.Int("epochs", 2, "epochs per job")
-	real := fs.Bool("real", false, "run real MLP training jobs instead of synthetic sleeps")
-	timeout := fs.Duration("timeout", 5*time.Minute, "overall deadline (deadlock detector)")
-	url := fs.String("url", "", "smoke-drive a running cannikin-serve at this base URL instead")
+	numJobs := fs.Int("jobs", 3, "number of jobs to submit (at least 3)")
+	timeout := fs.Duration("timeout", 5*time.Minute, "overall deadline")
+	url := fs.String("url", "", "base URL of a running cannikin-serve (required)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *url != "" {
-		return httpSmoke(w, strings.TrimRight(*url, "/"), *numJobs, *timeout)
+	if *url == "" {
+		return errors.New("-url is required")
 	}
-
-	baseline := gort.NumGoroutine()
-	var results []policyResult
-	for _, policy := range []string{jobs.PolicyGoodput, jobs.PolicyEqualSplit} {
-		res, err := runPolicy(w, policy, loadConfig{
-			jobs: *numJobs, devices: *devices, seed: *seed, maxQueue: *maxQueue,
-			clients: *clients, epochMS: *epochMS, epochs: *epochs, real: *real,
-			timeout: *timeout,
-		})
-		if err != nil {
-			return fmt.Errorf("policy %s: %w", policy, err)
-		}
-		results = append(results, res)
-	}
-
-	gp, eq := results[0], results[1]
-	fmt.Fprintf(w, "\ngoodput-policy granted %.2f (equal-split counterfactual %.2f, edge %+.1f%%)\n",
-		gp.stats.GoodputGranted, gp.stats.GoodputEqualSplit,
-		100*(gp.stats.GoodputGranted/gp.stats.GoodputEqualSplit-1))
-	fmt.Fprintf(w, "equal-policy  granted %.2f\n", eq.stats.GoodputGranted)
-	if gp.stats.GoodputGranted < gp.stats.GoodputEqualSplit {
-		return fmt.Errorf("goodput allocator lost to the equal-split counterfactual: %.4f < %.4f",
-			gp.stats.GoodputGranted, gp.stats.GoodputEqualSplit)
-	}
-	if gp.stats.GoodputGranted <= 0 {
-		return errors.New("no goodput accounted")
-	}
-
-	// Leak check: poll briefly — http clients and finished workers unwind
-	// asynchronously.
-	deadline := time.Now().Add(3 * time.Second)
-	for gort.NumGoroutine() > baseline+2 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
-	if n := gort.NumGoroutine(); n > baseline+2 {
-		return fmt.Errorf("goroutine leak: %d running, baseline %d", n, baseline)
-	}
-	fmt.Fprintln(w, "PASS")
-	return nil
-}
-
-type loadConfig struct {
-	jobs, devices, maxQueue, clients, epochMS, epochs int
-	seed                                              uint64
-	real                                              bool
-	timeout                                           time.Duration
-}
-
-type policyResult struct {
-	stats   jobs.Stats
-	retries int64
-	elapsed time.Duration
-}
-
-// syntheticRunner stands in for training: it sleeps a deterministic
-// duration per epoch (scaled by the job's worker count) and reports a
-// plausible noise estimate, honoring cancellation.
-type syntheticRunner struct {
-	epochMS int
-	epochs  int
-}
-
-func (r syntheticRunner) Run(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
-	per := time.Duration(r.epochMS) * time.Millisecond
-	for e := 0; e < r.epochs; e++ {
-		select {
-		case <-time.After(per):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		noise := 40 + 10*float64(spec.Seed%7)
-		if err := onEpoch(jobs.Epoch{Epoch: e, Batch: 32, Noise: noise, Metric: float64(e)}); err != nil {
-			return nil, err
-		}
-	}
-	return &jobs.Outcome{Epochs: r.epochs}, nil
-}
-
-// jobSpec deterministically shapes the i-th job of the stream: widths
-// cycle 1..4, seeds advance, so both policies see the identical workload.
-func jobSpec(i, epochs int, seed uint64, real bool) *runspec.Spec {
-	s := runspec.Default()
-	s.MLP = true
-	s.Seed = seed + uint64(i)
-	s.Epochs = epochs
-	width := 1 + i%4
-	s.MLPBatches = make([]int, width)
-	for k := range s.MLPBatches {
-		s.MLPBatches[k] = 4 + 4*(i%3)
-	}
-	if !real {
-		// Synthetic runs never execute the spec; keep it minimal.
-		s.Backend = "sim"
-	}
-	return s
-}
-
-func runPolicy(w io.Writer, policy string, cfg loadConfig) (policyResult, error) {
-	var runner jobs.Runner = syntheticRunner{epochMS: cfg.epochMS, epochs: cfg.epochs}
-	if cfg.real {
-		runner = server.TrainRunner{}
-	}
-	sched, err := jobs.NewScheduler(jobs.Config{
-		Pool:       jobs.PoolConfig{Devices: cfg.devices, Seed: cfg.seed, Jitter: 0.05},
-		Runner:     runner,
-		MaxQueue:   cfg.maxQueue,
-		Policy:     policy,
-		RetryAfter: 5 * time.Millisecond,
-	})
-	if err != nil {
-		return policyResult{}, err
-	}
-
-	start := time.Now()
-	deadline := start.Add(cfg.timeout)
-	var next, retries atomic.Int64
-	var wg sync.WaitGroup
-	errCh := make(chan error, cfg.clients)
-	for c := 0; c < cfg.clients; c++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= cfg.jobs {
-					return
-				}
-				spec := jobSpec(i, cfg.epochs, cfg.seed, cfg.real)
-				for {
-					_, err := sched.Submit(spec)
-					if err == nil {
-						break
-					}
-					var qf *jobs.QueueFullError
-					if !errors.As(err, &qf) {
-						errCh <- fmt.Errorf("submit job %d: %w", i, err)
-						return
-					}
-					retries.Add(1)
-					if time.Now().After(deadline) {
-						errCh <- fmt.Errorf("job %d still rejected at deadline", i)
-						return
-					}
-					time.Sleep(qf.RetryAfter)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	select {
-	case err := <-errCh:
-		return policyResult{}, err
-	default:
-	}
-
-	// Wait for every submitted job to settle; the deadline doubles as the
-	// deadlock detector.
-	for {
-		st := sched.Stats()
-		if st.Done+st.Failed+st.Canceled >= cfg.jobs {
-			break
-		}
-		if time.Now().After(deadline) {
-			return policyResult{}, fmt.Errorf("deadlock: %d/%d settled at deadline (%+v)",
-				st.Done+st.Failed+st.Canceled, cfg.jobs, st)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if err := sched.Drain(context.Background()); err != nil {
-		return policyResult{}, fmt.Errorf("drain: %w", err)
-	}
-	st := sched.Stats()
-	if st.Failed > 0 {
-		return policyResult{}, fmt.Errorf("%d jobs failed", st.Failed)
-	}
-	res := policyResult{stats: st, retries: retries.Load(), elapsed: time.Since(start)}
-	fmt.Fprintf(w, "policy %-8s %d jobs in %-12s admission mean %-10s max %-10s queue high-water %-3d retries %-5d plans %d\n",
-		policy, st.Done, res.elapsed.Round(time.Millisecond),
-		st.AdmissionMean.Round(time.Microsecond), st.AdmissionMax.Round(time.Microsecond),
-		st.MaxQueueDepth, res.retries, st.PlanEvents)
-	return res, nil
+	return httpSmoke(w, strings.TrimRight(*url, "/"), *numJobs, *timeout)
 }
 
 // httpSmoke drives a live cannikin-serve: concurrent submissions, one
 // NDJSON stream read to completion, one cancellation, and a stats check.
 func httpSmoke(w io.Writer, base string, n int, timeout time.Duration) error {
-	if n < 3 {
-		n = 3
-	}
+	n = max(n, 3)
 	client := &http.Client{Timeout: timeout}
-	ids := make([]string, n)
+	ids, errs := make([]string, n), make([]error, n)
 	var wg sync.WaitGroup
-	errCh := make(chan error, n)
-	for i := 0; i < n; i++ {
+	for i := range n {
 		wg.Add(1)
-		go func(i int) {
+		go func() {
 			defer wg.Done()
-			body := fmt.Sprintf(`{"mlp": true, "mlp_batches": [4, 4], "epochs": 2, "seed": %d}`, 100+i)
-			resp, err := client.Post(base+"/jobs", "application/json", strings.NewReader(body))
-			if err != nil {
-				errCh <- err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != http.StatusCreated {
-				msg, _ := io.ReadAll(resp.Body)
-				errCh <- fmt.Errorf("submit %d: %d %s", i, resp.StatusCode, msg)
-				return
-			}
-			var st struct {
-				ID string `json:"id"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-				errCh <- err
-				return
-			}
-			ids[i] = st.ID
-		}(i)
+			ids[i], errs[i] = submit(client, base, i)
+		}()
 	}
 	wg.Wait()
-	select {
-	case err := <-errCh:
+	if err := errors.Join(errs...); err != nil {
 		return err
-	default:
 	}
 	fmt.Fprintf(w, "submitted %d jobs: %s\n", n, strings.Join(ids, " "))
 
@@ -342,17 +112,11 @@ func httpSmoke(w io.Writer, base string, n int, timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for _, id := range ids {
 		for {
-			sresp, err := client.Get(base + "/jobs/" + id)
-			if err != nil {
-				return err
-			}
 			var st struct {
 				State jobs.State `json:"state"`
 				Error string     `json:"error"`
 			}
-			err = json.NewDecoder(sresp.Body).Decode(&st)
-			sresp.Body.Close()
-			if err != nil {
+			if err := getJSON(client, base+"/jobs/"+id, &st); err != nil {
 				return err
 			}
 			if st.State == jobs.StateFailed {
@@ -367,14 +131,8 @@ func httpSmoke(w io.Writer, base string, n int, timeout time.Duration) error {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	sresp, err := client.Get(base + "/stats")
-	if err != nil {
-		return err
-	}
 	var stats jobs.Stats
-	err = json.NewDecoder(sresp.Body).Decode(&stats)
-	sresp.Body.Close()
-	if err != nil {
+	if err := getJSON(client, base+"/stats", &stats); err != nil {
 		return err
 	}
 	if stats.Done+stats.Canceled < n {
@@ -383,4 +141,34 @@ func httpSmoke(w io.Writer, base string, n int, timeout time.Duration) error {
 	fmt.Fprintf(w, "stats: %d done, %d canceled, goodput granted %.2f\nPASS\n",
 		stats.Done, stats.Canceled, stats.GoodputGranted)
 	return nil
+}
+
+// submit posts the i-th smoke job, a two-worker MLP spec, and returns the
+// ID it was admitted under.
+func submit(client *http.Client, base string, i int) (string, error) {
+	body := fmt.Sprintf(`{"mlp": true, "mlp_batches": [4, 4], "epochs": 2, "seed": %d}`, 100+i)
+	resp, err := client.Post(base+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		return "", err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		msg, _ := io.ReadAll(resp.Body)
+		return "", fmt.Errorf("submit %d: %d %s", i, resp.StatusCode, msg)
+	}
+	var st struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	return st.ID, err
+}
+
+// getJSON decodes the JSON body of a GET.
+func getJSON(client *http.Client, url string, v any) error {
+	resp, err := client.Get(url)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	return json.NewDecoder(resp.Body).Decode(v)
 }

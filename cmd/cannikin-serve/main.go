@@ -48,7 +48,7 @@ func run(args []string, w *os.File) error {
 	poolSeed := fs.Uint64("pool-seed", 1, "pool random seed (device and per-job speed jitter)")
 	jitter := fs.Float64("jitter", 0.05, "log-space sigma of device/job speed jitter (0 = none)")
 	maxQueue := fs.Int("max-queue", 64, "bounded queue depth; submissions beyond it get HTTP 429")
-	policy := fs.String("policy", jobs.PolicyGoodput, `allocator: "goodput" (marginal goodput) or "equal" (naive FIFO baseline)`)
+	policy := fs.String("policy", jobs.PolicyGoodput, `allocator: "goodput" (marginal goodput), or FIFO without backfill over "equal" (first free devices), "heterogeneous" (fastest free devices) or "homogeneous" (fastest model with enough free)`)
 	retryAfter := fs.Duration("retry-after", 500*time.Millisecond, "Retry-After hint on queue-full rejections")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for running jobs on shutdown")
 	if err := fs.Parse(args); err != nil {

@@ -1,11 +1,11 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
-	"cannikin/internal/gpu"
+	"cannikin/internal/jobs"
 	"cannikin/internal/rng"
-	"cannikin/internal/sched"
 	"cannikin/internal/simtime"
 	"cannikin/internal/trace"
 	"cannikin/internal/trainer"
@@ -18,63 +18,41 @@ import (
 // The experiment runs the same job stream under both allocation policies
 // and compares makespan and queueing.
 func Scheduler(opt Options) (*trace.Table, error) {
+	w, err := workload.Get("cifar10")
+	if err != nil {
+		return nil, err
+	}
 	tab := trace.NewTable("policy", "jobs done", "makespan (s)", "total wait (s)")
-	for _, tt := range []struct {
-		name   string
-		policy sched.Policy
-	}{
-		{"heterogeneous (cannikin)", sched.Heterogeneous},
-		{"homogeneous-only", sched.HomogeneousOnly},
+	for _, tt := range []struct{ name, policy string }{
+		{"heterogeneous (cannikin)", jobs.PolicyHeterogeneous},
+		{"homogeneous-only", jobs.PolicyHomogeneous},
 	} {
-		makespan, wait, done, err := runSchedule(opt, tt.policy)
+		// A stream of 3- and 4-GPU jobs arriving close together: under the
+		// homogeneous policy a 4-GPU job can only use the RTX6000 slice, so
+		// jobs serialize; mixed allocations keep the whole pool busy.
+		recs, err := jobs.Simulate(context.Background(), jobs.SimConfig{
+			// 2x A100, 2x V100, 4x RTX6000: no model has more than 4.
+			Models: []string{"A100", "A100", "V100", "V100", "RTX6000", "RTX6000", "RTX6000", "RTX6000"},
+			Noise:  rng.New(opt.seed()).Split("schedpool"),
+			Policy: tt.policy,
+			Jobs: []jobs.SimJob{
+				{ID: "j1", Workload: w, Workers: 4, SubmitAt: 0},
+				{ID: "j2", Workload: w, Workers: 4, SubmitAt: simtime.Time(simtime.Second)},
+				{ID: "j3", Workload: w, Workers: 3, SubmitAt: simtime.Time(2 * simtime.Second)},
+				{ID: "j4", Workload: w, Workers: 3, SubmitAt: simtime.Time(3 * simtime.Second)},
+			},
+			System: func() trainer.System { return trainer.NewCannikin() },
+			Seed:   opt.seed(),
+		})
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tt.name, err)
 		}
-		tab.AddRowValues(tt.name, done, makespan, wait)
+		var makespan, wait float64
+		for _, r := range recs {
+			wait += r.Wait.Seconds()
+			makespan = max(makespan, r.Finish.Seconds())
+		}
+		tab.AddRowValues(tt.name, len(recs), makespan, wait)
 	}
 	return tab, nil
-}
-
-func runSchedule(opt Options, policy sched.Policy) (makespan, totalWait float64, done int, err error) {
-	// Pool: 2x A100, 2x V100, 4x RTX6000 — no model has more than 4.
-	src := rng.New(opt.seed()).Split("schedpool")
-	models := []string{"A100", "A100", "V100", "V100", "RTX6000", "RTX6000", "RTX6000", "RTX6000"}
-	devices := make([]*gpu.Device, len(models))
-	for i, m := range models {
-		d, derr := gpu.NewDevice(fmt.Sprintf("%s-%d", m, i), m, src)
-		if derr != nil {
-			return 0, 0, 0, derr
-		}
-		devices[i] = d
-	}
-	s, err := sched.New(devices, policy, func() trainer.System { return trainer.NewCannikin() }, opt.seed())
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	w, err := workload.Get("cifar10")
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	// A stream of 3- and 4-GPU jobs arriving close together: under the
-	// homogeneous policy a 4-GPU job can only use the RTX6000 slice, so
-	// jobs serialize; mixed allocations keep the whole pool busy.
-	jobs := []sched.Job{
-		{ID: "j1", Workload: w, GPUs: 4, SubmitAt: 0},
-		{ID: "j2", Workload: w, GPUs: 4, SubmitAt: simtime.Time(simtime.FromSeconds(1))},
-		{ID: "j3", Workload: w, GPUs: 3, SubmitAt: simtime.Time(simtime.FromSeconds(2))},
-		{ID: "j4", Workload: w, GPUs: 3, SubmitAt: simtime.Time(simtime.FromSeconds(3))},
-	}
-	for _, j := range jobs {
-		if err := s.Submit(j); err != nil {
-			return 0, 0, 0, err
-		}
-	}
-	recs, err := s.Run()
-	if err != nil {
-		return 0, 0, 0, err
-	}
-	for _, r := range recs {
-		totalWait += simtime.Duration(r.Wait).Seconds()
-	}
-	return s.Makespan().Seconds(), totalWait, len(recs), nil
 }

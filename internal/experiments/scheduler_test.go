@@ -35,4 +35,14 @@ func TestSchedulerHeterogeneousPolicyWins(t *testing.T) {
 	if het[1] >= hom[1] {
 		t.Fatalf("heterogeneous total wait %v not below homogeneous %v", het[1], hom[1])
 	}
+	// The printed table, pinned: makespan and total wait per policy.
+	want := map[string][2]string{
+		"heterogeneous (cannikin)": {"509.1316", "368.5820"},
+		"homogeneous-only":         {"1068.4679", "1482.8669"},
+	}
+	for _, row := range tab.Rows {
+		if w := want[row[0]]; row[2] != w[0] || row[3] != w[1] {
+			t.Errorf("%s: makespan %s, total wait %s; want %s, %s", row[0], row[2], row[3], w[0], w[1])
+		}
+	}
 }

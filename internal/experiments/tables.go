@@ -183,7 +183,7 @@ func AblationWarmStart(opt Options) (*trace.Table, error) {
 		if _, err := p.Plan(b); err != nil {
 			return nil, err
 		}
-		cold += p.Stats().LinearSolves + p.Stats().BoundarySearchSteps
+		cold += p.Stats().LinearSolves
 	}
 	// Warm: one planner sweeping candidates in order.
 	warm, err := optperf.NewPlanner(model)
@@ -193,12 +193,12 @@ func AblationWarmStart(opt Options) (*trace.Table, error) {
 	if _, err := warm.PlanAll(env.Candidates); err != nil {
 		return nil, err
 	}
-	warmWork := warm.Stats().LinearSolves + warm.Stats().BoundarySearchSteps
+	warmWork := warm.Stats().LinearSolves
 	// Cached: repeat the sweep.
 	if _, err := warm.PlanAll(env.Candidates); err != nil {
 		return nil, err
 	}
-	cachedWork := warm.Stats().LinearSolves + warm.Stats().BoundarySearchSteps - warmWork
+	cachedWork := warm.Stats().LinearSolves - warmWork
 
 	tab := trace.NewTable("strategy", "solver work")
 	tab.AddRowValues("cold per-candidate", cold)

@@ -1,18 +1,22 @@
-// Package jobs is the multi-tenant training scheduler: one long-running
-// Scheduler admits, queues, and runs many concurrent training jobs over a
-// shared heterogeneous device pool.
+// Package jobs is the one training-job scheduler: a Scheduler admits,
+// queues, and runs many concurrent training jobs over a shared
+// heterogeneous device pool, on one of two clocks. On the wall clock (the
+// default, behind the HTTP service) a granted job runs on its own goroutine
+// until its Runner returns; on an EventClock (behind Simulate, the paper's
+// Section 6 scheduler) it runs as an event and holds its devices for its
+// simulated training time.
 //
 // Jobs arrive as runspec.Spec documents (the same unified config behind the
 // CLI tools), pass admission control (spec validation, pool-size fit, a
 // bounded queue with reject-and-retry-after backpressure), and wait in a
-// FIFO queue until the cluster-pool allocator grants them devices. The
-// allocator assigns devices per job by *marginal goodput* — throughput ×
-// statistical efficiency, the Pollux-style objective already used by the
-// adaptive batch-size engine (internal/goodput), with the statistical
-// efficiency driven by the heterogeneous gradient-noise-scale estimates
-// (internal/gns) that running jobs stream back per epoch. Cluster-level
-// re-planning happens on every membership event: job arrival, finish,
-// failure, and cancellation.
+// FIFO queue until the allocator grants them devices. The default policy
+// assigns devices per job by *marginal goodput* — throughput × statistical
+// efficiency, the Pollux-style objective already used by the adaptive
+// batch-size engine (internal/goodput), with the statistical efficiency
+// driven by the heterogeneous gradient-noise-scale estimates (internal/gns)
+// that running jobs stream back per epoch; the other policies are FIFO
+// without backfill (Config.Policy). Cluster-level re-planning happens on
+// every membership event: job arrival, finish, failure, and cancellation.
 //
 // Isolation: each job's device profile is derived via rng.Split from the
 // pool seed and the job ID alone, so one job's randomness never depends on
@@ -23,8 +27,9 @@
 // same spec regardless of pool contention.
 //
 // The actual training is delegated to a Runner, keeping this package free
-// of a dependency on the public API (internal/server provides the real
-// runner; tests use fakes).
+// of a dependency on the public API (internal/server provides the
+// service's runner, Simulate trains on simulated clusters, and tests use
+// fakes).
 package jobs
 
 import (
@@ -136,20 +141,21 @@ type Event struct {
 	Epoch *Epoch `json:"epoch,omitempty"`
 }
 
-// Runner executes one admitted job. Run must honor ctx (a canceled context
+// Runner executes one admitted job on the pool devices it was granted
+// (their IDs, in grant order). Run must honor ctx (a canceled context
 // aborts the job), call onEpoch for every completed epoch in order from a
 // single goroutine, and return the outcome or the run error. The scheduler
 // guarantees at most one Run per job and never calls Run concurrently for
 // the same job.
 type Runner interface {
-	Run(ctx context.Context, spec *runspec.Spec, onEpoch func(Epoch) error) (*Outcome, error)
+	Run(ctx context.Context, spec *runspec.Spec, devices []int, onEpoch func(Epoch) error) (*Outcome, error)
 }
 
-// RunnerFunc adapts a function to the Runner interface.
+// RunnerFunc adapts a function that needs no device IDs to a Runner.
 type RunnerFunc func(ctx context.Context, spec *runspec.Spec, onEpoch func(Epoch) error) (*Outcome, error)
 
-// Run implements Runner.
-func (f RunnerFunc) Run(ctx context.Context, spec *runspec.Spec, onEpoch func(Epoch) error) (*Outcome, error) {
+// Run implements Runner; the device IDs are dropped.
+func (f RunnerFunc) Run(ctx context.Context, spec *runspec.Spec, _ []int, onEpoch func(Epoch) error) (*Outcome, error) {
 	return f(ctx, spec, onEpoch)
 }
 

@@ -3,6 +3,7 @@ package jobs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cannikin/internal/goodput"
@@ -103,13 +104,18 @@ func (p *Pool) Size() int { return len(p.devices) }
 // FreeCount returns how many devices are currently unassigned.
 func (p *Pool) FreeCount() int { return p.free }
 
-// Devices returns a snapshot copy of every device.
-func (p *Pool) Devices() []Device {
-	out := make([]Device, len(p.devices))
-	for i, d := range p.devices {
-		out[i] = *d
+// widest is the most devices one job can ever be granted under the policy:
+// the whole pool, or under the homogeneous policy its largest model group.
+func (p *Pool) widest(policy string) int {
+	if policy != PolicyHomogeneous {
+		return len(p.devices)
 	}
-	return out
+	count, most := map[string]int{}, 0
+	for _, d := range p.devices {
+		count[d.Model]++
+		most = max(most, count[d.Model])
+	}
+	return most
 }
 
 // Profile returns the job's per-device speed multipliers. It is derived
@@ -247,7 +253,6 @@ func effSpeed(d *Device, a ask) float64 {
 // first on ties. Jobs that do not fit are skipped (backfill), so one wide
 // job at the head cannot idle the pool.
 func planGoodput(free []*Device, asks []ask) []grant {
-	free = append([]*Device(nil), free...)
 	pending := append([]ask(nil), asks...)
 	var out []grant
 	for len(pending) > 0 && len(free) > 0 {
@@ -269,53 +274,71 @@ func planGoodput(free []*Device, asks []ask) []grant {
 		if bestIdx < 0 {
 			break
 		}
-		a := pending[bestIdx]
-		ids := make([]int, len(bestDevs))
-		taken := make(map[int]bool, len(bestDevs))
-		for i, d := range bestDevs {
-			ids[i] = d.ID
-			taken[d.ID] = true
-		}
+		ids := deviceIDs(bestDevs)
 		sort.Ints(ids)
-		out = append(out, grant{id: a.id, devices: ids, goodput: bestGp})
+		out = append(out, grant{id: pending[bestIdx].id, devices: ids, goodput: bestGp})
 		pending = append(pending[:bestIdx], pending[bestIdx+1:]...)
-		kept := free[:0]
-		for _, d := range free {
-			if !taken[d.ID] {
-				kept = append(kept, d)
-			}
-		}
-		free = kept
+		free = without(free, bestDevs)
 	}
 	return out
 }
 
-// planEqualSplit is the naive baseline: strict FIFO with no backfill,
-// first free devices by ID, equal shards. It stops at the first job that
-// does not fit — exactly what a speed-blind queue does.
-func planEqualSplit(free []*Device, asks []ask) []grant {
-	free = append([]*Device(nil), free...)
-	ordered := append([]ask(nil), asks...)
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].index < ordered[j].index })
+// fifoPicks are the FIFO policies' device choices for an ask that fits in
+// the free devices (in ID order); nil means it cannot be placed now.
+var fifoPicks = map[string]func(free []*Device, a ask) []*Device{
+	PolicyEqualSplit:    func(free []*Device, a ask) []*Device { return free[:a.workers] },
+	PolicyHeterogeneous: fastestFor,
+	PolicyHomogeneous:   fastestModel,
+}
+
+// planFIFO grants strictly in submission order (the order of asks, as of
+// the queue) with no backfill: each waiting job takes the policy's pick,
+// and planning stops at the first job it cannot place — exactly what a
+// queue without backfill does. Equal shards are priced as such; the
+// heterogeneous and homogeneous picks run Cannikin, which splits the batch
+// by speed, so they are priced like the goodput allocator's grants.
+func planFIFO(free []*Device, asks []ask, policy string) []grant {
+	price := predictGoodput
+	if policy == PolicyEqualSplit {
+		price = predictEqualSplit
+	}
 	var out []grant
-	for _, a := range ordered {
-		if a.workers > len(free) {
+	for _, a := range asks {
+		var devs []*Device
+		if a.workers <= len(free) {
+			devs = fifoPicks[policy](free, a)
+		}
+		if devs == nil {
 			break
 		}
-		devs := free[:a.workers]
-		ids := make([]int, len(devs))
-		for i, d := range devs {
-			ids[i] = d.ID
-		}
-		out = append(out, grant{id: a.id, devices: ids, goodput: predictEqualSplit(devs, a)})
-		free = free[a.workers:]
+		out = append(out, grant{id: a.id, devices: deviceIDs(devs), goodput: price(devs, a)})
+		free = without(free, devs)
 	}
 	return out
 }
 
-// fastestFor returns the ask's workers-many fastest free devices under the
-// job's own profile, tie-broken by ID for determinism.
-func fastestFor(free []*Device, a ask) []*Device {
+// fastestFor returns the ask's workers-many fastest free devices.
+func fastestFor(free []*Device, a ask) []*Device { return bySpeed(free, a)[:a.workers] }
+
+// fastestModel is the homogeneous pick: the ask's workers-many fastest
+// devices of the fastest model that has that many free.
+func fastestModel(free []*Device, a ask) []*Device {
+	sorted := bySpeed(free, a)
+	byModel := make(map[string][]*Device, len(sorted))
+	for _, d := range sorted {
+		byModel[d.Model] = append(byModel[d.Model], d)
+	}
+	for _, d := range sorted {
+		if same := byModel[d.Model]; len(same) >= a.workers {
+			return same[:a.workers]
+		}
+	}
+	return nil
+}
+
+// bySpeed returns the free devices fastest first under the job's own
+// profile, tie-broken by ID for determinism.
+func bySpeed(free []*Device, a ask) []*Device {
 	devs := append([]*Device(nil), free...)
 	sort.Slice(devs, func(i, j int) bool {
 		si, sj := effSpeed(devs[i], a), effSpeed(devs[j], a)
@@ -324,7 +347,21 @@ func fastestFor(free []*Device, a ask) []*Device {
 		}
 		return devs[i].ID < devs[j].ID
 	})
-	return devs[:a.workers]
+	return devs
+}
+
+// deviceIDs returns the devices' pool IDs in order.
+func deviceIDs(devs []*Device) []int {
+	ids := make([]int, len(devs))
+	for i, d := range devs {
+		ids[i] = d.ID
+	}
+	return ids
+}
+
+// without returns free minus the taken devices, in order.
+func without(free, taken []*Device) []*Device {
+	return slices.DeleteFunc(slices.Clone(free), func(d *Device) bool { return slices.Contains(taken, d) })
 }
 
 // totalGoodput sums a plan's predicted goodput.

@@ -135,7 +135,7 @@ func TestGoodputPlanBeatsEqualSplit(t *testing.T) {
 	free := heterogeneousFree()
 	asks := testAsks()
 	gp := planGoodput(free, asks)
-	eq := planEqualSplit(free, asks)
+	eq := planFIFO(free, asks, PolicyEqualSplit)
 	if len(gp) != 3 || len(eq) != 3 {
 		t.Fatalf("grants: goodput %d, equal %d, want 3 each", len(gp), len(eq))
 	}
@@ -174,7 +174,7 @@ func TestGoodputPlanBackfills(t *testing.T) {
 		t.Fatalf("backfill failed: grants = %+v", gp)
 	}
 	// The equal-split baseline head-of-line blocks by construction.
-	if eq := planEqualSplit(free, asks); len(eq) != 0 {
+	if eq := planFIFO(free, asks, PolicyEqualSplit); len(eq) != 0 {
 		t.Fatalf("equal-split baseline should HOL-block, granted %+v", eq)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -15,9 +16,15 @@ import (
 const (
 	// PolicyGoodput is the marginal-goodput allocator (default).
 	PolicyGoodput = "goodput"
-	// PolicyEqualSplit is the naive speed-blind FIFO baseline, kept
-	// selectable so the load-test harness can race the two head to head.
+	// PolicyEqualSplit is the naive speed-blind FIFO baseline: the first
+	// free devices by ID.
 	PolicyEqualSplit = "equal"
+	// PolicyHeterogeneous is FIFO over the fastest free devices of any
+	// model — the mixed allocations Cannikin can train on (Section 6).
+	PolicyHeterogeneous = "heterogeneous"
+	// PolicyHomogeneous is FIFO over the fastest model with enough free
+	// devices — the single-model slices existing schedulers carve.
+	PolicyHomogeneous = "homogeneous"
 )
 
 // defaultNoisePrior prices statistical efficiency for a job that has not
@@ -36,8 +43,8 @@ type Config struct {
 	// MaxQueue bounds the number of waiting jobs; submissions beyond it are
 	// rejected with a *QueueFullError. Default 64.
 	MaxQueue int
-	// Policy selects the allocator: PolicyGoodput (default) or
-	// PolicyEqualSplit.
+	// Policy selects the allocator: PolicyGoodput (default),
+	// PolicyEqualSplit, PolicyHeterogeneous or PolicyHomogeneous.
 	Policy string
 	// RetryAfter is the back-off hint carried by queue-full rejections.
 	// Default 500ms.
@@ -45,6 +52,9 @@ type Config struct {
 	// GNSAlpha is the EMA smoothing factor for the pool-level and per-job
 	// noise trackers. Default 0.3.
 	GNSAlpha float64
+	// Clock is the time source and decides when a granted run hands its
+	// devices back. Nil means the wall clock.
+	Clock Clock
 }
 
 // job is the scheduler's internal record of one submission.
@@ -82,6 +92,7 @@ type Scheduler struct {
 	cfg    Config
 	pool   *Pool
 	runner Runner
+	clock  Clock
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -106,9 +117,10 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	switch cfg.Policy {
 	case "":
 		cfg.Policy = PolicyGoodput
-	case PolicyGoodput, PolicyEqualSplit:
+	case PolicyGoodput, PolicyEqualSplit, PolicyHeterogeneous, PolicyHomogeneous:
 	default:
-		return nil, fmt.Errorf("jobs: unknown policy %q (want %q or %q)", cfg.Policy, PolicyGoodput, PolicyEqualSplit)
+		return nil, fmt.Errorf("jobs: unknown policy %q (want %q, %q, %q or %q)", cfg.Policy,
+			PolicyGoodput, PolicyEqualSplit, PolicyHeterogeneous, PolicyHomogeneous)
 	}
 	if cfg.MaxQueue <= 0 {
 		cfg.MaxQueue = 64
@@ -116,8 +128,11 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 500 * time.Millisecond
 	}
-	if cfg.GNSAlpha <= 0 || cfg.GNSAlpha > 1 {
+	if !(cfg.GNSAlpha > 0 && cfg.GNSAlpha <= 1) { // NaN takes the default too
 		cfg.GNSAlpha = 0.3
+	}
+	if cfg.Clock == nil {
+		cfg.Clock = wallClock{}
 	}
 	pool, err := NewPool(cfg.Pool)
 	if err != nil {
@@ -127,13 +142,11 @@ func NewScheduler(cfg Config) (*Scheduler, error) {
 		cfg:     cfg,
 		pool:    pool,
 		runner:  cfg.Runner,
+		clock:   cfg.Clock,
 		jobs:    map[string]*job{},
 		tracker: gns.NewTracker(cfg.GNSAlpha),
 	}, nil
 }
-
-// Pool exposes the device pool (read-only use; the scheduler owns it).
-func (s *Scheduler) Pool() *Pool { return s.pool }
 
 // Workers returns the device count a spec needs, mirroring how the run
 // commands size their clusters: simulated jobs one per cluster node
@@ -180,32 +193,40 @@ func batchOf(spec *runspec.Spec, workers int) (batch, base int) {
 	default:
 		batch = 32 * workers
 	}
-	base = 32
-	if batch < base {
-		base = batch
-	}
-	return batch, base
+	return batch, min(32, batch)
 }
 
 // Submit runs admission control and enqueues the job, returning its ID.
 // Rejections: ErrDraining after Drain began, ErrBadSpec for specs the
-// service cannot place (including ones wider than the whole pool), and a
+// service can never place (wider than the whole pool, or under the
+// homogeneous policy than its largest model group), and a
 // *QueueFullError (errors.Is ErrQueueFull) once MaxQueue jobs are waiting
 // — the backpressure path; clients should retry after its hint.
 func (s *Scheduler) Submit(spec *runspec.Spec) (string, error) {
+	workers, err := Workers(spec)
+	if err == nil {
+		specCopy := *spec
+		spec = &specCopy
+	}
+	return s.admit(spec, workers, err)
+}
+
+// admit is Submit's admission control for a spec that needs workers
+// devices, or that Workers rejected with bad. Simulate enters here with
+// each job's explicit width; the spec is stored as given, so it reaches
+// Runner.Run as the same pointer.
+func (s *Scheduler) admit(spec *runspec.Spec, workers int, bad error) (string, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return "", ErrDraining
 	}
-	workers, err := Workers(spec)
-	if err != nil {
-		s.stats.Rejected++
-		return "", fmt.Errorf("%w: %v", ErrBadSpec, err)
+	if widest := s.pool.widest(s.cfg.Policy); bad == nil && (workers < 1 || workers > widest) {
+		bad = fmt.Errorf("spec needs %d devices, the pool can grant at most %d", workers, widest)
 	}
-	if workers > s.pool.Size() {
+	if bad != nil {
 		s.stats.Rejected++
-		return "", fmt.Errorf("%w: spec needs %d devices, pool has %d", ErrBadSpec, workers, s.pool.Size())
+		return "", fmt.Errorf("%w: %v", ErrBadSpec, bad)
 	}
 	if len(s.queue) >= s.cfg.MaxQueue {
 		s.stats.Rejected++
@@ -214,16 +235,15 @@ func (s *Scheduler) Submit(spec *runspec.Spec) (string, error) {
 	id := fmt.Sprintf("job-%d", s.nextID)
 	s.nextID++
 	batch, base := batchOf(spec, workers)
-	specCopy := *spec
 	j := &job{
 		id:        id,
 		index:     s.stats.Submitted,
-		spec:      &specCopy,
+		spec:      spec,
 		workers:   workers,
 		batch:     batch,
 		base:      base,
 		state:     StateQueued,
-		submitted: time.Now(),
+		submitted: s.clock.Now(),
 		profile:   s.pool.Profile(id),
 		tracker:   gns.NewTracker(s.cfg.GNSAlpha),
 	}
@@ -238,17 +258,17 @@ func (s *Scheduler) Submit(spec *runspec.Spec) (string, error) {
 	return id, nil
 }
 
-// askNoise resolves the gradient-noise estimate pricing a waiting job:
-// the job's own smoothed estimate once it has reported epochs, else the
+// askOf is the job's request as the allocator prices it. Its noise is the
+// job's own smoothed estimate once it has reported epochs, else the
 // pool-level estimate aggregated across every tenant, else the prior.
-func (s *Scheduler) askNoise(j *job) float64 {
+func (s *Scheduler) askOf(j *job) ask {
+	a := ask{id: j.id, index: j.index, workers: j.workers, batch: j.batch, base: j.base, noise: defaultNoisePrior, profile: j.profile}
 	if j.tracker.Steps() > 0 {
-		return j.tracker.Noise()
+		a.noise = j.tracker.Noise()
+	} else if s.tracker.Steps() > 0 {
+		a.noise = s.tracker.Noise()
 	}
-	if s.tracker.Steps() > 0 {
-		return s.tracker.Noise()
-	}
-	return defaultNoisePrior
+	return a
 }
 
 // dispatchLocked is one cluster-level re-planning round, run on every
@@ -266,23 +286,14 @@ func (s *Scheduler) dispatchLocked() {
 	}
 	asks := make([]ask, len(s.queue))
 	for i, j := range s.queue {
-		asks[i] = ask{
-			id:      j.id,
-			index:   j.index,
-			workers: j.workers,
-			batch:   j.batch,
-			base:    j.base,
-			noise:   s.askNoise(j),
-			profile: j.profile,
-		}
+		asks[i] = s.askOf(j)
 	}
 	free := s.pool.freeDevices()
 	var grants []grant
-	switch s.cfg.Policy {
-	case PolicyEqualSplit:
-		grants = planEqualSplit(free, asks)
-	default:
+	if s.cfg.Policy == PolicyGoodput {
 		grants = planGoodput(free, asks)
+	} else {
+		grants = planFIFO(free, asks, s.cfg.Policy)
 	}
 	if len(grants) == 0 {
 		return
@@ -290,7 +301,7 @@ func (s *Scheduler) dispatchLocked() {
 	// Counterfactual: what the naive baseline would have extracted from the
 	// same free devices and the same queue, at the same instant.
 	s.stats.GoodputGranted += totalGoodput(grants)
-	s.stats.GoodputEqualSplit += totalGoodput(planEqualSplit(free, asks))
+	s.stats.GoodputEqualSplit += totalGoodput(planFIFO(free, asks, PolicyEqualSplit))
 	for _, g := range grants {
 		s.startLocked(s.jobs[g.id], g)
 	}
@@ -298,43 +309,38 @@ func (s *Scheduler) dispatchLocked() {
 
 // startLocked transitions a queued job to running on its granted devices.
 func (s *Scheduler) startLocked(j *job, g grant) {
-	for i, q := range s.queue {
-		if q == j {
-			s.queue = append(s.queue[:i], s.queue[i+1:]...)
-			break
-		}
-	}
+	s.dequeueLocked(j)
 	s.pool.acquire(g.devices, j.id)
 	j.state = StateRunning
-	j.started = time.Now()
+	j.started = s.clock.Now()
 	j.devices = g.devices
 	j.goodput = g.goodput
+	wait := j.started.Sub(j.submitted)
 	s.admitted++
-	s.admittedWait += j.started.Sub(j.submitted)
-	if wait := j.started.Sub(j.submitted); wait > s.stats.AdmissionMax {
-		s.stats.AdmissionMax = wait
-	}
+	s.admittedWait += wait
+	s.stats.AdmissionMax = max(s.stats.AdmissionMax, wait)
 	ctx, cancel := context.WithCancel(context.Background())
 	j.cancel = cancel
 	s.notifyLocked(j, Event{Job: j.id, Type: "state", State: StateRunning})
 	s.wg.Add(1)
-	go s.runJob(j, ctx)
+	s.clock.Go(func() (*Outcome, error) {
+		return s.runner.Run(ctx, j.spec, j.devices, func(e Epoch) error {
+			s.observeEpoch(j, e)
+			return nil
+		})
+	}, func(outcome *Outcome, err error) { s.settle(j, outcome, err) })
 }
 
-// runJob executes one job via the Runner and settles its terminal state.
-func (s *Scheduler) runJob(j *job, ctx context.Context) {
+// settle records a finished run's terminal state, hands its devices back
+// and re-plans.
+func (s *Scheduler) settle(j *job, outcome *Outcome, err error) {
 	defer s.wg.Done()
 	defer j.cancel()
-	outcome, err := s.runner.Run(ctx, j.spec, func(e Epoch) error {
-		s.observeEpoch(j, e)
-		return nil
-	})
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.pool.release(j.id)
-	j.finished = time.Now()
-	j.outcome = outcome
+	j.finished = s.clock.Now()
+	j.outcome, j.err = outcome, err
 	switch {
 	case err == nil:
 		j.state = StateDone
@@ -342,11 +348,9 @@ func (s *Scheduler) runJob(j *job, ctx context.Context) {
 	case j.canceled || errors.Is(err, context.Canceled):
 		j.state = StateCanceled
 		s.stats.Canceled++
-		j.err = err
 	default:
 		j.state = StateFailed
 		s.stats.Failed++
-		j.err = err
 	}
 	s.settleLocked(j)
 	s.dispatchLocked()
@@ -379,6 +383,19 @@ func (s *Scheduler) notifyLocked(j *job, ev Event) {
 	}
 }
 
+// dequeueLocked removes a job from the waiting queue.
+func (s *Scheduler) dequeueLocked(j *job) {
+	s.queue = slices.DeleteFunc(s.queue, func(q *job) bool { return q == j })
+}
+
+// cancelQueuedLocked settles a job that never started as canceled.
+func (s *Scheduler) cancelQueuedLocked(j *job) {
+	j.state = StateCanceled
+	j.finished = s.clock.Now()
+	s.stats.Canceled++
+	s.settleLocked(j)
+}
+
 // settleLocked emits the terminal state event and closes every watcher.
 func (s *Scheduler) settleLocked(j *job) {
 	ev := Event{Job: j.id, Type: "state", State: j.state}
@@ -407,16 +424,8 @@ func (s *Scheduler) Cancel(id string) error {
 	}
 	switch j.state {
 	case StateQueued:
-		for i, q := range s.queue {
-			if q == j {
-				s.queue = append(s.queue[:i], s.queue[i+1:]...)
-				break
-			}
-		}
-		j.state = StateCanceled
-		j.finished = time.Now()
-		s.stats.Canceled++
-		s.settleLocked(j)
+		s.dequeueLocked(j)
+		s.cancelQueuedLocked(j)
 		s.dispatchLocked()
 	case StateRunning:
 		j.canceled = true
@@ -529,10 +538,6 @@ func (s *Scheduler) Stats() Stats {
 	if s.admitted > 0 {
 		st.AdmissionMean = s.admittedWait / time.Duration(s.admitted)
 	}
-	byID := make(map[int]*Device, len(s.pool.devices))
-	for _, d := range s.pool.devices {
-		byID[d.ID] = d
-	}
 	for _, j := range s.jobs {
 		if j.state != StateRunning {
 			continue
@@ -540,12 +545,9 @@ func (s *Scheduler) Stats() Stats {
 		st.Running++
 		devs := make([]*Device, 0, len(j.devices))
 		for _, id := range j.devices {
-			devs = append(devs, byID[id])
+			devs = append(devs, s.pool.devices[id])
 		}
-		st.AggregateGoodput += predictGoodput(devs, ask{
-			id: j.id, workers: j.workers, batch: j.batch, base: j.base,
-			noise: s.askNoise(j), profile: j.profile,
-		})
+		st.AggregateGoodput += predictGoodput(devs, s.askOf(j))
 	}
 	return st
 }
@@ -560,11 +562,8 @@ func (s *Scheduler) Drain(ctx context.Context) error {
 	if !s.draining {
 		s.draining = true
 		s.stats.PlanEvents++
-		for _, j := range append([]*job(nil), s.queue...) {
-			j.state = StateCanceled
-			j.finished = time.Now()
-			s.stats.Canceled++
-			s.settleLocked(j)
+		for _, j := range s.queue {
+			s.cancelQueuedLocked(j)
 		}
 		s.queue = nil
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	gort "runtime"
 	"sync"
 	"sync/atomic"
@@ -29,7 +30,7 @@ type fakeRunner struct {
 	peak    atomic.Int32
 }
 
-func (f *fakeRunner) Run(ctx context.Context, spec *runspec.Spec, onEpoch func(Epoch) error) (*Outcome, error) {
+func (f *fakeRunner) Run(ctx context.Context, spec *runspec.Spec, _ []int, onEpoch func(Epoch) error) (*Outcome, error) {
 	f.started.Add(1)
 	n := f.active.Add(1)
 	for {
@@ -490,37 +491,56 @@ func TestDrainDeadlineCancelsSurvivors(t *testing.T) {
 }
 
 // TestManyConcurrentJobs is the scale test: 120 jobs over a 12-device
-// pool, no deadlock, no leaked goroutines, every job settles, devices all
-// return, and the goodput allocator's accumulated grants price at least
-// what the equal-split baseline would have managed at the same decision
-// points.
+// pool through a 4-deep queue, every rejected submission retried after the
+// RetryAfter hint, no deadlock, no leaked goroutines, every job settles,
+// devices all return, and the goodput allocator's accumulated grants price
+// at least what the equal-split baseline would have managed at the same
+// decision points.
 func TestManyConcurrentJobs(t *testing.T) {
 	baseline := gort.NumGoroutine()
 	r := &fakeRunner{epochs: 2, noise: 80, delay: time.Millisecond}
+	const maxQueue = 4
 	s := newScheduler(t, Config{
-		Pool:     PoolConfig{Devices: 12, Seed: 3, Jitter: 0.05},
-		Runner:   r,
-		MaxQueue: 200,
+		Pool:       PoolConfig{Devices: 12, Seed: 3, Jitter: 0.05},
+		Runner:     r,
+		MaxQueue:   maxQueue,
+		RetryAfter: 2 * time.Millisecond,
 	})
 	const jobs = 120
 	ids := make([]string, 0, jobs)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
+	var retries atomic.Int32
+	deadline := time.Now().Add(30 * time.Second)
 	for i := 0; i < jobs; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			id, err := s.Submit(mlpSpec(1 + i%4))
-			if err != nil {
-				t.Errorf("submit %d: %v", i, err)
-				return
+			for {
+				id, err := s.Submit(mlpSpec(1 + i%4))
+				var qf *QueueFullError
+				switch {
+				case err == nil:
+					mu.Lock()
+					ids = append(ids, id)
+					mu.Unlock()
+					return
+				case !errors.As(err, &qf):
+					t.Errorf("submit %d: %v", i, err)
+					return
+				case time.Now().After(deadline):
+					t.Errorf("submit %d still rejected at the deadline", i)
+					return
+				}
+				retries.Add(1)
+				time.Sleep(qf.RetryAfter)
 			}
-			mu.Lock()
-			ids = append(ids, id)
-			mu.Unlock()
 		}(i)
 	}
 	wg.Wait()
+	if len(ids) != jobs {
+		t.Fatalf("%d of %d jobs admitted", len(ids), jobs)
+	}
 	for _, id := range ids {
 		if st := waitTerminal(t, s, id); st.State != StateDone {
 			t.Fatalf("job %s = %s (err %q)", id, st.State, st.Error)
@@ -529,6 +549,10 @@ func TestManyConcurrentJobs(t *testing.T) {
 	st := s.Stats()
 	if st.Done != jobs || st.Busy != 0 || st.Queued != 0 {
 		t.Fatalf("stats = %+v", st)
+	}
+	if st.MaxQueueDepth > maxQueue || st.Rejected == 0 || st.Rejected != int(retries.Load()) {
+		t.Fatalf("backpressure: queue high-water %d (cap %d), %d rejected, %d retries",
+			st.MaxQueueDepth, maxQueue, st.Rejected, retries.Load())
 	}
 	if int(r.started.Load()) != jobs {
 		t.Fatalf("runner ran %d jobs, want %d", r.started.Load(), jobs)
@@ -544,6 +568,51 @@ func TestManyConcurrentJobs(t *testing.T) {
 		t.Fatal("no goodput accounted")
 	}
 	waitGoroutines(t, baseline)
+}
+
+// TestHomogeneousPolicyAdmission: under the homogeneous policy a job wider
+// than the pool's largest model group can never be placed, so admission
+// rejects it instead of letting it block the FIFO queue for good; a job
+// that fits is granted the fastest model's devices.
+func TestHomogeneousPolicyAdmission(t *testing.T) {
+	s := newScheduler(t, Config{
+		Pool:   PoolConfig{Devices: 8, Seed: 1}, // the default mix, two of each model
+		Runner: &fakeRunner{epochs: 1},
+		Policy: PolicyHomogeneous,
+	})
+	if _, err := s.Submit(mlpSpec(3)); !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("3 workers on two devices per model: err = %v, want ErrBadSpec", err)
+	}
+	id, err := s.Submit(mlpSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, s, id); st.State != StateDone || fmt.Sprint(st.Devices) != "[3 7]" {
+		t.Fatalf("job = %s on devices %v, want done on the A100s [3 7]", st.State, st.Devices)
+	}
+}
+
+// TestNaNGNSAlphaTakesDefault: a NaN smoothing factor falls back to the
+// default, so noise reports keep the pool noise finite and a job submitted
+// after them is granted the idle pool.
+func TestNaNGNSAlphaTakesDefault(t *testing.T) {
+	s := newScheduler(t, Config{
+		Pool:     PoolConfig{Devices: 2, Seed: 1},
+		Runner:   &fakeRunner{epochs: 3, noise: 40},
+		GNSAlpha: math.NaN(),
+	})
+	for i := 0; i < 2; i++ {
+		id, err := s.Submit(mlpSpec(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := waitTerminal(t, s, id); st.State != StateDone {
+			t.Fatalf("job %d = %s", i, st.State)
+		}
+	}
+	if noise := s.Stats().PoolNoise; math.IsNaN(noise) || noise <= 0 {
+		t.Fatalf("pool noise %v after reports of 40", noise)
+	}
 }
 
 // TestEqualSplitPolicySelectable: the baseline policy is runnable end to

@@ -22,8 +22,9 @@ import (
 // doing.
 type TrainRunner struct{}
 
-// Run implements jobs.Runner.
-func (TrainRunner) Run(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
+// Run implements jobs.Runner; a spec names its own cluster, so the granted
+// device IDs go unused.
+func (TrainRunner) Run(ctx context.Context, spec *runspec.Spec, _ []int, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
 	if spec.MLP {
 		return runMLPJob(ctx, spec, onEpoch)
 	}

@@ -25,7 +25,7 @@ type slowRunner struct {
 	gate   chan struct{}
 }
 
-func (r *slowRunner) Run(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
+func (r *slowRunner) Run(ctx context.Context, spec *runspec.Spec, _ []int, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
 	if r.gate != nil {
 		select {
 		case <-r.gate:
@@ -508,7 +508,7 @@ func TestElasticJobGrantedCeiling(t *testing.T) {
 	srv, ts := newTestServer(t, Config{
 		Pool: jobs.PoolConfig{Devices: pool, Seed: 4},
 		Runner: jobs.RunnerFunc(func(ctx context.Context, spec *runspec.Spec, onEpoch func(jobs.Epoch) error) (*jobs.Outcome, error) {
-			return TrainRunner{}.Run(ctx, spec, func(e jobs.Epoch) error {
+			return TrainRunner{}.Run(ctx, spec, nil, func(e jobs.Epoch) error {
 				busy <- srv.Scheduler().Stats().Busy
 				return onEpoch(e)
 			})

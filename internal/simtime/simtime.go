@@ -7,6 +7,7 @@ package simtime
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -32,9 +33,18 @@ func (d Duration) Seconds() float64 { return time.Duration(d).Seconds() }
 func (d Duration) String() string { return time.Duration(d).String() }
 
 // FromSeconds converts seconds to a Duration, saturating at the
-// representable range.
+// representable range (about ±292 years); NaN converts to 0.
 func FromSeconds(s float64) Duration {
-	return Duration(s * float64(time.Second))
+	ns := s * float64(time.Second)
+	switch {
+	case ns >= math.MaxInt64: // 2⁶³ as a float64
+		return math.MaxInt64
+	case ns <= math.MinInt64:
+		return math.MinInt64
+	case math.IsNaN(ns):
+		return 0
+	}
+	return Duration(ns)
 }
 
 // Time is an instant on the simulated timeline, measured from the start of

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"math"
 	"testing"
 )
 
@@ -140,6 +141,28 @@ func TestDurationConversions(t *testing.T) {
 	}
 	if (2 * Second).String() != "2s" {
 		t.Fatalf("String = %q", (2 * Second).String())
+	}
+}
+
+// TestFromSecondsSaturates: seconds past the int64 nanosecond range clamp
+// to its ends instead of wrapping, and NaN converts to 0.
+func TestFromSecondsSaturates(t *testing.T) {
+	for _, c := range []struct {
+		s    float64
+		want Duration
+	}{
+		{1e300, math.MaxInt64},
+		{math.Inf(1), math.MaxInt64},
+		{9.3e9, math.MaxInt64},
+		{-1e300, math.MinInt64},
+		{math.Inf(-1), math.MinInt64},
+		{math.NaN(), 0},
+		{-5, -5 * Second},
+		{9e9, Duration(9e9 * float64(Second))},
+	} {
+		if got := FromSeconds(c.s); got != c.want {
+			t.Errorf("FromSeconds(%v) = %d, want %d", c.s, got, c.want)
+		}
 	}
 }
 

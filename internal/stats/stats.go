@@ -219,7 +219,7 @@ type EMA struct {
 // NewEMA returns an EMA with the given smoothing factor; larger alpha reacts
 // faster. It panics unless 0 < alpha <= 1.
 func NewEMA(alpha float64) *EMA {
-	if alpha <= 0 || alpha > 1 {
+	if !(alpha > 0 && alpha <= 1) { // NaN fails this test
 		panic("stats: EMA alpha must be in (0, 1]")
 	}
 	return &EMA{alpha: alpha}

@@ -244,7 +244,7 @@ func TestEMA(t *testing.T) {
 }
 
 func TestEMAPanicsOnBadAlpha(t *testing.T) {
-	for _, alpha := range []float64{0, -1, 1.5} {
+	for _, alpha := range []float64{0, -1, 1.5, math.NaN()} {
 		func() {
 			defer func() {
 				if recover() == nil {

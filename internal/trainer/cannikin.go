@@ -460,10 +460,10 @@ func (c *Cannikin) computeInitPlans(env *Env) error {
 	return nil
 }
 
-// plannerWork totals the solver effort counters.
+// plannerWork counts the planner's linear solves. A boundary probe is a
+// solve too, and split already counted it, so BoundarySearchSteps adds none.
 func (c *Cannikin) plannerWork() int {
-	s := c.planner.Stats()
-	return s.LinearSolves + s.BoundarySearchSteps
+	return c.planner.Stats().LinearSolves
 }
 
 // ObserveStep implements System: feed the per-node compute and comm

@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
-	"cannikin/internal/gpu"
+	"cannikin/internal/jobs"
 	"cannikin/internal/optperf"
 	"cannikin/internal/rng"
-	"cannikin/internal/sched"
 	"cannikin/internal/simtime"
 	"cannikin/internal/trainer"
 	"cannikin/internal/workload"
@@ -22,18 +22,20 @@ type AllocationPolicy string
 const (
 	// PolicyHeterogeneous lets one job span mixed GPU models — possible
 	// because Cannikin trains efficiently on whatever mix it receives.
-	PolicyHeterogeneous AllocationPolicy = "heterogeneous"
+	PolicyHeterogeneous AllocationPolicy = jobs.PolicyHeterogeneous
 	// PolicyHomogeneous restricts each job to a single GPU model, like
 	// existing schedulers (Section 6).
-	PolicyHomogeneous AllocationPolicy = "homogeneous"
+	PolicyHomogeneous AllocationPolicy = jobs.PolicyHomogeneous
 )
 
-// JobSpec is one queued training job.
+// JobSpec is one queued training job. IDs are unique within a
+// ScheduleConfig.
 type JobSpec struct {
 	ID       string
 	Workload string
 	GPUs     int
-	// SubmitAtSeconds is the submission instant on the simulated timeline.
+	// SubmitAtSeconds is the submission instant on the simulated timeline:
+	// finite, non-negative and below about 292 years (2⁶³ ns).
 	SubmitAtSeconds float64
 }
 
@@ -77,21 +79,17 @@ func Schedule(cfg ScheduleConfig) (*ScheduleReport, error) {
 // every epoch boundary: a canceled context aborts the run with the
 // context's error wrapped.
 func ScheduleContext(ctx context.Context, cfg ScheduleConfig) (*ScheduleReport, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if len(cfg.PoolModels) == 0 {
 		return nil, errors.New("cannikin: empty GPU pool")
 	}
 	if len(cfg.Jobs) == 0 {
 		return nil, errors.New("cannikin: no jobs")
 	}
-	var policy sched.Policy
-	switch cfg.Policy {
-	case PolicyHeterogeneous, "":
-		policy = sched.Heterogeneous
-	case PolicyHomogeneous:
-		policy = sched.HomogeneousOnly
+	policy := cfg.Policy
+	switch policy {
+	case "":
+		policy = PolicyHeterogeneous
+	case PolicyHeterogeneous, PolicyHomogeneous:
 	default:
 		return nil, fmt.Errorf("cannikin: unknown policy %q", cfg.Policy)
 	}
@@ -106,55 +104,53 @@ func ScheduleContext(ctx context.Context, cfg ScheduleConfig) (*ScheduleReport, 
 		return nil, err
 	}
 
-	src := rng.New(cfg.Seed).Split("schedule")
-	devices := make([]*gpu.Device, len(cfg.PoolModels))
-	for i, key := range cfg.PoolModels {
-		d, err := gpu.NewDevice(fmt.Sprintf("%s-%d", key, i), key, src)
-		if err != nil {
-			return nil, err
+	stream := make([]jobs.SimJob, len(cfg.Jobs))
+	seen := make(map[string]bool, len(cfg.Jobs))
+	for i, j := range cfg.Jobs {
+		// The simulated timeline ends where int64 nanoseconds do.
+		if !(j.SubmitAtSeconds >= 0 && j.SubmitAtSeconds < math.MaxInt64/1e9) {
+			return nil, fmt.Errorf("cannikin: job %s: %w: submit time %v s", j.ID, ErrBadJob, j.SubmitAtSeconds)
 		}
-		devices[i] = d
-	}
-	s, err := sched.New(devices, policy, func() trainer.System {
-		sys, err := buildSystem(system, 0, optperf.AuditOff)
-		if err != nil {
-			// buildSystem only fails for unknown kinds, checked above.
-			panic(err)
+		if seen[j.ID] {
+			return nil, fmt.Errorf("cannikin: job %s: %w: duplicate ID", j.ID, ErrBadJob)
 		}
-		return sys
-	}, cfg.Seed)
-	if err != nil {
-		return nil, err
-	}
-	s.SetContext(ctx)
-	for _, j := range cfg.Jobs {
+		seen[j.ID] = true
 		w, err := workload.Get(j.Workload)
 		if err != nil {
 			return nil, fmt.Errorf("job %s: %w", j.ID, err)
 		}
-		if err := s.Submit(sched.Job{
+		stream[i] = jobs.SimJob{
 			ID:       j.ID,
 			Workload: w,
-			GPUs:     j.GPUs,
+			Workers:  j.GPUs,
 			SubmitAt: simtime.Time(simtime.FromSeconds(j.SubmitAtSeconds)),
-		}); err != nil {
-			return nil, err
 		}
 	}
-	recs, err := s.Run()
+	recs, err := jobs.Simulate(ctx, jobs.SimConfig{
+		Models: cfg.PoolModels,
+		Noise:  rng.New(cfg.Seed).Split("schedule"),
+		Policy: string(policy),
+		Jobs:   stream,
+		System: func() trainer.System {
+			sys, _ := buildSystem(system, 0, optperf.AuditOff) // checked above
+			return sys
+		},
+		Seed: cfg.Seed,
+	})
 	if err != nil {
 		return nil, err
 	}
-	out := &ScheduleReport{MakespanSeconds: s.Makespan().Seconds()}
+	out := &ScheduleReport{}
 	for _, r := range recs {
 		jr := JobRecord{
 			ID:            r.ID,
 			StartSeconds:  r.Start.Seconds(),
 			FinishSeconds: r.Finish.Seconds(),
 			WaitSeconds:   r.Wait.Seconds(),
-			Devices:       append([]string(nil), r.Devices...),
+			Devices:       r.Devices,
 		}
 		out.Records = append(out.Records, jr)
+		out.MakespanSeconds = max(out.MakespanSeconds, jr.FinishSeconds)
 		out.TotalWaitSeconds += jr.WaitSeconds
 	}
 	return out, nil

@@ -311,8 +311,19 @@ wait "$SRV_PID" || { echo "cannikin-serve exited non-zero" >&2; cat "$BIN/serve.
 grep -q "drained cleanly" "$BIN/serve.log" \
 	|| { echo "cannikin-serve did not drain cleanly" >&2; cat "$BIN/serve.log" >&2; exit 1; }
 
-echo "== load-test smoke: 120 concurrent jobs, goodput vs equal-split =="
-"$BIN/cannikin-loadtest" -jobs 120 -devices 12 -timeout 2m
+# One scheduler over two clocks, by name so a rename cannot silently drop
+# a test. On the wall clock: 120 concurrent jobs on 12 devices through a
+# 4-deep queue, each rejection resubmitted after its RetryAfter hint — all
+# settle, no goroutine leaks, and the goodput allocator's grants price at
+# least the equal-split counterfactual — a NaN noise smoothing factor that
+# must not stall the queue, and a homogeneous job wider than any model
+# group rejected at admission. On the event clock: the simulated
+# Schedule's records pinned bitwise under both policies, the scheduler
+# experiment's table, the queueing, fit, homogeneous-slice and makespan
+# behaviours, a grant at time zero reading as started, and impossible
+# submit times and duplicate IDs rejected.
+echo "== scheduler lane: load and backpressure on the wall clock, simulated Schedule on the event clock -race =="
+lane -race -count=1 -run 'TestManyConcurrentJobs|TestNaNGNSAlphaTakesDefault|TestHomogeneousPolicyAdmission|TestSimulate|TestEventClockGrantAtZero|TestScheduleGolden|TestScheduleRejectsBadJobs|TestSchedulerHeterogeneousPolicyWins' ./internal/jobs ./internal/experiments .
 
 # The performance-model learner answers every query from running sums and
 # an incrementally kept list of distinct sizes; its contract is bitwise
