@@ -28,10 +28,13 @@ import (
 // arithmetic. On a little-endian host those are the bytes a []float64
 // already is, so a payload is never re-encoded: it is written from, and read
 // into, the message buffer itself (wireBytes); a big-endian host byte-swaps
-// that buffer in place while the transport owns it (wireOrder). A writer
-// puts everything already queued into one vectored write; that is purely a
-// framing concern: the receiver reads messages one at a time off the stream,
-// so grouping on the wire changes syscall counts, never content or order.
+// that buffer in place while the transport owns it (wireOrder). A frame sent
+// while its socket's send side is idle is written by the sending rank's own
+// goroutine, in one vectored write of header and payload; only a backlog
+// goes through the send queue, whose writer puts everything already queued
+// into one vectored write. That is purely a framing concern: the receiver
+// reads messages one at a time off the stream, so grouping on the wire
+// changes syscall counts, never content or order.
 //
 // Peer links (the PeerTransport extension carrying halving-doubling's
 // non-neighbor exchanges) reuse the identical frame layout on dedicated
@@ -80,7 +83,9 @@ type TCPConfig struct {
 
 // TCPStats counts one transport's wire activity. Batches is the number of
 // vectored writes — one writev each, which the kernel may take in several
-// pieces when the frames outgrow the socket buffer; Messages the hops
+// pieces when the frames outgrow the socket buffer: a frame an idle socket
+// takes straight from the sending rank is a write of one message, a backlog
+// the writer drains is one write of all it holds. Messages counts the hops
 // carried, so Messages/Batches is how many hops shared a write.
 type TCPStats struct {
 	BytesSent, BytesReceived   int64
@@ -140,10 +145,13 @@ type TCPTransport struct {
 // NewTCPTransport with the same Peers list.
 func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 	n := len(cfg.Peers)
-	if n < 1 {
-		return nil, errRingSize(n)
-	}
-	if cfg.Rank < 0 || cfg.Rank >= n {
+	if n < 1 || cfg.Rank < 0 || cfg.Rank >= n {
+		if cfg.Listener != nil {
+			cfg.Listener.Close() // owned from the call on, whatever it returns
+		}
+		if n < 1 {
+			return nil, errRingSize(n)
+		}
 		return nil, fmt.Errorf("allreduce: tcp rank %d of %d", cfg.Rank, n)
 	}
 	t := &TCPTransport{
@@ -183,7 +191,7 @@ func (t *TCPTransport) connect() error {
 	succ, pred := (t.rank+1)%t.n, (t.rank-1+t.n)%t.n
 	t.succ = t.newConn(succ, t.fault, true, false)
 	t.pred = t.newConn(pred, t.fault, false, true)
-	t.ep = link{out: t.succ.sendQ, in: t.pred.recvQ, f: t.fault, free: t.free}
+	t.ep = link{out: t.succ.sendQ, in: t.pred.recvQ, f: t.fault, free: t.free, tcp: t.succ}
 	t.wg.Add(1)
 	go t.acceptLoop()
 
@@ -371,7 +379,7 @@ func (t *TCPTransport) peerConn(peer int) *tcpConn {
 		return c
 	}
 	c := t.newConn(peer, newFault(), true, true)
-	c.ep = link{out: c.sendQ, in: c.recvQ, f: c.f, free: t.free}
+	c.ep = link{out: c.sendQ, in: c.recvQ, f: c.f, free: t.free, tcp: c}
 	if t.peers == nil {
 		t.peers = make(map[int]*tcpConn)
 	}
@@ -389,9 +397,10 @@ func (t *TCPTransport) peerConn(peer int) *tcpConn {
 }
 
 // tcpConn owns one socket to one remote rank: how it comes up (dialed with
-// retry, or handed over by the accept loop), the loop that writes its send
-// queue and the loop that fills its receive queue, the counted drain at
-// graceful close, and where its errors land (f). It serves all three kinds
+// retry, or handed over by the accept loop), the write of a frame its idle
+// send side takes from the sending rank, the loop that writes its send queue
+// and the loop that fills its receive queue, the counted drain at graceful
+// close, and where its errors land (f). It serves all three kinds
 // of connection: the ring's successor socket is only written (recvQ nil),
 // the predecessor socket only read (sendQ nil) — a reader on the successor
 // socket would turn a finished successor's close into a fault while this
@@ -404,6 +413,14 @@ type tcpConn struct {
 
 	sendQ chan []float64
 	recvQ chan []float64
+	// backlog counts the frames handed to this socket and not yet written:
+	// queued on sendQ or in a write. At 0 the send side is idle, and the
+	// link's one sending goroutine claims it (0 → 1) to write a frame
+	// itself, through solo, instead of waking the writer. Every flush gives
+	// its frames back, so a frame queued behind a write in flight keeps the
+	// side busy until the writer has drained it: per-socket order holds.
+	backlog atomic.Int64
+	solo    *frameBatch
 
 	sock  net.Conn      // set once by attach, under t.mu, before ready closes
 	ready chan struct{} // closed once the socket is attached and served
@@ -420,6 +437,7 @@ func (t *TCPTransport) newConn(remote int, f *fault, writes, reads bool) *tcpCon
 	}
 	if writes {
 		c.sendQ = make(chan []float64, tcpQueueDepth)
+		c.solo = new(frameBatch)
 	}
 	if reads {
 		c.recvQ = make(chan []float64, tcpQueueDepth)
@@ -540,12 +558,26 @@ func (b *frameBatch) add(msg []float64) {
 	b.bytes += int64(4 + 8*len(msg))
 }
 
+// write puts one frame on the idle socket from the sending rank's goroutine,
+// its send side already claimed (backlog 0 → 1): a batch of one, counted,
+// recycled and released like the writer's, with no hand-off to wake it. A
+// failed write fails the socket's domain and returns the domain's error.
+func (c *tcpConn) write(msg []float64) error {
+	c.solo.add(msg)
+	if c.flush(c.solo) {
+		return nil
+	}
+	return c.f.err
+}
+
 // writeLoop drains the send queue onto the socket: take one message, then
 // everything else already queued, and write them all at once — so hops that
-// pile up behind a slow write share a syscall and an idle link pays no
-// latency. (Lingering for more would buy nothing: a collective is lock-step,
-// the next hop is not sent before this one is answered.) At graceful close it
-// writes what is still queued the same, counted, way and exits.
+// pile up behind a slow write share a syscall. A frame only reaches the
+// queue behind a backlog or with a deadline on its hop; an idle socket's
+// unguarded frame is written by its sender (write). (Lingering for more
+// would buy nothing: a collective is lock-step, the next hop is not sent
+// before this one is answered.) At graceful close it writes what is still
+// queued the same, counted, way and exits.
 func (c *tcpConn) writeLoop() {
 	t := c.t
 	defer t.wg.Done()
@@ -576,8 +608,9 @@ func (c *tcpConn) writeLoop() {
 
 // flush puts the batch on the socket in one vectored write — header and
 // payload slices of every frame, the payloads being the message buffers'
-// own bytes — counts it, and only then recycles the buffers: until the
-// write returns, the kernel is still reading them.
+// own bytes — counts it, and only then recycles the buffers and gives the
+// frames back to the backlog: until the write returns, the kernel is still
+// reading them, and the socket is not idle.
 func (c *tcpConn) flush(b *frameBatch) bool {
 	if b.n == 0 {
 		return true
@@ -595,6 +628,7 @@ func (c *tcpConn) flush(b *frameBatch) bool {
 		t.free.put(msg)
 	}
 	clear(b.msgs[:b.n])
+	c.backlog.Add(-int64(b.n))
 	b.n, b.bytes = 0, 0
 	return err == nil
 }

@@ -25,20 +25,48 @@ import (
 // flushes on its way out. Each rank closes its transport the moment its own
 // reduce returns — the way a worker process exits — so an even rank's
 // post-step result for its folded neighbor is often still queued when Close
-// starts draining; the rounds give that race room to happen.
+// starts draining; the rounds give that race room to happen, unguarded
+// (hops on an idle socket written by their rank) and guarded (every hop
+// through the writer) in turn. A frame written by its rank is counted before
+// Send returns, as a write of one message.
 func TestTCPStatsConservation(t *testing.T) {
 	t.Parallel()
+	t.Run("inline", func(t *testing.T) {
+		set := buildTCPSet(t, 2)
+		defer set.close()
+		tx := set.rings[0].Transport().(*TCPTransport)
+		rx := set.rings[1].Transport().(*TCPTransport)
+		var want TCPStats
+		for k, count := range []int{0, 1, 3, 1000, 4 * tcpBufBytes / 8} {
+			if err := tx.Endpoint(0).Send(make([]float64, count)); err != nil {
+				t.Fatal(err)
+			}
+			want.Batches++
+			want.MessagesSent++
+			want.BytesSent += int64(4 + 8*count)
+			if st := tx.Stats(); st != want {
+				t.Fatalf("send %d of %d elements: stats %+v, want %+v", k, count, st, want)
+			}
+			if msg, err := rx.Endpoint(1).Recv(); err != nil || len(msg) != count {
+				t.Fatalf("recv %d: %d elements, err %v", k, len(msg), err)
+			}
+			if st := rx.Stats(); st.MessagesRecv != want.MessagesSent || st.BytesReceived != want.BytesSent {
+				t.Fatalf("recv %d: stats %+v, want the %d messages and %d bytes sent", k, st, want.MessagesSent, want.BytesSent)
+			}
+		}
+	})
 	for _, n := range []int{3, 5} {
 		for round := 0; round < 50; round++ {
 			set := buildTCPSet(t, n)
 			segs, _ := makeSegs(n, 32)
+			opts := Options{Algorithm: AlgoHD, Guard: round%2 == 1}
 			errs := make([]error, n)
 			var wg sync.WaitGroup
 			for i := 0; i < n; i++ {
 				wg.Add(1)
 				go func(rank int) {
 					defer wg.Done()
-					errs[rank] = set.rings[rank].ReduceWith(rank, segs[rank], Options{Algorithm: AlgoHD})
+					errs[rank] = set.rings[rank].ReduceWith(rank, segs[rank], opts)
 					set.rings[rank].Transport().Close()
 				}(i)
 			}
@@ -49,6 +77,9 @@ func TestTCPStatsConservation(t *testing.T) {
 					t.Fatalf("n=%d round %d rank %d: %v", n, round, rank, errs[rank])
 				}
 				st := ring.Transport().(*TCPTransport).Stats()
+				if st.Batches > st.MessagesSent {
+					t.Fatalf("n=%d round %d rank %d: %d writes carried %d messages", n, round, rank, st.Batches, st.MessagesSent)
+				}
 				sum.MessagesSent += st.MessagesSent
 				sum.MessagesRecv += st.MessagesRecv
 				sum.BytesSent += st.BytesSent
@@ -58,6 +89,227 @@ func TestTCPStatsConservation(t *testing.T) {
 				t.Fatalf("n=%d round %d: wire counters do not balance: %+v", n, round, sum)
 			}
 		}
+	}
+}
+
+// stalledPeer stands rank 0 of a two-rank TCP ring up against a hand-driven
+// rank 1 that reads nothing until told to: the returned conn is the far end
+// of rank 0's successor socket, its hello already consumed. The sending
+// socket's buffer is pinned small and an unread receive buffer does not
+// grow, so a megabyte frame is enough to stall a write.
+func stalledPeer(t *testing.T) (*TCPTransport, net.Conn) {
+	t.Helper()
+	addrs, listeners, err := ReserveRingAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer listeners[1].Close()
+	// Rank 1's dial waits in rank 0's accept backlog, so the ring comes up
+	// without a goroutine for it.
+	pred, err := net.Dial("tcp", addrs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { pred.Close() })
+	if err := writeHello(pred, tcpMagic, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTCPTransport(TCPConfig{Rank: 0, Peers: addrs, Listener: listeners[0], DialTimeout: 5 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { tr.Close() })
+	in, err := listeners[1].Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { in.Close() })
+	if magic, from, _, err := readHello(in); err != nil || magic != tcpMagic || from != 0 {
+		t.Fatalf("hello %q from %d: %v", magic, from, err)
+	}
+	if err := tr.succ.sock.(*net.TCPConn).SetWriteBuffer(4 << 10); err != nil {
+		t.Fatal(err)
+	}
+	return tr, in
+}
+
+// stallFrame is a frame far larger than what the socket buffers of a
+// stalledPeer hold: its write cannot finish before the peer reads.
+const stallFrame = 1 << 17
+
+// TestTCPInlineAndQueuedFramesKeepOrder: an idle socket's unguarded frame is
+// written by its sender before Send returns, a frame sent while the socket
+// has a backlog — guarded or not — queues behind it, and the writer drains
+// what is queued in as few writes as it finds it. A stalled reader holds a
+// megabyte frame in the writer's write while more pile up behind it;
+// released, it reads every message in send order with its exact bytes.
+func TestTCPInlineAndQueuedFramesKeepOrder(t *testing.T) {
+	t.Parallel()
+	tr, in := stalledPeer(t)
+	ep := tr.Endpoint(0)
+	guard := RetryPolicy{HopTimeout: 5 * time.Second}.WithDefaults()
+	msg := func(k, count int) []float64 {
+		m := make([]float64, count)
+		for i := range m {
+			m[i] = math.Float64frombits(uint64(k)<<48 | uint64(i)*0x9e3779b97f4a7c15>>16)
+		}
+		return m
+	}
+	type send struct {
+		count   int
+		guarded bool
+	}
+	sends := []send{
+		{3, false},          // idle: inline
+		{stallFrame, true},  // guarded: queued, and its write stalls
+		{5, false},          // backlog: queued
+		{stallFrame, false}, // backlog: queued
+		{0, true},           // guarded: queued
+		{7, false},          // idle again once drained: inline
+		{stallFrame, false}, // inline, read as it is written
+		{2, true},           // guarded on an idle socket: queued all the same
+	}
+	var want [][]float64
+	for k, s := range sends {
+		want = append(want, msg(k, s.count))
+	}
+	do := func(k int) error {
+		m := append([]float64(nil), want[k]...) // the transport owns what it is sent
+		if sends[k].guarded {
+			return ep.SendTimed(m, guard)
+		}
+		return ep.Send(m)
+	}
+	stats := func() (msgs, batches int64) {
+		st := tr.Stats()
+		return st.MessagesSent, st.Batches
+	}
+
+	if err := do(0); err != nil {
+		t.Fatal(err)
+	}
+	if m, b := stats(); m != 1 || b != 1 {
+		t.Fatalf("after an idle socket's send: %d messages in %d writes, want 1 in 1 — not written inline", m, b)
+	}
+	queued := make(chan error, 1)
+	go func() {
+		for k := 1; k <= 4; k++ {
+			if err := do(k); err != nil {
+				queued <- err
+				return
+			}
+		}
+		queued <- nil
+	}()
+	select {
+	case err := <-queued:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a send behind a stalled write blocked: it did not queue")
+	}
+	if m, _ := stats(); m != 1 {
+		t.Fatalf("%d messages written past a stalled reader, want 1", m)
+	}
+
+	got := make(chan [][]float64, 1)
+	go func() {
+		r := bufio.NewReaderSize(in, tcpBufBytes)
+		var frames [][]float64
+		for range sends {
+			m, err := readFrame(r, func(count int) []float64 { return make([]float64, count) })
+			if err != nil {
+				break
+			}
+			frames = append(frames, m)
+		}
+		got <- frames
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for tr.succ.backlog.Load() != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("backlog of %d never drained", tr.succ.backlog.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// The writer took the stalled frame alone or with what was queued by
+	// then, and everything queued behind that write in one more.
+	m, b0 := stats()
+	if m != 5 || b0 < 2 || b0 > 3 {
+		t.Fatalf("after the drain: %d messages in %d writes, want 5 in 2 or 3", m, b0)
+	}
+	for k := 5; k < len(sends); k++ {
+		if err := do(k); err != nil {
+			t.Fatal(err)
+		}
+		if m, b := stats(); !sends[k].guarded && (m != int64(k+1) || b != b0+int64(k-4)) {
+			t.Fatalf("after send %d: %d messages in %d writes, want %d in %d — not written inline", k, m, b, k+1, b0+int64(k-4))
+		}
+	}
+	frames := <-got
+	if len(frames) != len(want) {
+		t.Fatalf("read %d frames, want %d", len(frames), len(want))
+	}
+	for k := range want {
+		if len(frames[k]) != len(want[k]) {
+			t.Fatalf("frame %d has %d elements, want %d: out of send order", k, len(frames[k]), len(want[k]))
+		}
+		for i := range want[k] {
+			if g, w := math.Float64bits(frames[k][i]), math.Float64bits(want[k][i]); g != w {
+				t.Fatalf("frame %d element %d is %#x, want %#x", k, i, g, w)
+			}
+		}
+	}
+}
+
+// TestTCPGuardedHopToStalledPeerTimesOut: a guarded hop keeps its deadline
+// however idle its socket is. Toward a peer that reads nothing, the guarded
+// sends queue behind a stalled write until the queue is full, and the next
+// one fails with ErrHopTimeout within its budget instead of blocking on the
+// socket. The writer holds at most a full batch in its stalled write, the
+// queue at most its depth.
+func TestTCPGuardedHopToStalledPeerTimesOut(t *testing.T) {
+	t.Parallel()
+	tr, _ := stalledPeer(t)
+	ep := tr.Endpoint(0)
+	p := RetryPolicy{HopTimeout: 20 * time.Millisecond, Retries: 2, Backoff: 2, MaxTimeout: 100 * time.Millisecond}
+	budget := p.Budget()
+	// The sends run on their own goroutine, so one that blocks on the
+	// socket fails the test instead of hanging it; closing the transport
+	// at cleanup releases it.
+	result := make(chan error, 1)
+	go func() {
+		for k := 0; ; k++ {
+			count := 4
+			if k == 0 {
+				count = stallFrame
+			}
+			start := time.Now()
+			err := ep.SendTimed(make([]float64, count), p)
+			took := time.Since(start)
+			switch {
+			case err == nil && k > 2*tcpQueueDepth:
+				result <- fmt.Errorf("%d guarded sends accepted toward a stalled peer", k+1)
+			case err == nil:
+				continue
+			case !errors.Is(err, ErrHopTimeout):
+				result <- fmt.Errorf("send %d: err = %v, want ErrHopTimeout", k, err)
+			case took < budget || took > budget+time.Second:
+				result <- fmt.Errorf("send %d gave up after %v, budget %v", k, took, budget)
+			default:
+				result <- nil
+			}
+			return
+		}
+	}()
+	select {
+	case err := <-result:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2*tcpQueueDepth*budget + 10*time.Second):
+		t.Fatal("a guarded send toward a stalled peer blocked past its budget")
 	}
 }
 
@@ -266,6 +518,36 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestTCPBadConfigReleasesListener: NewTCPTransport owns the listener it is
+// handed from the call on, so a rank outside the peer list or an empty peer
+// list closes it on the way out and the address can be bound again.
+func TestTCPBadConfigReleasesListener(t *testing.T) {
+	t.Parallel()
+	for _, tc := range []struct {
+		name  string
+		rank  int
+		peers int
+	}{{"rank past the ring", 2, 2}, {"negative rank", -1, 2}, {"no peers", 0, 0}} {
+		addrs, listeners, err := ReserveRingAddrs(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peers := make([]string, tc.peers)
+		for i := range peers {
+			peers[i] = addrs[0]
+		}
+		if tr, err := NewTCPTransport(TCPConfig{Rank: tc.rank, Peers: peers, Listener: listeners[0]}); err == nil {
+			tr.Close()
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		ln, err := net.Listen("tcp", addrs[0])
+		if err != nil {
+			t.Fatalf("%s: listener still bound after the failed call: %v", tc.name, err)
+		}
+		ln.Close()
+	}
 }
 
 // TestDialBackoffSchedule pins the bring-up retry schedule: the first wait

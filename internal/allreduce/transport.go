@@ -100,8 +100,9 @@ func (f *fault) fail(err error) {
 // a queue from it, and — for links that can break — the fault whose done
 // channel aborts a blocked hop. What drains out and fills in is the
 // transport's business: a channel transport plugs one rank's out straight
-// into its neighbor's in, a TCP transport puts a socket's write and read
-// loops behind them.
+// into its neighbor's in, a TCP transport puts a socket behind them — its
+// read loop behind in, and behind out its write loop, which the sending
+// goroutine bypasses to write a frame itself while the socket is idle.
 //
 // Deadlines live here, on the queues, for every transport alike: a remote
 // side that stalls starves in (or backs out up) and the policy timer fires
@@ -121,6 +122,9 @@ type link struct {
 	// free is the transport's buffer pool, shared by all its links: where a
 	// rank parks a spare it cannot use and finds one when it has none.
 	free bufPool
+	// tcp is the socket behind out on a TCP link, nil on a channel link: an
+	// unguarded hop offers it the frame before queueing.
+	tcp *tcpConn
 
 	sendTimer *time.Timer
 	recvTimer *time.Timer
@@ -151,11 +155,31 @@ func (l *link) arm(tp **time.Timer, p RetryPolicy) (done <-chan struct{}, timer 
 	return done, *tp
 }
 
-// send enqueues msg within the policy's retry budget (forever, under the
+// send hands msg to the link. On a TCP link whose socket is idle, a hop
+// without a deadline is written by the calling goroutine itself; any other
+// hop — behind a backlog, or guarded, whose deadline lives on the queue — is
+// enqueued and counted into the socket's backlog until its writer drains it.
+func (l *link) send(msg []float64, p RetryPolicy) error {
+	c := l.tcp
+	if c == nil {
+		return l.enqueue(msg, p)
+	}
+	if p.HopTimeout <= 0 && c.backlog.CompareAndSwap(0, 1) {
+		return c.write(msg)
+	}
+	c.backlog.Add(1)
+	err := l.enqueue(msg, p)
+	if err != nil {
+		c.backlog.Add(-1) // never queued
+	}
+	return err
+}
+
+// enqueue queues msg within the policy's retry budget (forever, under the
 // zero policy). Because a queue send is idempotent until it succeeds,
 // "retry" is simply another bounded wait on the same operation — what makes
 // guarded collectives deadlock-free by construction.
-func (l *link) send(msg []float64, p RetryPolicy) error {
+func (l *link) enqueue(msg []float64, p RetryPolicy) error {
 	done, timer := l.arm(&l.sendTimer, p)
 	if done == nil && timer == nil {
 		l.out <- msg

@@ -162,10 +162,22 @@ type EpochObs struct {
 	Steps int
 }
 
+// Config rules Validate reports by name; test with errors.Is.
+var (
+	// ErrBadLayerWidth reports a layer of Sizes narrower than one unit.
+	ErrBadLayerWidth = errors.New("runtime: layer width must be at least 1")
+	// ErrBadLearningRate reports a learning rate that is NaN, infinite or
+	// not positive: SGD would turn every weight into NaN.
+	ErrBadLearningRate = errors.New("runtime: learning rate must be finite and > 0")
+	// ErrBadMomentum reports a NaN or infinite momentum.
+	ErrBadMomentum = errors.New("runtime: momentum must be finite")
+)
+
 // Validate checks every rule of the run that needs no model or ring: worker
-// batches, shape, backend, collective, join schedule, autoscaler and fault
-// plan. Train runs it first; a caller with a ring to bring up runs it
-// before dialing.
+// batches, shape (every layer at least one unit wide), learning rate and
+// momentum, backend, collective, join schedule, autoscaler and fault plan.
+// Train runs it first; a caller with a ring to bring up runs it before
+// dialing.
 func (c *Config) Validate() error {
 	if len(c.LocalBatches) == 0 {
 		return errors.New("runtime: config needs at least one worker batch")
@@ -178,8 +190,19 @@ func (c *Config) Validate() error {
 	if len(c.Sizes) < 2 {
 		return errors.New("runtime: Sizes needs at least input and output widths")
 	}
-	if c.Epochs < 1 || c.LearningRate <= 0 {
-		return fmt.Errorf("runtime: invalid epochs %d / learning rate %v", c.Epochs, c.LearningRate)
+	for i, w := range c.Sizes {
+		if w < 1 {
+			return fmt.Errorf("%w: layer %d width %d", ErrBadLayerWidth, i, w)
+		}
+	}
+	if c.Epochs < 1 {
+		return fmt.Errorf("runtime: invalid epochs %d", c.Epochs)
+	}
+	if !(c.LearningRate > 0) || math.IsInf(c.LearningRate, 1) { // NaN fails > 0
+		return fmt.Errorf("%w: %v", ErrBadLearningRate, c.LearningRate)
+	}
+	if math.IsNaN(c.Momentum) || math.IsInf(c.Momentum, 0) {
+		return fmt.Errorf("%w: %v", ErrBadMomentum, c.Momentum)
 	}
 	if c.Dataset == nil || c.Dataset.Len() < 1 {
 		return errors.New("runtime: config needs a non-empty dataset")
@@ -740,25 +763,6 @@ func sum(xs []int) int {
 	return total
 }
 
-// replicasAgree is the one replica-consistency check: every vector must
-// equal the first as IEEE-754 bit patterns — the contract is bitwise, and a
-// numeric comparison is blind to NaN. It names the first differing index.
-func replicasAgree(what string, n int, vec func(i int) []float64) ([]float64, error) {
-	ref := vec(0)
-	for i := 1; i < n; i++ {
-		got := vec(i)
-		if len(got) != len(ref) {
-			return nil, fmt.Errorf("runtime: replica %d %s has %d elements, replica 0 has %d", i, what, len(got), len(ref))
-		}
-		for j := range ref {
-			if math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
-				return nil, fmt.Errorf("runtime: replica %d %s diverged from replica 0 at index %d (%v vs %v)", i, what, j, got[j], ref[j])
-			}
-		}
-	}
-	return ref, nil
-}
-
 // sqNorms adds the squares of each v[c]'s elements, in ascending order, to
 // acc[c]: one pass over equal-length vectors carries up to four independent
 // chains in registers, and more go four at a time. Each chain is the same
@@ -812,6 +816,25 @@ func sqNorms(acc []float64, v [][]float64) {
 		}
 		acc, v = acc[k:], v[k:]
 	}
+}
+
+// replicasAgree is the one replica-consistency check: every vector must
+// equal the first as IEEE-754 bit patterns — the contract is bitwise, and a
+// numeric comparison is blind to NaN. It names the first differing index.
+func replicasAgree(what string, n int, vec func(i int) []float64) ([]float64, error) {
+	ref := vec(0)
+	for i := 1; i < n; i++ {
+		got := vec(i)
+		if len(got) != len(ref) {
+			return nil, fmt.Errorf("runtime: replica %d %s has %d elements, replica 0 has %d", i, what, len(got), len(ref))
+		}
+		for j := range ref {
+			if math.Float64bits(got[j]) != math.Float64bits(ref[j]) {
+				return nil, fmt.Errorf("runtime: replica %d %s diverged from replica 0 at index %d (%v vs %v)", i, what, j, got[j], ref[j])
+			}
+		}
+	}
+	return ref, nil
 }
 
 func identity(n int) []int {

@@ -1,7 +1,14 @@
 package cannikin
 
 import (
+	"errors"
+	"math"
+	"net"
 	"testing"
+	"time"
+
+	"cannikin/internal/allreduce"
+	"cannikin/internal/runtime"
 )
 
 // TestMLPConfigRulesAtPublicBoundary pins that checking each run rule once,
@@ -45,6 +52,89 @@ func TestMLPConfigRulesAtPublicBoundary(t *testing.T) {
 				t.Fatalf("rejected only after %d epochs trained", epochs)
 			}
 		})
+	}
+}
+
+// TestMLPRejectsBadLayersAndOptimizer: a layer narrower than one unit, a
+// NaN, infinite or non-positive learning rate and a non-finite momentum
+// each fail TrainMLP with their named error before an epoch trains — not
+// with a panic in the tensor code or a run whose weights are all NaN — and
+// fail a worker before it dials its peers.
+func TestMLPRejectsBadLayersAndOptimizer(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(*MLPConfig)
+		want error
+	}{
+		{"hidden width 0", func(c *MLPConfig) { c.Hidden = []int{0} }, runtime.ErrBadLayerWidth},
+		{"hidden width -3", func(c *MLPConfig) { c.Hidden = []int{-3} }, runtime.ErrBadLayerWidth},
+		{"second hidden width 0", func(c *MLPConfig) { c.Hidden = []int{16, 0} }, runtime.ErrBadLayerWidth},
+		{"learning rate NaN", func(c *MLPConfig) { c.LearningRate = math.NaN() }, runtime.ErrBadLearningRate},
+		{"learning rate +Inf", func(c *MLPConfig) { c.LearningRate = math.Inf(1) }, runtime.ErrBadLearningRate},
+		{"learning rate -Inf", func(c *MLPConfig) { c.LearningRate = math.Inf(-1) }, runtime.ErrBadLearningRate},
+		{"learning rate negative", func(c *MLPConfig) { c.LearningRate = -0.1 }, runtime.ErrBadLearningRate},
+		{"momentum NaN", func(c *MLPConfig) { c.Momentum = math.NaN() }, runtime.ErrBadMomentum},
+		{"momentum +Inf", func(c *MLPConfig) { c.Momentum = math.Inf(1) }, runtime.ErrBadMomentum},
+		{"momentum -Inf", func(c *MLPConfig) { c.Momentum = math.Inf(-1) }, runtime.ErrBadMomentum},
+	}
+	base := func() MLPConfig {
+		return MLPConfig{LocalBatches: []int{8, 8}, Samples: 64, Epochs: 2, Seed: 1, Backend: "live"}
+	}
+	addrs, listeners, err := allreduce.ReserveRingAddrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range listeners {
+		ln.Close() // rank 1 is never started
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := base()
+			tc.edit(&cfg)
+			epochs := 0
+			cfg.OnEpoch = func(MLPEpoch) error { epochs++; return nil }
+			if _, err := TrainMLP(cfg); !errors.Is(err, tc.want) {
+				t.Fatalf("TrainMLP: err = %v, want %v", err, tc.want)
+			}
+			if epochs != 0 {
+				t.Fatalf("rejected only after %d epochs trained", epochs)
+			}
+
+			cfg.Backend = ""
+			start := time.Now()
+			_, _, err := TrainMLPWorker(cfg, WorkerRingConfig{Rank: 0, Peers: addrs, DialTimeout: 3 * time.Second})
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("TrainMLPWorker: err = %v, want %v", err, tc.want)
+			}
+			if took := time.Since(start); took > time.Second {
+				t.Fatalf("the worker took %v to reject: it dialed before it validated", took)
+			}
+		})
+	}
+}
+
+// TestMLPWorkerBadRankReleasesListen: a worker whose rank is outside its
+// peer list fails before it binds its Listen address, so the address can be
+// bound again at once.
+func TestMLPWorkerBadRankReleasesListen(t *testing.T) {
+	addrs, listeners, err := allreduce.ReserveRingAddrs(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ln := range listeners {
+		ln.Close()
+	}
+	cfg := MLPConfig{LocalBatches: []int{8, 8}, Samples: 64, Epochs: 1, Seed: 1}
+	for _, rank := range []int{-1, 2} {
+		_, _, err := TrainMLPWorker(cfg, WorkerRingConfig{Rank: rank, Peers: addrs[:2], Listen: addrs[2]})
+		if err == nil {
+			t.Fatalf("rank %d of 2 accepted", rank)
+		}
+		ln, err := net.Listen("tcp", addrs[2])
+		if err != nil {
+			t.Fatalf("rank %d: Listen address still held after the failed call: %v", rank, err)
+		}
+		ln.Close()
 	}
 }
 

@@ -114,9 +114,10 @@ echo "== go test -race -count=2 -cpu 1,2,4 (fault injection + fault paths) =="
 go test -race -count=2 -cpu 1,2,4 ./internal/chaos
 lane -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal/runtime ./internal/allreduce
 
-# The TCP ring transport runs a writer and a reader goroutine per process
-# against real sockets, and the multi-process worker runtime layers the
-# deterministic training loop on top; run both transports' conformance
+# The TCP ring transport runs a reader goroutine per socket against real
+# sockets, and writes each frame from the sending rank's goroutine while the
+# socket is idle or from a writer goroutine that drains a backlog; the
+# multi-process worker runtime layers the deterministic training loop on top; run both transports' conformance
 # suite and the worker bitwise-parity tests under the race detector at
 # several GOMAXPROCS values.
 echo "== go test -race -cpu 1,2,4 (tcp transport + worker runtime) =="
@@ -140,9 +141,14 @@ lane -race -count=2 -run 'TestWorkerMatchesTrainBitwise|TestWorkerObservesLikeTr
 # view, the golden pins the bytes on the wire against a hand-written
 # encoding (and the big-endian swap against encoding/binary), and the
 # allocation and conservation gates cover the vectored write and its
-# recycle-after-write. By name, so a rename cannot silently drop them.
+# recycle-after-write, whether the sending rank writes the frame itself (an
+# idle socket, counted as a write of one message) or the writer drains it
+# from a backlog. A stalled reader interleaves the two and every message
+# still arrives in send order with its exact bytes, and a guarded hop to a
+# stalled peer still times out within its budget. By name, so a rename
+# cannot silently drop them.
 echo "== wire lane: frames written from and read into the message buffers -race -cpu 1,2,4 =="
-lane -race -count=1 -cpu 1,2,4 -run 'TestTCPWireFormatGolden|TestTCPWireSwapBytes|TestTCPSteadyStateReduceAllocsZero|TestTCPStatsConservation' ./internal/allreduce
+lane -race -count=1 -cpu 1,2,4 -run 'TestTCPWireFormatGolden|TestTCPWireSwapBytes|TestTCPSteadyStateReduceAllocsZero|TestTCPStatsConservation|TestTCPInlineAndQueuedFramesKeepOrder|TestTCPGuardedHopToStalledPeerTimesOut' ./internal/allreduce
 
 echo "== multi-process smoke: coordinator + worker processes over loopback tcp =="
 go build -o "$BIN/cannikin" ./cmd/cannikin
@@ -171,10 +177,13 @@ lane -race -count=1 -cpu 1,2,4 -run 'Elastic|Join|Autoscal' ./internal/runtime .
 # HTTP edge's one-spec-per-body and 1 MiB limits; on the simulated side, a
 # negative MaxEpochs and non-finite CPU speeds or compute shares fail Train
 # before any epoch; joins or an autoscale ceiling the dataset cannot cover,
-# and NaN or infinite autoscale thresholds, fail Validate. By name, so a
-# rename cannot silently drop them.
+# and NaN or infinite autoscale thresholds, fail Validate. A layer narrower
+# than one unit, a NaN or infinite learning rate or momentum fail TrainMLP
+# by name and a worker before it dials; a worker rank outside its peer list
+# fails before it binds, and a transport handed a listener with a bad rank
+# or no peers closes it. By name, so a rename cannot silently drop them.
 echo "== config lane: each run rule validated once, before training, dialing or admission -race =="
-lane -race -count=1 -run 'TestMLPConfigRulesAtPublicBoundary|TestMLPWorkerValidatesBeforeDial|TestAutoscalerConfigValidate|TestDecodeRejectsTrailingData|TestSubmitOversizedBody413|TestTrainRejectsNegativeMaxEpochs|TestClusterRejectsNonFinite|TestValidateRejectsMembershipPastDataset|TestAutoscalerRejectsNonFiniteThresholds' . ./internal/runtime ./internal/runspec ./internal/server
+lane -race -count=1 -run 'TestMLPConfigRulesAtPublicBoundary|TestMLPWorkerValidatesBeforeDial|TestMLPRejectsBadLayersAndOptimizer|TestMLPWorkerBadRankReleasesListen|TestTCPBadConfigReleasesListener|TestAutoscalerConfigValidate|TestDecodeRejectsTrailingData|TestSubmitOversizedBody413|TestTrainRejectsNegativeMaxEpochs|TestClusterRejectsNonFinite|TestValidateRejectsMembershipPastDataset|TestAutoscalerRejectsNonFiniteThresholds' . ./internal/runtime ./internal/runspec ./internal/server ./internal/allreduce
 
 echo "== elastic smoke: tcp hot-join, a 4th worker process joins mid-run =="
 # Generation 1 runs 3 worker processes; at epoch 1 the coordinator hands

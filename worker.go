@@ -35,8 +35,10 @@ type WorkerRingConfig struct {
 var ErrRemoteMembership = runtime.ErrRemoteMembership
 
 // RingStats reports a worker's wire activity: Batches counts network
-// writes (one vectored write of everything queued), MessagesSent the hops
-// carried, so MsgsPerBatch is how many hops shared a write.
+// writes — a hop sent while its socket is idle is a write of one message,
+// a backlog is drained in one vectored write of everything queued —
+// MessagesSent the hops carried, so MsgsPerBatch is how many hops shared a
+// write.
 type RingStats struct {
 	BytesSent, BytesReceived   int64
 	MessagesSent, MessagesRecv int64
@@ -82,6 +84,9 @@ func TrainMLPWorker(cfg MLPConfig, ring WorkerRingConfig) (*MLPResult, *RingStat
 	}
 	if len(ring.Peers) != len(cfg.LocalBatches) {
 		return nil, nil, fmt.Errorf("cannikin: %d peers for %d workers", len(ring.Peers), len(cfg.LocalBatches))
+	}
+	if ring.Rank < 0 || ring.Rank >= len(ring.Peers) {
+		return nil, nil, fmt.Errorf("cannikin: rank %d of %d workers", ring.Rank, len(ring.Peers))
 	}
 
 	tcpCfg := allreduce.TCPConfig{
