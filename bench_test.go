@@ -21,7 +21,7 @@ import (
 	"cannikin/internal/rng"
 )
 
-var benchOpt = experiments.Options{Seed: 1, Quick: true}
+var benchOpt = experiments.Options{Seed: 1}
 
 func BenchmarkFig5BatchSizeTrajectory(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -1,15 +1,18 @@
 // Command experiments regenerates the paper's evaluation tables and
-// figures on the simulated clusters.
+// figures on the simulated clusters. Its output is a pure function of the
+// seed: EXPERIMENTS.md's tables are generated from `-exp all -format md`
+// at the default seed, committed as testdata/all.md.
 //
-//	experiments -exp all          # everything (a few minutes)
+//	experiments -exp all          # everything (a few seconds)
 //	experiments -exp fig8         # one experiment
-//	experiments -exp fig10 -quick # trimmed measurement repetitions
+//	experiments -exp fig8,table6 -format md
 //
 // Available experiments: fig5 fig6 fig7 fig8 fig9 fig10 table6 pred
-// sharing dynamic recovery sched ablations runtime.
+// sharing dynamic recovery sched ablations.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -27,23 +30,25 @@ func main() {
 	}
 }
 
-var order = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table6", "pred", "sharing", "dynamic", "recovery", "sched", "ablations", "runtime"}
+var order = []string{"fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "table6", "pred", "sharing", "dynamic", "recovery", "sched", "ablations"}
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	var (
 		exp    = fs.String("exp", "all", "experiment id or \"all\": "+strings.Join(order, " "))
-		seed   = fs.Uint64("seed", 1, "random seed")
-		quick  = fs.Bool("quick", false, "trim measurement repetitions")
+		seed   = fs.Uint64("seed", 1, "random seed (at least 1)")
 		format = fs.String("format", "text", `output format: "text" or "md"`)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *seed == 0 {
+		return errors.New("-seed 0: seeds start at 1")
+	}
 	if *format != "text" && *format != "md" {
 		return fmt.Errorf("unknown format %q", *format)
 	}
-	opt := experiments.Options{Seed: *seed, Quick: *quick}
+	opt := experiments.Options{Seed: *seed}
 	out := renderer{w: w, md: *format == "md"}
 
 	ids := order
@@ -223,17 +228,6 @@ func runOne(id string, opt experiments.Options, out renderer) error {
 			return err
 		}
 		return printFigs(fig)
-	case "runtime":
-		section("Extension: live execution engine vs sequential reference")
-		tab, err := experiments.Runtime(opt)
-		if err != nil {
-			return err
-		}
-		if err := out.table(tab); err != nil {
-			return err
-		}
-		fmt.Fprintln(w, "(identical arithmetic in both engines — weights are bitwise equal; wall-clock differs by execution model)")
-		return nil
 	default:
 		return fmt.Errorf("unknown experiment %q (have %s)", id, strings.Join(order, " "))
 	}

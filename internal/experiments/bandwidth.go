@@ -57,7 +57,7 @@ func AblationBandwidth(opt Options) (*trace.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		tOpt, err := c.MeasuredTime(w.Profile, plan.Batches, opt.measureSteps())
+		tOpt, err := c.MeasuredTime(w.Profile, plan.Batches, measureSteps)
 		if err != nil {
 			return nil, err
 		}
@@ -65,7 +65,7 @@ func AblationBandwidth(opt Options) (*trace.Figure, error) {
 		if err != nil {
 			return nil, err
 		}
-		tEven, err := c.MeasuredTime(w.Profile, even, opt.measureSteps())
+		tEven, err := c.MeasuredTime(w.Profile, even, measureSteps)
 		if err != nil {
 			return nil, err
 		}

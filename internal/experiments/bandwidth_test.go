@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestAblationBandwidthShape(t *testing.T) {
-	fig, err := AblationBandwidth(quick)
+	fig, err := AblationBandwidth(published)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,8 @@ import (
 
 // Fig9 reproduces Figure 9: batch processing time per epoch while training
 // ImageNet on Cluster A with a fixed total batch of 128 from an even
-// initialization. Cannikin reaches OptPerf at epoch 2 (after its two
-// model-learning epochs); LB-BSP tunes iteratively for many more.
+// initialization. Cannikin's Eq. 8 bootstrap reaches OptPerf at epoch 1;
+// LB-BSP tunes iteratively for several more.
 func Fig9(opt Options) (*trace.Figure, error) {
 	const (
 		fixedBatch = 128
@@ -113,9 +113,8 @@ func fig10ForWorkload(opt Options, wl string) (*trace.Figure, error) {
 	sLbbAd := fig.AddSeries("lb-bsp-adaptive")
 	sDDP := fig.AddSeries("pytorch-ddp")
 
-	steps := opt.measureSteps()
 	measure := func(batches []int) (float64, error) {
-		return c.MeasuredTime(w.Profile, batches, steps)
+		return c.MeasuredTime(w.Profile, batches, measureSteps)
 	}
 	for _, b := range cands {
 		optPlan, err := optperf.Solve(model, b)

@@ -12,9 +12,9 @@ import (
 
 // Dynamic reproduces the introduction's motivating scenario that existing
 // systems cannot handle: a sudden resource change mid-training (a tenant
-// claims half of one GPU's compute). Cannikin's drift detection discards
-// the stale performance model, re-learns, and re-balances within a few
-// epochs; DDP never reacts.
+// claims three quarters of one GPU's compute). Cannikin's drift detection
+// discards the stale performance model, re-learns, and re-balances within
+// a few epochs; DDP never reacts.
 //
 // The figure shows each system's per-epoch average batch time, with the
 // event at the marked epoch.
@@ -137,7 +137,7 @@ func DynamicRecovery(opt Options) (*trace.Table, []RecoveryStat, int, error) {
 		if err != nil {
 			return stat, err
 		}
-		if stat.OptPerfRef, err = ref.MeasuredTime(w.Profile, plan.Batches, opt.measureSteps()); err != nil {
+		if stat.OptPerfRef, err = ref.MeasuredTime(w.Profile, plan.Batches, measureSteps); err != nil {
 			return stat, err
 		}
 

@@ -7,7 +7,7 @@ import "testing"
 // freshly re-solved OptPerf batch time within a bounded number of epochs,
 // while the unadapted baseline stays degraded.
 func TestDynamicRecovery(t *testing.T) {
-	_, stats, eventEpoch, err := DynamicRecovery(quick)
+	_, stats, eventEpoch, err := DynamicRecovery(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestDynamicRecovery(t *testing.T) {
 }
 
 func TestDynamicResourceAdaptation(t *testing.T) {
-	fig, eventEpoch, err := Dynamic(quick)
+	fig, eventEpoch, err := Dynamic(published)
 	if err != nil {
 		t.Fatal(err)
 	}

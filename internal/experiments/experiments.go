@@ -26,12 +26,11 @@ import (
 	"cannikin/internal/workload"
 )
 
-// Options tunes experiment cost.
+// Options selects an experiment's run. The output is a pure function of
+// it: the same Options print the same bytes.
 type Options struct {
 	// Seed drives all randomness (default 1).
 	Seed uint64
-	// Quick trims measurement repetitions for fast CI runs.
-	Quick bool
 }
 
 func (o Options) seed() uint64 {
@@ -41,12 +40,9 @@ func (o Options) seed() uint64 {
 	return o.Seed
 }
 
-func (o Options) measureSteps() int {
-	if o.Quick {
-		return 10
-	}
-	return 40
-}
+// measureSteps is how many simulated steps each measured batch time
+// averages.
+const measureSteps = 40
 
 // newCluster builds a preset cluster deterministically for an experiment.
 func newCluster(preset string, seed uint64, salt string) (*cluster.Cluster, error) {

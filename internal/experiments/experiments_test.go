@@ -4,10 +4,12 @@ import (
 	"testing"
 )
 
-var quick = Options{Seed: 1, Quick: true}
+// published is the configuration EXPERIMENTS.md's tables come from:
+// cmd/experiments at its default seed.
+var published = Options{Seed: 1}
 
 func TestFig5BatchSizesGrowAndStayConsistent(t *testing.T) {
-	fig, err := Fig5(quick)
+	fig, err := Fig5(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +42,7 @@ func TestFig5BatchSizesGrowAndStayConsistent(t *testing.T) {
 }
 
 func TestFig6CannikinConvergesFasterSameQuality(t *testing.T) {
-	figs, err := Fig6(quick)
+	figs, err := Fig6(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +69,7 @@ func TestFig7CannikinFastestOnBothWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("imagenet run in short mode")
 	}
-	figs, err := Fig7(quick)
+	figs, err := Fig7(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +93,7 @@ func TestFig7SeriesInFixedOrder(t *testing.T) {
 	if testing.Short() {
 		t.Skip("imagenet run in short mode")
 	}
-	figs, err := Fig7(quick)
+	figs, err := Fig7(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,7 @@ func TestFig8ShapeMatchesPaper(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	tab, err := Fig8(quick)
+	tab, err := Fig8(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +168,7 @@ func TestFig8ShapeMatchesPaper(t *testing.T) {
 }
 
 func TestFig9CannikinReachesOptPerfByEpoch2(t *testing.T) {
-	fig, err := Fig9(quick)
+	fig, err := Fig9(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +206,7 @@ func TestFig10OptPerfDominates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	figs, err := Fig10(quick)
+	figs, err := Fig10(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +238,7 @@ func TestTable6OverheadShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	tab, err := Table6(quick)
+	tab, err := Table6(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +272,7 @@ func TestPredictionErrorIVWHelps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	tab, err := PredictionError(quick)
+	tab, err := PredictionError(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +301,7 @@ func TestSharingClusterCMatchesClusterB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	tab, err := Sharing(quick)
+	tab, err := Sharing(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +317,7 @@ func TestSharingClusterCMatchesClusterB(t *testing.T) {
 }
 
 func TestAblationWarmStartReducesWork(t *testing.T) {
-	tab, err := AblationWarmStart(quick)
+	tab, err := AblationWarmStart(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,7 +341,7 @@ func TestAblationOverlapGainNonNegative(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	tab, err := AblationOverlap(quick)
+	tab, err := AblationOverlap(published)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +367,7 @@ func TestAblationGNSComparable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	tab, err := AblationGNS(quick)
+	tab, err := AblationGNS(published)
 	if err != nil {
 		t.Fatal(err)
 	}

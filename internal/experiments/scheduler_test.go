@@ -3,7 +3,7 @@ package experiments
 import "testing"
 
 func TestSchedulerHeterogeneousPolicyWins(t *testing.T) {
-	tab, err := Scheduler(quick)
+	tab, err := Scheduler(published)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,7 +99,7 @@ func maxPredictionError(opt Options, wl string, useIVW bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		measured, err := c.MeasuredTime(w.Profile, plan.Batches, opt.measureSteps())
+		measured, err := c.MeasuredTime(w.Profile, plan.Batches, measureSteps)
 		if err != nil {
 			return 0, err
 		}
@@ -249,11 +249,11 @@ func AblationOverlap(opt Options) (*trace.Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			tOpt, err := c.MeasuredTime(w.Profile, optPlan.Batches, opt.measureSteps())
+			tOpt, err := c.MeasuredTime(w.Profile, optPlan.Batches, measureSteps)
 			if err != nil {
 				return nil, err
 			}
-			tBlind, err := c.MeasuredTime(w.Profile, blindPlan.Batches, opt.measureSteps())
+			tBlind, err := c.MeasuredTime(w.Profile, blindPlan.Batches, measureSteps)
 			if err != nil {
 				return nil, err
 			}

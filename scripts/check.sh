@@ -334,6 +334,15 @@ grep -q "drained cleanly" "$BIN/serve.log" \
 echo "== scheduler lane: load and backpressure on the wall clock, simulated Schedule on the event clock -race =="
 lane -race -count=1 -run 'TestManyConcurrentJobs|TestNaNGNSAlphaTakesDefault|TestHomogeneousPolicyAdmission|TestSimulate|TestEventClockGrantAtZero|TestScheduleGolden|TestScheduleRejectsBadJobs|TestSchedulerHeterogeneousPolicyWins' ./internal/jobs ./internal/experiments .
 
+# cmd/experiments is a pure function of its seed: `-exp all -format md` is
+# byte for byte its golden (cmd/experiments/testdata/all.md), and every
+# generated block of EXPERIMENTS.md is byte for byte its id's part of the
+# same run, at every GOMAXPROCS; -seed 0 is an error, never seed 1's output
+# under another name. No -race: the ./... race pass above runs them once.
+# By name, so a rename cannot silently drop them.
+echo "== experiments lane: -exp all == golden, EXPERIMENTS.md blocks == the run -cpu 1,2,4 =="
+lane -count=1 -cpu 1,2,4 -run 'TestGoldenAndDocBlocks|TestRunRejectsSeedZero' ./cmd/experiments
+
 # The performance-model learner answers every query from running sums and
 # an incrementally kept list of distinct sizes; its contract is bitwise
 # agreement with the batch re-fit kept as the oracle in its tests, also past
