@@ -1,8 +1,10 @@
 // Command cannikin trains one workload on a simulated heterogeneous
 // cluster with a chosen training system and prints the per-epoch trace.
 // With -mlp it trains the real data-parallel MLP instead; -transport tcp
-// additionally spans the run across one OS process per worker, spawning
-// cannikin-worker ranks connected by a TCP ring.
+// additionally spans the run across one OS process per worker: without
+// -peers this process is the coordinator and starts itself once per rank,
+// with -peers it is rank -rank of that TCP ring. -list prints the catalogs
+// and the node table of the cluster the flags name.
 //
 // Every flag can also come from a JSON run-spec file (-spec run.json);
 // flags set explicitly on the command line override the file.
@@ -16,7 +18,9 @@
 //	cannikin -mlp -backend live -mlp-batches 16,8,4 -epochs 5
 //	cannikin -mlp -backend live -fault "stall:0@3:40ms,kill:1@8" -fault-replan optperf
 //	cannikin -mlp -transport tcp -mlp-batches 8,8,4,4 -epochs 3
-//	cannikin -spec run.json
+//	cannikin -mlp -transport tcp -mlp-batches 8,8,4,4 -peers h0:7000,h1:7000,h2:7000,h3:7000 -rank 1
+//	cannikin -spec run.json -rank 2
+//	cannikin -list -cluster b -workload imagenet
 package main
 
 import (
@@ -33,10 +37,18 @@ import (
 	"cannikin"
 
 	"cannikin/internal/allreduce"
+	"cannikin/internal/cluster"
+	"cannikin/internal/rng"
 	"cannikin/internal/runspec"
 	"cannikin/internal/server"
 	"cannikin/internal/trace"
+	"cannikin/internal/workload"
 )
+
+// selfExe names the binary the coordinator starts once per rank: this
+// command's own. Tests that drive run in process point it at a built
+// cmd/cannikin, since their own executable is the test binary.
+var selfExe = os.Executable
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
@@ -48,7 +60,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("cannikin", flag.ContinueOnError)
 	b := runspec.Register(fs)
-	list := fs.Bool("list", false, "list workloads and GPU models, then exit")
+	list := fs.Bool("list", false, "list workloads and GPU models, then the nodes of the -cluster (or -models) cluster for -workload, and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -57,13 +69,17 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 	if *list {
-		return printCatalog(w)
+		return printCatalog(w, spec)
 	}
 	if spec.MLP {
-		if spec.Transport == runspec.TransportTCP {
+		switch {
+		case spec.Transport != runspec.TransportTCP:
+			return runMLP(w, spec)
+		case len(spec.Peers) > 0:
+			return runMLPRank(w, spec)
+		default:
 			return runMLPCoordinator(w, spec)
 		}
-		return runMLP(w, spec)
 	}
 	if len(spec.Faults) > 0 || spec.FaultReplan != "" {
 		return fmt.Errorf("-fault requires -mlp -backend live")
@@ -210,13 +226,51 @@ func printMLPEpochs(w io.Writer, res *cannikin.MLPResult, csv bool) error {
 	return tab.Fprint(w)
 }
 
+// runMLPRank runs this process as rank spec.Rank of the TCP ring spec.Peers
+// names: how the coordinator starts each rank (-spec run.json -rank N), and
+// how a rank is started by hand on its own machine. Every rank must get the
+// identical spec; each reproduces the dataset and initial weights from the
+// seed, so the trained weights are bitwise-identical on every rank, and the
+// last line, "weights-sha256: <hex>", is what the coordinator compares.
+func runMLPRank(w io.Writer, spec *runspec.Spec) error {
+	cfg, err := mlpConfigOf(spec)
+	if err != nil {
+		return err
+	}
+	cfg.Backend = "" // worker mode is its own engine; the spec's default names the in-process one
+	res, st, err := cannikin.TrainMLPWorker(cfg, cannikin.WorkerRingConfig{
+		Rank:   spec.Rank,
+		Peers:  spec.Peers,
+		Listen: spec.Listen,
+		Guard:  spec.Guard,
+	})
+	if err != nil {
+		return err
+	}
+	// Every rank holds identical weights, so one writer suffices — and
+	// avoids racing writes to a shared path.
+	if spec.CheckpointOut != "" && spec.Rank == 0 {
+		if err := cannikin.SaveCheckpoint(spec.CheckpointOut, res.FinalWeights, res.FinalVelocity); err != nil {
+			return err
+		}
+	}
+	if err := printMLPEpochs(w, res, spec.CSV); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\nworker rank %d of %d (local batches %s): %d steps, final accuracy %.4f\n",
+		spec.Rank, res.Workers, intsToString(spec.MLPBatches), res.Steps, res.FinalAccuracy)
+	fmt.Fprintf(w, "ring: %d hops in %d network writes (%.2f msgs/batch), %d bytes sent, %d received\n",
+		st.MessagesSent, st.Batches, st.MsgsPerBatch, st.BytesSent, st.BytesReceived)
+	fmt.Fprintf(w, "weights-sha256: %s\n", server.WeightsHash(res.FinalWeights))
+	return nil
+}
+
 // runMLPCoordinator spans the MLP run across one OS process per worker:
-// it reserves a loopback port per rank (unless -peers names them), writes
-// the resolved spec to a shared file, launches a cannikin-worker per rank,
-// and verifies every rank's final-weight hash against the others AND
-// against an in-process channel-transport reference run of the same seed —
-// the end-to-end bitwise-determinism check across transports and
-// processes.
+// it reserves a loopback port per rank, writes the resolved spec to a
+// shared file, starts this binary once per rank with -rank, and verifies
+// every rank's final-weight hash against the others AND against an
+// in-process channel-transport reference run of the same seed — the
+// end-to-end bitwise-determinism check across transports and processes.
 func runMLPCoordinator(w io.Writer, spec *runspec.Spec) error {
 	if len(spec.Faults) > 0 || spec.FaultReplan != "" {
 		return fmt.Errorf("-fault is not supported with -transport tcp (kill a worker process instead)")
@@ -227,20 +281,16 @@ func runMLPCoordinator(w io.Writer, spec *runspec.Spec) error {
 	if spec.AutoscaleMax > 0 || spec.AutoscaleShrink > 0 {
 		return fmt.Errorf("the autoscaler is not supported with -transport tcp: its decisions depend on wall-clock probes the coordinator cannot replay across process generations (use -join for a scheduled grow)")
 	}
-	workerBin, err := findWorkerBin(spec.WorkerBin)
-	if err != nil {
-		return err
-	}
 	dir, err := os.MkdirTemp("", "cannikin-run")
 	if err != nil {
 		return err
 	}
 	defer os.RemoveAll(dir)
 	if len(spec.Joins) > 0 {
-		return runMLPElasticCoordinator(w, spec, workerBin, dir)
+		return runMLPElasticCoordinator(w, spec, dir)
 	}
 
-	hash, out0, err := launchGeneration(w, spec, workerBin, filepath.Join(dir, "run.json"))
+	hash, out0, err := launchGeneration(w, spec, filepath.Join(dir, "run.json"))
 	if err != nil {
 		return err
 	}
@@ -276,7 +326,7 @@ func runMLPCoordinator(w io.Writer, spec *runspec.Spec) error {
 // every rank of the last generation AND against an in-process hot-join
 // reference of the full schedule, so the multi-process join is held to the
 // same bitwise standard as the single-process one.
-func runMLPElasticCoordinator(w io.Writer, spec *runspec.Spec, workerBin, dir string) error {
+func runMLPElasticCoordinator(w io.Writer, spec *runspec.Spec, dir string) error {
 	if spec.Resume != "" {
 		return fmt.Errorf("-resume cannot be combined with -join under -transport tcp: the generational resume labels are derived from the join sequence itself")
 	}
@@ -307,18 +357,16 @@ func runMLPElasticCoordinator(w io.Writer, spec *runspec.Spec, workerBin, dir st
 		gen := *spec
 		gen.MLPBatches = batches
 		gen.Epochs = segEnd - segStart
-		gen.Peers = nil // fresh loopback ports per generation
 		gen.Joins = nil
 		gen.Resume = resume
 		gen.CheckpointIn = checkIn
-		gen.CheckpointOut = ""
 		ckpt := filepath.Join(dir, fmt.Sprintf("gen%d.ckpt", gi+1))
 		if gi < len(spec.Joins) {
-			gen.CheckpointOut = ckpt
+			gen.CheckpointOut = ckpt // the last generation writes the caller's -checkpoint-out
 		}
 		fmt.Fprintf(w, "generation %d: %d workers (batches %s), epochs [%d, %d), resume %q\n",
 			gi+1, len(batches), intsToString(batches), segStart, segEnd, resume)
-		h, o, err := launchGeneration(w, &gen, workerBin, filepath.Join(dir, fmt.Sprintf("gen%d.json", gi+1)))
+		h, o, err := launchGeneration(w, &gen, filepath.Join(dir, fmt.Sprintf("gen%d.json", gi+1)))
 		if err != nil {
 			return fmt.Errorf("generation %d: %w", gi+1, err)
 		}
@@ -354,28 +402,26 @@ func runMLPElasticCoordinator(w io.Writer, spec *runspec.Spec, workerBin, dir st
 	return nil
 }
 
-// launchGeneration spawns one fixed-membership set of cannikin-worker
-// processes from the spec, waits for them all, and returns the
-// cross-checked weights hash plus rank 0's output.
-func launchGeneration(w io.Writer, spec *runspec.Spec, workerBin, specPath string) (hash, rank0 string, err error) {
-	n := len(spec.MLPBatches)
-	peers := spec.Peers
-	if len(peers) == 0 {
-		addrs, listeners, err := allreduce.ReserveRingAddrs(n)
-		if err != nil {
-			return "", "", err
-		}
-		// The workers re-bind these just-vacated ports themselves.
-		for _, ln := range listeners {
-			ln.Close()
-		}
-		peers = addrs
+// launchGeneration starts this binary once per rank of one fixed
+// membership, each on a freshly reserved loopback port, waits for them all,
+// and returns the cross-checked weights hash plus rank 0's output.
+func launchGeneration(w io.Writer, spec *runspec.Spec, specPath string) (hash, rank0 string, err error) {
+	bin, err := selfExe()
+	if err != nil {
+		return "", "", err
 	}
-	if len(peers) != n {
-		return "", "", fmt.Errorf("%d peers for %d workers", len(peers), n)
+	n := len(spec.MLPBatches)
+	peers, listeners, err := allreduce.ReserveRingAddrs(n)
+	if err != nil {
+		return "", "", err
+	}
+	// The ranks re-bind these just-vacated ports themselves.
+	for _, ln := range listeners {
+		ln.Close()
 	}
 
 	// One shared spec file; each rank overrides -rank on its command line.
+	// Its Peers are never empty, so a rank never reaches the coordinator.
 	shared := *spec
 	shared.Peers = peers
 	shared.Backend = ""
@@ -384,11 +430,11 @@ func launchGeneration(w io.Writer, spec *runspec.Spec, workerBin, specPath strin
 		return "", "", err
 	}
 
-	fmt.Fprintf(w, "spawning %d cannikin-worker processes over tcp (%s)\n", n, strings.Join(peers, ", "))
+	fmt.Fprintf(w, "spawning %d rank processes over tcp (%s)\n", n, strings.Join(peers, ", "))
 	cmds := make([]*exec.Cmd, n)
 	outs := make([]bytes.Buffer, n)
 	for i := 0; i < n; i++ {
-		cmds[i] = exec.Command(workerBin, "-spec", specPath, "-rank", strconv.Itoa(i))
+		cmds[i] = exec.Command(bin, "-spec", specPath, "-rank", strconv.Itoa(i))
 		cmds[i].Stdout = &outs[i]
 		cmds[i].Stderr = &outs[i]
 		if err := cmds[i].Start(); err != nil {
@@ -424,25 +470,7 @@ func launchGeneration(w io.Writer, spec *runspec.Spec, workerBin, specPath strin
 	return hashes[0], outs[0].String(), nil
 }
 
-// findWorkerBin locates cannikin-worker: the explicit flag, then next to
-// this binary, then $PATH.
-func findWorkerBin(flagVal string) (string, error) {
-	if flagVal != "" {
-		return flagVal, nil
-	}
-	if self, err := os.Executable(); err == nil {
-		cand := filepath.Join(filepath.Dir(self), "cannikin-worker")
-		if st, err := os.Stat(cand); err == nil && !st.IsDir() {
-			return cand, nil
-		}
-	}
-	if path, err := exec.LookPath("cannikin-worker"); err == nil {
-		return path, nil
-	}
-	return "", fmt.Errorf("cannikin-worker binary not found (build it with `go build ./cmd/cannikin-worker` or pass -worker-bin)")
-}
-
-// extractWeightsHash pulls the worker's "weights-sha256: <hex>" line.
+// extractWeightsHash pulls a rank's "weights-sha256: <hex>" line.
 func extractWeightsHash(out string) string {
 	for _, line := range strings.Split(out, "\n") {
 		if rest, ok := strings.CutPrefix(strings.TrimSpace(line), "weights-sha256:"); ok {
@@ -463,12 +491,35 @@ func auditToString(a *cannikin.AuditSummary) string {
 	return fmt.Sprintf("%d ok", a.Plans)
 }
 
-func printCatalog(w io.Writer) error {
+// printCatalog prints the workload and GPU catalogs, then the node table of
+// the cluster the spec names (its preset, or its -models list) for the
+// spec's workload: each node's compute model, memory-limited batch cap, and
+// the cluster's communication constants.
+func printCatalog(w io.Writer, spec *runspec.Spec) error {
+	var c *cluster.Cluster
+	var err error
+	if len(spec.Models) > 0 {
+		c, err = cluster.FromModels("custom", spec.Models, rng.New(spec.Seed))
+	} else {
+		c, err = cluster.Preset(spec.Cluster, rng.New(spec.Seed))
+	}
+	if err != nil {
+		return err
+	}
+	wl, err := workload.Get(spec.Workload)
+	if err != nil {
+		return err
+	}
+	model, err := c.TrueModel(wl.Profile)
+	if err != nil {
+		return err
+	}
+
 	fmt.Fprintln(w, "Workloads (paper Table 5):")
 	wt := trace.NewTable("name", "task", "dataset", "model", "optimizer", "lr scaler", "B0", "target")
-	for _, wl := range cannikin.Workloads() {
-		wt.AddRowValues(wl.Name, wl.Task, wl.Dataset, wl.Model, wl.Optimizer, wl.LRScaler,
-			wl.InitBatch, fmt.Sprintf("%s=%.2f", wl.TargetMetric, wl.TargetValue))
+	for _, info := range cannikin.Workloads() {
+		wt.AddRowValues(info.Name, info.Task, info.Dataset, info.Model, info.Optimizer, info.LRScaler,
+			info.InitBatch, fmt.Sprintf("%s=%.2f", info.TargetMetric, info.TargetValue))
 	}
 	if err := wt.Fprint(w); err != nil {
 		return err
@@ -478,7 +529,30 @@ func printCatalog(w io.Writer) error {
 	for _, g := range cannikin.GPUModels() {
 		gt.AddRowValues(g.Key, g.Name, g.Year, g.Arch, g.CUDACores, g.MemoryGB, g.FP16TFLOPS)
 	}
-	return gt.Fprint(w)
+	if err := gt.Fprint(w); err != nil {
+		return err
+	}
+
+	fmt.Fprintf(w, "\nCluster %s: %d nodes, job %s (%s)\n\n", c.Name, c.N(), wl.Name, wl.ModelName)
+	caps := c.Caps(wl.Profile)
+	ct := trace.NewTable("node", "gpu", "cpu speed", "share", "max batch",
+		"a(b)=q*b+s", "P(b)=k*b+m", "t(32) ms")
+	for i, d := range c.Devices {
+		nm := model.Nodes[i]
+		ct.AddRowValues(
+			fmt.Sprint(i), d.Model.Name, d.CPUSpeed, d.SpeedFraction, caps[i],
+			fmt.Sprintf("%.3g*b+%.3g", nm.Q, nm.S),
+			fmt.Sprintf("%.3g*b+%.3g", nm.K, nm.M),
+			nm.Compute(32)*1e3,
+		)
+	}
+	if err := ct.Fprint(w); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "\ncommunication: gamma=%.3f  To=%.2fms  Tu=%.2fms  TComm=%.2fms\n",
+		model.Gamma, model.To*1e3, model.Tu*1e3, model.TComm()*1e3)
+	fmt.Fprintf(w, "total batch capacity: %d samples\n", c.Capacity(wl.Profile))
+	return nil
 }
 
 func intsToString(xs []int) string {

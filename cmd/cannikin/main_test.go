@@ -20,6 +20,58 @@ func TestRunList(t *testing.T) {
 	}
 }
 
+// TestRunListShowsClusterDetails: after the catalogs, -list prints the node
+// table of the cluster the flags name, for their workload.
+func TestRunListShowsClusterDetails(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-list", "-cluster", "b", "-workload", "imagenet"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out := sb.String()
+	for _, want := range []string{"16 nodes", "A100", "Quadro RTX 6000", "gamma=", "total batch capacity"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("output missing %q:\n%s", want, out)
+		}
+	}
+
+	sb.Reset()
+	if err := run([]string{"-list", "-models", "H100,P100"}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(sb.String(), "Cluster custom: 2 nodes") {
+		t.Fatalf("-models cluster missing:\n%s", sb.String())
+	}
+}
+
+// TestRunListClusterA: -list shows the default cluster, a, when no
+// -cluster is given.
+func TestRunListClusterA(t *testing.T) {
+	for _, args := range [][]string{{"-list"}, {"-list", "-cluster", "a", "-workload", "cifar10"}} {
+		var sb strings.Builder
+		if err := run(args, &sb); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(sb.String(), "Cluster cluster-a: 3 nodes") {
+			t.Fatalf("%v: cluster A node count missing:\n%s", args, sb.String())
+		}
+	}
+}
+
+// TestRunListErrors: -list names a cluster and a workload, so unknown ones
+// fail it.
+func TestRunListErrors(t *testing.T) {
+	var sb strings.Builder
+	if err := run([]string{"-list", "-cluster", "z"}, &sb); err == nil {
+		t.Fatal("unknown cluster accepted")
+	}
+	if err := run([]string{"-list", "-workload", "nope"}, &sb); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+	if err := run([]string{"-list", "-nope"}, &sb); err == nil {
+		t.Fatal("bad flag accepted")
+	}
+}
+
 func TestRunTrainsAndPrintsTrace(t *testing.T) {
 	var sb strings.Builder
 	err := run([]string{"-cluster", "a", "-workload", "cifar10", "-system", "cannikin", "-epochs", "5"}, &sb)

@@ -188,7 +188,7 @@ func runOne(id string, opt experiments.Options, out renderer) error {
 		if err := out.table(tab); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "(compute-share event at epoch %d; reference = OptPerf re-solved on the perturbed cluster)\n", eventEpoch)
+		fmt.Fprintf(w, "\n(compute-share event at epoch %d; reference = OptPerf re-solved on the perturbed cluster)\n", eventEpoch)
 		return nil
 	case "sched":
 		section("Extension: heterogeneity-aware job scheduling")

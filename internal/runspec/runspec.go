@@ -3,8 +3,8 @@
 // cluster or real MLP training, fault mini-DSL, chaos, and the transport
 // wiring of a multi-process ring — and can come from flags, from a JSON
 // file (-spec run.json), or both: flags set explicitly on the command line
-// override the file, so `cannikin-worker -spec run.json -rank 2` launches
-// rank 2 of a shared spec.
+// override the file, so `cannikin -spec run.json -rank 2` runs rank 2 of a
+// shared spec.
 //
 // The package is deliberately dependency-light (stdlib only): the cmds
 // translate a Spec into the public cannikin API, not the other way around.
@@ -86,15 +86,14 @@ type Spec struct {
 
 	// Ring transport wiring (MLP mode). Transport "chan" runs all workers
 	// in one process over channels; "tcp" spans one OS process per rank.
-	// Peers lists every rank's address (empty in coordinator mode: the
-	// coordinator reserves localhost ports itself). Rank and Listen belong
-	// to a single worker process.
+	// Peers lists every rank's address: set, the process is rank Rank of
+	// that ring (listening on Listen, if given); empty, it is the
+	// coordinator, which reserves localhost ports and starts the ranks.
 	Transport string   `json:"transport,omitempty"`
 	Rank      int      `json:"rank,omitempty"`
 	Peers     []string `json:"peers,omitempty"`
 	Listen    string   `json:"listen,omitempty"`
 	Guard     bool     `json:"guard,omitempty"`
-	WorkerBin string   `json:"worker_bin,omitempty"`
 }
 
 // Default returns the Spec matching the historical flag defaults.
@@ -340,11 +339,10 @@ func registerFlags(fs *flag.FlagSet, s *Spec) {
 	str("checkpoint-out", &s.CheckpointOut, "write final weights and optimizer velocity to this checkpoint file (rank 0 only under tcp)")
 
 	str("transport", &s.Transport, `ring transport for -mlp: "chan" (in-process) or "tcp" (one OS process per worker over real sockets)`)
-	intf("rank", &s.Rank, "this process's ring rank (worker mode)")
-	fs.Var(&commaStrings{&s.Peers}, "peers", "comma-separated host:port of every rank, in rank order (empty = coordinator reserves localhost ports)")
+	intf("rank", &s.Rank, "this process's ring rank (with -peers)")
+	fs.Var(&commaStrings{&s.Peers}, "peers", "comma-separated host:port of every rank, in rank order: this process runs rank -rank of that ring (empty = coordinator: reserves localhost ports and starts every rank)")
 	str("listen", &s.Listen, "listen address override for this rank (default: peers[rank])")
 	boolf("guard", &s.Guard, "run every ring hop under per-hop deadlines, so a stalled peer fails the run with blame")
-	str("worker-bin", &s.WorkerBin, "path to the cannikin-worker binary (coordinator mode; default: next to this binary, then $PATH)")
 }
 
 // Resolve returns the final Spec after fs.Parse: the flag-built Spec when

@@ -110,7 +110,7 @@ func fullSpec() *Spec {
 		Resume: "join-1", CheckpointIn: "/tmp/in.ckpt", CheckpointOut: "/tmp/out.ckpt",
 		Transport: TransportTCP, Rank: 2,
 		Peers:  []string{"127.0.0.1:9001", "127.0.0.1:9002", "127.0.0.1:9003"},
-		Listen: "0.0.0.0:9003", Guard: true, WorkerBin: "/tmp/worker",
+		Listen: "0.0.0.0:9003", Guard: true,
 	}
 }
 
@@ -207,7 +207,7 @@ func TestEveryFlagOverridesSpecFile(t *testing.T) {
 		"-autoscale-shrink", "0.02", "-autoscale-batch", "4", "-resume", "join-1",
 		"-checkpoint-in", "/tmp/in.ckpt", "-checkpoint-out", "/tmp/out.ckpt",
 		"-transport", "tcp", "-rank", "2", "-peers", "127.0.0.1:9001,127.0.0.1:9002,127.0.0.1:9003",
-		"-listen", "0.0.0.0:9003", "-guard", "-worker-bin", "/tmp/worker",
+		"-listen", "0.0.0.0:9003", "-guard",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -286,7 +286,7 @@ func TestElasticFlags(t *testing.T) {
 // TestFlagOverridesSpecFile is the precedence contract: a -spec file sets
 // the baseline, explicitly-set flags win, untouched fields come from the
 // file — which is exactly how the coordinator shares one spec across ranks
-// (`cannikin-worker -spec run.json -rank N`).
+// (`cannikin -spec run.json -rank N`).
 func TestFlagOverridesSpecFile(t *testing.T) {
 	base := fullSpec()
 	path := filepath.Join(t.TempDir(), "run.json")

@@ -32,8 +32,9 @@ func (TrainRunner) Run(ctx context.Context, spec *runspec.Spec, _ []int, onEpoch
 }
 
 // MLPConfigOf lowers a run spec's MLP fields onto the public config — the
-// one lowering behind the cannikin command, cannikin-worker, and the
-// service, so a spec means the same run wherever it is submitted. It does
+// one lowering behind the cannikin command (in process, and as each rank of
+// a TCP ring) and the service, so a spec means the same run wherever it is
+// submitted. It does
 // no I/O: checkpoint files (Spec.CheckpointIn/Out) stay with the commands,
 // and the service never opens a path a client names.
 func MLPConfigOf(spec *runspec.Spec) cannikin.MLPConfig {

@@ -150,17 +150,14 @@ lane -race -count=2 -run 'TestWorkerMatchesTrainBitwise|TestWorkerObservesLikeTr
 echo "== wire lane: frames written from and read into the message buffers -race -cpu 1,2,4 =="
 lane -race -count=1 -cpu 1,2,4 -run 'TestTCPWireFormatGolden|TestTCPWireSwapBytes|TestTCPSteadyStateReduceAllocsZero|TestTCPStatsConservation|TestTCPInlineAndQueuedFramesKeepOrder|TestTCPGuardedHopToStalledPeerTimesOut' ./internal/allreduce
 
-echo "== multi-process smoke: coordinator + worker processes over loopback tcp =="
+echo "== multi-process smoke: the coordinator starts itself as each rank over loopback tcp =="
 go build -o "$BIN/cannikin" ./cmd/cannikin
-go build -o "$BIN/cannikin-worker" ./cmd/cannikin-worker
-# 3 worker processes; the coordinator itself verifies every rank's weight
+# 3 rank processes; the coordinator itself verifies every rank's weight
 # hash against the in-process channel-transport reference, so a plain
 # exit-0 here is the bitwise cross-check.
-"$BIN/cannikin" -mlp -transport tcp -mlp-batches 8,4,2 -epochs 1 \
-	-worker-bin "$BIN/cannikin-worker" >/dev/null
-# 2 worker processes, guarded hops.
-"$BIN/cannikin" -mlp -transport tcp -mlp-batches 6,6 -epochs 1 \
-	-guard -worker-bin "$BIN/cannikin-worker" >/dev/null
+"$BIN/cannikin" -mlp -transport tcp -mlp-batches 8,4,2 -epochs 1 >/dev/null
+# 2 rank processes, guarded hops.
+"$BIN/cannikin" -mlp -transport tcp -mlp-batches 6,6 -epochs 1 -guard >/dev/null
 
 # Elastic lane: the hot-join/autoscaler differential suite asserts bitwise
 # trajectory equality across membership changes (join ≡ fresh run from the
@@ -185,13 +182,15 @@ lane -race -count=1 -cpu 1,2,4 -run 'Elastic|Join|Autoscal' ./internal/runtime .
 echo "== config lane: each run rule validated once, before training, dialing or admission -race =="
 lane -race -count=1 -run 'TestMLPConfigRulesAtPublicBoundary|TestMLPWorkerValidatesBeforeDial|TestMLPRejectsBadLayersAndOptimizer|TestMLPWorkerBadRankReleasesListen|TestTCPBadConfigReleasesListener|TestAutoscalerConfigValidate|TestDecodeRejectsTrailingData|TestSubmitOversizedBody413|TestTrainRejectsNegativeMaxEpochs|TestClusterRejectsNonFinite|TestValidateRejectsMembershipPastDataset|TestAutoscalerRejectsNonFiniteThresholds' . ./internal/runtime ./internal/runspec ./internal/server ./internal/allreduce
 
-echo "== elastic smoke: tcp hot-join, a 4th worker process joins mid-run =="
-# Generation 1 runs 3 worker processes; at epoch 1 the coordinator hands
+echo "== elastic smoke: tcp hot-join, a 4th rank process joins mid-run =="
+# Generation 1 runs 3 rank processes; at epoch 1 the coordinator hands
 # the weights+velocity checkpoint to a 4-process generation. The
 # coordinator verifies the final hash on every rank and against the
-# in-process hot-join reference, so exit 0 is the bitwise cross-check.
+# in-process hot-join reference, so exit 0 is the bitwise cross-check;
+# the last generation writes -checkpoint-out.
 "$BIN/cannikin" -mlp -transport tcp -mlp-batches 6,4,2 -epochs 2 \
-	-join 1:4 -worker-bin "$BIN/cannikin-worker" >/dev/null
+	-join 1:4 -checkpoint-out "$BIN/join.ckpt" >/dev/null
+[ -s "$BIN/join.ckpt" ] || { echo "tcp hot-join wrote no -checkpoint-out" >&2; exit 1; }
 
 echo "== live-backend smoke: short epochs through the CLI =="
 go run ./cmd/cannikin -mlp -backend live -epochs 2 -mlp-batches 16,8,4 -bucket-bytes 2048 >/dev/null
