@@ -128,11 +128,12 @@ type TCPTransport struct {
 	// ring's queues.
 	free bufPool
 
-	mu      sync.Mutex
-	closed  bool             // under mu: no socket is attached once set
-	peers   map[int]*tcpConn // under mu
-	wg      sync.WaitGroup   // accept loop, socket loops, peer dials
-	closing sync.Once
+	mu       sync.Mutex
+	closed   bool                  // under mu: no socket is attached once set
+	peers    map[int]*tcpConn      // under mu
+	greeting map[net.Conn]struct{} // under mu: accepted, hello not yet read
+	wg       sync.WaitGroup        // accept loop, greets, socket loops, peer dials
+	closing  sync.Once
 
 	bytesSent, bytesRecv atomic.Int64
 	msgsSent, msgsRecv   atomic.Int64
@@ -162,6 +163,7 @@ func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
 		ln:          cfg.Listener, // owned even when unused: Close releases it
 		fault:       newFault(),
 		free:        make(bufPool, 2*tcpQueueDepth),
+		greeting:    make(map[net.Conn]struct{}),
 	}
 	if t.dialTimeout <= 0 {
 		t.dialTimeout = 10 * time.Second
@@ -209,10 +211,11 @@ func (t *TCPTransport) connect() error {
 	}
 }
 
-// acceptLoop serves the listener for the transport's whole life and routes
-// each hello to its socket: the predecessor's ring dial, and peer-link
-// dials from lower ranks (which may arrive before ring bring-up finishes).
-// It exits when Close tears the listener down.
+// acceptLoop serves the listener for the transport's whole life and hands
+// each connection to its own greet, so a dial that never sends its hello
+// holds up no other: the predecessor's ring dial, and peer-link dials from
+// lower ranks (which may arrive before ring bring-up finishes). It exits
+// when Close tears the listener down.
 func (t *TCPTransport) acceptLoop() {
 	defer t.wg.Done()
 	for {
@@ -220,25 +223,44 @@ func (t *TCPTransport) acceptLoop() {
 		if err != nil {
 			return
 		}
-		_ = sock.SetReadDeadline(time.Now().Add(5 * time.Second)) // a socket that cannot set one still reads
-		magic, from, workers, err := readHello(sock)
-		_ = sock.SetReadDeadline(time.Time{})
-		var c *tcpConn
-		switch {
-		case err != nil || workers != t.n: // c stays nil
-		case magic == tcpMagic && from == t.pred.remote:
-			c = t.pred
-		case magic == tcpPeerMagic && from >= 0 && from < t.n && from != t.rank:
-			c = t.peerConn(from)
-		}
-		if c == nil {
-			// A stray or malformed connection (port scan, stale dial from a
-			// previous run): drop it and keep accepting.
+		t.mu.Lock()
+		if t.closed {
+			t.mu.Unlock()
 			sock.Close()
 			continue
 		}
-		c.attach(sock)
+		t.greeting[sock] = struct{}{}
+		t.wg.Add(1)
+		t.mu.Unlock()
+		go t.greet(sock)
 	}
+}
+
+// greet reads an accepted connection's hello, under a deadline that Close
+// cuts short, and routes it to its socket.
+func (t *TCPTransport) greet(sock net.Conn) {
+	defer t.wg.Done()
+	_ = sock.SetReadDeadline(time.Now().Add(5 * time.Second)) // a socket that cannot set one still reads
+	magic, from, workers, err := readHello(sock)
+	_ = sock.SetReadDeadline(time.Time{})
+	t.mu.Lock()
+	delete(t.greeting, sock)
+	t.mu.Unlock()
+	var c *tcpConn
+	switch {
+	case err != nil || workers != t.n: // c stays nil
+	case magic == tcpMagic && from == t.pred.remote:
+		c = t.pred
+	case magic == tcpPeerMagic && from >= 0 && from < t.n && from != t.rank:
+		c = t.peerConn(from)
+	}
+	if c == nil {
+		// A stray or malformed connection (port scan, stale dial from a
+		// previous run): drop it.
+		sock.Close()
+		return
+	}
+	c.attach(sock)
 }
 
 func writeHello(w io.Writer, magic string, rank, n int) error {
@@ -306,6 +328,10 @@ func (t *TCPTransport) Close() error {
 		}
 		for _, c := range t.peers {
 			conns = append(conns, c)
+		}
+		for sock := range t.greeting {
+			sock.Close() // its greet's read fails at once
+			delete(t.greeting, sock)
 		}
 		t.mu.Unlock()
 

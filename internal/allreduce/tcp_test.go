@@ -340,6 +340,90 @@ func TestTCPCloseLeavesNoGoroutines(t *testing.T) {
 	}
 }
 
+// TestTCPSilentDialStallsNoRing: a connection that never sends its hello —
+// a stray or half-open dial — sits in rank 1's accept backlog ahead of its
+// predecessor's ring dial. Each hello is read off the accept loop, so the
+// ring still forms at once instead of after the 5 s hello deadline, and
+// Close ends the greet still waiting on the silent socket: nothing is left
+// running. Not parallel: the goroutine count must be this test's own.
+func TestTCPSilentDialStallsNoRing(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	const n = 2
+	addrs, listeners, err := ReserveRingAddrs(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent, err := net.Dial("tcp", addrs[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer silent.Close()
+
+	start := time.Now()
+	trs := make([]*TCPTransport, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for rank := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			trs[rank], errs[rank] = NewTCPTransport(TCPConfig{
+				Rank: rank, Peers: addrs, Listener: listeners[rank], DialTimeout: 5 * time.Second,
+			})
+		}()
+	}
+	wg.Wait()
+	formed := time.Since(start)
+	set := ringSet{close: func() {
+		for _, tr := range trs {
+			if tr != nil {
+				tr.Close()
+			}
+		}
+	}}
+	for rank, err := range errs {
+		if err != nil {
+			set.close()
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+		ring, err := NewRingOver(trs[rank])
+		if err != nil {
+			set.close()
+			t.Fatal(err)
+		}
+		set.rings = append(set.rings, ring)
+	}
+	if formed > time.Second {
+		set.close()
+		t.Fatalf("the ring took %v to form beside a silent connection", formed)
+	}
+	got := randomVectors(rand.New(rand.NewSource(41)), n, 257)
+	want := cloneVectors(got)
+	inlineReference(AlgoRing, want)
+	for rank, err := range reduceAllAlg(set, got, AlgoRing, false) {
+		if err != nil {
+			set.close()
+			t.Fatalf("rank %d: %v", rank, err)
+		}
+	}
+	assertBitwise(t, "beside a silent connection", got, want)
+
+	start = time.Now()
+	set.close()
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("Close took %v: it waited on the silent connection's hello", d)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("goroutines leaked: %d > baseline %d\n%s",
+				runtime.NumGoroutine(), baseline, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
 // loopbackPair returns the two ends of one established loopback TCP
 // connection.
 func loopbackPair(t *testing.T) (dialed, accepted net.Conn) {

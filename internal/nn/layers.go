@@ -69,22 +69,25 @@ type Linear struct {
 	out, dx *tensor.T
 }
 
-// NewLinear returns a Linear layer with Xavier/Glorot-initialized weights.
+// NewLinear returns a Linear layer with Xavier/Glorot-initialized weights:
+// the layer of the one-layer NewMLP([]int{in, out}, src).
 func NewLinear(in, out int, src *rng.Source) *Linear {
-	return newLinear(in, out, src, make([]float64, linearSize(in, out)))
+	w := tensor.Randn(in, out, xavierStd(in, out), src)
+	return newLinear(w, make([]float64, linearSize(in, out)))
 }
 
 // linearSize is the scalar count of an in x out Linear layer's parameters.
 func linearSize(in, out int) int { return in*out + out }
 
-// newLinear is NewLinear with the gradients laid out in grad, which holds
-// linearSize(in, out) elements: the weight's first, then the bias's.
-func newLinear(in, out int, src *rng.Source, grad []float64) *Linear {
-	std := math.Sqrt(2.0 / float64(in+out))
+// newLinear returns the Linear layer with weights w, in x out, +0 biases,
+// and the gradients laid out in grad, which holds linearSize(in, out)
+// elements: the weight's first, then the bias's.
+func newLinear(w *tensor.T, grad []float64) *Linear {
+	in, out := w.Rows(), w.Cols()
 	return &Linear{
 		w: &Param{
 			Name: fmt.Sprintf("linear_%dx%d/w", in, out),
-			W:    tensor.Randn(in, out, std, src),
+			W:    w,
 			Grad: tensor.View(in, out, grad[:in*out]),
 		},
 		b: &Param{
@@ -253,7 +256,10 @@ type Network struct {
 }
 
 // NewMLP builds Linear+ReLU stacks with a final Linear, e.g. sizes
-// [in, hidden..., out]. The gradients are one slab (FlatGrad).
+// [in, hidden..., out], initialized by MLPWeightsInto over [0, NumParams())
+// and leaving src after every weight's draw. A nil src draws nothing and
+// leaves every weight +0, for a caller that sets them (SetFlatWeights). The
+// gradients are one slab (FlatGrad).
 func NewMLP(sizes []int, src *rng.Source) *Network {
 	if len(sizes) < 2 {
 		panic("nn: NewMLP needs at least input and output sizes")
@@ -264,13 +270,22 @@ func NewMLP(sizes []int, src *rng.Source) *Network {
 	}
 	grads := make([]float64, dim)
 	var layers []Layer
+	draws := 0
 	for i, off := 0, 0; i < len(sizes)-1; i++ {
 		size := linearSize(sizes[i], sizes[i+1])
-		layers = append(layers, newLinear(sizes[i], sizes[i+1], src, grads[off:off+size]))
+		l := newLinear(tensor.New(sizes[i], sizes[i+1]), grads[off:off+size])
+		if src != nil {
+			MLPWeightsInto(sizes, src, l.w.W.Data(), off)
+		}
+		layers = append(layers, l)
 		off += size
+		draws += sizes[i] * sizes[i+1]
 		if i < len(sizes)-2 {
 			layers = append(layers, &ReLU{})
 		}
+	}
+	if src != nil {
+		src.Skip(rng.NormUint64s * uint64(draws))
 	}
 	return &Network{layers: layers, grads: grads}
 }

@@ -222,6 +222,10 @@ func TestJoinGrowsCluster(t *testing.T) {
 	if !equalWeights(results["sim"].FinalVelocity, results["live"].FinalVelocity) {
 		t.Fatal("sim and live diverge on the final optimizer state")
 	}
+	// The live profile times both incarnations' builds: 3 workers, then 4.
+	if b := results["live"].Profile.Builds; len(b) != 2 || b[0] <= 0 || b[1] <= 0 {
+		t.Fatalf("live builds %v, want two positive times", b)
+	}
 }
 
 // TestDifferentialJoin proves the join semantics exactly (property (b) of

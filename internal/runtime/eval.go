@@ -32,15 +32,33 @@ type evaluator struct {
 	// own is the span of logits.Data() the shards write; share, when set,
 	// replicates the rest from the other ranks.
 	own   [2]int
-	share *evalShare
+	share *rankShare
 }
 
-// evalShare is a worker-mode rank's part in the evaluation: rank of ring
-// forwards rows [rank·R/n, (rank+1)·R/n), and the logits reduce passes opts.
-type evalShare struct {
+// rankShare is a worker-mode rank's part in the work every rank of the ring
+// would otherwise repeat — the initial weights and the evaluation: rank of
+// ring computes its span of the whole, leaves +0 everywhere else, and one
+// unweighted ring reduce under opts replicates the rest. Each entry then
+// has at most one contributor that is not +0, and x + (+0) = x exactly.
+type rankShare struct {
 	ring *allreduce.Ring
 	rank int
 	opts allreduce.Options
+}
+
+// span is the rank's part [lo, hi) of total entries, [0, total) without a
+// share.
+func (s *rankShare) span(total int) (lo, hi int) {
+	if s == nil {
+		return 0, total
+	}
+	n := s.ring.Workers()
+	return s.rank * total / n, (s.rank + 1) * total / n
+}
+
+// replicate sums every rank's v into v.
+func (s *rankShare) replicate(v []float64) error {
+	return s.ring.ReduceWith(s.rank, v, s.opts)
 }
 
 type evalShard struct {
@@ -54,13 +72,9 @@ type evalShard struct {
 // are sharded over min(usableCores, rows) shadows of net — or over one when
 // their whole forward, about 2·rows·params flops, is under the kernel pool's
 // work floor, and over none when the rank has no rows.
-func newEvaluator(net *nn.Network, ds *data.Dataset, classes int, share *evalShare) *evaluator {
+func newEvaluator(net *nn.Network, ds *data.Dataset, classes int, share *rankShare) *evaluator {
 	rows := ds.Len()
-	lo, hi := 0, rows
-	if share != nil {
-		n := share.ring.Workers()
-		lo, hi = share.rank*rows/n, (share.rank+1)*rows/n
-	}
+	lo, hi := share.span(rows)
 	p := min(1, hi-lo)
 	if 2*(hi-lo)*net.NumParams() >= tensor.ParallelWorkFloor {
 		p = min(usableCores(), hi-lo)
@@ -120,7 +134,7 @@ func (e *evaluator) replicate() error {
 	all := e.logits.Data()
 	clear(all[:e.own[0]])
 	clear(all[e.own[1]:])
-	return e.share.ring.ReduceWith(e.share.rank, all, e.share.opts)
+	return e.share.replicate(all)
 }
 
 // score is the loss and accuracy of the assembled logits.

@@ -65,6 +65,11 @@ type Profile struct {
 	Dim       int
 	// Samples are ordered by (Step, Worker).
 	Samples []Sample
+	// Builds are the wall-clock seconds each cluster incarnation of the run
+	// took to build (newDriver: loader, the model — with, in worker mode,
+	// the reduce that replicates its initial weights — optimizer and
+	// executor), in incarnation order.
+	Builds []float64
 }
 
 // WorkerSamples returns rank i's samples in step order.

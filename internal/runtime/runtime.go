@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"time"
 
 	"cannikin/internal/allreduce"
 	"cannikin/internal/chaos"
@@ -412,11 +413,13 @@ func train(cfg *Config, host hosting) (*Result, error) {
 	if cfg.Fault != nil {
 		inc.schedule = cfg.Fault.Schedule
 	}
+	var builds []float64
 	for {
 		d, err := newDriver(cfg, inc, res, host)
 		if err != nil {
 			return nil, err
 		}
+		builds = append(builds, d.built)
 		change, err := d.runEpochs()
 		if err == nil && change != nil {
 			// The replicas outlive the executor (the driver owns them), but
@@ -433,6 +436,9 @@ func train(cfg *Config, host hosting) (*Result, error) {
 			return nil, err
 		}
 		if change == nil {
+			if res.Profile != nil {
+				res.Profile.Builds = builds
+			}
 			return res, nil
 		}
 	}
@@ -474,11 +480,15 @@ type driver struct {
 	// is the reusable buffer for the epoch-final partial batch (whose shard
 	// sizes differ from the plan).
 	weights, partialWeights []float64
+	// built is the seconds newDriver took.
+	built float64
 }
 
-// newDriver is the build phase: loader, the model and its replicas, the
-// optimizer, fault tolerance, bucket schedule, and the executor.
+// newDriver is the build phase: loader, fault tolerance, the model and its
+// replicas (in worker mode, with the reduce that replicates the initial
+// weights), the optimizer, bucket schedule, and the executor.
 func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*driver, error) {
+	start := time.Now()
 	n := len(inc.localBatches)
 	ranks := host.ranks
 	if ranks == nil {
@@ -498,33 +508,6 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 		partialWeights: make([]float64, n),
 	}
 	d.planWeights()
-
-	// The process holds one model, built once: the incarnation's seed vector
-	// (a commit checkpoint, or Config.InitWeights), or rank 0's random
-	// initialization — Split is pure, so every process derives it directly
-	// instead of receiving a broadcast. Every hosted rank trains a replica of
-	// it: the weights are one store, the gradients are per rank.
-	net := nn.NewMLP(cfg.Sizes, inc.src.Split("init-0"))
-	if inc.initWeights != nil {
-		if want := net.NumParams(); len(inc.initWeights) != want {
-			return nil, fmt.Errorf("runtime: init weights dim %d, want %d", len(inc.initWeights), want)
-		}
-		net.SetFlatWeights(inc.initWeights)
-	}
-	d.replicas[0] = net
-	for i := 1; i < len(d.replicas); i++ {
-		d.replicas[i] = net.Replica()
-	}
-	// Velocity is bound before the first step, so the hosted ranks stepping
-	// their spans concurrently never write the optimizer's map. A join
-	// handoff restores it: the incumbents continue their velocity trajectory
-	// and the joiner adopts it.
-	d.sgd.Bind(net.Params())
-	if inc.initVelocity != nil {
-		if err := d.sgd.SetFlatVelocity(net.Params(), inc.initVelocity); err != nil {
-			return nil, fmt.Errorf("runtime: %w", err)
-		}
-	}
 
 	var ft *faultTolerance
 	if cfg.Fault != nil {
@@ -548,6 +531,34 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 		}
 	}
 
+	// A worker process draws its rank's share of the initial weights and
+	// evaluates its share of the rows; the replicating reduces are guarded
+	// like the step's.
+	var share *rankShare
+	if host.remote() {
+		share = &rankShare{ring: host.ring, rank: ranks[0], opts: host.hopOptions(ft)}
+	}
+	// The process holds one model, built once, and every hosted rank trains
+	// a replica of it: the weights are one store, the gradients are per rank.
+	net, err := buildModel(cfg, inc, share)
+	if err != nil {
+		return nil, err
+	}
+	d.replicas[0] = net
+	for i := 1; i < len(d.replicas); i++ {
+		d.replicas[i] = net.Replica()
+	}
+	// Velocity is bound before the first step, so the hosted ranks stepping
+	// their spans concurrently never write the optimizer's map. A join
+	// handoff restores it: the incumbents continue their velocity trajectory
+	// and the joiner adopts it.
+	d.sgd.Bind(net.Params())
+	if inc.initVelocity != nil {
+		if err := d.sgd.SetFlatVelocity(net.Params(), inc.initVelocity); err != nil {
+			return nil, fmt.Errorf("runtime: %w", err)
+		}
+	}
+
 	// Every process must derive the identical partition and schedules from
 	// the shared Config alone.
 	dim := net.NumParams()
@@ -566,14 +577,41 @@ func newDriver(cfg *Config, inc *incarnation, res *Result, host hosting) (*drive
 		}
 		d.exec = d.rebuild()
 	}
-	// A worker process evaluates its rank's share of the rows; the
-	// replicating reduce is guarded like the step's.
-	var share *evalShare
-	if host.remote() {
-		share = &evalShare{ring: host.ring, rank: ranks[0], opts: host.hopOptions(ft)}
-	}
 	d.eval = newEvaluator(net, cfg.Dataset, cfg.Sizes[len(cfg.Sizes)-1], share)
+	d.built = time.Since(start).Seconds()
 	return d, nil
+}
+
+// buildModel builds the process's one model with the incarnation's initial
+// weights. A seed vector (a commit checkpoint, or Config.InitWeights) is
+// set over a model that draws nothing. Otherwise the weights are rank 0's
+// Xavier initialization from Split("init-0"): Split is pure, so every
+// process derives them without a broadcast. In one process, or on a ring
+// of one, the model draws them all; with a share of n > 1, the rank draws
+// only its span of the flat vector and the share's reduce replicates the
+// rest. No drawn weight is −0 (0 + std·z), so every rank holds the bits of
+// the full draw.
+func buildModel(cfg *Config, inc *incarnation, share *rankShare) (*nn.Network, error) {
+	if inc.initWeights == nil && (share == nil || share.ring.Workers() == 1) {
+		return nn.NewMLP(cfg.Sizes, inc.src.Split("init-0")), nil
+	}
+	net := nn.NewMLP(cfg.Sizes, nil)
+	dim := net.NumParams()
+	if seed := inc.initWeights; seed != nil {
+		if len(seed) != dim {
+			return nil, fmt.Errorf("runtime: init weights dim %d, want %d", len(seed), dim)
+		}
+		net.SetFlatWeights(seed)
+		return net, nil
+	}
+	lo, hi := share.span(dim)
+	w := make([]float64, dim)
+	nn.MLPWeightsInto(cfg.Sizes, inc.src.Split("init-0"), w[lo:hi], lo)
+	if err := share.replicate(w); err != nil {
+		return nil, fmt.Errorf("runtime: replicating the initial weights: %w", err)
+	}
+	net.SetFlatWeights(w)
+	return net, nil
 }
 
 // planWeights sets the Eq. 9 ratios of the planned local batches.

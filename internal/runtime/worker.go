@@ -25,18 +25,20 @@ const BackendWorker = "worker"
 //
 // TrainWorker is Train's driver and live engine hosting that single rank, so
 // it honors the same Config — Ctx, OnEpoch (every rank observes identical
-// epochs) — and Result.Profile carries the hosted rank's samples. It
-// produces weights bitwise-identical to Train on the same Config:
+// epochs) — and Result.Profile carries the hosted rank's samples and build
+// time. It produces weights bitwise-identical to Train on the same Config:
 // determinism rests on rng.Source.Split being pure, so every process
-// independently reproduces the dataset, the loader's full draw sequence (it
-// draws every rank's shard and trains only on its own), and the common
-// initial weights — and on the ring fixing the gradient summation order
-// regardless of transport.
+// independently reproduces the dataset and the loader's full draw sequence
+// (it draws every rank's shard and trains only on its own) — and on the
+// ring fixing the gradient summation order regardless of transport.
 //
-// Cross-rank GNS state is replicated exactly by ring-reducing each rank's
-// one-hot |g_i|² vector: adding zeros is exact in floating point, so every
-// process observes identical norms and follows the identical learning-rate
-// schedule.
+// What every rank would otherwise repeat is done once, by ring-reducing
+// vectors in which each entry has one contributor that is not +0 — adding
+// zeros is exact in floating point: without seed weights, rank r draws only
+// its span [r·D/n, (r+1)·D/n) of the common initial weights; each rank
+// forwards 1/n of the evaluation rows; and cross-rank GNS state travels as
+// one-hot |g_i|² vectors, so every process observes identical norms and
+// follows the identical learning-rate schedule.
 //
 // What one process cannot do is change the membership of a ring it only
 // hosts a part of: a run that reaches a fault eviction, a scheduled join,

@@ -11,8 +11,10 @@ import (
 	"time"
 
 	"cannikin/internal/allreduce"
+	"cannikin/internal/data"
 	"cannikin/internal/gns"
 	"cannikin/internal/nn"
+	"cannikin/internal/rng"
 	"cannikin/internal/tensor"
 )
 
@@ -109,6 +111,23 @@ func TestWorkerMatchesTrainBitwise(t *testing.T) {
 		}},
 		{name: "tiny-buckets", batches: []int{10, 5}, samples: 300, mutate: func(c *Config) {
 			c.BucketBytes = 64 * 8
+		}},
+		// Each rank draws its 1/n of the initial weights.
+		{name: "three", batches: []int{5, 4, 3}, samples: 150},
+		{name: "three-guarded", batches: []int{6, 3, 3}, samples: 144, guard: true},
+		// A 1→2 model has 4 weights: of 5 ranks, rank 0 draws none, ranks 1
+		// and 2 one W entry each, ranks 3 and 4 one bias each.
+		{name: "five-tiny", batches: []int{4, 3, 3, 2, 2}, samples: 98, mutate: func(c *Config) {
+			ds, err := data.SyntheticBlobs(98, 1, 2, 0.6, c.Src)
+			if err != nil {
+				panic(err)
+			}
+			c.Sizes, c.Dataset = []int{1, 2}, ds
+		}},
+		// Seed weights: no rank draws, no reduce replicates them.
+		{name: "five-resume-guarded", batches: []int{4, 4, 3, 2, 1}, samples: 140, guard: true, mutate: func(c *Config) {
+			c.InitWeights = nn.NewMLP(c.Sizes, rng.New(99)).FlatWeights()
+			c.InitVelocity = nn.NewMLP(c.Sizes, rng.New(98)).FlatWeights()
 		}},
 	}
 	for _, tc := range cases {
@@ -209,7 +228,8 @@ func TestWorkerDeadPeerFault(t *testing.T) {
 // TestWorkerObservesLikeTrain: worker mode is the shared driver hosting one
 // rank, so it inherits what the driver does for Train — the epoch hook
 // fires once per epoch on every rank with exactly the sim run's values, and
-// the result carries the hosted rank's measured phase samples.
+// the result carries the hosted rank's measured phase samples and the time
+// its one build took.
 func TestWorkerObservesLikeTrain(t *testing.T) {
 	batches := []int{8, 6, 4}
 	var want []EpochObs
@@ -256,6 +276,9 @@ func TestWorkerObservesLikeTrain(t *testing.T) {
 			if smp.Worker != rank || smp.Pre <= 0 || smp.Backprop <= 0 || smp.Post <= 0 {
 				t.Fatalf("rank %d: sample %+v", rank, smp)
 			}
+		}
+		if len(p.Builds) != 1 || p.Builds[0] <= 0 {
+			t.Fatalf("rank %d: builds %v, want one positive time", rank, p.Builds)
 		}
 	}
 }
@@ -367,7 +390,7 @@ func TestWorkerEvaluationSharesRows(t *testing.T) {
 			evals := make([]*evaluator, n)
 			for rank := range evals {
 				nets[rank] = nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
-				evals[rank] = newEvaluator(nets[rank], cfg.Dataset, classes, &evalShare{ring: rings[rank], rank: rank})
+				evals[rank] = newEvaluator(nets[rank], cfg.Dataset, classes, &rankShare{ring: rings[rank], rank: rank})
 			}
 			refNet := nn.NewMLP(cfg.Sizes, cfg.Src.Split("init-0"))
 			ref := newEvaluator(refNet, cfg.Dataset, classes, nil)

@@ -197,6 +197,11 @@ type MLPProfile struct {
 	// per-node mean relative residual.
 	FitOK    bool
 	FitError float64
+	// Builds are the seconds each cluster incarnation took to build — in
+	// worker mode a process's bring-up after its ring is dialed, the
+	// replicating reduce of the initial weights included — in incarnation
+	// order.
+	Builds []float64
 }
 
 // TrainMLP runs real heterogeneous data-parallel training: every worker
@@ -324,6 +329,7 @@ func mlpResultOf(r *runtime.Result) *MLPResult {
 	}
 	if r.Profile != nil {
 		res.Profile = summarizeProfile(r.Profile)
+		res.Profile.Builds = r.Profile.Builds
 	}
 	for _, f := range r.FaultEvents {
 		res.FaultEvents = append(res.FaultEvents, faultEventRecords(f)...)

@@ -155,7 +155,7 @@ func TestTrainMLPLiveDeterministic(t *testing.T) {
 }
 
 // TestTrainMLPLiveProfile checks the public profile summary carries the
-// measured-then-fitted performance model.
+// measured-then-fitted performance model and the run's build time.
 func TestTrainMLPLiveProfile(t *testing.T) {
 	defer watchdog(t, 5*time.Minute)()
 	res, err := TrainMLP(MLPConfig{
@@ -185,6 +185,9 @@ func TestTrainMLPLiveProfile(t *testing.T) {
 		if p.A[w] <= 0 || p.Backprop[w] <= 0 {
 			t.Fatalf("non-positive mean phases %+v", p)
 		}
+	}
+	if len(p.Builds) != 1 || p.Builds[0] <= 0 {
+		t.Fatalf("builds %v, want the one incarnation's positive time", p.Builds)
 	}
 }
 

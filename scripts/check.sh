@@ -127,14 +127,18 @@ lane -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker' ./internal/allreduce 
 # start order (the dial backs off from half a millisecond instead of
 # sleeping a fixed 20 ms, and a successor that never listens fails at the
 # timeout with the refusal as its cause), ring and hd reduce bitwise the
-# inline reference, each rank evaluates 1/n of the rows and one reduce
-# replicates the logits (a planted -0 and a rank with no rows included),
-# rank 0 alone squares |g|² into the norm vector's extra slot, a warm step
-# allocates nothing, every rank trains and observes bitwise like Train, and
-# a bad spec fails before dialing. By name, so a rename cannot silently
-# drop them.
-echo "== worker lane: ring bring-up, 1/n evaluation, |g|² once, worker == Train -race -count=2 =="
-lane -race -count=2 -run 'TestWorkerMatchesTrainBitwise|TestWorkerObservesLikeTrain|TestAlgorithmTCPBitwise|TestMLPWorkerValidatesBeforeDial|TestWorkerEvaluationSharesRows|TestWorkerSteadyStateStepAllocsZero|TestDialBackoffSchedule|TestTCPDialRefusedNamesCause|TestTCPRingFormsInAnyStartOrder' . ./internal/allreduce ./internal/runtime
+# inline reference, each rank draws 1/n of the initial weights (any
+# partition of the flat vector into spans reassembles NewMLP's draw bit for
+# bit, and NewMLP draws the serial loop's values) and evaluates 1/n of the
+# rows, one reduce replicating each (a planted -0, a rank with no rows, and
+# ranks whose weight span is empty or only biases included), rank 0 alone
+# squares |g|² into the norm vector's extra slot, a warm step allocates
+# nothing, every rank — 2 to 5 of them, guarded or not, drawing or resuming
+# from seed weights — trains and observes bitwise like Train, and a bad
+# spec fails before dialing. By name, so a rename cannot silently drop
+# them.
+echo "== worker lane: ring bring-up, 1/n init and evaluation, |g|² once, worker == Train -race -count=2 =="
+lane -race -count=2 -run 'TestWorkerMatchesTrainBitwise|TestWorkerObservesLikeTrain|TestAlgorithmTCPBitwise|TestMLPWorkerValidatesBeforeDial|TestWorkerEvaluationSharesRows|TestWorkerSteadyStateStepAllocsZero|TestDialBackoffSchedule|TestTCPDialRefusedNamesCause|TestTCPRingFormsInAnyStartOrder|TestMLPWeightsIntoSpansMatchNewMLP|TestNewMLPDrawsTheSerialWeights' . ./internal/allreduce ./internal/runtime ./internal/nn
 
 # A tcp frame's payload is the message buffer's own bytes, viewed through
 # the package's one unsafe helper: -race is what turns checkptr on over that
@@ -144,11 +148,12 @@ lane -race -count=2 -run 'TestWorkerMatchesTrainBitwise|TestWorkerObservesLikeTr
 # recycle-after-write, whether the sending rank writes the frame itself (an
 # idle socket, counted as a write of one message) or the writer drains it
 # from a backlog. A stalled reader interleaves the two and every message
-# still arrives in send order with its exact bytes, and a guarded hop to a
-# stalled peer still times out within its budget. By name, so a rename
-# cannot silently drop them.
+# still arrives in send order with its exact bytes, a guarded hop to a
+# stalled peer still times out within its budget, and a connection that
+# never sends its hello delays neither the ring's forming nor Close. By
+# name, so a rename cannot silently drop them.
 echo "== wire lane: frames written from and read into the message buffers -race -cpu 1,2,4 =="
-lane -race -count=1 -cpu 1,2,4 -run 'TestTCPWireFormatGolden|TestTCPWireSwapBytes|TestTCPSteadyStateReduceAllocsZero|TestTCPStatsConservation|TestTCPInlineAndQueuedFramesKeepOrder|TestTCPGuardedHopToStalledPeerTimesOut' ./internal/allreduce
+lane -race -count=1 -cpu 1,2,4 -run 'TestTCPWireFormatGolden|TestTCPWireSwapBytes|TestTCPSteadyStateReduceAllocsZero|TestTCPStatsConservation|TestTCPInlineAndQueuedFramesKeepOrder|TestTCPGuardedHopToStalledPeerTimesOut|TestTCPSilentDialStallsNoRing' ./internal/allreduce
 
 echo "== multi-process smoke: the coordinator starts itself as each rank over loopback tcp =="
 go build -o "$BIN/cannikin" ./cmd/cannikin

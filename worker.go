@@ -49,8 +49,9 @@ type RingStats struct {
 // TrainMLPWorker runs this process's rank of a data-parallel MLP training
 // job spanning several OS processes connected by a TCP ring. Every process
 // must be started with the identical MLPConfig (same seed above all) and
-// the identical Peers list; each then reproduces the dataset, the loader
-// sequence, and the common initial weights deterministically, and the ring
+// the identical Peers list; each then reproduces the dataset and the loader
+// sequence deterministically, draws its 1/n share of the common initial
+// weights (one ring reduce replicates the rest, exactly), and the ring
 // fixes the gradient summation order — so the trained weights are
 // bitwise-identical on every rank, and bitwise-identical to a
 // single-process TrainMLP run of the same config.
@@ -58,7 +59,8 @@ type RingStats struct {
 // Worker mode runs the same driver and live engine as TrainMLP, hosting one
 // rank: OnEpoch fires on every rank with identical values, the rank's
 // goroutine layout follows the cores its process can use, and
-// MLPResult.Profile summarizes the hosted rank's measured phases. The one thing a process cannot do is change the
+// MLPResult.Profile summarizes the hosted rank's measured phases, its
+// build after the ring is dialed included. The one thing a process cannot do is change the
 // membership of a ring it only hosts a part of — a run that reaches a fault
 // eviction, a scheduled join, or an autoscaler decision fails with
 // ErrRemoteMembership (the coordinator runs one process generation per
