@@ -28,13 +28,11 @@ import (
 // arithmetic. On a little-endian host those are the bytes a []float64
 // already is, so a payload is never re-encoded: it is written from, and read
 // into, the message buffer itself (wireBytes); a big-endian host byte-swaps
-// that buffer in place while the transport owns it (wireOrder). A frame sent
-// while its socket's send side is idle is written by the sending rank's own
-// goroutine, in one vectored write of header and payload; only a backlog
-// goes through the send queue, whose writer puts everything already queued
-// into one vectored write. That is purely a framing concern: the receiver
-// reads messages one at a time off the stream, so grouping on the wire
-// changes syscall counts, never content or order.
+// that buffer in place while the transport owns it (wireOrder). Every frame
+// is written by the sending rank's own goroutine, in one vectored write of
+// header and payload; a guarded hop bounds that write with a socket deadline.
+// A socket runs one goroutine, its reader, which reads messages one at a
+// time off the stream into its receive queue.
 //
 // Peer links (the PeerTransport extension carrying halving-doubling's
 // non-neighbor exchanges) reuse the identical frame layout on dedicated
@@ -50,11 +48,11 @@ const tcpPeerMagic = "CKP1"
 // guarding the reader against corrupt or hostile length prefixes.
 const tcpMaxMsgLen = 8 << 20
 
-// tcpQueueDepth is every socket's send and receive queue depth in
-// messages. A collective is lock-step — a rank cannot send hop k+1 before
-// it has received hop k — and every schedule sends one message per hop, so
-// a couple of slots already decouple the rank's goroutine from the socket
-// loops; 16 never blocks on the queue.
+// tcpQueueDepth is every socket's receive queue depth in messages. A
+// collective is lock-step — a rank cannot send hop k+1 before it has
+// received hop k — and every schedule sends one message per hop, so a
+// couple of slots already decouple the socket's reader from its rank; 16
+// never blocks on the queue.
 const tcpQueueDepth = 16
 
 // tcpBufBytes sizes every socket's buffered reader: room for a burst of
@@ -82,11 +80,9 @@ type TCPConfig struct {
 }
 
 // TCPStats counts one transport's wire activity. Batches is the number of
-// vectored writes — one writev each, which the kernel may take in several
-// pieces when the frames outgrow the socket buffer: a frame an idle socket
-// takes straight from the sending rank is a write of one message, a backlog
-// the writer drains is one write of all it holds. Messages counts the hops
-// carried, so Messages/Batches is how many hops shared a write.
+// vectored writes — one writev per frame, which the kernel may take in
+// several pieces when the frame outgrows the socket buffer — so it equals
+// MessagesSent by construction and MsgsPerBatch reads 1.
 type TCPStats struct {
 	BytesSent, BytesReceived   int64
 	MessagesSent, MessagesRecv int64
@@ -120,12 +116,11 @@ type TCPTransport struct {
 
 	fault      *fault
 	succ, pred *tcpConn
-	ep         link // the ring endpoint: succ's send queue, pred's receive queue
+	ep         link // the ring endpoint: writes to succ, pred's receive queue
 
-	// free recycles message buffers from the writers (which retire one per
-	// frame sent) to the readers (which need one per frame received) and to
-	// the local rank's sends, best-effort; sized for both directions of the
-	// ring's queues.
+	// free recycles message buffers from the sends (which retire one per
+	// frame written) to the readers (which need one per frame received) and
+	// to the local rank's sends, best-effort.
 	free bufPool
 
 	mu       sync.Mutex
@@ -140,8 +135,8 @@ type TCPTransport struct {
 	batches              atomic.Int64
 }
 
-// NewTCPTransport sets this rank's ring connections up and starts their
-// reader and writer. It blocks until both neighbor links are established
+// NewTCPTransport sets this rank's ring connections up and starts the
+// predecessor socket's reader. It blocks until both neighbor links are established
 // or the dial timeout lapses. Every rank of the ring must run
 // NewTCPTransport with the same Peers list.
 func NewTCPTransport(cfg TCPConfig) (*TCPTransport, error) {
@@ -191,9 +186,9 @@ func (t *TCPTransport) connect() error {
 		t.ln = ln
 	}
 	succ, pred := (t.rank+1)%t.n, (t.rank-1+t.n)%t.n
-	t.succ = t.newConn(succ, t.fault, true, false)
-	t.pred = t.newConn(pred, t.fault, false, true)
-	t.ep = link{out: t.succ.sendQ, in: t.pred.recvQ, f: t.fault, free: t.free, tcp: t.succ}
+	t.succ = t.newConn(succ, t.fault, false)
+	t.pred = t.newConn(pred, t.fault, true)
+	t.ep = link{in: t.pred.recvQ, f: t.fault, free: t.free, tcp: t.succ}
 	t.wg.Add(1)
 	go t.acceptLoop()
 
@@ -313,11 +308,11 @@ func (t *TCPTransport) Stats() TCPStats {
 // ErrTransportClosed reports a hop attempted on a closed transport.
 var ErrTransportClosed = errors.New("allreduce: transport closed")
 
-// Close tears the connections down. Messages already handed to Send are
-// flushed first (briefly bounded), so a rank that finishes its run and
-// closes does not strand a neighbor's final hops — the post-step result a
-// folded rank is owed, say; only then do in-flight and future hops fail
-// promptly with ErrTransportClosed (or the earlier fatal error).
+// Close tears the connections down. A frame is on its socket when Send
+// returns, so a rank that finishes its run and closes does not strand a
+// neighbor's final hops — the post-step result a folded rank is owed, say;
+// in-flight and future hops fail promptly with ErrTransportClosed (or the
+// earlier fatal error).
 func (t *TCPTransport) Close() error {
 	t.closing.Do(func() {
 		t.mu.Lock()
@@ -335,21 +330,6 @@ func (t *TCPTransport) Close() error {
 		}
 		t.mu.Unlock()
 
-		for _, c := range conns {
-			close(c.quit)
-		}
-		expired := make(chan struct{})
-		drain := time.AfterFunc(2*time.Second, func() { close(expired) })
-		defer drain.Stop()
-		for _, c := range conns {
-			if c.sock == nil {
-				continue // never attached: no writer to wait for
-			}
-			select {
-			case <-c.wDone:
-			case <-expired:
-			}
-		}
 		t.fault.fail(ErrTransportClosed)
 		if t.ln != nil {
 			t.ln.Close()
@@ -404,8 +384,8 @@ func (t *TCPTransport) peerConn(peer int) *tcpConn {
 	if c := t.peers[peer]; c != nil || t.closed {
 		return c
 	}
-	c := t.newConn(peer, newFault(), true, true)
-	c.ep = link{out: c.sendQ, in: c.recvQ, f: c.f, free: t.free, tcp: c}
+	c := t.newConn(peer, newFault(), true)
+	c.ep = link{in: c.recvQ, f: c.f, free: t.free, tcp: c}
 	if t.peers == nil {
 		t.peers = make(map[int]*tcpConn)
 	}
@@ -423,48 +403,28 @@ func (t *TCPTransport) peerConn(peer int) *tcpConn {
 }
 
 // tcpConn owns one socket to one remote rank: how it comes up (dialed with
-// retry, or handed over by the accept loop), the write of a frame its idle
-// send side takes from the sending rank, the loop that writes its send queue
-// and the loop that fills its receive queue, the counted drain at graceful
-// close, and where its errors land (f). It serves all three kinds
-// of connection: the ring's successor socket is only written (recvQ nil),
-// the predecessor socket only read (sendQ nil) — a reader on the successor
-// socket would turn a finished successor's close into a fault while this
-// rank still waits on its healthy predecessor — and a peer socket is both.
+// retry, or handed over by the accept loop), the write of a frame from the
+// sending rank's goroutine, the loop that fills its receive queue, and where
+// its errors land (f). It serves all three kinds of connection: the ring's
+// successor socket is only written (recvQ nil), the predecessor socket only
+// read — a reader on the successor socket would turn a finished successor's
+// close into a fault while this rank still waits on its healthy predecessor
+// — and a peer socket is both.
 type tcpConn struct {
 	t      *TCPTransport
 	remote int    // rank on the other end
 	f      *fault // failure domain: the transport's for ring sockets, its own for a peer
-	ep     link   // peer sockets only: the endpoint over both queues
+	ep     link   // peer sockets only: the endpoint over the socket and recvQ
 
-	sendQ chan []float64
 	recvQ chan []float64
-	// backlog counts the frames handed to this socket and not yet written:
-	// queued on sendQ or in a write. At 0 the send side is idle, and the
-	// link's one sending goroutine claims it (0 → 1) to write a frame
-	// itself, through solo, instead of waking the writer. Every flush gives
-	// its frames back, so a frame queued behind a write in flight keeps the
-	// side busy until the writer has drained it: per-socket order holds.
-	backlog atomic.Int64
-	solo    *frameBatch
+	out   frame // the one frame in the making; its link's one sending goroutine owns it
 
 	sock  net.Conn      // set once by attach, under t.mu, before ready closes
 	ready chan struct{} // closed once the socket is attached and served
-	quit  chan struct{} // closed by Close: the writer drains sendQ, flushes, exits
-	wDone chan struct{} // closed when no writer (or no more writer) runs
 }
 
-func (t *TCPTransport) newConn(remote int, f *fault, writes, reads bool) *tcpConn {
-	c := &tcpConn{
-		t: t, remote: remote, f: f,
-		ready: make(chan struct{}),
-		quit:  make(chan struct{}),
-		wDone: make(chan struct{}),
-	}
-	if writes {
-		c.sendQ = make(chan []float64, tcpQueueDepth)
-		c.solo = new(frameBatch)
-	}
+func (t *TCPTransport) newConn(remote int, f *fault, reads bool) *tcpConn {
+	c := &tcpConn{t: t, remote: remote, f: f, ready: make(chan struct{})}
 	if reads {
 		c.recvQ = make(chan []float64, tcpQueueDepth)
 	}
@@ -472,24 +432,17 @@ func (t *TCPTransport) newConn(remote int, f *fault, writes, reads bool) *tcpCon
 }
 
 // A rank dials its successor, or a peer, as soon as it starts, usually
-// before that rank has bound its port. The retries back off exponentially
-// from dialRetryMin to dialRetryMax: a ring whose ranks start together forms
-// within a millisecond or two of the last bind, while a peer that takes
-// seconds to boot is polled no more often than every dialRetryMax.
-const (
-	dialRetryMin = 500 * time.Microsecond
-	dialRetryMax = 20 * time.Millisecond
-)
+// before that rank has bound its port. A refused dial is retried every
+// dialRetry: a ring whose ranks start together forms within about a
+// millisecond of the last bind, and a refused loopback dial costs a few
+// microseconds, so even a peer that takes seconds to boot is polled cheaply.
+const dialRetry = time.Millisecond
 
-// dialBackoff returns how long to wait after the given failed attempt
-// (0-based) before the next one: dialRetryMin doubled per attempt, capped at
-// dialRetryMax and at left, the time remaining before the deadline.
-func dialBackoff(attempt int, left time.Duration) time.Duration {
-	wait := dialRetryMin
-	for ; attempt > 0 && wait < dialRetryMax; attempt-- {
-		wait *= 2
-	}
-	return max(min(wait, dialRetryMax, left), 0)
+// dialWait returns how long to wait after a failed attempt before the next
+// one, given the time left before the deadline: dialRetry, never past the
+// deadline.
+func dialWait(left time.Duration) time.Duration {
+	return max(min(dialRetry, left), 0)
 }
 
 // dial connects to the remote rank's listener, retrying while it boots,
@@ -528,13 +481,13 @@ func (c *tcpConn) dial(magic string, deadline time.Time) error {
 		select {
 		case <-t.fault.done:
 			return t.fault.err
-		case <-time.After(dialBackoff(attempt, time.Until(deadline))):
+		case <-time.After(dialWait(time.Until(deadline))):
 		}
 	}
 	return fmt.Errorf("allreduce: rank %d dial rank %d (%s): %w", t.rank, c.remote, addr, lastErr)
 }
 
-// attach wires a connected socket into the slot and starts its loops. A
+// attach wires a connected socket into the slot and starts its reader. A
 // duplicate connection (possible only from protocol misuse) or one that
 // arrives after Close is dropped.
 func (c *tcpConn) attach(sock net.Conn) {
@@ -546,12 +499,6 @@ func (c *tcpConn) attach(sock net.Conn) {
 		return
 	}
 	c.sock = sock
-	if c.sendQ != nil {
-		t.wg.Add(1)
-		go c.writeLoop()
-	} else {
-		close(c.wDone)
-	}
 	if c.recvQ != nil {
 		t.wg.Add(1)
 		go c.readLoop()
@@ -560,107 +507,57 @@ func (c *tcpConn) attach(sock net.Conn) {
 	close(c.ready)
 }
 
-// frameBatch is a writer's one vectored write in the making: per queued
-// message its header, the two byte slices that are its frame, and the
-// message itself, kept until the write has returned. It lives on the heap,
-// not on writeLoop's stack: (*net.Buffers).WriteTo takes its receiver's
-// address, so a local would be allocated again every batch.
-type frameBatch struct {
-	n     int
-	bytes int64
-	msgs  [tcpQueueDepth][]float64
-	hdrs  [tcpQueueDepth][4]byte
-	vec   [2 * tcpQueueDepth][]byte
-	bufs  net.Buffers // vec[:2n]; WriteTo consumes it
+// frame is a socket's one vectored write in the making: the header and the
+// two byte slices that are the frame. It lives in the tcpConn, on the heap:
+// (*net.Buffers).WriteTo takes its receiver's address, so a local would be
+// allocated again every write.
+type frame struct {
+	hdr  [4]byte
+	vec  [2][]byte
+	bufs net.Buffers // vec[:]; WriteTo consumes it
 }
 
-func (b *frameBatch) add(msg []float64) {
-	hdr := b.hdrs[b.n][:]
-	binary.LittleEndian.PutUint32(hdr, uint32(len(msg)))
+// write puts one frame on the socket from the sending rank's goroutine: one
+// vectored write of the header and the message buffer's own bytes, counted,
+// and only then the buffer recycled — until the write returns, the kernel is
+// still reading it. A guarded hop (p.HopTimeout > 0) bounds the write with a
+// socket deadline of the policy's whole budget and times out with
+// ErrHopTimeout; an unguarded one runs with no deadline. A failed write
+// fails the socket's domain and closes the socket: part of the frame may
+// already be on the stream, so nothing may follow it, and every later hop on
+// the socket fails at once with the domain's error.
+func (c *tcpConn) write(msg []float64, p RetryPolicy) error {
+	t := c.t
+	guarded := p.HopTimeout > 0
+	if guarded {
+		_ = c.sock.SetWriteDeadline(time.Now().Add(p.Budget()))
+	}
+	w := &c.out
+	binary.LittleEndian.PutUint32(w.hdr[:], uint32(len(msg)))
 	wireOrder(msg)
-	b.bufs = append(b.vec[:2*b.n], hdr, wireBytes(msg))
-	b.msgs[b.n] = msg
-	b.n++
-	b.bytes += int64(4 + 8*len(msg))
-}
-
-// write puts one frame on the idle socket from the sending rank's goroutine,
-// its send side already claimed (backlog 0 → 1): a batch of one, counted,
-// recycled and released like the writer's, with no hand-off to wake it. A
-// failed write fails the socket's domain and returns the domain's error.
-func (c *tcpConn) write(msg []float64) error {
-	c.solo.add(msg)
-	if c.flush(c.solo) {
+	w.vec = [2][]byte{w.hdr[:], wireBytes(msg)}
+	w.bufs = w.vec[:]
+	_, err := w.bufs.WriteTo(c.sock)
+	t.free.put(msg)
+	if err == nil {
+		if guarded {
+			_ = c.sock.SetWriteDeadline(time.Time{})
+		}
+		t.batches.Add(1)
+		t.msgsSent.Add(1)
+		t.bytesSent.Add(int64(4 + 8*len(msg)))
 		return nil
+	}
+	c.f.fail(fmt.Errorf("allreduce: rank %d send to rank %d: %w", t.rank, c.remote, err))
+	c.sock.Close()
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		return ErrHopTimeout
 	}
 	return c.f.err
 }
 
-// writeLoop drains the send queue onto the socket: take one message, then
-// everything else already queued, and write them all at once — so hops that
-// pile up behind a slow write share a syscall. A frame only reaches the
-// queue behind a backlog or with a deadline on its hop; an idle socket's
-// unguarded frame is written by its sender (write). (Lingering for more
-// would buy nothing: a collective is lock-step, the next hop is not sent
-// before this one is answered.) At graceful close it writes what is still
-// queued the same, counted, way and exits.
-func (c *tcpConn) writeLoop() {
-	t := c.t
-	defer t.wg.Done()
-	defer close(c.wDone)
-	b := new(frameBatch)
-	for closing := false; !closing; {
-		// Note no fault case: the fault may fire because a *read* side saw a
-		// finished peer close (EOF) while the remote side still needs our
-		// queued and future sends, so the writer keeps serving sendQ until
-		// graceful close (quit) or its own write error.
-		select {
-		case msg := <-c.sendQ:
-			b.add(msg)
-		case <-c.quit:
-			closing = true
-		}
-		for len(c.sendQ) > 0 { // the only consumer: what len counts stays receivable
-			if b.n == len(b.msgs) && !c.flush(b) {
-				return
-			}
-			b.add(<-c.sendQ)
-		}
-		if !c.flush(b) {
-			return
-		}
-	}
-}
-
-// flush puts the batch on the socket in one vectored write — header and
-// payload slices of every frame, the payloads being the message buffers'
-// own bytes — counts it, and only then recycles the buffers and gives the
-// frames back to the backlog: until the write returns, the kernel is still
-// reading them, and the socket is not idle.
-func (c *tcpConn) flush(b *frameBatch) bool {
-	if b.n == 0 {
-		return true
-	}
-	t := c.t
-	_, err := b.bufs.WriteTo(c.sock)
-	if err == nil {
-		t.batches.Add(1)
-		t.msgsSent.Add(int64(b.n))
-		t.bytesSent.Add(b.bytes)
-	} else {
-		c.f.fail(fmt.Errorf("allreduce: rank %d send to rank %d: %w", t.rank, c.remote, err))
-	}
-	for _, msg := range b.msgs[:b.n] {
-		t.free.put(msg)
-	}
-	clear(b.msgs[:b.n])
-	c.backlog.Add(-int64(b.n))
-	b.n, b.bytes = 0, 0
-	return err == nil
-}
-
 // readLoop reads messages off the socket into the receive queue, reusing
-// buffers the writers retired.
+// buffers the sends retired.
 func (c *tcpConn) readLoop() {
 	t := c.t
 	defer t.wg.Done()

@@ -21,14 +21,13 @@ import (
 )
 
 // TestTCPStatsConservation: every frame a transport counts as sent is one
-// some transport counts as received, including the frames a closing rank
-// flushes on its way out. Each rank closes its transport the moment its own
-// reduce returns — the way a worker process exits — so an even rank's
-// post-step result for its folded neighbor is often still queued when Close
-// starts draining; the rounds give that race room to happen, unguarded
-// (hops on an idle socket written by their rank) and guarded (every hop
-// through the writer) in turn. A frame written by its rank is counted before
-// Send returns, as a write of one message.
+// some transport counts as received, including the last frames a rank sends
+// before it closes. Each rank closes its transport the moment its own reduce
+// returns — the way a worker process exits — so an even rank's post-step
+// result for its folded neighbor is often still unread when its sender
+// closes; the rounds give that race room to happen, unguarded (no deadline
+// on a write) and guarded (every write under a socket deadline) in turn. A
+// frame is counted before Send returns, as a write of one message.
 func TestTCPStatsConservation(t *testing.T) {
 	t.Parallel()
 	t.Run("inline", func(t *testing.T) {
@@ -137,85 +136,43 @@ func stalledPeer(t *testing.T) (*TCPTransport, net.Conn) {
 // stalledPeer hold: its write cannot finish before the peer reads.
 const stallFrame = 1 << 17
 
-// TestTCPInlineAndQueuedFramesKeepOrder: an idle socket's unguarded frame is
-// written by its sender before Send returns, a frame sent while the socket
-// has a backlog — guarded or not — queues behind it, and the writer drains
-// what is queued in as few writes as it finds it. A stalled reader holds a
-// megabyte frame in the writer's write while more pile up behind it;
-// released, it reads every message in send order with its exact bytes.
-func TestTCPInlineAndQueuedFramesKeepOrder(t *testing.T) {
+// slowReader hands out at most 8 KiB per Read, a millisecond apart: a peer
+// that keeps a sender's write waiting on its socket buffer.
+type slowReader struct{ r io.Reader }
+
+func (s slowReader) Read(p []byte) (int, error) {
+	time.Sleep(time.Millisecond)
+	return s.r.Read(p[:min(len(p), 8<<10)])
+}
+
+// TestTCPFramesKeepSendOrder: every frame, guarded or not, is written by its
+// sender and counted as one write before Send returns. Toward a slow reader,
+// frames far larger than the socket buffers wait in their writes, and every
+// message still arrives in send order with its exact bytes.
+func TestTCPFramesKeepSendOrder(t *testing.T) {
 	t.Parallel()
 	tr, in := stalledPeer(t)
 	ep := tr.Endpoint(0)
 	guard := RetryPolicy{HopTimeout: 5 * time.Second}.WithDefaults()
-	msg := func(k, count int) []float64 {
-		m := make([]float64, count)
-		for i := range m {
-			m[i] = math.Float64frombits(uint64(k)<<48 | uint64(i)*0x9e3779b97f4a7c15>>16)
-		}
-		return m
-	}
 	type send struct {
 		count   int
 		guarded bool
 	}
 	sends := []send{
-		{3, false},          // idle: inline
-		{stallFrame, true},  // guarded: queued, and its write stalls
-		{5, false},          // backlog: queued
-		{stallFrame, false}, // backlog: queued
-		{0, true},           // guarded: queued
-		{7, false},          // idle again once drained: inline
-		{stallFrame, false}, // inline, read as it is written
-		{2, true},           // guarded on an idle socket: queued all the same
+		{3, false}, {stallFrame, true}, {5, false}, {stallFrame, false},
+		{0, true}, {7, false}, {stallFrame, true}, {2, true},
 	}
-	var want [][]float64
+	want := make([][]float64, len(sends))
 	for k, s := range sends {
-		want = append(want, msg(k, s.count))
-	}
-	do := func(k int) error {
-		m := append([]float64(nil), want[k]...) // the transport owns what it is sent
-		if sends[k].guarded {
-			return ep.SendTimed(m, guard)
+		want[k] = make([]float64, s.count)
+		for i := range want[k] {
+			want[k][i] = math.Float64frombits(uint64(k)<<48 | uint64(i)*0x9e3779b97f4a7c15>>16)
 		}
-		return ep.Send(m)
-	}
-	stats := func() (msgs, batches int64) {
-		st := tr.Stats()
-		return st.MessagesSent, st.Batches
-	}
-
-	if err := do(0); err != nil {
-		t.Fatal(err)
-	}
-	if m, b := stats(); m != 1 || b != 1 {
-		t.Fatalf("after an idle socket's send: %d messages in %d writes, want 1 in 1 — not written inline", m, b)
-	}
-	queued := make(chan error, 1)
-	go func() {
-		for k := 1; k <= 4; k++ {
-			if err := do(k); err != nil {
-				queued <- err
-				return
-			}
-		}
-		queued <- nil
-	}()
-	select {
-	case err := <-queued:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("a send behind a stalled write blocked: it did not queue")
-	}
-	if m, _ := stats(); m != 1 {
-		t.Fatalf("%d messages written past a stalled reader, want 1", m)
 	}
 
 	got := make(chan [][]float64, 1)
 	go func() {
-		r := bufio.NewReaderSize(in, tcpBufBytes)
+		r := bufio.NewReaderSize(slowReader{in}, tcpBufBytes)
 		var frames [][]float64
 		for range sends {
 			m, err := readFrame(r, func(count int) []float64 { return make([]float64, count) })
@@ -226,25 +183,23 @@ func TestTCPInlineAndQueuedFramesKeepOrder(t *testing.T) {
 		}
 		got <- frames
 	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for tr.succ.backlog.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("backlog of %d never drained", tr.succ.backlog.Load())
+	var stats TCPStats
+	for k, s := range sends {
+		m := append([]float64(nil), want[k]...) // the transport owns what it is sent
+		var err error
+		if s.guarded {
+			err = ep.SendTimed(m, guard)
+		} else {
+			err = ep.Send(m)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	// The writer took the stalled frame alone or with what was queued by
-	// then, and everything queued behind that write in one more.
-	m, b0 := stats()
-	if m != 5 || b0 < 2 || b0 > 3 {
-		t.Fatalf("after the drain: %d messages in %d writes, want 5 in 2 or 3", m, b0)
-	}
-	for k := 5; k < len(sends); k++ {
-		if err := do(k); err != nil {
-			t.Fatal(err)
+		if err != nil {
+			t.Fatalf("send %d: %v", k, err)
 		}
-		if m, b := stats(); !sends[k].guarded && (m != int64(k+1) || b != b0+int64(k-4)) {
-			t.Fatalf("after send %d: %d messages in %d writes, want %d in %d — not written inline", k, m, b, k+1, b0+int64(k-4))
+		stats.Batches++
+		stats.MessagesSent++
+		stats.BytesSent += int64(4 + 8*s.count)
+		if st := tr.Stats(); st != stats {
+			t.Fatalf("after send %d: stats %+v, want %+v", k, st, stats)
 		}
 	}
 	frames := <-got
@@ -263,12 +218,66 @@ func TestTCPInlineAndQueuedFramesKeepOrder(t *testing.T) {
 	}
 }
 
+// TestTCPGuardedStalledWriteFailsSocket: a guarded send whose frame stalls
+// in its write ends at the socket deadline — the policy's budget — with
+// ErrHopTimeout. Part of the frame is on the stream by then, so the socket
+// is done: the next hop on it fails at once with the domain's error, and
+// the peer reads what was written of the frame, then the end of the stream.
+func TestTCPGuardedStalledWriteFailsSocket(t *testing.T) {
+	t.Parallel()
+	tr, in := stalledPeer(t)
+	ep := tr.Endpoint(0)
+	p := RetryPolicy{HopTimeout: 20 * time.Millisecond, Retries: 2, Backoff: 2, MaxTimeout: 100 * time.Millisecond}
+	budget := p.Budget()
+	result := make(chan error, 1)
+	var took time.Duration
+	go func() {
+		start := time.Now()
+		err := ep.SendTimed(make([]float64, stallFrame), p)
+		took = time.Since(start)
+		result <- err
+	}()
+	select {
+	case err := <-result:
+		if !errors.Is(err, ErrHopTimeout) {
+			t.Fatalf("stalled guarded send: err = %v, want ErrHopTimeout", err)
+		}
+	case <-time.After(budget + 10*time.Second):
+		t.Fatal("a guarded send whose write stalled blocked past its budget")
+	}
+	if took < budget || took > budget+time.Second {
+		t.Fatalf("stalled guarded send gave up after %v, budget %v", took, budget)
+	}
+	for _, guarded := range []bool{false, true} {
+		start := time.Now()
+		var err error
+		if guarded {
+			err = ep.SendTimed([]float64{1}, p)
+		} else {
+			err = ep.Send([]float64{1})
+		}
+		if err == nil || err != tr.fault.err {
+			t.Fatalf("hop after the timed-out write (guarded %v): err = %v, want the domain's %v", guarded, err, tr.fault.err)
+		}
+		if d := time.Since(start); d > budget {
+			t.Fatalf("hop after the timed-out write (guarded %v) took %v", guarded, d)
+		}
+	}
+	if st := tr.Stats(); st.MessagesSent != 0 || st.Batches != 0 {
+		t.Fatalf("stats %+v count a frame that never went out whole", st)
+	}
+	_ = in.SetReadDeadline(time.Now().Add(10 * time.Second))
+	n, err := io.Copy(io.Discard, in)
+	if err != nil || n >= 4+8*stallFrame {
+		t.Fatalf("peer read %d bytes, err %v: want part of the %d-byte frame, then the end of the stream", n, err, 4+8*stallFrame)
+	}
+}
+
 // TestTCPGuardedHopToStalledPeerTimesOut: a guarded hop keeps its deadline
-// however idle its socket is. Toward a peer that reads nothing, the guarded
-// sends queue behind a stalled write until the queue is full, and the next
-// one fails with ErrHopTimeout within its budget instead of blocking on the
-// socket. The writer holds at most a full batch in its stalled write, the
-// queue at most its depth.
+// however idle its socket is. Toward a peer that reads nothing, a guarded
+// send whose frame stalls in its write fails with ErrHopTimeout within its
+// budget instead of blocking on the socket: the write carries the budget as
+// its socket deadline.
 func TestTCPGuardedHopToStalledPeerTimesOut(t *testing.T) {
 	t.Parallel()
 	tr, _ := stalledPeer(t)
@@ -471,17 +480,19 @@ func TestTCPWireFormatGolden(t *testing.T) {
 	}
 
 	tr := &TCPTransport{n: 2, fault: newFault(), free: make(chan []float64, 4)}
-	tr.succ = tr.newConn(1, tr.fault, true, false)
-	tr.pred = tr.newConn(1, tr.fault, false, true)
+	tr.succ = tr.newConn(1, tr.fault, false)
+	tr.pred = tr.newConn(1, tr.fault, true)
 	defer tr.Close()
 
-	// Write path. Both messages are queued before the writer exists, so it
-	// must find the second behind the first and send the two as one batch.
-	tr.succ.sendQ <- append([]float64(nil), vals...)
-	tr.succ.sendQ <- []float64{}
+	// Write path: each message is one frame, written before Send returns.
 	out, raw := loopbackPair(t)
 	defer raw.Close()
 	tr.succ.attach(out)
+	for _, msg := range [][]float64{append([]float64(nil), vals...), {}} {
+		if err := tr.succ.write(msg, RetryPolicy{}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	got := make([]byte, len(wire))
 	if _, err := io.ReadFull(raw, got); err != nil {
 		t.Fatal(err)
@@ -510,10 +521,9 @@ func TestTCPWireFormatGolden(t *testing.T) {
 		t.Fatalf("bare header read as %d elements", len(empty))
 	}
 
-	tr.Close() // the writer has exited: its counters are final
 	want := TCPStats{
 		BytesSent: int64(len(wire)), BytesReceived: int64(len(wire)),
-		MessagesSent: 2, MessagesRecv: 2, Batches: 1,
+		MessagesSent: 2, MessagesRecv: 2, Batches: 2,
 	}
 	if st := tr.Stats(); st != want {
 		t.Fatalf("stats %+v, want %+v", st, want)
@@ -634,29 +644,16 @@ func TestTCPBadConfigReleasesListener(t *testing.T) {
 	}
 }
 
-// TestDialBackoffSchedule pins the bring-up retry schedule: the first wait
-// is at most a millisecond, each next one doubles until dialRetryMax caps
-// it, and no wait runs past the deadline.
+// TestDialBackoffSchedule pins the bring-up retry schedule: a refused dial
+// is retried after a millisecond, however often it was refused before, and
+// no wait runs past the deadline.
 func TestDialBackoffSchedule(t *testing.T) {
-	if first := dialBackoff(0, time.Hour); first <= 0 || first > time.Millisecond {
-		t.Fatalf("first wait %v, want in (0, 1ms]", first)
+	if got := dialWait(time.Hour); got != time.Millisecond {
+		t.Fatalf("wait %v with an hour left, want 1ms", got)
 	}
-	prev := dialBackoff(0, time.Hour)
-	for attempt := 1; attempt < 80; attempt++ {
-		got := dialBackoff(attempt, time.Hour)
-		if want := min(2*prev, dialRetryMax); got != want {
-			t.Fatalf("attempt %d waits %v after %v, want %v", attempt, got, prev, want)
-		}
-		prev = got
-	}
-	if prev != dialRetryMax || dialRetryMax != 20*time.Millisecond {
-		t.Fatalf("waits settle at %v (cap %v), want 20ms", prev, dialRetryMax)
-	}
-	for attempt := range 12 {
-		for _, left := range []time.Duration{-time.Second, 0, time.Microsecond, 3 * time.Millisecond} {
-			if got := dialBackoff(attempt, left); got < 0 || got > max(left, 0) {
-				t.Fatalf("attempt %d with %v left waits %v", attempt, left, got)
-			}
+	for _, left := range []time.Duration{-time.Second, 0, time.Microsecond, 3 * time.Millisecond} {
+		if got := dialWait(left); got < 0 || got > max(left, 0) {
+			t.Fatalf("with %v left waits %v", left, got)
 		}
 	}
 }
@@ -688,7 +685,7 @@ func TestTCPDialRefusedNamesCause(t *testing.T) {
 	}
 
 	lapsed := &TCPTransport{rank: 0, n: 2, addrs: addrs, fault: newFault()}
-	c := lapsed.newConn(1, lapsed.fault, true, false)
+	c := lapsed.newConn(1, lapsed.fault, false)
 	err = c.dial(tcpMagic, time.Now().Add(-time.Second))
 	if !errors.Is(err, os.ErrDeadlineExceeded) || strings.Contains(err.Error(), "%!") {
 		t.Fatalf("lapsed dial: err = %v, want a wrapped os.ErrDeadlineExceeded", err)

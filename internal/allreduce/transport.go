@@ -96,18 +96,19 @@ func (f *fault) fail(err error) {
 	})
 }
 
-// link is the one Endpoint implementation: a queue toward the remote side,
-// a queue from it, and — for links that can break — the fault whose done
-// channel aborts a blocked hop. What drains out and fills in is the
-// transport's business: a channel transport plugs one rank's out straight
-// into its neighbor's in, a TCP transport puts a socket behind them — its
-// read loop behind in, and behind out its write loop, which the sending
-// goroutine bypasses to write a frame itself while the socket is idle.
+// link is the one Endpoint implementation: a queue from the remote side,
+// the way toward it, and — for links that can break — the fault whose done
+// channel aborts a blocked hop. A channel transport plugs one rank's out
+// straight into its neighbor's in; a TCP transport fills in from a socket's
+// read loop and sends by writing to a socket from the calling goroutine
+// (tcp), out unused.
 //
-// Deadlines live here, on the queues, for every transport alike: a remote
-// side that stalls starves in (or backs out up) and the policy timer fires
-// ErrHopTimeout; a remote side whose socket breaks trips the fault and the
-// hop fails at once with the socket error. That is the whole
+// Deadlines hold for every transport alike: a remote side that stalls
+// starves in (or backs out up, or stops reading a socket) and the hop fails
+// with ErrHopTimeout within the policy's budget — a queue waits one policy
+// deadline per attempt, a socket write carries the whole budget as its
+// deadline (tcpConn.write); a remote side whose socket breaks trips the
+// fault and the hop fails at once with the socket error. That is the whole
 // failure-semantics mapping — RingFault blame on top never looks at the
 // transport.
 //
@@ -116,17 +117,16 @@ func (f *fault) fail(err error) {
 // hop is measurable steady-state GC pressure — the deadline's analogue of
 // the circulating message buffers.
 type link struct {
-	out chan<- []float64
+	out chan<- []float64 // channel links only
 	in  <-chan []float64
 	f   *fault // nil: an in-process link, which cannot break
 	// free is the transport's buffer pool, shared by all its links: where a
 	// rank parks a spare it cannot use and finds one when it has none.
 	free bufPool
-	// tcp is the socket behind out on a TCP link, nil on a channel link: an
-	// unguarded hop offers it the frame before queueing.
+	// tcp is the socket a TCP link sends on, nil on a channel link.
 	tcp *tcpConn
 
-	sendTimer *time.Timer
+	sendTimer *time.Timer // channel links only
 	recvTimer *time.Timer
 }
 
@@ -155,58 +155,33 @@ func (l *link) arm(tp **time.Timer, p RetryPolicy) (done <-chan struct{}, timer 
 	return done, *tp
 }
 
-// send hands msg to the link. On a TCP link whose socket is idle, a hop
-// without a deadline is written by the calling goroutine itself; any other
-// hop — behind a backlog, or guarded, whose deadline lives on the queue — is
-// enqueued and counted into the socket's backlog until its writer drains it.
+// send hands msg to the link: a TCP link's calling goroutine writes it to
+// the socket itself, a channel link queues it.
 func (l *link) send(msg []float64, p RetryPolicy) error {
-	c := l.tcp
-	if c == nil {
-		return l.enqueue(msg, p)
+	if l.tcp != nil {
+		return l.tcp.write(msg, p)
 	}
-	if p.HopTimeout <= 0 && c.backlog.CompareAndSwap(0, 1) {
-		return c.write(msg)
-	}
-	c.backlog.Add(1)
-	err := l.enqueue(msg, p)
-	if err != nil {
-		c.backlog.Add(-1) // never queued
-	}
-	return err
+	return l.enqueue(msg, p)
 }
 
-// enqueue queues msg within the policy's retry budget (forever, under the
-// zero policy). Because a queue send is idempotent until it succeeds,
-// "retry" is simply another bounded wait on the same operation — what makes
-// guarded collectives deadlock-free by construction.
+// enqueue queues msg on a channel link within the policy's retry budget
+// (forever, under the zero policy); a channel link cannot break, so only the
+// deadline ends the wait. Because a queue send is idempotent until it
+// succeeds, "retry" is simply another bounded wait on the same operation —
+// what makes guarded collectives deadlock-free by construction.
 func (l *link) enqueue(msg []float64, p RetryPolicy) error {
-	done, timer := l.arm(&l.sendTimer, p)
-	if done == nil && timer == nil {
+	_, timer := l.arm(&l.sendTimer, p)
+	if timer == nil {
 		l.out <- msg
 		return nil
 	}
-	var expired <-chan time.Time // nil — never ready — without a deadline
-	if timer != nil {
-		expired = timer.C
-		defer timer.Stop()
-	}
+	defer timer.Stop()
 	d := p.HopTimeout
 	for attempt := 0; ; attempt++ {
 		select {
 		case l.out <- msg:
 			return nil
-		case <-done:
-			// The fault may stem from the receive side while the send socket
-			// is healthy and its writer still running — prefer handing the
-			// message over (the remote side may need it) and fail only when
-			// the queue is genuinely stuck.
-			select {
-			case l.out <- msg:
-				return nil
-			default:
-				return l.f.err
-			}
-		case <-expired:
+		case <-timer.C:
 			if attempt >= p.Retries {
 				return ErrHopTimeout
 			}

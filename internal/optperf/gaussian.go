@@ -41,8 +41,9 @@ func SolveEqualGaussian(ds, cs []float64, total float64) (batches []float64, mu 
 	return x[:n], x[n], nil
 }
 
-// solveEqualClosedForm is the O(n) production path, factored out so the
-// cross-validation test exercises exactly what algorithm1 uses.
+// solveEqualClosedForm is the O(n) production path: algorithm1's every
+// split solves its equalization system here, so the cross-validation test
+// against SolveEqualGaussian exercises exactly what algorithm1 uses.
 func solveEqualClosedForm(ds, cs []float64, total float64) (batches []float64, mu float64) {
 	var sumInvD, sumCD float64
 	for i := range ds {

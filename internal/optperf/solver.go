@@ -172,7 +172,7 @@ func algorithm1(model ClusterModel, idx []int, total float64, hint *int, stats *
 
 	ds := make([]float64, k)
 	cs := make([]float64, k)
-	split := func(t int) (bs []float64, time float64) {
+	split := func(t int) ([]float64, float64) {
 		stats.LinearSolves++
 		for p, j := range order {
 			nm := model.Nodes[idx[j]]
@@ -182,16 +182,7 @@ func algorithm1(model ClusterModel, idx []int, total float64, hint *int, stats *
 				ds[j], cs[j] = nm.Q+gamma*nm.K, nm.S+gamma*nm.M+to
 			}
 		}
-		var sumInvD, sumCD float64
-		for j := range ds {
-			sumInvD += 1 / ds[j]
-			sumCD += cs[j] / ds[j]
-		}
-		mu := (total + sumCD) / sumInvD
-		bs = make([]float64, k)
-		for j := range ds {
-			bs[j] = (mu - cs[j]) / ds[j]
-		}
+		bs, mu := solveEqualClosedForm(ds, cs, total)
 		return bs, mu + model.Tu
 	}
 	envelope := func(bs []float64) float64 { // Eq. 7 over the subset

@@ -1,11 +1,11 @@
 package runtime
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"time"
 
+	"cannikin/internal/data"
 	"cannikin/internal/goodput"
 	"cannikin/internal/nn"
 	"cannikin/internal/optperf"
@@ -77,7 +77,7 @@ type JoinRecord struct {
 	Reason string
 }
 
-// Elastic actions returned by an ElasticController.
+// Elastic actions returned by Autoscaler.Decide.
 const (
 	ElasticHold   = "hold"
 	ElasticGrow   = "grow"
@@ -100,18 +100,8 @@ type ElasticDecision struct {
 	Reason string
 }
 
-// ElasticController decides cluster membership at epoch boundaries. Decide
-// is called after each completed epoch's evaluation (when at least one
-// epoch remains) with the epoch's observations and the live profile (nil
-// on the sim backend). A grow admits one worker through the hot-join path;
-// a shrink sheds one through the eviction path (checkpoint, survivor
-// re-plan, fresh optimizer state — the PR 5 recovery semantics).
-type ElasticController interface {
-	Decide(obs EpochObs, prof *Profile) ElasticDecision
-}
-
-// Autoscaler is the built-in goodput-driven ElasticController: at each epoch
-// boundary it prices candidate memberships with the goodput model
+// Autoscaler decides cluster membership at epoch boundaries, driven by
+// goodput: at each epoch boundary it prices candidate memberships with the goodput model
 // (throughput × gradient-noise statistical efficiency, bootstrapped from the
 // live profile via Eq. 8) and grows through the hot-join path while the
 // marginal worker's predicted contribution exceeds GrowThreshold, or sheds
@@ -145,15 +135,18 @@ type Autoscaler struct {
 	price func(obs EpochObs, prof *Profile, workers int) float64
 }
 
-func (a *Autoscaler) validate() error {
-	if a == nil {
-		return errors.New("runtime: Elastic is a nil *Autoscaler")
-	}
+// validate checks the autoscaler's bounds and that the dataset's samples
+// can give every worker up to MaxWorkers one.
+func (a *Autoscaler) validate(samples int) error {
 	// !(x >= 0) catches NaN, which would read as a default or as no shrink.
 	if a.MinWorkers < 0 || a.MaxWorkers < 0 || !(a.GrowThreshold >= 0) || !(a.ShrinkThreshold >= 0) ||
 		math.IsInf(a.GrowThreshold, 1) || math.IsInf(a.ShrinkThreshold, 1) {
 		return fmt.Errorf("runtime: autoscale bound negative or not finite (min %d, max %d, grow %v, shrink %v)",
 			a.MinWorkers, a.MaxWorkers, a.GrowThreshold, a.ShrinkThreshold)
+	}
+	if a.MaxWorkers > samples {
+		return fmt.Errorf("runtime: autoscale max workers: %w: %d samples, %d workers",
+			data.ErrTooFewSamples, samples, a.MaxWorkers)
 	}
 	return checkReplan("autoscale", a.Replan)
 }
@@ -165,7 +158,11 @@ func (a *Autoscaler) growThreshold() float64 {
 	return 0.05
 }
 
-// Decide implements ElasticController.
+// Decide is called after each completed epoch's evaluation (when at least
+// one epoch remains) with the epoch's observations and the live profile
+// (nil on the sim backend). A grow admits one worker through the hot-join
+// path; a shrink sheds one through the eviction path (checkpoint, survivor
+// re-plan, fresh optimizer state — the PR 5 recovery semantics).
 func (a *Autoscaler) Decide(obs EpochObs, prof *Profile) ElasticDecision {
 	price := a.price
 	if price == nil {

@@ -71,9 +71,8 @@ func TestJoinConfigValidate(t *testing.T) {
 }
 
 // TestAutoscalerConfigValidate: Train checks the autoscaler it is handed —
-// negative bounds, an unknown replan name and a nil *Autoscaler are
-// rejected before any epoch trains, not run with the unknown policy read as
-// keep.
+// negative bounds and an unknown replan name are rejected before any epoch
+// trains, not run with the unknown policy read as keep.
 func TestAutoscalerConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -84,7 +83,6 @@ func TestAutoscalerConfigValidate(t *testing.T) {
 		{"negative max workers", &Autoscaler{MaxWorkers: -1}},
 		{"negative grow threshold", &Autoscaler{GrowThreshold: -0.1}},
 		{"negative shrink threshold", &Autoscaler{ShrinkThreshold: -0.1}},
-		{"nil autoscaler", nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -423,7 +421,7 @@ func TestJoinReplanOptPerf(t *testing.T) {
 func TestAutoscalerGrowsAndImprovesGoodput(t *testing.T) {
 	defer watchdog(t, 3*time.Minute)()
 	const seed = 71
-	mk := func(elastic ElasticController, last *EpochObs) Config {
+	mk := func(elastic *Autoscaler, last *EpochObs) Config {
 		src := rng.New(seed)
 		ds, err := data.SyntheticBlobs(640, 16, 8, 0.6, src)
 		if err != nil {

@@ -126,9 +126,8 @@ type Config struct {
 	Joins []Join
 	// Elastic, when set, is consulted after every completed epoch (while
 	// at least one epoch remains) and may grow the cluster through the
-	// hot-join path or shrink it through the eviction path. Autoscaler is
-	// the built-in goodput-driven controller.
-	Elastic ElasticController
+	// hot-join path or shrink it through the eviction path.
+	Elastic *Autoscaler
 	// Fault, when set, enables deterministic fault injection and the
 	// fault-tolerance machinery (live backend only).
 	Fault *FaultConfig
@@ -229,13 +228,9 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("runtime: join %d at epoch %d: %w: %d samples, %d workers",
 			k, c.Joins[k].Epoch, data.ErrTooFewSamples, c.Dataset.Len(), c.Dataset.Len()+1)
 	}
-	if a, ok := c.Elastic.(*Autoscaler); ok {
-		if err := a.validate(); err != nil {
+	if c.Elastic != nil {
+		if err := c.Elastic.validate(c.Dataset.Len()); err != nil {
 			return err
-		}
-		if a.MaxWorkers > c.Dataset.Len() {
-			return fmt.Errorf("runtime: autoscale max workers: %w: %d samples, %d workers",
-				data.ErrTooFewSamples, c.Dataset.Len(), a.MaxWorkers)
 		}
 	}
 	if c.Fault != nil {

@@ -503,10 +503,9 @@ func TestWorkerSteadyStateStepAllocsZero(t *testing.T) {
 				})
 				defer stop()
 				// Warm workspaces, ring scratch and optimizer state, and the
-				// sockets: the transport's buffer pool and each writer's
-				// vectored-write list grow to the deepest burst of queued hops
-				// the scheduler produces, which at four procs on two cores
-				// takes tens of steps to meet.
+				// sockets: the transport's buffer pool grows to the deepest
+				// burst of queued hops the scheduler produces, which at four
+				// procs on two cores takes tens of steps to meet.
 				for range 50 {
 					step()
 					stepNo++

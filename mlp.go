@@ -292,11 +292,8 @@ func (cfg *MLPConfig) lowerRuntime() (*runtime.Config, error) {
 		InitWeights:  cfg.InitWeights,
 		InitVelocity: cfg.InitVelocity,
 		Joins:        cfg.Joins,
+		Elastic:      cfg.Autoscale,
 		OnEpoch:      cfg.OnEpoch,
-	}
-	// A nil *Autoscaler in the interface would be a controller, not none.
-	if cfg.Autoscale != nil {
-		rc.Elastic = cfg.Autoscale
 	}
 	if cfg.Fault != nil {
 		// The fault rank space spans the initial cluster plus every

@@ -115,8 +115,7 @@ go test -race -count=2 -cpu 1,2,4 ./internal/chaos
 lane -race -count=2 -cpu 1,2,4 -run 'Fault|Evict|Recovery|Guarded' ./internal/runtime ./internal/allreduce
 
 # The TCP ring transport runs a reader goroutine per socket against real
-# sockets, and writes each frame from the sending rank's goroutine while the
-# socket is idle or from a writer goroutine that drains a backlog; the
+# sockets, and writes every frame from the sending rank's goroutine; the
 # multi-process worker runtime layers the deterministic training loop on top; run both transports' conformance
 # suite and the worker bitwise-parity tests under the race detector at
 # several GOMAXPROCS values.
@@ -124,8 +123,8 @@ echo "== go test -race -cpu 1,2,4 (tcp transport + worker runtime) =="
 lane -race -count=1 -cpu 1,2,4 -run 'Transport|TCP|Worker' ./internal/allreduce ./internal/runtime
 
 # Worker mode, one rank per process over loopback tcp: a ring forms in any
-# start order (the dial backs off from half a millisecond instead of
-# sleeping a fixed 20 ms, and a successor that never listens fails at the
+# start order (a refused dial is retried every millisecond instead of
+# a fixed 20 ms sleep, and a successor that never listens fails at the
 # timeout with the refusal as its cause), ring and hd reduce bitwise the
 # inline reference, each rank draws 1/n of the initial weights (any
 # partition of the flat vector into spans reassembles NewMLP's draw bit for
@@ -145,15 +144,15 @@ lane -race -count=2 -run 'TestWorkerMatchesTrainBitwise|TestWorkerObservesLikeTr
 # view, the golden pins the bytes on the wire against a hand-written
 # encoding (and the big-endian swap against encoding/binary), and the
 # allocation and conservation gates cover the vectored write and its
-# recycle-after-write, whether the sending rank writes the frame itself (an
-# idle socket, counted as a write of one message) or the writer drains it
-# from a backlog. A stalled reader interleaves the two and every message
-# still arrives in send order with its exact bytes, a guarded hop to a
-# stalled peer still times out within its budget, and a connection that
+# recycle-after-write, each frame counted as a write of one message before
+# Send returns. Toward a slow reader, guarded and unguarded frames arrive in
+# send order with their exact bytes; a guarded hop to a stalled peer times
+# out within its budget at its socket deadline, and the socket it stalled
+# fails every later hop at once; and a connection that
 # never sends its hello delays neither the ring's forming nor Close. By
 # name, so a rename cannot silently drop them.
 echo "== wire lane: frames written from and read into the message buffers -race -cpu 1,2,4 =="
-lane -race -count=1 -cpu 1,2,4 -run 'TestTCPWireFormatGolden|TestTCPWireSwapBytes|TestTCPSteadyStateReduceAllocsZero|TestTCPStatsConservation|TestTCPInlineAndQueuedFramesKeepOrder|TestTCPGuardedHopToStalledPeerTimesOut|TestTCPSilentDialStallsNoRing' ./internal/allreduce
+lane -race -count=1 -cpu 1,2,4 -run 'TestTCPWireFormatGolden|TestTCPWireSwapBytes|TestTCPSteadyStateReduceAllocsZero|TestTCPStatsConservation|TestTCPFramesKeepSendOrder|TestTCPGuardedStalledWriteFailsSocket|TestTCPGuardedHopToStalledPeerTimesOut|TestTCPSilentDialStallsNoRing' ./internal/allreduce
 
 echo "== multi-process smoke: the coordinator starts itself as each rank over loopback tcp =="
 go build -o "$BIN/cannikin" ./cmd/cannikin

@@ -35,10 +35,8 @@ type WorkerRingConfig struct {
 var ErrRemoteMembership = runtime.ErrRemoteMembership
 
 // RingStats reports a worker's wire activity: Batches counts network
-// writes — a hop sent while its socket is idle is a write of one message,
-// a backlog is drained in one vectored write of everything queued —
-// MessagesSent the hops carried, so MsgsPerBatch is how many hops shared a
-// write.
+// writes, one vectored write per hop sent, so it equals MessagesSent and
+// MsgsPerBatch reads 1.
 type RingStats struct {
 	BytesSent, BytesReceived   int64
 	MessagesSent, MessagesRecv int64
