@@ -433,9 +433,9 @@ func (t *TCPTransport) newConn(remote int, f *fault, reads bool) *tcpConn {
 
 // A rank dials its successor, or a peer, as soon as it starts, usually
 // before that rank has bound its port. A refused dial is retried every
-// dialRetry: a ring whose ranks start together forms within about a
-// millisecond of the last bind, and a refused loopback dial costs a few
-// microseconds, so even a peer that takes seconds to boot is polled cheaply.
+// dialRetry, so a rank whose successor binds late dials it again within
+// about a millisecond of the bind; a peer that takes seconds to boot costs
+// one refused connect per dialRetry meanwhile.
 const dialRetry = time.Millisecond
 
 // dialWait returns how long to wait after a failed attempt before the next
