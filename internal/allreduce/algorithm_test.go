@@ -360,10 +360,10 @@ func TestChanPeerLinkErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Send([]float64{1, 2}); err != nil {
+	if err := a.SendTimed([]float64{1, 2}, RetryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := b.Recv()
+	msg, err := b.RecvTimed(RetryPolicy{})
 	if err != nil || len(msg) != 2 || msg[0] != 1 {
 		t.Fatalf("peer roundtrip: %v %v", msg, err)
 	}

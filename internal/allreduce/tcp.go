@@ -291,9 +291,6 @@ func (t *TCPTransport) Endpoint(rank int) Endpoint {
 	return &t.ep
 }
 
-// Rank returns the local rank.
-func (t *TCPTransport) Rank() int { return t.rank }
-
 // Stats snapshots the transport's wire counters.
 func (t *TCPTransport) Stats() TCPStats {
 	return TCPStats{
@@ -308,7 +305,7 @@ func (t *TCPTransport) Stats() TCPStats {
 // ErrTransportClosed reports a hop attempted on a closed transport.
 var ErrTransportClosed = errors.New("allreduce: transport closed")
 
-// Close tears the connections down. A frame is on its socket when Send
+// Close tears the connections down. A frame is on its socket when SendTimed
 // returns, so a rank that finishes its run and closes does not strand a
 // neighbor's final hops — the post-step result a folded rank is owed, say;
 // in-flight and future hops fail promptly with ErrTransportClosed (or the

@@ -37,7 +37,7 @@ func TestTCPStatsConservation(t *testing.T) {
 		rx := set.rings[1].Transport().(*TCPTransport)
 		var want TCPStats
 		for k, count := range []int{0, 1, 3, 1000, 4 * tcpBufBytes / 8} {
-			if err := tx.Endpoint(0).Send(make([]float64, count)); err != nil {
+			if err := tx.Endpoint(0).SendTimed(make([]float64, count), RetryPolicy{}); err != nil {
 				t.Fatal(err)
 			}
 			want.Batches++
@@ -46,7 +46,7 @@ func TestTCPStatsConservation(t *testing.T) {
 			if st := tx.Stats(); st != want {
 				t.Fatalf("send %d of %d elements: stats %+v, want %+v", k, count, st, want)
 			}
-			if msg, err := rx.Endpoint(1).Recv(); err != nil || len(msg) != count {
+			if msg, err := rx.Endpoint(1).RecvTimed(RetryPolicy{}); err != nil || len(msg) != count {
 				t.Fatalf("recv %d: %d elements, err %v", k, len(msg), err)
 			}
 			if st := rx.Stats(); st.MessagesRecv != want.MessagesSent || st.BytesReceived != want.BytesSent {
@@ -190,7 +190,7 @@ func TestTCPFramesKeepSendOrder(t *testing.T) {
 		if s.guarded {
 			err = ep.SendTimed(m, guard)
 		} else {
-			err = ep.Send(m)
+			err = ep.SendTimed(m, RetryPolicy{})
 		}
 		if err != nil {
 			t.Fatalf("send %d: %v", k, err)
@@ -254,7 +254,7 @@ func TestTCPGuardedStalledWriteFailsSocket(t *testing.T) {
 		if guarded {
 			err = ep.SendTimed([]float64{1}, p)
 		} else {
-			err = ep.Send([]float64{1})
+			err = ep.SendTimed([]float64{1}, RetryPolicy{})
 		}
 		if err == nil || err != tr.fault.err {
 			t.Fatalf("hop after the timed-out write (guarded %v): err = %v, want the domain's %v", guarded, err, tr.fault.err)

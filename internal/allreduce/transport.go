@@ -55,24 +55,20 @@ type PeerTransport interface {
 }
 
 // Endpoint is one rank's pair of links. Buffer ownership follows message
-// flow: Send transfers ownership of msg to the transport, and Recv
+// flow: SendTimed transfers ownership of msg to the transport, and RecvTimed
 // transfers ownership of the returned buffer to the caller — exactly the
 // contract Ring's circulating-buffer scheme is built on, which is what
 // keeps steady-state reduces allocation-free.
 type Endpoint interface {
-	// Send hands msg to the outgoing link, blocking until the transport
+	// SendTimed hands msg to the outgoing link, blocking until the transport
 	// accepts it. A non-nil error means the link is broken (remote
-	// transports only; channel sends cannot fail).
-	Send(msg []float64) error
-	// Recv returns the next message from the incoming link, blocking until
-	// one arrives or the link breaks.
-	Recv() ([]float64, error)
-	// SendTimed is Send bounded by the policy's retry budget: each attempt
-	// waits one deadline, the deadline grows by Backoff per retry, and
-	// exhaustion returns an error wrapping ErrHopTimeout. The zero policy
-	// sets no deadline: SendTimed(msg, RetryPolicy{}) is Send(msg).
+	// transports only; channel sends cannot fail) or the policy's retry
+	// budget ran out: each attempt waits one deadline, the deadline grows by
+	// Backoff per retry, and exhaustion returns an error wrapping
+	// ErrHopTimeout. The zero policy sets no deadline.
 	SendTimed(msg []float64, p RetryPolicy) error
-	// RecvTimed is Recv under the same bounded budget.
+	// RecvTimed returns the next message from the incoming link, blocking
+	// until one arrives or the link breaks, under the same bounded budget.
 	RecvTimed(p RetryPolicy) ([]float64, error)
 }
 
@@ -130,8 +126,6 @@ type link struct {
 	recvTimer *time.Timer
 }
 
-func (l *link) Send(msg []float64) error                     { return l.send(msg, RetryPolicy{}) }
-func (l *link) Recv() ([]float64, error)                     { return l.recv(RetryPolicy{}) }
 func (l *link) SendTimed(msg []float64, p RetryPolicy) error { return l.send(msg, p) }
 func (l *link) RecvTimed(p RetryPolicy) ([]float64, error)   { return l.recv(p) }
 

@@ -61,14 +61,6 @@ const (
 	KindKillWorker Kind = "kill-worker"
 )
 
-// Kinds lists every perturbation kind.
-func Kinds() []Kind {
-	return []Kind{
-		KindComputeShare, KindBandwidth, KindStraggler,
-		KindStallCompute, KindDelayMsg, KindDropMsg, KindKillWorker,
-	}
-}
-
 // Event is one scheduled perturbation of the simulated cluster.
 type Event struct {
 	// Epoch is when the event takes effect (before that epoch is planned).

@@ -102,9 +102,6 @@ func (c *Cluster) BeginEpoch(epoch int) {
 	}
 }
 
-// Contended reports whether node i is suffering interference this epoch.
-func (c *Cluster) Contended(i int) bool { return c.contended[i] }
-
 // SetComputeShare throttles node i to the given fraction of its device's
 // compute mid-run (a tenant arriving or leaving under dynamic resource
 // allocation). Memory is unaffected.

@@ -258,7 +258,7 @@ func TestCommMeasurementsAreUnbiasedAndContentionWidensNoise(t *testing.T) {
 		c.BeginEpoch(epoch)
 		var quiet, contended bool
 		for i := 0; i < c.N(); i++ {
-			if c.Contended(i) {
+			if c.contended[i] {
 				contended = true
 			} else {
 				quiet = true
@@ -278,7 +278,7 @@ func TestCommMeasurementsAreUnbiasedAndContentionWidensNoise(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, ns := range res.PerNode {
-			if c.Contended(i) {
+			if c.contended[i] {
 				wCont.Add(ns.To)
 			} else {
 				wQuiet.Add(ns.To)

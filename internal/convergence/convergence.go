@@ -193,6 +193,3 @@ func (s *State) PrefetchGradientNorms(samples, nodes int) {
 
 // Model returns the underlying convergence model.
 func (s *State) Model() Model { return s.model }
-
-// EffectiveSamples returns the raw effective-sample count processed.
-func (s *State) EffectiveSamples() float64 { return s.effective }

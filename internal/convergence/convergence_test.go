@@ -66,8 +66,8 @@ func TestAdvanceAtBaseBatchFullyEfficient(t *testing.T) {
 	if eff != 1 {
 		t.Fatalf("eff(B0) = %v, want 1", eff)
 	}
-	if s.EffectiveSamples() != 64 {
-		t.Fatalf("effective = %v, want 64", s.EffectiveSamples())
+	if s.effective != 64 {
+		t.Fatalf("effective = %v, want 64", s.effective)
 	}
 }
 

@@ -114,9 +114,6 @@ func (l *HeteroLoader) reshuffle() {
 // Remaining returns how many samples are left in the current epoch.
 func (l *HeteroLoader) Remaining() int { return l.ds.Len() - l.cursor }
 
-// Epoch returns the current epoch number (starting at 0).
-func (l *HeteroLoader) Epoch() int { return l.epoch }
-
 // NextGlobalBatch draws one global batch split into per-node local batches
 // of the requested sizes. When fewer samples remain than requested, the
 // local batches are scaled down proportionally (the epoch's final partial

@@ -129,8 +129,8 @@ func TestHeteroLoaderDeliversEachSampleOncePerEpoch(t *testing.T) {
 	// the first coordinate; instead track consumed count per epoch.
 	l := NewHeteroLoader(ds, src)
 	consumed := 0
-	epoch := l.Epoch()
-	for l.Epoch() == epoch {
+	epoch := l.epoch
+	for l.epoch == epoch {
 		xs, labels, err := l.NextGlobalBatch([]int{7, 5, 3})
 		if err != nil {
 			t.Fatal(err)
@@ -185,8 +185,8 @@ func TestHeteroLoaderPartialFinalBatch(t *testing.T) {
 	if xs[0].Rows() < 1 || xs[1].Rows() < 1 {
 		t.Fatal("a node received an empty shard")
 	}
-	if l.Epoch() != 1 {
-		t.Fatalf("epoch = %d, want 1 after exhaustion", l.Epoch())
+	if l.epoch != 1 {
+		t.Fatalf("epoch = %d, want 1 after exhaustion", l.epoch)
 	}
 }
 

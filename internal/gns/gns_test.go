@@ -254,21 +254,45 @@ type covSampler struct {
 	l *linalg.Matrix
 }
 
+// newCovSampler factors the symmetric positive-definite m as L·Lᵀ
+// (Cholesky), reading only its lower triangle.
 func newCovSampler(t *testing.T, m *linalg.Matrix) *covSampler {
 	t.Helper()
-	l, err := linalg.Cholesky(m)
-	if err != nil {
-		t.Fatalf("covariance not positive definite: %v", err)
+	n := m.Rows()
+	l := linalg.NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j <= i; j++ {
+			sum := m.At(i, j)
+			for k := 0; k < j; k++ {
+				sum -= l.At(i, k) * l.At(j, k)
+			}
+			if i != j {
+				l.Set(i, j, sum/l.At(j, j))
+				continue
+			}
+			if sum <= 0 {
+				t.Fatalf("covariance not positive definite: pivot %d is %v", i, sum)
+			}
+			l.Set(i, i, math.Sqrt(sum))
+		}
 	}
 	return &covSampler{l: l}
 }
 
+// draw returns L·z for iid standard normals z: a vector with covariance m.
 func (c *covSampler) draw(src *rng.Source) []float64 {
-	z := make([]float64, c.l.Rows())
+	n := c.l.Rows()
+	z := make([]float64, n)
 	for i := range z {
 		z[i] = src.Norm(0, 1)
 	}
-	return linalg.MulLowerVec(c.l, z)
+	out := make([]float64, n)
+	for i := range out {
+		for j := 0; j <= i; j++ {
+			out[i] += c.l.At(i, j) * z[j]
+		}
+	}
+	return out
 }
 
 func dot(a, b []float64) float64 {

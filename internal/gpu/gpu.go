@@ -244,11 +244,3 @@ func (d *Device) MeasureCompute(p JobProfile, b int) Measurement {
 		P:     c.P(float64(b)) * d.noise.LogNormFactor(d.NoiseSigma),
 	}
 }
-
-// SpeedRatio returns how many times faster a is than b for the given job at
-// batch size refBatch (useful for describing cluster heterogeneity).
-func SpeedRatio(a, b *Device, p JobProfile, refBatch int) float64 {
-	ta := a.Coeffs(p).Compute(float64(refBatch))
-	tb := b.Coeffs(p).Compute(float64(refBatch))
-	return tb / ta
-}

@@ -72,11 +72,19 @@ func TestUnknownModelRejected(t *testing.T) {
 	}
 }
 
+// speedRatio returns how many times faster a is than b for the given job at
+// batch size refBatch.
+func speedRatio(a, b *Device, p JobProfile, refBatch int) float64 {
+	ta := a.Coeffs(p).Compute(float64(refBatch))
+	tb := b.Coeffs(p).Compute(float64(refBatch))
+	return tb / ta
+}
+
 func TestHeterogeneityMatchesPaper(t *testing.T) {
 	// Section 6: A100 is about 3.42x faster than RTX 6000.
 	a100 := newTestDevice(t, "A100")
 	rtx := newTestDevice(t, "RTX6000")
-	ratio := SpeedRatio(a100, rtx, testProfile(), 64)
+	ratio := speedRatio(a100, rtx, testProfile(), 64)
 	if ratio < 2.8 || ratio > 4.0 {
 		t.Fatalf("A100/RTX6000 speed ratio = %v, want ~3.4", ratio)
 	}

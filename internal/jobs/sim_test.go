@@ -196,7 +196,7 @@ func TestEventClockGrantAtZero(t *testing.T) {
 	if st.State != StateRunning || st.Started.IsZero() || st.AdmissionLatency != 0 {
 		t.Fatalf("granted at 0: state %s, started %v, admission latency %v", st.State, st.Started, st.AdmissionLatency)
 	}
-	if end := clock.Engine.Run(); end != simtime.Time(2500*simtime.Millisecond) {
+	if end := clock.Engine.Run(); end != simtime.Time(2500*time.Millisecond) {
 		t.Fatalf("engine drained at %v, want 2.5s", end)
 	}
 	if st, _ = s.Status(id); st.State != StateDone || st.Finished.Sub(st.Started) != 2500*time.Millisecond {

@@ -32,30 +32,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{rows: rows, cols: cols, data: make([]float64, rows*cols)}
 }
 
-// FromRows builds a matrix from row slices. All rows must have equal length.
-func FromRows(rows [][]float64) *Matrix {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("linalg: FromRows requires a non-empty rectangular input")
-	}
-	m := NewMatrix(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != m.cols {
-			panic(fmt.Sprintf("linalg: ragged row %d: %d != %d", i, len(r), m.cols))
-		}
-		copy(m.data[i*m.cols:(i+1)*m.cols], r)
-	}
-	return m
-}
-
-// Identity returns the n x n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -73,54 +49,6 @@ func (m *Matrix) Clone() *Matrix {
 	c := NewMatrix(m.rows, m.cols)
 	copy(c.data, m.data)
 	return c
-}
-
-// MulVec returns m * x for a column vector x of length Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.cols {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch %d != %d", len(x), m.cols))
-	}
-	y := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-	return y
-}
-
-// Mul returns the matrix product m * other.
-func (m *Matrix) Mul(other *Matrix) *Matrix {
-	if m.cols != other.rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch %d != %d", m.cols, other.rows))
-	}
-	out := NewMatrix(m.rows, other.cols)
-	for i := 0; i < m.rows; i++ {
-		for k := 0; k < m.cols; k++ {
-			a := m.At(i, k)
-			if a == 0 {
-				continue
-			}
-			for j := 0; j < other.cols; j++ {
-				out.data[i*out.cols+j] += a * other.At(k, j)
-			}
-		}
-	}
-	return out
-}
-
-// Transpose returns the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.cols, m.rows)
-	for i := 0; i < m.rows; i++ {
-		for j := 0; j < m.cols; j++ {
-			t.Set(j, i, m.At(i, j))
-		}
-	}
-	return t
 }
 
 // String renders the matrix for debugging.
@@ -259,39 +187,4 @@ func swapRows(m *Matrix, i, j int) {
 	for k := range ri {
 		ri[k], rj[k] = rj[k], ri[k]
 	}
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Dot length mismatch %d != %d", len(a), len(b)))
-	}
-	s := 0.0
-	for i := range a {
-		s += a[i] * b[i]
-	}
-	return s
-}
-
-// Norm2 returns the squared Euclidean norm of v.
-func Norm2(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return s
-}
-
-// MaxAbsDiff returns max_i |a_i - b_i|; it panics on length mismatch.
-func MaxAbsDiff(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: MaxAbsDiff length mismatch %d != %d", len(a), len(b)))
-	}
-	m := 0.0
-	for i := range a {
-		if d := math.Abs(a[i] - b[i]); d > m {
-			m = d
-		}
-	}
-	return m
 }

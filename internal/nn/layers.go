@@ -1,6 +1,6 @@
 // Package nn is a compact, dependency-free neural-network training engine:
-// dense layers with manual backpropagation, classification/regression
-// losses, SGD/Adam/AdamW optimizers, and the learning-rate scaling rules
+// Linear and ReLU layers with manual backpropagation, the softmax
+// cross-entropy loss, an SGD optimizer, and the learning-rate scaling rules
 // (AdaScale, square-root) used by the paper's workloads (Table 5).
 //
 // The engine produces real gradients so the reproduction can validate the
@@ -28,7 +28,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"cannikin/internal/rng"
 	"cannikin/internal/tensor"
@@ -197,46 +196,6 @@ func (r *ReLU) Params() []*Param { return nil }
 func (r *ReLU) shadow() Layer { return &ReLU{} }
 
 func (r *ReLU) replica([]float64) Layer { return &ReLU{} }
-
-// Tanh is the hyperbolic-tangent activation.
-type Tanh struct {
-	out, dx *tensor.T
-}
-
-// Forward returns tanh(x).
-func (t *Tanh) Forward(x *tensor.T) *tensor.T {
-	t.out = tensor.Reuse(t.out, x.Rows(), x.Cols())
-	od := t.out.Data()
-	for i, v := range x.Data() {
-		od[i] = math.Tanh(v)
-	}
-	return t.out
-}
-
-// Backward computes dout * (1 - tanh²).
-func (t *Tanh) Backward(dout *tensor.T) *tensor.T {
-	if t.out == nil {
-		panic("nn: Tanh.Backward before Forward")
-	}
-	if dout.Rows() != t.out.Rows() || dout.Cols() != t.out.Cols() {
-		panic(fmt.Sprintf("nn: Tanh.Backward shape %dx%d, out %dx%d",
-			dout.Rows(), dout.Cols(), t.out.Rows(), t.out.Cols()))
-	}
-	t.dx = tensor.Reuse(t.dx, dout.Rows(), dout.Cols())
-	dd, od := t.dx.Data(), t.out.Data()
-	for i, v := range dout.Data() {
-		y := od[i]
-		dd[i] = v * (1 - y*y)
-	}
-	return t.dx
-}
-
-// Params returns nil: Tanh has no parameters.
-func (t *Tanh) Params() []*Param { return nil }
-
-func (t *Tanh) shadow() Layer { return &Tanh{} }
-
-func (t *Tanh) replica([]float64) Layer { return &Tanh{} }
 
 // Network is a sequential stack of layers. The layer set is fixed at
 // construction, so the flattened parameter list and the per-layer offsets

@@ -142,7 +142,7 @@ func TestBackwardLayerwiseSkipsOnlyTheDeadProduct(t *testing.T) {
 	}
 
 	w := b.layers[0].(*Linear).w.W
-	want := bottomDout.MatMul(w.Transpose())
+	want := matMul(bottomDout, transposed(w))
 	if d.Rows() != x.Rows() || d.Cols() != sizes[0] {
 		t.Fatalf("direct Backward returned a %dx%d dx, want %dx%d", d.Rows(), d.Cols(), x.Rows(), sizes[0])
 	}

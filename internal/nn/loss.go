@@ -110,16 +110,3 @@ func Accuracy(logits *tensor.T, labels []int) float64 {
 	}
 	return float64(correct) / float64(n)
 }
-
-// MSE computes the mean squared error between predictions and targets and
-// the gradient with respect to predictions.
-func MSE(pred, target *tensor.T) (float64, *tensor.T) {
-	if pred.Rows() != target.Rows() || pred.Cols() != target.Cols() {
-		panic("nn: MSE shape mismatch")
-	}
-	n := float64(pred.Rows() * pred.Cols())
-	grad := pred.Clone().Sub(target)
-	loss := grad.SqNorm() / n
-	grad.Scale(2 / n)
-	return loss, grad
-}

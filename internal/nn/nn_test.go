@@ -22,7 +22,6 @@ func TestBackwardBeforeForwardPanics(t *testing.T) {
 	for name, l := range map[string]Layer{
 		"linear": NewLinear(2, 2, rng.New(1)),
 		"relu":   &ReLU{},
-		"tanh":   &Tanh{},
 	} {
 		func() {
 			defer func() {
@@ -71,37 +70,6 @@ func TestGradientCheck(t *testing.T) {
 	net.SetFlatWeights(weights)
 }
 
-func TestGradientCheckTanhMSE(t *testing.T) {
-	src := rng.New(9)
-	net := NewSequential(NewLinear(3, 4, src), &Tanh{}, NewLinear(4, 2, src))
-	x := tensor.Randn(5, 3, 1, src)
-	target := tensor.Randn(5, 2, 1, src)
-
-	net.ZeroGrad()
-	pred := net.Forward(x)
-	_, dpred := MSE(pred, target)
-	net.Backward(dpred)
-	analytic := flatGrads(net)
-
-	weights := net.FlatWeights()
-	const eps = 1e-6
-	lossAt := func(w []float64) float64 {
-		net.SetFlatWeights(w)
-		loss, _ := MSE(net.Forward(x), target)
-		return loss
-	}
-	for idx := 0; idx < len(weights); idx += 5 {
-		wp := append([]float64(nil), weights...)
-		wm := append([]float64(nil), weights...)
-		wp[idx] += eps
-		wm[idx] -= eps
-		numeric := (lossAt(wp) - lossAt(wm)) / (2 * eps)
-		if math.Abs(numeric-analytic[idx]) > 1e-5*(1+math.Abs(numeric)) {
-			t.Errorf("coordinate %d: numeric %v vs analytic %v", idx, numeric, analytic[idx])
-		}
-	}
-}
-
 func TestSoftmaxCrossEntropyKnownValues(t *testing.T) {
 	// Uniform logits over 4 classes: loss = ln(4).
 	logits := tensor.New(2, 4)
@@ -139,63 +107,28 @@ func TestSoftmaxCrossEntropyPanics(t *testing.T) {
 }
 
 func TestAccuracy(t *testing.T) {
-	logits := tensor.FromRows([][]float64{
-		{2, 1, 0},
-		{0, 3, 1},
-		{1, 0, 5},
-		{9, 0, 0},
+	logits := tensor.View(4, 3, []float64{
+		2, 1, 0,
+		0, 3, 1,
+		1, 0, 5,
+		9, 0, 0,
 	})
 	if got := Accuracy(logits, []int{0, 1, 2, 1}); got != 0.75 {
 		t.Fatalf("Accuracy = %v", got)
 	}
 }
 
-func TestMSE(t *testing.T) {
-	pred := tensor.FromRows([][]float64{{1, 2}})
-	target := tensor.FromRows([][]float64{{0, 0}})
-	loss, grad := MSE(pred, target)
-	if math.Abs(loss-2.5) > 1e-12 {
-		t.Fatalf("loss = %v, want 2.5", loss)
-	}
-	if grad.At(0, 0) != 1 || grad.At(0, 1) != 2 {
-		t.Fatalf("grad = %+v", grad)
-	}
-}
-
 func TestSGDConvergesOnQuadratic(t *testing.T) {
 	// Minimize ||w||² by feeding grad = 2w directly.
-	p := &Param{W: tensor.FromRows([][]float64{{3, -4}}), Grad: tensor.New(1, 2)}
+	p := &Param{W: tensor.View(1, 2, []float64{3, -4}), Grad: tensor.New(1, 2)}
 	opt := NewSGD(0.9, 0)
 	for i := 0; i < 200; i++ {
 		p.Grad.Zero()
 		p.Grad.Add(p.W.Clone().Scale(2))
 		opt.Step([]*Param{p}, 0.05)
 	}
-	if p.W.SqNorm() > 1e-6 {
-		t.Fatalf("SGD did not converge: %v", p.W.SqNorm())
-	}
-}
-
-func TestAdamConvergesOnQuadratic(t *testing.T) {
-	p := &Param{W: tensor.FromRows([][]float64{{3, -4}}), Grad: tensor.New(1, 2)}
-	opt := NewAdam()
-	for i := 0; i < 2000; i++ {
-		p.Grad.Zero()
-		p.Grad.Add(p.W.Clone().Scale(2))
-		opt.Step([]*Param{p}, 0.05)
-	}
-	if p.W.SqNorm() > 1e-4 {
-		t.Fatalf("Adam did not converge: %v", p.W.SqNorm())
-	}
-}
-
-func TestAdamWDecaysWeights(t *testing.T) {
-	p := &Param{W: tensor.FromRows([][]float64{{1}}), Grad: tensor.New(1, 1)}
-	opt := NewAdamW(0.1)
-	// Zero gradient: only decoupled decay acts.
-	opt.Step([]*Param{p}, 0.1)
-	if p.W.At(0, 0) >= 1 {
-		t.Fatal("AdamW did not decay weight with zero gradient")
+	if w := p.W.Data(); w[0]*w[0]+w[1]*w[1] > 1e-6 {
+		t.Fatalf("SGD did not converge: %v", w)
 	}
 }
 

@@ -7,11 +7,6 @@ import (
 	"cannikin/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients.
-type Optimizer interface {
-	Step(params []*Param, lr float64)
-}
-
 // SGD is stochastic gradient descent with optional momentum and (coupled)
 // weight decay.
 type SGD struct {
@@ -138,56 +133,6 @@ func (o *SGD) SetFlatVelocity(params []*Param, flat []float64) error {
 		off += sz
 	}
 	return nil
-}
-
-// Adam is the Adam optimizer (Kingma & Ba).
-type Adam struct {
-	Beta1, Beta2, Eps float64
-	// DecoupledDecay applies AdamW-style weight decay when non-zero.
-	DecoupledDecay float64
-
-	m, v map[*Param]*tensor.T
-	t    int
-}
-
-// NewAdam returns Adam with the canonical hyperparameters.
-func NewAdam() *Adam {
-	return &Adam{Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*Param]*tensor.T), v: make(map[*Param]*tensor.T)}
-}
-
-// NewAdamW returns Adam with decoupled weight decay (Loshchilov & Hutter),
-// the optimizer of the paper's BERT workload.
-func NewAdamW(weightDecay float64) *Adam {
-	a := NewAdam()
-	a.DecoupledDecay = weightDecay
-	return a
-}
-
-// Step applies one Adam update with bias correction.
-func (o *Adam) Step(params []*Param, lr float64) {
-	o.t++
-	c1 := 1 - math.Pow(o.Beta1, float64(o.t))
-	c2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	for _, p := range params {
-		m, ok := o.m[p]
-		if !ok {
-			m = tensor.New(p.W.Rows(), p.W.Cols())
-			o.m[p] = m
-			o.v[p] = tensor.New(p.W.Rows(), p.W.Cols())
-		}
-		v := o.v[p]
-		gd, wd := p.Grad.Data(), p.W.Data()
-		md, vd := m.Data(), v.Data()
-		for i := range wd {
-			g := gd[i]
-			md[i] = o.Beta1*md[i] + (1-o.Beta1)*g
-			vd[i] = o.Beta2*vd[i] + (1-o.Beta2)*g*g
-			mHat := md[i] / c1
-			vHat := vd[i] / c2
-			wd[i] -= lr * (mHat/(math.Sqrt(vHat)+o.Eps) + o.DecoupledDecay*wd[i])
-		}
-	}
 }
 
 // LRScaler adapts the learning rate when the batch size changes during

@@ -6,13 +6,23 @@ import (
 	"testing"
 )
 
+// solveAudited is Solve with the opt-in audit mode: the returned plan is
+// verified against the paper's optimality conditions (see AuditPlan). In
+// AuditStrict mode any violation becomes an error wrapping ErrAuditFailed;
+// in AuditAdvisory mode violations are only recorded in the report. A zero
+// Tolerances value selects the defaults.
+func solveAudited(model ClusterModel, totalBatch int, mode AuditMode, tol Tolerances) (Plan, AuditReport, error) {
+	plan, report, _, err := solveWithHintAudited(model, totalBatch, nil, mode, tol)
+	return plan, report, err
+}
+
 // mustAuditedSolve solves with strict auditing and fails the test on any
 // invariant violation: it is the Solve every optperf test goes through, so
 // the whole property/fuzz/scalability suite doubles as a continuous solver
 // regression test.
 func mustAuditedSolve(t testing.TB, m ClusterModel, total int) (Plan, error) {
 	t.Helper()
-	plan, report, err := SolveAudited(m, total, AuditStrict, Tolerances{})
+	plan, report, err := solveAudited(m, total, AuditStrict, Tolerances{})
 	if errors.Is(err, ErrAuditFailed) {
 		t.Fatalf("audit violation at B=%d: %v\nplan: %+v\nresiduals: %v", total, err, plan, report.Residuals)
 	}
@@ -170,7 +180,7 @@ func TestViolationString(t *testing.T) {
 
 func TestSolveAuditedModes(t *testing.T) {
 	m := threeNodeModel(0.01, 0.005, 0.25)
-	plan, report, err := SolveAudited(m, 120, AuditStrict, Tolerances{})
+	plan, report, err := solveAudited(m, 120, AuditStrict, Tolerances{})
 	if err != nil {
 		t.Fatalf("strict audit of a correct solve must pass: %v", err)
 	}
@@ -178,7 +188,7 @@ func TestSolveAuditedModes(t *testing.T) {
 		t.Fatalf("unexpected report/plan: %+v", report)
 	}
 	// AuditOff returns an empty report.
-	_, report, err = SolveAudited(m, 120, AuditOff, Tolerances{})
+	_, report, err = solveAudited(m, 120, AuditOff, Tolerances{})
 	if err != nil || len(report.Checked) != 0 {
 		t.Fatalf("AuditOff must skip checks: %v %+v", err, report)
 	}
@@ -213,18 +223,6 @@ func TestPlannerAuditAccumulates(t *testing.T) {
 	}
 }
 
-func TestAuditSummaryMerge(t *testing.T) {
-	var a, b AuditSummary
-	a.Add(AuditReport{})
-	bad := AuditReport{Violations: []Violation{{Invariant: InvBatchSum, Residual: 2, Limit: 1}}}
-	b.Add(bad)
-	b.Add(bad)
-	a.Merge(b)
-	if a.Plans != 3 || a.Violations != 2 || a.MaxViolationRatio != 2 || len(a.Failures) != 2 {
-		t.Fatalf("merge wrong: %+v", a)
-	}
-}
-
 func hasViolation(r AuditReport, inv Invariant) bool {
 	for _, v := range r.Violations {
 		if v.Invariant == inv {
@@ -239,7 +237,7 @@ func hasViolation(r AuditReport, inv Invariant) bool {
 // agree with the Algorithm 1 pipeline.
 func TestDifferentialWaterfillAgreement(t *testing.T) {
 	m := threeNodeModel(0.01, 0.005, 0.25)
-	plan, report, err := SolveAudited(m, 150, AuditStrict, Tolerances{})
+	plan, report, err := solveAudited(m, 150, AuditStrict, Tolerances{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -248,11 +248,3 @@ func (p Plan) NumComputeBound() int {
 	}
 	return n
 }
-
-// Throughput returns samples per second at the planned batch time.
-func (p Plan) Throughput() float64 {
-	if p.Time <= 0 {
-		return 0
-	}
-	return float64(p.TotalBatch) / p.Time
-}

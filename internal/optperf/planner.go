@@ -61,20 +61,6 @@ func (s *AuditSummary) Add(r AuditReport) {
 	}
 }
 
-// Merge folds another summary into s.
-func (s *AuditSummary) Merge(o AuditSummary) {
-	s.Plans += o.Plans
-	s.Violations += o.Violations
-	if o.MaxViolationRatio > s.MaxViolationRatio {
-		s.MaxViolationRatio = o.MaxViolationRatio
-	}
-	for _, f := range o.Failures {
-		if len(s.Failures) < 4 {
-			s.Failures = append(s.Failures, f)
-		}
-	}
-}
-
 // NewPlanner returns a planner for the given model.
 func NewPlanner(model ClusterModel) (*Planner, error) {
 	if err := model.Validate(); err != nil {

@@ -32,16 +32,6 @@ func Solve(model ClusterModel, totalBatch int) (Plan, error) {
 	return p, err
 }
 
-// SolveAudited is Solve with the opt-in audit mode: the returned plan is
-// verified against the paper's optimality conditions (see AuditPlan). In
-// AuditStrict mode any violation becomes an error wrapping ErrAuditFailed;
-// in AuditAdvisory mode violations are only recorded in the report. A zero
-// Tolerances value selects the defaults.
-func SolveAudited(model ClusterModel, totalBatch int, mode AuditMode, tol Tolerances) (Plan, AuditReport, error) {
-	plan, report, _, err := solveWithHintAudited(model, totalBatch, nil, mode, tol)
-	return plan, report, err
-}
-
 // solveWithHintAudited is solveWithHint with the opt-in audit mode.
 func solveWithHintAudited(model ClusterModel, totalBatch int, hint *int, mode AuditMode, tol Tolerances) (Plan, AuditReport, SolveStats, error) {
 	plan, stats, err := solveWithHint(model, totalBatch, hint)

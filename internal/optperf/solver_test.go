@@ -464,13 +464,3 @@ func TestProportionalAllocationRespectsCaps(t *testing.T) {
 		t.Fatalf("allocation = %v", b)
 	}
 }
-
-func TestThroughput(t *testing.T) {
-	p := Plan{TotalBatch: 100, Time: 0.5}
-	if p.Throughput() != 200 {
-		t.Fatalf("Throughput = %v", p.Throughput())
-	}
-	if (Plan{}).Throughput() != 0 {
-		t.Fatal("zero plan throughput should be 0")
-	}
-}

@@ -380,10 +380,6 @@ func (c *ClusterLearner) AnyDrifted() bool {
 	return false
 }
 
-// CommDrifted reports whether the most recent EndEpoch dropped stale
-// communication history (the network changed).
-func (c *ClusterLearner) CommDrifted() bool { return c.commDrifted }
-
 // DriftedNodes returns the indices of the nodes that discarded stale
 // history at the most recent epoch boundary — the targets for
 // re-profiling.

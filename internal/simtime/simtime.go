@@ -16,15 +16,8 @@ import (
 // durations cannot be mixed accidentally.
 type Duration time.Duration
 
-// Common duration units.
-const (
-	Nanosecond  = Duration(time.Nanosecond)
-	Microsecond = Duration(time.Microsecond)
-	Millisecond = Duration(time.Millisecond)
-	Second      = Duration(time.Second)
-	Minute      = Duration(time.Minute)
-	Hour        = Duration(time.Hour)
-)
+// Second is one simulated second.
+const Second = Duration(time.Second)
 
 // Seconds returns the duration as a floating-point number of seconds.
 func (d Duration) Seconds() float64 { return time.Duration(d).Seconds() }
@@ -148,24 +141,6 @@ func (e *Engine) Run() Time {
 	}
 	return e.now
 }
-
-// RunUntil executes events with timestamps <= deadline, leaves later events
-// queued, and advances the clock to min(deadline, final event time). It
-// returns the number of events executed.
-func (e *Engine) RunUntil(deadline Time) int {
-	n := 0
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-		n++
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return n
-}
-
-// Pending returns the number of queued events.
-func (e *Engine) Pending() int { return len(e.queue) }
 
 // Advance moves the clock forward by d without running events. It panics if
 // an event would be skipped, which would indicate a simulation bug.

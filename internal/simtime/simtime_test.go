@@ -3,7 +3,10 @@ package simtime
 import (
 	"math"
 	"testing"
+	"time"
 )
+
+const millisecond = Duration(time.Millisecond)
 
 func TestClockStartsAtZero(t *testing.T) {
 	e := NewEngine()
@@ -67,27 +70,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	var ran []int
-	e.Schedule(1*Second, func() { ran = append(ran, 1) })
-	e.Schedule(5*Second, func() { ran = append(ran, 5) })
-	n := e.RunUntil(Time(3 * Second))
-	if n != 1 || len(ran) != 1 || ran[0] != 1 {
-		t.Fatalf("RunUntil ran %d events: %v", n, ran)
-	}
-	if e.Now() != Time(3*Second) {
-		t.Fatalf("Now = %v, want 3s", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if len(ran) != 2 || e.Now() != Time(5*Second) {
-		t.Fatalf("after Run: ran=%v now=%v", ran, e.Now())
-	}
-}
-
 func TestAdvance(t *testing.T) {
 	e := NewEngine()
 	e.Advance(2 * Second)
@@ -129,14 +111,14 @@ func TestScheduleAtNilPanics(t *testing.T) {
 }
 
 func TestDurationConversions(t *testing.T) {
-	if FromSeconds(1.5) != Duration(1500*Millisecond) {
+	if FromSeconds(1.5) != Duration(1500*millisecond) {
 		t.Fatalf("FromSeconds(1.5) = %v", FromSeconds(1.5))
 	}
 	if got := (2 * Second).Seconds(); got != 2 {
 		t.Fatalf("Seconds = %v", got)
 	}
-	tm := Time(Second).Add(500 * Millisecond)
-	if tm.Sub(Time(Second)) != 500*Millisecond {
+	tm := Time(Second).Add(500 * millisecond)
+	if tm.Sub(Time(Second)) != 500*millisecond {
 		t.Fatal("Time arithmetic wrong")
 	}
 	if (2 * Second).String() != "2s" {
@@ -171,7 +153,7 @@ func TestManyEventsDeterministic(t *testing.T) {
 		e := NewEngine()
 		var times []Time
 		for i := 0; i < 500; i++ {
-			d := Duration((i * 7919) % 100 * int(Millisecond))
+			d := Duration((i * 7919) % 100 * int(millisecond))
 			e.Schedule(d, func() { times = append(times, e.Now()) })
 		}
 		e.Run()

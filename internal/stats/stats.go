@@ -72,15 +72,6 @@ func FitLine(xs, ys []float64) (LineFit, error) {
 	return fitLine(xs, ys, nil)
 }
 
-// FitLineWeighted computes the weighted least-squares line through (x, y)
-// pairs with non-negative weights. Points with zero weight are ignored.
-func FitLineWeighted(xs, ys, weights []float64) (LineFit, error) {
-	if len(xs) != len(weights) {
-		return LineFit{}, errLengthMismatch
-	}
-	return fitLine(xs, ys, weights)
-}
-
 var errLengthMismatch = errors.New("stats: FitLineWeighted length mismatch")
 
 // fitLine is the batch fit; nil weights mean a unit weight on every point.

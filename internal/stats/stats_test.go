@@ -67,42 +67,6 @@ func TestFitLineRecoversNoisyLine(t *testing.T) {
 	}
 }
 
-func TestFitLineWeightedIgnoresZeroWeight(t *testing.T) {
-	xs := []float64{1, 2, 3, 100}
-	ys := []float64{3, 5, 7, -1000} // last point is an outlier
-	ws := []float64{1, 1, 1, 0}
-	fit, err := FitLineWeighted(xs, ys, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope-2) > 1e-9 || math.Abs(fit.Intercept-1) > 1e-9 {
-		t.Fatalf("weighted fit = %+v, want slope 2 intercept 1", fit)
-	}
-	if fit.N != 3 {
-		t.Fatalf("N = %d, want 3", fit.N)
-	}
-}
-
-func TestFitLineWeightedRejectsNegative(t *testing.T) {
-	_, err := FitLineWeighted([]float64{1, 2}, []float64{1, 2}, []float64{1, -1})
-	if err == nil {
-		t.Fatal("negative weight accepted")
-	}
-}
-
-func TestFitLineWeightedFavorsPreciseData(t *testing.T) {
-	// Two clusters of points implying different lines; heavy weights should win.
-	xs := []float64{0, 1, 0, 1}
-	ys := []float64{0, 1, 10, 12}
-	fit, err := FitLineWeighted(xs, ys, []float64{100, 100, 0.001, 0.001})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(fit.Slope-1) > 0.05 || math.Abs(fit.Intercept-0) > 0.05 {
-		t.Fatalf("fit = %+v, want ~slope 1 intercept 0", fit)
-	}
-}
-
 func TestInverseVarianceMean(t *testing.T) {
 	obs := []Observation{
 		{Value: 10, Variance: 1},
@@ -321,9 +285,9 @@ func sameFit(a, b LineFit) bool {
 		math.Float64bits(a.ResidualVar) == math.Float64bits(b.ResidualVar)
 }
 
-// A LineSums kept alive across Add calls, a copy of it taken part-way, and
-// the batch entry points all hold the bits of a fresh pass over the same
-// points: the learners' incremental fits rest on this.
+// A LineSums kept alive across Add calls, a copy of it taken part-way, one
+// fed weighted points, and FitLine all hold the bits of a fresh pass over
+// the same points: the learners' incremental fits rest on this.
 func TestLineSumsMatchesBatchFitBitwise(t *testing.T) {
 	s := rng.New(11)
 	for trial := 0; trial < 200; trial++ {
@@ -345,9 +309,16 @@ func TestLineSumsMatchesBatchFitBitwise(t *testing.T) {
 			t.Fatalf("trial %d: FitLine = %+v, %v; reference %+v, %v", trial, got, err, wantUnit, wantUnitErr)
 		}
 		want, wantErr := referenceFitLineWeighted(xs, ys, ws)
-		got, err = FitLineWeighted(xs, ys, ws)
+		want.ResidualVar = 0 // needs the points; LineSums.Fit leaves it zero
+		var weighted LineSums
+		for i := range xs {
+			if ws[i] != 0 {
+				weighted.Add(xs[i], ys[i], ws[i])
+			}
+		}
+		got, err = weighted.Fit()
 		if (err == nil) != (wantErr == nil) || !sameFit(got, want) {
-			t.Fatalf("trial %d: FitLineWeighted = %+v, %v; reference %+v, %v", trial, got, err, want, wantErr)
+			t.Fatalf("trial %d: weighted running sums fit %+v, %v; reference %+v, %v", trial, got, err, want, wantErr)
 		}
 
 		// Incrementally, with a snapshot after the first half.
@@ -387,8 +358,5 @@ func TestLineSumsFitLineDoesNotAllocate(t *testing.T) {
 func TestFitLineLengthMismatch(t *testing.T) {
 	if _, err := FitLine([]float64{1, 2, 3}, []float64{1, 2}); err == nil {
 		t.Fatal("FitLine accepted xs and ys of different lengths")
-	}
-	if _, err := FitLineWeighted([]float64{1, 2}, []float64{1, 2}, []float64{1}); err == nil {
-		t.Fatal("FitLineWeighted accepted a short weight slice")
 	}
 }

@@ -68,10 +68,10 @@ func assertProductMatchesNaive(t *testing.T, name string, l, r *T) {
 	MatMulInto(mm, l, r)
 	assertBitwiseEqual(t, name+" MatMulInto", mm, want)
 	bt := New(l.rows, r.cols)
-	MulBTInto(bt, l, r.Transpose())
+	MulBTInto(bt, l, transposed(r))
 	assertBitwiseEqual(t, name+" MulBTInto", bt, want)
 	at := New(l.rows, r.cols)
-	AddMulATInto(at, l.Transpose(), r)
+	AddMulATInto(at, transposed(l), r)
 	assertBitwiseEqual(t, name+" AddMulATInto", at, want)
 }
 
@@ -124,7 +124,7 @@ func TestKernelsMatchNaiveReference(t *testing.T) {
 		// dW reference: xᵀ·dout via explicit transpose, accumulated into a
 		// pre-seeded destination the way Linear.Backward does (Grad.Add).
 		seed := Randn(sh.k, sh.c, 1, src)
-		want := seed.Clone().Add(naiveMatMul(x.Transpose(), dout))
+		want := seed.Clone().Add(naiveMatMul(transposed(x), dout))
 		got := seed.Clone()
 		// AddMulATInto accumulates term by term, so feed it a zero scratch
 		// and add — the exact call pattern Linear.Backward uses.
@@ -136,12 +136,12 @@ func TestKernelsMatchNaiveReference(t *testing.T) {
 		// Direct accumulation from zero must equal the matmul too.
 		direct := New(sh.k, sh.c)
 		AddMulATInto(direct, x, dout)
-		assertBitwiseEqual(t, fmt.Sprintf("AddMulATInto-zero %v", sh), direct, naiveMatMul(x.Transpose(), dout))
+		assertBitwiseEqual(t, fmt.Sprintf("AddMulATInto-zero %v", sh), direct, naiveMatMul(transposed(x), dout))
 
 		// dx reference: dout·Wᵀ via explicit transpose.
 		bt := New(sh.n, sh.k)
 		MulBTInto(bt, dout, w)
-		assertBitwiseEqual(t, fmt.Sprintf("MulBTInto %v", sh), bt, naiveMatMul(dout, w.Transpose()))
+		assertBitwiseEqual(t, fmt.Sprintf("MulBTInto %v", sh), bt, naiveMatMul(dout, transposed(w)))
 	}
 }
 
@@ -228,10 +228,10 @@ func assertTiledMatchesNaive(t *testing.T, name string, l, r *T, tiles int) {
 	tiledInto(opMatMul, mm, l, r, min(tiles, l.rows))
 	assertBitwiseEqual(t, name+" MatMulInto", mm, want)
 	bt := New(l.rows, r.cols)
-	tiledInto(opMulBT, bt, l, r.Transpose(), min(tiles, l.rows))
+	tiledInto(opMulBT, bt, l, transposed(r), min(tiles, l.rows))
 	assertBitwiseEqual(t, name+" MulBTInto", bt, want)
 	at := New(l.rows, r.cols)
-	tiledInto(opAddMulAT, at, l.Transpose(), r, min(tiles, l.rows))
+	tiledInto(opAddMulAT, at, transposed(l), r, min(tiles, l.rows))
 	assertBitwiseEqual(t, name+" AddMulATInto", at, want)
 }
 
@@ -278,10 +278,10 @@ func TestParallelKernelsBitwiseEqualSerial(t *testing.T) {
 		assertBitwiseEqual(t, fmt.Sprintf("serial MatMulInto %v", sh), serialMM, naiveMatMul(x, w))
 		serialAT := New(sh.k, sh.c)
 		runRows(opAddMulAT, serialAT, x, dout, 0, sh.k)
-		assertBitwiseEqual(t, fmt.Sprintf("serial AddMulATInto %v", sh), serialAT, naiveMatMul(x.Transpose(), dout))
+		assertBitwiseEqual(t, fmt.Sprintf("serial AddMulATInto %v", sh), serialAT, naiveMatMul(transposed(x), dout))
 		serialBT := New(sh.n, sh.k)
 		runRows(opMulBT, serialBT, dout, w, 0, sh.n)
-		assertBitwiseEqual(t, fmt.Sprintf("serial MulBTInto %v", sh), serialBT, naiveMatMul(dout, w.Transpose()))
+		assertBitwiseEqual(t, fmt.Sprintf("serial MulBTInto %v", sh), serialBT, naiveMatMul(dout, transposed(w)))
 
 		for tiles := 1; tiles <= sh.n; tiles++ {
 			mm := New(sh.n, sh.c)

@@ -41,21 +41,6 @@ func View(rows, cols int, data []float64) *T {
 	return &T{rows: rows, cols: cols, data: data[:len(data):len(data)]}
 }
 
-// FromRows builds a tensor from row slices (copied).
-func FromRows(rows [][]float64) *T {
-	if len(rows) == 0 || len(rows[0]) == 0 {
-		panic("tensor: FromRows requires non-empty input")
-	}
-	t := New(len(rows), len(rows[0]))
-	for i, r := range rows {
-		if len(r) != t.cols {
-			panic(fmt.Sprintf("tensor: ragged row %d", i))
-		}
-		copy(t.Row(i), r)
-	}
-	return t
-}
-
 // Randn fills a new tensor with N(0, std) entries from src: bitwise
 // src.Norm(0, std) per element in order, the standard draws filled by
 // NormalsInto.
@@ -120,28 +105,6 @@ func Reuse(t *T, rows, cols int) *T {
 	return t
 }
 
-// MatMul returns t * other ((r x c) * (c x k) -> (r x k)). It is the
-// allocating convenience form of MatMulInto.
-func (t *T) MatMul(other *T) *T {
-	if t.cols != other.rows {
-		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d * %dx%d", t.rows, t.cols, other.rows, other.cols))
-	}
-	out := New(t.rows, other.cols)
-	MatMulInto(out, t, other)
-	return out
-}
-
-// Transpose returns a transposed copy.
-func (t *T) Transpose() *T {
-	out := New(t.cols, t.rows)
-	for i := 0; i < t.rows; i++ {
-		for j := 0; j < t.cols; j++ {
-			out.Set(j, i, t.At(i, j))
-		}
-	}
-	return out
-}
-
 // AddRowVector adds v to every row in place (v length must equal Cols).
 func (t *T) AddRowVector(v []float64) *T {
 	if len(v) != t.cols {
@@ -180,15 +143,6 @@ func (t *T) Scale(s float64) *T {
 		t.data[i] *= s
 	}
 	return t
-}
-
-// SqNorm returns the squared Frobenius norm.
-func (t *T) SqNorm() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return s
 }
 
 // SliceRows returns a copy of rows [from, to).

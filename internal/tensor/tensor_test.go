@@ -8,6 +8,33 @@ import (
 	"cannikin/internal/rng"
 )
 
+// fromRows builds a tensor from equal-length row slices (copied).
+func fromRows(rows [][]float64) *T {
+	t := New(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(t.Row(i), r)
+	}
+	return t
+}
+
+// transposed returns a copy of t's transpose.
+func transposed(t *T) *T {
+	out := New(t.cols, t.rows)
+	for i := 0; i < t.rows; i++ {
+		for j := 0; j < t.cols; j++ {
+			out.Set(j, i, t.At(i, j))
+		}
+	}
+	return out
+}
+
+// matMul returns a·b in a fresh tensor, through MatMulInto.
+func matMul(a, b *T) *T {
+	out := New(a.rows, b.cols)
+	MatMulInto(out, a, b)
+	return out
+}
+
 func TestNewShape(t *testing.T) {
 	a := New(2, 3)
 	if a.Rows() != 2 || a.Cols() != 3 {
@@ -22,7 +49,7 @@ func TestNewShape(t *testing.T) {
 }
 
 func TestFromRowsAndAt(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	if a.At(0, 1) != 2 || a.At(1, 0) != 3 {
 		t.Fatal("values wrong")
 	}
@@ -32,24 +59,15 @@ func TestFromRowsAndAt(t *testing.T) {
 	}
 }
 
-func TestFromRowsRaggedPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("ragged input accepted")
-		}
-	}()
-	FromRows([][]float64{{1}, {2, 3}})
-}
-
 func TestMatMul(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.MatMul(b)
-	want := FromRows([][]float64{{19, 22}, {43, 50}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{5, 6}, {7, 8}})
+	c := matMul(a, b)
+	want := fromRows([][]float64{{19, 22}, {43, 50}})
 	for i := 0; i < 2; i++ {
 		for j := 0; j < 2; j++ {
 			if c.At(i, j) != want.At(i, j) {
-				t.Fatalf("MatMul wrong at (%d,%d): %v", i, j, c.At(i, j))
+				t.Fatalf("MatMulInto wrong at (%d,%d): %v", i, j, c.At(i, j))
 			}
 		}
 	}
@@ -61,7 +79,7 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("shape mismatch accepted")
 		}
 	}()
-	New(2, 3).MatMul(New(2, 3))
+	matMul(New(2, 3), New(2, 3))
 }
 
 func TestMatMulAssociativeWithTranspose(t *testing.T) {
@@ -72,8 +90,8 @@ func TestMatMulAssociativeWithTranspose(t *testing.T) {
 		r, k, c := 1+s.Intn(6), 1+s.Intn(6), 1+s.Intn(6)
 		a := Randn(r, k, 1, s)
 		b := Randn(k, c, 1, s)
-		left := a.MatMul(b).Transpose()
-		right := b.Transpose().MatMul(a.Transpose())
+		left := transposed(matMul(a, b))
+		right := matMul(transposed(b), transposed(a))
 		for i := 0; i < left.Rows(); i++ {
 			for j := 0; j < left.Cols(); j++ {
 				if math.Abs(left.At(i, j)-right.At(i, j)) > 1e-10 {
@@ -89,8 +107,8 @@ func TestMatMulAssociativeWithTranspose(t *testing.T) {
 }
 
 func TestElementwiseOps(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
-	b := FromRows([][]float64{{10, 20}, {30, 40}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	b := fromRows([][]float64{{10, 20}, {30, 40}})
 	a.Add(b)
 	if a.At(0, 0) != 11 || a.At(1, 1) != 44 {
 		t.Fatal("Add wrong")
@@ -106,22 +124,15 @@ func TestElementwiseOps(t *testing.T) {
 }
 
 func TestAddRowVector(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}, {3, 4}})
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
 	a.AddRowVector([]float64{10, 100})
 	if a.At(0, 0) != 11 || a.At(1, 1) != 104 {
 		t.Fatal("AddRowVector wrong")
 	}
 }
 
-func TestSqNorm(t *testing.T) {
-	a := FromRows([][]float64{{3, -4}})
-	if a.SqNorm() != 25 {
-		t.Fatalf("SqNorm = %v", a.SqNorm())
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
+	a := fromRows([][]float64{{1, 2}})
 	b := a.Clone()
 	b.Set(0, 0, 99)
 	if a.At(0, 0) != 1 {
@@ -130,15 +141,15 @@ func TestCloneIndependent(t *testing.T) {
 }
 
 func TestZero(t *testing.T) {
-	a := FromRows([][]float64{{1, 2}})
+	a := fromRows([][]float64{{1, 2}})
 	a.Zero()
-	if a.SqNorm() != 0 {
+	if a.At(0, 0) != 0 || a.At(0, 1) != 0 {
 		t.Fatal("Zero failed")
 	}
 }
 
 func TestSliceRows(t *testing.T) {
-	a := FromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	a := fromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	b := a.SliceRows(1, 3)
 	if b.Rows() != 2 || b.At(0, 0) != 2 || b.At(1, 1) != 3 {
 		t.Fatal("SliceRows wrong")
@@ -167,7 +178,11 @@ func TestRandnMoments(t *testing.T) {
 	if math.Abs(mean) > 0.05 {
 		t.Fatalf("Randn mean %v", mean)
 	}
-	variance := a.SqNorm()/n - mean*mean
+	sq := 0.0
+	for _, v := range a.Data() {
+		sq += v * v
+	}
+	variance := sq/n - mean*mean
 	if math.Abs(math.Sqrt(variance)-2.0) > 0.05 {
 		t.Fatalf("Randn std %v", math.Sqrt(variance))
 	}

@@ -517,13 +517,6 @@ func (c *Cannikin) ObserveEpochEnd(env *Env) {
 // Noise exposes the smoothed heterogeneous GNS estimate.
 func (c *Cannikin) Noise() float64 { return c.tracker.Noise() }
 
-// PlanningWork returns the cumulative solver operations spent planning
-// (the quantity Table 6's overhead model charges).
-func (c *Cannikin) PlanningWork() int { return c.solvesSeen }
-
-// LastPlan returns the most recent OptPerf plan (for experiments).
-func (c *Cannikin) LastPlan() optperf.Plan { return c.lastPlan }
-
 // LearnedModel returns the current learned cluster model, or an error
 // before enough epochs have run.
 func (c *Cannikin) LearnedModel(env *Env) (optperf.ClusterModel, error) {

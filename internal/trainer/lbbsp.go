@@ -1,10 +1,6 @@
 package trainer
 
-import (
-	"fmt"
-
-	"cannikin/internal/stats"
-)
+import "cannikin/internal/stats"
 
 // LBBSP reproduces LB-BSP (semi-dynamic load balancing): the total batch
 // size is fixed, and each epoch the local batch sizes are nudged by a step
@@ -43,58 +39,6 @@ func (l *LBBSP) Batch(env *Env) int {
 		b = env.MaxTotal
 	}
 	return b
-}
-
-// SetTotalBatch re-targets the fixed total batch mid-run (used by the
-// adaptive-batch-size comparison of Figure 10): the current allocation is
-// rescaled proportionally and tuning resumes from there.
-func (l *LBBSP) SetTotalBatch(env *Env, total int) error {
-	if total < env.MinTotal || total > env.MaxTotal {
-		return fmt.Errorf("lb-bsp: total %d outside [%d, %d]", total, env.MinTotal, env.MaxTotal)
-	}
-	l.FixedBatch = total
-	if l.local == nil {
-		return nil
-	}
-	old := 0
-	for _, b := range l.local {
-		old += b
-	}
-	scaled := make([]int, len(l.local))
-	sum := 0
-	for i, b := range l.local {
-		scaled[i] = b * total / old
-		if scaled[i] < 1 {
-			scaled[i] = 1
-		}
-		if scaled[i] > env.Caps[i] {
-			scaled[i] = env.Caps[i]
-		}
-		sum += scaled[i]
-	}
-	// Fix the remainder on nodes with headroom.
-	for sum != total {
-		progressed := false
-		for i := range scaled {
-			if sum == total {
-				break
-			}
-			if sum < total && scaled[i] < env.Caps[i] {
-				scaled[i]++
-				sum++
-				progressed = true
-			} else if sum > total && scaled[i] > 1 {
-				scaled[i]--
-				sum--
-				progressed = true
-			}
-		}
-		if !progressed {
-			return fmt.Errorf("lb-bsp: cannot scale allocation to %d", total)
-		}
-	}
-	l.local = scaled
-	return nil
 }
 
 // PlanEpoch implements System: even split initially, then the allocation
@@ -191,6 +135,3 @@ func (l *LBBSP) ObserveEpochEnd(env *Env) {
 	}
 	l.local = next
 }
-
-// Local returns the current allocation (for experiments).
-func (l *LBBSP) Local() []int { return append([]int(nil), l.local...) }

@@ -27,8 +27,8 @@ func TestAllSystemsAllWorkloadsClusterA(t *testing.T) {
 			for name, mk := range build {
 				res := runSystem(t, "a", wl, mk(), 99)
 				times[name] = res.ConvergeTime
-				if res.FinalMetric() <= 0 {
-					t.Errorf("%s: bad final metric %v", name, res.FinalMetric())
+				if final := res.Epochs[len(res.Epochs)-1].Metric; final <= 0 {
+					t.Errorf("%s: bad final metric %v", name, final)
 				}
 			}
 			if times["cannikin"] > times["pytorch-ddp"] {
@@ -168,10 +168,10 @@ func TestHetPipeBatchTimeProperties(t *testing.T) {
 func TestCannikinPlanningWorkBounded(t *testing.T) {
 	sys := NewCannikin()
 	res := runSystem(t, "a", "cifar10", sys, 60)
-	if sys.PlanningWork() <= 0 {
+	if sys.solvesSeen <= 0 {
 		t.Fatal("no planning work recorded")
 	}
-	perEpoch := float64(sys.PlanningWork()) / float64(len(res.Epochs))
+	perEpoch := float64(sys.solvesSeen) / float64(len(res.Epochs))
 	if perEpoch > 12 {
 		t.Fatalf("planning work %.1f ops/epoch; caching ineffective", perEpoch)
 	}

@@ -206,14 +206,6 @@ type Result struct {
 	TotalOverhead float64
 }
 
-// FinalMetric returns the last recorded metric value.
-func (r *Result) FinalMetric() float64 {
-	if len(r.Epochs) == 0 {
-		return math.NaN()
-	}
-	return r.Epochs[len(r.Epochs)-1].Metric
-}
-
 // Config configures a training run.
 type Config struct {
 	Cluster  *cluster.Cluster
