@@ -264,15 +264,8 @@ func (r *Ring) reduceHD(rank int, dst, src []float64, w float64, opts Options) e
 // same kept[j] += received[j] accumulation per round (safe in place —
 // within a round every write lands in the writer's kept half, disjoint
 // from the partner's kept half it reads), and exact copies for the
-// all-gather and post-step. For power-of-two group sizes 2, 4, and 8 the
-// per-chunk binary tree is evaluated in one fused pass: the tree for the
-// chunk owned by group member c has leaves c ^ bitrev(p) in order, so
-//
-//	g=8:  ((w_c+w_{c^4}) + (w_{c^2}+w_{c^6})) + ((w_{c^1}+w_{c^5}) + (w_{c^3}+w_{c^7}))
-//
-// which is the identical association with three-deep instruction-level
-// parallelism instead of g-1 separate load-add-store passes — the reason
-// hd wins the small-payload benchmarks even on one core.
+// all-gather and post-step. AllReduceAlg reaches it only for the shapes
+// hdReduceInlineWeighted has no fused form for.
 func hdReduceInline(vectors [][]float64) {
 	n := len(vectors)
 	dim := len(vectors[0])
@@ -286,74 +279,32 @@ func hdReduceInline(vectors [][]float64) {
 			dst[j] += src[j]
 		}
 	}
+	// Group member m's vector and the span [los[m], his[m]) it keeps; up
+	// to 16 members live on the stack.
 	var wsArr [16][]float64
-	var ws [][]float64
-	if g <= len(wsArr) {
-		ws = wsArr[:g]
-	} else {
-		ws = make([][]float64, g)
-	}
-	for m := 0; m < g; m++ {
-		ws[m] = vectors[hdGroupRank(m, ext)]
-	}
-
 	var loArr, hiArr [16]int
-	var los, his []int
-	if g <= len(loArr) {
-		los, his = loArr[:g], hiArr[:g]
-	} else {
-		los, his = make([]int, g), make([]int, g)
+	ws, los, his := wsArr[:0], loArr[:0], hiArr[:0]
+	for m := 0; m < g; m++ {
+		ws = append(ws, vectors[hdGroupRank(m, ext)])
+		los, his = append(los, 0), append(his, dim)
 	}
 
-	switch {
-	case ext == 0 && g == 2:
-		hdOwnedSpans(dim, g, q, los, his)
-		for c := 0; c < g; c++ {
-			a, b := ws[c], ws[c^1]
-			for j := los[c]; j < his[c]; j++ {
-				a[j] = a[j] + b[j]
-			}
-		}
-	case ext == 0 && g == 4:
-		hdOwnedSpans(dim, g, q, los, his)
-		for c := 0; c < g; c++ {
-			a, b, e, f := ws[c], ws[c^2], ws[c^1], ws[c^3]
-			for j := los[c]; j < his[c]; j++ {
-				a[j] = (a[j] + b[j]) + (e[j] + f[j])
-			}
-		}
-	case ext == 0 && g == 8:
-		hdOwnedSpans(dim, g, q, los, his)
-		for c := 0; c < g; c++ {
-			a, b, e, f := ws[c], ws[c^4], ws[c^2], ws[c^6]
-			u, v, x, y := ws[c^1], ws[c^5], ws[c^3], ws[c^7]
-			for j := los[c]; j < his[c]; j++ {
-				a[j] = ((a[j] + b[j]) + (e[j] + f[j])) + ((u[j] + v[j]) + (x[j] + y[j]))
-			}
-		}
-	default:
-		// Generic group size (or folded ranks present with the fused
-		// sizes — the pre-fold already happened, so this path still sees
-		// plain group vectors): replay the rounds.
+	// Replay the rounds.
+	for i := 0; i < q; i++ {
+		dist := g >> (i + 1)
 		for m := 0; m < g; m++ {
-			los[m], his[m] = 0, dim
-		}
-		for i := 0; i < q; i++ {
-			dist := g >> (i + 1)
-			for m := 0; m < g; m++ {
-				lo, hi := los[m], his[m]
-				mid := lo + (hi-lo)/2
-				if m&dist == 0 {
-					hi = mid
-				} else {
-					lo = mid
-				}
-				dst, src := ws[m][lo:hi], ws[m^dist][lo:hi]
-				for j := range dst {
-					dst[j] += src[j]
-				}
-				los[m], his[m] = lo, hi
+			lo, hi := los[m], his[m]
+			mid := lo + (hi-lo)/2
+			if m&dist == 0 {
+				hi = mid
+			} else {
+				lo = mid
 			}
+			dst, src := ws[m][lo:hi], ws[m^dist][lo:hi]
+			for j := range dst {
+				dst[j] += src[j]
+			}
+			los[m], his[m] = lo, hi
 		}
 	}
 

@@ -55,6 +55,12 @@ type Layer interface {
 	Forward(x *tensor.T) *tensor.T
 	Backward(dout *tensor.T) *tensor.T
 	Params() []*Param
+
+	// shadow and replica are the layer's twins behind Network.Shadow and
+	// Network.Replica; a replica lays its gradients out in grad, its span
+	// of the twin network's slab.
+	shadow() Layer
+	replica(grad []float64) Layer
 }
 
 // Linear is a fully connected layer: y = x W + b.
@@ -256,10 +262,10 @@ func NewSequential(layers ...Layer) *Network { return &Network{layers: layers} }
 // another goroutine: every layer shares the original's Params — the shadow
 // always sees the current weights — but owns its workspaces, so Forward on
 // the shadow and on the original (or on another shadow) never touch the same
-// memory and write no Param. Stochastic layers shadow in evaluation mode.
-// Backward on a shadow would accumulate into the shared gradients; don't.
+// memory and write no Param. Backward on a shadow would accumulate into the
+// shared gradients; don't.
 func (n *Network) Shadow() *Network {
-	return twin(n, "shadowed", n.grads, func(l shadower, _ []float64) Layer { return l.shadow() })
+	return n.twin(n.grads, func(l Layer, _ []float64) Layer { return l.shadow() })
 }
 
 // Replica returns a training twin of the network for another data-parallel
@@ -269,34 +275,22 @@ func (n *Network) Shadow() *Network {
 // every layer owns its workspaces. Forward and Backward on the replica and on
 // the original (or on another replica) may run concurrently: they read the
 // shared weights and write nothing in common. A write to the weights must not
-// overlap any of them. Layers that draw randomness (Dropout) have no replica:
-// twins would race on one stream.
+// overlap any of them.
 func (n *Network) Replica() *Network {
-	return twin(n, "replicated", make([]float64, n.NumParams()), replicator.replica)
+	return n.twin(make([]float64, n.NumParams()), Layer.replica)
 }
-
-// shadower and replicator are the per-layer hooks behind Shadow and Replica;
-// a replica lays its gradients out in grad, its span of the twin's slab.
-type (
-	shadower   interface{ shadow() Layer }
-	replicator interface{ replica(grad []float64) Layer }
-)
 
 // twin builds the network over the gradient slab grads whose every layer is
 // hook's twin of n's, handed that layer's span of grads (nil without one).
-func twin[H any](n *Network, what string, grads []float64, hook func(H, []float64) Layer) *Network {
+func (n *Network) twin(grads []float64, hook func(Layer, []float64) Layer) *Network {
 	n.build()
 	layers := make([]Layer, len(n.layers))
 	for i, l := range n.layers {
-		h, ok := l.(H)
-		if !ok {
-			panic(fmt.Sprintf("nn: layer %d (%T) cannot be %s", i, l, what))
-		}
 		var g []float64
 		if grads != nil {
 			g = grads[n.offsets[i]:n.offsets[i+1]]
 		}
-		layers[i] = hook(h, g)
+		layers[i] = hook(l, g)
 	}
 	return &Network{layers: layers, grads: grads}
 }

@@ -3,6 +3,7 @@ package runtime
 import (
 	"fmt"
 	stdruntime "runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -92,19 +93,76 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 	}
 }
 
-// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1): the heap
-// allocations per call of f, averaged over runs calls after one warm-up, at
-// the caller's GOMAXPROCS — so a width-2 gate measures the kernels tiled
-// over the pool and the workers on two cores, not everything on one.
+// allocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1), counting
+// only the allocations of f's own code: the heap allocations per call of f,
+// averaged over runs calls after one warm-up, at the caller's GOMAXPROCS —
+// so a width-2 gate measures the kernels tiled over the pool and the
+// workers on two cores, not everything on one. The window runs with every
+// allocation profiled (MemProfileRate 1), and one the Go runtime makes to
+// grow a cache of its own (runtimeCaches) is not counted: no code here can
+// avoid it, and it lands in whichever window the scheduler happens to grow
+// the cache in. Every other allocation, by whatever goroutine, is counted.
 func allocsPerRun(runs int, f func()) uint64 {
-	var before, after stdruntime.MemStats
 	f()
-	stdruntime.ReadMemStats(&before)
+	defer func(rate int) { stdruntime.MemProfileRate = rate }(stdruntime.MemProfileRate)
+	stdruntime.MemProfileRate = 1
+	n, _ := stdruntime.MemProfile(nil, true)
+	before := make([]stdruntime.MemProfileRecord, n+4096)
+	after := make([]stdruntime.MemProfileRecord, len(before))
+	stdruntime.GC() // publish every allocation so far, the two above included
+	nb, okb := stdruntime.MemProfile(before, true)
 	for range runs {
 		f()
 	}
-	stdruntime.ReadMemStats(&after)
-	return (after.Mallocs - before.Mallocs) / uint64(runs)
+	stdruntime.GC()
+	na, oka := stdruntime.MemProfile(after, true)
+	if !okb || !oka {
+		panic("allocsPerRun: the heap profile outgrew its buffer")
+	}
+	return (ownAllocs(after[:na]) - ownAllocs(before[:nb])) / uint64(runs)
+}
+
+// ownAllocs is the count of allocations in a heap profile that are not the
+// runtime's own (runtimeCache). A profile's counts only grow, so the
+// difference of two is what was allocated between them.
+func ownAllocs(profile []stdruntime.MemProfileRecord) uint64 {
+	var n int64
+	for _, r := range profile {
+		if !runtimeCache(r.Stack()) {
+			n += r.AllocObjects
+		}
+	}
+	return uint64(n)
+}
+
+// runtimeCaches are the Go runtime functions that allocate to grow a cache
+// of the runtime's own: a sudog for a goroutine blocking in a channel
+// operation or select, a slot in a P's timer heap, an M for a thread and a
+// g for a goroutine or thread.
+var runtimeCaches = map[string]bool{
+	"runtime.acquireSudog":      true,
+	"runtime.(*timers).addHeap": true,
+	"runtime.allocm":            true,
+	"runtime.malg":              true,
+}
+
+// runtimeCache reports whether the allocation with call stack stk is the
+// runtime's own: one of runtimeCaches is on it before its first frame
+// outside package runtime.
+func runtimeCache(stk []uintptr) bool {
+	frames := stdruntime.CallersFrames(stk)
+	for {
+		fr, more := frames.Next()
+		if !strings.HasPrefix(fr.Function, "runtime.") {
+			return false
+		}
+		if runtimeCaches[fr.Function] {
+			return true
+		}
+		if !more {
+			return false
+		}
+	}
 }
 
 // liveStepAllocs is one row of the live allocation gate.

@@ -356,19 +356,6 @@ func onEveryRank(n int, f func(rank int)) (run, stop func()) {
 	return run, stop
 }
 
-// quietestAllocs is allocsPerRun(runs, f) over the quietest of three
-// windows. Goroutines blocking on channels and sockets make the Go runtime
-// allocate now and then for itself — a sudog cache refilled after a GC, an
-// M for a thread parked in a syscall — which no code here can avoid and
-// which lands in one window; a call that allocates does so in every window.
-func quietestAllocs(runs int, f func()) uint64 {
-	least := allocsPerRun(runs, f)
-	for range 2 {
-		least = min(least, allocsPerRun(runs, f))
-	}
-	return least
-}
-
 // TestWorkerEvaluationSharesRows: in worker mode each rank forwards its
 // 1/n of the rows and one ring reduce replicates the logits. Over a
 // loopback TCP ring — for a row count that splits unevenly, and for fewer
@@ -454,7 +441,7 @@ func TestWorkerEvaluationSharesRows(t *testing.T) {
 
 			evalAll, stopEval := onEveryRank(n, func(rank int) { _, _, errs[rank] = evals[rank].eval() })
 			defer stopEval()
-			if allocs := quietestAllocs(20, evalAll); allocs != 0 {
+			if allocs := allocsPerRun(20, evalAll); allocs != 0 {
 				t.Fatalf("a warm replicated evaluation allocates %v times, want 0", allocs)
 			}
 			for rank, err := range errs {
@@ -517,7 +504,7 @@ func TestWorkerSteadyStateStepAllocsZero(t *testing.T) {
 					assertBits(t, fmt.Sprintf("rank %d |g|²", rank), samples[rank].GlobalSqNorm, sqNorm(execs[0].workers[0].sum))
 					reserveProfile(execs[rank], 100)
 				}
-				if allocs := quietestAllocs(20, func() { step(); stepNo++ }); allocs != 0 {
+				if allocs := allocsPerRun(50, func() { step(); stepNo++ }); allocs != 0 {
 					t.Fatalf("steady-state worker step allocates %v times, want 0", allocs)
 				}
 				for rank, err := range errs {

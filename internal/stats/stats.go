@@ -1,8 +1,8 @@
 // Package stats provides the small statistical toolkit behind Cannikin's
-// online parameter learning: ordinary and weighted least-squares line fits
-// (the per-node compute-time models are linear in local batch size),
-// inverse-variance combination of per-node observations (Section 4.5 of the
-// paper), and streaming variance/mean accumulators.
+// online parameter learning: least-squares line fits (the per-node
+// compute-time models are linear in local batch size), inverse-variance
+// combination of per-node observations (Section 4.5 of the paper), and
+// streaming variance/mean accumulators.
 package stats
 
 import (
@@ -30,11 +30,11 @@ func (f LineFit) Eval(x float64) float64 { return f.Slope*x + f.Intercept }
 
 // LineSums is the running state of a weighted least-squares line fit: the
 // five sums of the normal equations, accumulated one point at a time. It is
-// the one implementation of those equations — FitLine and FitLineWeighted
-// feed a fresh LineSums, the online learners keep one alive — so a value
-// maintained incrementally holds bit for bit what a fresh pass over the same
-// points in the same order computes. The zero value is an empty fit; a copy
-// is a snapshot.
+// the one implementation of those equations — FitLine feeds a fresh
+// LineSums, the online learners keep one alive — so a value maintained
+// incrementally holds bit for bit what a fresh pass over the same points in
+// the same order computes. The zero value is an empty fit; a copy is a
+// snapshot.
 type LineSums struct {
 	n                        int
 	sw, swx, swy, swxx, swxy float64
@@ -69,53 +69,31 @@ func (s *LineSums) Fit() (LineFit, error) {
 // FitLine computes the ordinary least-squares line through (x, y) pairs.
 // It requires at least two distinct x values.
 func FitLine(xs, ys []float64) (LineFit, error) {
-	return fitLine(xs, ys, nil)
-}
-
-var errLengthMismatch = errors.New("stats: FitLineWeighted length mismatch")
-
-// fitLine is the batch fit; nil weights mean a unit weight on every point.
-func fitLine(xs, ys, weights []float64) (LineFit, error) {
 	if len(xs) != len(ys) {
 		return LineFit{}, errLengthMismatch
 	}
-	weight := func(i int) float64 {
-		if weights == nil {
-			return 1
-		}
-		return weights[i]
-	}
 	var sums LineSums
 	for i := range xs {
-		w := weight(i)
-		if w < 0 {
-			return LineFit{}, errors.New("stats: negative weight")
-		}
-		if w == 0 {
-			continue
-		}
-		sums.Add(xs[i], ys[i], w)
+		sums.Add(xs[i], ys[i], 1)
 	}
 	fit, err := sums.Fit()
 	if err != nil {
 		return LineFit{}, err
 	}
 	if fit.N >= 3 {
-		var rss, wsum float64
+		var rss float64
 		for i := range xs {
-			w := weight(i)
-			if w == 0 {
-				continue
-			}
 			r := ys[i] - fit.Eval(xs[i])
-			rss += w * r * r
-			wsum += w
+			rss += r * r
 		}
-		// Normalize by effective dof; weights are treated as relative.
-		fit.ResidualVar = rss / wsum * float64(fit.N) / float64(fit.N-2)
+		// (rss/n)·n/(n−2), in the order every recorded fit rounded it.
+		n := float64(fit.N)
+		fit.ResidualVar = rss / n * n / float64(fit.N-2)
 	}
 	return fit, nil
 }
+
+var errLengthMismatch = errors.New("stats: FitLine length mismatch")
 
 // Observation is a measured value with a variance estimate, as produced by
 // one node of the cluster.

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full local check: build, vet, the test suite with the race detector, and
 # a short audited fuzz smoke on each fuzz target. The optperf fuzz target
-# solves through SolveAudited in strict mode, so every fuzz input also
+# solves through the audited solver in strict mode, so every fuzz input also
 # verifies the paper's optimality invariants (audit harness, DESIGN.md).
 set -eu
 
@@ -263,6 +263,14 @@ lane -race -count=1 -cpu 1,2,4 -run 'TestReduceIntoMatchesStagedReduce|TestFlatG
 # still allocate nothing. By name, so a rename cannot silently drop them.
 echo "== norm-lane lane: norm chains over lanes, evaluation over cores, zero allocs -race -cpu 1,2,4 =="
 lane -race -count=1 -cpu 1,2,4 -run 'TestLiveGlobalSqNormMatchesSeq|TestEvaluatorMatchesSequentialForward|TestEpochEvaluationMatchesSequentialForward|TestLiveSteadyStateStepAllocsZero' ./internal/runtime
+
+# ROADMAP 6(d) flake audit for the allocation gates: a window's count is the
+# step's own allocations, read from a heap profile of every allocation in it
+# with the Go runtime's growth of its own caches (sudogs, timer heaps, Ms,
+# gs) left out, so twenty runs of each under the race detector must all
+# pass. By name, so a rename cannot silently drop them.
+echo "== allocation gates lane: a warm live or worker step allocates nothing -race -count=20 =="
+lane -race -count=20 -run 'TestLiveSteadyStateStepAllocsZero|TestWorkerSteadyStateStepAllocsZero' ./internal/runtime
 
 # Profiling must stay wired up: the live-vs-sequential bench is the tool
 # used to chase scheduling regressions, so a broken -cpuprofile path (or a
