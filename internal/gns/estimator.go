@@ -3,7 +3,7 @@ package gns
 // Estimator is a reusable form of EstimateOptimal/EstimateNaive for the
 // per-step hot path. The Theorem 4.1 weights depend only on the local batch
 // sizes, which are constant across steps until the allocator re-plans, so
-// the Estimator caches them and recomputes (one Cholesky solve per matrix)
+// the Estimator caches them and recomputes (one linear solve per matrix)
 // only when the batch vector changes. The gi/si scratch is reused across
 // calls, making steady-state Estimate calls allocation free.
 //
