@@ -87,7 +87,7 @@ func TestSolveDimensionErrors(t *testing.T) {
 	if _, err := Solve(a, []float64{1, 2}); err == nil {
 		t.Fatal("Solve accepted a non-square matrix")
 	}
-	if _, err := Solve(NewMatrix(2, 2), []float64{1}); err == nil {
+	if _, err := Solve(fromRows([][]float64{{1, 0}, {0, 1}}), []float64{1}); err == nil || errors.Is(err, ErrSingular) {
 		t.Fatal("Solve accepted mismatched rhs length")
 	}
 }

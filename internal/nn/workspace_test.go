@@ -55,8 +55,6 @@ func TestWorkspaceReuseBitwiseStable(t *testing.T) {
 	}
 }
 
-// bitsOf is v as IEEE-754 bit patterns: what "bitwise equal" compares, so
-// that −0 differs from +0 and a NaN equals itself.
 // transposed returns a copy of t's transpose.
 func transposed(t *tensor.T) *tensor.T {
 	out := tensor.New(t.Cols(), t.Rows())
@@ -75,6 +73,8 @@ func matMul(a, b *tensor.T) *tensor.T {
 	return out
 }
 
+// bitsOf is v as IEEE-754 bit patterns: what "bitwise equal" compares, so
+// that −0 differs from +0 and a NaN equals itself.
 func bitsOf(v []float64) []uint64 {
 	out := make([]uint64, len(v))
 	for i, f := range v {

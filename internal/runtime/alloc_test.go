@@ -97,11 +97,15 @@ func TestLiveSteadyStateStepAllocsZero(t *testing.T) {
 // only the allocations of f's own code: the heap allocations per call of f,
 // averaged over runs calls after one warm-up, at the caller's GOMAXPROCS —
 // so a width-2 gate measures the kernels tiled over the pool and the
-// workers on two cores, not everything on one. The window runs with every
-// allocation profiled (MemProfileRate 1), and one the Go runtime makes to
-// grow a cache of its own (runtimeCaches) is not counted: no code here can
-// avoid it, and it lands in whichever window the scheduler happens to grow
-// the cache in. Every other allocation, by whatever goroutine, is counted.
+// workers on two cores, not everything on one. Like testing.AllocsPerRun it
+// counts MemStats.Mallocs, which sees every allocation, the tiny allocator's
+// included, by whatever goroutine. From that it takes away the allocations
+// the Go runtime makes to grow a cache of its own (runtimeCaches), read
+// from a heap profile of the window (MemProfileRate 1, a runtime.GC on each
+// side to publish it): no code here can avoid them, and they land in
+// whichever window the scheduler happens to grow the cache in. None of
+// them is a tiny allocation, so the profile sees each one. The profile's
+// window lies inside the Mallocs one, so nothing is taken away twice.
 func allocsPerRun(runs int, f func()) uint64 {
 	f()
 	defer func(rate int) { stdruntime.MemProfileRate = rate }(stdruntime.MemProfileRate)
@@ -109,26 +113,30 @@ func allocsPerRun(runs int, f func()) uint64 {
 	n, _ := stdruntime.MemProfile(nil, true)
 	before := make([]stdruntime.MemProfileRecord, n+4096)
 	after := make([]stdruntime.MemProfileRecord, len(before))
-	stdruntime.GC() // publish every allocation so far, the two above included
+	var m0, m1 stdruntime.MemStats
+	stdruntime.ReadMemStats(&m0)
+	stdruntime.GC() // publish every allocation so far
 	nb, okb := stdruntime.MemProfile(before, true)
 	for range runs {
 		f()
 	}
 	stdruntime.GC()
 	na, oka := stdruntime.MemProfile(after, true)
+	stdruntime.ReadMemStats(&m1)
 	if !okb || !oka {
 		panic("allocsPerRun: the heap profile outgrew its buffer")
 	}
-	return (ownAllocs(after[:na]) - ownAllocs(before[:nb])) / uint64(runs)
+	own := m1.Mallocs - m0.Mallocs - (cacheAllocs(after[:na]) - cacheAllocs(before[:nb]))
+	return own / uint64(runs)
 }
 
-// ownAllocs is the count of allocations in a heap profile that are not the
-// runtime's own (runtimeCache). A profile's counts only grow, so the
-// difference of two is what was allocated between them.
-func ownAllocs(profile []stdruntime.MemProfileRecord) uint64 {
+// cacheAllocs is the count of allocations in a heap profile that grew one
+// of the runtime's own caches (runtimeCache). A profile's counts only grow,
+// so the difference of two is what was allocated between them.
+func cacheAllocs(profile []stdruntime.MemProfileRecord) uint64 {
 	var n int64
 	for _, r := range profile {
-		if !runtimeCache(r.Stack()) {
+		if runtimeCache(r.Stack()) {
 			n += r.AllocObjects
 		}
 	}

@@ -120,6 +120,27 @@ func (z *nonZeros) gather(a []float64, stride, count int) (val []float64, off []
 	return z.val[:n], z.off[:n]
 }
 
+// dot4 adds Σ val[t]·bN[off[t]] to s[N] for four rows of b at once, each sum
+// taking its terms one at a time in order. It stays out of line: inlined
+// into mulBTRange's loop nest the register allocator spills the loop
+// counter, and the store-to-load round trip per term costs a quarter of the
+// kernel's throughput.
+//
+//go:noinline
+func dot4(s *[4]float64, val []float64, off []int32, b0, b1, b2, b3 []float64) {
+	off = off[:len(val)]
+	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
+	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
+	for t, av := range val {
+		kk := off[t]
+		s0 += av * b0[kk]
+		s1 += av * b1[kk]
+		s2 += av * b2[kk]
+		s3 += av * b3[kk]
+	}
+	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
+}
+
 // axpy4 accumulates o[j] += Σ val[t]·b[off[t]·len(o)+j] with the terms added
 // one at a time in order — per output element the same sequence of roundings
 // as one axpy per term — but four terms per sweep of o, so o is loaded and
@@ -202,25 +223,4 @@ func mulBTRange(dst, a, b *T, lo, hi int) {
 			}
 		}
 	}
-}
-
-// dot4 adds Σ val[t]·bN[off[t]] to s[N] for four rows of b at once, each sum
-// taking its terms one at a time in order. It stays out of line: inlined
-// into mulBTRange's loop nest the register allocator spills the loop
-// counter, and the store-to-load round trip per term costs a quarter of the
-// kernel's throughput.
-//
-//go:noinline
-func dot4(s *[4]float64, val []float64, off []int32, b0, b1, b2, b3 []float64) {
-	off = off[:len(val)]
-	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
-	s0, s1, s2, s3 := s[0], s[1], s[2], s[3]
-	for t, av := range val {
-		kk := off[t]
-		s0 += av * b0[kk]
-		s1 += av * b1[kk]
-		s2 += av * b2[kk]
-		s3 += av * b3[kk]
-	}
-	s[0], s[1], s[2], s[3] = s0, s1, s2, s3
 }

@@ -49,7 +49,10 @@ type Cannikin struct {
 	// Per-node per-epoch communication-constant accumulators.
 	commGamma, commTo, commTu []stats.Welford
 	lastPlan                  optperf.Plan
-	solvesSeen                int
+	// solvesSeen counts the solver operations spent planning (the quantity
+	// Table 6's overhead model charges). Nothing in the program reads it:
+	// it is kept for TestCannikinPlanningWorkBounded, which bounds it.
+	solvesSeen int
 	// reprofile lists the nodes whose compute model drifted at the last
 	// epoch boundary and therefore need a targeted probe epoch.
 	reprofile []int
